@@ -5,9 +5,8 @@ frequency moments, set-disjointness, and graph queries on sparse streams
 using annotation from an untrusted prover, with bit-accurate annotation
 (hcost) and verifier-space (vcost) accounting."""
 
-from .field import (DEFAULT_FIELD, Field, M61, eval_poly, interpolate,
-                    is_prime, lagrange_basis_at, make_field, next_prime,
-                    random_element)
+from .field import (DEFAULT_FIELD, Field, M61, eval_poly, is_prime,
+                    lagrange_basis_at, next_prime, random_element)
 from .graphs import (count_triangles_run, verify_connectivity,
                      verify_non_bipartite, verify_perfect_matching)
 from .harness import (RunConfig, adversary, cost_sweep, run_scheme,
@@ -19,8 +18,8 @@ from .moments import (disj_online_run, disj_prescient_run, fk_ama_mode,
 from .pointqueries import heavyhitters_run, pq_run, selection_run
 from .protocol import (ConfigError, CostReport, Outcome, RelaxedOutcome,
                        RunResult)
-from .purity import (ama_injection_run, injection_run, purity_field_bound,
-                     subf2_run, subinjection_run)
+from .purity import (ama_injection_run, injection_run, subf2_run,
+                     subinjection_run)
 from .streams import (BucketedUpdate, Fingerprint, PairwiseHash, StreamMeta,
                       StreamUpdate, compute_meta, dyadic_decompose,
                       find_perfect_hash, fingerprint_update,

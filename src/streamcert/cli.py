@@ -3,16 +3,12 @@
     streamcert <scheme> --input FILE [--params...] --seed S \
         --prover honest|<strategy> [--trials T] [--report json|tsv]
 
-Exit codes: 0 = accepted, 2 = rejected (bottom), 1 = usage/config error.
-STREAMCERT_FIELD, when set to an integer, raises the minimum fingerprint
-field size used by the point-query family."""
+Exit codes: 0 = accepted, 2 = rejected (bottom), 1 = usage/config error."""
 
 import argparse
 import json
-import os
 import sys
 
-from .field import make_field
 from .harness import RunConfig, SCHEMES, cost_sweep, run_scheme, soundness_trials
 from .protocol import ConfigError, RelaxedOutcome
 from .streams import (ModelViolation, read_bucketed_stream, read_edge_stream,
@@ -181,10 +177,6 @@ def main(argv=None):
                     print("\t".join(str(row[k]) for k in keys))
             return 0
 
-        env_field = os.environ.get("STREAMCERT_FIELD")
-        if env_field:
-            # raises early if the override is unusable
-            make_field(int(env_field))
         updates, n, model, base_params = _load(args.scheme, args.input, args)
         params = _params_from_args(args.scheme, args, base_params)
         config = RunConfig(scheme=args.scheme, n=n, model=model,

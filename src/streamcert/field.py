@@ -57,26 +57,6 @@ class Field:
         self.q = q
         self.bits = q.bit_length()
 
-    def add(self, a, b):
-        s = a + b
-        q = self.q
-        return s - q if s >= q else s
-
-    def sub(self, a, b):
-        s = a - b
-        return s + self.q if s < 0 else s
-
-    def mul(self, a, b):
-        return a * b % self.q
-
-    def neg(self, a):
-        return self.q - a if a else 0
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.q - 2, self.q)
-
     def enc(self, x: int) -> int:
         """Map a signed integer into the field."""
         return x % self.q
@@ -101,13 +81,6 @@ class Field:
 DEFAULT_FIELD = Field(M61)
 
 
-def make_field(min_size: int) -> Field:
-    """Field with the smallest prime modulus >= min_size."""
-    if min_size < 2:
-        raise ValueError("min_size must be >= 2")
-    return Field(next_prime(min_size))
-
-
 def field_at_least(min_q: int) -> Field:
     """Default field, or a larger prime one when min_q exceeds 2^61 - 1.
 
@@ -128,14 +101,6 @@ def random_element(field: Field, rng) -> int:
 # -- univariate polynomials, coefficient lists ordered lowest degree first --
 
 
-def poly_canon(field, coeffs):
-    """Canonical form: reduced coefficients, no trailing zeros."""
-    out = [c % field.q for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def eval_poly(field, coeffs, x):
     """Horner evaluation of p(x)."""
     acc = 0
@@ -143,53 +108,6 @@ def eval_poly(field, coeffs, x):
     for c in reversed(coeffs):
         acc = (acc * x + c) % q
     return acc
-
-
-def interpolate(field, points):
-    """Unique polynomial of degree < len(points) through the given (x, y) pairs.
-
-    Newton divided differences, then expansion to the monomial basis.
-    Raises on duplicate x coordinates.
-    """
-    xs = [field.enc(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate interpolation points")
-    q = field.q
-    d = [field.enc(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = (d[i] - d[i - 1]) % q
-            den = (xs[i] - xs[i - j]) % q
-            d[i] = num * pow(den, q - 2, q) % q
-    coeffs = [0] * n
-    basis = [1]  # running product (X - x_0)...(X - x_{i-1})
-    for i in range(n):
-        ci = d[i]
-        for k in range(len(basis)):
-            coeffs[k] = (coeffs[k] + ci * basis[k]) % q
-        if i + 1 < n:
-            nb = [0] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                nb[k] = (nb[k] - b * xs[i]) % q
-                nb[k + 1] = (nb[k + 1] + b) % q
-            basis = nb
-    return poly_canon(field, coeffs)
-
-
-def batch_inverse(field, values):
-    """Inverses of all values with one modular exponentiation (values nonzero)."""
-    q = field.q
-    n = len(values)
-    prefix = [1] * (n + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = prefix[i] * v % q
-    inv_all = pow(prefix[n], q - 2, q)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] * inv_all % q
-        inv_all = inv_all * values[i] % q
-    return out
 
 
 _INVFACT_CACHE: dict = {}

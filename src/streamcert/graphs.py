@@ -81,6 +81,32 @@ def _subset_shape(n_edge_universe, m_bound, weight, c_v):
                  max(1, weight), MODE_STRICT, main_vectors=2)
 
 
+class _RelaxedProverBase(Prover):
+    """Streams the graph's edges as the Y side of the subset engine; at the
+    end, plays the witness edges as the X side after the witness chunk."""
+
+    def __init__(self, n, shape, rng):
+        self.n = n
+        self.engine = OnlineEngineProver(shape, edge_universe(n), (), True, rng)
+
+    def start(self):
+        return self.engine.start()
+
+    def on_update(self, u):
+        u_, v_, delta = u
+        self.engine.update((1, StreamUpdate(pair_rank(u_, v_), delta)))
+
+    def witness(self):
+        """(witness chunk, witness edges)."""
+        raise NotImplementedError
+
+    def finish(self, query):
+        chunk, edges = self.witness()
+        for a, b in edges:
+            self.engine.update((0, StreamUpdate(pair_rank(a, b), 1)))
+        return [chunk] + self.engine.finish(query)
+
+
 class _RelaxedVerifierBase(Verifier):
     def __init__(self, n, shape, rng):
         self.n = n
@@ -114,26 +140,14 @@ class _RelaxedVerifierBase(Verifier):
 # ------------------------------------------------------------ perfect matching
 
 
-class MatchingProver(Prover):
-    def __init__(self, n, shape, witness, rng):
-        self.n = n
-        self.witness = witness
-        self.engine = OnlineEngineProver(shape, edge_universe(n), (), True, rng)
+class MatchingProver(_RelaxedProverBase):
+    def __init__(self, n, shape, matching, rng):
+        super().__init__(n, shape, rng)
+        self.matching = matching
 
-    def start(self):
-        return self.engine.start()
-
-    def on_update(self, u):
-        u_, v_, delta = u
-        self.engine.on_update((1, StreamUpdate(pair_rank(u_, v_), delta)))
-        return []
-
-    def finish(self, query):
-        bits = len(self.witness) * 2 * id_bits(self.n)
-        for a, b in self.witness:
-            self.engine.on_update((0, StreamUpdate(pair_rank(a, b), 1)))
-        return [Chunk("matching-witness", list(self.witness), bits)] + \
-            self.engine.finish(query)
+    def witness(self):
+        bits = len(self.matching) * 2 * id_bits(self.n)
+        return Chunk("matching-witness", list(self.matching), bits), self.matching
 
 
 class MatchingVerifier(_RelaxedVerifierBase):
@@ -204,28 +218,17 @@ def witness_tree_records(n, root, tree_edges):
     return edge_recs, vert_recs
 
 
-class ConnectivityProver(Prover):
+class ConnectivityProver(_RelaxedProverBase):
     def __init__(self, n, shape, root, tree_edges, rng):
-        self.n = n
         self.root = root
         self.records = witness_tree_records(n, root, tree_edges)
-        self.engine = OnlineEngineProver(shape, edge_universe(n), (), True, rng)
+        super().__init__(n, shape, rng)
 
-    def start(self):
-        return self.engine.start()
-
-    def on_update(self, u):
-        u_, v_, delta = u
-        self.engine.on_update((1, StreamUpdate(pair_rank(u_, v_), delta)))
-        return []
-
-    def finish(self, query):
+    def witness(self):
         edge_recs, vert_recs = self.records
-        for child, par, _ in edge_recs:
-            self.engine.on_update((0, StreamUpdate(pair_rank(child, par), 1)))
         bits = (len(edge_recs) * 3 + len(vert_recs) * 3 + 1) * id_bits(self.n ** 2)
-        return [Chunk("tree-witness", (self.root, edge_recs, vert_recs), bits)] \
-            + self.engine.finish(query)
+        return (Chunk("tree-witness", (self.root, edge_recs, vert_recs), bits),
+                [(child, par) for child, par, _ in edge_recs])
 
 
 class ConnectivityVerifier(_RelaxedVerifierBase):
@@ -301,26 +304,15 @@ def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
 # ------------------------------------------------------------ non-bipartiteness
 
 
-class OddCycleProver(Prover):
+class OddCycleProver(_RelaxedProverBase):
     def __init__(self, n, shape, cycle, rng):
-        self.n = n
+        super().__init__(n, shape, rng)
         self.cycle = cycle  # closed vertex list, first == last
-        self.engine = OnlineEngineProver(shape, edge_universe(n), (), True, rng)
 
-    def start(self):
-        return self.engine.start()
-
-    def on_update(self, u):
-        u_, v_, delta = u
-        self.engine.on_update((1, StreamUpdate(pair_rank(u_, v_), delta)))
-        return []
-
-    def finish(self, query):
-        for a, b in zip(self.cycle, self.cycle[1:]):
-            self.engine.on_update((0, StreamUpdate(pair_rank(a, b), 1)))
+    def witness(self):
         bits = len(self.cycle) * id_bits(self.n)
-        return [Chunk("cycle-witness", list(self.cycle), bits)] + \
-            self.engine.finish(query)
+        return (Chunk("cycle-witness", list(self.cycle), bits),
+                zip(self.cycle, self.cycle[1:]))
 
 
 class OddCycleVerifier(_RelaxedVerifierBase):

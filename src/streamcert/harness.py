@@ -38,7 +38,7 @@ class ChunkTamper(Prover):
         return self.inner.start()
 
     def on_update(self, u):
-        return self.inner.on_update(u)
+        self.inner.on_update(u)
 
     def finish(self, query):
         return self.end_fn(list(self.inner.finish(query)))

@@ -21,6 +21,14 @@ the non-strict model by occupying buckets with absolute update weight (each
 entry then also carries its certified absolute weight), and 'ama' uses
 public-coin fingerprint purity checks to keep sparsity-scaled costs in the
 non-strict model.
+
+Each mapping from stream updates to dense instances is written once and
+built over DenseProver or DenseVerifier: _StageMap for the MultiIndex
+stages and _EngineMap for the universe reduction. The prover sides add
+the honest annotation; the verifier sides add the checks on it (`need`),
+the hash validation, the proof consumption and the space accounting. A
+shared update evaluates each hash once and computes the purity terms once
+per mapped id, however many instances take them.
 """
 
 import math
@@ -35,7 +43,7 @@ from .streams import (PairwiseHash, StreamUpdate, compute_meta,
                       find_perfect_hash, frequency_map, random_pairwise_hash)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
                        g_product, prop1_min_field)
-from .purity import (ama_coords, ama_params, draw_public_coins,
+from .purity import (add_purity, ama_coords, ama_params, draw_public_coins,
                      injection_params, purity_deltas, purity_min_field,
                      subf2_params, subinjection_params)
 
@@ -94,6 +102,30 @@ class Shape:
         self.coins = (draw_public_coins(self.field_purity, coins_seed)
                       if mode == MODE_AMA else None)
 
+    # purity feed -----------------------------------------------------------
+
+    def purity_terms(self, ident, delta, raw=False):
+        """(u, v, w) terms of one update for a purity instance, computed once
+        however many instances take them; None in AMA mode, where the terms
+        depend on the bucket. Footprint mode occupies buckets with absolute
+        weight, except for a raw removal of certified weight."""
+        if self.mode == MODE_AMA:
+            return None
+        if self.mode == MODE_FOOTPRINT and not raw:
+            delta = abs(delta)
+        return purity_deltas(self.field_purity, ident, delta)
+
+    def feed_purity(self, dense, ident, bucket, delta, terms):
+        """One update into a purity instance at `bucket`: its (u, v, w)
+        terms, or in AMA mode its fingerprint coordinates."""
+        if terms is not None:
+            add_purity(dense, bucket, terms)
+            return
+        alpha, beta = self.coins
+        for vec, coord, d in ama_coords(self.field_purity, alpha, beta, self.n_ids,
+                                        self.lgn, ident, bucket, delta):
+            dense.update(vec, coord, d)
+
     # dense parameter bundles ------------------------------------------------
 
     def main_power_params(self, k):
@@ -130,53 +162,80 @@ class Shape:
 # ------------------------------------------------------------------ MultiIndex
 
 
-class MultiIndexProverCore:
+class _StageMap:
+    """MultiIndex stage mapping, the same on both sides.
+
+    An update (ident, delta) lands, under each stage hash h_j, in bucket
+    h_j(ident) of stage j's SubF2 instances and, as purity terms, of its
+    SubInjection-style check. A claim entry takes its claimed frequency out
+    of every stage and marks its bucket at its own stage. `dense(params)`
+    builds each instance: a DenseProver for the prover, a DenseVerifier
+    drawing its secret point for the verifier."""
+
+    def __init__(self, shape: Shape, dense):
+        self.shape = shape
+        t = shape.t_max
+        self.checks = [dense(shape.stage_check_params()) for _ in range(t)]
+        self.sf_net = [dense(shape.stage_subf2_params()) for _ in range(t)]
+        self.sf_abs = ([dense(shape.stage_subf2_params()) for _ in range(t)]
+                       if shape.mode == MODE_FOOTPRINT else None)
+        self.marks = [0] * t
+
+    def update(self, ident, delta, terms=None):
+        """terms: the update's purity terms, when the caller has them."""
+        sh = self.shape
+        if terms is None:
+            terms = sh.purity_terms(ident, delta)
+        for j, h in enumerate(self.hs):
+            b = h(ident)
+            self.sf_net[j].update(0, b, delta)
+            if self.sf_abs is not None:
+                self.sf_abs[j].update(0, b, abs(delta))
+            sh.feed_purity(self.checks[j], ident, b, delta, terms)
+
+    def entry(self, ident, fstar, stage, wstar=None):
+        sh = self.shape
+        buckets = [h(ident) for h in self.hs]
+        for j, b in enumerate(buckets):
+            self.sf_net[j].update(0, b, -fstar)
+            if self.sf_abs is not None:
+                self.sf_abs[j].update(0, b, -wstar)
+        j = stage - 1
+        b = buckets[j]
+        insert = wstar if sh.mode == MODE_FOOTPRINT else fstar
+        if insert:
+            sh.feed_purity(self.checks[j], ident, b, insert,
+                           sh.purity_terms(ident, insert))
+        if sh.mode == MODE_AMA:
+            for jj in range(sh.lgn):
+                self.checks[j].update(2, b * sh.lgn + jj, 1)
+        else:
+            self.checks[j].update(3, b, 1)
+        self.sf_net[j].update(1, b, 1)
+        if self.sf_abs is not None:
+            self.sf_abs[j].update(1, b, 1)
+        self.marks[j] += 1
+
+
+class MultiIndexProverCore(_StageMap):
     """Prover side of the staged frequency-batch certification."""
 
     def __init__(self, shape: Shape, rng):
-        self.shape = shape
         self.hs = [random_pairwise_hash(shape.n_ids, shape.r, rng)
                    for _ in range(shape.t_max)]
-        self.checks = [DenseProver(shape.stage_check_params())
-                       for _ in range(shape.t_max)]
-        self.sf_net = [DenseProver(shape.stage_subf2_params())
-                       for _ in range(shape.t_max)]
-        self.sf_abs = ([DenseProver(shape.stage_subf2_params())
-                        for _ in range(shape.t_max)]
-                       if shape.mode == MODE_FOOTPRINT else None)
+        super().__init__(shape, DenseProver)
         self.freq = {}
         self.absw = {}
-        self.marks = [0] * shape.t_max
         self._stages = None
 
     def start_chunks(self):
         bits = sum(h.bits for h in self.hs)
         return [Chunk("mi-hashes", list(self.hs), bits)]
 
-    def _feed_check(self, j, ident, delta):
-        sh = self.shape
-        b = self.hs[j](ident)
-        if sh.mode == MODE_AMA:
-            alpha, beta = sh.coins
-            for vec, coord, d in ama_coords(sh.field_purity, alpha, beta, sh.n_ids,
-                                            sh.lgn, ident, b, delta):
-                self.checks[j].update(vec, coord, d)
-        else:
-            d = abs(delta) if sh.mode == MODE_FOOTPRINT else delta
-            du, dv, dw = purity_deltas(sh.field_purity, ident, d)
-            self.checks[j].update(0, b, du)
-            self.checks[j].update(1, b, dv)
-            self.checks[j].update(2, b, dw)
-
-    def update(self, ident, delta):
+    def update(self, ident, delta, terms=None):
         self.freq[ident] = self.freq.get(ident, 0) + delta
         self.absw[ident] = self.absw.get(ident, 0) + abs(delta)
-        for j in range(self.shape.t_max):
-            b = self.hs[j](ident)
-            self.sf_net[j].update(0, b, delta)
-            if self.sf_abs is not None:
-                self.sf_abs[j].update(0, b, abs(delta))
-            self._feed_check(j, ident, delta)
+        super().update(ident, delta, terms)
 
     def support(self):
         if self.shape.mode == MODE_FOOTPRINT:
@@ -206,28 +265,6 @@ class MultiIndexProverCore:
             out.append(stage)
         return out
 
-    def entry(self, ident, fstar, stage, wstar=None):
-        sh = self.shape
-        j = stage - 1
-        for jj in range(sh.t_max):
-            b = self.hs[jj](ident)
-            self.sf_net[jj].update(0, b, -fstar)
-            if self.sf_abs is not None:
-                self.sf_abs[jj].update(0, b, -wstar)
-        b = self.hs[j](ident)
-        insert = wstar if sh.mode == MODE_FOOTPRINT else fstar
-        if insert:
-            self._feed_check(j, ident, insert)
-        if sh.mode == MODE_AMA:
-            for jj in range(sh.lgn):
-                self.checks[j].update(2, b * sh.lgn + jj, 1)
-        else:
-            self.checks[j].update(3, b, 1)
-        self.sf_net[j].update(1, b, 1)
-        if self.sf_abs is not None:
-            self.sf_abs[j].update(1, b, 1)
-        self.marks[j] += 1
-
     def claims(self, entries):
         """entries: (ident, fstar) or (ident, fstar, wstar) tuples."""
         stages = self.stages_for([e[0] for e in entries])
@@ -255,86 +292,63 @@ class MultiIndexProverCore:
         return chunks
 
 
-class MultiIndexVerifierCore:
+class MultiIndexVerifierCore(_StageMap):
     """Verifier side; one SubInjection-style state and one or two SubF2
-    states per stage, all over the same reduced universe."""
+    states per stage, all over the same reduced universe. Adds the checks
+    on the prover's hashes, stage assignments and claimed frequencies."""
 
     def __init__(self, shape: Shape, rng):
-        self.shape = shape
+        super().__init__(shape, lambda params: DenseVerifier(params, rng))
         self.hs = None
-        self.checks = [DenseVerifier(shape.stage_check_params(), rng)
-                       for _ in range(shape.t_max)]
-        self.sf_net = [DenseVerifier(shape.stage_subf2_params(), rng)
-                       for _ in range(shape.t_max)]
-        self.sf_abs = ([DenseVerifier(shape.stage_subf2_params(), rng)
-                        for _ in range(shape.t_max)]
-                       if shape.mode == MODE_FOOTPRINT else None)
-        self.marks = [0] * shape.t_max
         self.weight_seen = 0
         self.stages_used = 0
+        self._claims = None
 
-    def set_hashes(self, chunks):
+    def begin(self, chunks):
+        """The start annotation: the stage hashes and nothing else."""
         sh = self.shape
         need(chunks and chunks[0].kind == "mi-hashes", "missing stage hashes")
         hs = chunks[0].data
-        need(len(hs) == sh.t_max, "wrong stage hash count")
+        need(isinstance(hs, list) and len(hs) == sh.t_max, "wrong stage hash count")
         for h in hs:
             need(isinstance(h, PairwiseHash) and h.r == sh.r and h.p >= sh.n_ids,
                  "bad stage hash")
+        need(len(chunks) == 1, "unexpected start annotation")
         self.hs = hs
-        return chunks[1:]
 
-    def _feed_check(self, j, ident, delta):
-        sh = self.shape
-        b = self.hs[j](ident)
-        if sh.mode == MODE_AMA:
-            alpha, beta = sh.coins
-            for vec, coord, d in ama_coords(sh.field_purity, alpha, beta, sh.n_ids,
-                                            sh.lgn, ident, b, delta):
-                self.checks[j].update(vec, coord, d)
-        else:
-            d = abs(delta) if sh.mode == MODE_FOOTPRINT else delta
-            du, dv, dw = purity_deltas(sh.field_purity, ident, d)
-            self.checks[j].update(0, b, du)
-            self.checks[j].update(1, b, dv)
-            self.checks[j].update(2, b, dw)
-
-    def update(self, ident, delta):
+    def update(self, ident, delta, terms=None):
         self.weight_seen += abs(delta)
-        for j in range(self.shape.t_max):
-            b = self.hs[j](ident)
-            self.sf_net[j].update(0, b, delta)
-            if self.sf_abs is not None:
-                self.sf_abs[j].update(0, b, abs(delta))
-            self._feed_check(j, ident, delta)
+        super().update(ident, delta, terms)
 
     def entry(self, ident, fstar, stage, wstar=None):
         sh = self.shape
-        need(1 <= stage <= sh.t_max, "stage outside budget")
+        need(type(stage) is int and 1 <= stage <= sh.t_max, "stage outside budget")
         need(abs(fstar) <= self.weight_seen, "implausible claimed frequency")
         if sh.mode == MODE_FOOTPRINT:
             need(wstar is not None and 1 <= wstar <= self.weight_seen,
                  "implausible claimed weight")
-        j = stage - 1
-        for jj in range(sh.t_max):
-            b = self.hs[jj](ident)
-            self.sf_net[jj].update(0, b, -fstar)
-            if self.sf_abs is not None:
-                self.sf_abs[jj].update(0, b, -wstar)
-        b = self.hs[j](ident)
-        insert = wstar if sh.mode == MODE_FOOTPRINT else fstar
-        if insert:
-            self._feed_check(j, ident, insert)
-        if sh.mode == MODE_AMA:
-            for jj in range(sh.lgn):
-                self.checks[j].update(2, b * sh.lgn + jj, 1)
-        else:
-            self.checks[j].update(3, b, 1)
-        self.sf_net[j].update(1, b, 1)
-        if self.sf_abs is not None:
-            self.sf_abs[j].update(1, b, 1)
-        self.marks[j] += 1
+        super().entry(ident, fstar, stage, wstar)
         self.stages_used = max(self.stages_used, stage)
+
+    def claims(self, claims):
+        """The (ident, fstar) claims of a standalone run, known to the
+        verifier before end()."""
+        self._claims = claims
+
+    def end(self, chunks):
+        """1 iff every claim is certified exact, 0 if a certified value
+        contradicts one; rejects on a malformed annotation."""
+        chunks = list(chunks)
+        need(chunks and chunks[0].kind != "mi-abort", "prover aborted")
+        need(chunks[0].kind == "mi-stages", "missing stage assignments")
+        stages = chunks[0].data
+        need(isinstance(stages, list) and len(stages) == len(self._claims),
+             "stage list length mismatch")
+        for (ident, fstar), stage in zip(self._claims, stages):
+            need(0 <= ident < self.shape.n_ids, "claim outside universe")
+            need(fstar >= 0, "negative claimed frequency")
+            self.entry(ident, fstar, stage)
+        return self.consume_proofs(chunks[1:])
 
     def consume_proofs(self, chunks):
         """Verify the marked stages' proofs; 1 if every check passed, 0 if a
@@ -348,7 +362,8 @@ class MultiIndexVerifierCore:
             need(c is not None and c.kind == "mi-stage-proof", "missing stage proof")
             proofs = c.data
             want = 3 if self.sf_abs is not None else 2
-            need(len(proofs) == want, "malformed stage proof")
+            need(isinstance(proofs, list) and len(proofs) == want,
+                 "malformed stage proof")
             v = self.checks[j].verify(proofs[0])
             need(v is not None, "stage purity proof failed")
             if v != 0:
@@ -377,117 +392,54 @@ class MultiIndexVerifierCore:
 def multiindex_cores(n_ids, declared_m, c_v, weight, seed):
     """(verifier factory, prover factory) for embedding MultiIndex in another
     scheme (the improved heavy hitters reduction uses this)."""
-    def make_shape(ell=None):
-        return Shape(n_ids, declared_m, c_v, weight, MODE_STRICT, ell=ell)
-
-    shape = make_shape()
+    shape = Shape(n_ids, declared_m, c_v, weight, MODE_STRICT)
 
     def v_factory():
-        return _MultiIndexSub(MultiIndexVerifierCore(shape, derive_rng(seed, "mi-v")))
+        return MultiIndexVerifierCore(shape, derive_rng(seed, "mi-v"))
 
     def p_factory():
-        return _MultiIndexSubProver(MultiIndexProverCore(shape, derive_rng(seed, "mi-p")))
+        return MultiIndexProverCore(shape, derive_rng(seed, "mi-p"))
 
     return v_factory, p_factory
 
 
-class _MultiIndexSub:
-    """Chunk-level wrapper so another verifier can embed a MultiIndex run."""
-
-    def __init__(self, core: MultiIndexVerifierCore):
-        self.core = core
-        self._claims = None
-
-    def begin(self, chunks):
-        rest = self.core.set_hashes(chunks)
-        need(not rest, "unexpected start annotation")
-
-    def update(self, ident, delta):
-        self.core.update(ident, delta)
-
-    def claims(self, claims):
-        self._claims = claims
-
-    def end(self, chunks):
-        chunks = list(chunks)
-        need(chunks and chunks[0].kind != "mi-abort", "prover aborted")
-        need(chunks[0].kind == "mi-stages", "missing stage assignments")
-        stages = chunks[0].data
-        need(len(stages) == len(self._claims), "stage list length mismatch")
-        ok = 1
-        for (ident, fstar), stage in zip(self._claims, stages):
-            need(0 <= ident < self.core.shape.n_ids, "claim outside universe")
-            need(fstar >= 0, "negative claimed frequency")
-            self.core.entry(ident, fstar, stage)
-        if self.core.consume_proofs(chunks[1:]) != 1:
-            ok = 0
-        return ok
-
-    @property
-    def words(self):
-        return self.core.words
-
-    @property
-    def stages_used(self):
-        return self.core.stages_used
-
-
-class _MultiIndexSubProver:
-    def __init__(self, core: MultiIndexProverCore):
-        self.core = core
-
-    def start_chunks(self):
-        return self.core.start_chunks()
-
-    def update(self, ident, delta):
-        self.core.update(ident, delta)
-
-    def claims(self, claims):
-        self.core.claims(claims)
-
-    def finish_chunks(self):
-        return self.core.finish_chunks()
-
-
 class _MultiIndexRunVerifier(Verifier):
     def __init__(self, shape, claims, rng):
-        self.sub = _MultiIndexSub(MultiIndexVerifierCore(shape, rng))
-        self.claims = claims
-        self.sub.claims(claims)
+        self.mi = MultiIndexVerifierCore(shape, rng)
+        self.mi.claims(claims)
         self.word_bits = shape.field.bits
         self.info = {}
 
     def begin(self, chunks):
-        self.sub.begin(chunks)
+        self.mi.begin(chunks)
 
     def update(self, u):
-        self.sub.update(u.item, u.delta)
+        self.mi.update(u.item, u.delta)
 
     def end(self, chunks, query):
-        ok = self.sub.end(chunks)
-        self.info["stages_used"] = self.sub.stages_used
+        ok = self.mi.end(chunks)
+        self.info["stages_used"] = self.mi.stages_used
         return Outcome.ok(ok)
 
     @property
     def words(self):
-        return self.sub.words
+        return self.mi.words
 
 
 class _MultiIndexRunProver(Prover):
     def __init__(self, shape, claims, rng):
-        self.sub = _MultiIndexSubProver(MultiIndexProverCore(shape, rng))
+        self.mi = MultiIndexProverCore(shape, rng)
         self._claims = claims
 
     def start(self):
-        return self.sub.start_chunks()
+        return self.mi.start_chunks()
 
     def on_update(self, u):
-        self.sub.update(u.item, u.delta)
-        return []
+        self.mi.update(u.item, u.delta)
 
     def finish(self, query):
-        self.sub.claims(self._claims)
-        return self.sub.finish_chunks()
+        self.mi.claims(self._claims)
+        return self.mi.finish_chunks()
 
 
 def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None,
@@ -516,64 +468,85 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None,
 # --------------------------------------------------------------- online engine
 
 
-class OnlineEngineProver(Prover):
-    """Honest prover for the universe-reduction schemes: plain Fk for a set
-    of moment orders, or the two-vector product form for tagged streams."""
+class _EngineMap:
+    """Universe-reduction mapping, the same on both sides: plain Fk for a set
+    of moment orders, or the two-vector product form for tagged streams.
 
-    def __init__(self, shape: Shape, n, ks, tagged, rng):
+    Each update lands in bucket h(item) of the main instances and of the
+    main injection check, and goes on to the MultiIndex stages; a
+    collision-list entry's counts are taken back out of the main instances
+    and the main injection by remove()."""
+
+    def __init__(self, shape: Shape, n, ks, tagged, dense, mi):
         self.shape = shape
         self.n = n
         self.ks = tuple(ks)
         self.tagged = tagged
-        self.h = random_pairwise_hash(n, shape.r, rng)
-        self.mi = MultiIndexProverCore(shape, rng)
+        self.keys = ("ip",) if tagged else self.ks
+        self.mi = mi
         if tagged:
-            self.mains = {"ip": DenseProver(shape.main_product_params())}
+            self.mains = {"ip": dense(shape.main_product_params())}
         else:
-            self.mains = {k: DenseProver(shape.main_power_params(k)) for k in self.ks}
-        self.main_inj = DenseProver(shape.main_injection_params())
-        self.freq = {}
-        self.absw = {}
+            self.mains = {k: dense(shape.main_power_params(k)) for k in self.ks}
+        self.main_inj = dense(shape.main_injection_params())
 
-    def start(self):
-        return [Chunk("hash", self.h, self.h.bits)] + self.mi.start_chunks()
-
-    def _feed_main_inj(self, ident, delta, raw=False):
-        sh = self.shape
-        b = self.h(ident)
-        if sh.mode == MODE_AMA:
-            alpha, beta = sh.coins
-            for vec, coord, d in ama_coords(sh.field_purity, alpha, beta, self.n,
-                                            id_bits(self.n), ident, b, delta):
-                self.main_inj.update(vec, coord, d)
-        else:
-            d = delta if raw or sh.mode != MODE_FOOTPRINT else abs(delta)
-            du, dv, dw = purity_deltas(sh.field_purity, ident, d)
-            self.main_inj.update(0, b, du)
-            self.main_inj.update(1, b, dv)
-            self.main_inj.update(2, b, dw)
-
-    def on_update(self, u):
+    def update(self, u):
         tag, su = u if self.tagged else (0, u)
-        ident = 2 * su.item + tag if self.tagged else su.item
+        sh = self.shape
         b = self.h(su.item)
         if self.tagged:
             self.mains["ip"].update(tag, b, su.delta)
         else:
             for k in self.ks:
                 self.mains[k].update(0, b, su.delta)
-        self._feed_main_inj(su.item, su.delta)
-        self.mi.update(ident, su.delta)
-        self.freq[ident] = self.freq.get(ident, 0) + su.delta
-        self.absw[su.item] = self.absw.get(su.item, 0) + abs(su.delta)
-        return []
+        terms = sh.purity_terms(su.item, su.delta)
+        sh.feed_purity(self.main_inj, su.item, b, su.delta, terms)
+        if self.tagged:
+            self.mi.update(2 * su.item + tag, su.delta)
+        else:  # the stages map the same id, so the same terms
+            self.mi.update(su.item, su.delta, terms)
+
+    def remove(self, entry):
+        """Take a collision-list entry, (i, f), (i, f, weight) in footprint
+        mode or (i, f_S, f_T) when tagged, out of the mapped instances."""
+        sh = self.shape
+        i = entry[0]
+        b = self.h(i)
+        if self.tagged:
+            self.mains["ip"].update(0, b, -entry[1])
+            self.mains["ip"].update(1, b, -entry[2])
+            removal = entry[1] + entry[2]
+        else:
+            removal = entry[1]
+            for k in self.ks:
+                self.mains[k].update(0, b, -removal)
+        raw = sh.mode == MODE_FOOTPRINT
+        if raw:
+            removal = entry[2]
+        sh.feed_purity(self.main_inj, i, b, -removal,
+                       sh.purity_terms(i, -removal, raw=raw))
+
+
+class OnlineEngineProver(_EngineMap, Prover):
+    """Honest prover for the universe-reduction schemes."""
+
+    def __init__(self, shape: Shape, n, ks, tagged, rng):
+        self.h = random_pairwise_hash(n, shape.r, rng)
+        super().__init__(shape, n, ks, tagged, DenseProver,
+                         MultiIndexProverCore(shape, rng))
+
+    def start(self):
+        return [Chunk("hash", self.h, self.h.bits)] + self.mi.start_chunks()
+
+    def on_update(self, u):
+        self.update(u)
 
     def _main_support(self):
         if self.shape.mode == MODE_FOOTPRINT:
-            return set(self.absw)
+            return set(self.mi.absw)
         if self.tagged:
-            return {i >> 1 for i, f in self.freq.items() if f != 0}
-        return {i for i, f in self.freq.items() if f != 0}
+            return {i >> 1 for i, f in self.mi.freq.items() if f != 0}
+        return {i for i, f in self.mi.freq.items() if f != 0}
 
     def collision_items(self):
         support = self._main_support()
@@ -585,43 +558,25 @@ class OnlineEngineProver(Prover):
 
     def finish(self, query):
         sh = self.shape
-        items = self.collision_items()
+        freq = self.mi.freq
         entries = []
         claims = []
-        for i in items:
+        for i in self.collision_items():
             if self.tagged:
-                fs = self.freq.get(2 * i, 0)
-                ft = self.freq.get(2 * i + 1, 0)
+                fs = freq.get(2 * i, 0)
+                ft = freq.get(2 * i + 1, 0)
                 entries.append((i, fs, ft))
                 claims.append((2 * i, fs))
                 claims.append((2 * i + 1, ft))
             elif sh.mode == MODE_FOOTPRINT:
-                f = self.freq.get(i, 0)
-                entries.append((i, f, self.absw[i]))
-                claims.append((i, f, self.absw[i]))
+                entries.append((i, freq.get(i, 0), self.mi.absw[i]))
+                claims.append(entries[-1])
             else:
-                entries.append((i, self.freq[i]))
-                claims.append((i, self.freq[i]))
+                entries.append((i, freq[i]))
+                claims.append(entries[-1])
         self.mi.claims(claims)
-
-        # remove the listed items from the mapped instances
-        for i in items:
-            b = self.h(i)
-            if self.tagged:
-                fs = self.freq.get(2 * i, 0)
-                ft = self.freq.get(2 * i + 1, 0)
-                self.mains["ip"].update(0, b, -fs)
-                self.mains["ip"].update(1, b, -ft)
-                removal = fs + ft
-            else:
-                f = self.freq.get(i, 0)
-                for k in self.ks:
-                    self.mains[k].update(0, b, -f)
-                removal = f
-            if sh.mode == MODE_FOOTPRINT:
-                self._feed_main_inj(i, -self.absw[i], raw=True)
-            else:
-                self._feed_main_inj(i, -removal)
+        for e in entries:
+            self.remove(e)
 
         counts = 2 if (self.tagged or sh.mode == MODE_FOOTPRINT) else 1
         ebits = len(entries) * (id_bits(self.n) + counts * COUNT_BITS)
@@ -631,26 +586,18 @@ class OnlineEngineProver(Prover):
             return chunks
         inj_proof = self.main_inj.proof()
         chunks.append(Chunk("main-injection-proof", inj_proof, inj_proof.bits))
-        for key in (("ip",) if self.tagged else self.ks):
+        for key in self.keys:
             proof = self.mains[key].proof()
             chunks.append(Chunk("main-proof", (key, proof), proof.bits))
         return chunks
 
 
-class OnlineEngineVerifier(Verifier):
+class OnlineEngineVerifier(_EngineMap, Verifier):
     def __init__(self, shape: Shape, n, ks, tagged, rng):
-        self.shape = shape
-        self.n = n
-        self.ks = tuple(ks)
-        self.tagged = tagged
+        super().__init__(shape, n, ks, tagged,
+                         lambda params: DenseVerifier(params, rng),
+                         MultiIndexVerifierCore(shape, rng))
         self.h = None
-        self.mi = MultiIndexVerifierCore(shape, rng)
-        if tagged:
-            self.mains = {"ip": DenseVerifier(shape.main_product_params(), rng)}
-        else:
-            self.mains = {k: DenseVerifier(shape.main_power_params(k), rng) for k in self.ks}
-        self.main_inj = DenseVerifier(shape.main_injection_params(), rng)
-        self.weight_seen = 0
         self.word_bits = shape.field.bits
         self.info = {}
         if shape.mode == MODE_AMA:
@@ -662,92 +609,58 @@ class OnlineEngineVerifier(Verifier):
         need(isinstance(h, PairwiseHash) and h.r == self.shape.r and h.p >= self.n,
              "bad universe hash")
         self.h = h
-        self.mi.set_hashes(chunks[1:])
+        self.mi.begin(chunks[1:])
 
-    def _feed_main_inj(self, ident, delta, raw=False):
+    def _claims(self, e, w):
+        """Checks one collision-list entry; its MultiIndex claims as
+        (ident, fstar, wstar) triples."""
         sh = self.shape
-        b = self.h(ident)
-        if sh.mode == MODE_AMA:
-            alpha, beta = sh.coins
-            for vec, coord, d in ama_coords(sh.field_purity, alpha, beta, self.n,
-                                            id_bits(self.n), ident, b, delta):
-                self.main_inj.update(vec, coord, d)
-        else:
-            d = delta if raw or sh.mode != MODE_FOOTPRINT else abs(delta)
-            du, dv, dw = purity_deltas(sh.field_purity, ident, d)
-            self.main_inj.update(0, b, du)
-            self.main_inj.update(1, b, dv)
-            self.main_inj.update(2, b, dw)
-
-    def update(self, u):
-        tag, su = u if self.tagged else (0, u)
-        ident = 2 * su.item + tag if self.tagged else su.item
-        b = self.h(su.item)
+        arity = 3 if (self.tagged or sh.mode == MODE_FOOTPRINT) else 2
+        need(isinstance(e, (tuple, list)) and len(e) == arity
+             and all(type(x) is int for x in e), "malformed collision-list entry")
+        i, f = e[0], e[1]
         if self.tagged:
-            self.mains["ip"].update(tag, b, su.delta)
+            ft = e[2]
+            need(0 <= f <= w and 0 <= ft <= w and f + ft >= 1,
+                 "implausible listed frequencies")
+            return ((2 * i, f, None), (2 * i + 1, ft, None))
+        if sh.mode == MODE_FOOTPRINT:
+            need(abs(f) <= w, "implausible listed frequency")
+            return ((i, f, e[2]),)
+        if sh.mode == MODE_STRICT:
+            need(1 <= f <= w, "implausible listed frequency")
         else:
-            for k in self.ks:
-                self.mains[k].update(0, b, su.delta)
-        self._feed_main_inj(su.item, su.delta)
-        self.mi.update(ident, su.delta)
-        self.weight_seen += abs(su.delta)
+            need(f != 0 and abs(f) <= w, "implausible listed frequency")
+        return ((i, f, None),)
 
     def end(self, chunks, query):
         sh = self.shape
         chunks = list(chunks)
         need(chunks and chunks[0].kind == "collision-list", "missing collision list")
         entries = chunks[0].data
-        need(len(entries) <= sh.threshold, "collision list over budget")
+        need(isinstance(entries, list) and len(entries) <= sh.threshold,
+             "collision list over budget")
         need(len(chunks) >= 2 and chunks[1].kind != "mi-abort", "prover aborted")
         need(chunks[1].kind == "mi-stages", "missing stage assignments")
+        need(isinstance(chunks[1].data, list), "malformed stage assignments")
         stages = iter(chunks[1].data)
-        w = self.weight_seen
-        c0 = {k: 0 for k in self.ks} if not self.tagged else {"ip": 0}
+        c0 = dict.fromkeys(self.keys, 0)
         prev = -1
         for e in entries:
+            claims = self._claims(e, self.mi.weight_seen)
             i = e[0]
             need(prev < i < self.n, "collision list not sorted")
             prev = i
-            b = self.h(i)
             if self.tagged:
-                _, fs, ft = e
-                need(0 <= fs <= w and 0 <= ft <= w and fs + ft >= 1,
-                     "implausible listed frequencies")
-                c0["ip"] += fs * ft
-                self.mains["ip"].update(0, b, -fs)
-                self.mains["ip"].update(1, b, -ft)
-                removal = fs + ft
-                s1 = next(stages, None)
-                s2 = next(stages, None)
-                need(s1 is not None and s2 is not None, "missing stages")
-                self.mi.entry(2 * i, fs, s1)
-                self.mi.entry(2 * i + 1, ft, s2)
-            elif sh.mode == MODE_FOOTPRINT:
-                _, f, wst = e
-                need(abs(f) <= w, "implausible listed frequency")
-                for k in self.ks:
-                    c0[k] += f ** k
-                    self.mains[k].update(0, b, -f)
-                s = next(stages, None)
-                need(s is not None, "missing stage")
-                self.mi.entry(i, f, s, wst)
-                removal = None
-                self._feed_main_inj(i, -wst, raw=True)
+                c0["ip"] += e[1] * e[2]
             else:
-                _, f = e
-                if sh.mode == MODE_STRICT:
-                    need(1 <= f <= w, "implausible listed frequency")
-                else:
-                    need(f != 0 and abs(f) <= w, "implausible listed frequency")
                 for k in self.ks:
-                    c0[k] += f ** k
-                    self.mains[k].update(0, b, -f)
+                    c0[k] += e[1] ** k
+            for ident, fstar, wstar in claims:
                 s = next(stages, None)
                 need(s is not None, "missing stage")
-                self.mi.entry(i, f, s)
-                removal = f
-            if removal is not None:
-                self._feed_main_inj(i, -removal)
+                self.mi.entry(ident, fstar, s, wstar)
+            self.remove(e)
         need(next(stages, None) is None, "trailing stages")
 
         rest = chunks[2:]
@@ -761,10 +674,10 @@ class OnlineEngineVerifier(Verifier):
         need(v == 0, "mapping not injective on the remainder")
         rest = rest[1:]
         results = {}
-        keys = ("ip",) if self.tagged else self.ks
-        need(len(rest) == len(keys), "missing main proofs")
-        for c, key in zip(rest, keys):
-            need(c.kind == "main-proof" and c.data[0] == key, "main proofs out of order")
+        need(len(rest) == len(self.keys), "missing main proofs")
+        for c, key in zip(rest, self.keys):
+            need(c.kind == "main-proof" and isinstance(c.data, tuple)
+                 and len(c.data) == 2 and c.data[0] == key, "main proofs out of order")
             v = self.mains[key].verify(c.data[1])
             need(v is not None, "main sum check failed")
             results[key] = c0[key] + v
@@ -838,23 +751,24 @@ def fk_ama_mode(updates, n, k, c_v, *, seed=0, coins_seed=0, prover=None) -> Run
     return result
 
 
+def _prescient_feed(h, main, inj, item, delta):
+    """The prescient Fk mapping, the same on both sides: a count lands in
+    bucket h(item) of the main instance and of the injection check."""
+    b = h(item)
+    main.update(0, b, delta)
+    add_purity(inj, b, purity_deltas(inj.field, item, delta))
+
+
 class _PrescientFkProver(Prover):
     prescient = True
 
     def __init__(self, shape_r, n, updates, params_main, params_inj, rng):
-        self.r = shape_r
-        self.n = n
         freq = frequency_map(updates)
         self.h = find_perfect_hash(sorted(freq), shape_r, 64, rng, universe=n)
         self.main = DenseProver(params_main)
         self.inj = DenseProver(params_inj)
         for i, f in freq.items():
-            b = self.h(i)
-            self.main.update(0, b, f)
-            du, dv, dw = purity_deltas(params_inj.field, i, f)
-            self.inj.update(0, b, du)
-            self.inj.update(1, b, dv)
-            self.inj.update(2, b, dw)
+            _prescient_feed(self.h, self.main, self.inj, i, f)
 
     def start(self):
         return [Chunk("hash", self.h, self.h.bits)]
@@ -882,12 +796,7 @@ class _PrescientFkVerifier(Verifier):
         self.h = h
 
     def update(self, u):
-        b = self.h(u.item)
-        self.main.update(0, b, u.delta)
-        du, dv, dw = purity_deltas(self.inj.field, u.item, u.delta)
-        self.inj.update(0, b, du)
-        self.inj.update(1, b, dv)
-        self.inj.update(2, b, dw)
+        _prescient_feed(self.h, self.main, self.inj, u.item, u.delta)
 
     def end(self, chunks, query):
         need(len(chunks) == 2 and chunks[0].kind == "main-injection-proof"
@@ -1055,18 +964,14 @@ class _TaggedWitnessProver(Prover):
         self.subset = subset
         self.pq_h = random_pairwise_hash(2 * n, shape.c_v, rng)
         self.engine = OnlineEngineProver(shape, n, (), True, rng)
-        self.freq = {}
+        self.freq = self.engine.mi.freq
 
     def start(self):
         return ([Chunk("pq-hash", self.pq_h, self.pq_h.bits)]
                 + self.engine.start())
 
     def on_update(self, u):
-        tag, su = u
-        ident = 2 * su.item + tag
-        self.freq[ident] = self.freq.get(ident, 0) + su.delta
-        self.engine.on_update(u)
-        return []
+        self.engine.update(u)
 
     def _witness_item(self):
         s_items = {i >> 1 for i, f in self.freq.items() if f != 0 and i % 2 == 0}
@@ -1200,9 +1105,8 @@ class _PairProver(Prover):
 
     def on_update(self, u):
         tag, su = u
-        self.engines[0].on_update(su)
-        self.engines[1 + tag].on_update(su)
-        return []
+        self.engines[0].update(su)
+        self.engines[1 + tag].update(su)
 
     def finish(self, query):
         out = []

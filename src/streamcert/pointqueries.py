@@ -84,7 +84,6 @@ class PointQueryProver(Prover):
 
     def on_update(self, u):
         self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
-        return []
 
     def finish(self, query):
         b = self.h(query)
@@ -151,7 +150,6 @@ class SelectionProver(Prover):
 
     def on_update(self, u):
         self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
-        return []
 
     def node_counts(self):
         counts = {}
@@ -284,7 +282,6 @@ class HeavyHittersProver(Prover):
         if self.mi is not None:
             for d in _derived_dyadic(u, self.n):
                 self.mi.update(d.item, d.delta)
-        return []
 
     def _records(self, phi):
         counts = {}

@@ -1,6 +1,12 @@
 """Shared prover/verifier plumbing: annotation chunks, transcripts, outcomes,
 and cost accounting.
 
+Annotation arrives in two places only: start chunks before the stream and
+end chunks after it. A scheme's mapping from stream updates to its dense
+instances is written once and built on either side, over DenseProver for
+the prover and DenseVerifier for the verifier, so the honest prover and the
+verifier agree by construction.
+
 Annotation is measured in bits: every chunk pays a one-word length prefix
 plus a one-word position tag on top of its fixed-width payload. Verifier
 space is measured in words of live verifier state (field elements, counters,
@@ -121,12 +127,11 @@ class RunResult:
 
 @dataclass
 class Transcript:
-    """Recorded annotated stream: start chunks, updates with any interleaved
-    chunks, end chunks, and the total annotation bit count."""
+    """Recorded annotated stream: start chunks, updates, end chunks, and the
+    total annotation bit count."""
 
     start_chunks: list
     updates: list
-    update_chunks: list  # (update index, chunk) pairs
     end_chunks: list
     hcost_bits: int
 
@@ -146,7 +151,7 @@ class Prover:
         return []
 
     def on_update(self, u):
-        return []
+        pass
 
     def finish(self, query):
         return []
@@ -154,15 +159,11 @@ class Prover:
 
 def build_transcript(prover: Prover, updates, query=None) -> Transcript:
     start = list(prover.start())
-    mid = []
-    for i, u in enumerate(updates):
-        for c in prover.on_update(u):
-            mid.append((i, c))
+    for u in updates:
+        prover.on_update(u)
     end = list(prover.finish(query))
-    bits = sum(c.bits + CHUNK_OVERHEAD_BITS for c in start)
-    bits += sum(c.bits + CHUNK_OVERHEAD_BITS for _, c in mid)
-    bits += sum(c.bits + CHUNK_OVERHEAD_BITS for c in end)
-    return Transcript(start, list(updates), mid, end, bits)
+    bits = sum(c.bits + CHUNK_OVERHEAD_BITS for c in start + end)
+    return Transcript(start, list(updates), end, bits)
 
 
 def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
@@ -172,13 +173,8 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
     try:
         verifier.begin(transcript.start_chunks)
         peak = max(peak, verifier.words)
-        mid = {}
-        for i, c in transcript.update_chunks:
-            mid.setdefault(i, []).append(c)
-        for i, u in enumerate(transcript.updates):
+        for u in transcript.updates:
             verifier.update(u)
-            for c in mid.get(i, ()):
-                verifier.interleaved(i, c)
         peak = max(peak, verifier.words)
         outcome = verifier.end(transcript.end_chunks, query)
     except Reject:
@@ -212,9 +208,6 @@ class Verifier:
 
     def update(self, u):
         raise NotImplementedError
-
-    def interleaved(self, index, chunk):
-        raise Reject("unexpected interleaved annotation")
 
     def end(self, chunks, query):
         raise NotImplementedError

@@ -6,7 +6,7 @@ counts, the moment vectors u_b = sum_j f_(j,b), v_b = sum_j f_(j,b)*j,
 w_b = sum_j f_(j,b)*j^2 satisfy v_b^2 <= u_b*w_b with equality exactly on
 pure buckets (Cauchy-Schwarz), so sum_b z_b*(u_b*w_b - v_b^2) == 0 certifies
 purity of every z-marked bucket. All four checks here are one dense
-sum-check instance each.
+sum-check instance each, fed by one mapping that both sides share.
 
 The public-coin variant replaces the integer identity, which cancellation
 can fool once counts may go negative, with per-(bucket, bit) fingerprints of
@@ -22,13 +22,9 @@ from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_purity,
                        g_sub_purity, g_sub_square, g_triple_product)
 
 
-def purity_field_bound(meta, r: int) -> int:
+def purity_min_field(weight: int, n: int, r: int) -> int:
     """Smallest field size keeping the purity identity exact over the integers:
     q_min > 2*r*(N*n)^2 so |sum_b z_b(v_b^2 - u_b*w_b)| < q/2."""
-    return 2 * r * (meta.weight * meta.n) ** 2 + 1
-
-
-def purity_min_field(weight: int, n: int, r: int) -> int:
     return 2 * max(1, r) * (max(1, weight) * max(1, n)) ** 2 + 1
 
 
@@ -48,6 +44,15 @@ def purity_deltas(field: Field, item: int, delta: int):
     return d, d * item % q, d * item % q * item % q
 
 
+def add_purity(dense, bucket, terms):
+    """Add one update's (u, v, w) terms, from purity_deltas, at `bucket` of
+    a purity instance's vectors 0, 1 and 2."""
+    du, dv, dw = terms
+    dense.update(0, bucket, du)
+    dense.update(1, bucket, dv)
+    dense.update(2, bucket, dw)
+
+
 def injection_params(field, r, c_a, c_v, value_bound):
     return DenseParams(field=field, universe=r, c_a=c_a, c_v=c_v, vectors=3,
                        degree=2, g=g_purity(field), bound=value_bound)
@@ -63,62 +68,79 @@ def subf2_params(field, n, c_a, c_v, value_bound):
                        degree=3, g=g_sub_square(field), bound=value_bound)
 
 
-class _DenseChunkProver(Prover):
-    """Shared shape for the honest provers here: replay the stream into a
-    DenseProver and emit one end-of-stream proof chunk."""
+class _DenseMap:
+    """One scheme's mapping from stream updates to its dense instance, the
+    same on both sides: `dense` is a DenseProver for the prover and a
+    DenseVerifier for the verifier."""
 
-    def __init__(self, params):
-        self.dense = DenseProver(params)
+    coin_words = 0  # public coins, charged to the verifier
+
+    def __init__(self, dense):
+        self.dense = dense
 
     def feed(self, u):
         raise NotImplementedError
 
+    def close(self):
+        """Input that follows the stream (an indicator vector z)."""
+
+    def decide(self, value):
+        return 1 if value == 0 else 0
+
+
+class _DenseChunkProver(Prover):
+    """Honest prover: replays the stream through the mapping and emits one
+    end-of-stream proof chunk."""
+
+    def __init__(self, mapping):
+        self.map = mapping
+
     def on_update(self, u):
-        self.feed(u)
-        return []
+        self.map.feed(u)
 
     def finish(self, query):
-        proof = self.dense.proof()
+        self.map.close()
+        proof = self.map.dense.proof()
         return [Chunk("dense-proof", proof, proof.bits)]
 
 
-class _PurityVerifierBase(Verifier):
-    def __init__(self, params, rng):
-        self.dense = DenseVerifier(params, rng)
-        self.word_bits = params.field.bits
+class _DenseChunkVerifier(Verifier):
+    def __init__(self, mapping):
+        self.map = mapping
+        self.word_bits = mapping.dense.field.bits
+        self.public_coin_bits = mapping.coin_words * mapping.dense.field.bits
 
-    def _finish_value(self, chunks):
+    def update(self, u):
+        self.map.feed(u)
+
+    def end(self, chunks, query):
+        self.map.close()
         need(len(chunks) == 1 and chunks[0].kind == "dense-proof", "missing proof")
-        value = self.dense.verify(chunks[0].data)
+        value = self.map.dense.verify(chunks[0].data)
         need(value is not None, "sum check failed")
-        return value
+        return Outcome.ok(self.map.decide(value))
 
     @property
     def words(self):
-        return self.dense.words
+        return self.map.dense.words + self.map.coin_words
+
+
+def _run_dense(updates, params, seed, label, prover, mapping, *args):
+    verifier = _DenseChunkVerifier(
+        mapping(DenseVerifier(params, derive_rng(seed, label)), *args))
+    prover = resolve_prover(prover, lambda: _DenseChunkProver(
+        mapping(DenseProver(params), *args)))
+    result, _ = run_protocol(verifier, prover, updates)
+    return result
 
 
 # ------------------------------------------------------------------ Injection
 
 
-class InjectionProver(_DenseChunkProver):
+class _InjectionMap(_DenseMap):
     def feed(self, u):
-        du, dv, dw = purity_deltas(self.dense.field, u.item, u.delta)
-        self.dense.update(0, u.bucket, du)
-        self.dense.update(1, u.bucket, dv)
-        self.dense.update(2, u.bucket, dw)
-
-
-class InjectionVerifier(_PurityVerifierBase):
-    def update(self, u):
-        du, dv, dw = purity_deltas(self.dense.field, u.item, u.delta)
-        self.dense.update(0, u.bucket, du)
-        self.dense.update(1, u.bucket, dv)
-        self.dense.update(2, u.bucket, dw)
-
-    def end(self, chunks, query):
-        value = self._finish_value(chunks)
-        return Outcome.ok(1 if value == 0 else 0)
+        add_purity(self.dense, u.bucket,
+                   purity_deltas(self.dense.field, u.item, u.delta))
 
 
 def injection_run(updates, n, r, *, c_a=None, c_v=None, field=None, seed=0,
@@ -134,50 +156,21 @@ def injection_run(updates, n, r, *, c_a=None, c_v=None, field=None, seed=0,
     if c_a is None or c_v is None:
         c_a, c_v = balanced_shape(r)
     params = injection_params(field, r, c_a, c_v, bound)
-    verifier = InjectionVerifier(params, derive_rng(seed, "injection-v"))
-    prover = resolve_prover(prover, lambda: InjectionProver(params))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return _run_dense(updates, params, seed, "injection-v", prover, _InjectionMap)
 
 
 # --------------------------------------------------------------- SubInjection
 
 
-class SubInjectionProver(_DenseChunkProver):
-    def __init__(self, params, z):
-        super().__init__(params)
+class _SubInjectionMap(_InjectionMap):
+    def __init__(self, dense, z):
+        super().__init__(dense)
         self.z = z
 
-    def feed(self, u):
-        du, dv, dw = purity_deltas(self.dense.field, u.item, u.delta)
-        self.dense.update(0, u.bucket, du)
-        self.dense.update(1, u.bucket, dv)
-        self.dense.update(2, u.bucket, dw)
-
-    def finish(self, query):
+    def close(self):
         for bucket, zb in self.z:
             if zb:
                 self.dense.update(3, bucket, zb)
-        return super().finish(query)
-
-
-class SubInjectionVerifier(_PurityVerifierBase):
-    def __init__(self, params, z, rng):
-        super().__init__(params, rng)
-        self.z = z
-
-    def update(self, u):
-        du, dv, dw = purity_deltas(self.dense.field, u.item, u.delta)
-        self.dense.update(0, u.bucket, du)
-        self.dense.update(1, u.bucket, dv)
-        self.dense.update(2, u.bucket, dw)
-
-    def end(self, chunks, query):
-        for bucket, zb in self.z:
-            if zb:
-                self.dense.update(3, bucket, zb)
-        value = self._finish_value(chunks)
-        return Outcome.ok(1 if value == 0 else 0)
 
 
 def subinjection_run(updates, z, n, r, *, c_a=None, c_v=None, field=None,
@@ -197,43 +190,28 @@ def subinjection_run(updates, z, n, r, *, c_a=None, c_v=None, field=None,
     if c_a is None or c_v is None:
         c_a, c_v = balanced_shape(r)
     params = subinjection_params(field, r, c_a, c_v, bound)
-    verifier = SubInjectionVerifier(params, z, derive_rng(seed, "subinj-v"))
-    prover = resolve_prover(prover, lambda: SubInjectionProver(params, z))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return _run_dense(updates, params, seed, "subinj-v", prover,
+                      _SubInjectionMap, z)
 
 
 # --------------------------------------------------------------------- SubF2
 
 
-class SubF2Prover(_DenseChunkProver):
-    def __init__(self, params, z):
-        super().__init__(params)
+class _SubF2Map(_DenseMap):
+    def __init__(self, dense, z):
+        super().__init__(dense)
         self.z = z
 
     def feed(self, u):
         self.dense.update(0, u.item, u.delta)
 
-    def finish(self, query):
+    def close(self):
         for item, zb in self.z:
             if zb:
                 self.dense.update(1, item, zb)
-        return super().finish(query)
 
-
-class SubF2Verifier(_PurityVerifierBase):
-    def __init__(self, params, z, rng):
-        super().__init__(params, rng)
-        self.z = z
-
-    def update(self, u):
-        self.dense.update(0, u.item, u.delta)
-
-    def end(self, chunks, query):
-        for item, zb in self.z:
-            if zb:
-                self.dense.update(1, item, zb)
-        return Outcome.ok(self._finish_value(chunks))
+    def decide(self, value):
+        return value
 
 
 def subf2_run(updates, z, n, *, c_a=None, c_v=None, field=None, seed=0,
@@ -249,10 +227,7 @@ def subf2_run(updates, z, n, *, c_a=None, c_v=None, field=None, seed=0,
     if c_a is None or c_v is None:
         c_a, c_v = balanced_shape(n)
     params = subf2_params(field, n, c_a, c_v, bound)
-    verifier = SubF2Verifier(params, z, derive_rng(seed, "subf2-v"))
-    prover = resolve_prover(prover, lambda: SubF2Prover(params, z))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return _run_dense(updates, params, seed, "subf2-v", prover, _SubF2Map, z)
 
 
 # ------------------------------------------------------------- AMA Injection
@@ -284,9 +259,11 @@ def ama_params(field, r, lgn, c_a, c_v, marks_const: bool):
                        bound=0, raw=True, const_ones=const)
 
 
-class AmaInjectionProver(_DenseChunkProver):
-    def __init__(self, params, coins, n, lgn):
-        super().__init__(params)
+class _AmaInjectionMap(_DenseMap):
+    coin_words = 2  # the public coins count against both costs
+
+    def __init__(self, dense, coins, n, lgn):
+        super().__init__(dense)
         self.alpha, self.beta = coins
         self.n = n
         self.lgn = lgn
@@ -295,29 +272,6 @@ class AmaInjectionProver(_DenseChunkProver):
         for vec, coord, d in ama_coords(self.dense.field, self.alpha, self.beta,
                                         self.n, self.lgn, u.item, u.bucket, u.delta):
             self.dense.update(vec, coord, d)
-
-
-class AmaInjectionVerifier(_PurityVerifierBase):
-    def __init__(self, params, coins, n, lgn, rng):
-        super().__init__(params, rng)
-        self.alpha, self.beta = coins
-        self.n = n
-        self.lgn = lgn
-        # public coins are counted against both costs
-        self.public_coin_bits = 2 * params.field.bits
-
-    def update(self, u):
-        for vec, coord, d in ama_coords(self.dense.field, self.alpha, self.beta,
-                                        self.n, self.lgn, u.item, u.bucket, u.delta):
-            self.dense.update(vec, coord, d)
-
-    def end(self, chunks, query):
-        value = self._finish_value(chunks)
-        return Outcome.ok(1 if value == 0 else 0)
-
-    @property
-    def words(self):
-        return self.dense.words + 2
 
 
 def draw_public_coins(field: Field, coins_seed) -> tuple:
@@ -341,8 +295,5 @@ def ama_injection_run(updates, n, r, *, coins_seed=0, c_a=None, c_v=None,
     if c_a is None or c_v is None:
         c_a, c_v = balanced_shape(r * lgn)
     params = ama_params(field, r, lgn, c_a, c_v, marks_const=True)
-    verifier = AmaInjectionVerifier(params, coins, n, lgn,
-                                    derive_rng(seed, "ama-v"))
-    prover = resolve_prover(prover, lambda: AmaInjectionProver(params, coins, n, lgn))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return _run_dense(updates, params, seed, "ama-v", prover, _AmaInjectionMap,
+                      coins, n, lgn)

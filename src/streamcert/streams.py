@@ -116,9 +116,6 @@ class Fingerprint:
         q = self.field.q
         self.acc = (self.acc + delta * pow(self.basis, item, q)) % q
 
-    def copy(self):
-        return Fingerprint(self.field, self.basis, self.acc)
-
     @property
     def words(self):
         return 2
@@ -133,15 +130,6 @@ def fingerprints_equal(a: Fingerprint, b: Fingerprint) -> bool:
     if a.field != b.field or a.basis != b.basis:
         raise ValueError("fingerprints use different basis or field")
     return a.acc == b.acc
-
-
-def fingerprint_of_counts(field, basis, pairs):
-    """Fingerprint of an explicit sparse vector given as (item, count) pairs."""
-    q = field.q
-    acc = 0
-    for item, count in pairs:
-        acc = (acc + count * pow(basis, item, q)) % q
-    return acc
 
 
 def fingerprint_of_range(field, basis, n):

@@ -17,7 +17,7 @@ CPython's C bigint loop instead of interpreted arithmetic.
 import random
 from dataclasses import dataclass
 
-from .field import (Field, eval_values_at, interpolate, lagrange_row)
+from .field import Field, eval_values_at, lagrange_row
 from .protocol import ConfigError
 
 
@@ -95,42 +95,6 @@ class DenseProof:
     def bits(self):
         return len(self.values) * self.field_bits
 
-    def to_coefficients(self, field):
-        return interpolate(field, list(enumerate(self.values)))
-
-
-def serialize_proof(proof: DenseProof, field: Field) -> bytes:
-    """Wire format: field modulus, degree, then coefficients, fixed-width big-endian."""
-    coeffs = proof.to_coefficients(field)
-    degree = len(proof.values) - 1
-    width = (field.bits + 7) // 8
-    out = bytearray()
-    out += field.q.to_bytes(16, "big")
-    out += degree.to_bytes(8, "big")
-    padded = coeffs + [0] * (degree + 1 - len(coeffs))
-    for c in padded:
-        out += c.to_bytes(width, "big")
-    return bytes(out)
-
-
-def deserialize_proof(blob: bytes) -> tuple:
-    """Inverse of serialize_proof; returns (field, DenseProof)."""
-    q = int.from_bytes(blob[:16], "big")
-    degree = int.from_bytes(blob[16:24], "big")
-    field = Field(q)
-    width = (field.bits + 7) // 8
-    coeffs = []
-    for i in range(degree + 1):
-        off = 24 + i * width
-        coeffs.append(int.from_bytes(blob[off:off + width], "big"))
-    values = [0] * (degree + 1)
-    for p in range(degree + 1):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * p + c) % q
-        values[p] = acc
-    return field, DenseProof(values, field.bits)
-
 
 # ------------------------------------------------------------------ verifier
 
@@ -179,7 +143,9 @@ class DenseVerifier:
         """Exact F on success, None on any failed check."""
         p = self.params
         field = self.field
-        if len(proof.values) != p.proof_len:
+        if not (isinstance(proof, DenseProof) and isinstance(proof.values, list)
+                and len(proof.values) == p.proof_len
+                and all(type(v) is int for v in proof.values)):
             return None
         full, rem = p.column_fill()
         ones_ps = self._ones_prefix() if p.const_ones else None

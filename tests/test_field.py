@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from streamcert.field import (DEFAULT_FIELD, Field, M61, batch_inverse,
-                              eval_poly, eval_values_at, field_at_least,
-                              interpolate, is_prime, lagrange_basis_at,
-                              lagrange_row, make_field, next_prime,
-                              poly_canon, random_element)
+from streamcert.field import (DEFAULT_FIELD, Field, M61, eval_poly,
+                              eval_values_at, field_at_least, is_prime,
+                              lagrange_basis_at, lagrange_row, next_prime,
+                              random_element)
 
 F11 = Field(11)
 F101 = Field(101)
@@ -23,17 +22,12 @@ def trial_division_prime(n):
     return True
 
 
-def test_make_field_next_prime():
-    assert make_field(10).q == 11
-    assert make_field(2).q == 2
-
-
-def test_make_field_scan_matches_trial_division():
+def test_next_prime_scan_matches_trial_division():
     # every candidate in [4625, 4637) is composite, 4637 is prime
     for c in range(4625, 4637):
         assert not trial_division_prime(c)
     assert trial_division_prime(4637)
-    assert make_field(4625).q == 4637
+    assert next_prime(4625) == 4637
 
 
 def test_mersenne_61_is_prime_by_independent_oracle():
@@ -56,27 +50,7 @@ def test_mersenne_61_is_prime_by_independent_oracle():
         else:
             pytest.fail("2^61 - 1 failed a Miller-Rabin round")
     assert is_prime(M61)
-    assert make_field(M61).q == M61
-
-
-def test_make_field_rejects_tiny():
-    with pytest.raises(ValueError):
-        make_field(1)
-
-
-def test_ring_axioms_exhaustive_f11():
-    els = range(11)
-    for a in els:
-        for b in els:
-            assert F11.add(a, b) == (a + b) % 11
-            assert F11.mul(a, b) == (a * b) % 11
-            assert F11.sub(a, b) == (a - b) % 11
-            for c in els:
-                assert F11.mul(a, F11.add(b, c)) == F11.add(F11.mul(a, b), F11.mul(a, c))
-    for a in range(1, 11):
-        assert F11.mul(a, F11.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        F11.inv(0)
+    assert next_prime(M61) == M61
 
 
 def test_signed_encoding_roundtrip():
@@ -108,23 +82,6 @@ def test_lagrange_row_matches_single_and_sums_to_one():
             assert sum(row) % 101 == 1  # partition of unity
 
 
-def test_interpolate():
-    assert interpolate(F101, [(0, 7)]) == [7]
-    assert interpolate(F101, [(0, 0), (1, 1)]) == [0, 1]
-    assert interpolate(F101, [(0, 1), (1, 4), (2, 9)]) == [1, 2, 1]
-    with pytest.raises(ValueError):
-        interpolate(F101, [(0, 1), (0, 2)])
-
-
-def test_interpolate_eval_roundtrip():
-    rng = random.Random(5)
-    for _ in range(30):
-        deg = rng.randrange(0, 8)
-        coeffs = poly_canon(F101, [rng.randrange(101) for _ in range(deg + 1)])
-        pts = [(x, eval_poly(F101, coeffs, x)) for x in range(deg + 1)]
-        assert interpolate(F101, pts) == coeffs
-
-
 def test_eval_values_at():
     coeffs = [3, 1, 4, 1]
     values = [eval_poly(F101, coeffs, x) for x in range(4)]
@@ -132,11 +89,6 @@ def test_eval_values_at():
         assert eval_values_at(F101, values, x) == values[x]
     for x in (10, 55, 100):
         assert eval_values_at(F101, values, x) == eval_poly(F101, coeffs, x)
-
-
-def test_batch_inverse():
-    vals = [3, 7, 99, 100, 1]
-    assert batch_inverse(F101, vals) == [F101.inv(v) for v in vals]
 
 
 def test_random_element_deterministic_and_in_range():

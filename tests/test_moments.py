@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamcert.harness import adversary, synthetic_stream
+from streamcert.harness import ChunkTamper, adversary, synthetic_stream
 from streamcert.moments import (disj_online_run, disj_prescient_run,
                                 fk_ama_mode, fk_footprint_mode,
                                 fk_online_multi, fk_online_run,
@@ -61,6 +61,41 @@ def test_fk_false_collision_list_rejected(rng):
                           prover=adversary("false-collision-list", t))
         rejected += r.rejected
     assert rejected == 40
+
+
+def _rewrite(kind, fn):
+    """Prover wrapper that rewrites the payload of every end chunk of a kind."""
+    def end_fn(chunks):
+        return [c.__class__(c.kind, fn(c.data), c.bits) if c.kind == kind else c
+                for c in chunks]
+    return lambda honest: ChunkTamper(honest, end_fn)
+
+
+def test_fk_malformed_collision_entry_rejected(rng):
+    ups = strict_stream(rng, N20, 100, churn=0.0)
+    honest = fk_online_run(ups, N20, 2, 4, seed=1)
+    assert honest.accepted and honest.info["stages_used"] >= 1
+    extra_field = _rewrite("collision-list", lambda es: [e + (0,) for e in es])
+    assert fk_online_run(ups, N20, 2, 4, seed=1, prover=extra_field).rejected
+
+
+def test_fk_malformed_main_proof_rejected(rng):
+    ups = strict_stream(rng, N20, 100, churn=0.0)
+    no_proof = _rewrite("main-proof", lambda data: (data[0], None))
+    assert fk_online_run(ups, N20, 2, 4, seed=1, prover=no_proof).rejected
+
+
+def test_fk_trailing_start_chunk_rejected(rng):
+    ups = strict_stream(rng, N20, 50, churn=0.0)
+
+    class Repeat(ChunkTamper):
+        def start(self):
+            chunks = self.inner.start()
+            return chunks + chunks[-1:]
+
+    r = fk_online_run(ups, N20, 2, 4, seed=1,
+                      prover=lambda honest: Repeat(honest, lambda c: c))
+    assert r.rejected
 
 
 def test_fk_multi_shares_one_reduction(rng):

@@ -7,9 +7,9 @@ from streamcert.field import M61
 from streamcert.harness import adversary
 from streamcert.protocol import ConfigError
 from streamcert.purity import (ama_injection_run, injection_run,
-                               purity_field_bound, purity_min_field,
+                               purity_min_field,
                                subf2_run, subinjection_run)
-from streamcert.streams import BucketedUpdate, StreamMeta, StreamUpdate
+from streamcert.streams import BucketedUpdate, StreamUpdate
 
 
 def bucket_moments(counts):
@@ -119,10 +119,7 @@ def test_subf2_cases():
 
 
 def test_purity_field_bound_examples():
-    meta = StreamMeta(n=16, length=10, sparsity=10, footprint=10, weight=10)
-    assert purity_field_bound(meta, 4) == 204801
-    empty = StreamMeta(n=16, length=0, sparsity=0, footprint=0, weight=0)
-    assert purity_field_bound(empty, 1) >= 1
+    assert purity_min_field(0, 16, 1) >= 1
     # the default field avoids aliasing (the checked quantity is nonnegative
     # and below r*(N*n)^2) whenever N*n <= 2^28 and r <= 2^4
     assert M61 > (1 << 4) * ((1 << 28) ** 2)

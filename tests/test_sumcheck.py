@@ -8,8 +8,8 @@ from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
                                  DenseVerifier, default_value_bound,
                                  dense_prover_proof, dense_verifier_init,
                                  dense_verifier_update, dense_verify,
-                                 deserialize_proof, g_power, g_product,
-                                 g_purity, prop1_min_field, serialize_proof)
+                                 g_power, g_product, g_purity,
+                                 prop1_min_field)
 
 FM = Field(M61)
 
@@ -248,25 +248,6 @@ def test_vcost_words_exact():
     p = params_for(16, 4, 4, 3, 2, g_purity(FM), 10 ** 9)
     st = DenseVerifier(p, random.Random(0))
     assert st.words == 3 * 4 + 2
-
-
-def test_proof_serialization_roundtrip():
-    p = params_for(4, 2, 2, 1, 2, g_power(FM, 2), 1000)
-    f = [1, 2, 3, 4]
-    proof = dense_prover_proof([f], p)
-    blob = serialize_proof(proof, FM)
-    field2, proof2 = deserialize_proof(blob)
-    assert field2.q == FM.q
-    assert proof2.values == proof.values
-    assert proof.bits == len(proof.values) * FM.bits
-    # a coefficient-level perturbation changes the values and gets rejected
-    tampered = bytearray(blob)
-    tampered[-1] ^= 1
-    _, proof3 = deserialize_proof(bytes(tampered))
-    st = dense_verifier_init(p, 3)
-    for i, v in enumerate(f):
-        dense_verifier_update(st, 0, i, v)
-    assert dense_verify(st, proof3) is None
 
 
 def test_params_validation():
