@@ -9,83 +9,32 @@ import argparse
 import json
 import sys
 
-from .harness import RunConfig, SCHEMES, cost_sweep, run_scheme, soundness_trials
+from .harness import (REQUIRED, RunConfig, SCHEMES, cost_sweep, run_scheme,
+                      scheme_flags, soundness_trials)
 from .protocol import ConfigError, RelaxedOutcome
 from .streams import (ModelViolation, read_bucketed_stream, read_edge_stream,
                       read_stream, read_tagged_stream)
 
-_STREAM_KINDS = {name: kind for name, (_, kind, _) in SCHEMES.items()}
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
 
 
 def _build_parser():
     ap = argparse.ArgumentParser(prog="streamcert")
     sub = ap.add_subparsers(dest="scheme", required=True)
-
-    def common(p):
+    for name in SCHEMES:
+        p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--prover", default="honest")
         p.add_argument("--trials", type=int, default=0)
         p.add_argument("--report", choices=("json", "tsv"), default="json")
-
-    p = sub.add_parser("pointquery")
-    common(p)
-    p.add_argument("--query", type=int, required=True)
-    p.add_argument("--ca", type=int, required=True)
-    p.add_argument("--cv", type=int, required=True)
-
-    p = sub.add_parser("selection")
-    common(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--ca", type=int, required=True)
-    p.add_argument("--cv", type=int, required=True)
-
-    p = sub.add_parser("heavyhitters")
-    common(p)
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--ca", type=int, required=True)
-    p.add_argument("--cv", type=int, required=True)
-    p.add_argument("--hh-mode", choices=("openings", "multiindex"),
-                   default="openings")
-
-    p = sub.add_parser("fk")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cv", type=int, default=16)
-    p.add_argument("--mode", choices=("prescient", "online", "footprint", "ama"),
-                   default="online")
-    p.add_argument("--coins-seed", type=int, default=None)
-
-    p = sub.add_parser("disj")
-    common(p)
-    p.add_argument("--mode", choices=("prescient", "online"), default="online")
-    p.add_argument("--cv", type=int, default=16)
-
-    for name in ("subset", "innerproduct", "hamming"):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--cv", type=int, default=16)
-
-    p = sub.add_parser("injection")
-    common(p)
-
-    p = sub.add_parser("subinjection")
-    common(p)
-    p.add_argument("--z-file", required=True)
-
-    p = sub.add_parser("ama-injection")
-    common(p)
-    p.add_argument("--coins-seed", type=int, default=None)
-
-    p = sub.add_parser("triangles")
-    common(p)
-    p.add_argument("--cv", type=int, default=64)
-
-    for name in ("matching", "connectivity", "oddcycle"):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--witness-file", required=True)
-        p.add_argument("--cv", type=int, default=16)
+        for param in scheme_flags(name)[1]:
+            if param.flag is not None:
+                p.add_argument(param.flag, type=str if param.read else param.type,
+                               choices=param.choices,
+                               required=param.default is REQUIRED)
 
     p = sub.add_parser("sweep")
     p.add_argument("--k", type=int, default=2)
@@ -97,58 +46,24 @@ def _build_parser():
     return ap
 
 
-def _read_witness(scheme, path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if scheme == "matching":
-        return [(int(a), int(b)) for a, b in lines]
-    if scheme == "connectivity":
-        root = None
-        edges = []
-        for parts in lines:
-            if parts[0] == "root":
-                root = int(parts[1])
-            else:
-                edges.append((int(parts[0]), int(parts[1])))
-        if root is None:
-            raise ConfigError("connectivity witness needs a 'root <r>' line")
-        return (root, edges)
-    return [int(parts[0]) for parts in lines]  # odd cycle: one vertex per line
-
-
-def _read_z(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [(int(a), int(b)) for a, b in
-                (ln.split() for ln in fh if ln.strip() and not ln.startswith("#"))]
-
-
-def _load(scheme, path, args):
-    kind = _STREAM_KINDS[scheme]
+def _load(args):
+    """(updates, n, model, params) from the stream file and the flags; flags
+    left out are absent from params, so run_scheme fills their defaults."""
+    kind, flags = scheme_flags(args.scheme)
     params = {}
     if kind == "plain":
-        updates, n, model = read_stream(path)
+        updates, n, model = read_stream(args.input)
     elif kind == "tagged":
-        updates, n, model = read_tagged_stream(path)
+        updates, n, model = read_tagged_stream(args.input)
     elif kind == "bucketed":
-        updates, n, r, model = read_bucketed_stream(path)
-        params["r"] = r
+        updates, n, params["r"], model = read_bucketed_stream(args.input)
     else:
-        updates, n, model = read_edge_stream(path)
+        updates, n, model = read_edge_stream(args.input)
+    for param in flags:
+        value = getattr(args, _dest(param.flag), None) if param.flag else None
+        if value is not None:
+            params[param.key] = param.read(value) if param.read else value
     return updates, n, model, params
-
-
-def _params_from_args(scheme, args, base):
-    p = dict(base)
-    for src, dst in (("query", "query"), ("rank", "rank"), ("phi", "phi"),
-                     ("ca", "c_a"), ("cv", "c_v"), ("k", "k"), ("mode", "mode"),
-                     ("hh_mode", "hh_mode"), ("coins_seed", "coins_seed")):
-        if getattr(args, src, None) is not None:
-            p[dst] = getattr(args, src)
-    if getattr(args, "z_file", None):
-        p["z"] = _read_z(args.z_file)
-    if getattr(args, "witness_file", None):
-        p["witness"] = _read_witness(scheme, args.witness_file)
-    return p
 
 
 def _emit(report, payload):
@@ -177,8 +92,7 @@ def main(argv=None):
                     print("\t".join(str(row[k]) for k in keys))
             return 0
 
-        updates, n, model, base_params = _load(args.scheme, args.input, args)
-        params = _params_from_args(args.scheme, args, base_params)
+        updates, n, model, params = _load(args)
         config = RunConfig(scheme=args.scheme, n=n, model=model,
                            seed=args.seed, prover=args.prover, params=params)
         if args.trials:

@@ -5,11 +5,13 @@ Adversarial strategies only rewrite annotation chunks; the stream itself is
 never altered."""
 
 import random
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 
 from . import graphs, moments, pointqueries, purity
 from .protocol import ConfigError, Prover, RunResult, derive_rng
-from .streams import STRICT, NONSTRICT, StreamUpdate, validate_stream
+from .streams import (INSERT_ONLY, NONSTRICT, STRICT, StreamUpdate,
+                      read_cycle_witness, read_pairs, read_tree_witness,
+                      validate_stream)
 from .sumcheck import DenseProof
 
 
@@ -154,173 +156,130 @@ def adversary(strategy: str, seed: int = 0):
     return wrap
 
 
-def _prover_arg(config: RunConfig):
-    if config.prover == "honest":
-        return None
-    return adversary(config.prover, config.seed)
-
-
 # ------------------------------------------------------------ scheme table
 
-
-def _require(params, key):
-    if key not in params:
-        raise ConfigError(f"missing parameter {key!r}")
-    return params[key]
+REQUIRED = object()  # Param default: the run needs the parameter
+RUN_SEED = object()  # Param default: the run's own seed
 
 
-def _run_pointquery(config, stream):
-    p = config.params
-    return pointqueries.pq_run(
-        stream, config.n, _require(p, "query"), c_a=_require(p, "c_a"),
-        c_v=_require(p, "c_v"), seed=config.seed, prover=_prover_arg(config))
+@dataclass(frozen=True)
+class Param:
+    """One scheme parameter: its RunConfig.params key, its CLI flag (None
+    when the stream file supplies it), its argparse type or the reader of the
+    file the flag names, its choices and its default. `arg` is the run
+    function's keyword where it differs from the key."""
+    key: str
+    flag: str = None
+    type: object = int
+    default: object = REQUIRED
+    choices: tuple = None
+    read: object = None
+    arg: str = None
 
 
-def _run_selection(config, stream):
-    p = config.params
-    return pointqueries.selection_run(
-        stream, config.n, _require(p, "rank"), c_a=_require(p, "c_a"),
-        c_v=_require(p, "c_v"), seed=config.seed, prover=_prover_arg(config))
+@dataclass(frozen=True)
+class Scheme:
+    """A run function, called as run(stream, n=, seed=, prover=, **params);
+    the stream kind it reads (plain, tagged, bucketed or edges); the update
+    models it allows (None: any); its parameters, in CLI flag order."""
+    run: object
+    kind: str
+    models: tuple
+    params: tuple
 
 
-def _run_heavyhitters(config, stream):
-    p = config.params
-    return pointqueries.heavyhitters_run(
-        stream, config.n, _require(p, "phi"), c_a=_require(p, "c_a"),
-        c_v=_require(p, "c_v"), seed=config.seed, prover=_prover_arg(config),
-        mode=p.get("hh_mode", "openings"))
+STRICT_MODELS = (STRICT, INSERT_ONLY)
+
+C_A = Param("c_a", "--ca")
+C_V = Param("c_v", "--cv")
+C_V16 = Param("c_v", "--cv", default=16)
+K = Param("k", "--k")
+MODE = Param("mode", "--mode", str, "online")  # picks the entry of fk and disj
+COINS_SEED = Param("coins_seed", "--coins-seed", default=RUN_SEED)
+R = Param("r")  # the bucketed stream's header gives the bucket count
+Z = Param("z", "--z-file", read=read_pairs)
 
 
-def _run_fk(config, stream):
-    p = config.params
-    k = _require(p, "k")
-    mode = p.get("mode", "online")
-    if mode == "prescient":
-        return moments.fk_prescient_run(stream, config.n, k, seed=config.seed,
-                                        prover=_prover_arg(config))
-    c_v = _require(p, "c_v")
-    if mode == "online":
-        return moments.fk_online_run(stream, config.n, k, c_v, seed=config.seed,
-                                     prover=_prover_arg(config))
-    if mode == "footprint":
-        return moments.fk_footprint_mode(stream, config.n, k, c_v,
-                                         seed=config.seed, prover=_prover_arg(config))
-    if mode == "ama":
-        return moments.fk_ama_mode(stream, config.n, k, c_v, seed=config.seed,
-                                   coins_seed=p.get("coins_seed", config.seed),
-                                   prover=_prover_arg(config))
-    raise ConfigError(f"unknown fk mode {mode!r}")
+def _certificate(run, read):
+    return Scheme(run, "edges", STRICT_MODELS,
+                  (Param("witness", "--witness-file", read=read), C_V16))
 
 
-def _run_disj(config, stream):
-    p = config.params
-    if p.get("mode", "online") == "prescient":
-        return moments.disj_prescient_run(stream, config.n, seed=config.seed,
-                                          prover=_prover_arg(config))
-    return moments.disj_online_run(stream, config.n, _require(p, "c_v"),
-                                   seed=config.seed, prover=_prover_arg(config))
+def _tagged(run, *params):
+    return Scheme(run, "tagged", STRICT_MODELS, params)
 
 
-def _run_subset(config, stream):
-    return moments.subset_run(stream, config.n, _require(config.params, "c_v"),
-                              seed=config.seed, prover=_prover_arg(config))
-
-
-def _run_innerproduct(config, stream):
-    return moments.inner_product_run(stream, config.n,
-                                     _require(config.params, "c_v"),
-                                     seed=config.seed, prover=_prover_arg(config))
-
-
-def _run_hamming(config, stream):
-    return moments.hamming_run(stream, config.n, _require(config.params, "c_v"),
-                               seed=config.seed, prover=_prover_arg(config))
-
-
-def _run_injection(config, stream):
-    p = config.params
-    return purity.injection_run(stream, config.n, _require(p, "r"),
-                                seed=config.seed, prover=_prover_arg(config))
-
-
-def _run_subinjection(config, stream):
-    p = config.params
-    return purity.subinjection_run(stream, _require(p, "z"), config.n,
-                                   _require(p, "r"), seed=config.seed,
-                                   prover=_prover_arg(config))
-
-
-def _run_subf2(config, stream):
-    p = config.params
-    return purity.subf2_run(stream, _require(p, "z"), config.n,
-                            seed=config.seed, prover=_prover_arg(config))
-
-
-def _run_ama_injection(config, stream):
-    p = config.params
-    return purity.ama_injection_run(stream, config.n, _require(p, "r"),
-                                    coins_seed=p.get("coins_seed", config.seed),
-                                    seed=config.seed, prover=_prover_arg(config))
-
-
-def _run_multiindex(config, stream):
-    p = config.params
-    return moments.multiindex_run(stream, config.n, _require(p, "claims"),
-                                  _require(p, "c_v"), seed=config.seed,
-                                  prover=_prover_arg(config))
-
-
-def _run_triangles(config, stream):
-    return graphs.count_triangles_run(stream, config.n,
-                                      config.params.get("c_v", 64),
-                                      seed=config.seed, prover=_prover_arg(config))
-
-
-def _run_matching(config, stream):
-    p = config.params
-    return graphs.verify_perfect_matching(stream, config.n,
-                                          _require(p, "witness"),
-                                          p.get("c_v", 16), seed=config.seed,
-                                          prover=_prover_arg(config))
-
-
-def _run_connectivity(config, stream):
-    p = config.params
-    return graphs.verify_connectivity(stream, config.n, _require(p, "witness"),
-                                      p.get("c_v", 16), seed=config.seed,
-                                      prover=_prover_arg(config))
-
-
-def _run_oddcycle(config, stream):
-    p = config.params
-    return graphs.verify_non_bipartite(stream, config.n, _require(p, "witness"),
-                                       p.get("c_v", 16), seed=config.seed,
-                                       prover=_prover_arg(config))
-
-
-# scheme id -> (runner, stream kind, models allowed)
+# scheme -> Scheme, or mode -> Scheme for a scheme with modes
 SCHEMES = {
-    "pointquery": (_run_pointquery, "plain", (STRICT, NONSTRICT, "insert")),
-    "selection": (_run_selection, "plain", (STRICT, "insert")),
-    "heavyhitters": (_run_heavyhitters, "plain", (STRICT, "insert")),
-    "fk": (_run_fk, "plain", None),  # model depends on mode
-    "multiindex": (_run_multiindex, "plain", (STRICT, "insert")),
-    "disj": (_run_disj, "tagged", (STRICT, "insert")),
-    "subset": (_run_subset, "tagged", (STRICT, "insert")),
-    "innerproduct": (_run_innerproduct, "tagged", (STRICT, "insert")),
-    "hamming": (_run_hamming, "tagged", (STRICT, "insert")),
-    "injection": (_run_injection, "bucketed", (STRICT, "insert")),
-    "subinjection": (_run_subinjection, "bucketed", (STRICT, "insert")),
-    "subf2": (_run_subf2, "plain", None),
-    "ama-injection": (_run_ama_injection, "bucketed", None),
-    "triangles": (_run_triangles, "edges", (STRICT, "insert")),
-    "matching": (_run_matching, "edges", (STRICT, "insert")),
-    "connectivity": (_run_connectivity, "edges", (STRICT, "insert")),
-    "oddcycle": (_run_oddcycle, "edges", (STRICT, "insert")),
+    "pointquery": Scheme(pointqueries.pq_run, "plain",
+                         (STRICT, NONSTRICT, INSERT_ONLY),
+                         (Param("query", "--query"), C_A, C_V)),
+    "selection": Scheme(pointqueries.selection_run, "plain", STRICT_MODELS,
+                        (Param("rank", "--rank"), C_A, C_V)),
+    "heavyhitters": Scheme(
+        pointqueries.heavyhitters_run, "plain", STRICT_MODELS,
+        (Param("phi", "--phi", float), C_A, C_V,
+         Param("hh_mode", "--hh-mode", str, "openings",
+               choices=("openings", "multiindex"), arg="mode"))),
+    "fk": {
+        "prescient": Scheme(moments.fk_prescient_run, "plain", STRICT_MODELS,
+                            (K, MODE)),
+        "online": Scheme(moments.fk_online_run, "plain", STRICT_MODELS,
+                         (K, C_V16, MODE)),
+        "footprint": Scheme(moments.fk_footprint_mode, "plain", None,
+                            (K, C_V16, MODE)),
+        "ama": Scheme(moments.fk_ama_mode, "plain", None,
+                      (K, C_V16, MODE, COINS_SEED)),
+    },
+    "multiindex": Scheme(moments.multiindex_run, "plain", STRICT_MODELS,
+                         (Param("claims", "--claims-file", read=read_pairs), C_V)),
+    "disj": {
+        "prescient": _tagged(moments.disj_prescient_run, MODE),
+        "online": _tagged(moments.disj_online_run, MODE, C_V16),
+    },
+    "subset": _tagged(moments.subset_run, C_V16),
+    "innerproduct": _tagged(moments.inner_product_run, C_V16),
+    "hamming": _tagged(moments.hamming_run, C_V16),
+    "injection": Scheme(purity.injection_run, "bucketed", STRICT_MODELS, (R,)),
+    "subinjection": Scheme(purity.subinjection_run, "bucketed", STRICT_MODELS,
+                           (Z, R)),
+    "subf2": Scheme(purity.subf2_run, "plain", None, (Z,)),
+    "ama-injection": Scheme(purity.ama_injection_run, "bucketed", None,
+                            (COINS_SEED, R)),
+    "triangles": Scheme(graphs.count_triangles_run, "edges", STRICT_MODELS,
+                        (Param("c_v", "--cv", default=64),)),
+    "matching": _certificate(graphs.verify_perfect_matching, read_pairs),
+    "connectivity": _certificate(graphs.verify_connectivity, read_tree_witness),
+    "oddcycle": _certificate(graphs.verify_non_bipartite, read_cycle_witness),
 }
 
 
-def _validate_for_scheme(config: RunConfig, stream, kind, models):
+def scheme_flags(name):
+    """(stream kind, parameters in CLI flag order) of a scheme. A scheme with
+    modes takes the flags of its default mode first, then the other modes'
+    extra flags; --mode offers its modes as choices."""
+    entry = SCHEMES[name]
+    if isinstance(entry, Scheme):
+        return entry.kind, entry.params
+    modes = [entry[MODE.default], *entry.values()]
+    params = dict.fromkeys(p for m in modes for p in m.params)
+    return modes[0].kind, tuple(replace(p, choices=tuple(entry)) if p is MODE
+                                else p for p in params)
+
+
+def _entry(config: RunConfig) -> Scheme:
+    entry = SCHEMES.get(config.scheme)
+    if entry is None:
+        raise ConfigError(f"unknown scheme {config.scheme!r}")
+    if isinstance(entry, Scheme):
+        return entry
+    mode = config.params.get("mode", MODE.default)
+    if mode not in entry:
+        raise ConfigError(f"unknown {config.scheme} mode {mode!r}")
+    return entry[mode]
+
+
+def _validate(config: RunConfig, stream, kind):
     n = config.n
     if kind == "plain":
         flat = stream
@@ -331,26 +290,30 @@ def _validate_for_scheme(config: RunConfig, stream, kind, models):
         r = config.params.get("r", 0)
         flat = [StreamUpdate(u.item * max(1, r) + u.bucket, u.delta) for u in stream]
         n = n * max(1, r)
-    elif kind == "edges":
+    else:
         flat = [StreamUpdate(graphs.pair_rank(u, v), d) for u, v, d in stream]
         n = graphs.edge_universe(config.n)
-    else:
-        raise ConfigError(f"unknown stream kind {kind!r}")
-    if config.scheme == "fk":
-        mode = config.params.get("mode", "online")
-        models = (STRICT, "insert") if mode in ("prescient", "online") else None
-    if models is not None and config.model not in models:
-        raise ConfigError(f"{config.scheme} does not support the {config.model} model")
     validate_stream(flat, n, config.model)
 
 
 def run_scheme(config: RunConfig, stream) -> RunResult:
-    """Validate the declared update model, then run one scheme end to end."""
-    if config.scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {config.scheme!r}")
-    runner, kind, models = SCHEMES[config.scheme]
-    _validate_for_scheme(config, stream, kind, models)
-    return runner(config, stream)
+    """Check the update model and validate the stream, then run one scheme
+    end to end with its declared defaults filled in."""
+    entry = _entry(config)
+    if entry.models is not None and config.model not in entry.models:
+        raise ConfigError(f"{config.scheme} does not support the {config.model} model")
+    _validate(config, stream, entry.kind)
+    kwargs = {}
+    for p in entry.params:
+        if p is MODE:
+            continue
+        value = config.params.get(p.key, p.default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing parameter {p.key!r}")
+        kwargs[p.arg or p.key] = config.seed if value is RUN_SEED else value
+    prover = (None if config.prover == "honest"
+              else adversary(config.prover, config.seed))
+    return entry.run(stream, n=config.n, seed=config.seed, prover=prover, **kwargs)
 
 
 def soundness_trials(config: RunConfig, stream, trials: int) -> int:

@@ -337,6 +337,37 @@ def read_edge_stream(path):
     return edges, n, model
 
 
+def _data_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+
+
+def read_pairs(path):
+    """'<a> <b>' integer pairs, one per line: (item, count) entries of a z
+    vector or a claims list, or the edges of a matching witness."""
+    return [(int(a), int(b)) for a, b in _data_lines(path)]
+
+
+def read_tree_witness(path):
+    """Spanning-tree witness: a 'root <r>' line plus one tree edge per line.
+    Returns (root, edges)."""
+    root = None
+    edges = []
+    for parts in _data_lines(path):
+        if parts[0] == "root":
+            root = int(parts[1])
+        else:
+            edges.append((int(parts[0]), int(parts[1])))
+    if root is None:
+        raise ValueError("connectivity witness needs a 'root <r>' line")
+    return (root, edges)
+
+
+def read_cycle_witness(path):
+    """Odd-cycle witness: one vertex per line, closed (first == last)."""
+    return [int(parts[0]) for parts in _data_lines(path)]
+
+
 def write_stream(path, updates, n, model=STRICT):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={n} model={model}\n")

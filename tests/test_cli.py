@@ -40,6 +40,7 @@ def _write_inputs(tmp_path):
         f"{u} {v} {d}\n" for u, v, d in EDGES))
     files = {
         "pairs": "# item count\n5 1\n17 2\n",
+        "claims": "5 4\n9 1\n",
         "buckets": "0 1\n2 1\n",
         "matching": "0 1\n2 3\n",
         "tree": "root 0\n0 1\n0 2\n0 3\n",
@@ -82,6 +83,9 @@ CASES = [
     ("fk-ama-coins", "fk", "plain",
      ["--k", "2", "--cv", "8", "--mode", "ama", "--coins-seed", "11"],
      {"k": 2, "c_v": 8, "mode": "ama", "coins_seed": 11}),
+    ("multiindex", "multiindex", "plain",
+     ["--claims-file", "@claims", "--cv", "16"],
+     {"claims": [(5, 4), (9, 1)], "c_v": 16}),
     ("disj-default", "disj", "tagged", [], {"mode": "online", "c_v": 16}),
     ("disj-prescient", "disj", "tagged", ["--mode", "prescient"],
      {"mode": "prescient", "c_v": 16}),
@@ -91,6 +95,8 @@ CASES = [
     ("injection", "injection", "bucketed", [], {"r": BUCKETED_R}),
     ("subinjection", "subinjection", "bucketed", ["--z-file", "@buckets"],
      {"r": BUCKETED_R, "z": [(0, 1), (2, 1)]}),
+    ("subf2", "subf2", "plain", ["--z-file", "@pairs"],
+     {"z": [(5, 1), (17, 2)]}),
     ("ama-injection", "ama-injection", "bucketed", [],
      {"r": BUCKETED_R, "coins_seed": SEED}),
     ("triangles", "triangles", "edges", [], {"c_v": 64}),
@@ -146,10 +152,13 @@ def test_cli_matches_run_scheme(case, tmp_path, capsys):
     ["fk", "--cv", "4"],
     ["matching"],
     ["subinjection"],
+    ["subf2"],
+    ["multiindex", "--cv", "16"],
     ["fk", "--k", "two"],
     ["nope"],
 ], ids=["fk-bad-mode", "disj-bad-mode", "hh-bad-mode", "missing-query",
-        "missing-k", "missing-witness", "missing-z", "bad-type",
+        "missing-k", "missing-witness", "missing-z", "subf2-missing-z",
+        "multiindex-missing-claims", "bad-type",
         "unknown-scheme"])
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     paths = _write_inputs(tmp_path)
