@@ -36,8 +36,8 @@ import math
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, CHUNK_OVERHEAD_BITS, COUNT_BITS, STAGE_BITS,
-                       derive_rng, id_bits, need, resolve_prover,
-                       run_protocol)
+                       derive_rng, id_bits, int_record, need,
+                       resolve_prover, run_protocol)
 from .pointqueries import BucketFingerprintState, opening_bits
 from .streams import (PairwiseHash, StreamUpdate, compute_meta,
                       find_perfect_hash, frequency_map, random_pairwise_hash)
@@ -616,8 +616,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         (ident, fstar, wstar) triples."""
         sh = self.shape
         arity = 3 if (self.tagged or sh.mode == MODE_FOOTPRINT) else 2
-        need(isinstance(e, (tuple, list)) and len(e) == arity
-             and all(type(x) is int for x in e), "malformed collision-list entry")
+        need(int_record(e, arity), "malformed collision-list entry")
         i, f = e[0], e[1]
         if self.tagged:
             ft = e[2]
@@ -1005,9 +1004,8 @@ class _TaggedWitnessVerifier(Verifier):
     def __init__(self, n, shape, rng, subset=False):
         self.n = n
         self.subset = subset
-        self.pq = BucketFingerprintState(shape.field, shape.c_v, rng)
+        self.pq = BucketFingerprintState(shape.field, shape.c_a, shape.c_v, rng)
         self.engine = OnlineEngineVerifier(shape, n, (), True, rng)
-        self.max_open = 10 * shape.c_a
         self.f1_x = 0
         self.word_bits = shape.field.bits
         self.info = {}
@@ -1026,13 +1024,7 @@ class _TaggedWitnessVerifier(Verifier):
 
     def _witness_counts(self, item, openings):
         wanted = {2 * item: 0, 2 * item + 1: 0}
-        prev = -1
-        for bucket, entries in openings:
-            need(prev < bucket < self.pq.c_v, "buckets not sorted")
-            prev = bucket
-            self.pq.check_opening(bucket, entries, 2 * self.n, self.max_open,
-                                  collect=wanted)
-        opened = {b for b, _ in openings}
+        opened = self.pq.check_openings(openings, 2 * self.n, wanted)
         need(all(self.pq.h(t) in opened for t in wanted), "witness buckets not opened")
         return wanted[2 * item], wanted[2 * item + 1]
 
@@ -1040,7 +1032,8 @@ class _TaggedWitnessVerifier(Verifier):
         chunks = list(chunks)
         if chunks and chunks[0].kind == "witness":
             item = chunks[0].data
-            need(0 <= item < self.n, "witness outside universe")
+            need(type(item) is int and 0 <= item < self.n,
+                 "witness outside universe")
             need(len(chunks) == 2 and chunks[1].kind == "witness-openings",
                  "missing witness openings")
             fs, ft = self._witness_counts(item, chunks[1].data)

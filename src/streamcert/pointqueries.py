@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .field import DEFAULT_FIELD
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
-                       Verifier, COUNT_BITS, derive_rng, id_bits, need,
-                       resolve_prover, run_protocol)
+                       Verifier, COUNT_BITS, derive_rng, id_bits, int_record,
+                       need, resolve_prover, run_protocol)
 from .streams import (PairwiseHash, StreamUpdate, compute_meta,
                       dyadic_decompose, dyadic_levels, dyadic_prefix_nodes,
                       dyadic_universe, random_pairwise_hash)
@@ -20,11 +20,13 @@ OVERFLOW_FACTOR = 10  # Markov constant from the completeness argument
 
 
 class BucketFingerprintState:
-    """c_v fingerprints, one per derived stream x^j = {u : h(u.item) = j}."""
+    """c_v fingerprints, one per derived stream x^j = {u : h(u.item) = j}.
+    An opened bucket may list at most OVERFLOW_FACTOR * c_a items."""
 
-    def __init__(self, field, c_v, rng):
+    def __init__(self, field, c_a, c_v, rng):
         self.field = field
         self.c_v = c_v
+        self.max_open = OVERFLOW_FACTOR * c_a
         self.basis = field.rand(rng)
         self.accs = [0] * c_v
         self.h = None
@@ -40,18 +42,22 @@ class BucketFingerprintState:
         self.accs[b] = (self.accs[b] + u.delta * pow(self.basis, u.item, q)) % q
         self.weight += abs(u.delta)
 
-    def check_opening(self, bucket, entries, n, max_len, collect=None):
+    def check_opening(self, bucket, entries, n, collect=None, arity=2):
         """Verify a claimed full content list for one bucket.
 
-        Entries are (item, freq) pairs, strictly ascending by item, each
-        hashing to the bucket, with nonzero bounded frequencies. Rejects on
-        fingerprint mismatch. Optionally collects the counts of items the
-        caller cares about into `collect` (a dict pre-keyed by item)."""
+        Entries are integer records of `arity` fields that start with
+        (item, freq), strictly ascending by item, each hashing to the bucket,
+        with nonzero bounded frequencies. Rejects on fingerprint mismatch.
+        Optionally collects the counts of items the caller cares about into
+        `collect` (a dict pre-keyed by item)."""
         q = self.field.q
-        need(len(entries) <= max_len, "opening too large")
+        need(isinstance(entries, list), "malformed opening")
+        need(len(entries) <= self.max_open, "opening too large")
         acc = 0
         prev = -1
-        for item, freq in entries:
+        for e in entries:
+            need(int_record(e, arity), "malformed opening entry")
+            item, freq = e[0], e[1]
             need(prev < item < n, "opening items not sorted inside universe")
             prev = item
             need(self.h(item) == bucket, "opening item in wrong bucket")
@@ -60,6 +66,20 @@ class BucketFingerprintState:
             if collect is not None and item in collect:
                 collect[item] = freq
         need(acc == self.accs[bucket], "bucket fingerprint mismatch")
+
+    def check_openings(self, openings, n, collect=None, arity=2):
+        """Verify a list of (bucket, entries) openings with strictly
+        ascending buckets; returns the set of opened buckets."""
+        need(isinstance(openings, list), "malformed openings")
+        prev = -1
+        for o in openings:
+            need(isinstance(o, (tuple, list)) and len(o) == 2
+                 and type(o[0]) is int, "malformed opening")
+            bucket, entries = o
+            need(prev < bucket < self.c_v, "buckets not sorted")
+            prev = bucket
+            self.check_opening(bucket, entries, n, collect, arity)
+        return {b for b, _ in openings}
 
     @property
     def words(self):
@@ -93,12 +113,10 @@ class PointQueryProver(Prover):
 
 
 class PointQueryVerifier(Verifier):
-    def __init__(self, n, c_a, c_v, rng, field=DEFAULT_FIELD, overflow=OVERFLOW_FACTOR):
+    def __init__(self, n, c_a, c_v, rng):
         self.n = n
-        self.c_a = c_a
-        self.max_open = overflow * c_a
-        self.state = BucketFingerprintState(field, c_v, rng)
-        self.word_bits = field.bits
+        self.state = BucketFingerprintState(DEFAULT_FIELD, c_a, c_v, rng)
+        self.word_bits = DEFAULT_FIELD.bits
 
     def begin(self, chunks):
         need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
@@ -111,7 +129,7 @@ class PointQueryVerifier(Verifier):
         need(len(chunks) == 1 and chunks[0].kind == "opening", "missing opening")
         wanted = {query: 0}
         self.state.check_opening(self.state.h(query), chunks[0].data, self.n,
-                                 self.max_open, collect=wanted)
+                                 collect=wanted)
         return Outcome.ok(wanted[query])
 
     @property
@@ -120,12 +138,12 @@ class PointQueryVerifier(Verifier):
 
 
 def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None,
-           field=DEFAULT_FIELD, declared_sparsity=None) -> RunResult:
+           declared_sparsity=None) -> RunResult:
     """Frequency of `query`, certified against one opened hash bucket."""
     m = compute_meta(updates, n).sparsity if declared_sparsity is None else declared_sparsity
     if c_a * c_v < m:
         raise ConfigError("c_a * c_v must cover the declared sparsity")
-    verifier = PointQueryVerifier(n, c_a, c_v, derive_rng(seed, "pq-v"), field)
+    verifier = PointQueryVerifier(n, c_a, c_v, derive_rng(seed, "pq-v"))
     prover = resolve_prover(prover, lambda: PointQueryProver(n, c_v, derive_rng(seed, "pq-p")))
     result, _ = run_protocol(verifier, prover, updates, query)
     return result
@@ -185,14 +203,12 @@ class SelectionProver(Prover):
 
 
 class SelectionVerifier(Verifier):
-    def __init__(self, n, c_a, c_v, rng, field=DEFAULT_FIELD, overflow=OVERFLOW_FACTOR):
+    def __init__(self, n, c_a, c_v, rng):
         self.n = n
         self.u_derived = dyadic_universe(n)
-        self.c_a = c_a
-        self.max_open = overflow * c_a
-        self.state = BucketFingerprintState(field, c_v, rng)
+        self.state = BucketFingerprintState(DEFAULT_FIELD, c_a, c_v, rng)
         self.total = 0
-        self.word_bits = field.bits
+        self.word_bits = DEFAULT_FIELD.bits
 
     def begin(self, chunks):
         need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
@@ -207,19 +223,16 @@ class SelectionVerifier(Verifier):
         rank = query
         need(1 <= rank <= self.total, "rank outside [1, N]")
         need(len(chunks) == 1 and chunks[0].kind == "selection-answer", "missing answer")
-        j, openings = chunks[0].data
+        answer = chunks[0].data
+        need(isinstance(answer, (tuple, list)) and len(answer) == 2
+             and type(answer[0]) is int, "malformed answer")
+        j, openings = answer
         need(0 <= j < self.n, "answer outside universe")
         below = dyadic_prefix_nodes(j, self.n)
         upto = dyadic_prefix_nodes(j + 1, self.n)
         wanted = {v: 0 for v in below}
         wanted.update({v: 0 for v in upto})
-        prev = -1
-        for bucket, entries in openings:
-            need(prev < bucket < self.state.c_v, "buckets not sorted")
-            prev = bucket
-            self.state.check_opening(bucket, entries, self.u_derived,
-                                     self.max_open, collect=wanted)
-        opened = {b for b, _ in openings}
+        opened = self.state.check_openings(openings, self.u_derived, wanted)
         need(all(self.state.h(v) in opened for v in wanted), "required bucket not opened")
         t_below = sum(wanted[v] for v in below)
         t_upto = sum(wanted[v] for v in upto)
@@ -232,7 +245,7 @@ class SelectionVerifier(Verifier):
 
 
 def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None,
-                  field=DEFAULT_FIELD, declared_sparsity=None) -> RunResult:
+                  declared_sparsity=None) -> RunResult:
     """Item of the given rank in the strict-turnstile frequency distribution.
 
     One bucket-fingerprint state over the derived dyadic stream serves all
@@ -242,7 +255,7 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None,
     m_derived = declared_sparsity * (dyadic_levels(n) + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
-    verifier = SelectionVerifier(n, c_a, c_v, derive_rng(seed, "sel-v"), field)
+    verifier = SelectionVerifier(n, c_a, c_v, derive_rng(seed, "sel-v"))
     prover = resolve_prover(prover, lambda: SelectionProver(n, c_v, derive_rng(seed, "sel-p")))
     result, _ = run_protocol(verifier, prover, updates, rank)
     return result
@@ -328,16 +341,15 @@ class HeavyHittersProver(Prover):
 
 
 class HeavyHittersVerifier(Verifier):
-    def __init__(self, n, c_a, c_v, rng, field=DEFAULT_FIELD, mode="openings",
-                 mi_factory=None, overflow=OVERFLOW_FACTOR):
+    def __init__(self, n, c_a, c_v, rng, mode="openings", mi_factory=None):
+        field = DEFAULT_FIELD
         self.n = n
         self.levels = dyadic_levels(n)
         self.u_derived = dyadic_universe(n)
-        self.c_a = c_a
-        self.max_open = overflow * c_a
         self.mode = mode
         self.field = field
-        self.state = BucketFingerprintState(field, c_v, rng) if mode == "openings" else None
+        self.state = (BucketFingerprintState(field, c_a, c_v, rng)
+                      if mode == "openings" else None)
         self.mi_factory = mi_factory
         self.mi = None
         self.total = 0
@@ -369,6 +381,8 @@ class HeavyHittersVerifier(Verifier):
         chunks = list(chunks)
         need(chunks and chunks[0].kind == "hh-records", "missing records")
         records = chunks[0].data
+        need(isinstance(records, list)
+             and all(int_record(rec, 3) for rec in records), "malformed records")
         if self.total <= 0:
             need(not records, "claims on an empty stream")
             return Outcome.ok(frozenset())
@@ -405,13 +419,10 @@ class HeavyHittersVerifier(Verifier):
 
         if self.mode == "openings":
             need(len(chunks) == 2 and chunks[1].kind == "hh-openings", "missing openings")
+            openings = chunks[1].data
+            self.state.check_openings(openings, self.u_derived, arity=3)
             fp_counts_b = 0
-            prev = -1
-            for bucket, entries in chunks[1].data:
-                need(prev < bucket < self.state.c_v, "buckets not sorted")
-                prev = bucket
-                plain = [(v, c) for v, c, _ in entries]
-                self.state.check_opening(bucket, plain, self.u_derived, self.max_open)
+            for _, entries in openings:
                 for v, c, qflag in entries:
                     if qflag:
                         fp_counts_b = (fp_counts_b + c * pow(self.tau, v, q)) % q
@@ -429,8 +440,7 @@ class HeavyHittersVerifier(Verifier):
 
 
 def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
-                     field=DEFAULT_FIELD, mode="openings",
-                     declared_sparsity=None) -> RunResult:
+                     mode="openings", declared_sparsity=None) -> RunResult:
     """All items with frequency >= phi * N, certified exactly.
 
     mode='openings' batches the frequency proofs through parallel bucket
@@ -455,7 +465,7 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
     else:
         mi_v_factory = mi_p_factory = None
     verifier = HeavyHittersVerifier(n, c_a, c_v, derive_rng(seed, "hh-v"),
-                                    field, mode, mi_v_factory)
+                                    mode, mi_v_factory)
     prover = resolve_prover(prover, lambda: HeavyHittersProver(
         n, c_v, derive_rng(seed, "hh-p"), mode, mi_p_factory))
     result, _ = run_protocol(verifier, prover, updates, phi)

@@ -223,6 +223,12 @@ def need(condition, why=""):
         raise Reject(why)
 
 
+def int_record(x, arity: int) -> bool:
+    """Whether an annotation record is a tuple or list of `arity` ints."""
+    return (isinstance(x, (tuple, list)) and len(x) == arity
+            and all(type(v) is int for v in x))
+
+
 def resolve_prover(prover, honest_factory):
     """Run functions accept a Prover instance, a wrapper callable applied to
     the honest prover (how adversaries are injected), or None for honest."""

@@ -143,8 +143,7 @@ class _InjectionMap(_DenseMap):
                    purity_deltas(self.dense.field, u.item, u.delta))
 
 
-def injection_run(updates, n, r, *, c_a=None, c_v=None, field=None, seed=0,
-                  prover=None) -> RunResult:
+def injection_run(updates, n, r, *, seed=0, prover=None) -> RunResult:
     """Decide whether a strict bucketed stream is an injection (1/0), or reject.
 
     Callers are expected to have validated the strict model on pairs; the
@@ -152,9 +151,8 @@ def injection_run(updates, n, r, *, c_a=None, c_v=None, field=None, seed=0,
     """
     weight = sum(abs(u.delta) for u in updates)
     bound = max(1, r) * (max(1, weight) * max(1, n)) ** 2
-    field = field or field_at_least(purity_min_field(weight, n, r))
-    if c_a is None or c_v is None:
-        c_a, c_v = balanced_shape(r)
+    field = field_at_least(purity_min_field(weight, n, r))
+    c_a, c_v = balanced_shape(r)
     params = injection_params(field, r, c_a, c_v, bound)
     return _run_dense(updates, params, seed, "injection-v", prover, _InjectionMap)
 
@@ -173,8 +171,7 @@ class _SubInjectionMap(_InjectionMap):
                 self.dense.update(3, bucket, zb)
 
 
-def subinjection_run(updates, z, n, r, *, c_a=None, c_v=None, field=None,
-                     seed=0, prover=None) -> RunResult:
+def subinjection_run(updates, z, n, r, *, seed=0, prover=None) -> RunResult:
     """SubInjection: 1 iff every bucket with z_b >= 1 is pure.
 
     z is part of the input (streamed after the main stream), given as
@@ -186,9 +183,8 @@ def subinjection_run(updates, z, n, r, *, c_a=None, c_v=None, field=None,
     weight = sum(abs(u.delta) for u in updates)
     zmax = max((c for _, c in z), default=0)
     bound = max(1, zmax) * max(1, r) * (max(1, weight) * max(1, n)) ** 2
-    field = field or field_at_least(2 * bound + 1)
-    if c_a is None or c_v is None:
-        c_a, c_v = balanced_shape(r)
+    field = field_at_least(2 * bound + 1)
+    c_a, c_v = balanced_shape(r)
     params = subinjection_params(field, r, c_a, c_v, bound)
     return _run_dense(updates, params, seed, "subinj-v", prover,
                       _SubInjectionMap, z)
@@ -214,8 +210,7 @@ class _SubF2Map(_DenseMap):
         return value
 
 
-def subf2_run(updates, z, n, *, c_a=None, c_v=None, field=None, seed=0,
-              prover=None) -> RunResult:
+def subf2_run(updates, z, n, *, seed=0, prover=None) -> RunResult:
     """Exact sum_i z_i * f_i^2 over any turnstile stream."""
     z = [(i, int(c)) for i, c in z]
     if any(c < 0 for _, c in z):
@@ -223,9 +218,8 @@ def subf2_run(updates, z, n, *, c_a=None, c_v=None, field=None, seed=0,
     weight = sum(abs(u.delta) for u in updates)
     ztot = sum(c for _, c in z)
     bound = max(1, ztot) * max(1, weight) ** 2
-    field = field or field_at_least(2 * bound + 1)
-    if c_a is None or c_v is None:
-        c_a, c_v = balanced_shape(n)
+    field = field_at_least(2 * bound + 1)
+    c_a, c_v = balanced_shape(n)
     params = subf2_params(field, n, c_a, c_v, bound)
     return _run_dense(updates, params, seed, "subf2-v", prover, _SubF2Map, z)
 
@@ -279,8 +273,8 @@ def draw_public_coins(field: Field, coins_seed) -> tuple:
     return field.rand(rng), field.rand(rng)
 
 
-def ama_injection_run(updates, n, r, *, coins_seed=0, c_a=None, c_v=None,
-                      field=None, seed=0, prover=None) -> RunResult:
+def ama_injection_run(updates, n, r, *, coins_seed=0, seed=0,
+                      prover=None) -> RunResult:
     """Public-coin injection check, valid in the non-strict turnstile model.
 
     Output 1 iff every bucket is pure; a cancellation-crafted impure bucket
@@ -288,12 +282,9 @@ def ama_injection_run(updates, n, r, *, coins_seed=0, c_a=None, c_v=None,
     public coins, drawn before any prover message.
     """
     lgn = id_bits(n)
-    field = field or field_at_least((n ** 2) * r * lgn << 20)
-    if field.q <= (n ** 2) * r * lgn:
-        raise ConfigError("field too small for the AMA soundness bound")
+    field = field_at_least((n ** 2) * r * lgn << 20)
     coins = draw_public_coins(field, coins_seed)
-    if c_a is None or c_v is None:
-        c_a, c_v = balanced_shape(r * lgn)
+    c_a, c_v = balanced_shape(r * lgn)
     params = ama_params(field, r, lgn, c_a, c_v, marks_const=True)
     return _run_dense(updates, params, seed, "ama-v", prover, _AmaInjectionMap,
                       coins, n, lgn)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from streamcert.harness import ChunkTamper
 from streamcert.streams import StreamUpdate
 
 
@@ -35,6 +36,14 @@ def strict_stream(rng, n, m, churn=0.3, max_delta=3):
         fixed.append(StreamUpdate(u.item, delta))
         seen[u.item] = seen.get(u.item, 0) + delta
     return fixed
+
+
+def rewrite_chunk(kind, fn):
+    """Prover wrapper that rewrites the payload of every end chunk of a kind."""
+    def end_fn(chunks):
+        return [c.__class__(c.kind, fn(c.data), c.bits) if c.kind == kind else c
+                for c in chunks]
+    return lambda honest: ChunkTamper(honest, end_fn)
 
 
 @pytest.fixture

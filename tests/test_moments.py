@@ -11,7 +11,7 @@ from streamcert.moments import (disj_online_run, disj_prescient_run,
 from streamcert.protocol import ConfigError
 from streamcert.streams import StreamUpdate as U, compute_meta
 
-from conftest import freq_oracle, moment_oracle, strict_stream
+from conftest import freq_oracle, moment_oracle, rewrite_chunk, strict_stream
 
 N20 = 1 << 20
 S, T = 0, 1
@@ -63,25 +63,17 @@ def test_fk_false_collision_list_rejected(rng):
     assert rejected == 40
 
 
-def _rewrite(kind, fn):
-    """Prover wrapper that rewrites the payload of every end chunk of a kind."""
-    def end_fn(chunks):
-        return [c.__class__(c.kind, fn(c.data), c.bits) if c.kind == kind else c
-                for c in chunks]
-    return lambda honest: ChunkTamper(honest, end_fn)
-
-
 def test_fk_malformed_collision_entry_rejected(rng):
     ups = strict_stream(rng, N20, 100, churn=0.0)
     honest = fk_online_run(ups, N20, 2, 4, seed=1)
     assert honest.accepted and honest.info["stages_used"] >= 1
-    extra_field = _rewrite("collision-list", lambda es: [e + (0,) for e in es])
+    extra_field = rewrite_chunk("collision-list", lambda es: [e + (0,) for e in es])
     assert fk_online_run(ups, N20, 2, 4, seed=1, prover=extra_field).rejected
 
 
 def test_fk_malformed_main_proof_rejected(rng):
     ups = strict_stream(rng, N20, 100, churn=0.0)
-    no_proof = _rewrite("main-proof", lambda data: (data[0], None))
+    no_proof = rewrite_chunk("main-proof", lambda data: (data[0], None))
     assert fk_online_run(ups, N20, 2, 4, seed=1, prover=no_proof).rejected
 
 
@@ -269,6 +261,26 @@ def test_disj_adversary_never_proves_disjoint(rng):
         ro = disj_online_run(ups, N20, 8, seed=t,
                              prover=adversary("false-collision-list", t))
         assert ro.rejected or ro.value == 0
+
+
+def _string_items(openings):
+    return [(b, [(str(i), f) for i, f in es]) for b, es in openings]
+
+
+@pytest.mark.parametrize("kind, fn", [
+    ("witness", str),
+    ("witness-openings", _string_items),
+    ("witness-openings", lambda ops: [(b, [e + (0,) for e in es]) for b, es in ops]),
+    ("witness-openings", lambda ops: [(str(b), es) for b, es in ops]),
+    ("witness-openings", lambda ops: [b for b, _ in ops]),
+    ("witness-openings", lambda ops: None),
+], ids=["string-witness", "string-item", "three-field-entry", "string-bucket",
+        "bare-buckets", "none"])
+def test_disj_malformed_witness_rejected(kind, fn):
+    ups = tagged_sets([1, 5, 9], [5, 7])
+    assert disj_online_run(ups, 16, 4, seed=2).value == 0
+    assert disj_online_run(ups, 16, 4, seed=2,
+                           prover=rewrite_chunk(kind, fn)).rejected
 
 
 # -------------------------------------------------------------------- subset

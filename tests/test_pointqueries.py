@@ -7,7 +7,7 @@ from streamcert.pointqueries import heavyhitters_run, pq_run, selection_run
 from streamcert.protocol import Chunk, ConfigError
 from streamcert.streams import StreamUpdate
 
-from conftest import freq_oracle, strict_stream
+from conftest import freq_oracle, rewrite_chunk, strict_stream
 
 
 def test_pq_trivial():
@@ -92,6 +92,56 @@ def test_selection_wrong_answer_rejected(rng):
         r = selection_run(ups, 64, 3, c_a=32, c_v=8, seed=t,
                           prover=adversary("wrong-answer", t))
         assert r.rejected
+
+
+@pytest.mark.parametrize("fn", [
+    lambda es: [(str(i), f) for i, f in es],
+    lambda es: [(i, f, 0) for i, f in es],
+    lambda es: [i for i, _ in es],
+    lambda es: None,
+], ids=["string-item", "three-field-entry", "bare-items", "none"])
+def test_pq_malformed_opening_rejected(fn):
+    ups = [StreamUpdate(5, 7), StreamUpdate(9, 2)]
+    assert pq_run(ups, 64, 5, c_a=4, c_v=4, seed=1).value == 7
+    r = pq_run(ups, 64, 5, c_a=4, c_v=4, seed=1,
+               prover=rewrite_chunk("opening", fn))
+    assert r.rejected
+
+
+@pytest.mark.parametrize("fn", [
+    lambda answer: answer[0],
+    lambda answer: answer + (0,),
+    lambda answer: (str(answer[0]), answer[1]),
+    lambda answer: (answer[0], [(str(b), es) for b, es in answer[1]]),
+    lambda answer: (answer[0], [(b, [(str(v), c) for v, c in es])
+                                for b, es in answer[1]]),
+    lambda answer: (answer[0], [(b, [(v, c, 0) for v, c in es])
+                                for b, es in answer[1]]),
+], ids=["bare-item", "three-fields", "string-answer", "string-bucket",
+        "string-entry", "three-field-entry"])
+def test_selection_malformed_answer_rejected(fn):
+    ups = [StreamUpdate(1, 2), StreamUpdate(3, 1), StreamUpdate(6, 4)]
+    assert selection_run(ups, 8, 3, c_a=8, c_v=8, seed=1).value == 3
+    r = selection_run(ups, 8, 3, c_a=8, c_v=8, seed=1,
+                      prover=rewrite_chunk("selection-answer", fn))
+    assert r.rejected
+
+
+@pytest.mark.parametrize("kind, fn", [
+    ("hh-records", lambda recs: [(v, c) for v, c, _ in recs]),
+    ("hh-records", lambda recs: [(str(v), c, f) for v, c, f in recs]),
+    ("hh-records", lambda recs: None),
+    ("hh-openings", lambda ops: [(b, [(v, c) for v, c, _ in es]) for b, es in ops]),
+    ("hh-openings", lambda ops: [(str(b), es) for b, es in ops]),
+], ids=["two-field-record", "string-record", "no-records",
+        "two-field-opening", "string-bucket"])
+def test_hh_malformed_annotation_rejected(kind, fn):
+    ups = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
+        [StreamUpdate(i, 1) for i in range(2, 12)]
+    assert heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, seed=1).value == {0, 1}
+    r = heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, seed=1,
+                         prover=rewrite_chunk(kind, fn))
+    assert r.rejected
 
 
 def hh_oracle(ups, phi):
