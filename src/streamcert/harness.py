@@ -4,7 +4,6 @@ prover strategies, soundness trials, and cost sweeps.
 Adversarial strategies only rewrite annotation chunks; the stream itself is
 never altered."""
 
-import random
 from dataclasses import dataclass, field as dfield, replace
 
 from . import graphs, moments, pointqueries, purity
