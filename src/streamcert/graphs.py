@@ -9,8 +9,8 @@ indicator), and witness structure is checked with O(1) fingerprint state."""
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
                       Shape, fk_online_multi)
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RelaxedOutcome,
-                       RunResult, Verifier, derive_rng, id_bits, need,
-                       resolve_prover, run_protocol)
+                       RunResult, Verifier, derive_rng, id_bits, int_record,
+                       need, resolve_prover, run_protocol)
 from .streams import StreamUpdate, compute_meta, fingerprint_of_range
 
 
@@ -160,6 +160,8 @@ class MatchingVerifier(_RelaxedVerifierBase):
         chunks = list(chunks)
         need(chunks and chunks[0].kind == "matching-witness", "missing witness")
         witness = chunks[0].data
+        need(isinstance(witness, list) and all(int_record(e, 2) for e in witness),
+             "malformed matching witness")
         need(self.n % 2 == 0 and len(witness) == self.n // 2, "wrong matching size")
         q = self.field.q
         for a, b in witness:
@@ -240,7 +242,11 @@ class ConnectivityVerifier(_RelaxedVerifierBase):
     def end(self, chunks, query):
         chunks = list(chunks)
         need(chunks and chunks[0].kind == "tree-witness", "missing witness")
-        root, edge_recs, vert_recs = chunks[0].data
+        data = chunks[0].data
+        need(isinstance(data, tuple) and len(data) == 3 and type(data[0]) is int
+             and all(isinstance(recs, list) and all(int_record(e, 3) for e in recs)
+                     for recs in data[1:]), "malformed tree witness")
+        root, edge_recs, vert_recs = data
         n, q = self.n, self.field.q
         need(0 <= root < n, "bad root")
         need(len(edge_recs) == n - 1 and len(vert_recs) == n, "wrong witness size")
@@ -320,6 +326,8 @@ class OddCycleVerifier(_RelaxedVerifierBase):
         chunks = list(chunks)
         need(chunks and chunks[0].kind == "cycle-witness", "missing witness")
         cycle = chunks[0].data
+        need(isinstance(cycle, list) and all(type(v) is int for v in cycle),
+             "malformed cycle witness")
         length = len(cycle) - 1
         need(length >= 3 and length % 2 == 1, "cycle length not odd")
         need(cycle[0] == cycle[-1], "cycle not closed")

@@ -39,12 +39,12 @@ from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        derive_rng, id_bits, int_record, need,
                        resolve_prover, run_protocol)
 from .pointqueries import BucketFingerprintState, opening_bits
-from .streams import (PairwiseHash, StreamUpdate, compute_meta,
-                      find_perfect_hash, frequency_map, random_pairwise_hash)
+from .streams import (StreamUpdate, compute_meta, find_perfect_hash,
+                      frequency_map, hash_fits, random_pairwise_hash)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
                        g_product, prop1_min_field)
 from .purity import (add_purity, ama_coords, ama_params, draw_public_coins,
-                     injection_params, purity_deltas, purity_min_field,
+                     injection_params, mark_all, purity_deltas, purity_min_field,
                      subf2_params, subinjection_params)
 
 MODE_STRICT = "strict"
@@ -104,14 +104,14 @@ class Shape:
 
     # purity feed -----------------------------------------------------------
 
-    def purity_terms(self, ident, delta, raw=False):
+    def purity_terms(self, ident, delta, keep_sign=False):
         """(u, v, w) terms of one update for a purity instance, computed once
         however many instances take them; None in AMA mode, where the terms
         depend on the bucket. Footprint mode occupies buckets with absolute
-        weight, except for a raw removal of certified weight."""
+        weight, except for a removal of certified weight (keep_sign)."""
         if self.mode == MODE_AMA:
             return None
-        if self.mode == MODE_FOOTPRINT and not raw:
+        if self.mode == MODE_FOOTPRINT and not keep_sign:
             delta = abs(delta)
         return purity_deltas(self.field_purity, ident, delta)
 
@@ -140,9 +140,7 @@ class Shape:
 
     def main_injection_params(self):
         if self.mode == MODE_AMA:
-            universe = self.r * self.lgn
-            c_a = _pow2ceil(-(-universe // self.c_v))
-            return ama_params(self.field_purity, self.r, self.lgn, c_a, self.c_v, True)
+            return self.stage_check_params()
         bound = max(self.r, 1) * (2 * self.weight * max(1, self.n_ids)) ** 2
         return injection_params(self.field_purity, self.r, self.c_a, self.c_v, bound)
 
@@ -150,7 +148,7 @@ class Shape:
         if self.mode == MODE_AMA:
             universe = self.r * self.lgn
             c_a = _pow2ceil(-(-universe // self.c_v))
-            return ama_params(self.field_purity, self.r, self.lgn, c_a, self.c_v, False)
+            return ama_params(self.field_purity, self.r, self.lgn, c_a, self.c_v)
         bound = max(self.r, self.threshold) * (2 * self.weight * max(1, self.n_ids)) ** 2
         return subinjection_params(self.field_purity, self.r, self.c_a, self.c_v, bound)
 
@@ -311,8 +309,7 @@ class MultiIndexVerifierCore(_StageMap):
         hs = chunks[0].data
         need(isinstance(hs, list) and len(hs) == sh.t_max, "wrong stage hash count")
         for h in hs:
-            need(isinstance(h, PairwiseHash) and h.r == sh.r and h.p >= sh.n_ids,
-                 "bad stage hash")
+            need(hash_fits(h, sh.n_ids, sh.r), "bad stage hash")
         need(len(chunks) == 1, "unexpected start annotation")
         self.hs = hs
 
@@ -460,8 +457,6 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None,
     prover = resolve_prover(prover, lambda: _MultiIndexRunProver(
         shape, claims, derive_rng(seed, "mi-p")))
     result, _ = run_protocol(verifier, prover, updates)
-    if result.outcome.accepted:
-        result.info = dict(getattr(verifier, "info", {}))
     return result
 
 
@@ -489,6 +484,8 @@ class _EngineMap:
         else:
             self.mains = {k: dense(shape.main_power_params(k)) for k in self.ks}
         self.main_inj = dense(shape.main_injection_params())
+        if shape.mode == MODE_AMA:
+            mark_all(self.main_inj)
 
     def update(self, u):
         tag, su = u if self.tagged else (0, u)
@@ -520,11 +517,11 @@ class _EngineMap:
             removal = entry[1]
             for k in self.ks:
                 self.mains[k].update(0, b, -removal)
-        raw = sh.mode == MODE_FOOTPRINT
-        if raw:
+        certified = sh.mode == MODE_FOOTPRINT
+        if certified:
             removal = entry[2]
         sh.feed_purity(self.main_inj, i, b, -removal,
-                       sh.purity_terms(i, -removal, raw=raw))
+                       sh.purity_terms(i, -removal, keep_sign=certified))
 
 
 class OnlineEngineProver(_EngineMap, Prover):
@@ -606,8 +603,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
     def begin(self, chunks):
         need(chunks and chunks[0].kind == "hash", "missing universe hash")
         h = chunks[0].data
-        need(isinstance(h, PairwiseHash) and h.r == self.shape.r and h.p >= self.n,
-             "bad universe hash")
+        need(hash_fits(h, self.n, self.shape.r), "bad universe hash")
         self.h = h
         self.mi.begin(chunks[1:])
 
@@ -703,8 +699,6 @@ def _run_engine(updates, n, ks, c_v, mode, seed, prover,
     prover = resolve_prover(prover, lambda: OnlineEngineProver(
         shape, n, ks, False, derive_rng(seed, "fk-p")))
     result, _ = run_protocol(verifier, prover, updates)
-    if result.outcome.accepted:
-        result.info = dict(verifier.info)
     return result, shape
 
 
@@ -791,7 +785,7 @@ class _PrescientFkVerifier(Verifier):
     def begin(self, chunks):
         need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
         h = chunks[0].data
-        need(isinstance(h, PairwiseHash) and h.r == self.r and h.p >= self.n, "bad hash")
+        need(hash_fits(h, self.n, self.r), "bad hash")
         self.h = h
 
     def update(self, u):
@@ -900,13 +894,12 @@ class _PrescientDisjVerifier(Verifier):
         need(len(chunks) == 1, "malformed start annotation")
         c = chunks[0]
         if c.kind == "witness":
-            need(0 <= c.data < self.n, "witness outside universe")
+            need(type(c.data) is int and 0 <= c.data < self.n, "witness outside universe")
             self.witness = c.data
         else:
             need(c.kind == "hash", "missing hash")
             h = c.data
-            need(isinstance(h, PairwiseHash) and h.r == self.r and h.p >= self.n,
-                 "bad hash")
+            need(hash_fits(h, self.n, self.r), "bad hash")
             self.h = h
             self.main = DenseVerifier(self.params, self.rng)
 
@@ -1008,11 +1001,11 @@ class _TaggedWitnessVerifier(Verifier):
         self.engine = OnlineEngineVerifier(shape, n, (), True, rng)
         self.f1_x = 0
         self.word_bits = shape.field.bits
-        self.info = {}
+        self.info = self.engine.info
 
     def begin(self, chunks):
         need(chunks and chunks[0].kind == "pq-hash", "missing point-query hash")
-        self.pq.set_hash(chunks[0].data)
+        self.pq.set_hash(chunks[0].data, 2 * self.n)
         self.engine.begin(chunks[1:])
 
     def update(self, u):
@@ -1043,7 +1036,6 @@ class _TaggedWitnessVerifier(Verifier):
                 need(fs >= 1 and ft >= 1, "witness not in both sets")
             return Outcome.ok(0)
         out = self.engine.end(chunks, query)
-        self.info.update(self.engine.info)
         ip = out.value["ip"]
         if self.subset:
             return Outcome.ok(1 if ip == self.f1_x else 0)

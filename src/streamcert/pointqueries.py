@@ -14,7 +14,7 @@ from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        need, resolve_prover, run_protocol)
 from .streams import (PairwiseHash, StreamUpdate, compute_meta,
                       dyadic_decompose, dyadic_levels, dyadic_prefix_nodes,
-                      dyadic_universe, random_pairwise_hash)
+                      dyadic_universe, hash_fits, random_pairwise_hash)
 
 OVERFLOW_FACTOR = 10  # Markov constant from the completeness argument
 
@@ -32,8 +32,8 @@ class BucketFingerprintState:
         self.h = None
         self.weight = 0
 
-    def set_hash(self, h: PairwiseHash):
-        need(isinstance(h, PairwiseHash) and h.r == self.c_v, "bad hash description")
+    def set_hash(self, h: PairwiseHash, universe: int):
+        need(hash_fits(h, universe, self.c_v), "bad hash description")
         self.h = h
 
     def update(self, u: StreamUpdate):
@@ -120,7 +120,7 @@ class PointQueryVerifier(Verifier):
 
     def begin(self, chunks):
         need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-        self.state.set_hash(chunks[0].data)
+        self.state.set_hash(chunks[0].data, self.n)
 
     def update(self, u):
         self.state.update(u)
@@ -212,7 +212,7 @@ class SelectionVerifier(Verifier):
 
     def begin(self, chunks):
         need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-        self.state.set_hash(chunks[0].data)
+        self.state.set_hash(chunks[0].data, self.u_derived)
 
     def update(self, u):
         self.total += u.delta
@@ -362,7 +362,7 @@ class HeavyHittersVerifier(Verifier):
     def begin(self, chunks):
         if self.mode == "openings":
             need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-            self.state.set_hash(chunks[0].data)
+            self.state.set_hash(chunks[0].data, self.u_derived)
         else:
             self.mi = self.mi_factory()
             self.mi.begin(chunks)

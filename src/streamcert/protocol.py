@@ -187,7 +187,7 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
         vcost_bits=peak * getattr(verifier, "word_bits", WORD_BITS),
         wall_time=time.perf_counter() - t0,
     )
-    return RunResult(outcome, cost)
+    return RunResult(outcome, cost, dict(getattr(verifier, "info", {})))
 
 
 def run_protocol(verifier, prover, updates, query=None):

@@ -245,12 +245,19 @@ def ama_coords(field: Field, alpha: int, beta: int, n: int, lgn: int,
             yield 1, coord, d * pow(beta, n * coord + item, q) % q
 
 
-def ama_params(field, r, lgn, c_a, c_v, marks_const: bool):
-    universe = r * lgn
-    const = (2,) if marks_const else ()
-    return DenseParams(field=field, universe=universe, c_a=c_a, c_v=c_v,
+def ama_params(field, r, lgn, c_a, c_v):
+    """Vectors 0 and 1 hold the two sides' fingerprints, vector 2 the marks;
+    the result is only ever tested against zero, so any field value decodes."""
+    return DenseParams(field=field, universe=r * lgn, c_a=c_a, c_v=c_v,
                        vectors=3, degree=3, g=g_triple_product(field),
-                       bound=0, raw=True, const_ones=const)
+                       bound=(field.q - 1) // 2)
+
+
+def mark_all(dense):
+    """Mark every coordinate of an AMA instance: the injection check is the
+    stage check with every bucket marked."""
+    for coord in range(dense.params.universe):
+        dense.update(2, coord, 1)
 
 
 class _AmaInjectionMap(_DenseMap):
@@ -261,6 +268,7 @@ class _AmaInjectionMap(_DenseMap):
         self.alpha, self.beta = coins
         self.n = n
         self.lgn = lgn
+        mark_all(dense)
 
     def feed(self, u):
         for vec, coord, d in ama_coords(self.dense.field, self.alpha, self.beta,
@@ -285,6 +293,6 @@ def ama_injection_run(updates, n, r, *, coins_seed=0, seed=0,
     field = field_at_least((n ** 2) * r * lgn << 20)
     coins = draw_public_coins(field, coins_seed)
     c_a, c_v = balanced_shape(r * lgn)
-    params = ama_params(field, r, lgn, c_a, c_v, marks_const=True)
+    params = ama_params(field, r, lgn, c_a, c_v)
     return _run_dense(updates, params, seed, "ama-v", prover, _AmaInjectionMap,
                       coins, n, lgn)

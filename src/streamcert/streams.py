@@ -165,6 +165,16 @@ class PairwiseHash:
         return 4 * 64
 
 
+def hash_fits(h, universe: int, r: int) -> bool:
+    """Whether a hash description received from the prover is a member of
+    the pairwise family from [universe] to [r]: int fields, 0 <= a, b < p
+    and p >= universe."""
+    return (isinstance(h, PairwiseHash)
+            and all(type(v) is int for v in (h.a, h.b, h.p, h.r))
+            and h.r == r and h.p >= max(1, universe)
+            and 0 <= h.a < h.p and 0 <= h.b < h.p)
+
+
 def pairwise_hash_eval(h: PairwiseHash, x: int) -> int:
     return h(x)
 
@@ -266,12 +276,19 @@ def _parse_header(line, path):
     return fields
 
 
+def _header_int(header, key, path):
+    try:
+        return int(header[key])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: header needs an integer {key}=") from None
+
+
 def read_stream(path):
     """Plain stream file: '# n=<n> model=<insert|strict|nonstrict>' header,
     then one '<item> <delta>' per line. Returns (updates, n, model)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline(), path)
-        n = int(header["n"])
+        n = _header_int(header, "n", path)
         model = _canon_model(header.get("model", STRICT))
         updates = []
         for line in fh:
@@ -287,8 +304,8 @@ def read_bucketed_stream(path):
     """Bucketed stream: '# n=<n> r=<r> model=...' then '<item> <bucket> <delta>'."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline(), path)
-        n = int(header["n"])
-        r = int(header["r"])
+        n = _header_int(header, "n", path)
+        r = _header_int(header, "r", path)
         model = _canon_model(header.get("model", STRICT))
         updates = []
         for line in fh:
@@ -309,7 +326,7 @@ def read_tagged_stream(path):
     tags = {"S": 0, "T": 1, "X": 0, "Y": 1}
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline(), path)
-        n = int(header["n"])
+        n = _header_int(header, "n", path)
         model = _canon_model(header.get("model", STRICT))
         updates = []
         for line in fh:
@@ -317,6 +334,8 @@ def read_tagged_stream(path):
             if not line or line.startswith("#"):
                 continue
             tag, item, delta = line.split()
+            if tag.upper() not in tags:
+                raise ValueError(f"{path}: unknown tag {tag!r}")
             updates.append((tags[tag.upper()], StreamUpdate(int(item), int(delta))))
     return updates, n, model
 
@@ -325,7 +344,7 @@ def read_edge_stream(path):
     """Edge stream: '# vertices=<n> model=...' then '<u> <v> <delta>' lines."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline(), path)
-        n = int(header["vertices"])
+        n = _header_int(header, "vertices", path)
         model = _canon_model(header.get("model", STRICT))
         edges = []
         for line in fh:

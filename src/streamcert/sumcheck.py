@@ -9,6 +9,10 @@ grid {0, ..., deg(b)} (an encoding of the same polynomial with the same word
 count as its coefficients). The verifier spot-checks b(r) and, on success,
 accepts sum_{x < c_a} b(x).
 
+g must vanish at zero (g(0, ..., 0) = 0). Every cell where all l vectors are
+zero, padding cells past the universe included, then adds nothing to b, so
+the prover sums g over the cells it holds and the verifier over its rows.
+
 Prover-side multi-point evaluation packs Lagrange-extended columns into wide
 integers (one limb per evaluation point) so the inner accumulation runs on
 CPython's C bigint loop instead of interpreted arithmetic.
@@ -36,9 +40,9 @@ class DenseParams:
     """Shape of one dense sum-check instance.
 
     g is an evaluation callback over field elements (the verifier never needs
-    its coefficients) with declared total degree. Vector indices listed in
-    const_ones are the all-ones vector over [universe], handled analytically
-    on both sides instead of being streamed.
+    its coefficients) with declared total degree; it must vanish at zero, so
+    all-zero cells contribute nothing. A verified result is decoded to the
+    integer in (-q/2, q/2) it represents and must lie within [-bound, bound].
     """
 
     field: Field
@@ -49,9 +53,6 @@ class DenseParams:
     degree: int
     g: object
     bound: int
-    signed: bool = True
-    raw: bool = False
-    const_ones: tuple = ()
 
     def __post_init__(self):
         if self.universe < 1 or self.c_a < 1 or self.c_v < 1:
@@ -63,8 +64,10 @@ class DenseParams:
         q = self.field.q
         if q <= self.degree * (self.c_a - 1) + 1:
             raise ConfigError("field too small for the proof degree")
-        if not self.raw and q <= 2 * self.bound:
+        if q <= 2 * self.bound:
             raise ConfigError("field too small to decode the output bound")
+        if self.g([0] * self.vectors) % q != 0:
+            raise ConfigError("g must vanish at zero")
 
     @property
     def proof_len(self):
@@ -75,13 +78,6 @@ class DenseParams:
             raise ConfigError(
                 f"field {self.field.q} below 2d(n+o)^2 for n={self.universe} o={self.bound}")
         return self
-
-    def cell(self, item: int):
-        return divmod(item, self.c_v)
-
-    def column_fill(self):
-        """(full, rem): columns y < rem hold full+1 grid cells, the rest full."""
-        return divmod(self.universe, self.c_v)
 
 
 @dataclass
@@ -110,7 +106,6 @@ class DenseVerifier:
         self.r = self.field.rand(rng)
         self.rows = [[0] * params.c_v for _ in range(params.vectors)]
         self._lrow = None
-        self._prefix = None
         self.word_bits = self.field.bits
 
     def _lagrange(self):
@@ -118,26 +113,11 @@ class DenseVerifier:
             self._lrow = lagrange_row(self.field, self.params.c_a, self.r)
         return self._lrow
 
-    def _ones_prefix(self):
-        if self._prefix is None:
-            lrow = self._lagrange()
-            q = self.field.q
-            ps = [0] * (len(lrow) + 1)
-            for i, v in enumerate(lrow):
-                ps[i + 1] = (ps[i] + v) % q
-            self._prefix = ps
-        return self._prefix
-
     def update(self, j, item, delta):
         p = self.params
         x, y = divmod(item, p.c_v)
         row = self.rows[j]
         row[y] = (row[y] + delta * self._lagrange()[x]) % self.field.q
-
-    def _row_value(self, j, y, full, rem, ones_ps):
-        if j in self.params.const_ones:
-            return ones_ps[full + 1] if y < rem else ones_ps[full]
-        return self.rows[j][y]
 
     def verify(self, proof: DenseProof):
         """Exact F on success, None on any failed check."""
@@ -147,24 +127,12 @@ class DenseVerifier:
                 and len(proof.values) == p.proof_len
                 and all(type(v) is int for v in proof.values)):
             return None
-        full, rem = p.column_fill()
-        ones_ps = self._ones_prefix() if p.const_ones else None
-        g = p.g
         q = field.q
-        expected = 0
-        js = range(p.vectors)
-        for y in range(p.c_v):
-            vals = [self._row_value(j, y, full, rem, ones_ps) for j in js]
-            expected = (expected + g(vals)) % q
+        expected = sum(map(p.g, zip(*self.rows))) % q
         if eval_values_at(field, proof.values, self.r) != expected:
             return None
-        total = sum(proof.values[: p.c_a]) % q
-        if p.raw:
-            return total
-        out = field.dec_signed(total) if p.signed else total
-        if abs(out) > p.bound:
-            return None
-        return out
+        out = field.dec_signed(sum(proof.values[: p.c_a]) % q)
+        return out if abs(out) <= p.bound else None
 
     @property
     def words(self):
@@ -191,7 +159,6 @@ class _ExtGrid:
         self.limb_bytes = (w + 7) // 8
         self.s = c_a
         self.pack = []
-        self.prefix_pack = None
 
     def ensure(self, s: int):
         if s <= self.s:
@@ -205,22 +172,13 @@ class _ExtGrid:
             for x, v in enumerate(row):
                 cols[x][off:off + lb] = v.to_bytes(lb, "little")
         self.pack = [int.from_bytes(c, "little") for c in cols]
-        self.prefix_pack = None
         self.s = s
 
-    def ones_prefix(self):
-        """prefix_pack[k] = packed values of sum_{x<k} L_x(p)."""
-        if self.prefix_pack is None:
-            ps = [0] * (self.c_a + 1)
-            for x, col in enumerate(self.pack):
-                ps[x + 1] = ps[x] + col
-            self.prefix_pack = ps
-        return self.prefix_pack
-
     def unpack(self, acc: int, ext: int):
+        """The first ext limbs of a packed accumulator, reduced mod q."""
         q = self.field.q
         lb = self.limb_bytes
-        raw = acc.to_bytes(ext * lb, "little")
+        raw = acc.to_bytes((self.s - self.c_a) * lb, "little")
         return [int.from_bytes(raw[i * lb:(i + 1) * lb], "little") % q
                 for i in range(ext)]
 
@@ -257,8 +215,6 @@ class DenseProver:
         self.vecs = [dict() for _ in range(params.vectors)]
 
     def update(self, j, item, delta):
-        if j in self.params.const_ones:
-            raise ValueError("const vector takes no updates")
         vec = self.vecs[j]
         d = (vec.get(item, 0) + delta) % self.field.q
         if d:
@@ -267,113 +223,50 @@ class DenseProver:
             vec.pop(item, None)
 
     def proof(self) -> DenseProof:
+        """b on {0, ..., s-1}, summing g over the nonzero cells only (g
+        vanishes at zero): grid points read the cells, extension points
+        their packed Lagrange columns."""
         p = self.params
-        field = self.field
-        q = field.q
+        q = self.field.q
         g = p.g
         s = p.proof_len
         c_a, c_v = p.c_a, p.c_v
-        full, rem = p.column_fill()
-        consts = set(p.const_ones)
-        stream_js = [j for j in range(p.vectors) if j not in consts]
-
-        # zero-column contributions: all-zero stream vectors with the const
-        # vector at 1 (in-universe cell) or 0 (padding cell)
-        zeros = [0] * p.vectors
-        g_pad = g(zeros)
-        ones_at_consts = [1 if j in consts else 0 for j in range(p.vectors)]
-        g_one = g(ones_at_consts) if consts else g_pad
 
         cells = {}
-        for j in stream_js:
-            for item, v in self.vecs[j].items():
+        for j, vec in enumerate(self.vecs):
+            for item, v in vec.items():
                 xy = divmod(item, c_v)
                 slot = cells.get(xy)
                 if slot is None:
-                    slot = [0] * p.vectors
-                    cells[xy] = slot
+                    slot = cells[xy] = [0] * p.vectors
                 slot[j] = v
 
         values = [0] * s
-
-        # grid points: read cells directly
-        by_x = {}
-        for (x, y), vals in cells.items():
-            by_x.setdefault(x, []).append((y, vals))
-        for x in range(c_a):
-            n_valid = min(max(p.universe - x * c_v, 0), c_v)
-            acc = 0
-            n_active_valid = 0
-            for y, vals in by_x.get(x, ()):
-                if consts:
-                    vals = list(vals)
-                    cv = 1 if y < n_valid else 0
-                    for j in consts:
-                        vals[j] = cv
-                if y < n_valid:
-                    n_active_valid += 1
-                acc += g(vals)
-            acc += (n_valid - n_active_valid) * g_one
-            acc += (c_v - n_valid - (len(by_x.get(x, ())) - n_active_valid)) * g_pad
-            values[x] = acc % q
+        for (x, _), vals in cells.items():
+            values[x] += g(vals)
+        values[:c_a] = [v % q for v in values[:c_a]]
 
         ext = s - c_a
         if ext:
-            grid = _ext_grid(field, c_a, s)
-            gext = grid.s - c_a  # grid may hold more points than we need
+            grid = _ext_grid(self.field, c_a, s)
             pack = grid.pack
-            accs = [dict() for _ in range(p.vectors)]
-            active = set()
+            cols = {}
             for (x, y), vals in cells.items():
                 col = pack[x]
-                active.add(y)
-                for j in stream_js:
-                    v = vals[j]
+                accs = cols.get(y)
+                if accs is None:
+                    accs = cols[y] = [0] * p.vectors
+                for j, v in enumerate(vals):
                     if v:
-                        d = accs[j]
-                        d[y] = d.get(y, 0) + col * v
-            cols = {}
-            for j in stream_js:
-                for y, acc in accs[j].items():
-                    cols.setdefault(y, {})[j] = grid.unpack(acc, gext)[:ext]
-            if consts:
-                pp = grid.ones_prefix()
-                ones_hi = grid.unpack(pp[min(full + 1, c_a)], gext)[:ext]
-                ones_lo = grid.unpack(pp[full], gext)[:ext]
-            n_hi_inactive = rem - sum(1 for y in active if y < rem)
-            n_lo_inactive = (c_v - rem) - sum(1 for y in active if y >= rem)
-            bext = [0] * ext
-            for y in sorted(active):
-                per = cols.get(y, {})
-                ones = (ones_hi if y < rem else ones_lo) if consts else None
-                for e in range(ext):
-                    vals = [0] * p.vectors
-                    for j, limbs in per.items():
-                        vals[j] = limbs[e]
-                    if consts:
-                        cv = ones[e]
-                        for j in consts:
-                            vals[j] = cv
-                    bext[e] += g(vals)
-            if consts:
-                for e in range(ext):
-                    bext[e] += n_hi_inactive * g(_with_consts(zeros, consts, ones_hi[e]))
-                    bext[e] += n_lo_inactive * g(_with_consts(zeros, consts, ones_lo[e]))
-            elif g_pad:
-                pad_cols = c_v - len(active)
-                for e in range(ext):
-                    bext[e] += pad_cols * g_pad
-            for e in range(ext):
-                values[c_a + e] = bext[e] % q
+                        accs[j] += col * v
+            zeros = [0] * ext
+            bext = zeros
+            for accs in cols.values():
+                limbs = [grid.unpack(a, ext) if a else zeros for a in accs]
+                bext = [b + g(vals) for b, vals in zip(bext, zip(*limbs))]
+            values[c_a:] = [b % q for b in bext]
 
-        return DenseProof(values, field.bits)
-
-
-def _with_consts(zeros, consts, value):
-    vals = list(zeros)
-    for j in consts:
-        vals[j] = value
-    return vals
+        return DenseProof(values, self.field.bits)
 
 
 # ----------------------------------------------------- standard g callbacks

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -38,12 +39,35 @@ def strict_stream(rng, n, m, churn=0.3, max_delta=3):
     return fixed
 
 
+def _rewriter(kind, fn):
+    return lambda chunks: [c.__class__(c.kind, fn(c.data), c.bits)
+                           if c.kind == kind else c for c in chunks]
+
+
 def rewrite_chunk(kind, fn):
     """Prover wrapper that rewrites the payload of every end chunk of a kind."""
-    def end_fn(chunks):
-        return [c.__class__(c.kind, fn(c.data), c.bits) if c.kind == kind else c
-                for c in chunks]
-    return lambda honest: ChunkTamper(honest, end_fn)
+    return lambda honest: ChunkTamper(honest, _rewriter(kind, fn))
+
+
+def rewrite_start_chunk(kind, fn):
+    """Prover wrapper that rewrites the payload of every start chunk of a kind."""
+    rewrite = _rewriter(kind, fn)
+
+    class StartTamper(ChunkTamper):
+        def start(self):
+            return rewrite(self.inner.start())
+
+    return lambda honest: StartTamper(honest, list)
+
+
+def bad_hash(**fields):
+    """Start-chunk rewrite: one PairwiseHash, or each of a list of them, with
+    some fields replaced."""
+    def fn(data):
+        if isinstance(data, list):
+            return [dataclasses.replace(h, **fields) for h in data]
+        return dataclasses.replace(data, **fields)
+    return fn
 
 
 @pytest.fixture

@@ -202,3 +202,19 @@ def test_cli_bad_witness_file_exits_1(tmp_path, capsys):
     assert cli_main(["subinjection", "--input", str(paths["bucketed"]),
                      "--z-file", str(tmp_path / "missing.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme, text, key", [
+    ("fk", "# model=strict\n5 1\n", "n="),
+    ("subinjection", "# n=16 model=strict\n3 0 1\n", "r="),
+    ("matching", "# n=4 model=strict\n0 1 1\n", "vertices="),
+    ("disj", "# n=16 model=strict\nS 1 1\nZ 1 1\n", "'Z'"),
+], ids=["no-n", "no-r", "no-vertices", "unknown-tag"])
+def test_cli_bad_stream_header_or_tag_exits_1(scheme, text, key, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    extra = {"fk": ["--k", "2"], "subinjection": ["--z-file", str(path)],
+             "matching": ["--witness-file", str(path)], "disj": []}[scheme]
+    assert cli_main([scheme, "--input", str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and key in err

@@ -12,6 +12,8 @@ from streamcert.harness import adversary
 from streamcert.protocol import ConfigError, RelaxedOutcome
 from streamcert.streams import compute_meta
 
+from conftest import rewrite_chunk
+
 
 def random_graph(rng, n, p):
     return [(u, v, 1) for u, v in combinations(range(n), 2) if rng.random() < p]
@@ -192,3 +194,26 @@ def test_oddcycle_fake_witness_strategy():
         r = verify_non_bipartite(c5, 5, [0, 1, 2, 3, 4, 0], seed=t,
                                  prover=adversary("fake-witness", t))
         assert r.rejected
+
+
+TRI = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
+SQUARE = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
+STAR = [(0, i, 1) for i in range(1, 4)]
+
+
+@pytest.mark.parametrize("run, kind, fn", [
+    (lambda **kw: verify_perfect_matching(SQUARE, 4, [(0, 1), (2, 3)], **kw),
+     "matching-witness", lambda w: [e + (0,) for e in w]),
+    (lambda **kw: verify_perfect_matching(SQUARE, 4, [(0, 1), (2, 3)], **kw),
+     "matching-witness", lambda w: 7),
+    (lambda **kw: verify_connectivity(STAR, 4, (0, [(0, 1), (0, 2), (0, 3)]), **kw),
+     "tree-witness", lambda w: (0, [])),
+    (lambda **kw: verify_connectivity(STAR, 4, (0, [(0, 1), (0, 2), (0, 3)]), **kw),
+     "tree-witness", lambda w: (w[0], w[1][:-1] + [(3, 0)], w[2])),
+    (lambda **kw: verify_non_bipartite(TRI, 3, [0, 1, 2, 0], **kw),
+     "cycle-witness", lambda w: [str(v) for v in w]),
+], ids=["matching-triples", "matching-int", "tree-pair", "tree-two-field-record",
+        "cycle-strings"])
+def test_malformed_graph_witness_rejected(run, kind, fn):
+    assert run(seed=1).accepted
+    assert run(seed=1, prover=rewrite_chunk(kind, fn)).rejected

@@ -11,7 +11,8 @@ from streamcert.moments import (disj_online_run, disj_prescient_run,
 from streamcert.protocol import ConfigError
 from streamcert.streams import StreamUpdate as U, compute_meta
 
-from conftest import freq_oracle, moment_oracle, rewrite_chunk, strict_stream
+from conftest import (bad_hash, freq_oracle, moment_oracle, rewrite_chunk,
+                      rewrite_start_chunk, strict_stream)
 
 N20 = 1 << 20
 S, T = 0, 1
@@ -281,6 +282,50 @@ def test_disj_malformed_witness_rejected(kind, fn):
     assert disj_online_run(ups, 16, 4, seed=2).value == 0
     assert disj_online_run(ups, 16, 4, seed=2,
                            prover=rewrite_chunk(kind, fn)).rejected
+
+
+def test_prescient_disj_malformed_witness_rejected():
+    ups = tagged_sets([1, 5, 9], [5, 7])
+    assert disj_prescient_run(ups, 16, seed=2).value == 0
+    for witness in ("x", None, 5.0):
+        r = disj_prescient_run(ups, 16, seed=2, prover=rewrite_start_chunk(
+            "witness", lambda _: witness))
+        assert r.rejected
+
+
+@pytest.mark.parametrize("run, ups", [
+    (disj_online_run, tagged_sets([1, 9], [5, 7])),
+    (subset_run, tagged_sets([1, 9], [1, 7, 9])),
+], ids=["disj", "subset"])
+def test_online_info_reports_stages_used(run, ups):
+    r = run(ups, 16, 4, seed=2)
+    assert r.accepted and "stages_used" in r.info
+    r = run(ups, 16, 4, seed=2,
+            prover=rewrite_chunk("main-proof", lambda data: (data[0], None)))
+    assert r.rejected and "stages_used" in r.info
+
+
+FEW = [U(3, 2), U(7, 1), U(11, 4), U(3, 1)]
+SITES = {
+    "engine": (lambda **kw: fk_online_run(FEW, 64, 2, 4, **kw), "hash"),
+    "engine-stages": (lambda **kw: fk_online_run(FEW, 64, 2, 4, **kw), "mi-hashes"),
+    "multiindex": (lambda **kw: multiindex_run(FEW, 64, [(3, 3), (7, 1)], 4, **kw),
+                   "mi-hashes"),
+    "prescient-fk": (lambda **kw: fk_prescient_run(FEW, 64, 2, **kw), "hash"),
+    "prescient-disj": (lambda **kw: disj_prescient_run(
+        tagged_sets([1, 9], [5, 7]), 16, **kw), "hash"),
+    "online-disj": (lambda **kw: disj_online_run(
+        tagged_sets([1, 9], [5, 7]), 16, 4, **kw), "pq-hash"),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize("fields", [{"a": 1.5}, {"p": 0}, {"b": -1}],
+                         ids=["float-a", "zero-p", "negative-b"])
+def test_bad_start_hash_rejected(site, fields):
+    run, kind = SITES[site]
+    assert run(seed=2).accepted
+    assert run(seed=2, prover=rewrite_start_chunk(kind, bad_hash(**fields))).rejected
 
 
 # -------------------------------------------------------------------- subset

@@ -7,7 +7,8 @@ from streamcert.pointqueries import heavyhitters_run, pq_run, selection_run
 from streamcert.protocol import Chunk, ConfigError
 from streamcert.streams import StreamUpdate
 
-from conftest import freq_oracle, rewrite_chunk, strict_stream
+from conftest import (bad_hash, freq_oracle, rewrite_chunk,
+                      rewrite_start_chunk, strict_stream)
 
 
 def test_pq_trivial():
@@ -142,6 +143,21 @@ def test_hh_malformed_annotation_rejected(kind, fn):
     r = heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, seed=1,
                          prover=rewrite_chunk(kind, fn))
     assert r.rejected
+
+
+@pytest.mark.parametrize("run", [
+    lambda ups, **kw: pq_run(ups, 16, 0, c_a=16, c_v=8, **kw),
+    lambda ups, **kw: selection_run(ups, 16, 3, c_a=16, c_v=8, **kw),
+    lambda ups, **kw: heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, **kw),
+], ids=["pointquery", "selection", "heavyhitters"])
+@pytest.mark.parametrize("fields", [
+    {"p": 0}, {"a": 1.5}, {"b": -1}, {"p": 2},
+], ids=["zero-p", "float-a", "negative-b", "p-below-universe"])
+def test_pq_family_bad_hash_rejected(run, fields):
+    ups = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
+        [StreamUpdate(i, 1) for i in range(2, 12)]
+    assert run(ups, seed=1).accepted
+    assert run(ups, seed=1, prover=rewrite_start_chunk("hash", bad_hash(**fields))).rejected
 
 
 def hh_oracle(ups, phi):

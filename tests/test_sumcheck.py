@@ -183,44 +183,6 @@ def test_verifier_seed_determinism_and_uniformity():
     assert chi2 < 162  # df=100 critical value at alpha=0.0001
 
 
-def test_const_ones_vector_matches_explicit_updates(rng):
-    universe = 13
-    g = g_purity(FM)
-    base = DenseParams(FM, universe, 4, 4, 3, 2, g, 10 ** 9)
-
-    def fill(params, const):
-        prover = DenseProver(params)
-        verifier = DenseVerifier(params, random.Random(77))
-        for _ in range(15):
-            item = rng.randrange(universe)
-            d = rng.randrange(1, 4)
-            du, dv, dw = d, d * item, d * item * item
-            for j, val in ((0, du), (1, dv), (2, dw)):
-                prover.update(j, item, val)
-                verifier.update(j, item, val)
-        if not const:
-            # emulate an extra all-ones vector explicitly
-            pass
-        return prover, verifier
-
-    rng_state = rng.getstate()
-    p_const = DenseParams(FM, universe, 4, 4, 4, 3,
-                          lambda v: v[3] * (v[1] * v[1] - v[0] * v[2]) % FM.q,
-                          10 ** 12, const_ones=(3,))
-    prover_c, verifier_c = fill(p_const, True)
-    rng.setstate(rng_state)
-    p_plain = DenseParams(FM, universe, 4, 4, 4, 3,
-                          lambda v: v[3] * (v[1] * v[1] - v[0] * v[2]) % FM.q,
-                          10 ** 12)
-    prover_p, verifier_p = fill(p_plain, False)
-    for i in range(universe):
-        prover_p.update(3, i, 1)
-        verifier_p.update(3, i, 1)
-    got_c = verifier_c.verify(prover_c.proof())
-    got_p = verifier_p.verify(prover_p.proof())
-    assert got_c is not None and got_c == got_p
-
-
 def test_prover_values_match_direct_extension_oracle(rng):
     # independent oracle for the packed multi-point evaluation
     universe, c_a, c_v = 11, 4, 3
@@ -258,5 +220,7 @@ def test_params_validation():
     small = DenseParams(Field(101), 4, 2, 2, 1, 2, g_power(Field(101), 2), 10)
     with pytest.raises(ConfigError):
         small.check_prop1_field()
+    with pytest.raises(ConfigError, match="vanish at zero"):
+        params_for(16, 4, 4, 1, 2, lambda v: (v[0] * v[0] + 1) % FM.q, 100)
     assert default_value_bound(10, 3, 2) == 90
     assert prop1_min_field(2, 4, 10) == 2 * 2 * 14 ** 2 + 1
