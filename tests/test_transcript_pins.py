@@ -65,6 +65,7 @@ def _cases():
     s60 = _strict(1, 60)
     disjoint = _tagged(2, range(0, 80, 2), range(1, 80, 2))
     subset = _tagged(3, range(0, 40), range(0, 70))
+    not_subset = _tagged(3, range(0, 40), range(5, 70))
     pair = _tagged(4, range(0, 50), range(25, 90))
     ring = [(i, i + 1, 1) for i in range(23)] + [(0, 23, 1)]
     ring_plus = ring + [(0, 4, 1)] + _graph(24, 24, 0.15)
@@ -92,6 +93,8 @@ def _cases():
         "disj-prescient": lambda: moments.disj_prescient_run(
             disjoint, N, seed=10),
         "subset": lambda: moments.subset_run(subset, N, 2, seed=11),
+        "subset-witness": lambda: moments.subset_run(
+            not_subset, N, 2, seed=27),
         "innerproduct": lambda: moments.inner_product_run(pair, N, 2, seed=12),
         "hamming": lambda: moments.hamming_run(pair, N, 2, seed=13),
         "triangles": lambda: graphs.count_triangles_run(
@@ -114,6 +117,13 @@ def _cases():
         "heavyhitters-multiindex": lambda: pointqueries.heavyhitters_run(
             _strict(23, 40, n=4096) + [U(7, 30)], 4096, 0.1, c_a=64, c_v=64,
             seed=23, mode="multiindex"),
+        "heavyhitters-openings": lambda: pointqueries.heavyhitters_run(
+            _strict(23, 40, n=4096) + [U(7, 30)], 4096, 0.1, c_a=64, c_v=64,
+            seed=24, mode="openings"),
+        "pointquery": lambda: pointqueries.pq_run(
+            s60, N, s60[7].item, c_a=16, c_v=8, seed=25),
+        "selection": lambda: pointqueries.selection_run(
+            s60, N, 70, c_a=64, c_v=16, seed=26),
     }
 
 
