@@ -6,7 +6,7 @@ using annotation from an untrusted prover, with bit-accurate annotation
 (hcost) and verifier-space (vcost) accounting."""
 
 from .field import (DEFAULT_FIELD, Field, M61, eval_poly, is_prime,
-                    lagrange_basis_at, next_prime, random_element)
+                    lagrange_basis_at, next_prime)
 from .graphs import (count_triangles_run, verify_connectivity,
                      verify_non_bipartite, verify_perfect_matching)
 from .harness import (RunConfig, adversary, cost_sweep, run_scheme,
@@ -20,10 +20,9 @@ from .protocol import (ConfigError, CostReport, Outcome, RelaxedOutcome,
                        RunResult)
 from .purity import (ama_injection_run, injection_run, subf2_run,
                      subinjection_run)
-from .streams import (BucketedUpdate, Fingerprint, PairwiseHash, StreamMeta,
-                      StreamUpdate, compute_meta, dyadic_decompose,
-                      find_perfect_hash, fingerprint_update,
-                      fingerprints_equal, pairwise_hash_eval, validate_stream)
+from .streams import (BucketedUpdate, PairwiseHash, StreamMeta, StreamUpdate,
+                      compute_meta, dyadic_decompose, find_perfect_hash,
+                      validate_stream)
 from .sumcheck import (DenseParams, DenseProof, dense_prover_proof,
                        dense_verifier_init, dense_verifier_update,
                        dense_verify)

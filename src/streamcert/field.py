@@ -93,11 +93,6 @@ def field_at_least(min_q: int) -> Field:
     return Field(next_prime(1 << (min_q - 1).bit_length()))
 
 
-def random_element(field: Field, rng) -> int:
-    """Uniform element of the field from the given RNG."""
-    return field.rand(rng)
-
-
 # -- univariate polynomials, coefficient lists ordered lowest degree first --
 
 

@@ -185,8 +185,7 @@ def verify_perfect_matching(edges, n, witness, c_v=16, *, seed=0,
     verifier = MatchingVerifier(n, shape, derive_rng(seed, "match-v"))
     prover = resolve_prover(prover, lambda: MatchingProver(
         n, shape, witness, derive_rng(seed, "match-p")))
-    result, _ = run_protocol(verifier, prover, edges)
-    return result
+    return run_protocol(verifier, prover, edges)
 
 
 # --------------------------------------------------------------- connectivity
@@ -303,8 +302,7 @@ def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
         # witness unusable: the prover cannot even form its annotation
         from .protocol import CostReport
         return RunResult(Outcome.reject(), CostReport(0, 0, 0, 0.0))
-    result, _ = run_protocol(verifier, prover, edges)
-    return result
+    return run_protocol(verifier, prover, edges)
 
 
 # ------------------------------------------------------------ non-bipartiteness
@@ -349,5 +347,4 @@ def verify_non_bipartite(edges, n, witness, c_v=16, *, seed=0,
     verifier = OddCycleVerifier(n, shape, derive_rng(seed, "cyc-v"))
     prover = resolve_prover(prover, lambda: OddCycleProver(
         n, shape, cycle, derive_rng(seed, "cyc-p")))
-    result, _ = run_protocol(verifier, prover, edges)
-    return result
+    return run_protocol(verifier, prover, edges)

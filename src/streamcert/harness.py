@@ -8,9 +8,9 @@ from dataclasses import dataclass, field as dfield, replace
 
 from . import graphs, moments, pointqueries, purity
 from .protocol import ConfigError, Prover, RunResult, derive_rng
-from .streams import (INSERT_ONLY, NONSTRICT, STRICT, StreamUpdate,
-                      read_cycle_witness, read_pairs, read_tree_witness,
-                      validate_stream)
+from .streams import (INSERT_ONLY, NONSTRICT, STRICT, ModelViolation,
+                      StreamUpdate, read_cycle_witness, read_pairs,
+                      read_tree_witness, validate_stream)
 from .sumcheck import DenseProof
 
 
@@ -33,7 +33,6 @@ class ChunkTamper(Prover):
     def __init__(self, inner, end_fn):
         self.inner = inner
         self.end_fn = end_fn
-        self.prescient = inner.prescient
 
     def start(self):
         return self.inner.start()
@@ -286,9 +285,12 @@ def _validate(config: RunConfig, stream, kind):
         flat = [StreamUpdate(2 * su.item + t, su.delta) for t, su in stream]
         n = 2 * n
     elif kind == "bucketed":
-        r = config.params.get("r", 0)
-        flat = [StreamUpdate(u.item * max(1, r) + u.bucket, u.delta) for u in stream]
-        n = n * max(1, r)
+        r = config.params["r"]
+        for u in stream:
+            if not 0 <= u.bucket < r:
+                raise ModelViolation(f"bucket {u.bucket} outside [{r}]")
+        flat = [StreamUpdate(u.item * r + u.bucket, u.delta) for u in stream]
+        n = n * r
     else:
         flat = [StreamUpdate(graphs.pair_rank(u, v), d) for u, v, d in stream]
         n = graphs.edge_universe(config.n)
@@ -301,7 +303,6 @@ def run_scheme(config: RunConfig, stream) -> RunResult:
     entry = _entry(config)
     if entry.models is not None and config.model not in entry.models:
         raise ConfigError(f"{config.scheme} does not support the {config.model} model")
-    _validate(config, stream, entry.kind)
     kwargs = {}
     for p in entry.params:
         if p is MODE:
@@ -310,6 +311,7 @@ def run_scheme(config: RunConfig, stream) -> RunResult:
         if value is REQUIRED:
             raise ConfigError(f"missing parameter {p.key!r}")
         kwargs[p.arg or p.key] = config.seed if value is RUN_SEED else value
+    _validate(config, stream, entry.kind)
     prover = (None if config.prover == "honest"
               else adversary(config.prover, config.seed))
     return entry.run(stream, n=config.n, seed=config.seed, prover=prover, **kwargs)

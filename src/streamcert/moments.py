@@ -38,7 +38,7 @@ from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, CHUNK_OVERHEAD_BITS, COUNT_BITS, STAGE_BITS,
                        derive_rng, id_bits, int_record, need,
                        resolve_prover, run_protocol)
-from .pointqueries import BucketFingerprintState, opening_bits
+from .pointqueries import BucketFingerprintState, open_buckets
 from .streams import (StreamUpdate, compute_meta, find_perfect_hash,
                       frequency_map, hash_fits, random_pairwise_hash)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
@@ -439,8 +439,7 @@ class _MultiIndexRunProver(Prover):
         return self.mi.finish_chunks()
 
 
-def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None,
-                   declared_sparsity=None, weight=None) -> RunResult:
+def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult:
     """1 iff f_i equals the claimed f_i* for every (i, f_i*) in `claims`.
 
     Strict turnstile; the stage hash functions are fixed before the stream
@@ -449,15 +448,13 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None,
     if len(set(items)) != len(items):
         raise ConfigError("claims must name distinct items")
     meta = compute_meta(updates, n)
-    m = declared_sparsity if declared_sparsity is not None else meta.sparsity
-    w = weight if weight is not None else meta.weight
-    shape = Shape(n, m, c_v, w, MODE_STRICT, ell=max(2, len(claims)))
+    shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
+                  ell=max(2, len(claims)))
     claims = sorted((int(i), int(f)) for i, f in claims)
     verifier = _MultiIndexRunVerifier(shape, claims, derive_rng(seed, "mi-v"))
     prover = resolve_prover(prover, lambda: _MultiIndexRunProver(
         shape, claims, derive_rng(seed, "mi-p")))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return run_protocol(verifier, prover, updates)
 
 
 # --------------------------------------------------------------- online engine
@@ -688,37 +685,27 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         return total
 
 
-def _run_engine(updates, n, ks, c_v, mode, seed, prover,
-                declared=None, coins_seed=None):
+# ----------------------------------------------------------------- Fk schemes
+
+
+def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRICT,
+                    coins_seed=None) -> RunResult:
+    """Certified exact frequency moments for every order in ks, sharing one
+    universe reduction and one MultiIndex run."""
+    ks = tuple(ks)
     meta = compute_meta(updates, n)
-    base = declared if declared is not None else (
-        meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity)
+    base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
     shape = Shape(n, base, c_v, meta.weight, mode, ks=ks, coins_seed=coins_seed)
     verifier = OnlineEngineVerifier(shape, n, ks, False,
                                     derive_rng(seed, "fk-v"))
     prover = resolve_prover(prover, lambda: OnlineEngineProver(
         shape, n, ks, False, derive_rng(seed, "fk-p")))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result, shape
+    return run_protocol(verifier, prover, updates)
 
 
-# ----------------------------------------------------------------- Fk schemes
-
-
-def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRICT,
-                    declared=None, coins_seed=None) -> RunResult:
-    """Certified exact frequency moments for every order in ks, sharing one
-    universe reduction and one MultiIndex run."""
-    result, _ = _run_engine(updates, n, tuple(ks), c_v, mode, seed,
-                            prover, declared, coins_seed)
-    return result
-
-
-def fk_online_run(updates, n, k, c_v, *, seed=0, prover=None,
-                  declared=None) -> RunResult:
+def fk_online_run(updates, n, k, c_v, *, seed=0, prover=None) -> RunResult:
     """Online exact Fk in the strict turnstile model."""
-    result = fk_online_multi(updates, n, (k,), c_v, seed=seed, prover=prover,
-                             declared=declared)
+    result = fk_online_multi(updates, n, (k,), c_v, seed=seed, prover=prover)
     if result.outcome.accepted:
         result.outcome = Outcome.ok(result.outcome.value[k])
     return result
@@ -753,8 +740,6 @@ def _prescient_feed(h, main, inj, item, delta):
 
 
 class _PrescientFkProver(Prover):
-    prescient = True
-
     def __init__(self, shape_r, n, updates, params_main, params_inj, rng):
         freq = frequency_map(updates)
         self.h = find_perfect_hash(sorted(freq), shape_r, 64, rng, universe=n)
@@ -833,8 +818,7 @@ def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
                                     derive_rng(seed, "pfk-v"))
     prover = resolve_prover(prover, lambda: _PrescientFkProver(
         r, n, updates, params_main, params_inj, derive_rng(seed, "pfk-p")))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return run_protocol(verifier, prover, updates)
 
 
 # -------------------------------------------------------------- Disjointness
@@ -846,8 +830,6 @@ def tagged_meta(updates, n):
 
 
 class _PrescientDisjProver(Prover):
-    prescient = True
-
     def __init__(self, n, updates, r, params, rng):
         self.freq = {}
         for tag, su in updates:
@@ -943,8 +925,7 @@ def disj_prescient_run(updates, n, *, seed=0, prover=None) -> RunResult:
     verifier = _PrescientDisjVerifier(n, r, params, derive_rng(seed, "pdisj-v"))
     prover = resolve_prover(prover, lambda: _PrescientDisjProver(
         n, updates, r, params, derive_rng(seed, "pdisj-p")))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return run_protocol(verifier, prover, updates)
 
 
 class _TaggedWitnessProver(Prover):
@@ -974,20 +955,11 @@ class _TaggedWitnessProver(Prover):
         inter = sorted(s_items & t_items)
         return inter[0] if inter else None
 
-    def _openings_for(self, idents):
-        buckets = sorted({self.pq_h(t) for t in idents})
-        out = []
-        for b in buckets:
-            entries = sorted((t, f) for t, f in self.freq.items()
-                             if f != 0 and self.pq_h(t) == b)
-            out.append((b, entries))
-        bits = sum(COUNT_BITS + opening_bits(e, 2 * self.n) for _, e in out)
-        return out, bits
-
     def finish(self, query):
         w = self._witness_item()
         if w is not None:
-            openings, bits = self._openings_for([2 * w, 2 * w + 1])
+            openings, bits = open_buckets(self.pq_h, self.freq,
+                                          [2 * w, 2 * w + 1], 2 * self.n)
             return [Chunk("witness", w, 64),
                     Chunk("witness-openings", openings, bits)]
         return self.engine.finish(query)
@@ -1010,15 +982,14 @@ class _TaggedWitnessVerifier(Verifier):
 
     def update(self, u):
         tag, su = u
-        self.pq.update(StreamUpdate(2 * su.item + tag, su.delta))
+        self.pq.update(2 * su.item + tag, su.delta)
         if tag == 0:
             self.f1_x += su.delta
         self.engine.update(u)
 
     def _witness_counts(self, item, openings):
         wanted = {2 * item: 0, 2 * item + 1: 0}
-        opened = self.pq.check_openings(openings, 2 * self.n, wanted)
-        need(all(self.pq.h(t) in opened for t in wanted), "witness buckets not opened")
+        self.pq.check_openings(openings, 2 * self.n, wanted)
         return wanted[2 * item], wanted[2 * item + 1]
 
     def end(self, chunks, query):
@@ -1054,8 +1025,7 @@ def _tagged_run(updates, n, c_v, seed, prover, subset) -> RunResult:
                                       subset)
     prover = resolve_prover(prover, lambda: _TaggedWitnessProver(
         n, shape, derive_rng(seed, "tag-p"), subset=subset))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return run_protocol(verifier, prover, updates)
 
 
 def disj_online_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
@@ -1153,8 +1123,7 @@ def _pair_run(updates, n, c_v, seed, prover, hamming) -> RunResult:
     verifier = _PairVerifier(n, shapes, derive_rng(seed, "pair-v"), hamming)
     prover = resolve_prover(prover, lambda: _PairProver(
         n, shapes, derive_rng(seed, "pair-p")))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return run_protocol(verifier, prover, updates)
 
 
 def inner_product_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:

@@ -4,7 +4,12 @@ reductions.
 The verifier never learns the query universe: it keeps one fingerprint per
 hash bucket of a prover-chosen pairwise hash. At the end of the stream the
 prover opens the relevant buckets by listing their exact sparse contents;
-the verifier recomputes each opened bucket's fingerprint and compares."""
+the verifier recomputes each opened bucket's fingerprint and compares.
+
+Selection, heavy hitters and the online DISJ/subset witness run the same
+scheme over a derived stream of ids (dyadic nodes, or 2*item+tag): the
+verifier feeds each derived id to BucketFingerprintState.update, and every
+prover builds its openings with open_buckets."""
 
 from fractions import Fraction
 
@@ -12,15 +17,15 @@ from .field import DEFAULT_FIELD
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, COUNT_BITS, derive_rng, id_bits, int_record,
                        need, resolve_prover, run_protocol)
-from .streams import (PairwiseHash, StreamUpdate, compute_meta,
-                      dyadic_decompose, dyadic_levels, dyadic_prefix_nodes,
-                      dyadic_universe, hash_fits, random_pairwise_hash)
+from .streams import (PairwiseHash, compute_meta, dyadic_decompose,
+                      dyadic_levels, dyadic_prefix_nodes, dyadic_universe,
+                      hash_fits, random_pairwise_hash)
 
 OVERFLOW_FACTOR = 10  # Markov constant from the completeness argument
 
 
 class BucketFingerprintState:
-    """c_v fingerprints, one per derived stream x^j = {u : h(u.item) = j}.
+    """c_v fingerprints, one per derived stream x^j = {ids v : h(v) = j}.
     An opened bucket may list at most OVERFLOW_FACTOR * c_a items."""
 
     def __init__(self, field, c_a, c_v, rng):
@@ -36,11 +41,11 @@ class BucketFingerprintState:
         need(hash_fits(h, universe, self.c_v), "bad hash description")
         self.h = h
 
-    def update(self, u: StreamUpdate):
+    def update(self, item, delta):
         q = self.field.q
-        b = self.h(u.item)
-        self.accs[b] = (self.accs[b] + u.delta * pow(self.basis, u.item, q)) % q
-        self.weight += abs(u.delta)
+        b = self.h(item)
+        self.accs[b] = (self.accs[b] + delta * pow(self.basis, item, q)) % q
+        self.weight += abs(delta)
 
     def check_opening(self, bucket, entries, n, collect=None, arity=2):
         """Verify a claimed full content list for one bucket.
@@ -69,7 +74,8 @@ class BucketFingerprintState:
 
     def check_openings(self, openings, n, collect=None, arity=2):
         """Verify a list of (bucket, entries) openings with strictly
-        ascending buckets; returns the set of opened buckets."""
+        ascending buckets, which must include the bucket of every id in
+        `collect`."""
         need(isinstance(openings, list), "malformed openings")
         prev = -1
         for o in openings:
@@ -79,15 +85,50 @@ class BucketFingerprintState:
             need(prev < bucket < self.c_v, "buckets not sorted")
             prev = bucket
             self.check_opening(bucket, entries, n, collect, arity)
-        return {b for b, _ in openings}
+        opened = {b for b, _ in openings}
+        need(all(self.h(v) in opened for v in collect or ()),
+             "required bucket not opened")
 
     @property
     def words(self):
         return self.c_v + 2 + (self.h.words if self.h else 0) + 1
 
 
-def opening_bits(entries, n):
-    return len(entries) * (id_bits(n) + COUNT_BITS)
+def opening_bits(entries, n, flag=False):
+    """Bits of (id, count) entries, or of (id, count, flag) ones."""
+    return len(entries) * (id_bits(n) + COUNT_BITS + (1 if flag else 0))
+
+
+def open_buckets(h, counts, items, n, flagged=None):
+    """The prover's openings of the buckets of `items`, and their bits.
+
+    `counts` maps ids of [n] to their counts; one pass groups the nonzero
+    ones by bucket. Returns ([(bucket, entries)], bits) with buckets and
+    entries ascending. An entry is (id, count), or (id, count, flag) when a
+    set `flagged` is given, the flag telling whether the id is in it. Each
+    opening pays one count word for its bucket."""
+    groups = {h(v): [] for v in items}
+    for v, c in counts.items():
+        if c:
+            entries = groups.get(h(v))
+            if entries is not None:
+                entries.append((v, c) if flagged is None
+                               else (v, c, 1 if v in flagged else 0))
+    openings = [(b, sorted(groups[b])) for b in sorted(groups)]
+    bits = sum(COUNT_BITS + opening_bits(e, n, flagged is not None)
+               for _, e in openings)
+    return openings, bits
+
+
+def dyadic_counts(freq, n):
+    """Counts of the derived dyadic stream: each dyadic node's total
+    frequency over the nonzero entries of `freq`."""
+    counts = {}
+    for i, f in freq.items():
+        if f:
+            for node in dyadic_decompose(i, n):
+                counts[node] = counts.get(node, 0) + f
+    return counts
 
 
 # ----------------------------------------------------------------- PointQuery
@@ -106,9 +147,7 @@ class PointQueryProver(Prover):
         self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
 
     def finish(self, query):
-        b = self.h(query)
-        entries = sorted((i, f) for i, f in self.freq.items()
-                         if f != 0 and self.h(i) == b)
+        [(_, entries)], _ = open_buckets(self.h, self.freq, [query], self.n)
         return [Chunk("opening", entries, opening_bits(entries, self.n))]
 
 
@@ -123,7 +162,7 @@ class PointQueryVerifier(Verifier):
         self.state.set_hash(chunks[0].data, self.n)
 
     def update(self, u):
-        self.state.update(u)
+        self.state.update(u.item, u.delta)
 
     def end(self, chunks, query):
         need(len(chunks) == 1 and chunks[0].kind == "opening", "missing opening")
@@ -137,23 +176,16 @@ class PointQueryVerifier(Verifier):
         return self.state.words + 1
 
 
-def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None,
-           declared_sparsity=None) -> RunResult:
+def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
     """Frequency of `query`, certified against one opened hash bucket."""
-    m = compute_meta(updates, n).sparsity if declared_sparsity is None else declared_sparsity
-    if c_a * c_v < m:
-        raise ConfigError("c_a * c_v must cover the declared sparsity")
+    if c_a * c_v < compute_meta(updates, n).sparsity:
+        raise ConfigError("c_a * c_v must cover the stream's sparsity")
     verifier = PointQueryVerifier(n, c_a, c_v, derive_rng(seed, "pq-v"))
     prover = resolve_prover(prover, lambda: PointQueryProver(n, c_v, derive_rng(seed, "pq-p")))
-    result, _ = run_protocol(verifier, prover, updates, query)
-    return result
+    return run_protocol(verifier, prover, updates, query)
 
 
 # ------------------------------------------------------------------ Selection
-
-
-def _derived_dyadic(u, n):
-    return [StreamUpdate(node, u.delta) for node in dyadic_decompose(u.item, n)]
 
 
 class SelectionProver(Prover):
@@ -169,14 +201,6 @@ class SelectionProver(Prover):
     def on_update(self, u):
         self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
 
-    def node_counts(self):
-        counts = {}
-        for i, f in self.freq.items():
-            if f:
-                for node in dyadic_decompose(i, self.n):
-                    counts[node] = counts.get(node, 0) + f
-        return counts
-
     def answer(self, rank):
         total = 0
         for i in sorted(self.freq):
@@ -190,16 +214,10 @@ class SelectionProver(Prover):
         j = self.answer(rank)
         if j is None:
             return [Chunk("no-answer", None, 1)]
-        counts = self.node_counts()
-        nodes = set(dyadic_prefix_nodes(j, self.n)) | set(dyadic_prefix_nodes(j + 1, self.n))
-        buckets = sorted({self.h(v) for v in nodes})
-        openings = []
-        for b in buckets:
-            entries = sorted((v, c) for v, c in counts.items() if c and self.h(v) == b)
-            openings.append((b, entries))
-        bits = COUNT_BITS + sum(COUNT_BITS + opening_bits(e, self.u_derived)
-                                for _, e in openings)
-        return [Chunk("selection-answer", (j, openings), bits)]
+        nodes = dyadic_prefix_nodes(j, self.n) + dyadic_prefix_nodes(j + 1, self.n)
+        openings, bits = open_buckets(self.h, dyadic_counts(self.freq, self.n),
+                                      nodes, self.u_derived)
+        return [Chunk("selection-answer", (j, openings), COUNT_BITS + bits)]
 
 
 class SelectionVerifier(Verifier):
@@ -216,8 +234,8 @@ class SelectionVerifier(Verifier):
 
     def update(self, u):
         self.total += u.delta
-        for d in _derived_dyadic(u, self.n):
-            self.state.update(d)
+        for node in dyadic_decompose(u.item, self.n):
+            self.state.update(node, u.delta)
 
     def end(self, chunks, query):
         rank = query
@@ -232,8 +250,7 @@ class SelectionVerifier(Verifier):
         upto = dyadic_prefix_nodes(j + 1, self.n)
         wanted = {v: 0 for v in below}
         wanted.update({v: 0 for v in upto})
-        opened = self.state.check_openings(openings, self.u_derived, wanted)
-        need(all(self.state.h(v) in opened for v in wanted), "required bucket not opened")
+        self.state.check_openings(openings, self.u_derived, wanted)
         t_below = sum(wanted[v] for v in below)
         t_upto = sum(wanted[v] for v in upto)
         need(t_below < rank <= t_upto, "rank predicate violated")
@@ -244,21 +261,17 @@ class SelectionVerifier(Verifier):
         return self.state.words + 4
 
 
-def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None,
-                  declared_sparsity=None) -> RunResult:
+def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResult:
     """Item of the given rank in the strict-turnstile frequency distribution.
 
     One bucket-fingerprint state over the derived dyadic stream serves all
     the parallel prefix-count openings."""
-    if declared_sparsity is None:
-        declared_sparsity = compute_meta(updates, n).sparsity
-    m_derived = declared_sparsity * (dyadic_levels(n) + 1)
+    m_derived = compute_meta(updates, n).sparsity * (dyadic_levels(n) + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
     verifier = SelectionVerifier(n, c_a, c_v, derive_rng(seed, "sel-v"))
     prover = resolve_prover(prover, lambda: SelectionProver(n, c_v, derive_rng(seed, "sel-p")))
-    result, _ = run_protocol(verifier, prover, updates, rank)
-    return result
+    return run_protocol(verifier, prover, updates, rank)
 
 
 # --------------------------------------------------------------- HeavyHitters
@@ -293,15 +306,10 @@ class HeavyHittersProver(Prover):
         self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
         self.total += u.delta
         if self.mi is not None:
-            for d in _derived_dyadic(u, self.n):
-                self.mi.update(d.item, d.delta)
+            for node in dyadic_decompose(u.item, self.n):
+                self.mi.update(node, u.delta)
 
-    def _records(self, phi):
-        counts = {}
-        for i, f in self.freq.items():
-            if f:
-                for node in dyadic_decompose(i, self.n):
-                    counts[node] = counts.get(node, 0) + f
+    def _records(self, counts, phi):
         bar = phi * self.total
         claimed = {v for v, c in counts.items() if c >= bar}
         recs = {}
@@ -314,26 +322,15 @@ class HeavyHittersProver(Prover):
         return [(v,) + recs[v] for v in sorted(recs)]
 
     def finish(self, query):
-        phi = query
-        records = self._records(phi)
-        bits = len(records) * (id_bits(self.u_derived) + COUNT_BITS + 1)
-        chunks = [Chunk("hh-records", records, bits)]
+        counts = dyadic_counts(self.freq, self.n)
+        records = self._records(counts, query)
+        chunks = [Chunk("hh-records", records,
+                        opening_bits(records, self.u_derived, flag=True))]
         if self.mode == "openings":
-            counts = {}
-            for i, f in self.freq.items():
-                if f:
-                    for node in dyadic_decompose(i, self.n):
-                        counts[node] = counts.get(node, 0) + f
-            buckets = sorted({self.h(v) for v, _, _ in records})
-            openings = []
             queried = {v for v, _, _ in records}
-            for b in buckets:
-                entries = sorted((v, c, 1 if v in queried else 0)
-                                 for v, c in counts.items() if c and self.h(v) == b)
-                openings.append((b, entries))
-            obits = sum(COUNT_BITS + len(e) * (id_bits(self.u_derived) + COUNT_BITS + 1)
-                        for _, e in openings)
-            chunks.append(Chunk("hh-openings", openings, obits))
+            openings, bits = open_buckets(self.h, counts, queried,
+                                          self.u_derived, flagged=queried)
+            chunks.append(Chunk("hh-openings", openings, bits))
         else:
             self.mi.claims([(v, c) for v, c, _ in records])
             chunks.extend(self.mi.finish_chunks())
@@ -352,6 +349,7 @@ class HeavyHittersVerifier(Verifier):
                       if mode == "openings" else None)
         self.mi_factory = mi_factory
         self.mi = None
+        self.sink = self.state  # where the derived dyadic stream goes
         self.total = 0
         self.weight_seen = 0
         # multiset-equation fingerprint bases
@@ -364,17 +362,14 @@ class HeavyHittersVerifier(Verifier):
             need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
             self.state.set_hash(chunks[0].data, self.u_derived)
         else:
-            self.mi = self.mi_factory()
+            self.mi = self.sink = self.mi_factory()
             self.mi.begin(chunks)
 
     def update(self, u):
         self.total += u.delta
         self.weight_seen += abs(u.delta)
-        for d in _derived_dyadic(u, self.n):
-            if self.state is not None:
-                self.state.update(d)
-            else:
-                self.mi.update(d.item, d.delta)
+        for node in dyadic_decompose(u.item, self.n):
+            self.sink.update(node, u.delta)
 
     def end(self, chunks, query):
         phi = Fraction(query)
@@ -440,7 +435,7 @@ class HeavyHittersVerifier(Verifier):
 
 
 def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
-                     mode="openings", declared_sparsity=None) -> RunResult:
+                     mode="openings") -> RunResult:
     """All items with frequency >= phi * N, certified exactly.
 
     mode='openings' batches the frequency proofs through parallel bucket
@@ -449,10 +444,8 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
     if not 0 < phi < 1:
         raise ConfigError("phi must be in (0, 1)")
     meta = compute_meta(updates, n)
-    if declared_sparsity is None:
-        declared_sparsity = meta.sparsity
     levels = dyadic_levels(n)
-    m_derived = max(1, declared_sparsity) * (levels + 1)
+    m_derived = max(1, meta.sparsity) * (levels + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
     phi = Fraction(phi)
@@ -468,5 +461,4 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
                                     mode, mi_v_factory)
     prover = resolve_prover(prover, lambda: HeavyHittersProver(
         n, c_v, derive_rng(seed, "hh-p"), mode, mi_p_factory))
-    result, _ = run_protocol(verifier, prover, updates, phi)
-    return result
+    return run_protocol(verifier, prover, updates, phi)

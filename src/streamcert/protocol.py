@@ -141,11 +141,8 @@ class Prover:
 
     Online provers see nothing at start() and each update exactly once via
     on_update(), so their annotation is prefix-causal by construction.
-    Prescient provers receive the whole stream at construction time and set
-    the class flag.
+    Prescient provers receive the whole stream at construction time.
     """
-
-    prescient = False
 
     def start(self):
         return []
@@ -190,11 +187,10 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
     return RunResult(outcome, cost, dict(getattr(verifier, "info", {})))
 
 
-def run_protocol(verifier, prover, updates, query=None):
+def run_protocol(verifier, prover, updates, query=None) -> RunResult:
     """Drive prover and verifier over one stream; the transcript is the only
     channel between them."""
-    transcript = build_transcript(prover, updates, query)
-    return run_transcript(verifier, transcript, query), transcript
+    return run_transcript(verifier, build_transcript(prover, updates, query), query)
 
 
 class Verifier:

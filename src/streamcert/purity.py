@@ -130,8 +130,7 @@ def _run_dense(updates, params, seed, label, prover, mapping, *args):
         mapping(DenseVerifier(params, derive_rng(seed, label)), *args))
     prover = resolve_prover(prover, lambda: _DenseChunkProver(
         mapping(DenseProver(params), *args)))
-    result, _ = run_protocol(verifier, prover, updates)
-    return result
+    return run_protocol(verifier, prover, updates)
 
 
 # ------------------------------------------------------------------ Injection
@@ -180,6 +179,8 @@ def subinjection_run(updates, z, n, r, *, seed=0, prover=None) -> RunResult:
     z = [(b, int(c)) for b, c in z]
     if any(c < 0 for _, c in z):
         raise ConfigError("bucket indicator entries must be nonnegative")
+    if any(not 0 <= b < r for b, _ in z):
+        raise ConfigError(f"bucket indicator entries must name buckets in [0, {r})")
     weight = sum(abs(u.delta) for u in updates)
     zmax = max((c for _, c in z), default=0)
     bound = max(1, zmax) * max(1, r) * (max(1, weight) * max(1, n)) ** 2
@@ -215,6 +216,8 @@ def subf2_run(updates, z, n, *, seed=0, prover=None) -> RunResult:
     z = [(i, int(c)) for i, c in z]
     if any(c < 0 for _, c in z):
         raise ConfigError("indicator entries must be nonnegative")
+    if any(not 0 <= i < n for i, _ in z):
+        raise ConfigError(f"indicator entries must name items in [0, {n})")
     weight = sum(abs(u.delta) for u in updates)
     ztot = sum(c for _, c in z)
     bound = max(1, ztot) * max(1, weight) ** 2

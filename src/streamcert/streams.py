@@ -4,7 +4,7 @@ and the flat-file stream formats consumed by the CLI."""
 
 from dataclasses import dataclass
 
-from .field import Field, next_prime
+from .field import next_prime
 
 INSERT_ONLY = "insert"
 STRICT = "strict"
@@ -97,41 +97,6 @@ def frequency_map(updates) -> dict:
 # ---------------------------------------------------------------- fingerprints
 
 
-class Fingerprint:
-    """Incremental fingerprint sum_i f_i * rho^i over F_q.
-
-    Order-insensitive and valid in the non-strict turnstile model; two
-    distinct frequency vectors over [n] collide with probability < n/q over
-    the choice of rho.
-    """
-
-    __slots__ = ("field", "basis", "acc")
-
-    def __init__(self, field: Field, basis: int, acc: int = 0):
-        self.field = field
-        self.basis = basis
-        self.acc = acc
-
-    def update(self, item: int, delta: int):
-        q = self.field.q
-        self.acc = (self.acc + delta * pow(self.basis, item, q)) % q
-
-    @property
-    def words(self):
-        return 2
-
-
-def fingerprint_update(fp: Fingerprint, u: StreamUpdate) -> Fingerprint:
-    fp.update(u.item, u.delta)
-    return fp
-
-
-def fingerprints_equal(a: Fingerprint, b: Fingerprint) -> bool:
-    if a.field != b.field or a.basis != b.basis:
-        raise ValueError("fingerprints use different basis or field")
-    return a.acc == b.acc
-
-
 def fingerprint_of_range(field, basis, n):
     """Fingerprint of the all-ones vector over [n]: sum_{i<n} rho^i."""
     q = field.q
@@ -173,10 +138,6 @@ def hash_fits(h, universe: int, r: int) -> bool:
             and all(type(v) is int for v in (h.a, h.b, h.p, h.r))
             and h.r == r and h.p >= max(1, universe)
             and 0 <= h.a < h.p and 0 <= h.b < h.p)
-
-
-def pairwise_hash_eval(h: PairwiseHash, x: int) -> int:
-    return h(x)
 
 
 _HASH_PRIME_CACHE: dict = {}

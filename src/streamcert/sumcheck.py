@@ -25,11 +25,6 @@ from .field import Field, eval_values_at, lagrange_row
 from .protocol import ConfigError
 
 
-def default_value_bound(n: int, weight: int, degree: int) -> int:
-    """A-priori |F| bound when the caller has nothing tighter: n * (sum|delta|)^degree."""
-    return n * max(1, weight) ** degree
-
-
 def prop1_min_field(degree: int, n: int, bound: int) -> int:
     """Smallest admissible field size for a generic dense instance: q > 2d(n+o)^2."""
     return 2 * degree * (n + bound) ** 2 + 1
@@ -72,12 +67,6 @@ class DenseParams:
     @property
     def proof_len(self):
         return self.degree * (self.c_a - 1) + 1
-
-    def check_prop1_field(self):
-        if self.field.q < prop1_min_field(self.degree, self.universe, self.bound):
-            raise ConfigError(
-                f"field {self.field.q} below 2d(n+o)^2 for n={self.universe} o={self.bound}")
-        return self
 
 
 @dataclass

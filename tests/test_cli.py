@@ -218,3 +218,29 @@ def test_cli_bad_stream_header_or_tag_exits_1(scheme, text, key, tmp_path, capsy
     assert cli_main([scheme, "--input", str(path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and key in err
+
+
+@pytest.mark.parametrize("scheme, line, z", [
+    ("injection", "0 7 1", None),
+    ("ama-injection", "0 7 1", None),
+    ("subinjection", "0 7 1", "0 1"),
+    ("injection", "1 -1 1", None),
+    ("subinjection", "0 1 1", "9 1"),
+    ("subinjection", "0 1 1", "-1 1"),
+    ("subf2", "0 1", "9 1"),
+    ("subf2", "0 1", "-1 1"),
+], ids=["injection-bucket-high", "ama-injection-bucket-high",
+        "subinjection-bucket-high", "injection-bucket-negative",
+        "subinjection-z-high", "subinjection-z-negative", "subf2-z-high",
+        "subf2-z-negative"])
+def test_cli_index_out_of_range_exits_1(scheme, line, z, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    header = "# n=8 model=strict\n" if scheme == "subf2" else "# n=8 r=4 model=strict\n"
+    path.write_text(header + line + "\n")
+    extra = []
+    if z is not None:
+        zpath = tmp_path / "z.txt"
+        zpath.write_text(z + "\n")
+        extra = ["--z-file", str(zpath)]
+    assert cli_main([scheme, "--input", str(path), *extra]) == 1
+    assert capsys.readouterr().err.startswith("error:")

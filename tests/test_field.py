@@ -4,8 +4,7 @@ import pytest
 
 from streamcert.field import (DEFAULT_FIELD, Field, M61, eval_poly,
                               eval_values_at, field_at_least, is_prime,
-                              lagrange_basis_at, lagrange_row, next_prime,
-                              random_element)
+                              lagrange_basis_at, lagrange_row, next_prime)
 
 F11 = Field(11)
 F101 = Field(101)
@@ -93,12 +92,12 @@ def test_eval_values_at():
 
 def test_random_element_deterministic_and_in_range():
     for seed in (0, 1, 2):
-        a = random_element(F11, random.Random(seed))
-        b = random_element(F11, random.Random(seed))
+        a = F11.rand(random.Random(seed))
+        b = F11.rand(random.Random(seed))
         assert a == b
         assert 0 <= a < 11
     f2 = Field(2)
-    seen = {random_element(f2, random.Random(s)) for s in range(40)}
+    seen = {f2.rand(random.Random(s)) for s in range(40)}
     assert seen == {0, 1}
 
 

@@ -101,7 +101,6 @@ def test_online_provers_are_prefix_causal():
     ups = [U(3, 1), U(1, 1), U(2, 1)]
     build_transcript(Probe(), ups)
     assert seen == ["start", 3, 1, 2, "finish"]
-    assert Probe.prescient is False
 
 
 def test_run_scheme_fk_modes(rng):

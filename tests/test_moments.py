@@ -8,7 +8,8 @@ from streamcert.moments import (disj_online_run, disj_prescient_run,
                                 fk_online_multi, fk_online_run,
                                 fk_prescient_run, hamming_run,
                                 inner_product_run, multiindex_run, subset_run)
-from streamcert.protocol import ConfigError
+from streamcert.pointqueries import open_buckets
+from streamcert.protocol import Chunk, ConfigError
 from streamcert.streams import StreamUpdate as U, compute_meta
 
 from conftest import (bad_hash, freq_oracle, moment_oracle, rewrite_chunk,
@@ -282,6 +283,29 @@ def test_disj_malformed_witness_rejected(kind, fn):
     assert disj_online_run(ups, 16, 4, seed=2).value == 0
     assert disj_online_run(ups, 16, 4, seed=2,
                            prover=rewrite_chunk(kind, fn)).rejected
+
+
+def test_subset_witness_needs_every_bucket_opened():
+    """X is a subset of Y, but the prover claims w in X minus Y and opens
+    only the bucket of its X-side id 2w: an unopened Y-side bucket would
+    read f_Y(w) = 0."""
+    ups = tagged_sets([1, 9], [1, 7, 9])
+    w, split = 1, []
+
+    class HideYSide(ChunkTamper):
+        def finish(self, query):
+            p = self.inner
+            split.append(p.pq_h(2 * w) != p.pq_h(2 * w + 1))
+            openings, bits = open_buckets(p.pq_h, p.freq, [2 * w], 2 * p.n)
+            return [Chunk("witness", w, 64),
+                    Chunk("witness-openings", openings, bits)]
+
+    for t in range(20):
+        assert subset_run(ups, 16, 4, seed=t).value == 1
+        r = subset_run(ups, 16, 4, seed=t,
+                       prover=lambda honest: HideYSide(honest, list))
+        assert r.rejected
+    assert any(split)
 
 
 def test_prescient_disj_malformed_witness_rejected():

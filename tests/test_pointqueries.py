@@ -3,9 +3,11 @@ import random
 import pytest
 
 from streamcert.harness import adversary
-from streamcert.pointqueries import heavyhitters_run, pq_run, selection_run
-from streamcert.protocol import Chunk, ConfigError
-from streamcert.streams import StreamUpdate
+from streamcert.pointqueries import (dyadic_counts, heavyhitters_run,
+                                     open_buckets, pq_run, selection_run)
+from streamcert.protocol import COUNT_BITS, Chunk, ConfigError, id_bits
+from streamcert.streams import (StreamUpdate, dyadic_node_range,
+                                random_pairwise_hash)
 
 from conftest import (bad_hash, freq_oracle, rewrite_chunk,
                       rewrite_start_chunk, strict_stream)
@@ -217,3 +219,29 @@ def test_selection_vcost_single_bucket_state(rng):
             costs.add(r.cost.vcost_words)
     assert len(costs) == 1
     assert costs.pop() < 8 + 4 + 16  # c_v + hash + counters
+
+
+def test_open_buckets_matches_per_bucket_scan(rng):
+    n = 1 << 10
+    freq = freq_oracle(strict_stream(rng, n, 80))
+    freq[next(iter(freq))] = 0  # a cancelled item is never listed
+    h = random_pairwise_hash(n, 8, rng)
+    items = rng.sample(range(n), 5)
+    for flagged in (None, set(items[:2])):
+        openings, bits = open_buckets(h, freq, items, n, flagged)
+        want = [(b, sorted((v, c) if flagged is None else (v, c, int(v in flagged))
+                           for v, c in freq.items() if c and h(v) == b))
+                for b in sorted({h(v) for v in items})]
+        assert openings == want
+        width = id_bits(n) + COUNT_BITS + (flagged is not None)
+        assert bits == sum(COUNT_BITS + len(es) * width for _, es in want)
+
+
+def test_dyadic_counts_sum_leaf_frequencies(rng):
+    n = 256
+    freq = freq_oracle(strict_stream(rng, n, 30))
+    counts = dyadic_counts(freq, n)
+    assert counts[1] == sum(freq.values())
+    for node, c in counts.items():
+        lo, hi = dyadic_node_range(node, n)
+        assert c == sum(f for i, f in freq.items() if lo <= i <= hi)

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from streamcert.field import Field, M61
-from streamcert.streams import (Fingerprint, ModelViolation, PairwiseHash,
+from streamcert.pointqueries import BucketFingerprintState
+from streamcert.streams import (ModelViolation, PairwiseHash,
                                 PerfectHashError, StreamUpdate, compute_meta,
                                 dyadic_decompose, dyadic_node_range,
                                 dyadic_prefix_nodes, dyadic_universe,
                                 find_perfect_hash, fingerprint_of_range,
-                                fingerprint_update, fingerprints_equal,
-                                pairwise_hash_eval, random_pairwise_hash,
-                                read_stream, validate_stream, write_stream,
+                                random_pairwise_hash, read_stream,
+                                validate_stream, write_stream,
                                 INSERT_ONLY, NONSTRICT, STRICT)
 
 from conftest import freq_oracle, strict_stream
@@ -67,16 +67,24 @@ def test_validate_strict_matches_prefix_oracle(rng):
                 validate_stream(ups, 8, STRICT)
 
 
+def fingerprint(field, basis):
+    """One-bucket fingerprint state: accs[0] is sum_i f_i * basis^i."""
+    fp = BucketFingerprintState(field, 1, 1, random.Random(0))
+    fp.basis = basis
+    fp.set_hash(PairwiseHash(a=1, b=0, p=field.q, r=1), 64)
+    return fp
+
+
 def test_fingerprint_basics():
-    fp = Fingerprint(F101, 3)
-    assert fp.acc == 0
-    fingerprint_update(fp, StreamUpdate(5, 3))
-    fingerprint_update(fp, StreamUpdate(5, -3))
-    assert fp.acc == 0
-    fp2 = Fingerprint(F101, 3)
-    fingerprint_update(fp2, StreamUpdate(1, 2))
-    fingerprint_update(fp2, StreamUpdate(2, 1))
-    assert fp2.acc == 15  # 2*3 + 1*9
+    fp = fingerprint(F101, 3)
+    assert fp.accs == [0]
+    fp.update(5, 3)
+    fp.update(5, -3)
+    assert fp.accs == [0]
+    fp2 = fingerprint(F101, 3)
+    fp2.update(1, 2)
+    fp2.update(2, 1)
+    assert fp2.accs == [15]  # 2*3 + 1*9
 
 
 def test_fingerprint_order_insensitive_and_homomorphic(rng):
@@ -84,26 +92,21 @@ def test_fingerprint_order_insensitive_and_homomorphic(rng):
     b = list(a)
     rng.shuffle(b)
     rho = F101.rand(rng)
-    fa, fb = Fingerprint(F101, rho), Fingerprint(F101, rho)
+    fa, fb = fingerprint(F101, rho), fingerprint(F101, rho)
     for u in a:
         fa.update(u.item, u.delta)
     for u in b:
         fb.update(u.item, u.delta)
-    assert fingerprints_equal(fa, fb)
+    assert fa.accs == fb.accs
     # concat homomorphism
     c = [StreamUpdate(rng.randrange(50), 1) for _ in range(10)]
-    fc = Fingerprint(F101, rho)
+    fc = fingerprint(F101, rho)
     for u in c:
         fc.update(u.item, u.delta)
-    fac = Fingerprint(F101, rho)
+    fac = fingerprint(F101, rho)
     for u in a + c:
         fac.update(u.item, u.delta)
-    assert fac.acc == (fa.acc + fc.acc) % 101
-
-
-def test_fingerprints_equal_rejects_mismatched_basis():
-    with pytest.raises(ValueError):
-        fingerprints_equal(Fingerprint(F101, 3), Fingerprint(F101, 4))
+    assert fac.accs[0] == (fa.accs[0] + fc.accs[0]) % 101
 
 
 def test_fingerprint_no_collisions_over_many_bases():
@@ -112,13 +115,13 @@ def test_fingerprint_no_collisions_over_many_bases():
     collisions = 0
     for _ in range(10_000):
         rho = fm.rand(rng)
-        a = Fingerprint(fm, rho)
-        b = Fingerprint(fm, rho)
+        a = fingerprint(fm, rho)
+        b = fingerprint(fm, rho)
         for i, f in ((0, 2), (3, 1), (7, 5)):
             a.update(i, f)
             b.update(i, f)
         b.update(3, 1)  # differ in one item
-        if a.acc == b.acc:
+        if a.accs == b.accs:
             collisions += 1
     assert collisions == 0
 
@@ -132,7 +135,7 @@ def test_fingerprint_of_range():
 
 def test_pairwise_hash_identity_and_constant():
     h = PairwiseHash(a=1, b=0, p=11, r=11)
-    assert all(pairwise_hash_eval(h, x) == x for x in range(11))
+    assert all(h(x) == x for x in range(11))
     h1 = PairwiseHash(a=5, b=3, p=11, r=1)
     assert all(h1(x) == 0 for x in range(11))
 

@@ -5,10 +5,9 @@ import pytest
 from streamcert.field import Field, M61, lagrange_basis_at
 from streamcert.protocol import ConfigError
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
-                                 DenseVerifier, default_value_bound,
-                                 dense_prover_proof, dense_verifier_init,
-                                 dense_verifier_update, dense_verify,
-                                 g_power, g_product, g_purity,
+                                 DenseVerifier, dense_prover_proof,
+                                 dense_verifier_init, dense_verifier_update,
+                                 dense_verify, g_power, g_product, g_purity,
                                  prop1_min_field)
 
 FM = Field(M61)
@@ -217,10 +216,6 @@ def test_params_validation():
         params_for(16, 2, 2, 1, 2, g_power(FM, 2), 100)  # grid too small
     with pytest.raises(ConfigError):
         DenseParams(Field(11), 4, 2, 2, 1, 2, g_power(Field(11), 2), 100)
-    small = DenseParams(Field(101), 4, 2, 2, 1, 2, g_power(Field(101), 2), 10)
-    with pytest.raises(ConfigError):
-        small.check_prop1_field()
     with pytest.raises(ConfigError, match="vanish at zero"):
         params_for(16, 4, 4, 1, 2, lambda v: (v[0] * v[0] + 1) % FM.q, 100)
-    assert default_value_bound(10, 3, 2) == 90
     assert prop1_min_field(2, 4, 10) == 2 * 2 * 14 ** 2 + 1
