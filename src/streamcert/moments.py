@@ -35,7 +35,7 @@ import math
 
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
-                       Verifier, CHUNK_OVERHEAD_BITS, COUNT_BITS, STAGE_BITS,
+                       Verifier, COUNT_BITS, STAGE_BITS,
                        derive_rng, id_bits, int_record, need,
                        resolve_prover, run_protocol)
 from .pointqueries import BucketFingerprintState, open_buckets
@@ -1017,10 +1017,16 @@ class _TaggedWitnessVerifier(Verifier):
         return self.pq.words + self.engine.words + 2
 
 
-def _tagged_run(updates, n, c_v, seed, prover, subset) -> RunResult:
+def _tagged_shape(updates, n, c_v):
+    """One Shape for the tagged schemes: S and T items share the reduced
+    universe as ids 2i and 2i + 1."""
     meta = tagged_meta(updates, n)
-    shape = Shape(2 * n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
-                  main_vectors=2)
+    return Shape(2 * n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
+                 main_vectors=2)
+
+
+def _tagged_run(updates, n, c_v, seed, prover, subset) -> RunResult:
+    shape = _tagged_shape(updates, n, c_v)
     verifier = _TaggedWitnessVerifier(n, shape, derive_rng(seed, "tag-v"),
                                       subset)
     prover = resolve_prover(prover, lambda: _TaggedWitnessProver(
@@ -1043,95 +1049,50 @@ def subset_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 
 
 # --------------------------------------------- inner product / Hamming distance
+# Certified by the tagged engine's product sum-check: f . g is its "ip"
+# value. The Hamming distance of two binary vectors is F1(f) + F1(g) - 2 f.g,
+# with F1(f) + F1(g) counted in one word while streaming.
 
 
-class _PairProver(Prover):
-    """Three concurrent Fk engines certify F2(f+g), F2(f), F2(g)."""
+class _ProductVerifier(Verifier):
+    """The tagged engine's verifier plus the F1 counter."""
 
-    def __init__(self, n, shapes, rng):
-        self.engines = [OnlineEngineProver(shapes[i], n, (2,), False, rng)
-                        for i in range(3)]
-
-    def start(self):
-        out = []
-        for i, e in enumerate(self.engines):
-            out.append(_wrap_chunks(f"sub{i}-start", e.start()))
-        return out
-
-    def on_update(self, u):
-        tag, su = u
-        self.engines[0].update(su)
-        self.engines[1 + tag].update(su)
-
-    def finish(self, query):
-        out = []
-        for i, e in enumerate(self.engines):
-            out.append(_wrap_chunks(f"sub{i}-end", e.finish(query)))
-        return out
-
-
-def _wrap_chunks(kind, chunks):
-    bits = sum(c.bits + CHUNK_OVERHEAD_BITS for c in chunks)
-    return Chunk(kind, chunks, bits)
-
-
-class _PairVerifier(Verifier):
-    def __init__(self, n, shapes, rng, hamming=False):
-        self.engines = [OnlineEngineVerifier(shapes[i], n, (2,), False, rng)
-                        for i in range(3)]
+    def __init__(self, n, shape, rng, hamming):
+        self.engine = OnlineEngineVerifier(shape, n, (), True, rng)
         self.hamming = hamming
-        self.f1 = [0, 0]
-        self.word_bits = shapes[0].field.bits
+        self.f1 = 0
+        self.word_bits = shape.field.bits
+        self.info = self.engine.info
 
     def begin(self, chunks):
-        need(len(chunks) == 3, "expected three sub-scheme starts")
-        for i, c in enumerate(chunks):
-            need(c.kind == f"sub{i}-start", "sub-scheme starts out of order")
-            self.engines[i].begin(c.data)
+        self.engine.begin(chunks)
 
     def update(self, u):
-        tag, su = u
-        self.f1[tag] += su.delta
-        self.engines[0].update(su)
-        self.engines[1 + tag].update(su)
+        self.f1 += u[1].delta
+        self.engine.update(u)
 
     def end(self, chunks, query):
-        need(len(chunks) == 3, "expected three sub-scheme finishes")
-        f2 = []
-        for i, c in enumerate(chunks):
-            need(c.kind == f"sub{i}-end", "sub-scheme finishes out of order")
-            out = self.engines[i].end(c.data, query)
-            f2.append(out.value[2])
-        twice = f2[0] - f2[1] - f2[2]
-        need(twice % 2 == 0, "inconsistent certified moments")
-        ip = twice // 2
-        if self.hamming:
-            return Outcome.ok(self.f1[0] + self.f1[1] - 2 * ip)
-        return Outcome.ok(ip)
+        ip = self.engine.end(chunks, query).value["ip"]
+        return Outcome.ok(self.f1 - 2 * ip if self.hamming else ip)
 
     @property
     def words(self):
-        return sum(e.words for e in self.engines) + 4
+        return self.engine.words + 1
 
 
-def _pair_run(updates, n, c_v, seed, prover, hamming) -> RunResult:
-    metas = [compute_meta([su for _, su in updates], n),
-             compute_meta([su for t, su in updates if t == 0], n),
-             compute_meta([su for t, su in updates if t == 1], n)]
-    shapes = [Shape(n, m.sparsity, c_v, max(1, m.weight), MODE_STRICT, ks=(2,))
-              for m in metas]
-    verifier = _PairVerifier(n, shapes, derive_rng(seed, "pair-v"), hamming)
-    prover = resolve_prover(prover, lambda: _PairProver(
-        n, shapes, derive_rng(seed, "pair-p")))
+def _product_run(updates, n, c_v, seed, prover, hamming) -> RunResult:
+    shape = _tagged_shape(updates, n, c_v)
+    verifier = _ProductVerifier(n, shape, derive_rng(seed, "pair-v"), hamming)
+    prover = resolve_prover(prover, lambda: OnlineEngineProver(
+        shape, n, (), True, derive_rng(seed, "pair-p")))
     return run_protocol(verifier, prover, updates)
 
 
 def inner_product_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
-    """Exact f . g via the polarization identity 2(f.g) = F2(f+g) - F2(f) - F2(g),
-    with all three moments certified."""
-    return _pair_run(updates, n, c_v, seed, prover, hamming=False)
+    """Exact f . g, certified by the tagged engine's product sum-check."""
+    return _product_run(updates, n, c_v, seed, prover, hamming=False)
 
 
 def hamming_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
     """Hamming distance of two binary vectors: F1(f) + F1(g) - 2 f.g."""
-    return _pair_run(updates, n, c_v, seed, prover, hamming=True)
+    return _product_run(updates, n, c_v, seed, prover, hamming=True)

@@ -391,6 +391,18 @@ def test_inner_product_and_hamming_trivial():
     assert hamming_run(disjoint, 8, 4).value == 2
 
 
+@pytest.mark.parametrize("strategy", ["tamper-proof-polynomial", "wrong-answer",
+                                      "false-collision-list"])
+@pytest.mark.parametrize("run", [inner_product_run, hamming_run],
+                         ids=["innerproduct", "hamming"])
+def test_inner_product_and_hamming_adversaries_rejected(run, strategy):
+    ups = tagged_sets(range(0, 50), range(25, 90))
+    accepted = sum(run(ups, 1 << 16, 2, seed=t,
+                       prover=adversary(strategy, t)).accepted
+                   for t in range(10))
+    assert accepted == 0
+
+
 def test_inner_product_random_sparse(rng):
     for trial in range(5):
         f = {i: rng.randrange(1, 5) for i in rng.sample(range(N20), 25)}
@@ -401,8 +413,8 @@ def test_inner_product_random_sparse(rng):
         rng.shuffle(ups)
         want = sum(f[i] * g.get(i, 0) for i in f)
         r = inner_product_run(ups, N20, 8, seed=trial)
-        if r.accepted:
-            assert r.value == want
+        assert r.accepted
+        assert r.value == want
 
 
 def test_hamming_random_binary(rng):
@@ -413,5 +425,5 @@ def test_hamming_random_binary(rng):
         rng.shuffle(ups)
         want = len(f ^ g)
         r = hamming_run(ups, N20, 8, seed=trial)
-        if r.accepted:
-            assert r.value == want
+        assert r.accepted
+        assert r.value == want

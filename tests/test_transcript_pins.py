@@ -9,6 +9,8 @@ change that alters any of them changes observable behaviour.
 
 Regenerate (only for an intended behaviour change) with
     PYTHONPATH=src python tests/test_transcript_pins.py --write
+which prints, for each pin whose entry changed, its old and new value,
+hcost and vcost, and nothing for the others.
 """
 
 import hashlib
@@ -178,9 +180,14 @@ def test_transcript_pinned(name):
 if __name__ == "__main__":
     if "--write" not in sys.argv:
         sys.exit("usage: test_transcript_pins.py --write")
+    old = _load_pins() if os.path.exists(PINS) else {}
     pins = {name: run_case(fn) for name, fn in sorted(_cases().items())}
     with open(PINS, "w", encoding="utf-8") as fh:
         json.dump(pins, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for name, pin in pins.items():
-        print(name, pin["accepted"], pin["value"][:40], pin["hcost_bits"])
+        was = old.get(name, {})
+        if pin != was:  # only the changed pins, with their cost change
+            print(f"{name}: value {was.get('value')} -> {pin['value']}, "
+                  f"hcost {was.get('hcost_bits')} -> {pin['hcost_bits']} bits, "
+                  f"vcost {was.get('vcost_words')} -> {pin['vcost_words']} words")
