@@ -5,8 +5,7 @@ frequency moments, set-disjointness, and graph queries on sparse streams
 using annotation from an untrusted prover, with bit-accurate annotation
 (hcost) and verifier-space (vcost) accounting."""
 
-from .field import (DEFAULT_FIELD, Field, M61, eval_poly, is_prime,
-                    lagrange_basis_at, next_prime)
+from .field import DEFAULT_FIELD, Field, M61, is_prime, next_prime
 from .graphs import (count_triangles_run, verify_connectivity,
                      verify_non_bipartite, verify_perfect_matching)
 from .harness import (RunConfig, adversary, cost_sweep, run_scheme,

@@ -57,10 +57,6 @@ class Field:
         self.q = q
         self.bits = q.bit_length()
 
-    def enc(self, x: int) -> int:
-        """Map a signed integer into the field."""
-        return x % self.q
-
     def dec_signed(self, v: int) -> int:
         """Decode assuming the represented integer has magnitude < q/2."""
         return v if v <= self.q // 2 else v - self.q
@@ -93,17 +89,7 @@ def field_at_least(min_q: int) -> Field:
     return Field(next_prime(1 << (min_q - 1).bit_length()))
 
 
-# -- univariate polynomials, coefficient lists ordered lowest degree first --
-
-
-def eval_poly(field, coeffs, x):
-    """Horner evaluation of p(x)."""
-    acc = 0
-    q = field.q
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
-
+# -- Lagrange interpolation over the domain {0, ..., c-1} --
 
 _INVFACT_CACHE: dict = {}
 
@@ -155,24 +141,6 @@ def lagrange_row(field, c, r):
             v = q - v if v else 0
         out[x] = v
     return out
-
-
-def lagrange_basis_at(field, c, x, r):
-    """L_x(r) for the basis over {0, ..., c-1}; errors if the domain exceeds q."""
-    if not 0 <= x < c:
-        raise ValueError("basis index outside domain")
-    if c >= field.q:
-        raise ValueError("domain does not embed in the field")
-    q = field.q
-    r = r % q
-    num = 1
-    den = 1
-    for t in range(c):
-        if t == x:
-            continue
-        num = num * ((r - t) % q) % q
-        den = den * ((x - t) % q) % q
-    return num * pow(den, q - 2, q) % q
 
 
 def eval_values_at(field, values, x):

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field as dfield, replace
 
 from . import graphs, moments, pointqueries, purity
 from .protocol import ConfigError, Prover, RunResult, derive_rng
-from .streams import (INSERT_ONLY, NONSTRICT, STRICT, ModelViolation,
-                      StreamUpdate, read_cycle_witness, read_pairs,
-                      read_tree_witness, validate_stream)
+from .streams import (INSERT_ONLY, NONSTRICT, STRICT, StreamUpdate,
+                      read_cycle_witness, read_pairs, read_tree_witness,
+                      validate_stream)
 from .sumcheck import DenseProof
 
 
@@ -286,9 +286,7 @@ def _validate(config: RunConfig, stream, kind):
         n = 2 * n
     elif kind == "bucketed":
         r = config.params["r"]
-        for u in stream:
-            if not 0 <= u.bucket < r:
-                raise ModelViolation(f"bucket {u.bucket} outside [{r}]")
+        purity.check_buckets((u.bucket for u in stream), r)
         flat = [StreamUpdate(u.item * r + u.bucket, u.delta) for u in stream]
         n = n * r
     else:

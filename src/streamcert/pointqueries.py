@@ -178,6 +178,8 @@ class PointQueryVerifier(Verifier):
 
 def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
     """Frequency of `query`, certified against one opened hash bucket."""
+    if not 0 <= query < n:
+        raise ConfigError(f"query {query} outside [0, {n})")
     if c_a * c_v < compute_meta(updates, n).sparsity:
         raise ConfigError("c_a * c_v must cover the stream's sparsity")
     verifier = PointQueryVerifier(n, c_a, c_v, derive_rng(seed, "pq-v"))

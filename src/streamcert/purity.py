@@ -37,6 +37,13 @@ def balanced_shape(universe: int):
     return c_a, max(1, c_v)
 
 
+def check_buckets(buckets, r: int):
+    """Raise ConfigError unless every bucket lies in [0, r)."""
+    for b in buckets:
+        if not 0 <= b < r:
+            raise ConfigError(f"bucket {b} outside [0, {r})")
+
+
 def purity_deltas(field: Field, item: int, delta: int):
     """Per-update contributions to (u, v, w) from one bucketed update."""
     q = field.q
@@ -148,6 +155,7 @@ def injection_run(updates, n, r, *, seed=0, prover=None) -> RunResult:
     Callers are expected to have validated the strict model on pairs; the
     purity identity is only meaningful with nonnegative pair counts.
     """
+    check_buckets((u.bucket for u in updates), r)
     weight = sum(abs(u.delta) for u in updates)
     bound = max(1, r) * (max(1, weight) * max(1, n)) ** 2
     field = field_at_least(purity_min_field(weight, n, r))
@@ -179,8 +187,8 @@ def subinjection_run(updates, z, n, r, *, seed=0, prover=None) -> RunResult:
     z = [(b, int(c)) for b, c in z]
     if any(c < 0 for _, c in z):
         raise ConfigError("bucket indicator entries must be nonnegative")
-    if any(not 0 <= b < r for b, _ in z):
-        raise ConfigError(f"bucket indicator entries must name buckets in [0, {r})")
+    check_buckets((b for b, _ in z), r)
+    check_buckets((u.bucket for u in updates), r)
     weight = sum(abs(u.delta) for u in updates)
     zmax = max((c for _, c in z), default=0)
     bound = max(1, zmax) * max(1, r) * (max(1, weight) * max(1, n)) ** 2
@@ -292,6 +300,7 @@ def ama_injection_run(updates, n, r, *, coins_seed=0, seed=0,
     is caught except with probability about n^2 * r * log(n) / q over the
     public coins, drawn before any prover message.
     """
+    check_buckets((u.bucket for u in updates), r)
     lgn = id_bits(n)
     field = field_at_least((n ** 2) * r * lgn << 20)
     coins = draw_public_coins(field, coins_seed)

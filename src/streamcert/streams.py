@@ -203,15 +203,6 @@ def dyadic_decompose(i: int, n: int):
     return [(1 << (levels - k)) + (i >> k) for k in range(levels + 1)]
 
 
-def dyadic_node_range(node: int, n: int):
-    """(lo, hi) item interval covered by a dyadic node id."""
-    levels = dyadic_levels(n)
-    k = levels - (node.bit_length() - 1)
-    j = node - (1 << (levels - k))
-    lo = j << k
-    return lo, lo + (1 << k) - 1
-
-
 def dyadic_prefix_nodes(count: int, n: int):
     """Disjoint dyadic ids covering [0, count), at most log2(n)+1 of them."""
     levels = dyadic_levels(n)

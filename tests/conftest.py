@@ -4,7 +4,7 @@ import random
 import pytest
 
 from streamcert.harness import ChunkTamper
-from streamcert.streams import StreamUpdate
+from streamcert.streams import StreamUpdate, dyadic_levels
 
 
 def freq_oracle(updates):
@@ -16,6 +16,38 @@ def freq_oracle(updates):
 
 def moment_oracle(updates, k):
     return sum(v ** k for v in freq_oracle(updates).values())
+
+
+def eval_poly(field, coeffs, x):
+    """Horner evaluation of p(x), coefficients lowest degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % field.q
+    return acc
+
+
+def lagrange_basis_at(field, c, x, r):
+    """L_x(r) for the basis over {0, ..., c-1}, one basis element at a time:
+    the oracle for field.lagrange_row."""
+    if not 0 <= x < c:
+        raise ValueError("basis index outside domain")
+    if c >= field.q:
+        raise ValueError("domain does not embed in the field")
+    q = field.q
+    num = den = 1
+    for t in range(c):
+        if t != x:
+            num = num * (r - t) % q
+            den = den * (x - t) % q
+    return num * pow(den, q - 2, q) % q
+
+
+def dyadic_node_range(node, n):
+    """(lo, hi) item interval covered by a dyadic node id."""
+    levels = dyadic_levels(n)
+    k = levels - (node.bit_length() - 1)
+    lo = (node - (1 << (levels - k))) << k
+    return lo, lo + (1 << k) - 1
 
 
 def strict_stream(rng, n, m, churn=0.3, max_delta=3):

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured quantity next to its required tolerance. Run with `pytest -s`
-(or read test_output.txt) to see the lines."""
+to see the lines."""
 
 import itertools
 import math

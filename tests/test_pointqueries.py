@@ -6,10 +6,9 @@ from streamcert.harness import adversary
 from streamcert.pointqueries import (dyadic_counts, heavyhitters_run,
                                      open_buckets, pq_run, selection_run)
 from streamcert.protocol import COUNT_BITS, Chunk, ConfigError, id_bits
-from streamcert.streams import (StreamUpdate, dyadic_node_range,
-                                random_pairwise_hash)
+from streamcert.streams import StreamUpdate, random_pairwise_hash
 
-from conftest import (bad_hash, freq_oracle, rewrite_chunk,
+from conftest import (bad_hash, dyadic_node_range, freq_oracle, rewrite_chunk,
                       rewrite_start_chunk, strict_stream)
 
 
@@ -37,6 +36,12 @@ def test_pq_matches_frequency_map(rng):
 def test_pq_config_validation():
     with pytest.raises(ConfigError):
         pq_run([StreamUpdate(i, 1) for i in range(20)], 64, 3, c_a=4, c_v=4)
+
+
+@pytest.mark.parametrize("query", [100, 64, -59, -1])
+def test_pq_query_outside_universe_raises(query):
+    with pytest.raises(ConfigError, match="outside"):
+        pq_run([StreamUpdate(5, 3)], 64, query, c_a=4, c_v=4)
 
 
 def test_pq_wrong_answer_rejected():

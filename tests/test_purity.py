@@ -91,6 +91,19 @@ def test_subinjection_cases():
     assert subinjection_run(ups, [(0, 2)], 4, 4).value == 1  # z may count
     with pytest.raises(ConfigError):
         subinjection_run(ups, [(0, -1)], 4, 4)
+    with pytest.raises(ConfigError, match="bucket 4 outside"):
+        subinjection_run(ups, [(4, 1)], 4, 4)
+
+
+@pytest.mark.parametrize("run", [
+    lambda ups: injection_run(ups, 8, 4),
+    lambda ups: ama_injection_run(ups, 8, 4),
+    lambda ups: subinjection_run(ups, [(0, 1)], 8, 4),
+], ids=["injection", "ama-injection", "subinjection"])
+@pytest.mark.parametrize("bucket", [7, 4, -1])
+def test_bucket_outside_range_raises(run, bucket):
+    with pytest.raises(ConfigError, match=f"bucket {bucket} outside"):
+        run([BucketedUpdate(1, 0, 1), BucketedUpdate(0, bucket, 1)])
 
 
 def test_subinjection_random_vs_oracle(rng):

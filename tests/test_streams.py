@@ -6,14 +6,13 @@ from streamcert.field import Field, M61
 from streamcert.pointqueries import BucketFingerprintState
 from streamcert.streams import (ModelViolation, PairwiseHash,
                                 PerfectHashError, StreamUpdate, compute_meta,
-                                dyadic_decompose, dyadic_node_range,
-                                dyadic_prefix_nodes, dyadic_universe,
+                                dyadic_decompose, dyadic_prefix_nodes, dyadic_universe,
                                 find_perfect_hash, fingerprint_of_range,
                                 random_pairwise_hash, read_stream,
                                 validate_stream, write_stream,
                                 INSERT_ONLY, NONSTRICT, STRICT)
 
-from conftest import freq_oracle, strict_stream
+from conftest import dyadic_node_range, freq_oracle, strict_stream
 
 F101 = Field(101)
 
