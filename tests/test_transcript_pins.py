@@ -57,6 +57,23 @@ def _tagged(seed, xs, ys):
     return ups
 
 
+def _tagged_churn(seed, xs, ys):
+    """_tagged, then churn: insert/delete pairs, items that leave, and items
+    that leave and come back."""
+    rng = random.Random(seed)
+    ups = _tagged(seed, xs, ys)
+    churn = []
+    for tag, su in ups:
+        r = rng.random()
+        if r < 0.3:
+            churn += [(tag, U(su.item, 2)), (tag, U(su.item, -2))]
+        elif r < 0.4:
+            churn.append((tag, U(su.item, -1)))
+        elif r < 0.5:
+            churn += [(tag, U(su.item, -1)), (tag, U(su.item, 1))]
+    return ups + churn
+
+
 def _graph(seed, n, p):
     rng = random.Random(seed)
     return [(u, v, 1) for v in range(n) for u in range(v)
@@ -71,7 +88,13 @@ def _cases():
     pair = _tagged(4, range(0, 50), range(25, 90))
     ring = [(i, i + 1, 1) for i in range(23)] + [(0, 23, 1)]
     ring_plus = ring + [(0, 4, 1)] + _graph(24, 24, 0.15)
+    ring_churn = (ring_plus + [(u, v, -1) for u, v, _ in ring_plus[::3]]
+                  + [(0, 12, 1), (5, 17, 2)]
+                  + [(u, v, 1) for u, v, _ in ring_plus[::3]]
+                  + [(0, 12, -1), (5, 17, -2)])
     buck = [BucketedUpdate(i, i % 24, 1) for i in range(20)]
+    buck_churn = buck + [BucketedUpdate(40, 5, 2), BucketedUpdate(3, 3, -1),
+                          BucketedUpdate(40, 5, -2), BucketedUpdate(3, 3, 1)]
     buck += [BucketedUpdate(30, 3, 2), BucketedUpdate(31, 3, 1)]
     freq = {}
     for u in s60:
@@ -98,6 +121,8 @@ def _cases():
         "subset-witness": lambda: moments.subset_run(
             not_subset, N, 2, seed=27),
         "innerproduct": lambda: moments.inner_product_run(pair, N, 2, seed=12),
+        "innerproduct-churn": lambda: moments.inner_product_run(
+            _tagged_churn(30, range(0, 50), range(25, 90)), N, 2, seed=30),
         "hamming": lambda: moments.hamming_run(pair, N, 2, seed=13),
         "triangles": lambda: graphs.count_triangles_run(
             _graph(14, 12, 0.5), 12, 2, seed=8),
@@ -106,9 +131,14 @@ def _cases():
         "connectivity": lambda: graphs.verify_connectivity(
             ring_plus, 24, (0, [(i, i + 1) for i in range(23)]), 2,
             seed=16),
+        "connectivity-churn": lambda: graphs.verify_connectivity(
+            ring_churn, 24, (0, [(i, i + 1) for i in range(23)]), 2,
+            seed=32),
         "oddcycle": lambda: graphs.verify_non_bipartite(
             ring_plus, 24, [0, 1, 2, 3, 4, 0], 2, seed=17),
         "injection": lambda: purity.injection_run(buck, 64, 24, seed=19),
+        "injection-churn": lambda: purity.injection_run(
+            buck_churn, 64, 24, seed=31),
         "subinjection": lambda: purity.subinjection_run(
             buck, [(3, 1), (5, 2), (7, 0)], 64, 24, seed=20),
         "subf2": lambda: purity.subf2_run(
