@@ -27,8 +27,17 @@ built over DenseProver or DenseVerifier: _StageMap for the MultiIndex
 stages and _EngineMap for the universe reduction. The prover sides add
 the honest annotation; the verifier sides add the checks on it (`need`),
 the hash validation, the proof consumption and the space accounting. A
-shared update evaluates each hash once and computes the purity terms once
+shared feed evaluates each hash once and computes the purity terms once
 per mapped id, however many instances take them.
+
+Every dense instance is linear in the stream, and the prover's memory is
+not a cost of the scheme. So the verifier maps each update as it arrives,
+while the honest prover only sums each id's updates (its net count, and
+its absolute weight for footprint mode) in MultiIndexProverCore.freq and
+.absw, and at the end of the stream maps each id the stream leaves in the
+instances once, through the same feed. The proofs depend only on the final
+vectors, so the annotation is the same as mapping every update; it is sent
+after the stream, so the prover stays prefix-causal.
 """
 
 import math
@@ -104,16 +113,19 @@ class Shape:
 
     # purity feed -----------------------------------------------------------
 
-    def purity_terms(self, ident, delta, keep_sign=False):
-        """(u, v, w) terms of one update for a purity instance, computed once
-        however many instances take them; None in AMA mode, where the terms
-        depend on the bucket. Footprint mode occupies buckets with absolute
-        weight, except for a removal of certified weight (keep_sign)."""
+    def purity_terms(self, ident, count):
+        """(u, v, w) terms of `count` copies of ident for a purity instance,
+        computed once however many instances take them; None in AMA mode,
+        where the terms depend on the bucket."""
         if self.mode == MODE_AMA:
             return None
-        if self.mode == MODE_FOOTPRINT and not keep_sign:
-            delta = abs(delta)
-        return purity_deltas(self.field_purity, ident, delta)
+        return purity_deltas(self.field_purity, ident, count)
+
+    def occupancy(self, delta, weight):
+        """What an id with count delta and absolute update weight `weight`
+        puts in its purity bucket: the weight in footprint mode, which
+        occupies buckets with absolute weight, the count otherwise."""
+        return weight if self.mode == MODE_FOOTPRINT else delta
 
     def feed_purity(self, dense, ident, bucket, delta, terms):
         """One update into a purity instance at `bucket`: its (u, v, w)
@@ -163,7 +175,7 @@ class Shape:
 class _StageMap:
     """MultiIndex stage mapping, the same on both sides.
 
-    An update (ident, delta) lands, under each stage hash h_j, in bucket
+    A count (ident, delta) lands, under each stage hash h_j, in bucket
     h_j(ident) of stage j's SubF2 instances and, as purity terms, of its
     SubInjection-style check. A claim entry takes its claimed frequency out
     of every stage and marks its bucket at its own stage. `dense(params)`
@@ -179,17 +191,19 @@ class _StageMap:
                        if shape.mode == MODE_FOOTPRINT else None)
         self.marks = [0] * t
 
-    def update(self, ident, delta, terms=None):
-        """terms: the update's purity terms, when the caller has them."""
+    def feed(self, ident, delta, weight, terms=None):
+        """Map ident's count delta, of absolute update weight `weight`.
+        terms: its purity terms, when the caller has them."""
         sh = self.shape
+        occ = sh.occupancy(delta, weight)
         if terms is None:
-            terms = sh.purity_terms(ident, delta)
+            terms = sh.purity_terms(ident, occ)
         for j, h in enumerate(self.hs):
             b = h(ident)
             self.sf_net[j].update(0, b, delta)
             if self.sf_abs is not None:
-                self.sf_abs[j].update(0, b, abs(delta))
-            sh.feed_purity(self.checks[j], ident, b, delta, terms)
+                self.sf_abs[j].update(0, b, weight)
+            sh.feed_purity(self.checks[j], ident, b, occ, terms)
 
     def entry(self, ident, fstar, stage, wstar=None):
         sh = self.shape
@@ -230,10 +244,21 @@ class MultiIndexProverCore(_StageMap):
         bits = sum(h.bits for h in self.hs)
         return [Chunk("mi-hashes", list(self.hs), bits)]
 
-    def update(self, ident, delta, terms=None):
+    def update(self, ident, delta):
+        """Sum one update into ident's net count and absolute weight; the
+        mapping waits for the end of the stream."""
         self.freq[ident] = self.freq.get(ident, 0) + delta
         self.absw[ident] = self.absw.get(ident, 0) + abs(delta)
-        super().update(ident, delta, terms)
+
+    def net_counts(self):
+        """(ident, net count, absolute weight) of every id the stream leaves
+        in the instances: a nonzero net count, or in footprint mode a
+        nonzero weight."""
+        footprint = self.shape.mode == MODE_FOOTPRINT
+        absw = self.absw
+        for ident, f in self.freq.items():
+            if f or (footprint and absw[ident]):
+                yield ident, f, absw[ident]
 
     def support(self):
         if self.shape.mode == MODE_FOOTPRINT:
@@ -264,7 +289,10 @@ class MultiIndexProverCore(_StageMap):
         return out
 
     def claims(self, entries):
-        """entries: (ident, fstar) or (ident, fstar, wstar) tuples."""
+        """After the stream: maps each id's net count into the stages once,
+        then the entries, (ident, fstar) or (ident, fstar, wstar) tuples."""
+        for ident, delta, weight in self.net_counts():
+            self.feed(ident, delta, weight)
         stages = self.stages_for([e[0] for e in entries])
         self._stages = stages
         if any(s is None for s in stages):
@@ -314,8 +342,11 @@ class MultiIndexVerifierCore(_StageMap):
         self.hs = hs
 
     def update(self, ident, delta, terms=None):
-        self.weight_seen += abs(delta)
-        super().update(ident, delta, terms)
+        """Map one stream update. terms: its purity terms, when the caller
+        has them."""
+        weight = abs(delta)
+        self.weight_seen += weight
+        self.feed(ident, delta, weight, terms)
 
     def entry(self, ident, fstar, stage, wstar=None):
         sh = self.shape
@@ -464,8 +495,8 @@ class _EngineMap:
     """Universe-reduction mapping, the same on both sides: plain Fk for a set
     of moment orders, or the two-vector product form for tagged streams.
 
-    Each update lands in bucket h(item) of the main instances and of the
-    main injection check, and goes on to the MultiIndex stages; a
+    A count lands in bucket h(item) of the main instances and of the main
+    injection check (feed), and goes on to the MultiIndex stages; a
     collision-list entry's counts are taken back out of the main instances
     and the main injection by remove()."""
 
@@ -484,21 +515,22 @@ class _EngineMap:
         if shape.mode == MODE_AMA:
             mark_all(self.main_inj)
 
-    def update(self, u):
-        tag, su = u if self.tagged else (0, u)
+    def feed(self, tag, item, delta, weight):
+        """Map the count delta, of absolute update weight `weight`, of item
+        on side tag into the main instances and the main injection check.
+        Returns its purity terms, which the stages share when they map the
+        same id."""
         sh = self.shape
-        b = self.h(su.item)
+        b = self.h(item)
         if self.tagged:
-            self.mains["ip"].update(tag, b, su.delta)
+            self.mains["ip"].update(tag, b, delta)
         else:
             for k in self.ks:
-                self.mains[k].update(0, b, su.delta)
-        terms = sh.purity_terms(su.item, su.delta)
-        sh.feed_purity(self.main_inj, su.item, b, su.delta, terms)
-        if self.tagged:
-            self.mi.update(2 * su.item + tag, su.delta)
-        else:  # the stages map the same id, so the same terms
-            self.mi.update(su.item, su.delta, terms)
+                self.mains[k].update(0, b, delta)
+        occ = sh.occupancy(delta, weight)
+        terms = sh.purity_terms(item, occ)
+        sh.feed_purity(self.main_inj, item, b, occ, terms)
+        return terms
 
     def remove(self, entry):
         """Take a collision-list entry, (i, f), (i, f, weight) in footprint
@@ -514,15 +546,15 @@ class _EngineMap:
             removal = entry[1]
             for k in self.ks:
                 self.mains[k].update(0, b, -removal)
-        certified = sh.mode == MODE_FOOTPRINT
-        if certified:
+        if sh.mode == MODE_FOOTPRINT:  # the certified weight
             removal = entry[2]
         sh.feed_purity(self.main_inj, i, b, -removal,
-                       sh.purity_terms(i, -removal, keep_sign=certified))
+                       sh.purity_terms(i, -removal))
 
 
 class OnlineEngineProver(_EngineMap, Prover):
-    """Honest prover for the universe-reduction schemes."""
+    """Honest prover for the universe-reduction schemes. It sums the
+    updates per id and maps each id's net count once, at finish."""
 
     def __init__(self, shape: Shape, n, ks, tagged, rng):
         self.h = random_pairwise_hash(n, shape.r, rng)
@@ -531,6 +563,14 @@ class OnlineEngineProver(_EngineMap, Prover):
 
     def start(self):
         return [Chunk("hash", self.h, self.h.bits)] + self.mi.start_chunks()
+
+    def update(self, u):
+        """Sum one update, tagged or not, into its id's count."""
+        if self.tagged:
+            tag, su = u
+            self.mi.update(2 * su.item + tag, su.delta)
+        else:
+            self.mi.update(u.item, u.delta)
 
     def on_update(self, u):
         self.update(u)
@@ -552,6 +592,11 @@ class OnlineEngineProver(_EngineMap, Prover):
 
     def finish(self, query):
         sh = self.shape
+        for ident, delta, weight in self.mi.net_counts():
+            if self.tagged:
+                self.feed(ident & 1, ident >> 1, delta, weight)
+            else:
+                self.feed(0, ident, delta, weight)
         freq = self.mi.freq
         entries = []
         claims = []
@@ -603,6 +648,14 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         need(hash_fits(h, self.n, self.shape.r), "bad universe hash")
         self.h = h
         self.mi.begin(chunks[1:])
+
+    def update(self, u):
+        tag, su = u if self.tagged else (0, u)
+        terms = self.feed(tag, su.item, su.delta, abs(su.delta))
+        if self.tagged:
+            self.mi.update(2 * su.item + tag, su.delta)
+        else:  # the stages map the same id, so the same terms
+            self.mi.update(su.item, su.delta, terms)
 
     def _claims(self, e, w):
         """Checks one collision-list entry; its MultiIndex claims as

@@ -307,9 +307,6 @@ class HeavyHittersProver(Prover):
     def on_update(self, u):
         self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
         self.total += u.delta
-        if self.mi is not None:
-            for node in dyadic_decompose(u.item, self.n):
-                self.mi.update(node, u.delta)
 
     def _records(self, counts, phi):
         bar = phi * self.total
@@ -333,7 +330,9 @@ class HeavyHittersProver(Prover):
             openings, bits = open_buckets(self.h, counts, queried,
                                           self.u_derived, flagged=queried)
             chunks.append(Chunk("hh-openings", openings, bits))
-        else:
+        else:  # each dyadic node's count goes to the stages once
+            for node, c in counts.items():
+                self.mi.update(node, c)
             self.mi.claims([(v, c) for v, c, _ in records])
             chunks.extend(self.mi.finish_chunks())
         return chunks

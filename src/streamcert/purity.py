@@ -14,6 +14,8 @@ the two bit-sides of each bucket; purity makes one side of every split zero,
 so the fingerprint inner product of the two sides is identically zero.
 """
 
+from dataclasses import replace
+
 from .field import Field, field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, derive_rng, id_bits, need, resolve_prover,
@@ -96,16 +98,23 @@ class _DenseMap:
 
 
 class _DenseChunkProver(Prover):
-    """Honest prover: replays the stream through the mapping and emits one
-    end-of-stream proof chunk."""
+    """Honest prover: sums the updates per (item, bucket), feeds each
+    nonzero net count through the mapping once, and emits one end-of-stream
+    proof chunk. The mappings are linear in the stream, so this gives the
+    instance that feeding every update would."""
 
     def __init__(self, mapping):
         self.map = mapping
+        self.counts = {}
 
     def on_update(self, u):
-        self.map.feed(u)
+        key = replace(u, delta=0)
+        self.counts[key] = self.counts.get(key, 0) + u.delta
 
     def finish(self, query):
+        for key, delta in self.counts.items():
+            if delta:
+                self.map.feed(replace(key, delta=delta))
         self.map.close()
         proof = self.map.dense.proof()
         return [Chunk("dense-proof", proof, proof.bits)]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from streamcert import sumcheck
 from streamcert.harness import ChunkTamper, adversary, synthetic_stream
 from streamcert.moments import (disj_online_run, disj_prescient_run,
                                 fk_ama_mode, fk_footprint_mode,
@@ -427,3 +428,62 @@ def test_hamming_random_binary(rng):
         r = hamming_run(ups, N20, 8, seed=trial)
         assert r.accepted
         assert r.value == want
+
+
+# ------------------------------------------- the prover maps net counts once
+
+
+def _churn_stream(rng, items, length, tags=None):
+    """Each item inserted once, then +2/-2 pairs on random items up to
+    `length` updates; tags: the (tag, update) form, a random side per item."""
+    counts = {i: rng.randrange(1, 4) for i in items}
+    ups = [U(i, c) for i, c in counts.items()]
+    while len(ups) < length:
+        i = rng.choice(items)
+        ups += [U(i, 2), U(i, -2)]
+    if tags is None:
+        return ups
+    side = {i: rng.choice(tags) for i in items}
+    return [(side[u.item], u) for u in ups]
+
+
+def _counting_prover_updates(monkeypatch):
+    calls = [0]
+    update = sumcheck.DenseProver.update
+
+    def counted(self, *args):
+        calls[0] += 1
+        return update(self, *args)
+
+    monkeypatch.setattr(sumcheck.DenseProver, "update", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["fk", "innerproduct"])
+def test_prover_dense_updates_scale_with_ids_not_updates(tagged, monkeypatch, rng):
+    items = rng.sample(range(1 << 16), 20)
+    ups = _churn_stream(rng, items, 4000, tags=(S, T) if tagged else None)
+    calls = _counting_prover_updates(monkeypatch)
+    held = []
+
+    def keep(honest):
+        held.append(honest)
+        return honest
+
+    if tagged:
+        r = inner_product_run(ups, 1 << 16, 4, seed=1, prover=keep)
+        ids = {2 * su.item + tag for tag, su in ups}
+    else:
+        r = fk_online_run(ups, 1 << 16, 2, 4, seed=1, prover=keep)
+        assert r.value == moment_oracle(ups, 2)
+        ids = {u.item for u in ups}
+    assert r.accepted
+    p = held[0]
+    entries = len(p.collision_items())
+    assert entries > 0  # the removals are exercised
+    # per mapped id: the main instance, the three main-injection vectors and,
+    # at each stage, the SubF2 vector and three purity vectors; an entry's
+    # stage claims and removal cost less than two ids
+    fan_out = 1 + 3 + 4 * p.shape.t_max
+    bound = (len(ids) + 2 * entries) * fan_out
+    assert calls[0] <= bound < len(ups)
