@@ -132,6 +132,12 @@ class DenseVerifier:
 # ------------------------------------------------------------------- prover
 
 
+def _limb_bytes(field: Field, c_a: int) -> int:
+    """Bytes per packed limb: room for a sum of c_a products of two field
+    elements."""
+    return (2 * field.bits + c_a.bit_length() + 2 + 7) // 8
+
+
 class _ExtGrid:
     """Packed Lagrange extension columns for one (field, c_a) shape.
 
@@ -144,8 +150,7 @@ class _ExtGrid:
     def __init__(self, field: Field, c_a: int):
         self.field = field
         self.c_a = c_a
-        w = 2 * field.bits + c_a.bit_length() + 2
-        self.limb_bytes = (w + 7) // 8
+        self.limb_bytes = _limb_bytes(field, c_a)
         self.s = c_a
         self.pack = []
 
@@ -196,9 +201,19 @@ def _ext_grid(field: Field, c_a: int, s: int) -> _ExtGrid:
 
 
 class DenseProver:
-    """Holds exact (sparse) frequency vectors and produces the proof polynomial."""
+    """Holds exact (sparse) frequency vectors and produces the proof polynomial.
+
+    Its extension grid holds c_a x (proof_len - c_a) limbs; a shape whose
+    grid would exceed _EXT_BUDGET is refused when the prover is built,
+    before any streaming."""
 
     def __init__(self, params: DenseParams):
+        c_a = params.c_a
+        nbytes = c_a * (params.proof_len - c_a) * _limb_bytes(params.field, c_a)
+        if nbytes > _EXT_BUDGET:
+            raise ConfigError(
+                f"extension grid for c_a={c_a} needs {nbytes} bytes, "
+                f"over the {_EXT_BUDGET}-byte budget")
         self.params = params
         self.field = params.field
         self.vecs = [dict() for _ in range(params.vectors)]

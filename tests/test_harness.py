@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from streamcert import sumcheck
 from streamcert.cli import main as cli_main
 from streamcert.harness import (RunConfig, adversary, cost_sweep, run_scheme,
                                 soundness_trials, synthetic_stream)
@@ -115,6 +116,19 @@ def test_run_scheme_fk_modes(rng):
                         params={"k": 2, "c_v": 4, "mode": mode})
         r = run_scheme(cfg, ns)
         assert r.accepted and r.value == 8
+
+
+def test_run_scheme_refuses_oversized_grid_before_building_it(monkeypatch):
+    # fk AMA at m=1200, n=2^20, c_v=16 sets c_a=16384 for its purity checks
+    def ensure(self, s):
+        raise AssertionError("extension grid built")
+
+    monkeypatch.setattr(sumcheck._ExtGrid, "ensure", ensure)
+    ups = [U(i, 1) for i in range(0, 1200 * 800, 800)]
+    cfg = RunConfig("fk", n=1 << 20, model="nonstrict",
+                    params={"k": 2, "c_v": 16, "mode": "ama"})
+    with pytest.raises(ConfigError, match="c_a=16384"):
+        run_scheme(cfg, ups)
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -221,3 +221,12 @@ def test_params_validation():
     with pytest.raises(ConfigError, match="vanish at zero"):
         params_for(16, 4, 4, 1, 2, lambda v: (v[0] * v[0] + 1) % FM.q, 100)
     assert prop1_min_field(2, 4, 10) == 2 * 2 * 14 ** 2 + 1
+
+
+def test_oversized_extension_grid_refused_when_built():
+    field = Field(M61)
+    # c_a x (proof_len - c_a) limbs: 16384 x 16383 x 18 bytes, about 4.8 GB
+    big = DenseParams(field, 16384, 16384, 1, 1, 2, g_power(field, 2), 1)
+    with pytest.raises(ConfigError, match=f"c_a=16384 needs {16384 * 16383 * 18} bytes"):
+        DenseProver(big)
+    DenseProver(DenseParams(field, 1024, 1024, 1, 1, 2, g_power(field, 2), 1))
