@@ -1147,5 +1147,16 @@ def inner_product_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 
 
 def hamming_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
-    """Hamming distance of two binary vectors: F1(f) + F1(g) - 2 f.g."""
+    """Hamming distance of two binary vectors: F1(f) + F1(g) - 2 f.g.
+
+    Raises ConfigError unless both final vectors are 0/1; on other vectors
+    that formula is not a distance."""
+    counts = {}
+    for tag, su in updates:
+        key = (tag, su.item)
+        counts[key] = counts.get(key, 0) + su.delta
+    for (tag, item), f in sorted(counts.items()):
+        if f not in (0, 1):
+            raise ConfigError(f"hamming needs 0/1 vectors: item {item} of "
+                              f"{'ST'[tag]} has count {f}")
     return _product_run(updates, n, c_v, seed, prover, hamming=True)

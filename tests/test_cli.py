@@ -18,6 +18,8 @@ PLAIN = [U(5, 3), U(9, 2), U(5, 1), U(17, 4), U(9, -1)]
 
 TAGGED_N = 32
 TAGGED = [(0, U(1, 1)), (0, U(4, 2)), (1, U(4, 1)), (1, U(7, 3)), (0, U(9, 1))]
+# hamming takes 0/1 vectors only
+BINARY = [(0, U(1, 1)), (0, U(4, 1)), (1, U(4, 1)), (1, U(7, 1)), (0, U(9, 1))]
 
 BUCKETED_N, BUCKETED_R = 16, 4
 BUCKETED = [BucketedUpdate(3, 0, 1), BucketedUpdate(5, 1, 2),
@@ -29,10 +31,11 @@ EDGES = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (0, 3, 1)]
 
 def _write_inputs(tmp_path):
     paths = {kind: tmp_path / f"{kind}.txt"
-             for kind in ("plain", "tagged", "bucketed", "edges")}
+             for kind in ("plain", "tagged", "binary", "bucketed", "edges")}
     write_stream(paths["plain"], PLAIN, PLAIN_N)
-    paths["tagged"].write_text(f"# n={TAGGED_N} model=strict\n" + "".join(
-        f"{'ST'[t]} {u.item} {u.delta}\n" for t, u in TAGGED))
+    for kind, stream in (("tagged", TAGGED), ("binary", BINARY)):
+        paths[kind].write_text(f"# n={TAGGED_N} model=strict\n" + "".join(
+            f"{'ST'[t]} {u.item} {u.delta}\n" for t, u in stream))
     paths["bucketed"].write_text(
         f"# n={BUCKETED_N} r={BUCKETED_R} model=strict\n"
         + "".join(f"{u.item} {u.bucket} {u.delta}\n" for u in BUCKETED))
@@ -53,6 +56,7 @@ def _write_inputs(tmp_path):
 
 
 STREAMS = {"plain": (PLAIN, PLAIN_N), "tagged": (TAGGED, TAGGED_N),
+           "binary": (BINARY, TAGGED_N),
            "bucketed": (BUCKETED, BUCKETED_N), "edges": (EDGES, VERTICES)}
 
 # (case id, scheme, stream kind, CLI flags, params with every default spelled
@@ -91,7 +95,7 @@ CASES = [
      {"mode": "prescient", "c_v": 16}),
     ("subset", "subset", "tagged", [], {"c_v": 16}),
     ("innerproduct", "innerproduct", "tagged", ["--cv", "8"], {"c_v": 8}),
-    ("hamming", "hamming", "tagged", [], {"c_v": 16}),
+    ("hamming", "hamming", "binary", [], {"c_v": 16}),
     ("injection", "injection", "bucketed", [], {"r": BUCKETED_R}),
     ("subinjection", "subinjection", "bucketed", ["--z-file", "@buckets"],
      {"r": BUCKETED_R, "z": [(0, 1), (2, 1)]}),
@@ -251,3 +255,24 @@ def test_cli_index_out_of_range_exits_1(scheme, line, z, tmp_path, capsys):
         extra = ["--z-file", str(zpath)]
     assert cli_main([scheme, "--input", str(path), *extra]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("lines", ["S 1 2\n", "S 1 1\nT 1 1\nT 1 1\n"],
+                         ids=["count-2-in-S", "count-2-in-T"])
+def test_cli_hamming_needs_binary_vectors_exits_1(lines, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("# model=strict n=8\n" + lines)
+    assert cli_main(["hamming", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "0/1" in err
+
+
+def test_cli_oversized_extension_grid_exits_1(tmp_path, capsys):
+    # fk AMA at m=1200, n=2^20, c_v=16 needs a c_a=16384 grid of about 11 GB
+    path = tmp_path / "s.txt"
+    write_stream(path, [U(i, 1) for i in range(0, 1200 * 800, 800)], 1 << 20,
+                 model="nonstrict")
+    assert cli_main(["fk", "--input", str(path), "--k", "2", "--cv", "16",
+                     "--mode", "ama"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "c_a=16384" in err

@@ -430,6 +430,17 @@ def test_hamming_random_binary(rng):
         assert r.value == want
 
 
+def test_hamming_needs_binary_vectors():
+    for ups in ([(S, U(1, 2))],
+                [(S, U(1, 1)), (T, U(3, 1)), (T, U(3, 1))],
+                [(S, U(1, 1)), (S, U(1, 1)), (S, U(1, -1)), (T, U(5, 2))]):
+        with pytest.raises(ConfigError, match="0/1"):
+            hamming_run(ups, 8, 4)
+    # counts that pass through 2 but end at 0/1 are fine
+    churned = [(S, U(1, 1)), (S, U(1, 1)), (S, U(1, -1)), (T, U(2, 1))]
+    assert hamming_run(churned, 8, 4).value == 2
+
+
 # ------------------------------------------- the prover maps net counts once
 
 
