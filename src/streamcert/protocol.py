@@ -141,7 +141,12 @@ class Prover:
 
     Online provers see nothing at start() and each update exactly once via
     on_update(), so their annotation is prefix-causal by construction.
-    Prescient provers receive the whole stream at construction time.
+    The honest online provers only sum each update into a net count per id
+    there, and map each nonzero count into their dense instances once, in
+    finish(): the instances are linear in the stream and the annotation
+    comes after it, so this stays prefix-causal and sends the same
+    annotation. Prescient provers receive the whole stream at construction
+    time.
     """
 
     def start(self):

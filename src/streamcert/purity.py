@@ -98,10 +98,10 @@ class _DenseMap:
 
 
 class _DenseChunkProver(Prover):
-    """Honest prover: sums the updates per (item, bucket), feeds each
-    nonzero net count through the mapping once, and emits one end-of-stream
-    proof chunk. The mappings are linear in the stream, so this gives the
-    instance that feeding every update would."""
+    """Honest prover: sums the updates per (item, bucket), or per item for
+    SubF2, feeds each nonzero net count through the mapping once, and emits
+    one end-of-stream proof chunk. The mappings are linear in the stream,
+    so this gives the instance that feeding every update would."""
 
     def __init__(self, mapping):
         self.map = mapping
