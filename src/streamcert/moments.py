@@ -1151,12 +1151,10 @@ def hamming_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 
     Raises ConfigError unless both final vectors are 0/1; on other vectors
     that formula is not a distance."""
-    counts = {}
-    for tag, su in updates:
-        key = (tag, su.item)
-        counts[key] = counts.get(key, 0) + su.delta
-    for (tag, item), f in sorted(counts.items()):
-        if f not in (0, 1):
-            raise ConfigError(f"hamming needs 0/1 vectors: item {item} of "
-                              f"{'ST'[tag]} has count {f}")
+    freq = frequency_map(StreamUpdate(2 * su.item + tag, su.delta)
+                         for tag, su in updates)
+    for ident, f in sorted(freq.items()):
+        if f != 1:
+            raise ConfigError(f"hamming needs 0/1 vectors: item {ident >> 1} "
+                              f"of {'ST'[ident & 1]} has count {f}")
     return _product_run(updates, n, c_v, seed, prover, hamming=True)
