@@ -9,7 +9,7 @@ from streamcert.moments import (disj_online_run, disj_prescient_run,
                                 fk_online_multi, fk_online_run,
                                 fk_prescient_run, hamming_run,
                                 inner_product_run, multiindex_run, subset_run)
-from streamcert.pointqueries import open_buckets
+from streamcert.pointqueries import heavyhitters_run, open_buckets
 from streamcert.protocol import Chunk, ConfigError
 from streamcert.streams import StreamUpdate as U, compute_meta
 
@@ -217,6 +217,63 @@ def test_multiindex_single_wrong_claim(rng):
         bad[seed % len(bad)] = (bad[seed % len(bad)][0], bad[seed % len(bad)][1] + 1)
         r = multiindex_run(ups, N20, bad, 16, seed=seed)
         assert r.rejected or r.value == 0
+
+
+# Tampering with the MultiIndex annotation, the same for every scheme that
+# certifies claims through it: each mutation must give ⊥, never an exception.
+
+
+def _last_stage_proof(chunks):
+    return max(i for i, c in enumerate(chunks) if c.kind == "mi-stage-proof")
+
+
+def _rewrite_stages(fn):
+    def mutate(chunks):
+        (i,) = [i for i, c in enumerate(chunks) if c.kind == "mi-stages"]
+        return chunks[:i] + [fn(chunks[i])] + chunks[i + 1:]
+    return mutate
+
+
+def _drop_last_stage_proof(chunks):
+    i = _last_stage_proof(chunks)
+    return chunks[:i] + chunks[i + 1:]
+
+
+def _repeat_stage_proof(chunks):
+    i = _last_stage_proof(chunks)
+    return chunks[:i + 1] + [chunks[i]] + chunks[i + 1:]
+
+
+MI_TAMPERS = {
+    "drop-last-stage-proof": _drop_last_stage_proof,
+    "repeat-stage-proof": _repeat_stage_proof,
+    "short-stages": _rewrite_stages(lambda c: Chunk(c.kind, c.data[:-1], c.bits)),
+    "abort-for-stages": _rewrite_stages(lambda c: Chunk("mi-abort", None, 1)),
+    "tuple-stages": _rewrite_stages(lambda c: Chunk(c.kind, tuple(c.data), c.bits)),
+}
+
+_MI_STRICT = strict_stream(random.Random(11), N20, 100, churn=0.2)
+_MI_NONSTRICT = nonstrict_stream(random.Random(12), N20, 60)
+_MI_CLAIMS = [(i, f) for i, f in sorted(freq_oracle(_MI_STRICT).items())[:30]]
+_MI_ZIPF = [U(i, max(1, 300 // (i + 1))) for i in range(40)]
+
+MI_RUNS = {
+    "fk-online": lambda p: fk_online_run(_MI_STRICT, N20, 2, 4, seed=1, prover=p),
+    "fk-footprint": lambda p: fk_footprint_mode(_MI_NONSTRICT, N20, 2, 4,
+                                                seed=1, prover=p),
+    "multiindex": lambda p: multiindex_run(_MI_STRICT, N20, _MI_CLAIMS, 16,
+                                           seed=1, prover=p),
+    "heavyhitters": lambda p: heavyhitters_run(_MI_ZIPF, 64, 0.1, c_a=64, c_v=8,
+                                               seed=1, prover=p, mode="multiindex"),
+}
+
+
+@pytest.mark.parametrize("tamper", MI_TAMPERS)
+@pytest.mark.parametrize("run", MI_RUNS)
+def test_multiindex_annotation_tampering_rejected(run, tamper):
+    assert MI_RUNS[run](None).accepted
+    r = MI_RUNS[run](lambda honest: ChunkTamper(honest, MI_TAMPERS[tamper]))
+    assert r.rejected
 
 
 # ---------------------------------------------------------------- disjointness
