@@ -38,6 +38,14 @@ its absolute weight for footprint mode) in MultiIndexProverCore.freq and
 instances once, through the same feed. The proofs depend only on the final
 vectors, so the annotation is the same as mapping every update; it is sent
 after the stream, so the prover stays prefix-causal.
+
+Every caller of MultiIndex (the engine's collision list, the standalone
+scheme and heavy hitters) certifies its claims, (ident, fstar, wstar)
+triples, through one call per side after the stream:
+MultiIndexProverCore.finish_chunks(claims) maps the net counts, assigns
+the stages and returns the stage list and proofs (or an abort), and
+MultiIndexVerifierCore.end(claims, chunks) checks them and returns
+(ok, the chunks after the stage proofs).
 """
 
 import math
@@ -52,9 +60,10 @@ from .streams import (StreamUpdate, compute_meta, find_perfect_hash,
                       frequency_map, hash_fits, random_pairwise_hash)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
                        g_product, prop1_min_field)
-from .purity import (add_purity, ama_coords, ama_params, draw_public_coins,
-                     injection_params, mark_all, purity_deltas, purity_min_field,
-                     subf2_params, subinjection_params)
+from .purity import (add_purity, ama_coords, ama_params, balanced_shape,
+                     draw_public_coins, injection_params, mark_all,
+                     purity_deltas, purity_min_field, subf2_params,
+                     subinjection_params)
 
 MODE_STRICT = "strict"
 MODE_FOOTPRINT = "footprint"
@@ -180,15 +189,21 @@ class _StageMap:
     SubInjection-style check. A claim entry takes its claimed frequency out
     of every stage and marks its bucket at its own stage. `dense(params)`
     builds each instance: a DenseProver for the prover, a DenseVerifier
-    drawing its secret point for the verifier."""
+    drawing its secret point for the verifier. `instances` holds each
+    stage's instances in proof order: the purity check, SubF2 over the net
+    counts and, in footprint mode, SubF2 over the absolute weights."""
 
     def __init__(self, shape: Shape, dense):
         self.shape = shape
         t = shape.t_max
         self.checks = [dense(shape.stage_check_params()) for _ in range(t)]
         self.sf_net = [dense(shape.stage_subf2_params()) for _ in range(t)]
-        self.sf_abs = ([dense(shape.stage_subf2_params()) for _ in range(t)]
-                       if shape.mode == MODE_FOOTPRINT else None)
+        self.sf_abs = None
+        per_stage = [self.checks, self.sf_net]
+        if shape.mode == MODE_FOOTPRINT:
+            self.sf_abs = [dense(shape.stage_subf2_params()) for _ in range(t)]
+            per_stage.append(self.sf_abs)
+        self.instances = list(zip(*per_stage))
         self.marks = [0] * t
 
     def feed(self, ident, delta, weight, terms=None):
@@ -238,7 +253,6 @@ class MultiIndexProverCore(_StageMap):
         super().__init__(shape, DenseProver)
         self.freq = {}
         self.absw = {}
-        self._stages = None
 
     def start_chunks(self):
         bits = sum(h.bits for h in self.hs)
@@ -260,62 +274,47 @@ class MultiIndexProverCore(_StageMap):
             if f or (footprint and absw[ident]):
                 yield ident, f, absw[ident]
 
-    def support(self):
-        if self.shape.mode == MODE_FOOTPRINT:
-            return set(self.absw)
-        return {i for i, f in self.freq.items() if f != 0}
-
-    def stages_for(self, idents):
-        """First stage isolating each ident from the support set, or None."""
-        sh = self.shape
-        support = self.support()
+    def _stages_for(self, fed, idents):
+        """First stage isolating each ident from the ids fed, or None."""
         occupancy = []
-        for j in range(sh.t_max):
+        for h in self.hs:
             occ = {}
-            h = self.hs[j]
-            for i in support:
+            for i in fed:
                 b = h(i)
                 occ[b] = occ.get(b, 0) + 1
             occupancy.append(occ)
         out = []
         for ident in idents:
-            own = 1 if ident in support else 0
-            stage = None
-            for j in range(sh.t_max):
-                if occupancy[j].get(self.hs[j](ident), 0) == own:
-                    stage = j + 1
-                    break
-            out.append(stage)
+            own = 1 if ident in fed else 0
+            out.append(next((j + 1 for j, h in enumerate(self.hs)
+                             if occupancy[j].get(h(ident), 0) == own), None))
         return out
 
-    def claims(self, entries):
+    def finish_chunks(self, entries):
         """After the stream: maps each id's net count into the stages once,
-        then the entries, (ident, fstar) or (ident, fstar, wstar) tuples."""
+        gives each (ident, fstar, wstar) entry the first stage isolating it
+        from the ids mapped and enters it there. Returns the stage list and
+        the marked stages' proofs, or an abort if some entry has no stage."""
+        fed = set()
         for ident, delta, weight in self.net_counts():
             self.feed(ident, delta, weight)
-        stages = self.stages_for([e[0] for e in entries])
-        self._stages = stages
-        if any(s is None for s in stages):
-            return
-        for e, s in zip(entries, stages):
-            self.entry(e[0], e[1], s, e[2] if len(e) > 2 else None)
-
-    def finish_chunks(self):
-        if self._stages is None:
-            self._stages = []
-        if any(s is None for s in self._stages):
+            fed.add(ident)
+        stages = self._stages_for(fed, [e[0] for e in entries])
+        if None in stages:
             return [Chunk("mi-abort", None, 1)]
-        chunks = [Chunk("mi-stages", list(self._stages),
-                        len(self._stages) * STAGE_BITS)]
-        for j in range(self.shape.t_max):
-            if not self.marks[j]:
-                continue
-            proofs = [self.checks[j].proof(), self.sf_net[j].proof()]
-            if self.sf_abs is not None:
-                proofs.append(self.sf_abs[j].proof())
-            chunks.append(Chunk("mi-stage-proof", proofs,
-                                sum(p.bits for p in proofs)))
+        for (ident, fstar, wstar), s in zip(entries, stages):
+            self.entry(ident, fstar, s, wstar)
+        chunks = [Chunk("mi-stages", stages, len(stages) * STAGE_BITS)]
+        for insts, marked in zip(self.instances, self.marks):
+            if marked:
+                proofs = [inst.proof() for inst in insts]
+                chunks.append(Chunk("mi-stage-proof", proofs,
+                                    sum(p.bits for p in proofs)))
         return chunks
+
+
+# what each stage's proofs certify, in proof order, for the reject reasons
+_STAGE_PROOFS = ("purity", "frequency", "weight")
 
 
 class MultiIndexVerifierCore(_StageMap):
@@ -328,7 +327,6 @@ class MultiIndexVerifierCore(_StageMap):
         self.hs = None
         self.weight_seen = 0
         self.stages_used = 0
-        self._claims = None
 
     def begin(self, chunks):
         """The start annotation: the stage hashes and nothing else."""
@@ -358,83 +356,46 @@ class MultiIndexVerifierCore(_StageMap):
         super().entry(ident, fstar, stage, wstar)
         self.stages_used = max(self.stages_used, stage)
 
-    def claims(self, claims):
-        """The (ident, fstar) claims of a standalone run, known to the
-        verifier before end()."""
-        self._claims = claims
-
-    def end(self, chunks):
-        """1 iff every claim is certified exact, 0 if a certified value
-        contradicts one; rejects on a malformed annotation."""
-        chunks = list(chunks)
+    def end(self, claims, chunks):
+        """Enters the (ident, fstar, wstar) claims at the stages the
+        annotation assigns, then verifies the marked stages' proofs that
+        follow. Returns (ok, rest): ok is 1 if every check passed, 0 if a
+        verified value contradicts a claim; rest, the chunks after the stage
+        proofs. Rejects on a malformed annotation or a failed proof."""
         need(chunks and chunks[0].kind != "mi-abort", "prover aborted")
         need(chunks[0].kind == "mi-stages", "missing stage assignments")
         stages = chunks[0].data
-        need(isinstance(stages, list) and len(stages) == len(self._claims),
+        need(isinstance(stages, list) and len(stages) == len(claims),
              "stage list length mismatch")
-        for (ident, fstar), stage in zip(self._claims, stages):
-            need(0 <= ident < self.shape.n_ids, "claim outside universe")
-            need(fstar >= 0, "negative claimed frequency")
-            self.entry(ident, fstar, stage)
-        return self.consume_proofs(chunks[1:])
-
-    def consume_proofs(self, chunks):
-        """Verify the marked stages' proofs; 1 if every check passed, 0 if a
-        verified value contradicts the claims; rejects on proof failure."""
-        it = iter(chunks)
+        for (ident, fstar, wstar), stage in zip(claims, stages):
+            self.entry(ident, fstar, stage, wstar)
+        rest = chunks[1:]
         ok = 1
-        for j in range(self.shape.t_max):
-            if not self.marks[j]:
+        for insts, marked in zip(self.instances, self.marks):
+            if not marked:
                 continue
-            c = next(it, None)
-            need(c is not None and c.kind == "mi-stage-proof", "missing stage proof")
-            proofs = c.data
-            want = 3 if self.sf_abs is not None else 2
-            need(isinstance(proofs, list) and len(proofs) == want,
+            need(rest and rest[0].kind == "mi-stage-proof", "missing stage proof")
+            proofs, rest = rest[0].data, rest[1:]
+            need(isinstance(proofs, list) and len(proofs) == len(insts),
                  "malformed stage proof")
-            v = self.checks[j].verify(proofs[0])
-            need(v is not None, "stage purity proof failed")
-            if v != 0:
-                ok = 0
-            v = self.sf_net[j].verify(proofs[1])
-            need(v is not None, "stage frequency proof failed")
-            if v != 0:
-                ok = 0
-            if self.sf_abs is not None:
-                v = self.sf_abs[j].verify(proofs[2])
-                need(v is not None, "stage weight proof failed")
+            for inst, proof, what in zip(insts, proofs, _STAGE_PROOFS):
+                v = inst.verify(proof)
+                need(v is not None, f"stage {what} proof failed")
                 if v != 0:
                     ok = 0
-        need(next(it, None) is None, "trailing stage proofs")
-        return ok
+        return ok, rest
 
     @property
     def words(self):
-        total = sum(c.words for c in self.checks) + sum(s.words for s in self.sf_net)
-        if self.sf_abs is not None:
-            total += sum(s.words for s in self.sf_abs)
+        total = sum(inst.words for insts in self.instances for inst in insts)
         hashes = (self.hs[0].words * len(self.hs)) if self.hs else 0
         return total + hashes + self.shape.t_max + 4
-
-
-def multiindex_cores(n_ids, declared_m, c_v, weight, seed):
-    """(verifier factory, prover factory) for embedding MultiIndex in another
-    scheme (the improved heavy hitters reduction uses this)."""
-    shape = Shape(n_ids, declared_m, c_v, weight, MODE_STRICT)
-
-    def v_factory():
-        return MultiIndexVerifierCore(shape, derive_rng(seed, "mi-v"))
-
-    def p_factory():
-        return MultiIndexProverCore(shape, derive_rng(seed, "mi-p"))
-
-    return v_factory, p_factory
 
 
 class _MultiIndexRunVerifier(Verifier):
     def __init__(self, shape, claims, rng):
         self.mi = MultiIndexVerifierCore(shape, rng)
-        self.mi.claims(claims)
+        self.claims = claims
         self.word_bits = shape.field.bits
         self.info = {}
 
@@ -445,7 +406,8 @@ class _MultiIndexRunVerifier(Verifier):
         self.mi.update(u.item, u.delta)
 
     def end(self, chunks, query):
-        ok = self.mi.end(chunks)
+        ok, rest = self.mi.end(self.claims, list(chunks))
+        need(not rest, "trailing stage proofs")
         self.info["stages_used"] = self.mi.stages_used
         return Outcome.ok(ok)
 
@@ -457,7 +419,7 @@ class _MultiIndexRunVerifier(Verifier):
 class _MultiIndexRunProver(Prover):
     def __init__(self, shape, claims, rng):
         self.mi = MultiIndexProverCore(shape, rng)
-        self._claims = claims
+        self.claims = claims
 
     def start(self):
         return self.mi.start_chunks()
@@ -466,22 +428,27 @@ class _MultiIndexRunProver(Prover):
         self.mi.update(u.item, u.delta)
 
     def finish(self, query):
-        self.mi.claims(self._claims)
-        return self.mi.finish_chunks()
+        return self.mi.finish_chunks(self.claims)
 
 
 def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult:
     """1 iff f_i equals the claimed f_i* for every (i, f_i*) in `claims`.
 
     Strict turnstile; the stage hash functions are fixed before the stream
-    and the claim list arrives after it."""
+    and the claim list arrives after it. Raises ConfigError unless the
+    claims name distinct items of [0, n) with nonnegative counts."""
     items = [c[0] for c in claims]
     if len(set(items)) != len(items):
         raise ConfigError("claims must name distinct items")
+    for i, f in claims:
+        if not 0 <= i < n:
+            raise ConfigError(f"claimed item {i} outside universe [{n}]")
+        if f < 0:
+            raise ConfigError(f"claimed count {f} of item {i} is negative")
     meta = compute_meta(updates, n)
     shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
                   ell=max(2, len(claims)))
-    claims = sorted((int(i), int(f)) for i, f in claims)
+    claims = sorted((int(i), int(f), None) for i, f in claims)
     verifier = _MultiIndexRunVerifier(shape, claims, derive_rng(seed, "mi-v"))
     prover = resolve_prover(prover, lambda: _MultiIndexRunProver(
         shape, claims, derive_rng(seed, "mi-p")))
@@ -518,8 +485,8 @@ class _EngineMap:
     def feed(self, tag, item, delta, weight):
         """Map the count delta, of absolute update weight `weight`, of item
         on side tag into the main instances and the main injection check.
-        Returns its purity terms, which the stages share when they map the
-        same id."""
+        Returns its bucket and its purity terms, which the stages share when
+        they map the same id."""
         sh = self.shape
         b = self.h(item)
         if self.tagged:
@@ -530,7 +497,7 @@ class _EngineMap:
         occ = sh.occupancy(delta, weight)
         terms = sh.purity_terms(item, occ)
         sh.feed_purity(self.main_inj, item, b, occ, terms)
-        return terms
+        return b, terms
 
     def remove(self, entry):
         """Take a collision-list entry, (i, f), (i, f, weight) in footprint
@@ -575,52 +542,38 @@ class OnlineEngineProver(_EngineMap, Prover):
     def on_update(self, u):
         self.update(u)
 
-    def _main_support(self):
-        if self.shape.mode == MODE_FOOTPRINT:
-            return set(self.mi.absw)
-        if self.tagged:
-            return {i >> 1 for i, f in self.mi.freq.items() if f != 0}
-        return {i for i, f in self.mi.freq.items() if f != 0}
-
-    def collision_items(self):
-        support = self._main_support()
-        occ = {}
-        for i in support:
-            b = self.h(i)
-            occ[b] = occ.get(b, 0) + 1
-        return sorted(i for i in support if occ[self.h(i)] > 1)
-
     def finish(self, query):
+        """Maps each id's net count once, listing the items that share their
+        bucket with another item as it goes, and certifies the list."""
         sh = self.shape
-        for ident, delta, weight in self.mi.net_counts():
-            if self.tagged:
-                self.feed(ident & 1, ident >> 1, delta, weight)
-            else:
-                self.feed(0, ident, delta, weight)
         freq = self.mi.freq
+        held = {}  # bucket -> the items mapped there
+        for ident, delta, weight in self.mi.net_counts():
+            item, tag = (ident >> 1, ident & 1) if self.tagged else (ident, 0)
+            b, _ = self.feed(tag, item, delta, weight)
+            held.setdefault(b, set()).add(item)
         entries = []
         claims = []
-        for i in self.collision_items():
+        for i in sorted(i for items in held.values() if len(items) > 1
+                        for i in items):
             if self.tagged:
                 fs = freq.get(2 * i, 0)
                 ft = freq.get(2 * i + 1, 0)
                 entries.append((i, fs, ft))
-                claims.append((2 * i, fs))
-                claims.append((2 * i + 1, ft))
+                claims += [(2 * i, fs, None), (2 * i + 1, ft, None)]
             elif sh.mode == MODE_FOOTPRINT:
-                entries.append((i, freq.get(i, 0), self.mi.absw[i]))
+                entries.append((i, freq[i], self.mi.absw[i]))
                 claims.append(entries[-1])
             else:
                 entries.append((i, freq[i]))
-                claims.append(entries[-1])
-        self.mi.claims(claims)
+                claims.append((i, freq[i], None))
         for e in entries:
             self.remove(e)
 
         counts = 2 if (self.tagged or sh.mode == MODE_FOOTPRINT) else 1
         ebits = len(entries) * (id_bits(self.n) + counts * COUNT_BITS)
         chunks = [Chunk("collision-list", entries, ebits)]
-        chunks.extend(self.mi.finish_chunks())
+        chunks.extend(self.mi.finish_chunks(claims))
         if chunks[-1].kind == "mi-abort":
             return chunks
         inj_proof = self.main_inj.proof()
@@ -651,7 +604,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
 
     def update(self, u):
         tag, su = u if self.tagged else (0, u)
-        terms = self.feed(tag, su.item, su.delta, abs(su.delta))
+        _, terms = self.feed(tag, su.item, su.delta, abs(su.delta))
         if self.tagged:
             self.mi.update(2 * su.item + tag, su.delta)
         else:  # the stages map the same id, so the same terms
@@ -685,14 +638,11 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         entries = chunks[0].data
         need(isinstance(entries, list) and len(entries) <= sh.threshold,
              "collision list over budget")
-        need(len(chunks) >= 2 and chunks[1].kind != "mi-abort", "prover aborted")
-        need(chunks[1].kind == "mi-stages", "missing stage assignments")
-        need(isinstance(chunks[1].data, list), "malformed stage assignments")
-        stages = iter(chunks[1].data)
         c0 = dict.fromkeys(self.keys, 0)
+        claims = []
         prev = -1
         for e in entries:
-            claims = self._claims(e, self.mi.weight_seen)
+            claims += self._claims(e, self.mi.weight_seen)
             i = e[0]
             need(prev < i < self.n, "collision list not sorted")
             prev = i
@@ -701,17 +651,9 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
             else:
                 for k in self.ks:
                     c0[k] += e[1] ** k
-            for ident, fstar, wstar in claims:
-                s = next(stages, None)
-                need(s is not None, "missing stage")
-                self.mi.entry(ident, fstar, s, wstar)
             self.remove(e)
-        need(next(stages, None) is None, "trailing stages")
-
-        rest = chunks[2:]
-        n_stage = sum(1 for m in self.mi.marks if m)
-        stage_chunks, rest = rest[:n_stage], rest[n_stage:]
-        need(self.mi.consume_proofs(stage_chunks) == 1, "listed frequencies not certified")
+        ok, rest = self.mi.end(claims, chunks[1:])
+        need(ok == 1, "listed frequencies not certified")
         self.info["stages_used"] = self.mi.stages_used
 
         need(rest and rest[0].kind == "main-injection-proof", "missing injection proof")
@@ -857,8 +799,7 @@ def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
     verifier certifies it with an Injection run over the mapped pairs."""
     meta = compute_meta(updates, n)
     r = prescient_reduced_universe(meta.sparsity)
-    c_a = _pow2ceil(_ceil_sqrt(r))
-    c_v = -(-r // c_a)
+    c_a, c_v = balanced_shape(r)
     weight = max(1, meta.weight)
     min_q = max(prop1_min_field(k, r, weight ** k),
                 purity_min_field(weight, n, r))
@@ -970,8 +911,7 @@ def disj_prescient_run(updates, n, *, seed=0, prover=None) -> RunResult:
     hash plus a dense product check for disjointness."""
     meta = tagged_meta(updates, n)
     r = prescient_reduced_universe(meta.sparsity)
-    c_a = _pow2ceil(_ceil_sqrt(r))
-    c_v = -(-r // c_a)
+    c_a, c_v = balanced_shape(r)
     weight = max(1, meta.weight)
     field = field_at_least(prop1_min_field(2, r, weight ** 2))
     params = DenseParams(field, r, c_a, c_v, 2, 2, g_product(field), weight ** 2)

@@ -288,20 +288,20 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
 
 
 class HeavyHittersProver(Prover):
-    def __init__(self, n, c_v, rng, mode="openings", mi_factory=None):
+    """mi: the MultiIndex prover core certifying the record counts, or None
+    to certify them by bucket openings."""
+
+    def __init__(self, n, c_v, rng, mi=None):
         self.n = n
         self.u_derived = dyadic_universe(n)
-        self.mode = mode
-        self.h = random_pairwise_hash(self.u_derived, c_v, rng) if mode == "openings" else None
-        self.mi_factory = mi_factory  # multiindex prover core, built at start
-        self.mi = None
+        self.mi = mi
+        self.h = random_pairwise_hash(self.u_derived, c_v, rng) if mi is None else None
         self.freq = {}
         self.total = 0
 
     def start(self):
-        if self.mode == "openings":
+        if self.mi is None:
             return [Chunk("hash", self.h, self.h.bits)]
-        self.mi = self.mi_factory()
         return self.mi.start_chunks()
 
     def on_update(self, u):
@@ -325,7 +325,7 @@ class HeavyHittersProver(Prover):
         records = self._records(counts, query)
         chunks = [Chunk("hh-records", records,
                         opening_bits(records, self.u_derived, flag=True))]
-        if self.mode == "openings":
+        if self.mi is None:
             queried = {v for v, _, _ in records}
             openings, bits = open_buckets(self.h, counts, queried,
                                           self.u_derived, flagged=queried)
@@ -333,24 +333,25 @@ class HeavyHittersProver(Prover):
         else:  # each dyadic node's count goes to the stages once
             for node, c in counts.items():
                 self.mi.update(node, c)
-            self.mi.claims([(v, c) for v, c, _ in records])
-            chunks.extend(self.mi.finish_chunks())
+            claims = [(v, c, None) for v, c, _ in records]
+            chunks.extend(self.mi.finish_chunks(claims))
         return chunks
 
 
 class HeavyHittersVerifier(Verifier):
-    def __init__(self, n, c_a, c_v, rng, mode="openings", mi_factory=None):
+    """mi: the MultiIndex verifier core certifying the record counts, or
+    None to check bucket openings."""
+
+    def __init__(self, n, c_a, c_v, rng, mi=None):
         field = DEFAULT_FIELD
         self.n = n
         self.levels = dyadic_levels(n)
         self.u_derived = dyadic_universe(n)
-        self.mode = mode
         self.field = field
+        self.mi = mi
         self.state = (BucketFingerprintState(field, c_a, c_v, rng)
-                      if mode == "openings" else None)
-        self.mi_factory = mi_factory
-        self.mi = None
-        self.sink = self.state  # where the derived dyadic stream goes
+                      if mi is None else None)
+        self.sink = self.state if mi is None else mi  # takes the dyadic stream
         self.total = 0
         self.weight_seen = 0
         # multiset-equation fingerprint bases
@@ -359,11 +360,10 @@ class HeavyHittersVerifier(Verifier):
         self.word_bits = field.bits
 
     def begin(self, chunks):
-        if self.mode == "openings":
+        if self.mi is None:
             need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
             self.state.set_hash(chunks[0].data, self.u_derived)
         else:
-            self.mi = self.sink = self.mi_factory()
             self.mi.begin(chunks)
 
     def update(self, u):
@@ -413,7 +413,7 @@ class HeavyHittersVerifier(Verifier):
         need(root_claimed, "root must be claimed for a nonempty stream")
         need(fp_children == fp_connect, "tree closure fingerprints differ")
 
-        if self.mode == "openings":
+        if self.mi is None:
             need(len(chunks) == 2 and chunks[1].kind == "hh-openings", "missing openings")
             openings = chunks[1].data
             self.state.check_openings(openings, self.u_derived, arity=3)
@@ -424,15 +424,15 @@ class HeavyHittersVerifier(Verifier):
                         fp_counts_b = (fp_counts_b + c * pow(self.tau, v, q)) % q
             need(fp_counts_a == fp_counts_b, "record counts not matched by openings")
         else:
-            self.mi.claims([(v, c) for v, c, _ in records])
-            ok = self.mi.end(chunks[1:])
+            claims = [(v, c, None) for v, c, _ in records]
+            ok, rest = self.mi.end(claims, chunks[1:])
+            need(not rest, "trailing stage proofs")
             need(ok == 1, "record counts not certified")
         return Outcome.ok(frozenset(heavy_items))
 
     @property
     def words(self):
-        base = self.state.words if self.state else self.mi.words
-        return base + 8
+        return self.sink.words + 8
 
 
 def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
@@ -444,6 +444,8 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
     scheme over the same derived stream."""
     if not 0 < phi < 1:
         raise ConfigError("phi must be in (0, 1)")
+    if mode not in ("openings", "multiindex"):
+        raise ConfigError(f"unknown heavyhitters mode {mode!r}")
     meta = compute_meta(updates, n)
     levels = dyadic_levels(n)
     m_derived = max(1, meta.sparsity) * (levels + 1)
@@ -451,15 +453,15 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
     phi = Fraction(phi)
     u_derived = dyadic_universe(n)
+    mi_v = mi_p = None
     if mode == "multiindex":
-        from .moments import multiindex_cores
-        w_derived = meta.weight * (levels + 1)
-        mi_v_factory, mi_p_factory = multiindex_cores(
-            u_derived, m_derived, c_v, w_derived, seed)
-    else:
-        mi_v_factory = mi_p_factory = None
-    verifier = HeavyHittersVerifier(n, c_a, c_v, derive_rng(seed, "hh-v"),
-                                    mode, mi_v_factory)
+        from .moments import (MODE_STRICT, MultiIndexProverCore,
+                              MultiIndexVerifierCore, Shape)
+        shape = Shape(u_derived, m_derived, c_v, meta.weight * (levels + 1),
+                      MODE_STRICT)
+        mi_v = MultiIndexVerifierCore(shape, derive_rng(seed, "mi-v"))
+        mi_p = MultiIndexProverCore(shape, derive_rng(seed, "mi-p"))
+    verifier = HeavyHittersVerifier(n, c_a, c_v, derive_rng(seed, "hh-v"), mi_v)
     prover = resolve_prover(prover, lambda: HeavyHittersProver(
-        n, c_v, derive_rng(seed, "hh-p"), mode, mi_p_factory))
+        n, c_v, derive_rng(seed, "hh-p"), mi_p))
     return run_protocol(verifier, prover, updates, phi)

@@ -61,7 +61,7 @@ def compute_meta(updates, n) -> StreamMeta:
     return StreamMeta(n=n, length=count, sparsity=m, footprint=len(freq), weight=weight)
 
 
-def validate_stream(updates, n, model, unit=False):
+def validate_stream(updates, n, model):
     """Eagerly enforce the declared update model; raises ModelViolation.
 
     Scheme soundness arguments assume the model, so violating inputs are
@@ -75,8 +75,6 @@ def validate_stream(updates, n, model, unit=False):
             raise ModelViolation(f"item {u.item} outside universe [{n}]")
         if u.delta == 0:
             raise ModelViolation("zero-delta update")
-        if unit and abs(u.delta) != 1:
-            raise ModelViolation("unit-update stream has |delta| != 1")
         if model == INSERT_ONLY and u.delta < 0:
             raise ModelViolation("negative delta in insert-only stream")
         if model == STRICT:
@@ -140,19 +138,8 @@ def hash_fits(h, universe: int, r: int) -> bool:
             and 0 <= h.a < h.p and 0 <= h.b < h.p)
 
 
-_HASH_PRIME_CACHE: dict = {}
-
-
-def _hash_prime(lo: int) -> int:
-    p = _HASH_PRIME_CACHE.get(lo)
-    if p is None:
-        p = next_prime(lo)
-        _HASH_PRIME_CACHE[lo] = p
-    return p
-
-
 def random_pairwise_hash(n: int, r: int, rng) -> PairwiseHash:
-    p = _hash_prime(max(n, r, 2))
+    p = next_prime(max(n, r, 2))
     return PairwiseHash(a=rng.randrange(1, p), b=rng.randrange(p), p=p, r=r)
 
 

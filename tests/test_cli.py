@@ -199,6 +199,17 @@ def test_cli_sparsity_cover_exits_1(tmp_path, capsys):
     assert "c_a * c_v must cover" in err
 
 
+@pytest.mark.parametrize("claim", ["70 1", "-1 1", "5 -2"],
+                         ids=["item-high", "item-negative", "count-negative"])
+def test_cli_bad_multiindex_claim_exits_1(claim, tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    claims = tmp_path / "claims.txt"
+    claims.write_text(claim + "\n")
+    assert cli_main(["multiindex", "--input", str(paths["plain"]),
+                     "--claims-file", str(claims), "--cv", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_bad_witness_file_exits_1(tmp_path, capsys):
     paths = _write_inputs(tmp_path)
     assert cli_main(["connectivity", "--input", str(paths["edges"]),

@@ -193,6 +193,14 @@ def test_multiindex_basics(rng):
         multiindex_run(ups, 64, [(2, 3), (2, 3)], 4)
 
 
+@pytest.mark.parametrize("claims", [[(70, 1)], [(-1, 1)], [(5, 1), (3, -2)]],
+                         ids=["item-high", "item-negative", "count-negative"])
+def test_multiindex_bad_claims_raise(claims):
+    # bad input is the caller's error, not a prover failure to show as ⊥
+    with pytest.raises(ConfigError):
+        multiindex_run([U(3, 2), U(5, 1)], 64, claims, 4)
+
+
 def test_multiindex_hundred_claims_resolve_quickly(rng):
     resolved_fast = 0
     for seed in range(12):
@@ -532,11 +540,11 @@ def test_prover_dense_updates_scale_with_ids_not_updates(tagged, monkeypatch, rn
     items = rng.sample(range(1 << 16), 20)
     ups = _churn_stream(rng, items, 4000, tags=(S, T) if tagged else None)
     calls = _counting_prover_updates(monkeypatch)
-    held = []
+    held, sent = [], []
 
     def keep(honest):
         held.append(honest)
-        return honest
+        return ChunkTamper(honest, lambda chunks: sent.extend(chunks) or chunks)
 
     if tagged:
         r = inner_product_run(ups, 1 << 16, 4, seed=1, prover=keep)
@@ -547,7 +555,7 @@ def test_prover_dense_updates_scale_with_ids_not_updates(tagged, monkeypatch, rn
         ids = {u.item for u in ups}
     assert r.accepted
     p = held[0]
-    entries = len(p.collision_items())
+    entries = next(len(c.data) for c in sent if c.kind == "collision-list")
     assert entries > 0  # the removals are exercised
     # per mapped id: the main instance, the three main-injection vectors and,
     # at each stage, the SubF2 vector and three purity vectors; an entry's

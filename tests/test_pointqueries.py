@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamcert.harness import adversary
+from streamcert.harness import RunConfig, adversary, run_scheme
 from streamcert.pointqueries import (dyadic_counts, heavyhitters_run,
                                      open_buckets, pq_run, selection_run)
 from streamcert.protocol import COUNT_BITS, Chunk, ConfigError, id_bits
@@ -191,6 +191,16 @@ def test_hh_zipf_matches_exact_counts(mode, rng):
     want = hh_oracle(ups, phi)
     r = heavyhitters_run(ups, n, phi, c_a=128, c_v=8, seed=3, mode=mode)
     assert r.accepted and r.value == want
+
+
+def test_hh_unknown_mode_raises():
+    ups = [StreamUpdate(0, 5), StreamUpdate(1, 1)]
+    with pytest.raises(ConfigError, match="unknown heavyhitters mode"):
+        heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, mode="bogus")
+    cfg = RunConfig("heavyhitters", n=16, params={
+        "phi": 0.3, "c_a": 16, "c_v": 8, "hh_mode": "bogus"})
+    with pytest.raises(ConfigError, match="unknown heavyhitters mode"):
+        run_scheme(cfg, ups)
 
 
 def test_hh_omitted_heavy_hitter_rejected(rng):

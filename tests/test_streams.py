@@ -45,8 +45,6 @@ def test_validate_models():
     validate_stream([StreamUpdate(1, -1)], 4, NONSTRICT)
     with pytest.raises(ModelViolation):
         validate_stream([StreamUpdate(9, 1)], 4, STRICT)
-    with pytest.raises(ModelViolation):
-        validate_stream([StreamUpdate(1, 2)], 4, STRICT, unit=True)
 
 
 def test_validate_strict_matches_prefix_oracle(rng):
