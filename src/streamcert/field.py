@@ -7,6 +7,9 @@ larger field (to keep an integer identity exact, or to shrink a soundness
 error) ask for the next prime past their bound.
 """
 
+from math import factorial
+from operator import mul
+
 M61 = (1 << 61) - 1
 
 # Miller-Rabin with this witness set is deterministic for all n < 3.317e24,
@@ -91,56 +94,42 @@ def field_at_least(min_q: int) -> Field:
 
 # -- Lagrange interpolation over the domain {0, ..., c-1} --
 
-_INVFACT_CACHE: dict = {}
-
-
-def _invfacts(field, c):
-    """[1/0!, 1/1!, ..., 1/(c-1)!] mod q, cached per (q, c)."""
-    key = (field.q, c)
-    hit = _INVFACT_CACHE.get(key)
-    if hit is not None:
-        return hit
+def inverse_factorials(field, n):
+    """[1/k! for k < n] mod q, from one modular inverse. Needs 1 <= n <= q,
+    so that every k! is invertible."""
     q = field.q
-    fact = 1
-    facts = [1] * c
-    for i in range(1, c):
-        fact = fact * i % q
-        facts[i] = fact
-    inv = pow(facts[-1], q - 2, q)
-    out = [1] * c
-    for i in range(c - 1, 0, -1):
-        out[i] = inv
-        inv = inv * i % q
-    if len(_INVFACT_CACHE) > 64:
-        _INVFACT_CACHE.clear()
-    _INVFACT_CACHE[key] = out
+    out = [1] * n
+    inv = pow(factorial(n - 1) % q, q - 2, q)
+    for k in range(n - 1, 0, -1):
+        out[k] = inv
+        inv = inv * k % q
     return out
 
 
 def lagrange_row(field, c, r):
     """[L_x(r) for x in 0..c-1] over the domain {0, ..., c-1}, in O(c).
 
-    Division-free numerators via prefix/suffix products, so r landing on a
-    domain point needs no special casing.
+    L_x(r) = prod_{k<x} (r-k) * prod_{k>x} (k-r) / (x! * (c-1-x)!): the
+    prefix and suffix products need no division, so r landing on a domain
+    point needs no special casing.
     """
     if c > field.q:
         raise ValueError("domain does not embed in the field")
     q = field.q
     r = r % q
-    pref = [1] * (c + 1)
-    for x in range(c):
-        pref[x + 1] = pref[x] * ((r - x) % q) % q
-    suf = [1] * (c + 1)
-    for x in range(c - 1, -1, -1):
-        suf[x] = suf[x + 1] * ((r - x) % q) % q
-    invf = _invfacts(field, c)
-    out = [0] * c
-    for x in range(c):
-        v = pref[x] * suf[x + 1] % q * invf[x] % q * invf[c - 1 - x] % q
-        if (c - 1 - x) & 1:
-            v = q - v if v else 0
-        out[x] = v
-    return out
+    pref = [1] * c
+    acc = 1
+    for x in range(c - 1):
+        acc = acc * (r - x) % q
+        pref[x + 1] = acc
+    suf = [1] * c
+    acc = 1
+    for x in range(c - 1, 0, -1):
+        acc = acc * (x - r) % q
+        suf[x - 1] = acc
+    invf = inverse_factorials(field, c)
+    return [a * b * u * v % q
+            for a, b, u, v in zip(pref, suf, invf, reversed(invf))]
 
 
 def eval_values_at(field, values, x):
@@ -150,10 +139,4 @@ def eval_values_at(field, values, x):
     x = x % field.q
     if x < s:
         return values[x]
-    row = lagrange_row(field, s, x)
-    q = field.q
-    acc = 0
-    for w, v in zip(row, values):
-        if v:
-            acc += w * v
-    return acc % q
+    return sum(map(mul, lagrange_row(field, s, x), values)) % field.q

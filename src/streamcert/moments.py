@@ -208,21 +208,26 @@ class _StageMap:
 
     def feed(self, ident, delta, weight, terms=None):
         """Map ident's count delta, of absolute update weight `weight`.
-        terms: its purity terms, when the caller has them."""
+        terms: its purity terms, when the caller has them. Returns ident's
+        bucket at each stage."""
         sh = self.shape
         occ = sh.occupancy(delta, weight)
         if terms is None:
             terms = sh.purity_terms(ident, occ)
-        for j, h in enumerate(self.hs):
-            b = h(ident)
+        buckets = [h(ident) for h in self.hs]
+        for j, b in enumerate(buckets):
             self.sf_net[j].update(0, b, delta)
             if self.sf_abs is not None:
                 self.sf_abs[j].update(0, b, weight)
             sh.feed_purity(self.checks[j], ident, b, occ, terms)
+        return buckets
 
-    def entry(self, ident, fstar, stage, wstar=None):
+    def entry(self, ident, fstar, stage, wstar=None, buckets=None):
+        """Enter one claim at its stage. buckets: ident's bucket at each
+        stage, when the caller has them."""
         sh = self.shape
-        buckets = [h(ident) for h in self.hs]
+        if buckets is None:
+            buckets = [h(ident) for h in self.hs]
         for j, b in enumerate(buckets):
             self.sf_net[j].update(0, b, -fstar)
             if self.sf_abs is not None:
@@ -274,36 +279,28 @@ class MultiIndexProverCore(_StageMap):
             if f or (footprint and absw[ident]):
                 yield ident, f, absw[ident]
 
-    def _stages_for(self, fed, idents):
-        """First stage isolating each ident from the ids fed, or None."""
-        occupancy = []
-        for h in self.hs:
-            occ = {}
-            for i in fed:
-                b = h(i)
-                occ[b] = occ.get(b, 0) + 1
-            occupancy.append(occ)
-        out = []
-        for ident in idents:
-            own = 1 if ident in fed else 0
-            out.append(next((j + 1 for j, h in enumerate(self.hs)
-                             if occupancy[j].get(h(ident), 0) == own), None))
-        return out
-
     def finish_chunks(self, entries):
         """After the stream: maps each id's net count into the stages once,
         gives each (ident, fstar, wstar) entry the first stage isolating it
         from the ids mapped and enters it there. Returns the stage list and
-        the marked stages' proofs, or an abort if some entry has no stage."""
+        the marked stages' proofs, or an abort if some entry has no stage.
+        Each stage hash is evaluated once per id mapped and once per entry."""
+        occupancy = [{} for _ in self.hs]
         fed = set()
         for ident, delta, weight in self.net_counts():
-            self.feed(ident, delta, weight)
+            for occ, b in zip(occupancy, self.feed(ident, delta, weight)):
+                occ[b] = occ.get(b, 0) + 1
             fed.add(ident)
-        stages = self._stages_for(fed, [e[0] for e in entries])
+        claimed = [[h(e[0]) for h in self.hs] for e in entries]
+        stages = []
+        for (ident, _, _), buckets in zip(entries, claimed):
+            own = 1 if ident in fed else 0
+            stages.append(next((j + 1 for j, b in enumerate(buckets)
+                                if occupancy[j].get(b, 0) == own), None))
         if None in stages:
             return [Chunk("mi-abort", None, 1)]
-        for (ident, fstar, wstar), s in zip(entries, stages):
-            self.entry(ident, fstar, s, wstar)
+        for (ident, fstar, wstar), s, buckets in zip(entries, stages, claimed):
+            self.entry(ident, fstar, s, wstar, buckets)
         chunks = [Chunk("mi-stages", stages, len(stages) * STAGE_BITS)]
         for insts, marked in zip(self.instances, self.marks):
             if marked:

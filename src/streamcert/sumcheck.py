@@ -15,13 +15,23 @@ the prover sums g over the cells it holds and the verifier over its rows.
 
 Prover-side multi-point evaluation packs Lagrange-extended columns into wide
 integers (one limb per evaluation point) so the inner accumulation runs on
-CPython's C bigint loop instead of interpreted arithmetic.
+CPython's C bigint loop instead of interpreted arithmetic. The columns come
+from the closed form of the basis over {0, ..., c-1}, c = c_a: at an
+extension point p >= c,
+
+    L_x(p) = C(p) * w_x / (p - x),  C(p) = p! / (p - c)!,
+    w_x = (-1)^(c-1-x) / (x! * (c-1-x)!),
+
+so factorials and their inverses up to s - 1 (s = proof_len) give every
+column. This needs s - 1 < q, which DenseParams guarantees by requiring
+q > proof_len.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
-from .field import Field, eval_values_at, lagrange_row
+from .field import Field, eval_values_at, inverse_factorials, lagrange_row
 from .protocol import ConfigError
 
 
@@ -145,6 +155,12 @@ class _ExtGrid:
     into one integer, one limb per point. A sparse cell (x, y) with value v
     then contributes to every point of column y with the single bigint
     multiply pack[x] * v.
+
+    The limbs come from the closed form L_x(p) = C(p) * w_x * inv(p - x)
+    (module docstring), with inv(k) = (k-1)!/k! for k in 1 .. s-1: tables
+    of k! and 1/k! up to s - 1, from one modular inverse per build. The
+    caller keeps s <= proof_len < q, as DenseParams requires, so every such
+    k is invertible.
     """
 
     def __init__(self, field: Field, c_a: int):
@@ -157,15 +173,24 @@ class _ExtGrid:
     def ensure(self, s: int):
         if s <= self.s:
             return
-        ext = s - self.c_a
-        lb = self.limb_bytes
-        cols = [bytearray(ext * lb) for _ in range(self.c_a)]
-        for e in range(ext):
-            row = lagrange_row(self.field, self.c_a, self.c_a + e)
-            off = e * lb
-            for x, v in enumerate(row):
-                cols[x][off:off + lb] = v.to_bytes(lb, "little")
-        self.pack = [int.from_bytes(c, "little") for c in cols]
+        q = self.field.q
+        c = self.c_a
+        ext = s - c
+        fact = list(accumulate(range(1, s), lambda a, k: a * k % q, initial=1))
+        invfact = inverse_factorials(self.field, s)
+        cp = [fact[c + e] * invfact[e] % q for e in range(ext)]
+        inv = [0] + [fact[k - 1] * invfact[k] % q for k in range(1, s)]
+        lbs, little = repeat(self.limb_bytes), repeat("little")
+        pack = []
+        for x in range(c):
+            w = invfact[x] * invfact[c - 1 - x] % q
+            if (c - 1 - x) & 1:
+                w = q - w
+            # p - x runs over c - x .. s - 1 - x as p runs over c .. s - 1
+            vals = [a * b * w % q for a, b in zip(cp, inv[c - x:c - x + ext])]
+            pack.append(int.from_bytes(
+                b"".join(map(int.to_bytes, vals, lbs, little)), "little"))
+        self.pack = pack
         self.s = s
 
     def unpack(self, acc: int, ext: int):
@@ -261,7 +286,9 @@ class DenseProver:
                 if accs is None:
                     accs = cols[y] = [0] * p.vectors
                 for j, v in enumerate(vals):
-                    if v:
+                    if v == 1:
+                        accs[j] += col
+                    elif v:
                         accs[j] += col * v
             zeros = [0] * ext
             bext = zeros

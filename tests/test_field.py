@@ -75,12 +75,13 @@ def test_lagrange_basis_at():
 
 def test_lagrange_row_matches_single_and_sums_to_one():
     rng = random.Random(3)
-    for c in (1, 2, 5, 9):
-        for _ in range(5):
-            r = F101.rand(rng)
-            row = lagrange_row(F101, c, r)
-            assert row == [lagrange_basis_at(F101, c, x, r) for x in range(c)]
-            assert sum(row) % 101 == 1  # partition of unity
+    for field in (F101, DEFAULT_FIELD, field_at_least(1 << 79)):
+        for c in (1, 2, 5, 9):
+            # random points, every domain point and the top of the field
+            for r in [field.rand(rng) for _ in range(5)] + [*range(c), field.q - 1]:
+                row = lagrange_row(field, c, r)
+                assert row == [lagrange_basis_at(field, c, x, r) for x in range(c)]
+                assert sum(row) % field.q == 1  # partition of unity
 
 
 def test_eval_values_at():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from streamcert import sumcheck
+from streamcert import streams, sumcheck
 from streamcert.harness import ChunkTamper, adversary, synthetic_stream
-from streamcert.moments import (disj_online_run, disj_prescient_run,
+from streamcert.moments import (MODE_STRICT, MultiIndexProverCore, Shape,
+                                disj_online_run, disj_prescient_run,
                                 fk_ama_mode, fk_footprint_mode,
                                 fk_online_multi, fk_online_run,
                                 fk_prescient_run, hamming_run,
@@ -191,6 +192,29 @@ def test_multiindex_basics(rng):
     assert multiindex_run(ups, 64, [(3, 0)], 4).value == 0
     with pytest.raises(ConfigError):
         multiindex_run(ups, 64, [(2, 3), (2, 3)], 4)
+
+
+def test_multiindex_finish_hashes_each_id_once_per_stage(monkeypatch, rng):
+    n = 1 << 16
+    items = rng.sample(range(n), 64)
+    core = MultiIndexProverCore(Shape(n, 64, 4, 4, MODE_STRICT), random.Random(3))
+    for i in items:
+        core.update(i, 2)
+        core.update(i, -1)
+    core.update(items[0], -1)  # nets to zero: not mapped
+    absent = next(i for i in range(n) if i not in items)
+    entries = [(i, 1, None) for i in items[1:6]] + [(absent, 0, None)]
+    calls = [0]
+    call = streams.PairwiseHash.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return call(self, x)
+
+    monkeypatch.setattr(streams.PairwiseHash, "__call__", counted)
+    chunks = core.finish_chunks(entries)
+    assert chunks[0].kind == "mi-stages"
+    assert calls[0] == core.shape.t_max * (len(items) - 1 + len(entries))
 
 
 @pytest.mark.parametrize("claims", [[(70, 1)], [(-1, 1)], [(5, 1), (3, -2)]],

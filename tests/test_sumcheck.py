@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from streamcert.field import Field, M61
+from streamcert.field import Field, M61, field_at_least
 from streamcert.protocol import ConfigError
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
                                  DenseVerifier, dense_prover_proof,
                                  dense_verifier_init, dense_verifier_update,
                                  dense_verify, g_power, g_product, g_purity,
-                                 prop1_min_field)
+                                 prop1_min_field, _ExtGrid)
 
 from conftest import lagrange_basis_at
 
@@ -184,27 +184,80 @@ def test_verifier_seed_determinism_and_uniformity():
     assert chi2 < 162  # df=100 critical value at alpha=0.0001
 
 
-def test_prover_values_match_direct_extension_oracle(rng):
-    # independent oracle for the packed multi-point evaluation
-    universe, c_a, c_v = 11, 4, 3
-    g = g_product(FM)
-    p = params_for(universe, c_a, c_v, 2, 2, g, 10 ** 9)
-    vecs = [{rng.randrange(universe): rng.randrange(1, 9) for _ in range(5)}
-            for _ in range(2)]
-    proof = dense_prover_proof(vecs, p)
+def direct_values(p, vecs):
+    """b on {0, ..., proof_len - 1} from the Lagrange extension of every
+    column, one basis element at a time: the oracle for the packed
+    multi-point evaluation."""
+    q = p.field.q
 
     def ext(vec, point, y):
         total = 0
-        for x in range(c_a):
-            item = x * c_v + y
-            val = vec.get(item, 0) if item < universe else 0
-            total += val * lagrange_basis_at(FM, c_a, x, point)
-        return total % FM.q
+        for x in range(p.c_a):
+            item = x * p.c_v + y
+            val = vec.get(item, 0) if item < p.universe else 0
+            total += val * lagrange_basis_at(p.field, p.c_a, x, point)
+        return total % q
 
-    for point in range(p.proof_len):
-        want = sum(g([ext(vecs[0], point, y), ext(vecs[1], point, y)])
-                   for y in range(c_v)) % FM.q
-        assert proof.values[point] == want
+    return [sum(p.g([ext(vec, point, y) for vec in vecs])
+                for y in range(p.c_v)) % q
+            for point in range(p.proof_len)]
+
+
+def test_prover_values_match_direct_extension_oracle(rng):
+    universe, c_a, c_v = 11, 4, 3
+    p = params_for(universe, c_a, c_v, 2, 2, g_product(FM), 10 ** 9)
+    vecs = [{rng.randrange(universe): rng.randrange(1, 9) for _ in range(5)}
+            for _ in range(2)]
+    assert dense_prover_proof(vecs, p).values == direct_values(p, vecs)
+
+
+def test_closed_form_grid_inverts_up_to_q_minus_one():
+    # proof_len = 3 * 33 + 1 = 100 = q - 1: the grid build inverts every
+    # k in 1 .. 99, the largest range DenseParams admits in GF(101)
+    f101 = Field(101)
+    p = DenseParams(f101, 68, 34, 2, 1, 3, g_power(f101, 3), 50)
+    assert p.proof_len == f101.q - 1
+    vecs = [{3: 1, 40: 2, 67: 1, 20: 100}]  # 1 + 8 + 1 - 1 = 9
+    proof = dense_prover_proof(vecs, p)
+    assert proof.values == direct_values(p, vecs)
+    for seed in range(5):
+        st = dense_verifier_init(p, seed)
+        for item, v in vecs[0].items():
+            dense_verifier_update(st, 0, item, v)
+        assert dense_verify(st, proof) == 9
+
+
+def packed(values, limb_bytes):
+    return int.from_bytes(b"".join(v.to_bytes(limb_bytes, "little")
+                                   for v in values), "little")
+
+
+@pytest.mark.parametrize("field", [Field(101), FM, field_at_least(1 << 79)],
+                         ids=["q101", "m61", "q80bit"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("c_a", [1, 2, 3, 5, 8])
+def test_ext_grid_packs_match_lagrange_oracle(field, degree, c_a):
+    # a little past proof_len, so that c_a = 1 has extension points too
+    s = degree * c_a + 1
+    grid = _ExtGrid(field, c_a)
+    grid.ensure(s)
+    ext = s - c_a
+    assert len(grid.pack) == c_a
+    for x, col in enumerate(grid.pack):
+        want = [lagrange_basis_at(field, c_a, x, c_a + e) for e in range(ext)]
+        assert grid.unpack(col, ext) == want
+        assert col == packed(want, grid.limb_bytes)  # limbs already reduced
+
+
+def test_ext_grid_grows_to_a_fresh_build():
+    grown = _ExtGrid(FM, 8)
+    grown.ensure(12)
+    grown.ensure(22)
+    fresh = _ExtGrid(FM, 8)
+    fresh.ensure(22)
+    assert grown.pack == fresh.pack and grown.s == fresh.s == 22
+    grown.ensure(15)  # never shrinks
+    assert grown.pack == fresh.pack and grown.s == 22
 
 
 def test_vcost_words_exact():
