@@ -7,9 +7,12 @@ prover opens the relevant buckets by listing their exact sparse contents;
 the verifier recomputes each opened bucket's fingerprint and compares.
 
 Selection, heavy hitters and the online DISJ/subset witness run the same
-scheme over a derived stream of ids (dyadic nodes, or 2*item+tag): the
-verifier feeds each derived id to BucketFingerprintState.update, and every
-prover builds its openings with open_buckets."""
+scheme over a derived stream of ids (dyadic nodes, or 2*item+tag), and every
+prover builds its openings with open_buckets. The verifier feeds a flat id
+to BucketFingerprintState.update. For the dyadic stream it calls
+update_dyadic once per stream update, which walks the item's nodes from the
+root down and gets each node's power of the basis from its parent's by one
+squaring."""
 
 from fractions import Fraction
 
@@ -26,7 +29,13 @@ OVERFLOW_FACTOR = 10  # Markov constant from the completeness argument
 
 class BucketFingerprintState:
     """c_v fingerprints, one per derived stream x^j = {ids v : h(v) = j}.
-    An opened bucket may list at most OVERFLOW_FACTOR * c_a items."""
+    An opened bucket may list at most OVERFLOW_FACTOR * c_a items.
+
+    Bucket j holds sum f_v * basis^v over its ids v. update takes one power
+    per id. update_dyadic walks an item's dyadic nodes from the root, each
+    node's power being its parent's squared (times the basis for a right
+    child), and check_opening steps through an opening's ascending ids by
+    gap powers."""
 
     def __init__(self, field, c_a, c_v, rng):
         self.field = field
@@ -47,6 +56,25 @@ class BucketFingerprintState:
         self.accs[b] = (self.accs[b] + delta * pow(self.basis, item, q)) % q
         self.weight += abs(delta)
 
+    def update_dyadic(self, item, delta, levels):
+        """update(v, delta) at each dyadic node v of `item`, walking from the
+        root down: node k is path >> k, and its power of the basis is its
+        parent's squared, times the basis when bit k of path is set."""
+        q = self.field.q
+        basis, h, accs = self.basis, self.h, self.accs
+        path = (1 << levels) + item
+        node = path >> (levels + 1)  # the root's parent, 0 for items in [2^L]
+        power = pow(basis, node, q)
+        for k in range(levels, -1, -1):
+            node <<= 1
+            power = power * power % q
+            if path >> k & 1:
+                node += 1
+                power = power * basis % q
+            b = h(node)
+            accs[b] = (accs[b] + delta * power) % q
+        self.weight += (levels + 1) * abs(delta)
+
     def check_opening(self, bucket, entries, n, collect=None, arity=2):
         """Verify a claimed full content list for one bucket.
 
@@ -60,14 +88,16 @@ class BucketFingerprintState:
         need(len(entries) <= self.max_open, "opening too large")
         acc = 0
         prev = -1
+        power = 1  # basis^max(prev, 0)
         for e in entries:
             need(int_record(e, arity), "malformed opening entry")
             item, freq = e[0], e[1]
             need(prev < item < n, "opening items not sorted inside universe")
+            power = power * pow(self.basis, item - max(prev, 0), q) % q
             prev = item
             need(self.h(item) == bucket, "opening item in wrong bucket")
             need(freq != 0 and abs(freq) <= self.weight, "implausible opened frequency")
-            acc = (acc + freq * pow(self.basis, item, q)) % q
+            acc = (acc + freq * power) % q
             if collect is not None and item in collect:
                 collect[item] = freq
         need(acc == self.accs[bucket], "bucket fingerprint mismatch")
@@ -118,6 +148,13 @@ def open_buckets(h, counts, items, n, flagged=None):
     bits = sum(COUNT_BITS + opening_bits(e, n, flagged is not None)
                for _, e in openings)
     return openings, bits
+
+
+def check_items(updates, n):
+    """Raise ConfigError unless every stream item lies in [0, n)."""
+    for u in updates:
+        if not 0 <= u.item < n:
+            raise ConfigError(f"item {u.item} outside [0, {n})")
 
 
 def dyadic_counts(freq, n):
@@ -180,6 +217,7 @@ def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
     """Frequency of `query`, certified against one opened hash bucket."""
     if not 0 <= query < n:
         raise ConfigError(f"query {query} outside [0, {n})")
+    check_items(updates, n)
     if c_a * c_v < compute_meta(updates, n).sparsity:
         raise ConfigError("c_a * c_v must cover the stream's sparsity")
     verifier = PointQueryVerifier(n, c_a, c_v, derive_rng(seed, "pq-v"))
@@ -225,6 +263,7 @@ class SelectionProver(Prover):
 class SelectionVerifier(Verifier):
     def __init__(self, n, c_a, c_v, rng):
         self.n = n
+        self.levels = dyadic_levels(n)
         self.u_derived = dyadic_universe(n)
         self.state = BucketFingerprintState(DEFAULT_FIELD, c_a, c_v, rng)
         self.total = 0
@@ -236,8 +275,7 @@ class SelectionVerifier(Verifier):
 
     def update(self, u):
         self.total += u.delta
-        for node in dyadic_decompose(u.item, self.n):
-            self.state.update(node, u.delta)
+        self.state.update_dyadic(u.item, u.delta, self.levels)
 
     def end(self, chunks, query):
         rank = query
@@ -268,6 +306,7 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
 
     One bucket-fingerprint state over the derived dyadic stream serves all
     the parallel prefix-count openings."""
+    check_items(updates, n)
     m_derived = compute_meta(updates, n).sparsity * (dyadic_levels(n) + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
@@ -351,7 +390,6 @@ class HeavyHittersVerifier(Verifier):
         self.mi = mi
         self.state = (BucketFingerprintState(field, c_a, c_v, rng)
                       if mi is None else None)
-        self.sink = self.state if mi is None else mi  # takes the dyadic stream
         self.total = 0
         self.weight_seen = 0
         # multiset-equation fingerprint bases
@@ -369,8 +407,11 @@ class HeavyHittersVerifier(Verifier):
     def update(self, u):
         self.total += u.delta
         self.weight_seen += abs(u.delta)
-        for node in dyadic_decompose(u.item, self.n):
-            self.sink.update(node, u.delta)
+        if self.mi is None:
+            self.state.update_dyadic(u.item, u.delta, self.levels)
+        else:
+            for node in dyadic_decompose(u.item, self.n):
+                self.mi.update(node, u.delta)
 
     def end(self, chunks, query):
         phi = Fraction(query)
@@ -432,7 +473,7 @@ class HeavyHittersVerifier(Verifier):
 
     @property
     def words(self):
-        return self.sink.words + 8
+        return (self.state if self.mi is None else self.mi).words + 8
 
 
 def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
@@ -446,6 +487,7 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
         raise ConfigError("phi must be in (0, 1)")
     if mode not in ("openings", "multiindex"):
         raise ConfigError(f"unknown heavyhitters mode {mode!r}")
+    check_items(updates, n)
     meta = compute_meta(updates, n)
     levels = dyadic_levels(n)
     m_derived = max(1, meta.sparsity) * (levels + 1)

@@ -171,6 +171,8 @@ def find_perfect_hash(items, r: int, max_trials: int, rng,
 # Dyadic ranges of a power-of-two universe [2^L] are numbered heap-style:
 # the range [j*2^k, (j+1)*2^k - 1] gets id 2^(L-k) + j, so the root is 1,
 # leaves are 2^L + i, and parent(v) = v >> 1. Ids live in [0, 2^(L+1)).
+# The level-k node containing item i is (2^L + i) >> k: the item's nodes are
+# the binary prefixes of its leaf id, read from the root down.
 
 
 def dyadic_levels(n: int) -> int:

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from streamcert import pointqueries
+from streamcert.field import DEFAULT_FIELD
 from streamcert.harness import RunConfig, adversary, run_scheme
-from streamcert.pointqueries import (dyadic_counts, heavyhitters_run,
-                                     open_buckets, pq_run, selection_run)
-from streamcert.protocol import COUNT_BITS, Chunk, ConfigError, id_bits
-from streamcert.streams import StreamUpdate, random_pairwise_hash
+from streamcert.pointqueries import (BucketFingerprintState, dyadic_counts,
+                                     heavyhitters_run, open_buckets, pq_run,
+                                     selection_run)
+from streamcert.protocol import COUNT_BITS, Chunk, ConfigError, Reject, id_bits
+from streamcert.streams import (StreamUpdate, dyadic_decompose, dyadic_levels,
+                                dyadic_universe, random_pairwise_hash)
 
 from conftest import (bad_hash, dyadic_node_range, freq_oracle, rewrite_chunk,
                       rewrite_start_chunk, strict_stream)
@@ -260,3 +264,132 @@ def test_dyadic_counts_sum_leaf_frequencies(rng):
     for node, c in counts.items():
         lo, hi = dyadic_node_range(node, n)
         assert c == sum(f for i, f in freq.items() if lo <= i <= hi)
+
+
+def fingerprint_state(universe, c_v=4, seed=5):
+    """A bucket-fingerprint state with its hash set; equal seeds give equal
+    bases and hashes."""
+    rng = random.Random(seed)
+    state = BucketFingerprintState(DEFAULT_FIELD, 4, c_v, rng)
+    state.set_hash(random_pairwise_hash(universe, c_v, rng), universe)
+    return state
+
+
+def assert_dyadic_walk_matches_per_node(n, items, deltas):
+    levels = dyadic_levels(n)
+    walked = fingerprint_state(dyadic_universe(n))
+    per_node = fingerprint_state(dyadic_universe(n))
+    for i in items:
+        for delta in deltas:
+            walked.update_dyadic(i, delta, levels)
+            for node in dyadic_decompose(i, n):
+                per_node.update(node, delta)
+            assert walked.accs == per_node.accs
+            assert walked.weight == per_node.weight
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 17])
+def test_update_dyadic_matches_per_node_updates(n):
+    assert_dyadic_walk_matches_per_node(n, range(n), (1, -1, 3, -3))
+
+
+def test_update_dyadic_matches_per_node_updates_large_universe(rng):
+    n = 1 << 20
+    items = [rng.randrange(n) for _ in range(200)]
+    assert_dyadic_walk_matches_per_node(n, items, (1, -3))
+
+
+def opened_state(universe, bucket, entries):
+    """A state whose bucket holds the oracle fingerprint sum f * basis^v of
+    the given entries."""
+    state = fingerprint_state(universe)
+    q = state.field.q
+    state.accs[bucket] = sum(f * pow(state.basis, v, q) for v, f in entries) % q
+    state.weight = sum(abs(f) for _, f in entries)
+    return state
+
+
+def opening_cases(universe):
+    """(bucket, entries) openings: the bucket of id 0 with every id in it,
+    a single entry, and the bucket of the last id with every id in it."""
+    h = fingerprint_state(universe).h
+    full = {b: [(v, 1 + v % 5) for v in range(universe) if h(v) == b]
+            for b in (h(0), h(universe - 1))}
+    single = universe // 3
+    return [(h(0), full[h(0)]), (h(single), [(single, -2)]),
+            (h(universe - 1), full[h(universe - 1)])]
+
+
+def test_check_opening_accepts_oracle_fingerprint():
+    universe = dyadic_universe(13)
+    cases = opening_cases(universe)
+    assert cases[0][1][0][0] == 0 and len(cases[1][1]) == 1
+    assert cases[2][1][-1][0] == universe - 1
+    for bucket, entries in cases:
+        opened_state(universe, bucket, entries).check_opening(
+            bucket, entries, universe)
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first-entry", "last-entry"])
+def test_check_opening_rejects_one_off_count(at):
+    universe = dyadic_universe(13)
+    for bucket, entries in opening_cases(universe):
+        state = opened_state(universe, bucket, entries)
+        tampered = list(entries)
+        v, f = tampered[at]
+        tampered[at] = (v, f + 1)
+        with pytest.raises(Reject, match="fingerprint mismatch"):
+            state.check_opening(bucket, tampered, universe)
+
+
+def count_update_pows(monkeypatch, verifier_cls):
+    """Count the pow calls pointqueries makes inside verifier_cls.update."""
+    calls = {"pow": 0, "updates": 0}
+    inside = [False]
+
+    def counting_pow(*args):
+        calls["pow"] += inside[0]
+        return pow(*args)
+
+    update = verifier_cls.update
+
+    def counted_update(self, u):
+        calls["updates"] += 1
+        inside[0] = True
+        try:
+            update(self, u)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(pointqueries, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(verifier_cls, "update", counted_update)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["heavyhitters", "selection"])
+def test_dyadic_verifier_update_makes_one_pow_per_update(scheme, monkeypatch, rng):
+    n = 1 << 20
+    ups = strict_stream(rng, n, 30)
+    if scheme == "heavyhitters":
+        calls = count_update_pows(monkeypatch, pointqueries.HeavyHittersVerifier)
+        r = heavyhitters_run(ups, n, 0.2, c_a=128, c_v=8, seed=1)
+    else:
+        calls = count_update_pows(monkeypatch, pointqueries.SelectionVerifier)
+        r = selection_run(ups, n, 5, c_a=128, c_v=8, seed=1)
+    assert r.accepted
+    assert calls["updates"] == len(ups)
+    assert calls["pow"] <= calls["updates"]
+
+
+@pytest.mark.parametrize("run", [
+    lambda ups: pq_run(ups, 8, 0, c_a=8, c_v=8),
+    lambda ups: selection_run(ups, 8, 1, c_a=8, c_v=8),
+    lambda ups: heavyhitters_run(ups, 8, 0.5, c_a=8, c_v=8),
+    lambda ups: heavyhitters_run(ups, 8, 0.5, c_a=8, c_v=8, mode="multiindex"),
+], ids=["pointquery", "selection", "heavyhitters", "heavyhitters-multiindex"])
+@pytest.mark.parametrize("item", [10, 8, -1])
+def test_stream_item_outside_universe_raises(run, item):
+    with pytest.raises(ConfigError, match="outside"):
+        run([StreamUpdate(item, 1)])
+    with pytest.raises(ConfigError, match="outside"):
+        run([StreamUpdate(3, 2), StreamUpdate(item, 1)])
