@@ -8,9 +8,9 @@ indicator), and witness structure is checked with O(1) fingerprint state."""
 
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
                       Shape, fk_online_multi)
-from .protocol import (Chunk, ConfigError, Outcome, Prover, RelaxedOutcome,
-                       RunResult, Verifier, derive_rng, id_bits, int_record,
-                       need, resolve_prover, run_protocol)
+from .protocol import (Chunk, ConfigError, CostReport, Outcome, Prover,
+                       RelaxedOutcome, RunResult, Verifier, derive_rng, id_bits,
+                       int_record, need, resolve_prover, run_protocol)
 from .streams import StreamUpdate, compute_meta, fingerprint_of_range
 
 
@@ -300,8 +300,7 @@ def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
             n, shape, root, tree_edges, derive_rng(seed, "conn-p")))
     except ConfigError:
         # witness unusable: the prover cannot even form its annotation
-        from .protocol import CostReport
-        return RunResult(Outcome.reject(), CostReport(0, 0, 0, 0.0))
+        return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
     return run_protocol(verifier, prover, edges)
 
 

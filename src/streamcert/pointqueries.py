@@ -90,7 +90,10 @@ class BucketFingerprintState:
         prev = -1
         power = 1  # basis^max(prev, 0)
         for e in entries:
-            need(int_record(e, arity), "malformed opening entry")
+            # int_record(e, arity), inline: this runs once per opened entry
+            need(isinstance(e, (tuple, list)) and len(e) == arity
+                 and not [v for v in e if type(v) is not int],
+                 "malformed opening entry")
             item, freq = e[0], e[1]
             need(prev < item < n, "opening items not sorted inside universe")
             power = power * pow(self.basis, item - max(prev, 0), q) % q
@@ -348,8 +351,10 @@ class HeavyHittersProver(Prover):
         self.total += u.delta
 
     def _records(self, counts, phi):
-        bar = phi * self.total
-        claimed = {v for v, c in counts.items() if c >= bar}
+        phi = Fraction(phi)
+        # c >= phi * total, compared in integers as the verifier does
+        den, bar = phi.denominator, phi.numerator * self.total
+        claimed = {v for v, c in counts.items() if c * den >= bar}
         recs = {}
         for v in claimed:
             recs[v] = (counts.get(v, 0), 1)

@@ -69,12 +69,14 @@ def injection_params(field, r, c_a, c_v, value_bound):
 
 def subinjection_params(field, r, c_a, c_v, value_bound):
     return DenseParams(field=field, universe=r, c_a=c_a, c_v=c_v, vectors=4,
-                       degree=3, g=g_sub_purity(field), bound=value_bound)
+                       degree=3, g=g_sub_purity(field), bound=value_bound,
+                       gate=3)
 
 
 def subf2_params(field, n, c_a, c_v, value_bound):
     return DenseParams(field=field, universe=n, c_a=c_a, c_v=c_v, vectors=2,
-                       degree=3, g=g_sub_square(field), bound=value_bound)
+                       degree=3, g=g_sub_square(field), bound=value_bound,
+                       gate=1)
 
 
 class _DenseMap:
@@ -270,7 +272,7 @@ def ama_params(field, r, lgn, c_a, c_v):
     the result is only ever tested against zero, so any field value decodes."""
     return DenseParams(field=field, universe=r * lgn, c_a=c_a, c_v=c_v,
                        vectors=3, degree=3, g=g_triple_product(field),
-                       bound=(field.q - 1) // 2)
+                       bound=(field.q - 1) // 2, gate=2)
 
 
 def mark_all(dense):

@@ -12,6 +12,14 @@ accepts sum_{x < c_a} b(x).
 g must vanish at zero (g(0, ..., 0) = 0). Every cell where all l vectors are
 zero, padding cells past the universe included, then adds nothing to b, so
 the prover sums g over the cells it holds and the verifier over its rows.
+g must also act as an integer polynomial taken mod q: the prover hands it
+integers congruent to the field elements, not reduced ones, and relies on
+congruent inputs giving congruent outputs.
+
+An instance may name a gate: a vector z of which g is a multiple, as the
+marks are in g = z * (v^2 - u*w), z * f^2 and a * b * z. A column y with z
+zero at every cell has z~(X, y) = 0, so it adds nothing to b at any point,
+and the prover skips it. The verifier does not use the gate.
 
 Prover-side multi-point evaluation packs Lagrange-extended columns into wide
 integers (one limb per evaluation point) so the inner accumulation runs on
@@ -30,6 +38,7 @@ q > proof_len.
 import random
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from operator import add
 
 from .field import Field, eval_values_at, inverse_factorials, lagrange_row
 from .protocol import ConfigError
@@ -44,10 +53,17 @@ def prop1_min_field(degree: int, n: int, bound: int) -> int:
 class DenseParams:
     """Shape of one dense sum-check instance.
 
-    g is an evaluation callback over field elements (the verifier never needs
-    its coefficients) with declared total degree; it must vanish at zero, so
-    all-zero cells contribute nothing. A verified result is decoded to the
-    integer in (-q/2, q/2) it represents and must lie within [-bound, bound].
+    g is an evaluation callback with declared total degree (the verifier
+    never needs its coefficients); it must vanish at zero, so all-zero cells
+    contribute nothing. It acts as an integer polynomial taken mod q: it may
+    be handed any integers congruent to the field elements, and must return
+    a result congruent to g of those elements. A verified result is decoded to
+    the integer in (-q/2, q/2) it represents and must lie within
+    [-bound, bound].
+
+    gate, when not None, is the index of a vector z that divides g, so that g
+    vanishes wherever z does; the prover then skips every column in which z
+    is zero at every cell.
     """
 
     field: Field
@@ -58,6 +74,7 @@ class DenseParams:
     degree: int
     g: object
     bound: int
+    gate: int | None = None
 
     def __post_init__(self):
         if self.universe < 1 or self.c_a < 1 or self.c_v < 1:
@@ -73,6 +90,13 @@ class DenseParams:
             raise ConfigError("field too small to decode the output bound")
         if self.g([0] * self.vectors) % q != 0:
             raise ConfigError("g must vanish at zero")
+        if self.gate is not None:
+            if type(self.gate) is not int or not 0 <= self.gate < self.vectors:
+                raise ConfigError(f"gate {self.gate!r} is not a vector index")
+            probe = list(range(1, self.vectors + 1))
+            probe[self.gate] = 0
+            if self.g(probe) % q != 0:
+                raise ConfigError("g must vanish where the gate vector does")
 
     @property
     def proof_len(self):
@@ -169,6 +193,7 @@ class _ExtGrid:
         self.limb_bytes = _limb_bytes(field, c_a)
         self.s = c_a
         self.pack = []
+        self.slices = []
 
     def ensure(self, s: int):
         if s <= self.s:
@@ -191,15 +216,16 @@ class _ExtGrid:
             pack.append(int.from_bytes(
                 b"".join(map(int.to_bytes, vals, lbs, little)), "little"))
         self.pack = pack
+        self.slices = [slice(e * self.limb_bytes, (e + 1) * self.limb_bytes)
+                       for e in range(ext)]
         self.s = s
 
     def unpack(self, acc: int, ext: int):
-        """The first ext limbs of a packed accumulator, reduced mod q."""
-        q = self.field.q
-        lb = self.limb_bytes
-        raw = acc.to_bytes((self.s - self.c_a) * lb, "little")
-        return [int.from_bytes(raw[i * lb:(i + 1) * lb], "little") % q
-                for i in range(ext)]
+        """The first ext limbs of a packed accumulator, as integers congruent
+        to the field elements they stand for (not reduced mod q)."""
+        raw = acc.to_bytes((self.s - self.c_a) * self.limb_bytes, "little")
+        return list(map(int.from_bytes, map(raw.__getitem__, self.slices[:ext]),
+                        repeat("little")))
 
     @property
     def nbytes(self):
@@ -253,18 +279,23 @@ class DenseProver:
 
     def proof(self) -> DenseProof:
         """b on {0, ..., s-1}, summing g over the nonzero cells only (g
-        vanishes at zero): grid points read the cells, extension points
-        their packed Lagrange columns."""
+        vanishes at zero) of the columns where the gate vector, if any, is
+        nonzero somewhere: grid points read the cells, extension points
+        their packed Lagrange columns, folded unreduced and reduced once."""
         p = self.params
         q = self.field.q
         g = p.g
         s = p.proof_len
         c_a, c_v = p.c_a, p.c_v
 
+        live = (range(c_v) if p.gate is None
+                else {item % c_v for item in self.vecs[p.gate]})
         cells = {}
         for j, vec in enumerate(self.vecs):
             for item, v in vec.items():
                 xy = divmod(item, c_v)
+                if xy[1] not in live:
+                    continue
                 slot = cells.get(xy)
                 if slot is None:
                     slot = cells[xy] = [0] * p.vectors
@@ -294,7 +325,7 @@ class DenseProver:
             bext = zeros
             for accs in cols.values():
                 limbs = [grid.unpack(a, ext) if a else zeros for a in accs]
-                bext = [b + g(vals) for b, vals in zip(bext, zip(*limbs))]
+                bext = list(map(add, bext, map(g, zip(*limbs))))
             values[c_a:] = [b % q for b in bext]
 
         return DenseProof(values, self.field.bits)

@@ -210,6 +210,15 @@ def test_cli_bad_multiindex_claim_exits_1(claim, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_unusable_tree_witness_rejects_with_exit_2(tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    short = tmp_path / "short-tree.txt"
+    short.write_text("root 0\n0 1\n0 2\n")  # 2 of the 3 tree edges
+    rc, out = _cli_json(capsys, ["connectivity", "--input", str(paths["edges"]),
+                                 "--witness-file", str(short)])
+    assert rc == 2 and out["outcome"] == "reject" and "value" not in out
+
+
 def test_cli_bad_witness_file_exits_1(tmp_path, capsys):
     paths = _write_inputs(tmp_path)
     assert cli_main(["connectivity", "--input", str(paths["edges"]),

@@ -139,7 +139,8 @@ def test_connectivity_star_and_random(rng):
 def test_connectivity_bad_witnesses_rejected():
     star = [(0, i, 1) for i in range(1, 6)]
     # too few edges: unusable witness gives bottom
-    assert verify_connectivity(star, 6, (0, [(0, i) for i in range(1, 5)])).rejected
+    r = verify_connectivity(star, 6, (0, [(0, i) for i in range(1, 5)]))
+    assert r.rejected and isinstance(r.outcome, RelaxedOutcome)
     # spanning tree with a fake edge
     fake = (0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
     assert verify_connectivity(star, 6, fake, seed=2).rejected

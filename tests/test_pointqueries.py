@@ -145,8 +145,10 @@ def test_selection_malformed_answer_rejected(fn):
     ("hh-records", lambda recs: None),
     ("hh-openings", lambda ops: [(b, [(v, c) for v, c, _ in es]) for b, es in ops]),
     ("hh-openings", lambda ops: [(str(b), es) for b, es in ops]),
+    ("hh-openings", lambda ops: [(b, [(v, c, bool(f)) for v, c, f in es])
+                                 for b, es in ops]),
 ], ids=["two-field-record", "string-record", "no-records",
-        "two-field-opening", "string-bucket"])
+        "two-field-opening", "string-bucket", "bool-flag"])
 def test_hh_malformed_annotation_rejected(kind, fn):
     ups = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
         [StreamUpdate(i, 1) for i in range(2, 12)]
@@ -328,6 +330,22 @@ def test_check_opening_accepts_oracle_fingerprint():
     for bucket, entries in cases:
         opened_state(universe, bucket, entries).check_opening(
             bucket, entries, universe)
+
+
+@pytest.mark.parametrize("entry", [
+    (0, True), (0.0, 1), (0, 1, 0), (0,), "01", None, {0: 0, 1: 1},
+], ids=["bool-count", "float-id", "three-fields", "one-field", "str", "none",
+        "dict"])
+def test_check_opening_malformed_entry_rejected(entry):
+    # the well-typed entry (0, 1) matches the fingerprint, so only the shape
+    # check can refuse its malformed stand-in
+    universe = dyadic_universe(13)
+    bucket, entries = opening_cases(universe)[0]
+    assert entries[0] == (0, 1)
+    state = opened_state(universe, bucket, entries)
+    state.check_opening(bucket, entries, universe)
+    with pytest.raises(Reject, match="malformed opening entry"):
+        state.check_opening(bucket, [entry] + entries[1:], universe)
 
 
 @pytest.mark.parametrize("at", [0, -1], ids=["first-entry", "last-entry"])

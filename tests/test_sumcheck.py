@@ -1,16 +1,20 @@
 import random
+from dataclasses import replace
+from math import factorial
 
 import pytest
 
 from streamcert.field import Field, M61, field_at_least
+from streamcert.moments import fk_ama_mode, fk_footprint_mode, fk_online_run
 from streamcert.protocol import ConfigError
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
                                  DenseVerifier, dense_prover_proof,
                                  dense_verifier_init, dense_verifier_update,
                                  dense_verify, g_power, g_product, g_purity,
-                                 prop1_min_field, _ExtGrid)
+                                 g_sub_purity, g_sub_square, g_triple_product,
+                                 prop1_min_field, _EXT_CACHE, _ExtGrid)
 
-from conftest import lagrange_basis_at
+from conftest import lagrange_basis_at, moment_oracle, strict_stream
 
 FM = Field(M61)
 
@@ -283,3 +287,127 @@ def test_oversized_extension_grid_refused_when_built():
     with pytest.raises(ConfigError, match=f"c_a=16384 needs {16384 * 16383 * 18} bytes"):
         DenseProver(big)
     DenseProver(DenseParams(field, 1024, 1024, 1, 1, 2, g_power(field, 2), 1))
+
+
+# ------------------------------------------------------- gated instances
+
+
+def gated_vecs(rng, universe, c_v, z_cols):
+    """u, v, w nonzero at a random cell of every column and at a few more;
+    marks z at one cell of each column in z_cols only."""
+    def cells(cols):
+        return [rng.randrange(universe // c_v) * c_v + y for y in cols]
+
+    vecs = [{i: rng.randrange(1, 50)
+             for i in cells(range(c_v)) + rng.sample(range(universe), 6)}
+            for _ in range(3)]
+    vecs.append({i: rng.randrange(1, 4) for i in cells(z_cols)})
+    return vecs
+
+
+@pytest.mark.parametrize("z_cols", [(), (0, 1, 2, 3), (0, 2, 3)],
+                         ids=["no-live-column", "all-live", "dead-column-1"])
+def test_gated_proof_matches_direct_extension_oracle(z_cols, rng):
+    universe, c_a, c_v = 24, 6, 4
+    p = params_for(universe, c_a, c_v, 4, 3, g_sub_purity(FM), 10 ** 15, gate=3)
+    for _ in range(5):
+        vecs = gated_vecs(rng, universe, c_v, z_cols)
+        proof = dense_prover_proof(vecs, p)
+        assert proof.values == direct_values(p, vecs)
+        if not z_cols:
+            assert proof.values == [0] * p.proof_len
+        st = dense_verifier_init(p, rng.random())
+        for j, vec in enumerate(vecs):
+            for item, v in vec.items():
+                dense_verifier_update(st, j, item, v)
+        assert dense_verify(st, proof) == sum(
+            vecs[3].get(i, 0) * (vecs[1].get(i, 0) ** 2
+                                 - vecs[0].get(i, 0) * vecs[2].get(i, 0))
+            for i in range(universe))
+
+
+def test_degree_two_proof_reads_a_prefix_of_a_grown_grid(rng):
+    field = Field(10007)
+    universe, c_a, c_v = 35, 7, 5
+    p3 = DenseParams(field, universe, c_a, c_v, 2, 3, g_sub_square(field),
+                     5000, gate=1)
+    p2 = DenseParams(field, universe, c_a, c_v, 2, 2, g_product(field), 5000)
+    vecs = [{i: rng.randrange(1, 9) for i in rng.sample(range(universe), 12)}
+            for _ in range(2)]
+    assert dense_prover_proof(vecs, p3).values == direct_values(p3, vecs)
+    grid = _EXT_CACHE[(field.q, c_a)]
+    assert grid.s >= p3.proof_len > p2.proof_len
+    assert len(grid.slices) == grid.s - c_a
+    assert dense_prover_proof(vecs, p2).values == direct_values(p2, vecs)
+
+
+def test_gate_validation():
+    with pytest.raises(ConfigError, match="not a vector index"):
+        params_for(16, 4, 4, 4, 3, g_sub_purity(FM), 100, gate=4)
+    with pytest.raises(ConfigError, match="not a vector index"):
+        params_for(16, 4, 4, 4, 3, g_sub_purity(FM), 100, gate=-1)
+    with pytest.raises(ConfigError, match="not a vector index"):
+        params_for(16, 4, 4, 4, 3, g_sub_purity(FM), 100, gate=True)
+    # g = z * (v^2 - u*w) does not vanish where u does
+    with pytest.raises(ConfigError, match="where the gate vector does"):
+        params_for(16, 4, 4, 4, 3, g_sub_purity(FM), 100, gate=0)
+    with pytest.raises(ConfigError, match="where the gate vector does"):
+        params_for(16, 4, 4, 3, 2, g_purity(FM), 100, gate=1)
+    for gate in range(3):  # every factor of a * b * z gates it
+        params_for(16, 4, 4, 3, 3, g_triple_product(FM), 100, gate=gate)
+
+
+@pytest.mark.parametrize("run, want_gates", [
+    (fk_ama_mode, {1, 2}), (fk_online_run, {1, 3}), (fk_footprint_mode, {1, 3}),
+], ids=["ama", "strict", "footprint"])
+def test_gated_stage_proofs_equal_ungated(run, want_gates, monkeypatch, rng):
+    real = DenseProver.proof
+    gates = []
+
+    def checked(self):
+        proof = real(self)
+        if self.params.gate is not None:
+            plain = DenseProver(replace(self.params, gate=None))
+            plain.vecs = self.vecs
+            assert proof.values == real(plain).values
+            gates.append(self.params.gate)
+        return proof
+
+    monkeypatch.setattr(DenseProver, "proof", checked)
+    n = 1 << 12
+    ups = strict_stream(rng, n, 60)
+    r = run(ups, n, 2, 4, seed=3)
+    assert r.value == moment_oracle(ups, 2)
+    assert set(gates) == want_gates
+
+
+# ------------------------------------------------------ verifier Lagrange row
+
+
+def closed_form_row(field, c, r):
+    """L_x(r) = C(r) * w_x / (r - x) for r off {0, ..., c-1}, from r and the
+    public weights w_x = (-1)^(c-1-x) / (x! (c-1-x)!)."""
+    q = field.q
+    big_c = 1
+    for k in range(c):
+        big_c = big_c * (r - k) % q
+    row = []
+    for x in range(c):
+        w = (-1) ** (c - 1 - x) * pow(factorial(x) * factorial(c - 1 - x), q - 2, q)
+        row.append(big_c * w * pow(r - x, q - 2, q) % q)
+    return row
+
+
+@pytest.mark.parametrize("field", [Field(101), FM], ids=["q101", "m61"])
+@pytest.mark.parametrize("c_a", [1, 2, 5, 16])
+def test_verifier_row_is_the_closed_form_lagrange_row(field, c_a):
+    p = DenseParams(field, c_a, c_a, 1, 1, 1, g_power(field, 1), 10)
+    for seed in range(20):
+        st = DenseVerifier(p, random.Random(seed))
+        if st.r < c_a:
+            continue
+        assert st._lagrange() == closed_form_row(field, c_a, st.r)
+    for r in range(c_a):  # on the grid the row is the unit vector at r
+        st = DenseVerifier(p, random.Random(0))
+        st.r = r
+        assert st._lagrange() == [int(x == r) for x in range(c_a)]
