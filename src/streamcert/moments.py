@@ -60,7 +60,7 @@ from .streams import (StreamUpdate, compute_meta, find_perfect_hash,
                       frequency_map, hash_fits, random_pairwise_hash)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
                        g_product, prop1_min_field)
-from .purity import (add_purity, ama_coords, ama_params, balanced_shape,
+from .purity import (AmaPurity, ama_params, balanced_shape,
                      draw_public_coins, injection_params, mark_all,
                      purity_deltas, purity_min_field, subf2_params,
                      subinjection_params)
@@ -123,11 +123,11 @@ class Shape:
     # purity feed -----------------------------------------------------------
 
     def purity_terms(self, ident, count):
-        """(u, v, w) terms of `count` copies of ident for a purity instance,
-        computed once however many instances take them; None in AMA mode,
-        where the terms depend on the bucket."""
+        """The purity sinks' terms for `count` copies of ident, computed once
+        however many sinks take them: (u, v, w), or (ident, count) in AMA
+        mode, where the coordinates depend on the bucket."""
         if self.mode == MODE_AMA:
-            return None
+            return ident, count
         return purity_deltas(self.field_purity, ident, count)
 
     def occupancy(self, delta, weight):
@@ -136,16 +136,12 @@ class Shape:
         occupies buckets with absolute weight, the count otherwise."""
         return weight if self.mode == MODE_FOOTPRINT else delta
 
-    def feed_purity(self, dense, ident, bucket, delta, terms):
-        """One update into a purity instance at `bucket`: its (u, v, w)
-        terms, or in AMA mode its fingerprint coordinates."""
-        if terms is not None:
-            add_purity(dense, bucket, terms)
-            return
-        alpha, beta = self.coins
-        for vec, coord, d in ama_coords(self.field_purity, alpha, beta, self.n_ids,
-                                        self.lgn, ident, bucket, delta):
-            dense.update(vec, coord, d)
+    def purity_sink(self, dense):
+        """What takes add_purity(bucket, purity_terms(...)) for a purity
+        instance, chosen once so that no update branches on the mode."""
+        if self.mode == MODE_AMA:
+            return AmaPurity(dense, self.coins, self.n_ids, self.lgn)
+        return dense
 
     # dense parameter bundles ------------------------------------------------
 
@@ -197,6 +193,7 @@ class _StageMap:
         self.shape = shape
         t = shape.t_max
         self.checks = [dense(shape.stage_check_params()) for _ in range(t)]
+        self.sinks = [shape.purity_sink(c) for c in self.checks]
         self.sf_net = [dense(shape.stage_subf2_params()) for _ in range(t)]
         self.sf_abs = None
         per_stage = [self.checks, self.sf_net]
@@ -210,16 +207,16 @@ class _StageMap:
         """Map ident's count delta, of absolute update weight `weight`.
         terms: its purity terms, when the caller has them. Returns ident's
         bucket at each stage."""
-        sh = self.shape
-        occ = sh.occupancy(delta, weight)
         if terms is None:
-            terms = sh.purity_terms(ident, occ)
+            sh = self.shape
+            terms = sh.purity_terms(ident, sh.occupancy(delta, weight))
         buckets = [h(ident) for h in self.hs]
-        for j, b in enumerate(buckets):
-            self.sf_net[j].update(0, b, delta)
-            if self.sf_abs is not None:
-                self.sf_abs[j].update(0, b, weight)
-            sh.feed_purity(self.checks[j], ident, b, occ, terms)
+        for b, sf, sink in zip(buckets, self.sf_net, self.sinks):
+            sf.update(0, b, delta)
+            sink.add_purity(b, terms)
+        if self.sf_abs is not None:
+            for b, sf in zip(buckets, self.sf_abs):
+                sf.update(0, b, weight)
         return buckets
 
     def entry(self, ident, fstar, stage, wstar=None, buckets=None):
@@ -234,10 +231,9 @@ class _StageMap:
                 self.sf_abs[j].update(0, b, -wstar)
         j = stage - 1
         b = buckets[j]
-        insert = wstar if sh.mode == MODE_FOOTPRINT else fstar
+        insert = sh.occupancy(fstar, wstar)
         if insert:
-            sh.feed_purity(self.checks[j], ident, b, insert,
-                           sh.purity_terms(ident, insert))
+            self.sinks[j].add_purity(b, sh.purity_terms(ident, insert))
         if sh.mode == MODE_AMA:
             for jj in range(sh.lgn):
                 self.checks[j].update(2, b * sh.lgn + jj, 1)
@@ -476,6 +472,7 @@ class _EngineMap:
         else:
             self.mains = {k: dense(shape.main_power_params(k)) for k in self.ks}
         self.main_inj = dense(shape.main_injection_params())
+        self.main_sink = shape.purity_sink(self.main_inj)
         if shape.mode == MODE_AMA:
             mark_all(self.main_inj)
 
@@ -491,9 +488,8 @@ class _EngineMap:
         else:
             for k in self.ks:
                 self.mains[k].update(0, b, delta)
-        occ = sh.occupancy(delta, weight)
-        terms = sh.purity_terms(item, occ)
-        sh.feed_purity(self.main_inj, item, b, occ, terms)
+        terms = sh.purity_terms(item, sh.occupancy(delta, weight))
+        self.main_sink.add_purity(b, terms)
         return b, terms
 
     def remove(self, entry):
@@ -512,8 +508,7 @@ class _EngineMap:
                 self.mains[k].update(0, b, -removal)
         if sh.mode == MODE_FOOTPRINT:  # the certified weight
             removal = entry[2]
-        sh.feed_purity(self.main_inj, i, b, -removal,
-                       sh.purity_terms(i, -removal))
+        self.main_sink.add_purity(b, sh.purity_terms(i, -removal))
 
 
 class OnlineEngineProver(_EngineMap, Prover):
@@ -728,7 +723,7 @@ def _prescient_feed(h, main, inj, item, delta):
     bucket h(item) of the main instance and of the injection check."""
     b = h(item)
     main.update(0, b, delta)
-    add_purity(inj, b, purity_deltas(inj.field, item, delta))
+    inj.add_purity(b, purity_deltas(inj.field, item, delta))
 
 
 class _PrescientFkProver(Prover):

@@ -53,15 +53,6 @@ def purity_deltas(field: Field, item: int, delta: int):
     return d, d * item % q, d * item % q * item % q
 
 
-def add_purity(dense, bucket, terms):
-    """Add one update's (u, v, w) terms, from purity_deltas, at `bucket` of
-    a purity instance's vectors 0, 1 and 2."""
-    du, dv, dw = terms
-    dense.update(0, bucket, du)
-    dense.update(1, bucket, dv)
-    dense.update(2, bucket, dw)
-
-
 def injection_params(field, r, c_a, c_v, value_bound):
     return DenseParams(field=field, universe=r, c_a=c_a, c_v=c_v, vectors=3,
                        degree=2, g=g_purity(field), bound=value_bound)
@@ -156,8 +147,8 @@ def _run_dense(updates, params, seed, label, prover, mapping, *args):
 
 class _InjectionMap(_DenseMap):
     def feed(self, u):
-        add_purity(self.dense, u.bucket,
-                   purity_deltas(self.dense.field, u.item, u.delta))
+        self.dense.add_purity(u.bucket,
+                              purity_deltas(self.dense.field, u.item, u.delta))
 
 
 def injection_run(updates, n, r, *, seed=0, prover=None) -> RunResult:
@@ -249,24 +240,6 @@ def subf2_run(updates, z, n, *, seed=0, prover=None) -> RunResult:
 # ------------------------------------------------------------- AMA Injection
 
 
-def ama_coords(field: Field, alpha: int, beta: int, n: int, lgn: int,
-               item: int, bucket: int, delta: int):
-    """The log(n) dense-instance updates induced by one bucketed update.
-
-    Yields (vector, coordinate, field delta): vector 0 holds fingerprints of
-    the bit=0 side of each (bucket, bit) split under alpha, vector 1 the
-    bit=1 side under beta.
-    """
-    q = field.q
-    d = delta % q
-    for j in range(lgn):
-        coord = bucket * lgn + j
-        if (item >> j) & 1 == 0:
-            yield 0, coord, d * pow(alpha, n * coord + item, q) % q
-        else:
-            yield 1, coord, d * pow(beta, n * coord + item, q) % q
-
-
 def ama_params(field, r, lgn, c_a, c_v):
     """Vectors 0 and 1 hold the two sides' fingerprints, vector 2 the marks;
     the result is only ever tested against zero, so any field value decodes."""
@@ -282,20 +255,49 @@ def mark_all(dense):
         dense.update(2, coord, 1)
 
 
+class AmaPurity:
+    """An AMA instance behind the add_purity(bucket, terms) call of the
+    integer purity instances; terms is (item, count). Coordinate
+    c = bucket * lgn + j takes count * alpha^(n*c + item) in vector 0 (the
+    bit=0 side of the split) when bit j of the item is 0, else
+    count * beta^(n*c + item) in vector 1. The exponent grows by n per
+    coordinate, so both powers step by alpha^n and beta^n: two pows a call."""
+
+    def __init__(self, dense, coins, n, lgn):
+        self.dense = dense
+        self.q = q = dense.field.q
+        self.alpha, self.beta = coins
+        self.steps = pow(self.alpha, n, q), pow(self.beta, n, q)
+        self.n, self.lgn = n, lgn
+
+    def add_purity(self, bucket, terms):
+        item, count = terms
+        q = self.q
+        coord = bucket * self.lgn
+        e = self.n * coord + item
+        d = count % q
+        a, b = d * pow(self.alpha, e, q) % q, d * pow(self.beta, e, q) % q
+        a_step, b_step = self.steps
+        update = self.dense.update
+        for j in range(self.lgn):
+            if (item >> j) & 1 == 0:
+                update(0, coord + j, a)
+            else:
+                update(1, coord + j, b)
+            a = a * a_step % q
+            b = b * b_step % q
+
+
 class _AmaInjectionMap(_DenseMap):
     coin_words = 2  # the public coins count against both costs
 
     def __init__(self, dense, coins, n, lgn):
         super().__init__(dense)
-        self.alpha, self.beta = coins
-        self.n = n
-        self.lgn = lgn
+        self.sink = AmaPurity(dense, coins, n, lgn)
         mark_all(dense)
 
     def feed(self, u):
-        for vec, coord, d in ama_coords(self.dense.field, self.alpha, self.beta,
-                                        self.n, self.lgn, u.item, u.bucket, u.delta):
-            self.dense.update(vec, coord, d)
+        self.sink.add_purity(u.bucket, (u.item, u.delta))
 
 
 def draw_public_coins(field: Field, coins_seed) -> tuple:

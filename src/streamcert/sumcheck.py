@@ -120,27 +120,36 @@ class DenseProof:
 
 class DenseVerifier:
     """Streaming verifier state: secret r plus an l x c_v table of low-degree
-    extension evaluations. The Lagrange coefficient row at r is a pure
-    function of (q, c_a, r) and is kept as an uncharged lookup table."""
+    extension evaluations. The Lagrange coefficient row at r, a pure function
+    of (q, c_a, r), is computed when r is drawn and kept as an uncharged
+    lookup table (test_verifier_row_is_the_closed_form_lagrange_row checks it
+    against the closed form in r and the public weights)."""
 
     def __init__(self, params: DenseParams, rng):
         self.params = params
         self.field = params.field
         self.r = self.field.rand(rng)
+        self.c_v = params.c_v
+        self.q = self.field.q
+        self.lrow = lagrange_row(self.field, params.c_a, self.r)
         self.rows = [[0] * params.c_v for _ in range(params.vectors)]
-        self._lrow = None
         self.word_bits = self.field.bits
 
-    def _lagrange(self):
-        if self._lrow is None:
-            self._lrow = lagrange_row(self.field, self.params.c_a, self.r)
-        return self._lrow
-
     def update(self, j, item, delta):
-        p = self.params
-        x, y = divmod(item, p.c_v)
+        x, y = divmod(item, self.c_v)
         row = self.rows[j]
-        row[y] = (row[y] + delta * self._lagrange()[x]) % self.field.q
+        row[y] = (row[y] + delta * self.lrow[x]) % self.q
+
+    def add_purity(self, item, terms):
+        """update(j, item, terms[j]) for j = 0, 1, 2, with one lookup."""
+        x, y = divmod(item, self.c_v)
+        lx = self.lrow[x]
+        q = self.q
+        du, dv, dw = terms
+        u, v, w = self.rows[0], self.rows[1], self.rows[2]
+        u[y] = (u[y] + du * lx) % q
+        v[y] = (v[y] + dv * lx) % q
+        w[y] = (w[y] + dw * lx) % q
 
     def verify(self, proof: DenseProof):
         """Exact F on success, None on any failed check."""
@@ -276,6 +285,11 @@ class DenseProver:
             vec[item] = d
         else:
             vec.pop(item, None)
+
+    def add_purity(self, item, terms):
+        """Vectors 0, 1 and 2 take the (u, v, w) terms at item."""
+        for j, d in enumerate(terms):
+            self.update(j, item, d)
 
     def proof(self) -> DenseProof:
         """b on {0, ..., s-1}, summing g over the nonzero cells only (g

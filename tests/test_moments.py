@@ -4,7 +4,8 @@ import pytest
 
 from streamcert import streams, sumcheck
 from streamcert.harness import ChunkTamper, adversary, synthetic_stream
-from streamcert.moments import (MODE_STRICT, MultiIndexProverCore, Shape,
+from streamcert.moments import (MODE_STRICT, MultiIndexProverCore,
+                                OnlineEngineProver, OnlineEngineVerifier, Shape,
                                 disj_online_run, disj_prescient_run,
                                 fk_ama_mode, fk_footprint_mode,
                                 fk_online_multi, fk_online_run,
@@ -587,3 +588,52 @@ def test_prover_dense_updates_scale_with_ids_not_updates(tagged, monkeypatch, rn
     fan_out = 1 + 3 + 4 * p.shape.t_max
     bound = (len(ids) + 2 * entries) * fan_out
     assert calls[0] <= bound < len(ups)
+
+
+# ------------------------------------------- the verifier's per-update fan-out
+
+
+def test_strict_verifier_fans_each_update_out_once_per_instance(monkeypatch, rng):
+    # per stream update: the F2 instance and each stage's SubF2 take one
+    # single-vector update; the main injection and each stage's purity
+    # check take one fused purity cell
+    ups = strict_stream(rng, N20, 60, churn=0.4)
+    meta = compute_meta(ups, N20)
+    shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, ks=(2,))
+    prover = OnlineEngineProver(shape, N20, (2,), False, random.Random(1))
+    verifier = OnlineEngineVerifier(shape, N20, (2,), False, random.Random(2))
+    verifier.begin(prover.start())
+    calls = {"update": 0, "add_purity": 0}
+    for name in calls:
+        method = getattr(sumcheck.DenseVerifier, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(sumcheck.DenseVerifier, name, counted)
+    for u in ups:
+        prover.on_update(u)
+        before = dict(calls)
+        verifier.update(u)
+        assert calls["update"] - before["update"] == 1 + shape.t_max
+        assert calls["add_purity"] - before["add_purity"] == 1 + shape.t_max
+    chunks = prover.finish(None)
+    assert next(len(c.data) for c in chunks if c.kind == "collision-list") > 0
+    assert verifier.end(chunks, None).value == {2: moment_oracle(ups, 2)}
+
+
+def test_one_stage_loop_serves_every_mode():
+    # one strict stream whose collision list takes three stages, through
+    # the stage loop and its purity sinks in every mode: each accepts the
+    # exact value, and its costs are pinned (a change is a deliberate cost
+    # change, as for the transcript pins)
+    ups = strict_stream(random.Random(13), 1 << 10, 40, churn=0.4)
+    want = {"strict": (47048, 362), "footprint": (64954, 462),
+            "ama": (400421, 324)}
+    for mode, (hcost, vcost) in want.items():
+        r = fk_online_multi(ups, 1 << 10, (2,), 4, seed=1, mode=mode,
+                            coins_seed=1)
+        assert r.value == {2: moment_oracle(ups, 2)} == {2: 375}
+        assert r.info["stages_used"] == 3
+        assert (r.cost.hcost_bits, r.cost.vcost_words) == (hcost, vcost)

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from streamcert.field import M61
+from streamcert.field import M61, field_at_least
 from streamcert.harness import adversary
 from streamcert.protocol import ConfigError
-from streamcert.purity import (ama_injection_run, injection_run,
+from streamcert.purity import (AmaPurity, ama_injection_run, injection_run,
                                purity_min_field,
                                subf2_run, subinjection_run)
 from streamcert.streams import BucketedUpdate, StreamUpdate
@@ -161,3 +161,37 @@ def test_ama_counts_coins_toward_costs():
     r = ama_injection_run([BucketedUpdate(5, 2, 3)], 8, 4, coins_seed=1)
     assert r.value == 1
     assert r.cost.hcost_bits > 2 * 61  # includes both public coins
+
+
+class RecordingDense:
+    """Stands in for a dense instance: records each update."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = []
+
+    def update(self, j, item, delta):
+        self.calls.append((j, item, delta))
+
+
+@pytest.mark.parametrize("n,r", [(1 << 10, 4), (1 << 20, 64)])
+def test_ama_stepped_powers_match_one_pow_per_coordinate(n, r):
+    lgn = (n - 1).bit_length()
+    field = field_at_least((n * n) * r * lgn << 20)
+    q = field.q
+    rng = random.Random(n)
+    alpha, beta = field.rand(rng), field.rand(rng)
+    dense = RecordingDense(field)
+    sink = AmaPurity(dense, (alpha, beta), n, lgn)
+    for item in (0, n - 1, rng.randrange(n)):
+        for bucket in (0, r - 1, rng.randrange(r)):
+            for delta in (1, 3, -1, -7):
+                dense.calls = []
+                sink.add_purity(bucket, (item, delta))
+                want = []
+                for j in range(lgn):
+                    coord = bucket * lgn + j
+                    bit = (item >> j) & 1
+                    base = beta if bit else alpha
+                    want.append((bit, coord, delta * pow(base, n * coord + item, q) % q))
+                assert dense.calls == want

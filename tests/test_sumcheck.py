@@ -75,6 +75,19 @@ def test_inner_product_of_disjoint_indicators_is_zero():
     assert dense_verify(st, dense_prover_proof([a, b], p)) == 0
 
 
+class FixedPoint:
+    """Stands in for the verifier's rng: every draw returns r, so a
+    DenseVerifier built over it has its secret point, and its Lagrange row,
+    at r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def randrange(self, stop):
+        assert 0 <= self.r < stop
+        return self.r
+
+
 def test_update_cancellation_and_own_node():
     p = params_for(16, 4, 4, 1, 2, g_power(FM, 2), 10_000)
     st = dense_verifier_init(p, 11)
@@ -83,10 +96,29 @@ def test_update_cancellation_and_own_node():
     dense_verifier_update(st, 0, 9, -5)
     assert st.rows == before
     # r landing on a grid row makes the Lagrange factor one
-    st.r = 2  # x-coordinate 2 corresponds to items 8..11
-    st._lrow = None
+    st = DenseVerifier(p, FixedPoint(2))  # x = 2 holds items 8..11
     dense_verifier_update(st, 0, 9, 7)
     assert st.rows[0][1] == 7
+
+
+def test_add_purity_is_three_updates(rng):
+    # one fused purity cell leaves both sides exactly as three updates do,
+    # including a cell whose terms cancel, which pops the prover's entries
+    p = params_for(16, 4, 4, 4, 3, g_sub_purity(FM), 10 ** 6, gate=3)
+    fused_v, plain_v = DenseVerifier(p, random.Random(5)), DenseVerifier(p, random.Random(5))
+    fused_p, plain_p = DenseProver(p), DenseProver(p)
+    cells = [(rng.randrange(15), tuple(rng.randrange(-5, 6) for _ in range(3)))
+             for _ in range(40)]
+    cells += [(15, (2, FM.q - 3, 4)), (15, (-2, 3, FM.q - 4))]
+    for item, terms in cells:
+        for fused, plain in ((fused_v, plain_v), (fused_p, plain_p)):
+            fused.add_purity(item, terms)
+            for j, t in enumerate(terms):
+                plain.update(j, item, t)
+    assert fused_v.rows == plain_v.rows
+    assert fused_p.vecs == plain_p.vecs
+    assert all(15 not in vec for vec in fused_p.vecs)
+    assert fused_v.rows[3] == [0] * 4 and fused_p.vecs[3] == {}
 
 
 def test_rows_match_direct_extension(rng):
@@ -406,8 +438,7 @@ def test_verifier_row_is_the_closed_form_lagrange_row(field, c_a):
         st = DenseVerifier(p, random.Random(seed))
         if st.r < c_a:
             continue
-        assert st._lagrange() == closed_form_row(field, c_a, st.r)
+        assert st.lrow == closed_form_row(field, c_a, st.r)
     for r in range(c_a):  # on the grid the row is the unit vector at r
-        st = DenseVerifier(p, random.Random(0))
-        st.r = r
-        assert st._lagrange() == [int(x == r) for x in range(c_a)]
+        st = DenseVerifier(p, FixedPoint(r))
+        assert st.lrow == [int(x == r) for x in range(c_a)]
