@@ -4,15 +4,17 @@ import pytest
 
 from streamcert import streams, sumcheck
 from streamcert.harness import ChunkTamper, adversary, synthetic_stream
-from streamcert.moments import (MODE_STRICT, MultiIndexProverCore,
-                                OnlineEngineProver, OnlineEngineVerifier, Shape,
+from streamcert.moments import (MODE_AMA, MODE_FOOTPRINT, MODE_STRICT,
+                                MultiIndexProverCore, OnlineEngineProver,
+                                OnlineEngineVerifier, Shape,
                                 disj_online_run, disj_prescient_run,
                                 fk_ama_mode, fk_footprint_mode,
                                 fk_online_multi, fk_online_run,
                                 fk_prescient_run, hamming_run,
-                                inner_product_run, multiindex_run, subset_run)
+                                inner_product_run, multiindex_run, subset_run,
+                                tagged_meta)
 from streamcert.pointqueries import heavyhitters_run, open_buckets
-from streamcert.protocol import Chunk, ConfigError
+from streamcert.protocol import Chunk, ConfigError, Reject
 from streamcert.streams import StreamUpdate as U, compute_meta
 
 from conftest import (bad_hash, freq_oracle, moment_oracle, rewrite_chunk,
@@ -637,3 +639,56 @@ def test_one_stage_loop_serves_every_mode():
         assert r.value == {2: moment_oracle(ups, 2)} == {2: 375}
         assert r.info["stages_used"] == 3
         assert (r.cost.hcost_bits, r.cost.vcost_words) == (hcost, vcost)
+
+
+# ------------------------------- the collision list's plausibility rules
+
+# (mode, two-sided, rewrites of the first honest entry e, of item i, under
+# a stream of weight w): each entry breaks a plausibility rule of its mode
+PLAUSIBILITY_CASES = {
+    "strict": (MODE_STRICT, False, lambda i, w, e: [(i, 0), (i, w + 1)]),
+    "tagged": (MODE_STRICT, True,
+               lambda i, w, e: [(i, 0, 0), (i, -1, 2), (i, w + 1, 0)]),
+    "footprint": (MODE_FOOTPRINT, False, lambda i, w, e: [(i, w + 1, e[2])]),
+    "ama": (MODE_AMA, False, lambda i, w, e: [(i, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", PLAUSIBILITY_CASES)
+def test_implausible_collision_entry_rejected(case):
+    # the plausibility check, not a later stage proof, catches each entry
+    mode, two_sided, rewrites = PLAUSIBILITY_CASES[case]
+    n = 1 << 10
+    ups = strict_stream(random.Random(13), n, 40, churn=0.4)
+    if two_sided:
+        ups = [(S, u) for u in ups] + [(T, u) for u in ups]
+        meta = tagged_meta(ups, n)
+        shape = Shape(2 * n, meta.sparsity, 4, meta.weight, mode,
+                      main_vectors=2)
+        ks = ()
+    else:
+        meta = compute_meta(ups, n)
+        base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
+        shape = Shape(n, base, 4, meta.weight, mode, ks=(2,), coins_seed=1)
+        ks = (2,)
+
+    def engines():
+        prover = OnlineEngineProver(shape, n, ks, two_sided, random.Random(1))
+        verifier = OnlineEngineVerifier(shape, n, ks, two_sided,
+                                        random.Random(2))
+        verifier.begin(prover.start())
+        for u in ups:
+            prover.on_update(u)
+            verifier.update(u)
+        return verifier, prover.finish(None)
+
+    verifier, chunks = engines()
+    honest = chunks[0].data
+    assert chunks[0].kind == "collision-list" and honest
+    assert verifier.end(chunks, None).accepted
+    w = verifier.mi.weight_seen
+    for bad in rewrites(honest[0][0], w, honest[0]):
+        verifier, chunks = engines()
+        chunks[0].data[0] = bad
+        with pytest.raises(Reject, match="implausible listed frequenc"):
+            verifier.end(chunks, None)
