@@ -7,11 +7,11 @@ the tagged inner-product machinery (X . Y == |X| with Y the 0/1 edge
 indicator), and witness structure is checked with O(1) fingerprint state."""
 
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
-                      Shape, fk_online_multi)
+                      Shape, fk_online_multi, tagged_meta)
 from .protocol import (Chunk, ConfigError, CostReport, Outcome, Prover,
                        RelaxedOutcome, RunResult, Verifier, derive_rng, id_bits,
                        int_record, need, resolve_prover, run_protocol)
-from .streams import StreamUpdate, compute_meta, fingerprint_of_range
+from .streams import StreamUpdate, fingerprint_of_range
 
 
 def pair_rank(u: int, v: int) -> int:
@@ -19,7 +19,7 @@ def pair_rank(u: int, v: int) -> int:
     if u > v:
         u, v = v, u
     if u == v:
-        raise ValueError("self loop")
+        raise ConfigError("self loop")
     return v * (v - 1) // 2 + u
 
 
@@ -76,42 +76,62 @@ def count_triangles_run(edges, n, c_v=64, *, seed=0, prover=None) -> RunResult:
 # ------------------------------------------------------- witness subset glue
 
 
-def _subset_shape(n_edge_universe, m_bound, weight, c_v):
-    return Shape(2 * n_edge_universe, max(1, m_bound), c_v,
-                 max(1, weight), MODE_STRICT, main_vectors=2)
+def _edge_update(side, a, b, delta=1):
+    """Edge {a, b} as an update of the subset engine: the streamed graph is
+    side 1 (Y), the witness edges side 0 (X)."""
+    return side, StreamUpdate(pair_rank(a, b), delta)
+
+
+def _subset_shape(edges, n, witness_len, c_v):
+    """One Shape for the subset engine over the C(n,2) edge universe: the
+    streamed edges plus up to witness_len witness edges."""
+    meta = tagged_meta([_edge_update(1, *e) for e in edges], edge_universe(n))
+    return Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
+                 max(1, meta.weight + witness_len), MODE_STRICT, tagged=True)
+
+
+def _relaxed_run(verifier, prover, honest, edges) -> RunResult:
+    try:
+        prover = resolve_prover(prover, honest)
+    except ConfigError:
+        # witness unusable: the prover cannot even form its annotation
+        return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
+    return run_protocol(verifier, prover, edges)
 
 
 class _RelaxedProverBase(Prover):
     """Streams the graph's edges as the Y side of the subset engine; at the
-    end, plays the witness edges as the X side after the witness chunk."""
+    end, plays the witness edges as the X side after the witness chunk.
+    Subclasses set their witness before this constructor, which maps its
+    edges and so raises ConfigError on an unusable one."""
 
     def __init__(self, n, shape, rng):
         self.n = n
-        self.engine = OnlineEngineProver(shape, edge_universe(n), (), True, rng)
+        self.chunk, edges = self.witness()
+        self.x_updates = [_edge_update(0, a, b) for a, b in edges]
+        self.engine = OnlineEngineProver(shape, rng)
 
     def start(self):
         return self.engine.start()
 
     def on_update(self, u):
-        u_, v_, delta = u
-        self.engine.update((1, StreamUpdate(pair_rank(u_, v_), delta)))
+        self.engine.on_update(_edge_update(1, *u))
 
     def witness(self):
         """(witness chunk, witness edges)."""
         raise NotImplementedError
 
     def finish(self, query):
-        chunk, edges = self.witness()
-        for a, b in edges:
-            self.engine.update((0, StreamUpdate(pair_rank(a, b), 1)))
-        return [chunk] + self.engine.finish(query)
+        for u in self.x_updates:
+            self.engine.on_update(u)
+        return [self.chunk] + self.engine.finish(query)
 
 
 class _RelaxedVerifierBase(Verifier):
     def __init__(self, n, shape, rng):
         self.n = n
         self.shape = shape
-        self.engine = OnlineEngineVerifier(shape, edge_universe(n), (), True, rng)
+        self.engine = OnlineEngineVerifier(shape, rng)
         self.field = shape.field
         self.x_count = 0
         self.word_bits = shape.field.bits
@@ -120,12 +140,11 @@ class _RelaxedVerifierBase(Verifier):
         self.engine.begin(chunks)
 
     def update(self, u):
-        u_, v_, delta = u
-        self.engine.update((1, StreamUpdate(pair_rank(u_, v_), delta)))
+        self.engine.update(_edge_update(1, *u))
 
     def _x_edge(self, a, b):
         need(0 <= a < self.n and 0 <= b < self.n and a != b, "bad witness edge")
-        self.engine.update((0, StreamUpdate(pair_rank(a, b), 1)))
+        self.engine.update(_edge_update(0, a, b))
         self.x_count += 1
 
     def _subset_holds(self, chunks):
@@ -142,8 +161,8 @@ class _RelaxedVerifierBase(Verifier):
 
 class MatchingProver(_RelaxedProverBase):
     def __init__(self, n, shape, matching, rng):
-        super().__init__(n, shape, rng)
         self.matching = matching
+        super().__init__(n, shape, rng)
 
     def witness(self):
         bits = len(self.matching) * 2 * id_bits(self.n)
@@ -178,14 +197,10 @@ def verify_perfect_matching(edges, n, witness, c_v=16, *, seed=0,
                             prover=None) -> RunResult:
     """Relaxed check that `witness` is a perfect matching inside the streamed
     edge set: convinced, or not convinced (never 'no matching exists')."""
-    meta = compute_meta([StreamUpdate(pair_rank(u, v), d) for u, v, d in edges],
-                        edge_universe(n))
-    shape = _subset_shape(edge_universe(n), meta.sparsity + len(witness),
-                          meta.weight + len(witness), c_v)
+    shape = _subset_shape(edges, n, len(witness), c_v)
     verifier = MatchingVerifier(n, shape, derive_rng(seed, "match-v"))
-    prover = resolve_prover(prover, lambda: MatchingProver(
-        n, shape, witness, derive_rng(seed, "match-p")))
-    return run_protocol(verifier, prover, edges)
+    return _relaxed_run(verifier, prover, lambda: MatchingProver(
+        n, shape, witness, derive_rng(seed, "match-p")), edges)
 
 
 # --------------------------------------------------------------- connectivity
@@ -290,18 +305,10 @@ def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
     vertices; membership of every tree edge in the stream goes through the
     subset machinery."""
     root, tree_edges = witness
-    meta = compute_meta([StreamUpdate(pair_rank(u, v), d) for u, v, d in edges],
-                        edge_universe(n))
-    shape = _subset_shape(edge_universe(n), meta.sparsity + max(1, n - 1),
-                          meta.weight + max(1, n - 1), c_v)
+    shape = _subset_shape(edges, n, max(1, n - 1), c_v)
     verifier = ConnectivityVerifier(n, shape, derive_rng(seed, "conn-v"))
-    try:
-        prover = resolve_prover(prover, lambda: ConnectivityProver(
-            n, shape, root, tree_edges, derive_rng(seed, "conn-p")))
-    except ConfigError:
-        # witness unusable: the prover cannot even form its annotation
-        return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
-    return run_protocol(verifier, prover, edges)
+    return _relaxed_run(verifier, prover, lambda: ConnectivityProver(
+        n, shape, root, tree_edges, derive_rng(seed, "conn-p")), edges)
 
 
 # ------------------------------------------------------------ non-bipartiteness
@@ -309,8 +316,8 @@ def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
 
 class OddCycleProver(_RelaxedProverBase):
     def __init__(self, n, shape, cycle, rng):
-        super().__init__(n, shape, rng)
         self.cycle = cycle  # closed vertex list, first == last
+        super().__init__(n, shape, rng)
 
     def witness(self):
         bits = len(self.cycle) * id_bits(self.n)
@@ -339,11 +346,7 @@ def verify_non_bipartite(edges, n, witness, c_v=16, *, seed=0,
     """Relaxed non-bipartiteness: the witness is an odd closed walk played in
     order; every step must be a streamed edge."""
     cycle = list(witness)
-    meta = compute_meta([StreamUpdate(pair_rank(u, v), d) for u, v, d in edges],
-                        edge_universe(n))
-    shape = _subset_shape(edge_universe(n), meta.sparsity + len(cycle),
-                          meta.weight + len(cycle), c_v)
+    shape = _subset_shape(edges, n, len(cycle), c_v)
     verifier = OddCycleVerifier(n, shape, derive_rng(seed, "cyc-v"))
-    prover = resolve_prover(prover, lambda: OddCycleProver(
-        n, shape, cycle, derive_rng(seed, "cyc-p")))
-    return run_protocol(verifier, prover, edges)
+    return _relaxed_run(verifier, prover, lambda: OddCycleProver(
+        n, shape, cycle, derive_rng(seed, "cyc-p")), edges)

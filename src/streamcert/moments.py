@@ -30,6 +30,14 @@ the hash validation, the proof consumption and the space accounting. A
 shared feed evaluates each hash once and computes the purity terms once
 per mapped id, however many instances take them.
 
+One engine serves one- and two-sided streams. Fk and triangles stream one
+vector; DISJ, subset, inner product, Hamming and the graph certificates
+stream two, S and T, as (side, update) pairs. Shape decides the main
+instances once: Fk for each order on one side, the product f_S . f_T on
+two. Item i's count on side s lands in vector s of every main instance
+and in the stages as id i * sides + s, and _EngineMap turns a collision-
+list entry into its MultiIndex claims and its removal for both sides.
+
 Every dense instance is linear in the stream, and the prover's memory is
 not a cost of the scheme. So the verifier maps each update as it arrives,
 while the honest prover only sums each id's updates (its net count, and
@@ -81,13 +89,20 @@ def _ceil_sqrt(x: int) -> int:
 
 class Shape:
     """Shared geometry of one online run: reduced universe, grid shape,
-    field, collision budget and stage budget."""
+    fields, collision budget, stage budget and main instances.
 
-    def __init__(self, n_ids, base, c_v, weight, mode, ell=None, ks=(),
-                 main_vectors=1, coins_seed=None):
+    A stream has one side or, with tagged=True, two (S and T). Item i's
+    count on side s is id i * sides + s, so n items take n_ids = n * sides
+    ids. main_params() decides the main instances once: Fk for each order
+    k in ks on one side, the product f_S . f_T (key "ip") on two."""
+
+    def __init__(self, n, base, c_v, weight, mode, ell=None, ks=(),
+                 tagged=False, coins_seed=None):
         if c_v <= 1:
             raise ConfigError("c_v must exceed 1")
-        self.n_ids = n_ids
+        self.sides = 2 if tagged else 1
+        self.n = n
+        n_ids = self.n_ids = n * self.sides
         self.mode = mode
         self.c_v = c_v
         base = max(1, base)
@@ -108,13 +123,11 @@ class Shape:
             self.field_purity = field_at_least(
                 purity_min_field(w2, n_ids, max(self.r, ell_decl)))
         self.field_subf2 = field_at_least(2 * max(1, ell_decl) * w2 * w2 + 1)
-        self.field_mains = {}
-        for k in ks:
-            self.field_mains[k] = field_at_least(
-                prop1_min_field(k, self.r, self.weight ** k))
-        if main_vectors == 2:
-            self.field_mains["ip"] = field_at_least(
-                prop1_min_field(2, self.r, self.weight ** 2))
+        # each main instance's degree: f_S . f_T has degree 2
+        degrees = {"ip": 2} if tagged else {k: k for k in ks}
+        self.field_mains = {key: field_at_least(
+            prop1_min_field(d, self.r, self.weight ** d))
+            for key, d in degrees.items()}
         self.field = max([self.field_purity, self.field_subf2,
                           *self.field_mains.values()], key=lambda f: f.q)
         self.coins = (draw_public_coins(self.field_purity, coins_seed)
@@ -145,15 +158,16 @@ class Shape:
 
     # dense parameter bundles ------------------------------------------------
 
-    def main_power_params(self, k):
-        f = self.field_mains[k]
-        return DenseParams(f, self.r, self.c_a, self.c_v, 1, k,
-                           g_power(f, k), self.weight ** k)
-
-    def main_product_params(self):
-        f = self.field_mains["ip"]
-        return DenseParams(f, self.r, self.c_a, self.c_v, 2, 2,
-                           g_product(f), self.weight ** 2)
+    def main_params(self):
+        """Each main instance's DenseParams by key: one vector of degree k
+        for the order k, two vectors of degree 2 for "ip"."""
+        params = {}
+        for key, f in self.field_mains.items():
+            vectors, degree, g = ((2, 2, g_product(f)) if key == "ip"
+                                  else (1, key, g_power(f, key)))
+            params[key] = DenseParams(f, self.r, self.c_a, self.c_v, vectors,
+                                      degree, g, self.weight ** degree)
+        return params
 
     def main_injection_params(self):
         if self.mode == MODE_AMA:
@@ -452,62 +466,61 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult
 
 
 class _EngineMap:
-    """Universe-reduction mapping, the same on both sides: plain Fk for a set
-    of moment orders, or the two-vector product form for tagged streams.
+    """Universe-reduction mapping, the same on both sides, for one- and
+    two-sided streams alike.
 
-    A count lands in bucket h(item) of the main instances and of the main
-    injection check (feed), and goes on to the MultiIndex stages; a
-    collision-list entry's counts are taken back out of the main instances
-    and the main injection by remove()."""
+    A count of item i on side s lands in bucket h(i): in vector s of every
+    main instance and, as purity terms of i, in the main injection check
+    (feed). The MultiIndex stages map it as id i * sides + s. A collision-
+    list entry is (i, its count on each side) and, in footprint mode, its
+    certified weight: `arity` ints. claims(entry) gives its MultiIndex
+    claims and remove(entry) takes it back out of the main instances and
+    the main injection; the prover and the verifier call both."""
 
-    def __init__(self, shape: Shape, n, ks, tagged, dense, mi):
+    def __init__(self, shape: Shape, dense, mi):
         self.shape = shape
-        self.n = n
-        self.ks = tuple(ks)
-        self.tagged = tagged
-        self.keys = ("ip",) if tagged else self.ks
+        self.n = shape.n
+        self.sides = shape.sides
         self.mi = mi
-        if tagged:
-            self.mains = {"ip": dense(shape.main_product_params())}
-        else:
-            self.mains = {k: dense(shape.main_power_params(k)) for k in self.ks}
+        self.mains = {key: dense(params)
+                      for key, params in shape.main_params().items()}
         self.main_inj = dense(shape.main_injection_params())
         self.main_sink = shape.purity_sink(self.main_inj)
         if shape.mode == MODE_AMA:
             mark_all(self.main_inj)
+        self.arity = 1 + self.sides + (shape.mode == MODE_FOOTPRINT)
 
-    def feed(self, tag, item, delta, weight):
+    def feed(self, side, item, delta, weight):
         """Map the count delta, of absolute update weight `weight`, of item
-        on side tag into the main instances and the main injection check.
+        on `side` into the main instances and the main injection check.
         Returns its bucket and its purity terms, which the stages share when
         they map the same id."""
         sh = self.shape
         b = self.h(item)
-        if self.tagged:
-            self.mains["ip"].update(tag, b, delta)
-        else:
-            for k in self.ks:
-                self.mains[k].update(0, b, delta)
+        for main in self.mains.values():
+            main.update(side, b, delta)
         terms = sh.purity_terms(item, sh.occupancy(delta, weight))
         self.main_sink.add_purity(b, terms)
         return b, terms
 
+    def claims(self, entry):
+        """A collision-list entry's MultiIndex claims, (ident, fstar, wstar)
+        for each side's count."""
+        i, sides = entry[0], self.sides
+        wstar = entry[-1] if self.shape.mode == MODE_FOOTPRINT else None
+        return [(i * sides + s, f, wstar)
+                for s, f in enumerate(entry[1:1 + sides])]
+
     def remove(self, entry):
-        """Take a collision-list entry, (i, f), (i, f, weight) in footprint
-        mode or (i, f_S, f_T) when tagged, out of the mapped instances."""
+        """Take a collision-list entry out of the mapped instances."""
         sh = self.shape
-        i = entry[0]
+        i, counts = entry[0], entry[1:1 + self.sides]
         b = self.h(i)
-        if self.tagged:
-            self.mains["ip"].update(0, b, -entry[1])
-            self.mains["ip"].update(1, b, -entry[2])
-            removal = entry[1] + entry[2]
-        else:
-            removal = entry[1]
-            for k in self.ks:
-                self.mains[k].update(0, b, -removal)
-        if sh.mode == MODE_FOOTPRINT:  # the certified weight
-            removal = entry[2]
+        for side, f in enumerate(counts):
+            for main in self.mains.values():
+                main.update(side, b, -f)
+        # footprint mode occupies buckets with the certified weight
+        removal = entry[-1] if sh.mode == MODE_FOOTPRINT else sum(counts)
         self.main_sink.add_purity(b, sh.purity_terms(i, -removal))
 
 
@@ -515,71 +528,60 @@ class OnlineEngineProver(_EngineMap, Prover):
     """Honest prover for the universe-reduction schemes. It sums the
     updates per id and maps each id's net count once, at finish."""
 
-    def __init__(self, shape: Shape, n, ks, tagged, rng):
-        self.h = random_pairwise_hash(n, shape.r, rng)
-        super().__init__(shape, n, ks, tagged, DenseProver,
-                         MultiIndexProverCore(shape, rng))
+    def __init__(self, shape: Shape, rng):
+        self.h = random_pairwise_hash(shape.n, shape.r, rng)
+        super().__init__(shape, DenseProver, MultiIndexProverCore(shape, rng))
 
     def start(self):
         return [Chunk("hash", self.h, self.h.bits)] + self.mi.start_chunks()
 
-    def update(self, u):
-        """Sum one update, tagged or not, into its id's count."""
-        if self.tagged:
-            tag, su = u
-            self.mi.update(2 * su.item + tag, su.delta)
-        else:
-            self.mi.update(u.item, u.delta)
-
     def on_update(self, u):
-        self.update(u)
+        """Sum one update, u or a two-sided (side, u), into its id's
+        count."""
+        if self.sides == 1:  # statements: no tuple is built per update
+            side, su = 0, u
+        else:
+            side, su = u
+        self.mi.update(su.item * self.sides + side, su.delta)
 
     def finish(self, query):
         """Maps each id's net count once, listing the items that share their
         bucket with another item as it goes, and certifies the list."""
-        sh = self.shape
-        freq = self.mi.freq
+        sides = self.sides
         held = {}  # bucket -> the items mapped there
         for ident, delta, weight in self.mi.net_counts():
-            item, tag = (ident >> 1, ident & 1) if self.tagged else (ident, 0)
-            b, _ = self.feed(tag, item, delta, weight)
+            item, side = divmod(ident, sides)
+            b, _ = self.feed(side, item, delta, weight)
             held.setdefault(b, set()).add(item)
+        freq = self.mi.freq
         entries = []
-        claims = []
         for i in sorted(i for items in held.values() if len(items) > 1
                         for i in items):
-            if self.tagged:
-                fs = freq.get(2 * i, 0)
-                ft = freq.get(2 * i + 1, 0)
-                entries.append((i, fs, ft))
-                claims += [(2 * i, fs, None), (2 * i + 1, ft, None)]
-            elif sh.mode == MODE_FOOTPRINT:
-                entries.append((i, freq[i], self.mi.absw[i]))
-                claims.append(entries[-1])
-            else:
-                entries.append((i, freq[i]))
-                claims.append((i, freq[i], None))
+            entry = (i, *(freq.get(i * sides + s, 0) for s in range(sides)))
+            if self.shape.mode == MODE_FOOTPRINT:  # one-sided: id i is item i
+                entry += (self.mi.absw[i],)
+            entries.append(entry)
+        claims = []
         for e in entries:
             self.remove(e)
+            claims += self.claims(e)
 
-        counts = 2 if (self.tagged or sh.mode == MODE_FOOTPRINT) else 1
-        ebits = len(entries) * (id_bits(self.n) + counts * COUNT_BITS)
+        ebits = len(entries) * (id_bits(self.n) + (self.arity - 1) * COUNT_BITS)
         chunks = [Chunk("collision-list", entries, ebits)]
         chunks.extend(self.mi.finish_chunks(claims))
         if chunks[-1].kind == "mi-abort":
             return chunks
         inj_proof = self.main_inj.proof()
         chunks.append(Chunk("main-injection-proof", inj_proof, inj_proof.bits))
-        for key in self.keys:
-            proof = self.mains[key].proof()
+        for key, main in self.mains.items():
+            proof = main.proof()
             chunks.append(Chunk("main-proof", (key, proof), proof.bits))
         return chunks
 
 
 class OnlineEngineVerifier(_EngineMap, Verifier):
-    def __init__(self, shape: Shape, n, ks, tagged, rng):
-        super().__init__(shape, n, ks, tagged,
-                         lambda params: DenseVerifier(params, rng),
+    def __init__(self, shape: Shape, rng):
+        super().__init__(shape, lambda params: DenseVerifier(params, rng),
                          MultiIndexVerifierCore(shape, rng))
         self.h = None
         self.word_bits = shape.field.bits
@@ -595,33 +597,15 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         self.mi.begin(chunks[1:])
 
     def update(self, u):
-        tag, su = u if self.tagged else (0, u)
-        _, terms = self.feed(tag, su.item, su.delta, abs(su.delta))
-        if self.tagged:
-            self.mi.update(2 * su.item + tag, su.delta)
-        else:  # the stages map the same id, so the same terms
-            self.mi.update(su.item, su.delta, terms)
-
-    def _claims(self, e, w):
-        """Checks one collision-list entry; its MultiIndex claims as
-        (ident, fstar, wstar) triples."""
-        sh = self.shape
-        arity = 3 if (self.tagged or sh.mode == MODE_FOOTPRINT) else 2
-        need(int_record(e, arity), "malformed collision-list entry")
-        i, f = e[0], e[1]
-        if self.tagged:
-            ft = e[2]
-            need(0 <= f <= w and 0 <= ft <= w and f + ft >= 1,
-                 "implausible listed frequencies")
-            return ((2 * i, f, None), (2 * i + 1, ft, None))
-        if sh.mode == MODE_FOOTPRINT:
-            need(abs(f) <= w, "implausible listed frequency")
-            return ((i, f, e[2]),)
-        if sh.mode == MODE_STRICT:
-            need(1 <= f <= w, "implausible listed frequency")
+        sides = self.sides
+        if sides == 1:  # statements: no tuple is built per update
+            side, su = 0, u
         else:
-            need(f != 0 and abs(f) <= w, "implausible listed frequency")
-        return ((i, f, None),)
+            side, su = u
+        _, terms = self.feed(side, su.item, su.delta, abs(su.delta))
+        # a one-sided id is the item, so the stages share its purity terms
+        self.mi.update(su.item * sides + side, su.delta,
+                       terms if sides == 1 else None)
 
     def end(self, chunks, query):
         sh = self.shape
@@ -630,19 +614,25 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         entries = chunks[0].data
         need(isinstance(entries, list) and len(entries) <= sh.threshold,
              "collision list over budget")
-        c0 = dict.fromkeys(self.keys, 0)
+        w = self.mi.weight_seen
+        # strict counts are never negative; only a footprint entry, which
+        # carries its weight, may list a zero net count
+        low = 0 if sh.mode == MODE_STRICT else -w
+        c0 = dict.fromkeys(self.mains, 0)
         claims = []
         prev = -1
         for e in entries:
-            claims += self._claims(e, self.mi.weight_seen)
-            i = e[0]
+            need(int_record(e, self.arity), "malformed collision-list entry")
+            i, counts = e[0], e[1:1 + self.sides]
+            need(all(low <= f <= w for f in counts)
+                 and (any(counts) or sh.mode == MODE_FOOTPRINT),
+                 "implausible listed frequency")
             need(prev < i < self.n, "collision list not sorted")
             prev = i
-            if self.tagged:
-                c0["ip"] += e[1] * e[2]
-            else:
-                for k in self.ks:
-                    c0[k] += e[1] ** k
+            for key in c0:
+                c0[key] += (counts[0] * counts[1] if key == "ip"
+                            else counts[0] ** key)
+            claims += self.claims(e)
             self.remove(e)
         ok, rest = self.mi.end(claims, chunks[1:])
         need(ok == 1, "listed frequencies not certified")
@@ -653,11 +643,11 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         need(v == 0, "mapping not injective on the remainder")
         rest = rest[1:]
         results = {}
-        need(len(rest) == len(self.keys), "missing main proofs")
-        for c, key in zip(rest, self.keys):
+        need(len(rest) == len(self.mains), "missing main proofs")
+        for c, (key, main) in zip(rest, self.mains.items()):
             need(c.kind == "main-proof" and isinstance(c.data, tuple)
                  and len(c.data) == 2 and c.data[0] == key, "main proofs out of order")
-            v = self.mains[key].verify(c.data[1])
+            v = main.verify(c.data[1])
             need(v is not None, "main sum check failed")
             results[key] = c0[key] + v
         return Outcome.ok(results)
@@ -683,10 +673,9 @@ def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRIC
     meta = compute_meta(updates, n)
     base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
     shape = Shape(n, base, c_v, meta.weight, mode, ks=ks, coins_seed=coins_seed)
-    verifier = OnlineEngineVerifier(shape, n, ks, False,
-                                    derive_rng(seed, "fk-v"))
+    verifier = OnlineEngineVerifier(shape, derive_rng(seed, "fk-v"))
     prover = resolve_prover(prover, lambda: OnlineEngineProver(
-        shape, n, ks, False, derive_rng(seed, "fk-p")))
+        shape, derive_rng(seed, "fk-p")))
     return run_protocol(verifier, prover, updates)
 
 
@@ -917,11 +906,11 @@ class _TaggedWitnessProver(Prover):
     """Online prover for DISJ/Subset: carries a point-query sub-protocol for
     the witness branch alongside the full certification engine."""
 
-    def __init__(self, n, shape, rng, subset=False):
-        self.n = n
+    def __init__(self, shape, rng, subset=False):
+        self.n = shape.n
         self.subset = subset
-        self.pq_h = random_pairwise_hash(2 * n, shape.c_v, rng)
-        self.engine = OnlineEngineProver(shape, n, (), True, rng)
+        self.pq_h = random_pairwise_hash(shape.n_ids, shape.c_v, rng)
+        self.engine = OnlineEngineProver(shape, rng)
         self.freq = self.engine.mi.freq
 
     def start(self):
@@ -929,7 +918,7 @@ class _TaggedWitnessProver(Prover):
                 + self.engine.start())
 
     def on_update(self, u):
-        self.engine.update(u)
+        self.engine.on_update(u)
 
     def _witness_item(self):
         s_items = {i >> 1 for i, f in self.freq.items() if f != 0 and i % 2 == 0}
@@ -951,11 +940,11 @@ class _TaggedWitnessProver(Prover):
 
 
 class _TaggedWitnessVerifier(Verifier):
-    def __init__(self, n, shape, rng, subset=False):
-        self.n = n
+    def __init__(self, shape, rng, subset=False):
+        self.n = shape.n
         self.subset = subset
         self.pq = BucketFingerprintState(shape.field, shape.c_a, shape.c_v, rng)
-        self.engine = OnlineEngineVerifier(shape, n, (), True, rng)
+        self.engine = OnlineEngineVerifier(shape, rng)
         self.f1_x = 0
         self.word_bits = shape.field.bits
         self.info = self.engine.info
@@ -1006,16 +995,14 @@ def _tagged_shape(updates, n, c_v):
     """One Shape for the tagged schemes: S and T items share the reduced
     universe as ids 2i and 2i + 1."""
     meta = tagged_meta(updates, n)
-    return Shape(2 * n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
-                 main_vectors=2)
+    return Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT, tagged=True)
 
 
 def _tagged_run(updates, n, c_v, seed, prover, subset) -> RunResult:
     shape = _tagged_shape(updates, n, c_v)
-    verifier = _TaggedWitnessVerifier(n, shape, derive_rng(seed, "tag-v"),
-                                      subset)
+    verifier = _TaggedWitnessVerifier(shape, derive_rng(seed, "tag-v"), subset)
     prover = resolve_prover(prover, lambda: _TaggedWitnessProver(
-        n, shape, derive_rng(seed, "tag-p"), subset=subset))
+        shape, derive_rng(seed, "tag-p"), subset=subset))
     return run_protocol(verifier, prover, updates)
 
 
@@ -1042,8 +1029,8 @@ def subset_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 class _ProductVerifier(Verifier):
     """The tagged engine's verifier plus the F1 counter."""
 
-    def __init__(self, n, shape, rng, hamming):
-        self.engine = OnlineEngineVerifier(shape, n, (), True, rng)
+    def __init__(self, shape, rng, hamming):
+        self.engine = OnlineEngineVerifier(shape, rng)
         self.hamming = hamming
         self.f1 = 0
         self.word_bits = shape.field.bits
@@ -1067,9 +1054,9 @@ class _ProductVerifier(Verifier):
 
 def _product_run(updates, n, c_v, seed, prover, hamming) -> RunResult:
     shape = _tagged_shape(updates, n, c_v)
-    verifier = _ProductVerifier(n, shape, derive_rng(seed, "pair-v"), hamming)
+    verifier = _ProductVerifier(shape, derive_rng(seed, "pair-v"), hamming)
     prover = resolve_prover(prover, lambda: OnlineEngineProver(
-        shape, n, (), True, derive_rng(seed, "pair-p")))
+        shape, derive_rng(seed, "pair-p")))
     return run_protocol(verifier, prover, updates)
 
 

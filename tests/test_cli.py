@@ -219,6 +219,19 @@ def test_cli_unusable_tree_witness_rejects_with_exit_2(tmp_path, capsys):
     assert rc == 2 and out["outcome"] == "reject" and "value" not in out
 
 
+
+@pytest.mark.parametrize("scheme, witness", [
+    ("matching", "0 1\n2 2\n"), ("oddcycle", "0\n1\n2\n2\n3\n0\n"),
+], ids=["matching", "oddcycle"])
+def test_cli_self_loop_witness_rejects_with_exit_2(scheme, witness, tmp_path,
+                                                    capsys):
+    paths = _write_inputs(tmp_path)
+    looped = tmp_path / "looped.txt"
+    looped.write_text(witness)
+    rc, out = _cli_json(capsys, [scheme, "--input", str(paths["edges"]),
+                                 "--witness-file", str(looped)])
+    assert rc == 2 and out["outcome"] == "reject" and "value" not in out
+
 def test_cli_bad_witness_file_exits_1(tmp_path, capsys):
     paths = _write_inputs(tmp_path)
     assert cli_main(["connectivity", "--input", str(paths["edges"]),

@@ -197,6 +197,23 @@ def test_oddcycle_fake_witness_strategy():
         assert r.rejected
 
 
+
+C5 = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_perfect_matching([(0, 1, 1), (2, 3, 1), (1, 2, 1)], 4,
+                                    [(0, 1), (2, 2)], c_v=4),
+    lambda: verify_connectivity(C5, 5, (0, [(0, 1), (1, 2), (2, 3), (3, 3)])),
+    lambda: verify_non_bipartite(C5, 5, [0, 1, 2, 3, 3, 0]),
+], ids=["matching", "connectivity", "oddcycle"])
+def test_self_loop_witness_refused(run):
+    # the honest prover cannot map a self loop, so the run ends unconvinced
+    # before the stream instead of raising
+    r = run()
+    assert isinstance(r.outcome, RelaxedOutcome) and r.rejected
+
+
 TRI = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
 SQUARE = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
 STAR = [(0, i, 1) for i in range(1, 4)]

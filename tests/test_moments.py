@@ -55,6 +55,13 @@ def test_fk_online_with_forced_collisions(rng):
         assert fk_online_run(ups, N20, 2, 4, seed=trial).info is not None
 
 
+
+def test_fk_repeated_order_is_one_instance(rng):
+    # each order keys one main instance, so a repeated order is mapped once
+    ups = strict_stream(rng, N20, 60, churn=0.4)
+    r = fk_online_multi(ups, N20, (2, 3, 2), 4, seed=1)
+    assert r.value == {2: moment_oracle(ups, 2), 3: moment_oracle(ups, 3)}
+
 def test_fk_rejects_cv_one(rng):
     with pytest.raises(ConfigError):
         fk_online_run([U(0, 1)], 16, 2, 1)
@@ -602,8 +609,8 @@ def test_strict_verifier_fans_each_update_out_once_per_instance(monkeypatch, rng
     ups = strict_stream(rng, N20, 60, churn=0.4)
     meta = compute_meta(ups, N20)
     shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, ks=(2,))
-    prover = OnlineEngineProver(shape, N20, (2,), False, random.Random(1))
-    verifier = OnlineEngineVerifier(shape, N20, (2,), False, random.Random(2))
+    prover = OnlineEngineProver(shape, random.Random(1))
+    verifier = OnlineEngineVerifier(shape, random.Random(2))
     verifier.begin(prover.start())
     calls = {"update": 0, "add_purity": 0}
     for name in calls:
@@ -663,19 +670,15 @@ def test_implausible_collision_entry_rejected(case):
     if two_sided:
         ups = [(S, u) for u in ups] + [(T, u) for u in ups]
         meta = tagged_meta(ups, n)
-        shape = Shape(2 * n, meta.sparsity, 4, meta.weight, mode,
-                      main_vectors=2)
-        ks = ()
+        shape = Shape(n, meta.sparsity, 4, meta.weight, mode, tagged=True)
     else:
         meta = compute_meta(ups, n)
         base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
         shape = Shape(n, base, 4, meta.weight, mode, ks=(2,), coins_seed=1)
-        ks = (2,)
 
     def engines():
-        prover = OnlineEngineProver(shape, n, ks, two_sided, random.Random(1))
-        verifier = OnlineEngineVerifier(shape, n, ks, two_sided,
-                                        random.Random(2))
+        prover = OnlineEngineProver(shape, random.Random(1))
+        verifier = OnlineEngineVerifier(shape, random.Random(2))
         verifier.begin(prover.start())
         for u in ups:
             prover.on_update(u)
