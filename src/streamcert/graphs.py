@@ -91,12 +91,18 @@ def _subset_shape(edges, n, witness_len, c_v):
 
 
 def _relaxed_run(verifier, prover, honest, edges) -> RunResult:
+    """A graph certificate's run. Its outcome is a RelaxedOutcome whether
+    the witness is unusable or the verifier rejects; a rejected run keeps
+    its costs."""
     try:
         prover = resolve_prover(prover, honest)
     except ConfigError:
         # witness unusable: the prover cannot even form its annotation
         return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
-    return run_protocol(verifier, prover, edges)
+    result = run_protocol(verifier, prover, edges)
+    if result.rejected:
+        result.outcome = RelaxedOutcome(False)
+    return result
 
 
 class _RelaxedProverBase(Prover):

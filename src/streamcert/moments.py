@@ -27,8 +27,13 @@ built over DenseProver or DenseVerifier: _StageMap for the MultiIndex
 stages and _EngineMap for the universe reduction. The prover sides add
 the honest annotation; the verifier sides add the checks on it (`need`),
 the hash validation, the proof consumption and the space accounting. A
-shared feed evaluates each hash once and computes the purity terms once
-per mapped id, however many instances take them.
+shared feed computes each mapped id's buckets from the hashes' fields
+(a, b, p, r), read once when the hashes are taken, and its purity terms
+once, however many instances take them. One call of a lane bank
+(sumcheck.lane_bank) then adds the id to every stage's SubF2 and purity
+check, and one lane per side adds an item to the main instance and the
+main injection; on the verifier side these loops write the rows directly,
+with no call per instance or per hash.
 
 One engine serves one- and two-sided streams. Fk and triangles stream one
 vector; DISJ, subset, inner product, Hamming and the graph certificates
@@ -57,6 +62,7 @@ MultiIndexVerifierCore.end(claims, chunks) checks them and returns
 """
 
 import math
+from itertools import repeat
 
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
@@ -67,7 +73,7 @@ from .pointqueries import BucketFingerprintState, open_buckets
 from .streams import (StreamUpdate, compute_meta, find_perfect_hash,
                       frequency_map, hash_fits, random_pairwise_hash)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
-                       g_product, prop1_min_field)
+                       g_product, lane_bank, prop1_min_field)
 from .purity import (AmaPurity, ama_params, balanced_shape,
                      draw_public_coins, injection_params, mark_all,
                      purity_deltas, purity_min_field, subf2_params,
@@ -201,7 +207,13 @@ class _StageMap:
     builds each instance: a DenseProver for the prover, a DenseVerifier
     drawing its secret point for the verifier. `instances` holds each
     stage's instances in proof order: the purity check, SubF2 over the net
-    counts and, in footprint mode, SubF2 over the absolute weights."""
+    counts and, in footprint mode, SubF2 over the absolute weights.
+
+    Buckets come from the stage hashes' fields, taken by use_hashes. feed
+    computes an id's t_max buckets in one comprehension and maps it into
+    every stage's net-count SubF2 and purity check with one call of `bank`,
+    a lane bank over those pairs; the footprint SubF2 over the absolute
+    weights takes its own updates."""
 
     def __init__(self, shape: Shape, dense):
         self.shape = shape
@@ -215,19 +227,28 @@ class _StageMap:
             self.sf_abs = [dense(shape.stage_subf2_params()) for _ in range(t)]
             per_stage.append(self.sf_abs)
         self.instances = list(zip(*per_stage))
+        self.bank = lane_bank(zip(self.sf_net, repeat(0), self.sinks))
         self.marks = [0] * t
 
+    def use_hashes(self, hs):
+        """Take the stage hashes; buckets come from their fields."""
+        self.hs = hs
+        self.hkeys = [(h.a, h.b, h.p, h.r) for h in hs]
+
+    def buckets(self, ident):
+        """ident's bucket at each stage."""
+        return [(a * ident + b) % p % r for a, b, p, r in self.hkeys]
+
     def feed(self, ident, delta, weight, terms=None):
-        """Map ident's count delta, of absolute update weight `weight`.
+        """Map ident's count delta, of absolute update weight `weight`:
+        one bank call takes it into every stage's SubF2 and purity check.
         terms: its purity terms, when the caller has them. Returns ident's
         bucket at each stage."""
         if terms is None:
             sh = self.shape
             terms = sh.purity_terms(ident, sh.occupancy(delta, weight))
-        buckets = [h(ident) for h in self.hs]
-        for b, sf, sink in zip(buckets, self.sf_net, self.sinks):
-            sf.update(0, b, delta)
-            sink.add_purity(b, terms)
+        buckets = self.buckets(ident)
+        self.bank(buckets, delta, terms)
         if self.sf_abs is not None:
             for b, sf in zip(buckets, self.sf_abs):
                 sf.update(0, b, weight)
@@ -238,7 +259,7 @@ class _StageMap:
         stage, when the caller has them."""
         sh = self.shape
         if buckets is None:
-            buckets = [h(ident) for h in self.hs]
+            buckets = self.buckets(ident)
         for j, b in enumerate(buckets):
             self.sf_net[j].update(0, b, -fstar)
             if self.sf_abs is not None:
@@ -263,9 +284,10 @@ class MultiIndexProverCore(_StageMap):
     """Prover side of the staged frequency-batch certification."""
 
     def __init__(self, shape: Shape, rng):
-        self.hs = [random_pairwise_hash(shape.n_ids, shape.r, rng)
-                   for _ in range(shape.t_max)]
+        hs = [random_pairwise_hash(shape.n_ids, shape.r, rng)
+              for _ in range(shape.t_max)]
         super().__init__(shape, DenseProver)
+        self.use_hashes(hs)
         self.freq = {}
         self.absw = {}
 
@@ -301,7 +323,7 @@ class MultiIndexProverCore(_StageMap):
             for occ, b in zip(occupancy, self.feed(ident, delta, weight)):
                 occ[b] = occ.get(b, 0) + 1
             fed.add(ident)
-        claimed = [[h(e[0]) for h in self.hs] for e in entries]
+        claimed = [self.buckets(e[0]) for e in entries]
         stages = []
         for (ident, _, _), buckets in zip(entries, claimed):
             own = 1 if ident in fed else 0
@@ -344,7 +366,7 @@ class MultiIndexVerifierCore(_StageMap):
         for h in hs:
             need(hash_fits(h, sh.n_ids, sh.r), "bad stage hash")
         need(len(chunks) == 1, "unexpected start annotation")
-        self.hs = hs
+        self.use_hashes(hs)
 
     def update(self, ident, delta, terms=None):
         """Map one stream update. terms: its purity terms, when the caller
@@ -475,7 +497,12 @@ class _EngineMap:
     list entry is (i, its count on each side) and, in footprint mode, its
     certified weight: `arity` ints. claims(entry) gives its MultiIndex
     claims and remove(entry) takes it back out of the main instances and
-    the main injection; the prover and the verifier call both."""
+    the main injection; the prover and the verifier call both.
+
+    Buckets come from the universe hash's fields, taken by use_hash. feed
+    adds a count through the lane of its side, vector s of the first main
+    instance with the main injection, and by plain updates to any further
+    main instance (fk_online_multi with several orders)."""
 
     def __init__(self, shape: Shape, dense, mi):
         self.shape = shape
@@ -489,6 +516,20 @@ class _EngineMap:
         if shape.mode == MODE_AMA:
             mark_all(self.main_inj)
         self.arity = 1 + self.sides + (shape.mode == MODE_FOOTPRINT)
+        # one lane per side: vector `side` of the first main instance and
+        # the main injection; further main instances take plain updates
+        first, *self.more_mains = self.mains.values()
+        self.lanes = [lane_bank([(first, side, self.main_sink)])
+                      for side in range(self.sides)]
+
+    def use_hash(self, h):
+        """Take the universe hash; buckets come from its fields."""
+        self.h = h
+        self.hkey = (h.a, h.b, h.p, h.r)
+
+    def bucket(self, item):
+        a, b, p, r = self.hkey
+        return (a * item + b) % p % r
 
     def feed(self, side, item, delta, weight):
         """Map the count delta, of absolute update weight `weight`, of item
@@ -496,11 +537,11 @@ class _EngineMap:
         Returns its bucket and its purity terms, which the stages share when
         they map the same id."""
         sh = self.shape
-        b = self.h(item)
-        for main in self.mains.values():
-            main.update(side, b, delta)
+        b = self.bucket(item)
         terms = sh.purity_terms(item, sh.occupancy(delta, weight))
-        self.main_sink.add_purity(b, terms)
+        self.lanes[side]((b,), delta, terms)
+        for main in self.more_mains:
+            main.update(side, b, delta)
         return b, terms
 
     def claims(self, entry):
@@ -515,7 +556,7 @@ class _EngineMap:
         """Take a collision-list entry out of the mapped instances."""
         sh = self.shape
         i, counts = entry[0], entry[1:1 + self.sides]
-        b = self.h(i)
+        b = self.bucket(i)
         for side, f in enumerate(counts):
             for main in self.mains.values():
                 main.update(side, b, -f)
@@ -529,8 +570,9 @@ class OnlineEngineProver(_EngineMap, Prover):
     updates per id and maps each id's net count once, at finish."""
 
     def __init__(self, shape: Shape, rng):
-        self.h = random_pairwise_hash(shape.n, shape.r, rng)
+        h = random_pairwise_hash(shape.n, shape.r, rng)
         super().__init__(shape, DenseProver, MultiIndexProverCore(shape, rng))
+        self.use_hash(h)
 
     def start(self):
         return [Chunk("hash", self.h, self.h.bits)] + self.mi.start_chunks()
@@ -593,7 +635,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         need(chunks and chunks[0].kind == "hash", "missing universe hash")
         h = chunks[0].data
         need(hash_fits(h, self.n, self.shape.r), "bad universe hash")
-        self.h = h
+        self.use_hash(h)
         self.mi.begin(chunks[1:])
 
     def update(self, u):
@@ -670,6 +712,8 @@ def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRIC
     """Certified exact frequency moments for every order in ks, sharing one
     universe reduction and one MultiIndex run."""
     ks = tuple(ks)
+    if not ks:
+        raise ConfigError("name at least one moment order")
     meta = compute_meta(updates, n)
     base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
     shape = Shape(n, base, c_v, meta.weight, mode, ks=ks, coins_seed=coins_seed)

@@ -35,7 +35,9 @@ class BucketFingerprintState:
     per id. update_dyadic walks an item's dyadic nodes from the root, each
     node's power being its parent's squared (times the basis for a right
     child), and check_opening steps through an opening's ascending ids by
-    gap powers."""
+    gap powers. These three compute each bucket from the hash's fields
+    (a, b, p, r), read once when set_hash accepts the hash, so they make
+    no call per id."""
 
     def __init__(self, field, c_a, c_v, rng):
         self.field = field
@@ -44,15 +46,18 @@ class BucketFingerprintState:
         self.basis = field.rand(rng)
         self.accs = [0] * c_v
         self.h = None
+        self.hkey = None
         self.weight = 0
 
     def set_hash(self, h: PairwiseHash, universe: int):
         need(hash_fits(h, universe, self.c_v), "bad hash description")
         self.h = h
+        self.hkey = (h.a, h.b, h.p, h.r)
 
     def update(self, item, delta):
         q = self.field.q
-        b = self.h(item)
+        ha, hb, hp, hr = self.hkey
+        b = (ha * item + hb) % hp % hr
         self.accs[b] = (self.accs[b] + delta * pow(self.basis, item, q)) % q
         self.weight += abs(delta)
 
@@ -61,7 +66,8 @@ class BucketFingerprintState:
         root down: node k is path >> k, and its power of the basis is its
         parent's squared, times the basis when bit k of path is set."""
         q = self.field.q
-        basis, h, accs = self.basis, self.h, self.accs
+        basis, accs = self.basis, self.accs
+        ha, hb, hp, hr = self.hkey
         path = (1 << levels) + item
         node = path >> (levels + 1)  # the root's parent, 0 for items in [2^L]
         power = pow(basis, node, q)
@@ -71,7 +77,7 @@ class BucketFingerprintState:
             if path >> k & 1:
                 node += 1
                 power = power * basis % q
-            b = h(node)
+            b = (ha * node + hb) % hp % hr
             accs[b] = (accs[b] + delta * power) % q
         self.weight += (levels + 1) * abs(delta)
 
@@ -84,6 +90,7 @@ class BucketFingerprintState:
         Optionally collects the counts of items the caller cares about into
         `collect` (a dict pre-keyed by item)."""
         q = self.field.q
+        ha, hb, hp, hr = self.hkey
         need(isinstance(entries, list), "malformed opening")
         need(len(entries) <= self.max_open, "opening too large")
         acc = 0
@@ -98,7 +105,8 @@ class BucketFingerprintState:
             need(prev < item < n, "opening items not sorted inside universe")
             power = power * pow(self.basis, item - max(prev, 0), q) % q
             prev = item
-            need(self.h(item) == bucket, "opening item in wrong bucket")
+            need((ha * item + hb) % hp % hr == bucket,
+                 "opening item in wrong bucket")
             need(freq != 0 and abs(freq) <= self.weight, "implausible opened frequency")
             acc = (acc + freq * power) % q
             if collect is not None and item in collect:

@@ -130,9 +130,11 @@ class PairwiseHash:
 
 def hash_fits(h, universe: int, r: int) -> bool:
     """Whether a hash description received from the prover is a member of
-    the pairwise family from [universe] to [r]: int fields, 0 <= a, b < p
-    and p >= universe."""
-    return (isinstance(h, PairwiseHash)
+    the pairwise family from [universe] to [r]: exactly a PairwiseHash, int
+    fields, 0 <= a, b < p and p >= universe. A subclass is refused, since
+    calling it would run the prover's code; an accepted hash is evaluated
+    as ((a*x + b) mod p) mod r, from its fields or by calling it alike."""
+    return (type(h) is PairwiseHash
             and all(type(v) is int for v in (h.a, h.b, h.p, h.r))
             and h.r == r and h.p >= max(1, universe)
             and 0 <= h.a < h.p and 0 <= h.b < h.p)

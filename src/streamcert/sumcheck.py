@@ -172,6 +172,42 @@ class DenseVerifier:
         return self.params.vectors * self.params.c_v + 2
 
 
+def lane_bank(lanes):
+    """One call add(buckets, delta, terms) for a list of lanes, each
+    (count instance, vector j, purity sink): lane k adds delta to vector j
+    of its count instance and its purity terms to its sink, both at
+    buckets[k].
+
+    When every count instance and sink is a DenseVerifier of one grid
+    shape, each lane is one divmod, two Lagrange-row lookups and four row
+    updates, written out here; over anything else (a DenseProver, an AMA
+    purity adapter) add makes the update and add_purity calls."""
+    lanes = list(lanes)
+    if not all(type(count) is DenseVerifier and type(sink) is DenseVerifier
+               and count.c_v == sink.c_v and len(count.lrow) == len(sink.lrow)
+               for count, _, sink in lanes):
+        def add(buckets, delta, terms):
+            for b, (count, j, sink) in zip(buckets, lanes):
+                count.update(j, b, delta)
+                sink.add_purity(b, terms)
+        return add
+
+    cells = [(count.c_v, count.lrow, count.rows[j], count.q,
+              sink.lrow, *sink.rows[:3], sink.q)
+             for count, j, sink in lanes]
+
+    def add(buckets, delta, terms):
+        du, dv, dw = terms
+        for b, (c_v, lrow, f, fq, prow, u, v, w, pq) in zip(buckets, cells):
+            x, y = divmod(b, c_v)
+            f[y] = (f[y] + delta * lrow[x]) % fq
+            lx = prow[x]
+            u[y] = (u[y] + du * lx) % pq
+            v[y] = (v[y] + dv * lx) % pq
+            w[y] = (w[y] + dw * lx) % pq
+    return add
+
+
 # ------------------------------------------------------------------- prover
 
 

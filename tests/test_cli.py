@@ -232,6 +232,18 @@ def test_cli_self_loop_witness_rejects_with_exit_2(scheme, witness, tmp_path,
                                  "--witness-file", str(looped)])
     assert rc == 2 and out["outcome"] == "reject" and "value" not in out
 
+
+def test_cli_rejected_witness_exits_2(tmp_path, capsys):
+    # (1, 3) is no edge: the verifier rejects, and the run is a refusal
+    paths = _write_inputs(tmp_path)
+    off_graph = tmp_path / "off-graph.txt"
+    off_graph.write_text("0 2\n1 3\n")
+    rc, out = _cli_json(capsys, ["matching", "--input", str(paths["edges"]),
+                                 "--witness-file", str(off_graph)])
+    assert rc == 2 and out["outcome"] == "reject" and "value" not in out
+    assert out["hcost_bits"] > 0
+
+
 def test_cli_bad_witness_file_exits_1(tmp_path, capsys):
     paths = _write_inputs(tmp_path)
     assert cli_main(["connectivity", "--input", str(paths["edges"]),

@@ -214,6 +214,21 @@ def test_self_loop_witness_refused(run):
     assert isinstance(r.outcome, RelaxedOutcome) and r.rejected
 
 
+@pytest.mark.parametrize("run", [
+    lambda: verify_perfect_matching([(0, 1, 1), (2, 3, 1), (1, 2, 1)], 4,
+                                    [(0, 1), (2, 9)], c_v=4),
+    lambda: verify_connectivity([(0, i, 1) for i in range(1, 6)], 6,
+                                (0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]),
+                                seed=2),
+], ids=["matching", "connectivity"])
+def test_rejected_graph_certificate_is_a_refusal(run):
+    # a run the verifier rejects ends unconvinced, as an unusable witness
+    # does, and keeps its costs
+    r = run()
+    assert isinstance(r.outcome, RelaxedOutcome) and r.rejected
+    assert r.cost.hcost_bits > 0 and r.cost.vcost_words > 0
+
+
 TRI = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
 SQUARE = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
 STAR = [(0, i, 1) for i in range(1, 4)]

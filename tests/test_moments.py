@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -62,9 +63,16 @@ def test_fk_repeated_order_is_one_instance(rng):
     r = fk_online_multi(ups, N20, (2, 3, 2), 4, seed=1)
     assert r.value == {2: moment_oracle(ups, 2), 3: moment_oracle(ups, 3)}
 
+
 def test_fk_rejects_cv_one(rng):
     with pytest.raises(ConfigError):
         fk_online_run([U(0, 1)], 16, 2, 1)
+
+
+def test_fk_without_an_order_raises():
+    # no main instance: nothing to certify
+    with pytest.raises(ConfigError):
+        fk_online_multi([U(0, 1)], 16, (), 4)
 
 
 def test_fk_false_collision_list_rejected(rng):
@@ -204,6 +212,10 @@ def test_multiindex_basics(rng):
         multiindex_run(ups, 64, [(2, 3), (2, 3)], 4)
 
 
+def _no_hash_call(self, x):
+    raise AssertionError("bucket computed by calling the hash")
+
+
 def test_multiindex_finish_hashes_each_id_once_per_stage(monkeypatch, rng):
     n = 1 << 16
     items = rng.sample(range(n), 64)
@@ -214,17 +226,18 @@ def test_multiindex_finish_hashes_each_id_once_per_stage(monkeypatch, rng):
     core.update(items[0], -1)  # nets to zero: not mapped
     absent = next(i for i in range(n) if i not in items)
     entries = [(i, 1, None) for i in items[1:6]] + [(absent, 0, None)]
-    calls = [0]
-    call = streams.PairwiseHash.__call__
+    evals = [0]
 
-    def counted(self, x):
-        calls[0] += 1
-        return call(self, x)
+    class CountedA(int):  # a bucket (a*x + b) % p % r multiplies by a once
+        def __mul__(self, x):
+            evals[0] += 1
+            return int(self) * x
 
-    monkeypatch.setattr(streams.PairwiseHash, "__call__", counted)
+    core.hkeys = [(CountedA(a), b, p, r) for a, b, p, r in core.hkeys]
+    monkeypatch.setattr(streams.PairwiseHash, "__call__", _no_hash_call)
     chunks = core.finish_chunks(entries)
     assert chunks[0].kind == "mi-stages"
-    assert calls[0] == core.shape.t_max * (len(items) - 1 + len(entries))
+    assert evals[0] == core.shape.t_max * (len(items) - 1 + len(entries))
 
 
 @pytest.mark.parametrize("claims", [[(70, 1)], [(-1, 1)], [(5, 1), (3, -2)]],
@@ -452,6 +465,39 @@ def test_bad_start_hash_rejected(site, fields):
     assert run(seed=2, prover=rewrite_start_chunk(kind, bad_hash(**fields))).rejected
 
 
+@dataclasses.dataclass(frozen=True)
+class _SubHash(streams.PairwiseHash):
+    """Computes the very buckets of its base class, but its code is the
+    prover's: the verifier refuses it for its type alone."""
+
+
+def _as_subclass(data):
+    if isinstance(data, list):
+        return [_SubHash(h.a, h.b, h.p, h.r) for h in data]
+    return _SubHash(data.a, data.b, data.p, data.r)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_start_hash_subclass_rejected(site):
+    run, kind = SITES[site]
+    assert run(seed=2, prover=rewrite_start_chunk(kind, _as_subclass)).rejected
+
+
+@pytest.mark.parametrize("kind, why", [("hash", "bad universe hash"),
+                                       ("mi-hashes", "bad stage hash")],
+                         ids=["engine", "stages"])
+def test_engine_begin_refuses_hash_subclass(kind, why):
+    ups = [U(3, 2), U(9, 1), U(3, 1)]
+    meta = compute_meta(ups, 64)
+    shape = Shape(64, meta.sparsity, 4, meta.weight, MODE_STRICT, ks=(2,))
+    start = OnlineEngineProver(shape, random.Random(1)).start()
+    tampered = [Chunk(c.kind, _as_subclass(c.data), c.bits) if c.kind == kind
+                else c for c in start]
+    OnlineEngineVerifier(shape, random.Random(2)).begin(start)
+    with pytest.raises(Reject, match=why):
+        OnlineEngineVerifier(shape, random.Random(2)).begin(tampered)
+
+
 # -------------------------------------------------------------------- subset
 
 
@@ -603,30 +649,33 @@ def test_prover_dense_updates_scale_with_ids_not_updates(tagged, monkeypatch, rn
 
 
 def test_strict_verifier_fans_each_update_out_once_per_instance(monkeypatch, rng):
-    # per stream update: the F2 instance and each stage's SubF2 take one
-    # single-vector update; the main injection and each stage's purity
-    # check take one fused purity cell
+    # per stream update: one bank call takes the count into every stage's
+    # SubF2 and purity check, one engine-lane call into the F2 instance and
+    # the main injection; every bucket comes from the hashes' fields
     ups = strict_stream(rng, N20, 60, churn=0.4)
     meta = compute_meta(ups, N20)
     shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, ks=(2,))
     prover = OnlineEngineProver(shape, random.Random(1))
     verifier = OnlineEngineVerifier(shape, random.Random(2))
     verifier.begin(prover.start())
-    calls = {"update": 0, "add_purity": 0}
-    for name in calls:
-        method = getattr(sumcheck.DenseVerifier, name)
+    calls = {"bank": 0, "lane": 0}
 
-        def counted(self, *args, name=name, method=method):
+    def counted(name, fn):
+        def call(*args):
             calls[name] += 1
-            return method(self, *args)
+            return fn(*args)
+        return call
 
-        monkeypatch.setattr(sumcheck.DenseVerifier, name, counted)
+    verifier.mi.bank = counted("bank", verifier.mi.bank)
+    [lane] = verifier.lanes
+    verifier.lanes = [counted("lane", lane)]
+    monkeypatch.setattr(streams.PairwiseHash, "__call__", _no_hash_call)
     for u in ups:
         prover.on_update(u)
         before = dict(calls)
         verifier.update(u)
-        assert calls["update"] - before["update"] == 1 + shape.t_max
-        assert calls["add_purity"] - before["add_purity"] == 1 + shape.t_max
+        assert calls["bank"] - before["bank"] == 1
+        assert calls["lane"] - before["lane"] == 1
     chunks = prover.finish(None)
     assert next(len(c.data) for c in chunks if c.kind == "collision-list") > 0
     assert verifier.end(chunks, None).value == {2: moment_oracle(ups, 2)}

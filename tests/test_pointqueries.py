@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,9 +9,11 @@ from streamcert.harness import RunConfig, adversary, run_scheme
 from streamcert.pointqueries import (BucketFingerprintState, dyadic_counts,
                                      heavyhitters_run, open_buckets, pq_run,
                                      selection_run)
-from streamcert.protocol import COUNT_BITS, Chunk, ConfigError, Reject, id_bits
-from streamcert.streams import (StreamUpdate, dyadic_decompose, dyadic_levels,
-                                dyadic_universe, random_pairwise_hash)
+from streamcert.protocol import (COUNT_BITS, Chunk, ConfigError, Prover, Reject,
+                                 id_bits)
+from streamcert.streams import (PairwiseHash, StreamUpdate, dyadic_decompose,
+                                dyadic_levels, dyadic_universe, hash_fits,
+                                random_pairwise_hash)
 
 from conftest import (bad_hash, dyadic_node_range, freq_oracle, rewrite_chunk,
                       rewrite_start_chunk, strict_stream)
@@ -171,6 +174,32 @@ def test_pq_family_bad_hash_rejected(run, fields):
         [StreamUpdate(i, 1) for i in range(2, 12)]
     assert run(ups, seed=1).accepted
     assert run(ups, seed=1, prover=rewrite_start_chunk("hash", bad_hash(**fields))).rejected
+
+
+def test_hash_subclass_that_lies_rejected():
+    # a PairwiseHash subclass is prover code: this one sends both stream
+    # items to bucket 1 and then the query to bucket 0, which it opens
+    # empty, claiming the value 0 (the true value is 3)
+    calls = [0]
+
+    @dataclasses.dataclass(frozen=True)
+    class Lying(PairwiseHash):
+        def __call__(self, x):
+            calls[0] += 1
+            return 1 if calls[0] <= 2 else 0
+
+    class LyingProver(Prover):
+        def start(self):
+            return [Chunk("hash", Lying(a=1, b=0, p=2 ** 61 - 1, r=4), 256)]
+
+        def finish(self, query):
+            return [Chunk("opening", [], 0)]
+
+    assert not hash_fits(Lying(a=1, b=0, p=2 ** 61 - 1, r=4), 64, 4)
+    assert hash_fits(PairwiseHash(a=1, b=0, p=2 ** 61 - 1, r=4), 64, 4)
+    ups = [StreamUpdate(5, 3), StreamUpdate(9, 2)]
+    assert pq_run(ups, 64, 5, c_a=4, c_v=4).value == 3
+    assert pq_run(ups, 64, 5, c_a=4, c_v=4, prover=LyingProver()).rejected
 
 
 def hh_oracle(ups, phi):

@@ -7,12 +7,15 @@ import pytest
 from streamcert.field import Field, M61, field_at_least
 from streamcert.moments import fk_ama_mode, fk_footprint_mode, fk_online_run
 from streamcert.protocol import ConfigError
+from streamcert.purity import (AmaPurity, ama_params, draw_public_coins,
+                              purity_deltas)
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
                                  DenseVerifier, dense_prover_proof,
                                  dense_verifier_init, dense_verifier_update,
                                  dense_verify, g_power, g_product, g_purity,
                                  g_sub_purity, g_sub_square, g_triple_product,
-                                 prop1_min_field, _EXT_CACHE, _ExtGrid)
+                                 lane_bank, prop1_min_field, _EXT_CACHE,
+                                 _ExtGrid)
 
 from conftest import lagrange_basis_at, moment_oracle, strict_stream
 
@@ -119,6 +122,94 @@ def test_add_purity_is_three_updates(rng):
     assert fused_p.vecs == plain_p.vecs
     assert all(15 not in vec for vec in fused_p.vecs)
     assert fused_v.rows[3] == [0] * 4 and fused_p.vecs[3] == {}
+
+
+# ------------------------------------------------------------ the lane bank
+
+F80 = field_at_least(1 << 80)  # the lanes' purity field, apart from FM
+LANES = 3
+COUNT_P = params_for(16, 4, 4, 2, 3, g_sub_square(FM), 10 ** 6, gate=1)
+PURITY_P = params_for(16, 4, 4, 4, 3, g_sub_purity(F80), 10 ** 9, field=F80,
+                      gate=3)
+
+
+def _bank_cases(rng, terms_of):
+    """(buckets, delta, terms) per bank call: random ones, bucket 0 and the
+    last bucket in every lane, negative deltas, and a call undone by its
+    negation, whose terms cancel."""
+    cases = []
+    for _ in range(30):
+        item, delta = rng.randrange(40), rng.randrange(-5, 6)
+        cases.append(([rng.randrange(16) for _ in range(LANES)], delta,
+                      terms_of(item, delta)))
+    cases.append(([0] * LANES, -4, terms_of(7, -4)))
+    cases.append(([15] * LANES, 3, terms_of(9, 3)))
+    undone = [rng.randrange(16) for _ in range(LANES)]
+    cases.append((undone, 6, terms_of(11, 6)))
+    cases.append((undone, -6, terms_of(11, -6)))
+    return cases
+
+
+def _separately(lanes, buckets, delta, terms):
+    for b, (count, j, sink) in zip(buckets, lanes):
+        count.update(j, b, delta)
+        sink.add_purity(b, terms)
+
+
+def test_lane_bank_matches_separate_calls(monkeypatch, rng):
+    # verifier lanes over two fields take the fused loop, which makes no
+    # update or add_purity call, and leave the rows those calls leave
+    def lanes():
+        seeds = random.Random(8)
+        return [(DenseVerifier(COUNT_P, seeds), 0, DenseVerifier(PURITY_P, seeds))
+                for _ in range(LANES)]
+
+    fused, plain = lanes(), lanes()
+    cases = _bank_cases(rng, lambda i, d: purity_deltas(F80, i, d))
+    for case in cases:
+        _separately(plain, *case)
+    for name in ("update", "add_purity"):
+        monkeypatch.setattr(DenseVerifier, name, None)
+    add = lane_bank(fused)
+    for case in cases:
+        add(*case)
+    for (c1, _, s1), (c2, _, s2) in zip(fused, plain):
+        assert (c1.rows, s1.rows) == (c2.rows, s2.rows)
+    assert any(row != [0] * 4 for c, _, s in fused for row in c.rows + s.rows)
+
+
+def test_lane_bank_over_provers_and_ama_sinks(rng):
+    # any other lane makes the update and add_purity calls: prover lanes,
+    # whose cancelled cells leave no entry, and verifier counts with AMA
+    # purity sinks, whose terms are (item, count)
+    def prover_lanes():
+        return [(DenseProver(COUNT_P), 0, DenseProver(PURITY_P))
+                for _ in range(LANES)]
+
+    fused, plain = prover_lanes(), prover_lanes()
+    add = lane_bank(fused)
+    for case in _bank_cases(rng, lambda i, d: purity_deltas(F80, i, d)):
+        add(*case)
+        _separately(plain, *case)
+    for (c1, _, s1), (c2, _, s2) in zip(fused, plain):
+        assert (c1.vecs, s1.vecs) == (c2.vecs, s2.vecs)
+
+    lgn, coins = 6, draw_public_coins(F80, 3)
+    ama = ama_params(F80, 16, lgn, 32, 4)
+
+    def ama_lanes():
+        seeds = random.Random(9)
+        return [(DenseVerifier(COUNT_P, seeds), 1,
+                 AmaPurity(DenseVerifier(ama, seeds), coins, 40, lgn))
+                for _ in range(LANES)]
+
+    fused, plain = ama_lanes(), ama_lanes()
+    add = lane_bank(fused)
+    for case in _bank_cases(rng, lambda i, d: (i, d)):
+        add(*case)
+        _separately(plain, *case)
+    for (c1, _, s1), (c2, _, s2) in zip(fused, plain):
+        assert (c1.rows, s1.dense.rows) == (c2.rows, s2.dense.rows)
 
 
 def test_rows_match_direct_extension(rng):
