@@ -12,12 +12,7 @@ import sys
 from .harness import (REQUIRED, RunConfig, SCHEMES, cost_sweep, run_scheme,
                       scheme_flags, soundness_trials)
 from .protocol import ConfigError, RelaxedOutcome
-from .streams import (ModelViolation, read_bucketed_stream, read_edge_stream,
-                      read_stream, read_tagged_stream)
-
-
-def _dest(flag):
-    return flag[2:].replace("-", "_")
+from .streams import ModelViolation, read_stream
 
 
 def _build_parser():
@@ -50,29 +45,26 @@ def _load(args):
     """(updates, n, model, params) from the stream file and the flags; flags
     left out are absent from params, so run_scheme fills their defaults."""
     kind, flags = scheme_flags(args.scheme)
-    params = {}
-    if kind == "plain":
-        updates, n, model = read_stream(args.input)
-    elif kind == "tagged":
-        updates, n, model = read_tagged_stream(args.input)
-    elif kind == "bucketed":
-        updates, n, params["r"], model = read_bucketed_stream(args.input)
-    else:
-        updates, n, model = read_edge_stream(args.input)
+    updates, n, model, params = read_stream(args.input, kind)
     for param in flags:
-        value = getattr(args, _dest(param.flag), None) if param.flag else None
+        value = (getattr(args, param.flag[2:].replace("-", "_"), None)
+                 if param.flag else None)
         if value is not None:
             params[param.key] = param.read(value) if param.read else value
     return updates, n, model, params
 
 
 def _emit(report, payload):
+    """One run's payload, or the sweep's list of rows; TSV prints a row's
+    keys sorted, or the sweep's in their order."""
     if report == "json":
         print(json.dumps(payload))
-    else:
-        keys = sorted(payload)
-        print("\t".join(keys))
-        print("\t".join(str(payload[k]) for k in keys))
+        return
+    rows = payload if isinstance(payload, list) else [payload]
+    keys = list(rows[0]) if isinstance(payload, list) else sorted(payload)
+    print("\t".join(keys))
+    for row in rows:
+        print("\t".join(str(row[k]) for k in keys))
 
 
 def main(argv=None):
@@ -81,15 +73,8 @@ def main(argv=None):
         if args.scheme == "sweep":
             ms = [int(x) for x in args.m_list.split(",")]
             cvs = [int(x) for x in args.cv_list.split(",")]
-            rows = cost_sweep(args.k, ms, cvs, n=args.n, seed=args.seed)
-            if args.report == "json":
-                print(json.dumps(rows))
-            else:
-                keys = ["m", "c_v", "k", "accepted", "value", "hcost_bits",
-                        "vcost_words"]
-                print("\t".join(keys))
-                for row in rows:
-                    print("\t".join(str(row[k]) for k in keys))
+            _emit(args.report, cost_sweep(args.k, ms, cvs, n=args.n,
+                                          seed=args.seed))
             return 0
 
         updates, n, model, params = _load(args)

@@ -4,33 +4,24 @@ connectivity, and non-bipartiteness.
 
 Witness edge sets are checked for membership in the streamed edge set with
 the tagged inner-product machinery (X . Y == |X| with Y the 0/1 edge
-indicator), and witness structure is checked with O(1) fingerprint state."""
+indicator), and witness structure is checked with O(1) fingerprint state.
+That test is sound only on a simple graph, so every run first reads its
+edges through streams.stream_ids, which refuses (ConfigError) a vertex
+outside [0, n), a self loop and an edge whose final count is not 0 or 1."""
 
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
-                      Shape, fk_online_multi, tagged_meta)
+                      Shape, fk_online_multi)
 from .protocol import (Chunk, ConfigError, CostReport, Outcome, Prover,
                        RelaxedOutcome, RunResult, Verifier, derive_rng, id_bits,
                        int_record, need, resolve_prover, run_protocol)
-from .streams import StreamUpdate, fingerprint_of_range
-
-
-def pair_rank(u: int, v: int) -> int:
-    """Rank of an unordered vertex pair (u < v) in the C(n,2) universe."""
-    if u > v:
-        u, v = v, u
-    if u == v:
-        raise ConfigError("self loop")
-    return v * (v - 1) // 2 + u
+from .streams import (StreamUpdate, compute_meta, edge_universe,
+                      fingerprint_of_range, pair_rank, stream_ids)
 
 
 def triple_rank(a: int, b: int, c: int) -> int:
     """Combinatorial-number-system rank of a vertex triple in [C(n,3)]."""
     a, b, c = sorted((a, b, c))
     return a + b * (b - 1) // 2 + c * (c - 1) * (c - 2) // 6
-
-
-def edge_universe(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 def triple_universe(n: int) -> int:
@@ -62,6 +53,7 @@ def count_triangles_run(edges, n, c_v=64, *, seed=0, prover=None) -> RunResult:
     edge stream."""
     if n < 3:
         raise ConfigError("need at least three vertices")
+    stream_ids("edges", edges, n)
     derived = triangle_derived_stream(edges, n)
     result = fk_online_multi(derived, triple_universe(n), (1, 2, 3), c_v,
                              seed=seed, prover=prover)
@@ -82,20 +74,20 @@ def _edge_update(side, a, b, delta=1):
     return side, StreamUpdate(pair_rank(a, b), delta)
 
 
-def _subset_shape(edges, n, witness_len, c_v):
-    """One Shape for the subset engine over the C(n,2) edge universe: the
-    streamed edges plus up to witness_len witness edges."""
-    meta = tagged_meta([_edge_update(1, *e) for e in edges], edge_universe(n))
-    return Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
-                 max(1, meta.weight + witness_len), MODE_STRICT, tagged=True)
-
-
-def _relaxed_run(verifier, prover, honest, edges) -> RunResult:
-    """A graph certificate's run. Its outcome is a RelaxedOutcome whether
-    the witness is unusable or the verifier rejects; a rejected run keeps
-    its costs."""
+def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, honest,
+                 prover) -> RunResult:
+    """A graph certificate's run on one Shape for the subset engine over the
+    C(n,2) edge universe: the streamed edges plus up to witness_len witness
+    edges. verifier(n, shape, rng) and honest(shape, rng) build the two
+    sides. The outcome is a RelaxedOutcome whether the witness is unusable
+    or the verifier rejects; a rejected run keeps its costs."""
+    meta = compute_meta(*stream_ids("edges", edges, n))
+    shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
+                  max(1, meta.weight + witness_len), MODE_STRICT, tagged=True)
+    verifier = verifier(n, shape, derive_rng(seed, label + "-v"))
     try:
-        prover = resolve_prover(prover, honest)
+        prover = resolve_prover(prover, lambda: honest(
+            shape, derive_rng(seed, label + "-p")))
     except ConfigError:
         # witness unusable: the prover cannot even form its annotation
         return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
@@ -203,10 +195,9 @@ def verify_perfect_matching(edges, n, witness, c_v=16, *, seed=0,
                             prover=None) -> RunResult:
     """Relaxed check that `witness` is a perfect matching inside the streamed
     edge set: convinced, or not convinced (never 'no matching exists')."""
-    shape = _subset_shape(edges, n, len(witness), c_v)
-    verifier = MatchingVerifier(n, shape, derive_rng(seed, "match-v"))
-    return _relaxed_run(verifier, prover, lambda: MatchingProver(
-        n, shape, witness, derive_rng(seed, "match-p")), edges)
+    return _relaxed_run(edges, n, len(witness), c_v, seed, "match",
+                        MatchingVerifier, lambda shape, rng: MatchingProver(
+                            n, shape, witness, rng), prover)
 
 
 # --------------------------------------------------------------- connectivity
@@ -311,10 +302,9 @@ def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
     vertices; membership of every tree edge in the stream goes through the
     subset machinery."""
     root, tree_edges = witness
-    shape = _subset_shape(edges, n, max(1, n - 1), c_v)
-    verifier = ConnectivityVerifier(n, shape, derive_rng(seed, "conn-v"))
-    return _relaxed_run(verifier, prover, lambda: ConnectivityProver(
-        n, shape, root, tree_edges, derive_rng(seed, "conn-p")), edges)
+    return _relaxed_run(edges, n, max(1, n - 1), c_v, seed, "conn",
+                        ConnectivityVerifier, lambda shape, rng: ConnectivityProver(
+                            n, shape, root, tree_edges, rng), prover)
 
 
 # ------------------------------------------------------------ non-bipartiteness
@@ -352,7 +342,6 @@ def verify_non_bipartite(edges, n, witness, c_v=16, *, seed=0,
     """Relaxed non-bipartiteness: the witness is an odd closed walk played in
     order; every step must be a streamed edge."""
     cycle = list(witness)
-    shape = _subset_shape(edges, n, len(cycle), c_v)
-    verifier = OddCycleVerifier(n, shape, derive_rng(seed, "cyc-v"))
-    return _relaxed_run(verifier, prover, lambda: OddCycleProver(
-        n, shape, cycle, derive_rng(seed, "cyc-p")), edges)
+    return _relaxed_run(edges, n, len(cycle), c_v, seed, "cyc",
+                        OddCycleVerifier, lambda shape, rng: OddCycleProver(
+                            n, shape, cycle, rng), prover)

@@ -10,7 +10,7 @@ from . import graphs, moments, pointqueries, purity
 from .protocol import ConfigError, Prover, RunResult, derive_rng
 from .streams import (INSERT_ONLY, NONSTRICT, STRICT, StreamUpdate,
                       read_cycle_witness, read_pairs, read_tree_witness,
-                      validate_stream)
+                      stream_ids, validate_stream)
 from .sumcheck import DenseProof
 
 
@@ -277,27 +277,9 @@ def _entry(config: RunConfig) -> Scheme:
     return entry[mode]
 
 
-def _validate(config: RunConfig, stream, kind):
-    n = config.n
-    if kind == "plain":
-        flat = stream
-    elif kind == "tagged":
-        flat = [StreamUpdate(2 * su.item + t, su.delta) for t, su in stream]
-        n = 2 * n
-    elif kind == "bucketed":
-        r = config.params["r"]
-        purity.check_buckets((u.bucket for u in stream), r)
-        flat = [StreamUpdate(u.item * r + u.bucket, u.delta) for u in stream]
-        n = n * r
-    else:
-        flat = [StreamUpdate(graphs.pair_rank(u, v), d) for u, v, d in stream]
-        n = graphs.edge_universe(config.n)
-    validate_stream(flat, n, config.model)
-
-
 def run_scheme(config: RunConfig, stream) -> RunResult:
-    """Check the update model and validate the stream, then run one scheme
-    end to end with its declared defaults filled in."""
+    """Check the update model and validate the stream over its ids, then run
+    one scheme end to end with its declared defaults filled in."""
     entry = _entry(config)
     if entry.models is not None and config.model not in entry.models:
         raise ConfigError(f"{config.scheme} does not support the {config.model} model")
@@ -309,7 +291,8 @@ def run_scheme(config: RunConfig, stream) -> RunResult:
         if value is REQUIRED:
             raise ConfigError(f"missing parameter {p.key!r}")
         kwargs[p.arg or p.key] = config.seed if value is RUN_SEED else value
-    _validate(config, stream, entry.kind)
+    validate_stream(*stream_ids(entry.kind, stream, config.n, config.params),
+                    config.model)
     prover = (None if config.prover == "honest"
               else adversary(config.prover, config.seed))
     return entry.run(stream, n=config.n, seed=config.seed, prover=prover, **kwargs)
@@ -319,10 +302,7 @@ def soundness_trials(config: RunConfig, stream, trials: int) -> int:
     """Repeat a run with fresh verifier randomness; count accepted outcomes."""
     accepted = 0
     for t in range(trials):
-        cfg = RunConfig(config.scheme, config.n, config.model,
-                        seed=(config.seed, t), prover=config.prover,
-                        params=config.params)
-        result = run_scheme(cfg, stream)
+        result = run_scheme(replace(config, seed=(config.seed, t)), stream)
         if result.accepted:
             accepted += 1
     return accepted

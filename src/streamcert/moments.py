@@ -62,6 +62,7 @@ MultiIndexVerifierCore.end(claims, chunks) checks them and returns
 """
 
 import math
+from functools import partial
 from itertools import repeat
 
 from .field import field_at_least
@@ -70,8 +71,9 @@ from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        derive_rng, id_bits, int_record, need,
                        resolve_prover, run_protocol)
 from .pointqueries import BucketFingerprintState, open_buckets
-from .streams import (StreamUpdate, compute_meta, find_perfect_hash,
-                      frequency_map, hash_fits, random_pairwise_hash)
+from .streams import (check_counts, compute_meta, find_perfect_hash,
+                      frequency_map, hash_fits, random_pairwise_hash,
+                      stream_ids)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
                        g_product, lane_bank, prop1_min_field)
 from .purity import (AmaPurity, ama_params, balanced_shape,
@@ -112,7 +114,6 @@ class Shape:
         self.mode = mode
         self.c_v = c_v
         base = max(1, base)
-        self.base = base
         self.c_a = _pow2ceil(max(1, -(-base * _ceil_sqrt(c_v) // c_v)))
         self.r = self.c_a * c_v
         self.threshold = max(1, -(-10 * base * base // self.r))
@@ -466,14 +467,9 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult
     Strict turnstile; the stage hash functions are fixed before the stream
     and the claim list arrives after it. Raises ConfigError unless the
     claims name distinct items of [0, n) with nonnegative counts."""
-    items = [c[0] for c in claims]
-    if len(set(items)) != len(items):
+    if len({i for i, _ in claims}) != len(claims):
         raise ConfigError("claims must name distinct items")
-    for i, f in claims:
-        if not 0 <= i < n:
-            raise ConfigError(f"claimed item {i} outside universe [{n}]")
-        if f < 0:
-            raise ConfigError(f"claimed count {f} of item {i} is negative")
+    claims = check_counts(claims, n, "claimed item")
     meta = compute_meta(updates, n)
     shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
                   ell=max(2, len(claims)))
@@ -723,32 +719,31 @@ def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRIC
     return run_protocol(verifier, prover, updates)
 
 
-def fk_online_run(updates, n, k, c_v, *, seed=0, prover=None) -> RunResult:
-    """Online exact Fk in the strict turnstile model."""
-    result = fk_online_multi(updates, n, (k,), c_v, seed=seed, prover=prover)
+def _fk_single(updates, n, k, c_v, **kwargs) -> RunResult:
+    """fk_online_multi for the one order k, its outcome the bare Fk value."""
+    result = fk_online_multi(updates, n, (k,), c_v, **kwargs)
     if result.outcome.accepted:
         result.outcome = Outcome.ok(result.outcome.value[k])
     return result
+
+
+def fk_online_run(updates, n, k, c_v, *, seed=0, prover=None) -> RunResult:
+    """Online exact Fk in the strict turnstile model."""
+    return _fk_single(updates, n, k, c_v, seed=seed, prover=prover)
 
 
 def fk_footprint_mode(updates, n, k, c_v, *, seed=0, prover=None) -> RunResult:
     """Non-strict-model Fk; purity occupancy and costs scale with the stream
     footprint instead of its sparsity."""
-    result = fk_online_multi(updates, n, (k,), c_v, seed=seed, prover=prover,
-                             mode=MODE_FOOTPRINT)
-    if result.outcome.accepted:
-        result.outcome = Outcome.ok(result.outcome.value[k])
-    return result
+    return _fk_single(updates, n, k, c_v, seed=seed, prover=prover,
+                      mode=MODE_FOOTPRINT)
 
 
 def fk_ama_mode(updates, n, k, c_v, *, seed=0, coins_seed=0, prover=None) -> RunResult:
     """Non-strict-model Fk with public-coin purity checks; costs scale with
     sparsity at an extra log(n) factor."""
-    result = fk_online_multi(updates, n, (k,), c_v, seed=seed, prover=prover,
-                             mode=MODE_AMA, coins_seed=coins_seed)
-    if result.outcome.accepted:
-        result.outcome = Outcome.ok(result.outcome.value[k])
-    return result
+    return _fk_single(updates, n, k, c_v, seed=seed, prover=prover,
+                      mode=MODE_AMA, coins_seed=coins_seed)
 
 
 def _prescient_feed(h, main, inj, item, delta):
@@ -844,8 +839,8 @@ def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
 
 
 def tagged_meta(updates, n):
-    return compute_meta([StreamUpdate(2 * su.item + tag, su.delta)
-                         for tag, su in updates], 2 * n)
+    """compute_meta over a tagged stream's ids, item i of side t as 2i + t."""
+    return compute_meta(*stream_ids("tagged", updates, n))
 
 
 class _PrescientDisjProver(Prover):
@@ -1035,18 +1030,16 @@ class _TaggedWitnessVerifier(Verifier):
         return self.pq.words + self.engine.words + 2
 
 
-def _tagged_shape(updates, n, c_v):
-    """One Shape for the tagged schemes: S and T items share the reduced
-    universe as ids 2i and 2i + 1."""
+def _tagged_run(updates, n, c_v, seed, prover, label, verifier,
+                honest) -> RunResult:
+    """A run of a tagged scheme over one Shape, where S and T items share
+    the reduced universe as ids 2i and 2i + 1. The verifier and the honest
+    prover are built as verifier(shape, rng) and honest(shape, rng)."""
     meta = tagged_meta(updates, n)
-    return Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT, tagged=True)
-
-
-def _tagged_run(updates, n, c_v, seed, prover, subset) -> RunResult:
-    shape = _tagged_shape(updates, n, c_v)
-    verifier = _TaggedWitnessVerifier(shape, derive_rng(seed, "tag-v"), subset)
-    prover = resolve_prover(prover, lambda: _TaggedWitnessProver(
-        shape, derive_rng(seed, "tag-p"), subset=subset))
+    shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT, tagged=True)
+    verifier = verifier(shape, derive_rng(seed, label + "-v"))
+    prover = resolve_prover(prover, lambda: honest(
+        shape, derive_rng(seed, label + "-p")))
     return run_protocol(verifier, prover, updates)
 
 
@@ -1054,14 +1047,17 @@ def disj_online_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
     """Online sparse set-disjointness: 1 iff the certified inner product of
     the two indicator-weight vectors is zero; intersection may instead be
     shown by a witness with two point-query openings."""
-    return _tagged_run(updates, n, c_v, seed, prover, subset=False)
+    return _tagged_run(updates, n, c_v, seed, prover, "tag",
+                       _TaggedWitnessVerifier, _TaggedWitnessProver)
 
 
 def subset_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
     """X subseteq Y for sets streamed interleaved: certified inner product
     f_X . f_Y compared against |X|; a witness in X minus Y shows the
     negative case."""
-    return _tagged_run(updates, n, c_v, seed, prover, subset=True)
+    return _tagged_run(updates, n, c_v, seed, prover, "tag",
+                       partial(_TaggedWitnessVerifier, subset=True),
+                       partial(_TaggedWitnessProver, subset=True))
 
 
 # --------------------------------------------- inner product / Hamming distance
@@ -1073,7 +1069,7 @@ def subset_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 class _ProductVerifier(Verifier):
     """The tagged engine's verifier plus the F1 counter."""
 
-    def __init__(self, shape, rng, hamming):
+    def __init__(self, shape, rng, hamming=False):
         self.engine = OnlineEngineVerifier(shape, rng)
         self.hamming = hamming
         self.f1 = 0
@@ -1096,17 +1092,10 @@ class _ProductVerifier(Verifier):
         return self.engine.words + 1
 
 
-def _product_run(updates, n, c_v, seed, prover, hamming) -> RunResult:
-    shape = _tagged_shape(updates, n, c_v)
-    verifier = _ProductVerifier(shape, derive_rng(seed, "pair-v"), hamming)
-    prover = resolve_prover(prover, lambda: OnlineEngineProver(
-        shape, derive_rng(seed, "pair-p")))
-    return run_protocol(verifier, prover, updates)
-
-
 def inner_product_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
     """Exact f . g, certified by the tagged engine's product sum-check."""
-    return _product_run(updates, n, c_v, seed, prover, hamming=False)
+    return _tagged_run(updates, n, c_v, seed, prover, "pair",
+                       _ProductVerifier, OnlineEngineProver)
 
 
 def hamming_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
@@ -1114,10 +1103,10 @@ def hamming_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 
     Raises ConfigError unless both final vectors are 0/1; on other vectors
     that formula is not a distance."""
-    freq = frequency_map(StreamUpdate(2 * su.item + tag, su.delta)
-                         for tag, su in updates)
-    for ident, f in sorted(freq.items()):
+    for ident, f in sorted(frequency_map(stream_ids("tagged", updates, n)[0]).items()):
         if f != 1:
             raise ConfigError(f"hamming needs 0/1 vectors: item {ident >> 1} "
                               f"of {'ST'[ident & 1]} has count {f}")
-    return _product_run(updates, n, c_v, seed, prover, hamming=True)
+    return _tagged_run(updates, n, c_v, seed, prover, "pair",
+                       partial(_ProductVerifier, hamming=True),
+                       OnlineEngineProver)

@@ -161,13 +161,6 @@ def open_buckets(h, counts, items, n, flagged=None):
     return openings, bits
 
 
-def check_items(updates, n):
-    """Raise ConfigError unless every stream item lies in [0, n)."""
-    for u in updates:
-        if not 0 <= u.item < n:
-            raise ConfigError(f"item {u.item} outside [0, {n})")
-
-
 def dyadic_counts(freq, n):
     """Counts of the derived dyadic stream: each dyadic node's total
     frequency over the nonzero entries of `freq`."""
@@ -228,7 +221,6 @@ def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
     """Frequency of `query`, certified against one opened hash bucket."""
     if not 0 <= query < n:
         raise ConfigError(f"query {query} outside [0, {n})")
-    check_items(updates, n)
     if c_a * c_v < compute_meta(updates, n).sparsity:
         raise ConfigError("c_a * c_v must cover the stream's sparsity")
     verifier = PointQueryVerifier(n, c_a, c_v, derive_rng(seed, "pq-v"))
@@ -317,7 +309,6 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
 
     One bucket-fingerprint state over the derived dyadic stream serves all
     the parallel prefix-count openings."""
-    check_items(updates, n)
     m_derived = compute_meta(updates, n).sparsity * (dyadic_levels(n) + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
@@ -500,7 +491,6 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
         raise ConfigError("phi must be in (0, 1)")
     if mode not in ("openings", "multiindex"):
         raise ConfigError(f"unknown heavyhitters mode {mode!r}")
-    check_items(updates, n)
     meta = compute_meta(updates, n)
     levels = dyadic_levels(n)
     m_derived = max(1, meta.sparsity) * (levels + 1)

@@ -17,9 +17,9 @@ so the fingerprint inner product of the two sides is identically zero.
 from dataclasses import replace
 
 from .field import Field, field_at_least
-from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
-                       Verifier, derive_rng, id_bits, need, resolve_prover,
-                       run_protocol)
+from .protocol import (Chunk, Outcome, Prover, RunResult, Verifier,
+                       derive_rng, id_bits, need, resolve_prover, run_protocol)
+from .streams import check_counts, compute_meta, stream_ids
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_purity,
                        g_sub_purity, g_sub_square, g_triple_product)
 
@@ -37,13 +37,6 @@ def balanced_shape(universe: int):
         c_a <<= 1
     c_v = (universe + c_a - 1) // c_a
     return c_a, max(1, c_v)
-
-
-def check_buckets(buckets, r: int):
-    """Raise ConfigError unless every bucket lies in [0, r)."""
-    for b in buckets:
-        if not 0 <= b < r:
-            raise ConfigError(f"bucket {b} outside [0, {r})")
 
 
 def purity_deltas(field: Field, item: int, delta: int):
@@ -157,8 +150,7 @@ def injection_run(updates, n, r, *, seed=0, prover=None) -> RunResult:
     Callers are expected to have validated the strict model on pairs; the
     purity identity is only meaningful with nonnegative pair counts.
     """
-    check_buckets((u.bucket for u in updates), r)
-    weight = sum(abs(u.delta) for u in updates)
+    weight = compute_meta(*stream_ids("bucketed", updates, n, {"r": r})).weight
     bound = max(1, r) * (max(1, weight) * max(1, n)) ** 2
     field = field_at_least(purity_min_field(weight, n, r))
     c_a, c_v = balanced_shape(r)
@@ -186,12 +178,8 @@ def subinjection_run(updates, z, n, r, *, seed=0, prover=None) -> RunResult:
     z is part of the input (streamed after the main stream), given as
     (bucket, count) pairs with nonnegative counts.
     """
-    z = [(b, int(c)) for b, c in z]
-    if any(c < 0 for _, c in z):
-        raise ConfigError("bucket indicator entries must be nonnegative")
-    check_buckets((b for b, _ in z), r)
-    check_buckets((u.bucket for u in updates), r)
-    weight = sum(abs(u.delta) for u in updates)
+    z = check_counts(z, r, "bucket")
+    weight = compute_meta(*stream_ids("bucketed", updates, n, {"r": r})).weight
     zmax = max((c for _, c in z), default=0)
     bound = max(1, zmax) * max(1, r) * (max(1, weight) * max(1, n)) ** 2
     field = field_at_least(2 * bound + 1)
@@ -223,12 +211,8 @@ class _SubF2Map(_DenseMap):
 
 def subf2_run(updates, z, n, *, seed=0, prover=None) -> RunResult:
     """Exact sum_i z_i * f_i^2 over any turnstile stream."""
-    z = [(i, int(c)) for i, c in z]
-    if any(c < 0 for _, c in z):
-        raise ConfigError("indicator entries must be nonnegative")
-    if any(not 0 <= i < n for i, _ in z):
-        raise ConfigError(f"indicator entries must name items in [0, {n})")
-    weight = sum(abs(u.delta) for u in updates)
+    z = check_counts(z, n, "item")
+    weight = compute_meta(updates, n).weight
     ztot = sum(c for _, c in z)
     bound = max(1, ztot) * max(1, weight) ** 2
     field = field_at_least(2 * bound + 1)
@@ -313,7 +297,7 @@ def ama_injection_run(updates, n, r, *, coins_seed=0, seed=0,
     is caught except with probability about n^2 * r * log(n) / q over the
     public coins, drawn before any prover message.
     """
-    check_buckets((u.bucket for u in updates), r)
+    stream_ids("bucketed", updates, n, {"r": r})  # checks items and buckets
     lgn = id_bits(n)
     field = field_at_least((n ** 2) * r * lgn << 20)
     coins = draw_public_coins(field, coins_seed)

@@ -1,10 +1,13 @@
 """Stream data model: update types, turnstile models, sparsity accounting,
 incremental fingerprints, pairwise/perfect hashing, dyadic decomposition,
-and the flat-file stream formats consumed by the CLI."""
+the four stream kinds (plain, tagged, bucketed, edges), each declared once
+with its file format, its flattening to ids and its universe check, and the
+witness, z and claims files the CLI reads."""
 
 from dataclasses import dataclass
 
 from .field import next_prime
+from .protocol import ConfigError
 
 INSERT_ONLY = "insert"
 STRICT = "strict"
@@ -50,6 +53,8 @@ class StreamMeta:
 
 
 def compute_meta(updates, n) -> StreamMeta:
+    """The sizing pass every run function makes over its updates; raises
+    ConfigError for an item outside [0, n)."""
     freq = {}
     weight = 0
     count = 0
@@ -57,6 +62,9 @@ def compute_meta(updates, n) -> StreamMeta:
         freq[u.item] = freq.get(u.item, 0) + u.delta
         weight += abs(u.delta)
         count += 1
+    for i in freq:
+        if not 0 <= i < n:
+            raise ConfigError(f"item {i} outside [0, {n})")
     m = sum(1 for v in freq.values() if v != 0)
     return StreamMeta(n=n, length=count, sparsity=m, footprint=len(freq), weight=weight)
 
@@ -72,7 +80,7 @@ def validate_stream(updates, n, model):
     freq = {}
     for u in updates:
         if not 0 <= u.item < n:
-            raise ModelViolation(f"item {u.item} outside universe [{n}]")
+            raise ModelViolation(f"item {u.item} outside [0, {n})")
         if u.delta == 0:
             raise ModelViolation("zero-delta update")
         if model == INSERT_ONLY and u.delta < 0:
@@ -206,17 +214,144 @@ def dyadic_prefix_nodes(count: int, n: int):
     return out
 
 
+# ---------------------------------------------------------------- stream kinds
+
+
+def check_counts(pairs, size, what):
+    """(index, count) pairs of a z vector or a claims list, counts as ints,
+    after checking every index against [0, size) and every count for sign."""
+    pairs = [(i, int(c)) for i, c in pairs]
+    for i, c in pairs:
+        if not 0 <= i < size:
+            raise ConfigError(f"{what} {i} outside [0, {size})")
+        if c < 0:
+            raise ConfigError(f"{what} {i} has negative count {c}")
+    return pairs
+
+
+def pair_rank(u: int, v: int) -> int:
+    """Rank of an unordered vertex pair (u < v) in the C(n,2) universe."""
+    if u > v:
+        u, v = v, u
+    if u == v:
+        raise ConfigError(f"self loop at vertex {u}")
+    return v * (v - 1) // 2 + u
+
+
+def edge_universe(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _tagged_ids(records, n, params):
+    """Item i on side t (0 for S, 1 for T) is id 2i + t of [2n]."""
+    ids = []
+    for tag, su in records:
+        if tag not in (0, 1):
+            raise ConfigError(f"tag {tag!r} is neither 0 (S) nor 1 (T)")
+        if not 0 <= su.item < n:
+            raise ConfigError(f"item {su.item} of {'ST'[tag]} outside [0, {n})")
+        ids.append(StreamUpdate(2 * su.item + tag, su.delta))
+    return ids, 2 * n
+
+
+def _bucketed_ids(updates, n, params):
+    """Item i in bucket b is id i*r + b of [n*r]."""
+    r = params["r"]
+    ids = []
+    for u in updates:
+        if not 0 <= u.bucket < r:
+            raise ConfigError(f"bucket {u.bucket} outside [0, {r})")
+        if not 0 <= u.item < n:
+            raise ConfigError(f"item {u.item} outside [0, {n})")
+        ids.append(StreamUpdate(u.item * r + u.bucket, u.delta))
+    return ids, n * r
+
+
+def _edge_ids(edges, n, params):
+    """Edge {u, v} is id pair_rank(u, v) of [C(n,2)]. The graph schemes need
+    a simple graph: both vertices in [0, n), no self loop, and every edge's
+    final count 0 or 1."""
+    ids = []
+    for u, v, delta in edges:
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise ConfigError(f"vertex {x} of edge ({u}, {v}) outside [0, {n})")
+        ids.append(StreamUpdate(pair_rank(u, v), delta))
+    for rank, f in frequency_map(ids).items():
+        if f != 1:
+            u, v, _ = next(e for e, i in zip(edges, ids) if i.item == rank)
+            raise ConfigError(f"edge ({u}, {v}) has final count {f}, not 0 or 1")
+    return ids, edge_universe(n)
+
+
+_TAGS = {"S": 0, "T": 1, "X": 0, "Y": 1}
+
+
+def _tagged_record(tag, item, delta):
+    if tag.upper() not in _TAGS:
+        raise ValueError(f"unknown tag {tag!r}")
+    return _TAGS[tag.upper()], StreamUpdate(int(item), int(delta))
+
+
+@dataclass(frozen=True)
+class StreamKind:
+    """One of the four stream kinds, declared once: the header field naming
+    its universe, its further integer header fields, one data line's fields,
+    the record built from them, and ids(records, n, header params) ->
+    (updates over ids, id universe), which raises ConfigError for a record
+    outside the universe. The file reader, run_scheme's model check and the
+    run functions' sizing passes all go through KINDS."""
+
+    size_key: str
+    extra_keys: tuple
+    fields: str
+    record: object
+    ids: object
+
+
+KINDS = {
+    "plain": StreamKind("n", (), "<item> <delta>",
+                        lambda i, d: StreamUpdate(int(i), int(d)),
+                        lambda updates, n, params: (updates, n)),
+    "tagged": StreamKind("n", (), "S|T <item> <delta>", _tagged_record,
+                         _tagged_ids),
+    "bucketed": StreamKind("n", ("r",), "<item> <bucket> <delta>",
+                           lambda i, b, d: BucketedUpdate(int(i), int(b), int(d)),
+                           _bucketed_ids),
+    "edges": StreamKind("vertices", (), "<u> <v> <delta>",
+                        lambda u, v, d: (int(u), int(v), int(d)), _edge_ids),
+}
+
+
+def stream_ids(kind, records, n, params=None):
+    """(updates over ids, id universe) of a stream of the given kind, after
+    checking every record against its universe (ConfigError names the record
+    as given). A plain stream is returned as it is, without a copy; its
+    items are checked by compute_meta, the sizing pass of every run."""
+    return KINDS[kind].ids(records, n, params or {})
+
+
 # ---------------------------------------------------------------- file formats
 
 
-def _parse_header(line, path):
-    if not line.startswith("#"):
-        raise ValueError(f"{path}: missing header line")
-    fields = {}
-    for tok in line[1:].split():
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    return fields
+def _data_lines(path, lines, fields, record):
+    """record(*fields) of each numbered line that is neither blank nor a '#'
+    comment, indented or not. A line with another field count than `fields`
+    spells, or one record() refuses, raises a ValueError naming path and
+    line."""
+    arity = len(fields.split())
+    out = []
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            if len(parts) != arity:
+                raise ValueError(f"expected '{fields}', got {line.strip()!r}")
+            out.append(record(*parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return out
 
 
 def _header_int(header, key, path):
@@ -226,108 +361,50 @@ def _header_int(header, key, path):
         raise ValueError(f"{path}: header needs an integer {key}=") from None
 
 
-def read_stream(path):
-    """Plain stream file: '# n=<n> model=<insert|strict|nonstrict>' header,
-    then one '<item> <delta>' per line. Returns (updates, n, model)."""
+def read_stream(path, kind="plain"):
+    """Stream file of the given kind: a '# n=<n> model=<insert|strict|
+    nonstrict>' header ('vertices=' in place of 'n=' for edges, plus 'r=' for
+    bucketed), then one record per line. Returns (records, n, model, header
+    params), the params holding the kind's further header fields."""
+    spec = KINDS[kind]
     with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline(), path)
-        n = _header_int(header, "n", path)
+        line = fh.readline()
+        if not line.startswith("#"):
+            raise ValueError(f"{path}: missing header line")
+        header = dict(tok.partition("=")[::2] for tok in line[1:].split())
+        n = _header_int(header, spec.size_key, path)
+        params = {key: _header_int(header, key, path) for key in spec.extra_keys}
         model = _canon_model(header.get("model", STRICT))
-        updates = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            item, delta = line.split()
-            updates.append(StreamUpdate(int(item), int(delta)))
-    return updates, n, model
+        records = _data_lines(path, enumerate(fh, 2), spec.fields, spec.record)
+    return records, n, model, params
 
 
-def read_bucketed_stream(path):
-    """Bucketed stream: '# n=<n> r=<r> model=...' then '<item> <bucket> <delta>'."""
+def _read_file(path, fields, record):
     with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline(), path)
-        n = _header_int(header, "n", path)
-        r = _header_int(header, "r", path)
-        model = _canon_model(header.get("model", STRICT))
-        updates = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            item, bucket, delta = line.split()
-            updates.append(BucketedUpdate(int(item), int(bucket), int(delta)))
-    return updates, n, r, model
-
-
-def read_tagged_stream(path):
-    """Tagged stream: '# n=...' then 'S|T <item> <delta>' lines.
-
-    Returns (updates, n, model) where updates are (tag, StreamUpdate) with
-    tag 0 for S/X and 1 for T/Y.
-    """
-    tags = {"S": 0, "T": 1, "X": 0, "Y": 1}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline(), path)
-        n = _header_int(header, "n", path)
-        model = _canon_model(header.get("model", STRICT))
-        updates = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tag, item, delta = line.split()
-            if tag.upper() not in tags:
-                raise ValueError(f"{path}: unknown tag {tag!r}")
-            updates.append((tags[tag.upper()], StreamUpdate(int(item), int(delta))))
-    return updates, n, model
-
-
-def read_edge_stream(path):
-    """Edge stream: '# vertices=<n> model=...' then '<u> <v> <delta>' lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline(), path)
-        n = _header_int(header, "vertices", path)
-        model = _canon_model(header.get("model", STRICT))
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, v, delta = line.split()
-            edges.append((int(u), int(v), int(delta)))
-    return edges, n, model
-
-
-def _data_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+        return _data_lines(path, enumerate(fh, 1), fields, record)
 
 
 def read_pairs(path):
     """'<a> <b>' integer pairs, one per line: (item, count) entries of a z
     vector or a claims list, or the edges of a matching witness."""
-    return [(int(a), int(b)) for a, b in _data_lines(path)]
+    return _read_file(path, "<a> <b>",
+                       lambda a, b: (int(a), int(b)))
 
 
 def read_tree_witness(path):
     """Spanning-tree witness: a 'root <r>' line plus one tree edge per line.
     Returns (root, edges)."""
-    root = None
-    edges = []
-    for parts in _data_lines(path):
-        if parts[0] == "root":
-            root = int(parts[1])
-        else:
-            edges.append((int(parts[0]), int(parts[1])))
-    if root is None:
-        raise ValueError("connectivity witness needs a 'root <r>' line")
-    return (root, edges)
+    lines = _read_file(path, "<child> <parent>",
+                        lambda a, b: (a if a == "root" else int(a), int(b)))
+    roots = [b for a, b in lines if a == "root"]
+    if not roots:
+        raise ValueError(f"{path}: connectivity witness needs a 'root <r>' line")
+    return roots[-1], [(a, b) for a, b in lines if a != "root"]
 
 
 def read_cycle_witness(path):
     """Odd-cycle witness: one vertex per line, closed (first == last)."""
-    return [int(parts[0]) for parts in _data_lines(path)]
+    return _read_file(path, "<vertex>", int)
 
 
 def write_stream(path, updates, n, model=STRICT):

@@ -321,3 +321,51 @@ def test_cli_oversized_extension_grid_exits_1(tmp_path, capsys):
                      "--mode", "ama"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "c_a=16384" in err
+
+
+@pytest.mark.parametrize("scheme, stream, witness, message", [
+    ("matching", "-1 2 1\n2 3 1\n", "0 1\n2 3\n",
+     "vertex -1 of edge (-1, 2) outside [0, 4)"),
+    ("triangles", "-1 2 1\n1 2 1\n0 2 1\n", None,
+     "vertex -1 of edge (-1, 2) outside [0, 4)"),
+    ("oddcycle", "0 1 1\n0 1 1\n1 2 1\n", "0\n1\n2\n0\n",
+     "edge (0, 1) has final count 2, not 0 or 1"),
+    ("matching", "0 1 2\n1 2 1\n", "0 1\n2 3\n",
+     "edge (0, 1) has final count 2, not 0 or 1"),
+], ids=["matching-negative-vertex", "triangles-negative-vertex",
+        "oddcycle-repeated-edge", "matching-repeated-edge"])
+def test_cli_edge_stream_not_a_simple_graph_exits_1(scheme, stream, witness,
+                                                     message, tmp_path, capsys):
+    vertices = 3 if scheme == "oddcycle" else 4
+    path = tmp_path / "g.txt"
+    path.write_text(f"# vertices={vertices} model=strict\n{stream}")
+    extra = []
+    if witness is not None:
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(witness)
+        extra = ["--witness-file", str(wpath)]
+    assert cli_main([scheme, "--input", str(path), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_tagged_item_named_as_given(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("# n=16 model=strict\nS 3 1\nT 40 1\n")
+    assert cli_main(["innerproduct", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: item 40 of T outside [0, 16)\n"
+
+
+@pytest.mark.parametrize("scheme, line", [
+    ("fk", "3 1 1"), ("fk", "3 x"), ("disj", "S 3"), ("injection", "3 1"),
+    ("triangles", "0 1"),
+], ids=["plain-long", "plain-word", "tagged-short", "bucketed-short",
+        "edges-short"])
+def test_cli_bad_stream_line_exits_1(scheme, line, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    header = {"injection": "# n=8 r=4", "triangles": "# vertices=4"}.get(
+        scheme, "# n=8")
+    path.write_text(f"{header}\n  # indented comment\n{line}\n")
+    extra = ["--k", "2"] if scheme == "fk" else []
+    assert cli_main([scheme, "--input", str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 3:")

@@ -250,3 +250,34 @@ STAR = [(0, i, 1) for i in range(1, 4)]
 def test_malformed_graph_witness_rejected(run, kind, fn):
     assert run(seed=1).accepted
     assert run(seed=1, prover=rewrite_chunk(kind, fn)).rejected
+
+
+@pytest.mark.parametrize("run", [
+    lambda edges: verify_perfect_matching(edges, 4, [(0, 1), (2, 3)]),
+    lambda edges: verify_connectivity(edges, 4, (2, [(2, 0), (2, 1), (2, 3)])),
+    lambda edges: verify_non_bipartite(edges, 4, [0, 1, 2, 0]),
+    lambda edges: count_triangles_run(edges, 4),
+], ids=["matching", "connectivity", "oddcycle", "triangles"])
+@pytest.mark.parametrize("edges, message", [
+    # pair_rank(-1, 2) is pair_rank(0, 1): the edge {0, 1} was never streamed
+    ([(-1, 2, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)],
+     r"vertex -1 of edge \(-1, 2\) outside \[0, 4\)"),
+    ([(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 4, 1)],
+     r"vertex 4 of edge \(2, 4\) outside \[0, 4\)"),
+    # with Y not 0/1, X . Y == |X| no longer shows X inside Y
+    ([(0, 1, 2), (1, 2, 1), (2, 3, 1)],
+     r"edge \(0, 1\) has final count 2, not 0 or 1"),
+], ids=["vertex-negative", "vertex-n", "repeated-edge"])
+def test_graph_runs_refuse_a_stream_that_is_not_a_simple_graph(run, edges,
+                                                                message):
+    with pytest.raises(ConfigError, match=message):
+        run(edges)
+
+
+def test_repeated_edge_does_not_count_extra_triangles():
+    # at the parent this certified 4 triangles of a 3-vertex graph
+    with pytest.raises(ConfigError, match="final count 2"):
+        count_triangles_run([(0, 1, 2), (1, 2, 1), (0, 2, 1)], 3)
+    # an edge streamed twice and deleted once is a simple graph
+    assert count_triangles_run([(0, 1, 1), (0, 1, 1), (1, 2, 1), (0, 2, 1),
+                                (0, 1, -1)], 3).value == 1

@@ -4,13 +4,15 @@ import pytest
 
 from streamcert import sumcheck
 from streamcert.cli import main as cli_main
-from streamcert.harness import (RunConfig, adversary, cost_sweep, run_scheme,
+from streamcert.harness import (MODE, RUN_SEED, SCHEMES, RunConfig, Scheme,
+                                adversary, cost_sweep, run_scheme,
                                 soundness_trials, synthetic_stream)
 from streamcert.moments import fk_online_run
 from streamcert.pointqueries import PointQueryProver, PointQueryVerifier
-from streamcert.protocol import (ConfigError, Prover, build_transcript,
-                                 derive_rng, run_transcript)
-from streamcert.streams import StreamUpdate as U, write_stream
+from streamcert.protocol import (ConfigError, Prover, Verifier,
+                                 build_transcript, derive_rng, run_transcript)
+from streamcert.streams import (BucketedUpdate as B, StreamUpdate as U,
+                                write_stream)
 
 from conftest import moment_oracle, strict_stream
 
@@ -182,3 +184,62 @@ def test_synthetic_stream_strict_and_sized():
         ups = synthetic_stream(50, 1 << 20, seed, churn=0.5)
         validate_stream(ups, 1 << 20, STRICT)
         assert compute_meta(ups, 1 << 20).sparsity == 50
+
+
+# ------------------------------------------ every run refuses a bad universe
+
+N, R, VERTICES = 8, 4, 4
+RUN_VALUES = {"query": 3, "rank": 1, "phi": 0.5, "c_a": 8, "c_v": 8, "k": 2,
+              "claims": [(3, 1)], "z": [(0, 1)], "r": R}
+WITNESSES = {"matching": [(0, 1), (2, 3)],
+             "connectivity": (0, [(0, 1), (0, 2), (0, 3)]),
+             "oddcycle": [0, 1, 2, 0]}
+GOOD = {"plain": [U(3, 1), U(5, 2)],
+        "tagged": [(0, U(3, 1)), (1, U(5, 1))],
+        "bucketed": [B(3, 0, 1), B(5, 1, 1)],
+        "edges": [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (0, 3, 1)]}
+BAD = {"plain": {"item-n": U(N, 1), "item-negative": U(-1, 1)},
+       "tagged": {"item-n": (1, U(N, 1)), "item-negative": (0, U(-1, 1))},
+       "bucketed": {"item-n": B(N, 0, 1), "item-negative": B(-1, 0, 1),
+                    "bucket-r": B(3, R, 1), "bucket-negative": B(3, -1, 1)},
+       "edges": {"vertex-negative": (-1, 2, 1), "vertex-n": (0, VERTICES, 1)}}
+
+
+def _run_cases():
+    for name, entry in SCHEMES.items():
+        modes = {name: entry} if isinstance(entry, Scheme) else {
+            f"{name}-{mode}": e for mode, e in entry.items()}
+        for case, scheme in modes.items():
+            for label, bad in BAD[scheme.kind].items():
+                yield pytest.param(name, scheme, bad, id=f"{case}-{label}")
+
+
+def _never_built(monkeypatch):
+    """Make building any prover, verifier or dense instance fail the test."""
+    def built(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+    pending = [Prover, Verifier, sumcheck.DenseProver, sumcheck.DenseVerifier]
+    while pending:
+        cls = pending.pop()
+        monkeypatch.setattr(cls, "__init__", built)
+        pending.extend(cls.__subclasses__())
+
+
+@pytest.mark.parametrize("name, scheme, bad", _run_cases())
+def test_every_run_refuses_records_outside_its_universe(name, scheme, bad,
+                                                        monkeypatch):
+    """Each run function, called from the library, raises ConfigError for a
+    record outside its universe before it builds a prover or a verifier."""
+    kwargs = {}
+    for p in scheme.params:
+        if p is not MODE:
+            value = RUN_VALUES.get(p.key, p.default)
+            kwargs[p.arg or p.key] = 0 if value is RUN_SEED else value
+    if name in WITNESSES:
+        kwargs["witness"] = WITNESSES[name]
+    n = VERTICES if scheme.kind == "edges" else N
+    good = GOOD[scheme.kind]
+    scheme.run(good, n=n, **kwargs)  # the good stream alone runs
+    _never_built(monkeypatch)
+    with pytest.raises(ConfigError, match="outside"):
+        scheme.run(good + [bad], n=n, **kwargs)

@@ -4,12 +4,13 @@ import pytest
 
 from streamcert.field import Field, M61
 from streamcert.pointqueries import BucketFingerprintState
-from streamcert.streams import (ModelViolation, PairwiseHash,
+from streamcert.protocol import ConfigError
+from streamcert.streams import (BucketedUpdate, ModelViolation, PairwiseHash,
                                 PerfectHashError, StreamUpdate, compute_meta,
                                 dyadic_decompose, dyadic_prefix_nodes, dyadic_universe,
                                 find_perfect_hash, fingerprint_of_range,
-                                random_pairwise_hash, read_stream,
-                                validate_stream, write_stream,
+                                random_pairwise_hash, read_pairs, read_stream,
+                                stream_ids, validate_stream, write_stream,
                                 INSERT_ONLY, NONSTRICT, STRICT)
 
 from conftest import dyadic_node_range, freq_oracle, strict_stream
@@ -218,6 +219,90 @@ def test_stream_file_roundtrip(tmp_path, rng):
     ups = strict_stream(rng, 64, 10)
     path = tmp_path / "s.txt"
     write_stream(path, ups, 64, STRICT)
-    got, n, model = read_stream(path)
-    assert got == ups and n == 64 and model == STRICT
+    got, n, model, params = read_stream(path)
+    assert got == ups and n == 64 and model == STRICT and params == {}
     assert freq_oracle(got) == freq_oracle(ups)
+    # the other kinds, with a blank line and comments, indented or not
+    files = {
+        "tagged": ("# n=16 model=nonstrict\nS 3 1\n\n  # note\nt 5 -2\nY 3 1\n",
+                   [(0, StreamUpdate(3, 1)), (1, StreamUpdate(5, -2)),
+                    (1, StreamUpdate(3, 1))], 16, NONSTRICT, {}),
+        "bucketed": ("# r=4 n=8\n3 0 1\n# note\n5 3 2\n",
+                     [BucketedUpdate(3, 0, 1), BucketedUpdate(5, 3, 2)],
+                     8, STRICT, {"r": 4}),
+        "edges": ("# vertices=5 model=insert\n0 1 1\n\t# note\n3 4 1\n",
+                  [(0, 1, 1), (3, 4, 1)], 5, INSERT_ONLY, {}),
+    }
+    for kind, (text, records, size, model_, header) in files.items():
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text)
+        assert read_stream(path, kind) == (records, size, model_, header)
+
+
+@pytest.mark.parametrize("kind, header, line", [
+    ("plain", "# n=8", "3 1 1"),
+    ("plain", "# n=8", "3"),
+    ("plain", "# n=8", "3 x"),
+    ("tagged", "# n=8", "S 3"),
+    ("tagged", "# n=8", "S 3 1.5"),
+    ("bucketed", "# n=8 r=2", "3 1"),
+    ("edges", "# vertices=4", "0 1 1 1"),
+], ids=["plain-long", "plain-short", "plain-word", "tagged-short",
+        "tagged-float", "bucketed-short", "edges-long"])
+def test_bad_stream_line_names_path_and_line(kind, header, line, tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(f"{header}\n# note\n{line}\n")
+    with pytest.raises(ValueError, match="line 3") as exc:
+        read_stream(path, kind)
+    assert str(path) in str(exc.value)
+
+
+def test_witness_file_skips_comments_and_names_bad_lines(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("  # item count\n5 1\n\n\t#\n17 2\n")
+    assert read_pairs(path) == [(5, 1), (17, 2)]
+    path.write_text("5 1\n17\n")
+    with pytest.raises(ValueError, match="line 2") as exc:
+        read_pairs(path)
+    assert str(path) in str(exc.value)
+
+
+def test_stream_ids_flatten_each_kind():
+    plain = [StreamUpdate(3, 1)]
+    assert stream_ids("plain", plain, 8)[0] is plain
+    assert stream_ids("tagged", [(0, StreamUpdate(3, 1)), (1, StreamUpdate(3, 2))],
+                      8) == ([StreamUpdate(6, 1), StreamUpdate(7, 2)], 16)
+    assert stream_ids("bucketed", [BucketedUpdate(3, 2, 1)], 8, {"r": 4}) == (
+        [StreamUpdate(14, 1)], 32)
+    assert stream_ids("edges", [(2, 0, 1), (0, 1, 1), (0, 1, -1)], 4) == (
+        [StreamUpdate(1, 1), StreamUpdate(0, 1), StreamUpdate(0, -1)], 6)
+
+
+@pytest.mark.parametrize("kind, records, params, message", [
+    ("tagged", [(0, StreamUpdate(3, 1)), (1, StreamUpdate(40, 1))], None,
+     "item 40 of T outside [0, 16)"),
+    ("tagged", [(0, StreamUpdate(-1, 1))], None, "item -1 of S outside [0, 16)"),
+    ("tagged", [(2, StreamUpdate(3, 1))], None, "tag 2 is neither 0 (S) nor 1 (T)"),
+    ("bucketed", [BucketedUpdate(16, 0, 1)], {"r": 4}, "item 16 outside [0, 16)"),
+    ("bucketed", [BucketedUpdate(3, 4, 1)], {"r": 4}, "bucket 4 outside [0, 4)"),
+    ("edges", [(-1, 2, 1), (2, 3, 1)], None,
+     "vertex -1 of edge (-1, 2) outside [0, 16)"),
+    ("edges", [(3, 16, 1)], None, "vertex 16 of edge (3, 16) outside [0, 16)"),
+    ("edges", [(2, 2, 1)], None, "self loop at vertex 2"),
+    ("edges", [(0, 1, 1), (1, 0, 1), (1, 2, 1)], None,
+     "edge (0, 1) has final count 2, not 0 or 1"),
+    ("edges", [(1, 2, 1), (1, 2, -2)], None,
+     "edge (1, 2) has final count -1, not 0 or 1"),
+], ids=["tagged-high", "tagged-negative", "tagged-bad-tag", "bucketed-item",
+        "bucketed-bucket", "edge-negative", "edge-high", "edge-self-loop",
+        "edge-repeated", "edge-negative-count"])
+def test_stream_ids_name_the_record_as_given(kind, records, params, message):
+    with pytest.raises(ConfigError) as exc:
+        stream_ids(kind, records, 16, params)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("item", [8, -1])
+def test_compute_meta_refuses_items_outside_universe(item):
+    with pytest.raises(ConfigError, match=rf"item {item} outside \[0, 8\)"):
+        compute_meta([StreamUpdate(3, 1), StreamUpdate(item, 1)], 8)
