@@ -146,9 +146,6 @@ def _cases():
             256, seed=21),
         "ama-injection": lambda: purity.ama_injection_run(
             buck, 64, 24, coins_seed=22, seed=22),
-        "heavyhitters-multiindex": lambda: pointqueries.heavyhitters_run(
-            _strict(23, 40, n=4096) + [U(7, 30)], 4096, 0.1, c_a=64, c_v=64,
-            seed=23, mode="multiindex"),
         "heavyhitters-openings": lambda: pointqueries.heavyhitters_run(
             _strict(23, 40, n=4096) + [U(7, 30)], 4096, 0.1, c_a=64, c_v=64,
             seed=24, mode="openings"),
