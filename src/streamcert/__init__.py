@@ -22,6 +22,4 @@ from .purity import (ama_injection_run, injection_run, subf2_run,
 from .streams import (BucketedUpdate, PairwiseHash, StreamMeta, StreamUpdate,
                       compute_meta, dyadic_decompose, find_perfect_hash,
                       validate_stream)
-from .sumcheck import (DenseParams, DenseProof, dense_prover_proof,
-                       dense_verifier_init, dense_verifier_update,
-                       dense_verify)
+from .sumcheck import DenseParams, DenseProof

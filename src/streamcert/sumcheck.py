@@ -35,7 +35,6 @@ column. This needs s - 1 < q, which DenseParams guarantees by requiring
 q > proof_len.
 """
 
-import random
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
@@ -423,29 +422,3 @@ def g_triple_product(field):
     q = field.q
     return lambda v: v[0] * v[1] % q * v[2] % q
 
-
-# ------------------------------------------------------ functional surface
-
-
-def dense_verifier_init(params: DenseParams, seed) -> DenseVerifier:
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return DenseVerifier(params, rng)
-
-
-def dense_verifier_update(state: DenseVerifier, j: int, item: int, delta: int):
-    state.update(j, item, delta)
-
-
-def dense_prover_proof(vectors, params: DenseParams) -> DenseProof:
-    """Proof from full frequency vectors (sequences or item->value dicts)."""
-    prover = DenseProver(params)
-    for j, vec in enumerate(vectors):
-        pairs = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        for item, value in pairs:
-            if value:
-                prover.update(j, item, value)
-    return prover.proof()
-
-
-def dense_verify(state: DenseVerifier, proof: DenseProof):
-    return state.verify(proof)

@@ -5,6 +5,7 @@ import pytest
 
 from streamcert.harness import ChunkTamper
 from streamcert.streams import StreamUpdate, dyadic_levels
+from streamcert.sumcheck import DenseProver
 
 
 def freq_oracle(updates):
@@ -16,6 +17,18 @@ def freq_oracle(updates):
 
 def moment_oracle(updates, k):
     return sum(v ** k for v in freq_oracle(updates).values())
+
+
+def dense_prover_proof(vectors, params):
+    """Dense proof from full frequency vectors (sequences or item->value
+    dicts), fed to a DenseProver one nonzero entry at a time."""
+    prover = DenseProver(params)
+    for j, vec in enumerate(vectors):
+        pairs = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        for item, value in pairs:
+            if value:
+                prover.update(j, item, value)
+    return prover.proof()
 
 
 def eval_poly(field, coeffs, x):

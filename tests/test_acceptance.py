@@ -16,11 +16,11 @@ from streamcert.moments import (disj_online_run, disj_prescient_run,
 from streamcert.pointqueries import pq_run
 from streamcert.purity import ama_injection_run, injection_run, subinjection_run
 from streamcert.streams import BucketedUpdate, StreamUpdate, compute_meta
-from streamcert.sumcheck import (DenseParams, DenseProof, dense_prover_proof,
-                                 dense_verifier_init, dense_verifier_update,
-                                 dense_verify, g_power, g_product)
+from streamcert.sumcheck import (DenseParams, DenseProof, DenseVerifier,
+                                 g_power, g_product)
 
-from conftest import freq_oracle, moment_oracle, strict_stream
+from conftest import (dense_prover_proof, freq_oracle, moment_oracle,
+                      strict_stream)
 
 
 def report(criterion, ok, detail):
@@ -54,12 +54,12 @@ def test_criterion_1_dense_exactness():
             g_int = lambda v: v[0] * v[1]
         params = DenseParams(fm, n, c_a, c_v, vectors, degree, g, 10 ** 12)
         vecs = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(vectors)]
-        st = dense_verifier_init(params, trial)
+        st = DenseVerifier(params, random.Random(trial))
         for j, vec in enumerate(vecs):
             for i, v in enumerate(vec):
                 if v:
-                    dense_verifier_update(st, j, i, v)
-        got = dense_verify(st, dense_prover_proof(vecs, params))
+                    st.update(j, i, v)
+        got = st.verify(dense_prover_proof(vecs, params))
         want = sum(g_int([vec[i] for vec in vecs]) for i in range(n))
         if got is None:
             rejections += 1
@@ -83,13 +83,13 @@ def test_criterion_2_dense_soundness():
     honest = dense_prover_proof([f], params)
     accepts = 0
     for trial in range(500):
-        st = dense_verifier_init(params, 70_000 + trial)
+        st = DenseVerifier(params, random.Random(70_000 + trial))
         for i, v in enumerate(f):
             if v:
-                dense_verifier_update(st, 0, i, v)
+                st.update(0, i, v)
         values = list(honest.values)
         values[rng.randrange(len(values))] += rng.randrange(1, fm.q)
-        if dense_verify(st, DenseProof(values, honest.field_bits)) is not None:
+        if st.verify(DenseProof(values, honest.field_bits)) is not None:
             accepts += 1
     report(2, accepts == 0, f"500 tampered dense proofs at q=2^61-1: "
                             f"{accepts} accepted (required 0)")

@@ -10,14 +10,13 @@ from streamcert.protocol import ConfigError
 from streamcert.purity import (AmaPurity, ama_params, draw_public_coins,
                               purity_deltas)
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
-                                 DenseVerifier, dense_prover_proof,
-                                 dense_verifier_init, dense_verifier_update,
-                                 dense_verify, g_power, g_product, g_purity,
+                                 DenseVerifier, g_power, g_product, g_purity,
                                  g_sub_purity, g_sub_square, g_triple_product,
                                  lane_bank, prop1_min_field, _EXT_CACHE,
                                  _ExtGrid)
 
-from conftest import lagrange_basis_at, moment_oracle, strict_stream
+from conftest import (dense_prover_proof, lagrange_basis_at, moment_oracle,
+                      strict_stream)
 
 FM = Field(M61)
 
@@ -38,8 +37,8 @@ def test_zero_vectors_give_zero_polynomial():
     p = params_for(8, 4, 2, 1, 2, g_power(FM, 2), 100)
     proof = dense_prover_proof([[0] * 8], p)
     assert all(v == 0 for v in proof.values)
-    st = dense_verifier_init(p, 1)
-    assert dense_verify(st, proof) == 0
+    st = DenseVerifier(p, random.Random(1))
+    assert st.verify(proof) == 0
 
 
 def test_single_column_constant_polynomial():
@@ -48,34 +47,34 @@ def test_single_column_constant_polynomial():
     f = [1, 2, 3, 4]
     proof = dense_prover_proof([f], p)
     assert len(proof.values) == 1
-    st = dense_verifier_init(p, 7)
+    st = DenseVerifier(p, random.Random(7))
     for i, v in enumerate(f):
-        dense_verifier_update(st, 0, i, v)
-    assert dense_verify(st, proof) == 30
+        st.update(0, i, v)
+    assert st.verify(proof) == 30
 
 
 def test_spec_square_example():
     p = params_for(4, 2, 2, 1, 2, g_power(FM, 2), 1000)
     f = [1, 2, 3, 4]
-    st = dense_verifier_init(p, 3)
+    st = DenseVerifier(p, random.Random(3))
     for i, v in enumerate(f):
-        dense_verifier_update(st, 0, i, v)
+        st.update(0, i, v)
     proof = dense_prover_proof([f], p)
     assert sum(proof.values[:2]) % FM.q == 30
-    assert dense_verify(st, proof) == 30
+    assert st.verify(proof) == 30
 
 
 def test_inner_product_of_disjoint_indicators_is_zero():
     p = params_for(8, 4, 2, 2, 2, g_product(FM), 100)
     a = [1, 0, 1, 0, 0, 0, 0, 0]
     b = [0, 1, 0, 0, 1, 0, 0, 1]
-    st = dense_verifier_init(p, 5)
+    st = DenseVerifier(p, random.Random(5))
     for i in range(8):
         if a[i]:
-            dense_verifier_update(st, 0, i, a[i])
+            st.update(0, i, a[i])
         if b[i]:
-            dense_verifier_update(st, 1, i, b[i])
-    assert dense_verify(st, dense_prover_proof([a, b], p)) == 0
+            st.update(1, i, b[i])
+    assert st.verify(dense_prover_proof([a, b], p)) == 0
 
 
 class FixedPoint:
@@ -93,14 +92,14 @@ class FixedPoint:
 
 def test_update_cancellation_and_own_node():
     p = params_for(16, 4, 4, 1, 2, g_power(FM, 2), 10_000)
-    st = dense_verifier_init(p, 11)
+    st = DenseVerifier(p, random.Random(11))
     before = [row[:] for row in st.rows]
-    dense_verifier_update(st, 0, 9, 5)
-    dense_verifier_update(st, 0, 9, -5)
+    st.update(0, 9, 5)
+    st.update(0, 9, -5)
     assert st.rows == before
     # r landing on a grid row makes the Lagrange factor one
     st = DenseVerifier(p, FixedPoint(2))  # x = 2 holds items 8..11
-    dense_verifier_update(st, 0, 9, 7)
+    st.update(0, 9, 7)
     assert st.rows[0][1] == 7
 
 
@@ -215,13 +214,13 @@ def test_lane_bank_over_provers_and_ama_sinks(rng):
 def test_rows_match_direct_extension(rng):
     # independent oracle: evaluate the low-degree extension directly
     p = params_for(16, 4, 4, 2, 2, g_product(FM), 10 ** 9)
-    st = dense_verifier_init(p, 23)
+    st = DenseVerifier(p, random.Random(23))
     grid = [[[0] * 4 for _ in range(4)] for _ in range(2)]
     for _ in range(20):
         j = rng.randrange(2)
         item = rng.randrange(16)
         delta = rng.choice([-3, -1, 1, 2, 5])
-        dense_verifier_update(st, j, item, delta)
+        st.update(j, item, delta)
         grid[j][item // 4][item % 4] += delta
     for j in range(2):
         for y in range(4):
@@ -244,12 +243,12 @@ def test_completeness_randomized(g_name, rng):
             vectors, degree, g = 2, 2, g_product(FM)
         p = params_for(n, c_a, c_v, vectors, degree, g, 10 ** 12)
         vecs = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(vectors)]
-        st = dense_verifier_init(p, rng.random())
+        st = DenseVerifier(p, random.Random(rng.random()))
         for j, vec in enumerate(vecs):
             for i, v in enumerate(vec):
                 if v:
-                    dense_verifier_update(st, j, i, v)
-        got = dense_verify(st, dense_prover_proof(vecs, p))
+                    st.update(j, i, v)
+        got = st.verify(dense_prover_proof(vecs, p))
 
         def g_int(vals):
             if g_name == "square":
@@ -267,13 +266,13 @@ def test_soundness_tampered_proofs(rng):
     proof = dense_prover_proof([f], p)
     accepts = 0
     for t in range(100):
-        st = dense_verifier_init(p, 4100 + t)
+        st = DenseVerifier(p, random.Random(4100 + t))
         for i, v in enumerate(f):
             if v:
-                dense_verifier_update(st, 0, i, v)
+                st.update(0, i, v)
         values = list(proof.values)
         values[rng.randrange(len(values))] += 1
-        if dense_verify(st, DenseProof(values, proof.field_bits)) is not None:
+        if st.verify(DenseProof(values, proof.field_bits)) is not None:
             accepts += 1
     assert accepts == 0
 
@@ -281,31 +280,31 @@ def test_soundness_tampered_proofs(rng):
 def test_degree_violation_rejected():
     p = params_for(4, 2, 2, 1, 2, g_power(FM, 2), 1000)
     f = [1, 2, 3, 4]
-    st = dense_verifier_init(p, 3)
+    st = DenseVerifier(p, random.Random(3))
     for i, v in enumerate(f):
-        dense_verifier_update(st, 0, i, v)
+        st.update(0, i, v)
     proof = dense_prover_proof([f], p)
     long_proof = DenseProof(proof.values + [0], proof.field_bits)
-    assert dense_verify(st, long_proof) is None
+    assert st.verify(long_proof) is None
 
 
 def test_output_bound_enforced():
     p = params_for(4, 2, 2, 1, 2, g_power(FM, 2), bound=10)
     f = [1, 2, 3, 4]  # F = 30 > bound
-    st = dense_verifier_init(p, 3)
+    st = DenseVerifier(p, random.Random(3))
     for i, v in enumerate(f):
-        dense_verifier_update(st, 0, i, v)
-    assert dense_verify(st, dense_prover_proof([f], p)) is None
+        st.update(0, i, v)
+    assert st.verify(dense_prover_proof([f], p)) is None
 
 
 def test_verifier_seed_determinism_and_uniformity():
     p = params_for(4, 2, 2, 1, 2, g_power(FM, 2), 1000)
-    assert dense_verifier_init(p, 9).r == dense_verifier_init(p, 9).r
+    assert DenseVerifier(p, random.Random(9)).r == DenseVerifier(p, random.Random(9)).r
     f101 = Field(101)
     p101 = DenseParams(f101, 4, 2, 2, 1, 1, g_power(f101, 1), 8)
     counts = [0] * 101
     for s in range(10_000):
-        counts[dense_verifier_init(p101, s).r] += 1
+        counts[DenseVerifier(p101, random.Random(s)).r] += 1
     expect = 10_000 / 101
     chi2 = sum((c - expect) ** 2 / expect for c in counts)
     assert chi2 < 162  # df=100 critical value at alpha=0.0001
@@ -348,10 +347,10 @@ def test_closed_form_grid_inverts_up_to_q_minus_one():
     proof = dense_prover_proof(vecs, p)
     assert proof.values == direct_values(p, vecs)
     for seed in range(5):
-        st = dense_verifier_init(p, seed)
+        st = DenseVerifier(p, random.Random(seed))
         for item, v in vecs[0].items():
-            dense_verifier_update(st, 0, item, v)
-        assert dense_verify(st, proof) == 9
+            st.update(0, item, v)
+        assert st.verify(proof) == 9
 
 
 def packed(values, limb_bytes):
@@ -439,11 +438,11 @@ def test_gated_proof_matches_direct_extension_oracle(z_cols, rng):
         assert proof.values == direct_values(p, vecs)
         if not z_cols:
             assert proof.values == [0] * p.proof_len
-        st = dense_verifier_init(p, rng.random())
+        st = DenseVerifier(p, random.Random(rng.random()))
         for j, vec in enumerate(vecs):
             for item, v in vec.items():
-                dense_verifier_update(st, j, item, v)
-        assert dense_verify(st, proof) == sum(
+                st.update(j, item, v)
+        assert st.verify(proof) == sum(
             vecs[3].get(i, 0) * (vecs[1].get(i, 0) ** 2
                                  - vecs[0].get(i, 0) * vecs[2].get(i, 0))
             for i in range(universe))
