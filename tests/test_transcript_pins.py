@@ -10,7 +10,8 @@ change that alters any of them changes observable behaviour.
 Regenerate (only for an intended behaviour change) with
     PYTHONPATH=src python tests/test_transcript_pins.py --write
 which prints, for each pin whose entry changed, its old and new value,
-hcost and vcost, and nothing for the others.
+hcost and vcost, "name: removed" for each pin that no case makes any more,
+and nothing for the others.
 """
 
 import hashlib
@@ -204,6 +205,11 @@ def test_transcript_pinned(name):
     assert run_case(_cases()[name]) == _load_pins()[name]
 
 
+def test_every_pin_has_a_case():
+    """No orphaned pin and no unpinned case."""
+    assert set(_cases()) == set(_load_pins())
+
+
 if __name__ == "__main__":
     if "--write" not in sys.argv:
         sys.exit("usage: test_transcript_pins.py --write")
@@ -218,3 +224,5 @@ if __name__ == "__main__":
             print(f"{name}: value {was.get('value')} -> {pin['value']}, "
                   f"hcost {was.get('hcost_bits')} -> {pin['hcost_bits']} bits, "
                   f"vcost {was.get('vcost_words')} -> {pin['vcost_words']} words")
+    for name in sorted(set(old) - set(pins)):
+        print(f"{name}: removed")
