@@ -218,7 +218,7 @@ SCHEMES = {
         pointqueries.heavyhitters_run, "plain", STRICT_MODELS,
         (Param("phi", "--phi", float), C_A, C_V,
          Param("hh_mode", "--hh-mode", str, "openings",
-               choices=("openings", "multiindex"), arg="mode"))),
+               choices=("openings",), arg="mode"))),
     "fk": {
         "prescient": Scheme(moments.fk_prescient_run, "plain", STRICT_MODELS,
                             (K, MODE)),

@@ -52,9 +52,9 @@ instances once, through the same feed. The proofs depend only on the final
 vectors, so the annotation is the same as mapping every update; it is sent
 after the stream, so the prover stays prefix-causal.
 
-Every caller of MultiIndex (the engine's collision list, the standalone
-scheme and heavy hitters) certifies its claims, (ident, fstar, wstar)
-triples, through one call per side after the stream:
+Both callers of MultiIndex (the engine's collision list and the standalone
+scheme) certify their claims, (ident, fstar, wstar) triples, through one
+call per side after the stream:
 MultiIndexProverCore.finish_chunks(claims) maps the net counts, assigns
 the stages and returns the stage list and proofs (or an abort), and
 MultiIndexVerifierCore.end(claims, chunks) checks them and returns

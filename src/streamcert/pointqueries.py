@@ -6,8 +6,12 @@ hash bucket of a prover-chosen pairwise hash. At the end of the stream the
 prover opens the relevant buckets by listing their exact sparse contents;
 the verifier recomputes each opened bucket's fingerprint and compares.
 
-Selection, heavy hitters and the online DISJ/subset witness run the same
-scheme over a derived stream of ids (dyadic nodes, or 2*item+tag), and every
+OpeningProver and OpeningVerifier hold what the three schemes share: the
+hash, sent as the one start chunk, the prover's net counts and the
+verifier's BucketFingerprintState. Point queries run over the items,
+selection and heavy hitters over the derived stream of dyadic nodes, and
+heavy hitters certify their records by these openings alone. The online
+DISJ/subset witness reuses BucketFingerprintState over 2*item+tag, and every
 prover builds its openings with open_buckets. The verifier feeds a flat id
 to BucketFingerprintState.update. For the dyadic stream it calls
 update_dyadic once per stream update, which walks the item's nodes from the
@@ -172,13 +176,15 @@ def dyadic_counts(freq, n):
     return counts
 
 
-# ----------------------------------------------------------------- PointQuery
+class OpeningProver(Prover):
+    """Prover side of the point-query family: a pairwise hash of the ids of
+    `universe` into c_v buckets, sent as the one start chunk, and the net
+    count of each stream item."""
 
-
-class PointQueryProver(Prover):
-    def __init__(self, n, c_v, rng):
+    def __init__(self, n, universe, c_v, rng):
         self.n = n
-        self.h = random_pairwise_hash(n, c_v, rng)
+        self.universe = universe
+        self.h = random_pairwise_hash(universe, c_v, rng)
         self.freq = {}
 
     def start(self):
@@ -187,20 +193,45 @@ class PointQueryProver(Prover):
     def on_update(self, u):
         self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
 
-    def finish(self, query):
-        [(_, entries)], _ = open_buckets(self.h, self.freq, [query], self.n)
-        return [Chunk("opening", entries, opening_bits(entries, self.n))]
 
+class OpeningVerifier(Verifier):
+    """Verifier side of the point-query family: the bucket fingerprints of
+    the ids of `universe`, under the hash of the one start chunk. A subclass
+    feeds them in its own update and declares the words of its own state as
+    the class attribute `extra_words`."""
 
-class PointQueryVerifier(Verifier):
-    def __init__(self, n, c_a, c_v, rng):
+    def __init__(self, n, universe, c_a, c_v, rng):
         self.n = n
+        self.universe = universe
         self.state = BucketFingerprintState(DEFAULT_FIELD, c_a, c_v, rng)
         self.word_bits = DEFAULT_FIELD.bits
 
     def begin(self, chunks):
         need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-        self.state.set_hash(chunks[0].data, self.n)
+        self.state.set_hash(chunks[0].data, self.universe)
+
+    @property
+    def words(self):
+        return self.state.words + self.extra_words
+
+
+# ----------------------------------------------------------------- PointQuery
+
+
+class PointQueryProver(OpeningProver):
+    def __init__(self, n, c_v, rng):
+        super().__init__(n, n, c_v, rng)
+
+    def finish(self, query):
+        [(_, entries)], _ = open_buckets(self.h, self.freq, [query], self.n)
+        return [Chunk("opening", entries, opening_bits(entries, self.n))]
+
+
+class PointQueryVerifier(OpeningVerifier):
+    extra_words = 1
+
+    def __init__(self, n, c_a, c_v, rng):
+        super().__init__(n, n, c_a, c_v, rng)
 
     def update(self, u):
         self.state.update(u.item, u.delta)
@@ -211,10 +242,6 @@ class PointQueryVerifier(Verifier):
         self.state.check_opening(self.state.h(query), chunks[0].data, self.n,
                                  collect=wanted)
         return Outcome.ok(wanted[query])
-
-    @property
-    def words(self):
-        return self.state.words + 1
 
 
 def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
@@ -231,18 +258,9 @@ def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
 # ------------------------------------------------------------------ Selection
 
 
-class SelectionProver(Prover):
+class SelectionProver(OpeningProver):
     def __init__(self, n, c_v, rng):
-        self.n = n
-        self.u_derived = dyadic_universe(n)
-        self.h = random_pairwise_hash(self.u_derived, c_v, rng)
-        self.freq = {}
-
-    def start(self):
-        return [Chunk("hash", self.h, self.h.bits)]
-
-    def on_update(self, u):
-        self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
+        super().__init__(n, dyadic_universe(n), c_v, rng)
 
     def answer(self, rank):
         total = 0
@@ -259,22 +277,17 @@ class SelectionProver(Prover):
             return [Chunk("no-answer", None, 1)]
         nodes = dyadic_prefix_nodes(j, self.n) + dyadic_prefix_nodes(j + 1, self.n)
         openings, bits = open_buckets(self.h, dyadic_counts(self.freq, self.n),
-                                      nodes, self.u_derived)
+                                      nodes, self.universe)
         return [Chunk("selection-answer", (j, openings), COUNT_BITS + bits)]
 
 
-class SelectionVerifier(Verifier):
-    def __init__(self, n, c_a, c_v, rng):
-        self.n = n
-        self.levels = dyadic_levels(n)
-        self.u_derived = dyadic_universe(n)
-        self.state = BucketFingerprintState(DEFAULT_FIELD, c_a, c_v, rng)
-        self.total = 0
-        self.word_bits = DEFAULT_FIELD.bits
+class SelectionVerifier(OpeningVerifier):
+    extra_words = 4
 
-    def begin(self, chunks):
-        need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-        self.state.set_hash(chunks[0].data, self.u_derived)
+    def __init__(self, n, c_a, c_v, rng):
+        super().__init__(n, dyadic_universe(n), c_a, c_v, rng)
+        self.levels = dyadic_levels(n)
+        self.total = 0
 
     def update(self, u):
         self.total += u.delta
@@ -293,15 +306,11 @@ class SelectionVerifier(Verifier):
         upto = dyadic_prefix_nodes(j + 1, self.n)
         wanted = {v: 0 for v in below}
         wanted.update({v: 0 for v in upto})
-        self.state.check_openings(openings, self.u_derived, wanted)
+        self.state.check_openings(openings, self.universe, wanted)
         t_below = sum(wanted[v] for v in below)
         t_upto = sum(wanted[v] for v in upto)
         need(t_below < rank <= t_upto, "rank predicate violated")
         return Outcome.ok(j)
-
-    @property
-    def words(self):
-        return self.state.words + 4
 
 
 def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResult:
@@ -324,35 +333,18 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
 # Record multisets are tied together with fingerprints so the verifier keeps
 # O(1) state beyond the bucket fingerprints:
 #   children-of-claimed-nonleaf == claimed-nonroot + nonclaimed-records
-# forces closure and coverage, and every record count is certified either by
-# bucket openings or by a MultiIndex run on the derived stream.
+# forces closure and coverage, and every record count is certified by the
+# bucket openings of the derived stream.
 
 
-class HeavyHittersProver(Prover):
-    """mi: the MultiIndex prover core certifying the record counts, or None
-    to certify them by bucket openings."""
-
-    def __init__(self, n, c_v, rng, mi=None):
-        self.n = n
-        self.u_derived = dyadic_universe(n)
-        self.mi = mi
-        self.h = random_pairwise_hash(self.u_derived, c_v, rng) if mi is None else None
-        self.freq = {}
-        self.total = 0
-
-    def start(self):
-        if self.mi is None:
-            return [Chunk("hash", self.h, self.h.bits)]
-        return self.mi.start_chunks()
-
-    def on_update(self, u):
-        self.freq[u.item] = self.freq.get(u.item, 0) + u.delta
-        self.total += u.delta
+class HeavyHittersProver(OpeningProver):
+    def __init__(self, n, c_v, rng):
+        super().__init__(n, dyadic_universe(n), c_v, rng)
 
     def _records(self, counts, phi):
         phi = Fraction(phi)
         # c >= phi * total, compared in integers as the verifier does
-        den, bar = phi.denominator, phi.numerator * self.total
+        den, bar = phi.denominator, phi.numerator * sum(self.freq.values())
         claimed = {v for v, c in counts.items() if c * den >= bar}
         recs = {}
         for v in claimed:
@@ -366,60 +358,33 @@ class HeavyHittersProver(Prover):
     def finish(self, query):
         counts = dyadic_counts(self.freq, self.n)
         records = self._records(counts, query)
-        chunks = [Chunk("hh-records", records,
-                        opening_bits(records, self.u_derived, flag=True))]
-        if self.mi is None:
-            queried = {v for v, _, _ in records}
-            openings, bits = open_buckets(self.h, counts, queried,
-                                          self.u_derived, flagged=queried)
-            chunks.append(Chunk("hh-openings", openings, bits))
-        else:  # each dyadic node's count goes to the stages once
-            for node, c in counts.items():
-                self.mi.update(node, c)
-            claims = [(v, c, None) for v, c, _ in records]
-            chunks.extend(self.mi.finish_chunks(claims))
-        return chunks
+        queried = {v for v, _, _ in records}
+        openings, bits = open_buckets(self.h, counts, queried, self.universe,
+                                      flagged=queried)
+        return [Chunk("hh-records", records,
+                      opening_bits(records, self.universe, flag=True)),
+                Chunk("hh-openings", openings, bits)]
 
 
-class HeavyHittersVerifier(Verifier):
-    """mi: the MultiIndex verifier core certifying the record counts, or
-    None to check bucket openings."""
+class HeavyHittersVerifier(OpeningVerifier):
+    extra_words = 8
 
-    def __init__(self, n, c_a, c_v, rng, mi=None):
-        field = DEFAULT_FIELD
-        self.n = n
+    def __init__(self, n, c_a, c_v, rng):
+        super().__init__(n, dyadic_universe(n), c_a, c_v, rng)
         self.levels = dyadic_levels(n)
-        self.u_derived = dyadic_universe(n)
-        self.field = field
-        self.mi = mi
-        self.state = (BucketFingerprintState(field, c_a, c_v, rng)
-                      if mi is None else None)
         self.total = 0
         self.weight_seen = 0
         # multiset-equation fingerprint bases
-        self.sigma = field.rand(rng)
-        self.tau = field.rand(rng)
-        self.word_bits = field.bits
-
-    def begin(self, chunks):
-        if self.mi is None:
-            need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-            self.state.set_hash(chunks[0].data, self.u_derived)
-        else:
-            self.mi.begin(chunks)
+        self.sigma = DEFAULT_FIELD.rand(rng)
+        self.tau = DEFAULT_FIELD.rand(rng)
 
     def update(self, u):
         self.total += u.delta
         self.weight_seen += abs(u.delta)
-        if self.mi is None:
-            self.state.update_dyadic(u.item, u.delta, self.levels)
-        else:
-            for node in dyadic_decompose(u.item, self.n):
-                self.mi.update(node, u.delta)
+        self.state.update_dyadic(u.item, u.delta, self.levels)
 
     def end(self, chunks, query):
         phi = Fraction(query)
-        chunks = list(chunks)
         need(chunks and chunks[0].kind == "hh-records", "missing records")
         records = chunks[0].data
         need(isinstance(records, list)
@@ -427,7 +392,7 @@ class HeavyHittersVerifier(Verifier):
         if self.total <= 0:
             need(not records, "claims on an empty stream")
             return Outcome.ok(frozenset())
-        q = self.field.q
+        q = DEFAULT_FIELD.q
         leaf_base = 1 << self.levels
         heavy_items = []
         fp_children = 0    # children of claimed non-leaf nodes
@@ -436,7 +401,7 @@ class HeavyHittersVerifier(Verifier):
         prev = -1
         root_claimed = False
         for node, count, flag in records:
-            need(prev < node < self.u_derived and node >= 1, "records not sorted")
+            need(prev < node < self.universe and node >= 1, "records not sorted")
             prev = node
             need(0 <= count <= self.weight_seen, "implausible record count")
             heavy = count * phi.denominator >= phi.numerator * self.total
@@ -458,55 +423,31 @@ class HeavyHittersVerifier(Verifier):
         need(root_claimed, "root must be claimed for a nonempty stream")
         need(fp_children == fp_connect, "tree closure fingerprints differ")
 
-        if self.mi is None:
-            need(len(chunks) == 2 and chunks[1].kind == "hh-openings", "missing openings")
-            openings = chunks[1].data
-            self.state.check_openings(openings, self.u_derived, arity=3)
-            fp_counts_b = 0
-            for _, entries in openings:
-                for v, c, qflag in entries:
-                    if qflag:
-                        fp_counts_b = (fp_counts_b + c * pow(self.tau, v, q)) % q
-            need(fp_counts_a == fp_counts_b, "record counts not matched by openings")
-        else:
-            claims = [(v, c, None) for v, c, _ in records]
-            ok, rest = self.mi.end(claims, chunks[1:])
-            need(not rest, "trailing stage proofs")
-            need(ok == 1, "record counts not certified")
+        need(len(chunks) == 2 and chunks[1].kind == "hh-openings", "missing openings")
+        openings = chunks[1].data
+        self.state.check_openings(openings, self.universe, arity=3)
+        fp_counts_b = 0
+        for _, entries in openings:
+            for v, c, qflag in entries:
+                if qflag:
+                    fp_counts_b = (fp_counts_b + c * pow(self.tau, v, q)) % q
+        need(fp_counts_a == fp_counts_b, "record counts not matched by openings")
         return Outcome.ok(frozenset(heavy_items))
-
-    @property
-    def words(self):
-        return (self.state if self.mi is None else self.mi).words + 8
 
 
 def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
                      mode="openings") -> RunResult:
-    """All items with frequency >= phi * N, certified exactly.
-
-    mode='openings' batches the frequency proofs through parallel bucket
-    openings; mode='multiindex' routes them through the staged MultiIndex
-    scheme over the same derived stream."""
+    """All items with frequency >= phi * N, certified exactly by parallel
+    bucket openings of the derived dyadic stream. `mode` names that one
+    certification, "openings"; any other value raises ConfigError."""
     if not 0 < phi < 1:
         raise ConfigError("phi must be in (0, 1)")
-    if mode not in ("openings", "multiindex"):
+    if mode != "openings":
         raise ConfigError(f"unknown heavyhitters mode {mode!r}")
-    meta = compute_meta(updates, n)
-    levels = dyadic_levels(n)
-    m_derived = max(1, meta.sparsity) * (levels + 1)
+    m_derived = max(1, compute_meta(updates, n).sparsity) * (dyadic_levels(n) + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
-    phi = Fraction(phi)
-    u_derived = dyadic_universe(n)
-    mi_v = mi_p = None
-    if mode == "multiindex":
-        from .moments import (MODE_STRICT, MultiIndexProverCore,
-                              MultiIndexVerifierCore, Shape)
-        shape = Shape(u_derived, m_derived, c_v, meta.weight * (levels + 1),
-                      MODE_STRICT)
-        mi_v = MultiIndexVerifierCore(shape, derive_rng(seed, "mi-v"))
-        mi_p = MultiIndexProverCore(shape, derive_rng(seed, "mi-p"))
-    verifier = HeavyHittersVerifier(n, c_a, c_v, derive_rng(seed, "hh-v"), mi_v)
+    verifier = HeavyHittersVerifier(n, c_a, c_v, derive_rng(seed, "hh-v"))
     prover = resolve_prover(prover, lambda: HeavyHittersProver(
-        n, c_v, derive_rng(seed, "hh-p"), mi_p))
-    return run_protocol(verifier, prover, updates, phi)
+        n, c_v, derive_rng(seed, "hh-p")))
+    return run_protocol(verifier, prover, updates, Fraction(phi))

@@ -169,7 +169,10 @@ def build_transcript(prover: Prover, updates, query=None) -> Transcript:
 
 
 def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
-    """Single sequential verifier pass over a recorded transcript."""
+    """Single sequential verifier pass over a recorded transcript.
+
+    vcost is the largest of verifier.words sampled at most three times: after
+    begin, after the last update and after end (or after a reject)."""
     t0 = time.perf_counter()
     peak = 0
     try:

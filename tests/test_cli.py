@@ -71,9 +71,6 @@ CASES = [
     ("heavyhitters-default", "heavyhitters", "plain",
      ["--phi", "0.3", "--ca", "8", "--cv", "8"],
      {"phi": 0.3, "c_a": 8, "c_v": 8, "hh_mode": "openings"}),
-    ("heavyhitters-multiindex", "heavyhitters", "plain",
-     ["--phi", "0.3", "--ca", "8", "--cv", "8", "--hh-mode", "multiindex"],
-     {"phi": 0.3, "c_a": 8, "c_v": 8, "hh_mode": "multiindex"}),
     ("fk-default", "fk", "plain", ["--k", "2"],
      {"k": 2, "c_v": 16, "mode": "online"}),
     ("fk-online", "fk", "plain", ["--k", "3", "--cv", "4", "--mode", "online"],
@@ -152,6 +149,8 @@ def test_cli_matches_run_scheme(case, tmp_path, capsys):
     ["disj", "--mode", "footprint"],
     ["heavyhitters", "--phi", "0.3", "--ca", "8", "--cv", "8",
      "--hh-mode", "bogus"],
+    ["heavyhitters", "--phi", "0.3", "--ca", "8", "--cv", "8",
+     "--hh-mode", "multiindex"],
     ["pointquery", "--ca", "4", "--cv", "4"],
     ["fk", "--cv", "4"],
     ["matching"],
@@ -160,7 +159,8 @@ def test_cli_matches_run_scheme(case, tmp_path, capsys):
     ["multiindex", "--cv", "16"],
     ["fk", "--k", "two"],
     ["nope"],
-], ids=["fk-bad-mode", "disj-bad-mode", "hh-bad-mode", "missing-query",
+], ids=["fk-bad-mode", "disj-bad-mode", "hh-bad-mode", "hh-multiindex-mode",
+        "missing-query",
         "missing-k", "missing-witness", "missing-z", "subf2-missing-z",
         "multiindex-missing-claims", "bad-type",
         "unknown-scheme"])

@@ -14,7 +14,7 @@ from streamcert.moments import (MODE_AMA, MODE_FOOTPRINT, MODE_STRICT,
                                 fk_prescient_run, hamming_run,
                                 inner_product_run, multiindex_run, subset_run,
                                 tagged_meta)
-from streamcert.pointqueries import heavyhitters_run, open_buckets
+from streamcert.pointqueries import open_buckets
 from streamcert.protocol import Chunk, ConfigError, Reject
 from streamcert.streams import StreamUpdate as U, compute_meta
 
@@ -310,7 +310,6 @@ MI_TAMPERS = {
 _MI_STRICT = strict_stream(random.Random(11), N20, 100, churn=0.2)
 _MI_NONSTRICT = nonstrict_stream(random.Random(12), N20, 60)
 _MI_CLAIMS = [(i, f) for i, f in sorted(freq_oracle(_MI_STRICT).items())[:30]]
-_MI_ZIPF = [U(i, max(1, 300 // (i + 1))) for i in range(40)]
 
 MI_RUNS = {
     "fk-online": lambda p: fk_online_run(_MI_STRICT, N20, 2, 4, seed=1, prover=p),
@@ -318,8 +317,6 @@ MI_RUNS = {
                                                 seed=1, prover=p),
     "multiindex": lambda p: multiindex_run(_MI_STRICT, N20, _MI_CLAIMS, 16,
                                            seed=1, prover=p),
-    "heavyhitters": lambda p: heavyhitters_run(_MI_ZIPF, 64, 0.1, c_a=64, c_v=8,
-                                               seed=1, prover=p, mode="multiindex"),
 }
 
 

@@ -214,7 +214,7 @@ def test_hh_trivial():
     assert heavyhitters_run(uniform, 128, 0.5, c_a=64, c_v=16).value == frozenset()
 
 
-@pytest.mark.parametrize("mode", ["openings", "multiindex"])
+@pytest.mark.parametrize("mode", ["openings"])
 def test_hh_zipf_matches_exact_counts(mode, rng):
     n = 1 << 12
     ups = []
@@ -230,12 +230,13 @@ def test_hh_zipf_matches_exact_counts(mode, rng):
 
 def test_hh_unknown_mode_raises():
     ups = [StreamUpdate(0, 5), StreamUpdate(1, 1)]
-    with pytest.raises(ConfigError, match="unknown heavyhitters mode"):
-        heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, mode="bogus")
-    cfg = RunConfig("heavyhitters", n=16, params={
-        "phi": 0.3, "c_a": 16, "c_v": 8, "hh_mode": "bogus"})
-    with pytest.raises(ConfigError, match="unknown heavyhitters mode"):
-        run_scheme(cfg, ups)
+    for mode in ("bogus", "multiindex"):  # openings is the only mode
+        with pytest.raises(ConfigError, match="unknown heavyhitters mode"):
+            heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, mode=mode)
+        cfg = RunConfig("heavyhitters", n=16, params={
+            "phi": 0.3, "c_a": 16, "c_v": 8, "hh_mode": mode})
+        with pytest.raises(ConfigError, match="unknown heavyhitters mode"):
+            run_scheme(cfg, ups)
 
 
 def test_hh_omitted_heavy_hitter_rejected(rng):
@@ -432,8 +433,7 @@ def test_dyadic_verifier_update_makes_one_pow_per_update(scheme, monkeypatch, rn
     lambda ups: pq_run(ups, 8, 0, c_a=8, c_v=8),
     lambda ups: selection_run(ups, 8, 1, c_a=8, c_v=8),
     lambda ups: heavyhitters_run(ups, 8, 0.5, c_a=8, c_v=8),
-    lambda ups: heavyhitters_run(ups, 8, 0.5, c_a=8, c_v=8, mode="multiindex"),
-], ids=["pointquery", "selection", "heavyhitters", "heavyhitters-multiindex"])
+], ids=["pointquery", "selection", "heavyhitters"])
 @pytest.mark.parametrize("item", [10, 8, -1])
 def test_stream_item_outside_universe_raises(run, item):
     with pytest.raises(ConfigError, match="outside"):
