@@ -11,7 +11,7 @@ import sys
 
 from .harness import (REQUIRED, RunConfig, SCHEMES, cost_sweep, run_scheme,
                       scheme_flags, soundness_trials)
-from .protocol import ConfigError, RelaxedOutcome
+from .protocol import ConfigError
 from .streams import ModelViolation, read_stream
 
 
@@ -102,8 +102,6 @@ def main(argv=None):
         value = outcome.value
         if isinstance(value, frozenset):
             value = sorted(value)
-        if isinstance(outcome, RelaxedOutcome):
-            value = 1
         payload["value"] = value
     _emit(args.report, payload)
     return 0 if not outcome.rejected else 2

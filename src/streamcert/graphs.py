@@ -11,8 +11,8 @@ outside [0, n), a self loop and an edge whose final count is not 0 or 1."""
 
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
                       Shape, fk_online_multi)
-from .protocol import (Chunk, ConfigError, CostReport, Outcome, Prover,
-                       RelaxedOutcome, RunResult, Verifier, derive_rng, id_bits,
+from .protocol import (Chunk, ConfigError, CostReport, Outcome,
+                       RelaxedOutcome, RunResult, derive_rng, id_bits,
                        int_record, need, resolve_prover, run_protocol)
 from .streams import (StreamUpdate, compute_meta, edge_universe,
                       fingerprint_of_range, pair_rank, stream_ids)
@@ -83,7 +83,7 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, honest,
     or the verifier rejects; a rejected run keeps its costs."""
     meta = compute_meta(*stream_ids("edges", edges, n))
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
-                  max(1, meta.weight + witness_len), MODE_STRICT, tagged=True)
+                  max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))
     verifier = verifier(n, shape, derive_rng(seed, label + "-v"))
     try:
         prover = resolve_prover(prover, lambda: honest(
@@ -97,23 +97,21 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, honest,
     return result
 
 
-class _RelaxedProverBase(Prover):
+class _RelaxedProverBase(OnlineEngineProver):
     """Streams the graph's edges as the Y side of the subset engine; at the
     end, plays the witness edges as the X side after the witness chunk.
     Subclasses set their witness before this constructor, which maps its
-    edges and so raises ConfigError on an unusable one."""
+    edges and so raises ConfigError on an unusable one. The engine's n is
+    the C(n,2) edge universe, so the graph's n is `vertices`."""
 
     def __init__(self, n, shape, rng):
-        self.n = n
+        self.vertices = n
         self.chunk, edges = self.witness()
         self.x_updates = [_edge_update(0, a, b) for a, b in edges]
-        self.engine = OnlineEngineProver(shape, rng)
-
-    def start(self):
-        return self.engine.start()
+        super().__init__(shape, rng)
 
     def on_update(self, u):
-        self.engine.on_update(_edge_update(1, *u))
+        super().on_update(_edge_update(1, *u))
 
     def witness(self):
         """(witness chunk, witness edges)."""
@@ -121,37 +119,36 @@ class _RelaxedProverBase(Prover):
 
     def finish(self, query):
         for u in self.x_updates:
-            self.engine.on_update(u)
-        return [self.chunk] + self.engine.finish(query)
+            super().on_update(u)
+        return [self.chunk] + super().finish(query)
 
 
-class _RelaxedVerifierBase(Verifier):
+class _RelaxedVerifierBase(OnlineEngineVerifier):
+    """The subset engine's verifier over the C(n,2) edge universe, which
+    takes the graph's edges as its Y side and the witness edges as X."""
+
     def __init__(self, n, shape, rng):
-        self.n = n
-        self.shape = shape
-        self.engine = OnlineEngineVerifier(shape, rng)
+        self.vertices = n
+        super().__init__(shape, rng)
         self.field = shape.field
         self.x_count = 0
-        self.word_bits = shape.field.bits
-
-    def begin(self, chunks):
-        self.engine.begin(chunks)
 
     def update(self, u):
-        self.engine.update(_edge_update(1, *u))
+        super().update(_edge_update(1, *u))
 
     def _x_edge(self, a, b):
-        need(0 <= a < self.n and 0 <= b < self.n and a != b, "bad witness edge")
-        self.engine.update(_edge_update(0, a, b))
+        n = self.vertices
+        need(0 <= a < n and 0 <= b < n and a != b, "bad witness edge")
+        super().update(_edge_update(0, a, b))
         self.x_count += 1
 
     def _subset_holds(self, chunks):
-        out = self.engine.end(chunks, None)
+        out = super().end(chunks, None)
         need(out.value["ip"] == self.x_count, "witness edges not all in the graph")
 
     @property
     def words(self):
-        return self.engine.words + 6
+        return super().words + 6
 
 
 # ------------------------------------------------------------ perfect matching
@@ -163,7 +160,7 @@ class MatchingProver(_RelaxedProverBase):
         super().__init__(n, shape, rng)
 
     def witness(self):
-        bits = len(self.matching) * 2 * id_bits(self.n)
+        bits = len(self.matching) * 2 * id_bits(self.vertices)
         return Chunk("matching-witness", list(self.matching), bits), self.matching
 
 
@@ -179,13 +176,14 @@ class MatchingVerifier(_RelaxedVerifierBase):
         witness = chunks[0].data
         need(isinstance(witness, list) and all(int_record(e, 2) for e in witness),
              "malformed matching witness")
-        need(self.n % 2 == 0 and len(witness) == self.n // 2, "wrong matching size")
+        n = self.vertices
+        need(n % 2 == 0 and len(witness) == n // 2, "wrong matching size")
         q = self.field.q
         for a, b in witness:
             self._x_edge(a, b)
             self.fp_endpoints = (self.fp_endpoints + pow(self.rho, a, q)
                                  + pow(self.rho, b, q)) % q
-        need(self.fp_endpoints == fingerprint_of_range(self.field, self.rho, self.n),
+        need(self.fp_endpoints == fingerprint_of_range(self.field, self.rho, n),
              "matched endpoints do not cover every vertex once")
         self._subset_holds(chunks[1:])
         return RelaxedOutcome(True)
@@ -239,7 +237,7 @@ class ConnectivityProver(_RelaxedProverBase):
 
     def witness(self):
         edge_recs, vert_recs = self.records
-        bits = (len(edge_recs) * 3 + len(vert_recs) * 3 + 1) * id_bits(self.n ** 2)
+        bits = (len(edge_recs) * 3 + len(vert_recs) * 3 + 1) * id_bits(self.vertices ** 2)
         return (Chunk("tree-witness", (self.root, edge_recs, vert_recs), bits),
                 [(child, par) for child, par, _ in edge_recs])
 
@@ -258,7 +256,7 @@ class ConnectivityVerifier(_RelaxedVerifierBase):
              and all(isinstance(recs, list) and all(int_record(e, 3) for e in recs)
                      for recs in data[1:]), "malformed tree witness")
         root, edge_recs, vert_recs = data
-        n, q = self.n, self.field.q
+        n, q = self.vertices, self.field.q
         need(0 <= root < n, "bad root")
         need(len(edge_recs) == n - 1 and len(vert_recs) == n, "wrong witness size")
         fp_child = 0
@@ -316,7 +314,7 @@ class OddCycleProver(_RelaxedProverBase):
         super().__init__(n, shape, rng)
 
     def witness(self):
-        bits = len(self.cycle) * id_bits(self.n)
+        bits = len(self.cycle) * id_bits(self.vertices)
         return (Chunk("cycle-witness", list(self.cycle), bits),
                 zip(self.cycle, self.cycle[1:]))
 

@@ -37,11 +37,15 @@ with no call per instance or per hash.
 
 One engine serves one- and two-sided streams. Fk and triangles stream one
 vector; DISJ, subset, inner product, Hamming and the graph certificates
-stream two, S and T, as (side, update) pairs. Shape decides the main
-instances once: Fk for each order on one side, the product f_S . f_T on
-two. Item i's count on side s lands in vector s of every main instance
-and in the stages as id i * sides + s, and _EngineMap turns a collision-
-list entry into its MultiIndex claims and its removal for both sides.
+stream two, S and T, as (side, update) pairs. Shape's `mains` names the
+main instances once, and with them the sides: the orders k, for Fk of each
+order on one side, or ("ip",), for the product f_S . f_T on two. Item i's
+count on side s lands in vector s of every main instance and in the stages
+as id i * sides + s, and _EngineMap turns a collision-list entry into its
+MultiIndex claims and its removal for both sides. The schemes over two
+sides subclass OnlineEngineProver and OnlineEngineVerifier and override
+only what they add: the DISJ/subset witness branch, the F1 counters and,
+in graphs.py, the edge-to-side translation and the witness checks.
 
 Every dense instance is linear in the stream, and the prover's memory is
 not a cost of the scheme. So the verifier maps each update as it arrives,
@@ -99,16 +103,17 @@ class Shape:
     """Shared geometry of one online run: reduced universe, grid shape,
     fields, collision budget, stage budget and main instances.
 
-    A stream has one side or, with tagged=True, two (S and T). Item i's
-    count on side s is id i * sides + s, so n items take n_ids = n * sides
-    ids. main_params() decides the main instances once: Fk for each order
-    k in ks on one side, the product f_S . f_T (key "ip") on two."""
+    `mains` names the main instances, and with them the stream's sides: the
+    orders k, for Fk of each order over a one-sided stream, or ("ip",), for
+    the product f_S . f_T over a two-sided one (S and T). Item i's count on
+    side s is id i * sides + s, so n items take n_ids = n * sides ids.
+    main_params() builds the main instances' parameters."""
 
-    def __init__(self, n, base, c_v, weight, mode, ell=None, ks=(),
-                 tagged=False, coins_seed=None):
+    def __init__(self, n, base, c_v, weight, mode, ell=None, mains=(),
+                 coins_seed=None):
         if c_v <= 1:
             raise ConfigError("c_v must exceed 1")
-        self.sides = 2 if tagged else 1
+        self.sides = 2 if "ip" in mains else 1
         self.n = n
         n_ids = self.n_ids = n * self.sides
         self.mode = mode
@@ -131,7 +136,7 @@ class Shape:
                 purity_min_field(w2, n_ids, max(self.r, ell_decl)))
         self.field_subf2 = field_at_least(2 * max(1, ell_decl) * w2 * w2 + 1)
         # each main instance's degree: f_S . f_T has degree 2
-        degrees = {"ip": 2} if tagged else {k: k for k in ks}
+        degrees = {key: 2 if key == "ip" else key for key in mains}
         self.field_mains = {key: field_at_least(
             prop1_min_field(d, self.r, self.weight ** d))
             for key, d in degrees.items()}
@@ -712,7 +717,7 @@ def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRIC
         raise ConfigError("name at least one moment order")
     meta = compute_meta(updates, n)
     base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
-    shape = Shape(n, base, c_v, meta.weight, mode, ks=ks, coins_seed=coins_seed)
+    shape = Shape(n, base, c_v, meta.weight, mode, mains=ks, coins_seed=coins_seed)
     verifier = OnlineEngineVerifier(shape, derive_rng(seed, "fk-v"))
     prover = resolve_prover(prover, lambda: OnlineEngineProver(
         shape, derive_rng(seed, "fk-p")))
@@ -941,27 +946,22 @@ def disj_prescient_run(updates, n, *, seed=0, prover=None) -> RunResult:
     return run_protocol(verifier, prover, updates)
 
 
-class _TaggedWitnessProver(Prover):
-    """Online prover for DISJ/Subset: carries a point-query sub-protocol for
-    the witness branch alongside the full certification engine."""
+class _TaggedWitnessProver(OnlineEngineProver):
+    """Online prover for DISJ/Subset: the engine, plus a point-query hash
+    for the witness branch, drawn before the engine's hashes."""
 
     def __init__(self, shape, rng, subset=False):
-        self.n = shape.n
         self.subset = subset
         self.pq_h = random_pairwise_hash(shape.n_ids, shape.c_v, rng)
-        self.engine = OnlineEngineProver(shape, rng)
-        self.freq = self.engine.mi.freq
+        super().__init__(shape, rng)
 
     def start(self):
-        return ([Chunk("pq-hash", self.pq_h, self.pq_h.bits)]
-                + self.engine.start())
-
-    def on_update(self, u):
-        self.engine.on_update(u)
+        return [Chunk("pq-hash", self.pq_h, self.pq_h.bits)] + super().start()
 
     def _witness_item(self):
-        s_items = {i >> 1 for i, f in self.freq.items() if f != 0 and i % 2 == 0}
-        t_items = {i >> 1 for i, f in self.freq.items() if f != 0 and i % 2 == 1}
+        freq = self.mi.freq
+        s_items = {i >> 1 for i, f in freq.items() if f != 0 and i % 2 == 0}
+        t_items = {i >> 1 for i, f in freq.items() if f != 0 and i % 2 == 1}
         if self.subset:
             outside = sorted(s_items - t_items)
             return outside[0] if outside else None
@@ -971,34 +971,35 @@ class _TaggedWitnessProver(Prover):
     def finish(self, query):
         w = self._witness_item()
         if w is not None:
-            openings, bits = open_buckets(self.pq_h, self.freq,
+            openings, bits = open_buckets(self.pq_h, self.mi.freq,
                                           [2 * w, 2 * w + 1], 2 * self.n)
             return [Chunk("witness", w, 64),
                     Chunk("witness-openings", openings, bits)]
-        return self.engine.finish(query)
+        return super().finish(query)
 
 
-class _TaggedWitnessVerifier(Verifier):
+class _TaggedWitnessVerifier(OnlineEngineVerifier):
+    """The engine's verifier, plus the count of X and the witness branch's
+    bucket fingerprints over the ids 2i + t, their basis drawn before the
+    engine's secret points."""
+
     def __init__(self, shape, rng, subset=False):
-        self.n = shape.n
         self.subset = subset
         self.pq = BucketFingerprintState(shape.field, shape.c_a, shape.c_v, rng)
-        self.engine = OnlineEngineVerifier(shape, rng)
+        super().__init__(shape, rng)
         self.f1_x = 0
-        self.word_bits = shape.field.bits
-        self.info = self.engine.info
 
     def begin(self, chunks):
         need(chunks and chunks[0].kind == "pq-hash", "missing point-query hash")
         self.pq.set_hash(chunks[0].data, 2 * self.n)
-        self.engine.begin(chunks[1:])
+        super().begin(chunks[1:])
 
     def update(self, u):
         tag, su = u
         self.pq.update(2 * su.item + tag, su.delta)
         if tag == 0:
             self.f1_x += su.delta
-        self.engine.update(u)
+        super().update(u)
 
     def _witness_counts(self, item, openings):
         wanted = {2 * item: 0, 2 * item + 1: 0}
@@ -1019,15 +1020,14 @@ class _TaggedWitnessVerifier(Verifier):
             else:
                 need(fs >= 1 and ft >= 1, "witness not in both sets")
             return Outcome.ok(0)
-        out = self.engine.end(chunks, query)
-        ip = out.value["ip"]
+        ip = super().end(chunks, query).value["ip"]
         if self.subset:
             return Outcome.ok(1 if ip == self.f1_x else 0)
         return Outcome.ok(1 if ip == 0 else 0)
 
     @property
     def words(self):
-        return self.pq.words + self.engine.words + 2
+        return self.pq.words + super().words + 2
 
 
 def _tagged_run(updates, n, c_v, seed, prover, label, verifier,
@@ -1036,7 +1036,7 @@ def _tagged_run(updates, n, c_v, seed, prover, label, verifier,
     the reduced universe as ids 2i and 2i + 1. The verifier and the honest
     prover are built as verifier(shape, rng) and honest(shape, rng)."""
     meta = tagged_meta(updates, n)
-    shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT, tagged=True)
+    shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT, mains=("ip",))
     verifier = verifier(shape, derive_rng(seed, label + "-v"))
     prover = resolve_prover(prover, lambda: honest(
         shape, derive_rng(seed, label + "-p")))
@@ -1066,30 +1066,25 @@ def subset_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 # with F1(f) + F1(g) counted in one word while streaming.
 
 
-class _ProductVerifier(Verifier):
+class _ProductVerifier(OnlineEngineVerifier):
     """The tagged engine's verifier plus the F1 counter."""
 
     def __init__(self, shape, rng, hamming=False):
-        self.engine = OnlineEngineVerifier(shape, rng)
+        super().__init__(shape, rng)
         self.hamming = hamming
         self.f1 = 0
-        self.word_bits = shape.field.bits
-        self.info = self.engine.info
-
-    def begin(self, chunks):
-        self.engine.begin(chunks)
 
     def update(self, u):
         self.f1 += u[1].delta
-        self.engine.update(u)
+        super().update(u)
 
     def end(self, chunks, query):
-        ip = self.engine.end(chunks, query).value["ip"]
+        ip = super().end(chunks, query).value["ip"]
         return Outcome.ok(self.f1 - 2 * ip if self.hamming else ip)
 
     @property
     def words(self):
-        return self.engine.words + 1
+        return super().words + 1
 
 
 def inner_product_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:

@@ -20,7 +20,7 @@ squaring."""
 
 from fractions import Fraction
 
-from .field import DEFAULT_FIELD
+from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, COUNT_BITS, derive_rng, id_bits, int_record,
                        need, resolve_prover, run_protocol)
@@ -203,8 +203,12 @@ class OpeningVerifier(Verifier):
     def __init__(self, n, universe, c_a, c_v, rng):
         self.n = n
         self.universe = universe
-        self.state = BucketFingerprintState(DEFAULT_FIELD, c_a, c_v, rng)
-        self.word_bits = DEFAULT_FIELD.bits
+        # a forged bucket passes with probability at most universe / q, and
+        # ids v and v + q - 1 share every power of the basis: q must exceed
+        # the universe, and this q keeps c_v forged buckets below 2^-40
+        field = field_at_least(universe * c_v << 40)
+        self.state = BucketFingerprintState(field, c_a, c_v, rng)
+        self.word_bits = field.bits
 
     def begin(self, chunks):
         need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
@@ -375,8 +379,8 @@ class HeavyHittersVerifier(OpeningVerifier):
         self.total = 0
         self.weight_seen = 0
         # multiset-equation fingerprint bases
-        self.sigma = DEFAULT_FIELD.rand(rng)
-        self.tau = DEFAULT_FIELD.rand(rng)
+        self.sigma = self.state.field.rand(rng)
+        self.tau = self.state.field.rand(rng)
 
     def update(self, u):
         self.total += u.delta
@@ -392,7 +396,7 @@ class HeavyHittersVerifier(OpeningVerifier):
         if self.total <= 0:
             need(not records, "claims on an empty stream")
             return Outcome.ok(frozenset())
-        q = DEFAULT_FIELD.q
+        q = self.state.field.q
         leaf_base = 1 << self.levels
         heavy_items = []
         fp_children = 0    # children of claimed non-leaf nodes

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from streamcert import streams, sumcheck
+from streamcert.graphs import (verify_connectivity, verify_non_bipartite,
+                               verify_perfect_matching)
 from streamcert.harness import ChunkTamper, adversary, synthetic_stream
 from streamcert.moments import (MODE_AMA, MODE_FOOTPRINT, MODE_STRICT,
                                 MultiIndexProverCore, OnlineEngineProver,
@@ -406,7 +408,7 @@ def test_subset_witness_needs_every_bucket_opened():
         def finish(self, query):
             p = self.inner
             split.append(p.pq_h(2 * w) != p.pq_h(2 * w + 1))
-            openings, bits = open_buckets(p.pq_h, p.freq, [2 * w], 2 * p.n)
+            openings, bits = open_buckets(p.pq_h, p.mi.freq, [2 * w], 2 * p.n)
             return [Chunk("witness", w, 64),
                     Chunk("witness-openings", openings, bits)]
 
@@ -427,15 +429,28 @@ def test_prescient_disj_malformed_witness_rejected():
         assert r.rejected
 
 
-@pytest.mark.parametrize("run, ups", [
-    (disj_online_run, tagged_sets([1, 9], [5, 7])),
-    (subset_run, tagged_sets([1, 9], [1, 7, 9])),
-], ids=["disj", "subset"])
-def test_online_info_reports_stages_used(run, ups):
-    r = run(ups, 16, 4, seed=2)
+# a 6-cycle with the chord {0, 2}, for the graph certificates
+RING = [(i, i + 1, 1) for i in range(5)] + [(0, 5, 1), (0, 2, 1)]
+ENGINE_RUNS = {
+    "disj": lambda **kw: disj_online_run(tagged_sets([1, 9], [5, 7]), 16, 4, **kw),
+    "subset": lambda **kw: subset_run(tagged_sets([1, 9], [1, 7, 9]), 16, 4, **kw),
+    "innerproduct": lambda **kw: inner_product_run(
+        tagged_sets([1, 5, 9], [5, 7]), 16, 4, **kw),
+    "hamming": lambda **kw: hamming_run(tagged_sets([1, 5, 9], [5, 7]), 16, 4, **kw),
+    "matching": lambda **kw: verify_perfect_matching(
+        RING, 6, [(0, 1), (2, 3), (4, 5)], 4, **kw),
+    "connectivity": lambda **kw: verify_connectivity(
+        RING, 6, (0, [(i, i + 1) for i in range(5)]), 4, **kw),
+    "oddcycle": lambda **kw: verify_non_bipartite(RING, 6, [0, 1, 2, 0], 4, **kw),
+}
+
+
+@pytest.mark.parametrize("run", ENGINE_RUNS)
+def test_online_info_reports_stages_used(run):
+    r = ENGINE_RUNS[run](seed=2)
     assert r.accepted and "stages_used" in r.info
-    r = run(ups, 16, 4, seed=2,
-            prover=rewrite_chunk("main-proof", lambda data: (data[0], None)))
+    r = ENGINE_RUNS[run](seed=2, prover=rewrite_chunk(
+        "main-proof", lambda data: (data[0], None)))
     assert r.rejected and "stages_used" in r.info
 
 
@@ -486,7 +501,7 @@ def test_start_hash_subclass_rejected(site):
 def test_engine_begin_refuses_hash_subclass(kind, why):
     ups = [U(3, 2), U(9, 1), U(3, 1)]
     meta = compute_meta(ups, 64)
-    shape = Shape(64, meta.sparsity, 4, meta.weight, MODE_STRICT, ks=(2,))
+    shape = Shape(64, meta.sparsity, 4, meta.weight, MODE_STRICT, mains=(2,))
     start = OnlineEngineProver(shape, random.Random(1)).start()
     tampered = [Chunk(c.kind, _as_subclass(c.data), c.bits) if c.kind == kind
                 else c for c in start]
@@ -651,7 +666,7 @@ def test_strict_verifier_fans_each_update_out_once_per_instance(monkeypatch, rng
     # the main injection; every bucket comes from the hashes' fields
     ups = strict_stream(rng, N20, 60, churn=0.4)
     meta = compute_meta(ups, N20)
-    shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, ks=(2,))
+    shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, mains=(2,))
     prover = OnlineEngineProver(shape, random.Random(1))
     verifier = OnlineEngineVerifier(shape, random.Random(2))
     verifier.begin(prover.start())
@@ -716,11 +731,11 @@ def test_implausible_collision_entry_rejected(case):
     if two_sided:
         ups = [(S, u) for u in ups] + [(T, u) for u in ups]
         meta = tagged_meta(ups, n)
-        shape = Shape(n, meta.sparsity, 4, meta.weight, mode, tagged=True)
+        shape = Shape(n, meta.sparsity, 4, meta.weight, mode, mains=("ip",))
     else:
         meta = compute_meta(ups, n)
         base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
-        shape = Shape(n, base, 4, meta.weight, mode, ks=(2,), coins_seed=1)
+        shape = Shape(n, base, 4, meta.weight, mode, mains=(2,), coins_seed=1)
 
     def engines():
         prover = OnlineEngineProver(shape, random.Random(1))

@@ -5,7 +5,7 @@ import pytest
 
 from streamcert import pointqueries
 from streamcert.field import DEFAULT_FIELD
-from streamcert.harness import RunConfig, adversary, run_scheme
+from streamcert.harness import ChunkTamper, RunConfig, adversary, run_scheme
 from streamcert.pointqueries import (BucketFingerprintState, dyadic_counts,
                                      heavyhitters_run, open_buckets, pq_run,
                                      selection_run)
@@ -440,3 +440,60 @@ def test_stream_item_outside_universe_raises(run, item):
         run([StreamUpdate(item, 1)])
     with pytest.raises(ConfigError, match="outside"):
         run([StreamUpdate(3, 2), StreamUpdate(item, 1)])
+
+
+# ---------------------------------------------- universes beyond 2^61 - 1
+# Over q = 2^61 - 1 the ids v and v + q - 1 share every power of a basis,
+# so above that size a prover could move a count between them unseen. Each
+# forgery below moves one count by Q1 = q - 1 inside the single bucket
+# (c_v = 1) and claims a wrong answer.
+
+Q1 = DEFAULT_FIELD.q - 1
+BIG = [1 << 62, 1 << 128]
+
+
+def _moved(entries, old, new):
+    """entries, ascending, with the one whose id is `old` moved to `new`."""
+    return sorted((new, *e[1:]) if e[0] == old else e for e in entries)
+
+
+@pytest.mark.parametrize("n", BIG, ids=["2^62", "2^128"])
+def test_pq_forgery_across_field_period_rejected(n):
+    forge = rewrite_chunk("opening", lambda _: [(5 + Q1, 3)])
+    for seed in range(20):
+        assert pq_run([StreamUpdate(5, 3)], n, 5, c_a=1, c_v=1, seed=seed).value == 3
+        r = pq_run([StreamUpdate(5, 3)], n, 5, c_a=1, c_v=1, seed=seed,
+                   prover=forge)
+        assert r.rejected
+
+
+@pytest.mark.parametrize("n", BIG, ids=["2^62", "2^128"])
+def test_selection_forgery_across_field_period_rejected(n):
+    # the one item is 4 + Q1; the forged answer 4 takes its leaf's count
+    item, leaf = 4 + Q1, (1 << dyadic_levels(n)) + 4
+    forge = rewrite_chunk("selection-answer", lambda data: (
+        4, [(b, _moved(es, leaf + Q1, leaf)) for b, es in data[1]]))
+    for seed in range(20):
+        run = lambda **kw: selection_run([StreamUpdate(item, 3)], n, 1,
+                                         c_a=256, c_v=1, seed=seed, **kw)
+        assert run().value == item
+        assert run(prover=forge).rejected
+
+
+@pytest.mark.parametrize("n", BIG, ids=["2^62", "2^128"])
+def test_hh_forgery_across_field_period_rejected(n):
+    # the heavy item 5's leaf record and opening move to the leaf of 5 + Q1
+    leaf = (1 << dyadic_levels(n)) + 5
+
+    def forge(chunks):
+        records, openings = chunks[0].data, chunks[1].data
+        return [Chunk("hh-records", _moved(records, leaf, leaf + Q1), chunks[0].bits),
+                Chunk("hh-openings", [(b, _moved(es, leaf, leaf + Q1))
+                                      for b, es in openings], chunks[1].bits)]
+
+    for seed in range(20):
+        run = lambda **kw: heavyhitters_run([StreamUpdate(5, 3)], n, 0.5,
+                                            c_a=256, c_v=1, seed=seed, **kw)
+        assert run().value == frozenset({5})
+        assert run(prover=lambda honest: ChunkTamper(honest, forge)).rejected
+
