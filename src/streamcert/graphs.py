@@ -2,12 +2,16 @@
 stream moments, and relaxed (one-sided) certificates for perfect matching,
 connectivity, and non-bipartiteness.
 
-Witness edge sets are checked for membership in the streamed edge set with
-the tagged inner-product machinery (X . Y == |X| with Y the 0/1 edge
-indicator), and witness structure is checked with O(1) fingerprint state.
-That test is sound only on a simple graph, so every run first reads its
-edges through streams.stream_ids, which refuses (ConfigError) a vertex
-outside [0, n), a self loop and an edge whose final count is not 0 or 1."""
+Each certificate is a witness edge set plus O(1) fingerprint checks on its
+structure. One prover, _RelaxedProver, sends the witness chunk that its
+verify_* function builds and plays the witness edges into the tagged
+inner-product machinery, which checks their membership in the streamed edge
+set (X . Y == |X| with Y the 0/1 edge indicator). The verifiers share one
+end: each declares its witness chunk's `kind` and a check_witness that
+validates the payload and feeds its edges. The membership test is sound
+only on a simple graph, so every run first reads its edges through
+streams.stream_ids, which refuses (ConfigError) a vertex outside [0, n), a
+self loop and an edge whose final count is not 0 or 1."""
 
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
                       Shape, fk_online_multi)
@@ -74,20 +78,21 @@ def _edge_update(side, a, b, delta=1):
     return side, StreamUpdate(pair_rank(a, b), delta)
 
 
-def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, honest,
+def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
                  prover) -> RunResult:
     """A graph certificate's run on one Shape for the subset engine over the
     C(n,2) edge universe: the streamed edges plus up to witness_len witness
-    edges. verifier(n, shape, rng) and honest(shape, rng) build the two
-    sides. The outcome is a RelaxedOutcome whether the witness is unusable
-    or the verifier rejects; a rejected run keeps its costs."""
+    edges. verifier(n, shape, rng) builds the verifier, and witness() the
+    honest prover's (witness chunk, witness edges). The outcome is a
+    RelaxedOutcome whether the witness is unusable or the verifier rejects;
+    a rejected run keeps its costs."""
     meta = compute_meta(*stream_ids("edges", edges, n))
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
                   max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))
     verifier = verifier(n, shape, derive_rng(seed, label + "-v"))
     try:
-        prover = resolve_prover(prover, lambda: honest(
-            shape, derive_rng(seed, label + "-p")))
+        prover = resolve_prover(prover, lambda: _RelaxedProver(
+            shape, derive_rng(seed, label + "-p"), *witness()))
     except ConfigError:
         # witness unusable: the prover cannot even form its annotation
         return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
@@ -97,25 +102,18 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, honest,
     return result
 
 
-class _RelaxedProverBase(OnlineEngineProver):
+class _RelaxedProver(OnlineEngineProver):
     """Streams the graph's edges as the Y side of the subset engine; at the
-    end, plays the witness edges as the X side after the witness chunk.
-    Subclasses set their witness before this constructor, which maps its
-    edges and so raises ConfigError on an unusable one. The engine's n is
-    the C(n,2) edge universe, so the graph's n is `vertices`."""
+    end, sends the witness chunk and plays the witness edges as the X side.
+    Mapping the edges raises ConfigError on a self loop."""
 
-    def __init__(self, n, shape, rng):
-        self.vertices = n
-        self.chunk, edges = self.witness()
+    def __init__(self, shape, rng, chunk, edges):
+        self.chunk = chunk
         self.x_updates = [_edge_update(0, a, b) for a, b in edges]
         super().__init__(shape, rng)
 
     def on_update(self, u):
         super().on_update(_edge_update(1, *u))
-
-    def witness(self):
-        """(witness chunk, witness edges)."""
-        raise NotImplementedError
 
     def finish(self, query):
         for u in self.x_updates:
@@ -125,7 +123,10 @@ class _RelaxedProverBase(OnlineEngineProver):
 
 class _RelaxedVerifierBase(OnlineEngineVerifier):
     """The subset engine's verifier over the C(n,2) edge universe, which
-    takes the graph's edges as its Y side and the witness edges as X."""
+    takes the graph's edges as its Y side and the witness edges as X. The
+    engine's n is that edge universe, so the graph's n is `vertices`. A
+    subclass names its witness chunk's `kind` and checks that chunk's
+    payload in check_witness, feeding the witness edges through _x_edge."""
 
     def __init__(self, n, shape, rng):
         self.vertices = n
@@ -142,9 +143,13 @@ class _RelaxedVerifierBase(OnlineEngineVerifier):
         super().update(_edge_update(0, a, b))
         self.x_count += 1
 
-    def _subset_holds(self, chunks):
-        out = super().end(chunks, None)
+    def end(self, chunks, query):
+        chunks = list(chunks)
+        need(chunks and chunks[0].kind == self.kind, "missing witness")
+        self.check_witness(chunks[0].data)
+        out = super().end(chunks[1:], None)
         need(out.value["ip"] == self.x_count, "witness edges not all in the graph")
+        return RelaxedOutcome(True)
 
     @property
     def words(self):
@@ -154,39 +159,26 @@ class _RelaxedVerifierBase(OnlineEngineVerifier):
 # ------------------------------------------------------------ perfect matching
 
 
-class MatchingProver(_RelaxedProverBase):
-    def __init__(self, n, shape, matching, rng):
-        self.matching = matching
-        super().__init__(n, shape, rng)
-
-    def witness(self):
-        bits = len(self.matching) * 2 * id_bits(self.vertices)
-        return Chunk("matching-witness", list(self.matching), bits), self.matching
-
-
 class MatchingVerifier(_RelaxedVerifierBase):
+    kind = "matching-witness"
+
     def __init__(self, n, shape, rng):
         super().__init__(n, shape, rng)
         self.rho = self.field.rand(rng)
-        self.fp_endpoints = 0
 
-    def end(self, chunks, query):
-        chunks = list(chunks)
-        need(chunks and chunks[0].kind == "matching-witness", "missing witness")
-        witness = chunks[0].data
+    def check_witness(self, witness):
         need(isinstance(witness, list) and all(int_record(e, 2) for e in witness),
              "malformed matching witness")
         n = self.vertices
         need(n % 2 == 0 and len(witness) == n // 2, "wrong matching size")
         q = self.field.q
+        fp_endpoints = 0
         for a, b in witness:
             self._x_edge(a, b)
-            self.fp_endpoints = (self.fp_endpoints + pow(self.rho, a, q)
-                                 + pow(self.rho, b, q)) % q
-        need(self.fp_endpoints == fingerprint_of_range(self.field, self.rho, n),
+            fp_endpoints = (fp_endpoints + pow(self.rho, a, q)
+                            + pow(self.rho, b, q)) % q
+        need(fp_endpoints == fingerprint_of_range(self.field, self.rho, n),
              "matched endpoints do not cover every vertex once")
-        self._subset_holds(chunks[1:])
-        return RelaxedOutcome(True)
 
 
 def verify_perfect_matching(edges, n, witness, c_v=16, *, seed=0,
@@ -194,8 +186,10 @@ def verify_perfect_matching(edges, n, witness, c_v=16, *, seed=0,
     """Relaxed check that `witness` is a perfect matching inside the streamed
     edge set: convinced, or not convinced (never 'no matching exists')."""
     return _relaxed_run(edges, n, len(witness), c_v, seed, "match",
-                        MatchingVerifier, lambda shape, rng: MatchingProver(
-                            n, shape, witness, rng), prover)
+                        MatchingVerifier, lambda: (
+                            Chunk("matching-witness", list(witness),
+                                  len(witness) * 2 * id_bits(n)), witness),
+                        prover)
 
 
 # --------------------------------------------------------------- connectivity
@@ -229,29 +223,15 @@ def witness_tree_records(n, root, tree_edges):
     return edge_recs, vert_recs
 
 
-class ConnectivityProver(_RelaxedProverBase):
-    def __init__(self, n, shape, root, tree_edges, rng):
-        self.root = root
-        self.records = witness_tree_records(n, root, tree_edges)
-        super().__init__(n, shape, rng)
-
-    def witness(self):
-        edge_recs, vert_recs = self.records
-        bits = (len(edge_recs) * 3 + len(vert_recs) * 3 + 1) * id_bits(self.vertices ** 2)
-        return (Chunk("tree-witness", (self.root, edge_recs, vert_recs), bits),
-                [(child, par) for child, par, _ in edge_recs])
-
-
 class ConnectivityVerifier(_RelaxedVerifierBase):
+    kind = "tree-witness"
+
     def __init__(self, n, shape, rng):
         super().__init__(n, shape, rng)
         self.rho = self.field.rand(rng)
         self.sigma = self.field.rand(rng)
 
-    def end(self, chunks, query):
-        chunks = list(chunks)
-        need(chunks and chunks[0].kind == "tree-witness", "missing witness")
-        data = chunks[0].data
+    def check_witness(self, data):
         need(isinstance(data, tuple) and len(data) == 3 and type(data[0]) is int
              and all(isinstance(recs, list) and all(int_record(e, 3) for e in recs)
                      for recs in data[1:]), "malformed tree witness")
@@ -288,8 +268,6 @@ class ConnectivityVerifier(_RelaxedVerifierBase):
              "children do not cover the non-root vertices once")
         need(fp_pairs_actual == fp_pairs_expected,
              "parent depths inconsistent with vertex depths")
-        self._subset_holds(chunks[1:])
-        return RelaxedOutcome(True)
 
 
 def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
@@ -300,30 +278,24 @@ def verify_connectivity(edges, n, witness, c_v=16, *, seed=0,
     vertices; membership of every tree edge in the stream goes through the
     subset machinery."""
     root, tree_edges = witness
+
+    def honest_witness():
+        edge_recs, vert_recs = witness_tree_records(n, root, tree_edges)
+        bits = (len(edge_recs) * 3 + len(vert_recs) * 3 + 1) * id_bits(n ** 2)
+        return (Chunk("tree-witness", (root, edge_recs, vert_recs), bits),
+                [(child, par) for child, par, _ in edge_recs])
+
     return _relaxed_run(edges, n, max(1, n - 1), c_v, seed, "conn",
-                        ConnectivityVerifier, lambda shape, rng: ConnectivityProver(
-                            n, shape, root, tree_edges, rng), prover)
+                        ConnectivityVerifier, honest_witness, prover)
 
 
 # ------------------------------------------------------------ non-bipartiteness
 
 
-class OddCycleProver(_RelaxedProverBase):
-    def __init__(self, n, shape, cycle, rng):
-        self.cycle = cycle  # closed vertex list, first == last
-        super().__init__(n, shape, rng)
-
-    def witness(self):
-        bits = len(self.cycle) * id_bits(self.vertices)
-        return (Chunk("cycle-witness", list(self.cycle), bits),
-                zip(self.cycle, self.cycle[1:]))
-
-
 class OddCycleVerifier(_RelaxedVerifierBase):
-    def end(self, chunks, query):
-        chunks = list(chunks)
-        need(chunks and chunks[0].kind == "cycle-witness", "missing witness")
-        cycle = chunks[0].data
+    kind = "cycle-witness"
+
+    def check_witness(self, cycle):
         need(isinstance(cycle, list) and all(type(v) is int for v in cycle),
              "malformed cycle witness")
         length = len(cycle) - 1
@@ -331,15 +303,15 @@ class OddCycleVerifier(_RelaxedVerifierBase):
         need(cycle[0] == cycle[-1], "cycle not closed")
         for a, b in zip(cycle, cycle[1:]):
             self._x_edge(a, b)
-        self._subset_holds(chunks[1:])
-        return RelaxedOutcome(True)
 
 
 def verify_non_bipartite(edges, n, witness, c_v=16, *, seed=0,
                          prover=None) -> RunResult:
-    """Relaxed non-bipartiteness: the witness is an odd closed walk played in
-    order; every step must be a streamed edge."""
+    """Relaxed non-bipartiteness: the witness is an odd closed walk (first
+    vertex == last) played in order; every step must be a streamed edge."""
     cycle = list(witness)
     return _relaxed_run(edges, n, len(cycle), c_v, seed, "cyc",
-                        OddCycleVerifier, lambda shape, rng: OddCycleProver(
-                            n, shape, cycle, rng), prover)
+                        OddCycleVerifier, lambda: (
+                            Chunk("cycle-witness", cycle, len(cycle) * id_bits(n)),
+                            zip(cycle, cycle[1:])),
+                        prover)

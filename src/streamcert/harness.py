@@ -57,9 +57,6 @@ def _tamper_proof_chunks(chunks, rng):
         if isinstance(data, DenseProof):
             out[i] = c.__class__(c.kind, _bump_proof(data, rng), c.bits)
             return out
-        if isinstance(data, tuple) and len(data) == 2 and isinstance(data[1], DenseProof):
-            out[i] = c.__class__(c.kind, (data[0], _bump_proof(data[1], rng)), c.bits)
-            return out
         if isinstance(data, list) and data and isinstance(data[0], DenseProof):
             bumped = [_bump_proof(data[0], rng)] + data[1:]
             out[i] = c.__class__(c.kind, bumped, c.bits)
@@ -337,8 +334,6 @@ def cost_sweep(k, ms, c_vs, n=1 << 20, seed=0):
     rows = []
     for m in ms:
         for c_v in c_vs:
-            if c_v <= 1:
-                raise ConfigError("c_v must exceed 1")
             stream = synthetic_stream(m, n, (seed, m))
             result = moments.fk_online_run(stream, n, k, c_v, seed=(seed, m, c_v))
             rows.append({

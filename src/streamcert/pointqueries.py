@@ -337,8 +337,10 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
 # Record multisets are tied together with fingerprints so the verifier keeps
 # O(1) state beyond the bucket fingerprints:
 #   children-of-claimed-nonleaf == claimed-nonroot + nonclaimed-records
-# forces closure and coverage, and every record count is certified by the
-# bucket openings of the derived stream.
+# forces closure and coverage; every nonzero record count is certified by
+# the bucket openings of the derived stream; and each claimed non-leaf
+# node's count equals the sum of its children's record counts, which pins
+# the records of count 0 that the openings cannot reach.
 
 
 class HeavyHittersProver(OpeningProver):
@@ -398,9 +400,14 @@ class HeavyHittersVerifier(OpeningVerifier):
             return Outcome.ok(frozenset())
         q = self.state.field.q
         leaf_base = 1 << self.levels
+        sigma, top = self.sigma, self.universe
         heavy_items = []
-        fp_children = 0    # children of claimed non-leaf nodes
-        fp_connect = 0     # claimed non-root nodes + non-claimed records
+        # closure: the children of claimed non-leaf nodes (fp_children) are
+        # the claimed non-root nodes and the non-claimed records (fp_connect).
+        # At exponents top + v, above every closure exponent, the same pair
+        # checks that each claimed non-leaf v's count is its children's sum.
+        fp_children = 0
+        fp_connect = 0
         fp_counts_a = 0    # (node, count) multiset over records
         prev = -1
         root_claimed = False
@@ -413,16 +420,17 @@ class HeavyHittersVerifier(OpeningVerifier):
                 need(heavy, "claimed node below threshold")
                 if node == 1:
                     root_claimed = True
-                else:
-                    fp_connect = (fp_connect + pow(self.sigma, node, q)) % q
                 if node < leaf_base:
-                    fp_children = (fp_children + pow(self.sigma, 2 * node, q)
-                                   + pow(self.sigma, 2 * node + 1, q)) % q
+                    fp_children = (fp_children + pow(sigma, 2 * node, q)
+                                   + pow(sigma, 2 * node + 1, q)
+                                   + count * pow(sigma, top + node, q)) % q
                 else:
                     heavy_items.append(node - leaf_base)
             else:
                 need(not heavy, "unclaimed node meets threshold")
-                fp_connect = (fp_connect + pow(self.sigma, node, q)) % q
+            if node != 1:
+                fp_connect = (fp_connect + pow(sigma, node, q)
+                              + count * pow(sigma, top + node // 2, q)) % q
             fp_counts_a = (fp_counts_a + count * pow(self.tau, node, q)) % q
         need(root_claimed, "root must be claimed for a nonempty stream")
         need(fp_children == fp_connect, "tree closure fingerprints differ")

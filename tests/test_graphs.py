@@ -9,7 +9,7 @@ from streamcert.graphs import (count_triangles_run, edge_universe, pair_rank,
                                verify_connectivity, verify_non_bipartite,
                                verify_perfect_matching, witness_tree_records)
 from streamcert.harness import adversary
-from streamcert.protocol import ConfigError, RelaxedOutcome
+from streamcert.protocol import ConfigError, CostReport, RelaxedOutcome
 from streamcert.streams import compute_meta
 
 from conftest import rewrite_chunk
@@ -48,6 +48,12 @@ def test_triangle_trivial_graphs():
     assert count_triangles_run([(0, 1, 1), (1, 2, 1)], 3, 4).value == 0
     k4 = [(u, v, 1) for u, v in combinations(range(4), 2)]
     assert count_triangles_run(k4, 4, 4).value == 4
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_triangles_need_three_vertices(n):
+    with pytest.raises(ConfigError, match="at least three vertices"):
+        count_triangles_run([], n, 4)
 
 
 def test_triangle_random_graphs_match_brute_force(rng):
@@ -141,6 +147,7 @@ def test_connectivity_bad_witnesses_rejected():
     # too few edges: unusable witness gives bottom
     r = verify_connectivity(star, 6, (0, [(0, i) for i in range(1, 5)]))
     assert r.rejected and isinstance(r.outcome, RelaxedOutcome)
+    assert r.cost == CostReport(0, 0, 0, 0.0)
     # spanning tree with a fake edge
     fake = (0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
     assert verify_connectivity(star, 6, fake, seed=2).rejected
@@ -209,9 +216,10 @@ C5 = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1)]
 ], ids=["matching", "connectivity", "oddcycle"])
 def test_self_loop_witness_refused(run):
     # the honest prover cannot map a self loop, so the run ends unconvinced
-    # before the stream instead of raising
+    # before the stream instead of raising, and costs nothing
     r = run()
     assert isinstance(r.outcome, RelaxedOutcome) and r.rejected
+    assert r.cost == CostReport(0, 0, 0, 0.0)
 
 
 @pytest.mark.parametrize("run", [

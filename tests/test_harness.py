@@ -46,6 +46,10 @@ def test_run_scheme_unknown():
         run_scheme(RunConfig("nope"), [])
     with pytest.raises(ConfigError):
         adversary("nope")
+    with pytest.raises(ConfigError, match="unknown fk mode 'bogus'"):
+        run_scheme(RunConfig("fk", n=64, params={"k": 2, "mode": "bogus"}), [])
+    with pytest.raises(ConfigError, match="missing parameter 'k'"):
+        run_scheme(RunConfig("fk", n=64, params={"c_v": 4}), [])
 
 
 def test_soundness_trials_tampered_and_inverted(rng):

@@ -239,6 +239,31 @@ def test_hh_unknown_mode_raises():
             run_scheme(cfg, ups)
 
 
+def test_hh_config_validation():
+    for phi in (0, 1, -0.5, 1.5):
+        with pytest.raises(ConfigError, match="phi must be in"):
+            heavyhitters_run([StreamUpdate(0, 5)], 16, phi, c_a=16, c_v=8)
+    # n = 16: one item has 5 dyadic nodes, more than c_a * c_v = 4 cells
+    with pytest.raises(ConfigError, match="derived dyadic sparsity"):
+        heavyhitters_run([StreamUpdate(0, 5)], 16, 0.5, c_a=2, c_v=2)
+
+
+@pytest.mark.parametrize("ups", [[], [StreamUpdate(3, 2), StreamUpdate(3, -2)]],
+                         ids=["empty", "cancelled"])
+def test_hh_empty_stream(ups):
+    # no records give the empty set; any record is a claim on nothing
+    run = lambda **kw: heavyhitters_run(ups, 16, 0.5, c_a=16, c_v=8, **kw)
+    assert run().value == frozenset()
+    assert run(prover=rewrite_chunk("hh-records", lambda _: [(1, 0, 1)])).rejected
+    verifier = pointqueries.HeavyHittersVerifier(16, 16, 8, random.Random(0))
+    h = random_pairwise_hash(dyadic_universe(16), 8, random.Random(1))
+    verifier.begin([Chunk("hash", h, h.bits)])
+    for u in ups:
+        verifier.update(u)
+    with pytest.raises(Reject, match="claims on an empty stream"):
+        verifier.end([Chunk("hh-records", [(1, 0, 1)], 0)], 0.5)
+
+
 def test_hh_omitted_heavy_hitter_rejected(rng):
     ups = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
         [StreamUpdate(i, 1) for i in range(2, 12)]
@@ -497,3 +522,26 @@ def test_hh_forgery_across_field_period_rejected(n):
         assert run().value == frozenset({5})
         assert run(prover=lambda honest: ChunkTamper(honest, forge)).rejected
 
+
+def test_hh_zero_record_for_heavy_leaf_rejected():
+    # the heavy leaf of 77 is listed as an unclaimed record of count 0 and
+    # its opened entry is unflagged, so neither count enters the tau
+    # fingerprint; only the children-sum term of the closure ties it to its
+    # parent's certified count
+    n = 1 << 10
+    leaf = (1 << dyadic_levels(n)) + 77
+
+    def forge(chunks):
+        records, openings = chunks[0].data, chunks[1].data
+        return [Chunk("hh-records", [(leaf, 0, 0) if r[0] == leaf else r
+                                     for r in records], chunks[0].bits),
+                Chunk("hh-openings", [(b, [(leaf, e[1], 0) if e[0] == leaf else e
+                                           for e in es]) for b, es in openings],
+                      chunks[1].bits)]
+
+    for seed in range(20):
+        run = lambda **kw: heavyhitters_run(
+            [StreamUpdate(77, 3), StreamUpdate(5, 1)], n, 0.5, c_a=64, c_v=4,
+            seed=seed, **kw)
+        assert run().value == frozenset({77})
+        assert run(prover=lambda honest: ChunkTamper(honest, forge)).rejected

@@ -46,6 +46,10 @@ def test_validate_models():
     validate_stream([StreamUpdate(1, -1)], 4, NONSTRICT)
     with pytest.raises(ModelViolation):
         validate_stream([StreamUpdate(9, 1)], 4, STRICT)
+    with pytest.raises(ModelViolation, match="zero-delta update"):
+        validate_stream([StreamUpdate(1, 2), StreamUpdate(1, 0)], 4, NONSTRICT)
+    with pytest.raises(ModelViolation, match="unknown model 'bogus'"):
+        validate_stream([StreamUpdate(1, 2)], 4, "bogus")
 
 
 def test_validate_strict_matches_prefix_oracle(rng):

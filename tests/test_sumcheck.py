@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from streamcert import sumcheck
 from streamcert.field import Field, M61, field_at_least
 from streamcert.moments import fk_ama_mode, fk_footprint_mode, fk_online_run
 from streamcert.protocol import ConfigError
@@ -399,7 +400,33 @@ def test_params_validation():
         DenseParams(Field(11), 4, 2, 2, 1, 2, g_power(Field(11), 2), 100)
     with pytest.raises(ConfigError, match="vanish at zero"):
         params_for(16, 4, 4, 1, 2, lambda v: (v[0] * v[0] + 1) % FM.q, 100)
+    for shape, match in [
+            ((FM, 0, 4, 4, 1, 2), "degenerate dense shape"),
+            ((FM, 16, 0, 4, 1, 2), "degenerate dense shape"),
+            ((FM, 16, 4, 0, 1, 2), "degenerate dense shape"),
+            ((FM, 16, 4, 4, 0, 2), "at least one vector"),
+            ((FM, 16, 4, 4, 1, 0), "at least one vector"),
+            # proof_len = 3 * 39 + 1 = 118 values do not fit in GF(101)
+            ((Field(101), 80, 40, 2, 1, 3), "too small for the proof degree")]:
+        with pytest.raises(ConfigError, match=match):
+            DenseParams(*shape, g_power(shape[0], 2), 1)
     assert prop1_min_field(2, 4, 10) == 2 * 2 * 14 ** 2 + 1
+
+
+def test_ext_grid_budget_evicts_the_other_grids(monkeypatch, rng):
+    cache = {}
+    monkeypatch.setattr(sumcheck, "_EXT_CACHE", cache)
+    small = params_for(64, 8, 8, 1, 2, g_power(FM, 2), 10 ** 9)
+    large = params_for(64, 16, 4, 1, 2, g_power(FM, 2), 10 ** 9)
+    vecs = [{rng.randrange(64): rng.randrange(1, 9) for _ in range(6)}]
+    want = {p.c_a: dense_prover_proof(vecs, p).values for p in (small, large)}
+    assert set(cache) == {(FM.q, 8), (FM.q, 16)}
+    # room for either grid, not for both: each build evicts the other
+    monkeypatch.setattr(sumcheck, "_EXT_BUDGET",
+                        max(g.nbytes for g in cache.values()))
+    for p in (small, large, small):
+        assert dense_prover_proof(vecs, p).values == want[p.c_a]
+        assert set(cache) == {(FM.q, p.c_a)}
 
 
 def test_oversized_extension_grid_refused_when_built():
