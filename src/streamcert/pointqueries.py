@@ -41,14 +41,20 @@ class BucketFingerprintState:
     child), and check_opening steps through an opening's ascending ids by
     gap powers. These three compute each bucket from the hash's fields
     (a, b, p, r), read once when set_hash accepts the hash, so they make
-    no call per id."""
+    no call per id.
+
+    The updates add delta * power to a bucket unreduced (their powers stay
+    reduced), so a stored bucket is an integer congruent to its
+    fingerprint, below weight * q in magnitude. Reading accs reduces every
+    bucket in place and returns the same list; check_opening reduces the
+    one bucket it compares."""
 
     def __init__(self, field, c_a, c_v, rng):
         self.field = field
         self.c_v = c_v
         self.max_open = OVERFLOW_FACTOR * c_a
         self.basis = field.rand(rng)
-        self.accs = [0] * c_v
+        self._accs = [0] * c_v
         self.h = None
         self.hkey = None
         self.weight = 0
@@ -58,11 +64,17 @@ class BucketFingerprintState:
         self.h = h
         self.hkey = (h.a, h.b, h.p, h.r)
 
-    def update(self, item, delta):
+    @property
+    def accs(self):
+        """The bucket fingerprints as field elements, reduced in place."""
         q = self.field.q
+        self._accs[:] = [a % q for a in self._accs]
+        return self._accs
+
+    def update(self, item, delta):
         ha, hb, hp, hr = self.hkey
         b = (ha * item + hb) % hp % hr
-        self.accs[b] = (self.accs[b] + delta * pow(self.basis, item, q)) % q
+        self._accs[b] += delta * pow(self.basis, item, self.field.q)
         self.weight += abs(delta)
 
     def update_dyadic(self, item, delta, levels):
@@ -70,7 +82,7 @@ class BucketFingerprintState:
         root down: node k is path >> k, and its power of the basis is its
         parent's squared, times the basis when bit k of path is set."""
         q = self.field.q
-        basis, accs = self.basis, self.accs
+        basis, accs = self.basis, self._accs
         ha, hb, hp, hr = self.hkey
         path = (1 << levels) + item
         node = path >> (levels + 1)  # the root's parent, 0 for items in [2^L]
@@ -82,7 +94,7 @@ class BucketFingerprintState:
                 node += 1
                 power = power * basis % q
             b = (ha * node + hb) % hp % hr
-            accs[b] = (accs[b] + delta * power) % q
+            accs[b] += delta * power
         self.weight += (levels + 1) * abs(delta)
 
     def check_opening(self, bucket, entries, n, collect=None, arity=2):
@@ -115,7 +127,7 @@ class BucketFingerprintState:
             acc = (acc + freq * power) % q
             if collect is not None and item in collect:
                 collect[item] = freq
-        need(acc == self.accs[bucket], "bucket fingerprint mismatch")
+        need(acc == self._accs[bucket] % q, "bucket fingerprint mismatch")
 
     def check_openings(self, openings, n, collect=None, arity=2):
         """Verify a list of (bucket, entries) openings with strictly

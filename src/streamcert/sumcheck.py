@@ -9,6 +9,13 @@ grid {0, ..., deg(b)} (an encoding of the same polynomial with the same word
 count as its coefficients). The verifier spot-checks b(r) and, on success,
 accepts sum_{x < c_a} b(x).
 
+The verifier's per-update work is one product per cell, added unreduced:
+a cell holds an integer congruent to its field element, and every read of
+the rows reduces them first (DenseVerifier.rows). After A additions of
+products of field elements a cell stays below A * q^2 in magnitude, two
+words plus lg A bits; vcost still counts it as one word, the field element
+it stands for.
+
 g must vanish at zero (g(0, ..., 0) = 0). Every cell where all l vectors are
 zero, padding cells past the universe included, then adds nothing to b, so
 the prover sums g over the cells it holds and the verifier over its rows.
@@ -122,7 +129,13 @@ class DenseVerifier:
     extension evaluations. The Lagrange coefficient row at r, a pure function
     of (q, c_a, r), is computed when r is drawn and kept as an uncharged
     lookup table (test_verifier_row_is_the_closed_form_lagrange_row checks it
-    against the closed form in r and the public weights)."""
+    against the closed form in r and the public weights).
+
+    Updates add their products to the cells unreduced: a stored cell is an
+    integer congruent to its field element, below A * q^2 in magnitude after
+    A additions. Reading rows reduces every cell in place and returns the
+    same list objects, which the lane bank holds, so no code may rebind a
+    row."""
 
     def __init__(self, params: DenseParams, rng):
         self.params = params
@@ -131,34 +144,42 @@ class DenseVerifier:
         self.c_v = params.c_v
         self.q = self.field.q
         self.lrow = lagrange_row(self.field, params.c_a, self.r)
-        self.rows = [[0] * params.c_v for _ in range(params.vectors)]
+        self._rows = [[0] * params.c_v for _ in range(params.vectors)]
         self.word_bits = self.field.bits
+
+    @property
+    def rows(self):
+        """The rows as field elements, reduced in place."""
+        q = self.q
+        for row in self._rows:
+            row[:] = [c % q for c in row]
+        return self._rows
 
     def update(self, j, item, delta):
         x, y = divmod(item, self.c_v)
-        row = self.rows[j]
-        row[y] = (row[y] + delta * self.lrow[x]) % self.q
+        self._rows[j][y] += delta * self.lrow[x]
 
     def add_purity(self, item, terms):
         """update(j, item, terms[j]) for j = 0, 1, 2, with one lookup."""
         x, y = divmod(item, self.c_v)
         lx = self.lrow[x]
-        q = self.q
         du, dv, dw = terms
-        u, v, w = self.rows[0], self.rows[1], self.rows[2]
-        u[y] = (u[y] + du * lx) % q
-        v[y] = (v[y] + dv * lx) % q
-        w[y] = (w[y] + dw * lx) % q
+        u, v, w = self._rows[:3]
+        u[y] += du * lx
+        v[y] += dv * lx
+        w[y] += dw * lx
 
     def verify(self, proof: DenseProof):
         """Exact F on success, None on any failed check."""
         p = self.params
         field = self.field
+        q = field.q
+        # values must be canonical: at a secret point on the grid,
+        # eval_values_at returns values[r] as it stands, unreduced
         if not (isinstance(proof, DenseProof) and isinstance(proof.values, list)
                 and len(proof.values) == p.proof_len
-                and all(type(v) is int for v in proof.values)):
+                and all(type(v) is int and 0 <= v < q for v in proof.values)):
             return None
-        q = field.q
         expected = sum(map(p.g, zip(*self.rows))) % q
         if eval_values_at(field, proof.values, self.r) != expected:
             return None
@@ -178,8 +199,9 @@ def lane_bank(lanes):
     buckets[k].
 
     When every count instance and sink is a DenseVerifier of one grid
-    shape, each lane is one divmod, two Lagrange-row lookups and four row
-    updates, written out here; over anything else (a DenseProver, an AMA
+    shape, each lane is one divmod, two Lagrange-row lookups and four
+    unreduced row additions, written out here, into the row lists that
+    DenseVerifier.rows returns; over anything else (a DenseProver, an AMA
     purity adapter) add makes the update and add_purity calls."""
     lanes = list(lanes)
     if not all(type(count) is DenseVerifier and type(sink) is DenseVerifier
@@ -191,19 +213,18 @@ def lane_bank(lanes):
                 sink.add_purity(b, terms)
         return add
 
-    cells = [(count.c_v, count.lrow, count.rows[j], count.q,
-              sink.lrow, *sink.rows[:3], sink.q)
+    cells = [(count.c_v, count.lrow, count.rows[j], sink.lrow, *sink.rows[:3])
              for count, j, sink in lanes]
 
     def add(buckets, delta, terms):
         du, dv, dw = terms
-        for b, (c_v, lrow, f, fq, prow, u, v, w, pq) in zip(buckets, cells):
+        for b, (c_v, lrow, f, prow, u, v, w) in zip(buckets, cells):
             x, y = divmod(b, c_v)
-            f[y] = (f[y] + delta * lrow[x]) % fq
+            f[y] += delta * lrow[x]
             lx = prow[x]
-            u[y] = (u[y] + du * lx) % pq
-            v[y] = (v[y] + dv * lx) % pq
-            w[y] = (w[y] + dw * lx) % pq
+            u[y] += du * lx
+            v[y] += dv * lx
+            w[y] += dw * lx
     return add
 
 

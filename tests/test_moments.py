@@ -693,6 +693,30 @@ def test_strict_verifier_fans_each_update_out_once_per_instance(monkeypatch, rng
     assert verifier.end(chunks, None).value == {2: moment_oracle(ups, 2)}
 
 
+def test_strict_verifier_update_stays_on_the_fused_lanes(monkeypatch, rng):
+    # strict, one-sided, k = 2: every lane is a DenseVerifier pair, so a
+    # stream update makes no DenseVerifier.update or add_purity call; the
+    # generic lane-bank fallback would make 1 + t_max of each
+    ups = strict_stream(rng, N20, 60, churn=0.4)
+    meta = compute_meta(ups, N20)
+    shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, mains=(2,))
+    prover = OnlineEngineProver(shape, random.Random(1))
+    verifier = OnlineEngineVerifier(shape, random.Random(2))
+    verifier.begin(prover.start())
+    calls = {"update": 0, "add_purity": 0}
+    for name in calls:
+        def counted(self, *args, name=name, fn=getattr(sumcheck.DenseVerifier, name)):
+            calls[name] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(sumcheck.DenseVerifier, name, counted)
+    for u in ups:
+        prover.on_update(u)
+        verifier.update(u)
+    assert calls == {"update": 0, "add_purity": 0}
+    monkeypatch.undo()
+    assert verifier.end(prover.finish(None), None).value == {2: moment_oracle(ups, 2)}
+
+
 def test_one_stage_loop_serves_every_mode():
     # one strict stream whose collision list takes three stages, through
     # the stage loop and its purity sinks in every mode: each accepts the

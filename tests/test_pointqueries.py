@@ -356,6 +356,47 @@ def test_update_dyadic_matches_per_node_updates_large_universe(rng):
     assert_dyadic_walk_matches_per_node(n, items, (1, -3))
 
 
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_fingerprints_reduce_on_read_and_stay_bounded(dyadic, rng):
+    # a churn stream through update or update_dyadic, with accs read
+    # mid-stream: the buckets read as the oracle fingerprints of the net
+    # counts, later updates land in the list the read returned, every raw
+    # bucket stays below weight * q, and each bucket opens after the read
+    n = 1 << 8
+    levels = dyadic_levels(n)
+    universe = dyadic_universe(n) if dyadic else n
+    state = fingerprint_state(universe, c_v=32)
+    q = state.field.q
+    accs = state.accs
+    ups = strict_stream(rng, n, 60, churn=0.5)
+    net = {}
+
+    def oracle():
+        fp = [0] * state.c_v
+        for v, f in net.items():
+            fp[state.h(v)] = (fp[state.h(v)] + f * pow(state.basis, v, q)) % q
+        return fp
+
+    for t, u in enumerate(ups):
+        if dyadic:
+            state.update_dyadic(u.item, u.delta, levels)
+            ids = dyadic_decompose(u.item, n)
+        else:
+            state.update(u.item, u.delta)
+            ids = [u.item]
+        for v in ids:
+            net[v] = net.get(v, 0) + u.delta
+        assert all(abs(a) < state.weight * q for a in state._accs)
+        if t == len(ups) // 2:
+            assert state.accs is accs and accs == oracle()
+            assert all(0 <= a < q for a in accs)
+    assert any(not 0 <= a < q for a in state._accs)
+    for b in range(state.c_v):
+        entries = sorted((v, f) for v, f in net.items() if f and state.h(v) == b)
+        state.check_opening(b, entries, universe)
+    assert state.accs is accs and accs == oracle()
+
+
 def opened_state(universe, bucket, entries):
     """A state whose bucket holds the oracle fingerprint sum f * basis^v of
     the given entries."""

@@ -230,6 +230,64 @@ def test_rows_match_direct_extension(rng):
             assert st.rows[j][y] == direct
 
 
+# ------------------------------------------------------- delayed reduction
+
+
+def test_rows_reduce_on_read_and_stay_bounded(rng):
+    # a churn stream through the fused bank and plain update and add_purity
+    # calls on the same instances, with the rows read mid-stream: the rows
+    # read as an eager oracle's, the bank keeps writing into the row lists
+    # the read returned, and every raw cell stays below A * q^2 after A
+    # additions into its instance
+    seeds = random.Random(8)
+    lanes = [(DenseVerifier(COUNT_P, seeds), 0, DenseVerifier(PURITY_P, seeds))
+             for _ in range(LANES)]
+    insts = [st for count, _, sink in lanes for st in (count, sink)]
+    held = {st: list(st._rows) for st in insts}
+    eager = {st: [[0] * st.c_v for _ in st._rows] for st in insts}
+    adds = dict.fromkeys(insts, 0)
+
+    def oracle(st, j, item, d):
+        x, y = divmod(item, st.c_v)
+        eager[st][j][y] = (eager[st][j][y] + d * st.lrow[x]) % st.q
+        adds[st] += 1
+
+    add = lane_bank(lanes)
+    live = {}
+    for step in range(400):
+        item = rng.randrange(40)
+        net = live.get(item, 0)
+        if net and rng.random() < 0.4:
+            delta = -rng.randrange(1, net + 1)
+        else:
+            delta = rng.randrange(1, 4)
+        live[item] = net + delta
+        terms = purity_deltas(F80, item, delta)
+        buckets = [rng.randrange(16) for _ in range(LANES)]
+        add(buckets, delta, terms)
+        for b, (count, j, sink) in zip(buckets, lanes):
+            oracle(count, j, b, delta)
+            for jj, t in enumerate(terms):
+                oracle(sink, jj, b, t)
+        count, _, sink = lanes[step % LANES]
+        b = rng.randrange(16)
+        count.update(1, b, 1)
+        sink.add_purity(b, terms)
+        oracle(count, 1, b, 1)
+        for jj, t in enumerate(terms):
+            oracle(sink, jj, b, t)
+        if step == 200:
+            for st in insts:
+                assert st.rows == eager[st]
+                assert all(0 <= c < st.q for row in st._rows for c in row)
+    assert any(c >= st.q or c < 0 for st in insts for row in st._rows for c in row)
+    for st in insts:
+        assert all(abs(c) < adds[st] * st.q ** 2 for row in st._rows for c in row)
+        rows = st.rows
+        assert all(a is b for a, b in zip(rows, held[st]))
+        assert rows == eager[st]
+
+
 @pytest.mark.parametrize("g_name", ["square", "cube", "product"])
 def test_completeness_randomized(g_name, rng):
     for _ in range(40):
@@ -276,6 +334,29 @@ def test_soundness_tampered_proofs(rng):
         if st.verify(DenseProof(values, proof.field_bits)) is not None:
             accepts += 1
     assert accepts == 0
+
+
+@pytest.mark.parametrize("r", [2, 123456789])
+def test_noncanonical_proof_value_rejected_at_every_point(r):
+    # values[2] + q is congruent to the honest value: the proof must be
+    # rejected whether or not r lands on the grid point 2, where the value
+    # would be read as it stands
+    p = params_for(8, 4, 2, 1, 2, g_power(FM, 2), 1000)
+    f = [3, 0, 0, 6, 0, 0, 0, 0]
+    proof = dense_prover_proof([f], p)
+
+    def verifier():
+        st = DenseVerifier(p, FixedPoint(r))
+        for i, v in enumerate(f):
+            st.update(0, i, v)
+        return st
+
+    assert verifier().verify(proof) == 45
+    values = list(proof.values)
+    values[2] += FM.q
+    assert verifier().verify(DenseProof(values, proof.field_bits)) is None
+    values[2] -= 2 * FM.q
+    assert verifier().verify(DenseProof(values, proof.field_bits)) is None
 
 
 def test_degree_violation_rejected():
