@@ -1,10 +1,10 @@
 """Compare two checkouts on the benchmark by alternating pairs of runs.
 
-    python tools/bench_pairs.py PARENT CHANGE [--workload NAME ...]
-                                [--pairs N] [--seconds S] [--seed SEED]
+    python tools/bench_pairs.py PARENT CHANGE [--workload NAME ...] [--pairs N]
 
 Each pair runs `perfbench/run.py --trace 0` once in the PARENT checkout and
-once in the CHANGE checkout, with the same seed (SEED + pair index). The
+once in the CHANGE checkout, with the same seed (pair i uses seed i, from 1)
+and the run length `run_seconds` of the CHANGE checkout's BENCHMARK.json. The
 order alternates: even pairs run the parent first, odd pairs the change
 first, so a drift in the machine's load falls on both sides. For each
 workload it prints every end-to-end metric of BENCHMARK.json with the
@@ -48,16 +48,16 @@ def iqr(values):
     return q3 - q1
 
 
-def compare(parent, change, workload, pairs, seconds, seed, metrics):
+def compare(parent, change, workload, pairs, seconds, metrics):
     samples = {"parent": [], "change": []}
     for i in range(pairs):
         sides = [("parent", parent), ("change", change)]
         if i % 2:
             sides.reverse()
         for side, checkout in sides:
-            samples[side].append(run_once(checkout, workload, seed + i, seconds))
+            samples[side].append(run_once(checkout, workload, i + 1, seconds))
         print(f"  pair {i + 1}/{pairs} done", file=sys.stderr)
-    print(f"{workload} ({pairs} pairs, {seconds:g} s, seeds {seed}..{seed + pairs - 1})")
+    print(f"{workload} ({pairs} pairs, {seconds:g} s, seeds 1..{pairs})")
     print(f"  {'metric':<24}{'parent':>14}{'change':>14}{'move':>9}"
           f"{'wins':>7}{'parent IQR':>13}")
     for name, better in metrics:
@@ -78,16 +78,14 @@ def main(argv=None):
     ap.add_argument("--workload", action="append",
                     help="workload to run (repeatable); default: all in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=15)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     for workload in workloads:
-        compare(args.parent, args.change, workload, args.pairs, args.seconds,
-                args.seed, metrics)
+        compare(args.parent, args.change, workload, args.pairs,
+                bench["run_seconds"], metrics)
     return 0
 
 
