@@ -13,11 +13,13 @@ only on a simple graph, so every run first reads its edges through
 streams.stream_ids, which refuses (ConfigError) a vertex outside [0, n), a
 self loop and an edge whose final count is not 0 or 1."""
 
+from functools import partial
+
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
                       Shape, fk_online_multi)
 from .protocol import (Chunk, ConfigError, CostReport, Outcome,
-                       RelaxedOutcome, RunResult, derive_rng, id_bits,
-                       int_record, need, resolve_prover, run_protocol)
+                       RelaxedOutcome, RunResult, id_bits, int_record, need,
+                       run_protocol)
 from .streams import (StreamUpdate, compute_meta, edge_universe,
                       fingerprint_of_range, pair_rank, stream_ids)
 
@@ -78,6 +80,10 @@ def _edge_update(side, a, b, delta=1):
     return side, StreamUpdate(pair_rank(a, b), delta)
 
 
+class _UnusableWitness(Exception):
+    """The honest prover of a graph certificate refused its witness."""
+
+
 def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
                  prover) -> RunResult:
     """A graph certificate's run on one Shape for the subset engine over the
@@ -85,18 +91,24 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
     edges. verifier(n, shape, rng) builds the verifier, and witness() the
     honest prover's (witness chunk, witness edges). The outcome is a
     RelaxedOutcome whether the witness is unusable or the verifier rejects;
-    a rejected run keeps its costs."""
+    a rejected run keeps its costs, an unusable witness (ConfigError while
+    the honest prover is built) has none."""
     meta = compute_meta(*stream_ids("edges", edges, n))
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
                   max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))
-    verifier = verifier(n, shape, derive_rng(seed, label + "-v"))
+
+    def honest(rng):
+        try:
+            return _RelaxedProver(shape, rng, *witness())
+        except ConfigError as exc:
+            raise _UnusableWitness from exc
+
     try:
-        prover = resolve_prover(prover, lambda: _RelaxedProver(
-            shape, derive_rng(seed, label + "-p"), *witness()))
-    except ConfigError:
-        # witness unusable: the prover cannot even form its annotation
+        result = run_protocol(edges, seed, label, partial(verifier, n, shape),
+                              honest, prover)
+    except _UnusableWitness:
+        # the prover cannot even form its annotation
         return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
-    result = run_protocol(verifier, prover, edges)
     if result.rejected:
         result.outcome = RelaxedOutcome(False)
     return result

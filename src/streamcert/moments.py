@@ -72,8 +72,7 @@ from itertools import repeat
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, COUNT_BITS, STAGE_BITS,
-                       derive_rng, id_bits, int_record, need,
-                       resolve_prover, run_protocol)
+                       id_bits, int_record, need, run_protocol)
 from .pointqueries import BucketFingerprintState, open_buckets
 from .streams import (check_counts, compute_meta, find_perfect_hash,
                       frequency_map, hash_fits, random_pairwise_hash,
@@ -122,7 +121,10 @@ class Shape:
         self.c_a = _pow2ceil(max(1, -(-base * _ceil_sqrt(c_v) // c_v)))
         self.r = self.c_a * c_v
         self.threshold = max(1, -(-10 * base * base // self.r))
+        # the most claims MultiIndex certifies: it sizes the stage budget and
+        # the stage checks' fields and output bounds
         ell_decl = max(2, ell if ell is not None else self.threshold)
+        self.ell_decl = ell_decl
         self.t_max = math.ceil(2 * math.log(ell_decl) / math.log(c_v)) + 3
         self.weight = max(1, weight)
         self.lgn = id_bits(n_ids)
@@ -192,11 +194,12 @@ class Shape:
             universe = self.r * self.lgn
             c_a = _pow2ceil(-(-universe // self.c_v))
             return ama_params(self.field_purity, self.r, self.lgn, c_a, self.c_v)
-        bound = max(self.r, self.threshold) * (2 * self.weight * max(1, self.n_ids)) ** 2
+        bound = (max(self.r, self.ell_decl)
+                 * (2 * self.weight * max(1, self.n_ids)) ** 2)
         return subinjection_params(self.field_purity, self.r, self.c_a, self.c_v, bound)
 
     def stage_subf2_params(self):
-        bound = max(1, self.threshold) * (2 * self.weight) ** 2
+        bound = self.ell_decl * (2 * self.weight) ** 2
         return subf2_params(self.field_subf2, self.r, self.c_a, self.c_v, bound)
 
 
@@ -395,8 +398,10 @@ class MultiIndexVerifierCore(_StageMap):
         """Enters the (ident, fstar, wstar) claims at the stages the
         annotation assigns, then verifies the marked stages' proofs that
         follow. Returns (ok, rest): ok is 1 if every check passed, 0 if a
-        verified value contradicts a claim; rest, the chunks after the stage
-        proofs. Rejects on a malformed annotation or a failed proof."""
+        verified SubF2 value contradicts a claim; rest, the chunks after the
+        stage proofs. Rejects on a malformed annotation, a failed proof or a
+        nonzero purity value: a marked bucket that holds another id means
+        the stage list is wrong, which says nothing of the claims."""
         need(chunks and chunks[0].kind != "mi-abort", "prover aborted")
         need(chunks[0].kind == "mi-stages", "missing stage assignments")
         stages = chunks[0].data
@@ -416,7 +421,9 @@ class MultiIndexVerifierCore(_StageMap):
             for inst, proof, what in zip(insts, proofs, _STAGE_PROOFS):
                 v = inst.verify(proof)
                 need(v is not None, f"stage {what} proof failed")
-                if v != 0:
+                if what == "purity":
+                    need(v == 0, "marked bucket not isolated")
+                elif v != 0:
                     ok = 0
         return ok, rest
 
@@ -479,10 +486,9 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult
     shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
                   ell=max(2, len(claims)))
     claims = sorted((int(i), int(f), None) for i, f in claims)
-    verifier = _MultiIndexRunVerifier(shape, claims, derive_rng(seed, "mi-v"))
-    prover = resolve_prover(prover, lambda: _MultiIndexRunProver(
-        shape, claims, derive_rng(seed, "mi-p")))
-    return run_protocol(verifier, prover, updates)
+    return run_protocol(updates, seed, "mi",
+                        partial(_MultiIndexRunVerifier, shape, claims),
+                        partial(_MultiIndexRunProver, shape, claims), prover)
 
 
 # --------------------------------------------------------------- online engine
@@ -718,10 +724,8 @@ def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRIC
     meta = compute_meta(updates, n)
     base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
     shape = Shape(n, base, c_v, meta.weight, mode, mains=ks, coins_seed=coins_seed)
-    verifier = OnlineEngineVerifier(shape, derive_rng(seed, "fk-v"))
-    prover = resolve_prover(prover, lambda: OnlineEngineProver(
-        shape, derive_rng(seed, "fk-p")))
-    return run_protocol(verifier, prover, updates)
+    return run_protocol(updates, seed, "fk", partial(OnlineEngineVerifier, shape),
+                        partial(OnlineEngineProver, shape), prover)
 
 
 def _fk_single(updates, n, k, c_v, **kwargs) -> RunResult:
@@ -833,19 +837,27 @@ def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
                               g_power(field, k), weight ** k)
     bound = r * (weight * max(1, n)) ** 2
     params_inj = injection_params(field, r, c_a, c_v, bound)
-    verifier = _PrescientFkVerifier(n, r, params_main, params_inj,
-                                    derive_rng(seed, "pfk-v"))
-    prover = resolve_prover(prover, lambda: _PrescientFkProver(
-        r, n, updates, params_main, params_inj, derive_rng(seed, "pfk-p")))
-    return run_protocol(verifier, prover, updates)
+    return run_protocol(
+        updates, seed, "pfk",
+        partial(_PrescientFkVerifier, n, r, params_main, params_inj),
+        partial(_PrescientFkProver, r, n, updates, params_main, params_inj),
+        prover)
 
 
 # -------------------------------------------------------------- Disjointness
 
 
-def tagged_meta(updates, n):
-    """compute_meta over a tagged stream's ids, item i of side t as 2i + t."""
-    return compute_meta(*stream_ids("tagged", updates, n))
+def tagged_meta(updates, n, binary=""):
+    """compute_meta over a tagged stream's ids, item i of side t as 2i + t,
+    flattened once. binary names a scheme over 0/1 vectors: it raises
+    ConfigError unless every final count is 0 or 1."""
+    ids, universe = stream_ids("tagged", updates, n)
+    if binary:
+        for ident, f in sorted(frequency_map(ids).items()):
+            if f != 1:
+                raise ConfigError(f"{binary} needs 0/1 vectors: item {ident >> 1} "
+                                  f"of {'ST'[ident & 1]} has count {f}")
+    return compute_meta(ids, universe)
 
 
 class _PrescientDisjProver(Prover):
@@ -940,10 +952,9 @@ def disj_prescient_run(updates, n, *, seed=0, prover=None) -> RunResult:
     weight = max(1, meta.weight)
     field = field_at_least(prop1_min_field(2, r, weight ** 2))
     params = DenseParams(field, r, c_a, c_v, 2, 2, g_product(field), weight ** 2)
-    verifier = _PrescientDisjVerifier(n, r, params, derive_rng(seed, "pdisj-v"))
-    prover = resolve_prover(prover, lambda: _PrescientDisjProver(
-        n, updates, r, params, derive_rng(seed, "pdisj-p")))
-    return run_protocol(verifier, prover, updates)
+    return run_protocol(updates, seed, "pdisj",
+                        partial(_PrescientDisjVerifier, n, r, params),
+                        partial(_PrescientDisjProver, n, updates, r, params), prover)
 
 
 class _TaggedWitnessProver(OnlineEngineProver):
@@ -1030,17 +1041,16 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
         return self.pq.words + super().words + 2
 
 
-def _tagged_run(updates, n, c_v, seed, prover, label, verifier,
-                honest) -> RunResult:
+def _tagged_run(updates, n, c_v, seed, prover, label, verifier, honest,
+                binary="") -> RunResult:
     """A run of a tagged scheme over one Shape, where S and T items share
     the reduced universe as ids 2i and 2i + 1. The verifier and the honest
-    prover are built as verifier(shape, rng) and honest(shape, rng)."""
-    meta = tagged_meta(updates, n)
+    prover are built as verifier(shape, rng) and honest(shape, rng).
+    binary: as for tagged_meta."""
+    meta = tagged_meta(updates, n, binary)
     shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT, mains=("ip",))
-    verifier = verifier(shape, derive_rng(seed, label + "-v"))
-    prover = resolve_prover(prover, lambda: honest(
-        shape, derive_rng(seed, label + "-p")))
-    return run_protocol(verifier, prover, updates)
+    return run_protocol(updates, seed, label, partial(verifier, shape),
+                        partial(honest, shape), prover)
 
 
 def disj_online_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
@@ -1054,10 +1064,13 @@ def disj_online_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 def subset_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
     """X subseteq Y for sets streamed interleaved: certified inner product
     f_X . f_Y compared against |X|; a witness in X minus Y shows the
-    negative case."""
+    negative case.
+
+    Raises ConfigError unless both final vectors are 0/1: with a count of 2
+    in Y, f_X . f_Y = |X| holds for an X that is not a subset of Y."""
     return _tagged_run(updates, n, c_v, seed, prover, "tag",
                        partial(_TaggedWitnessVerifier, subset=True),
-                       partial(_TaggedWitnessProver, subset=True))
+                       partial(_TaggedWitnessProver, subset=True), "subset")
 
 
 # --------------------------------------------- inner product / Hamming distance
@@ -1098,10 +1111,6 @@ def hamming_run(updates, n, c_v, *, seed=0, prover=None) -> RunResult:
 
     Raises ConfigError unless both final vectors are 0/1; on other vectors
     that formula is not a distance."""
-    for ident, f in sorted(frequency_map(stream_ids("tagged", updates, n)[0]).items()):
-        if f != 1:
-            raise ConfigError(f"hamming needs 0/1 vectors: item {ident >> 1} "
-                              f"of {'ST'[ident & 1]} has count {f}")
     return _tagged_run(updates, n, c_v, seed, prover, "pair",
                        partial(_ProductVerifier, hamming=True),
-                       OnlineEngineProver)
+                       OnlineEngineProver, "hamming")

@@ -19,11 +19,12 @@ root down and gets each node's power of the basis from its parent's by one
 squaring."""
 
 from fractions import Fraction
+from functools import partial
 
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
-                       Verifier, COUNT_BITS, derive_rng, id_bits, int_record,
-                       need, resolve_prover, run_protocol)
+                       Verifier, COUNT_BITS, id_bits, int_record, need,
+                       run_protocol)
 from .streams import (PairwiseHash, compute_meta, dyadic_decompose,
                       dyadic_levels, dyadic_prefix_nodes, dyadic_universe,
                       hash_fits, random_pairwise_hash)
@@ -266,9 +267,8 @@ def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
         raise ConfigError(f"query {query} outside [0, {n})")
     if c_a * c_v < compute_meta(updates, n).sparsity:
         raise ConfigError("c_a * c_v must cover the stream's sparsity")
-    verifier = PointQueryVerifier(n, c_a, c_v, derive_rng(seed, "pq-v"))
-    prover = resolve_prover(prover, lambda: PointQueryProver(n, c_v, derive_rng(seed, "pq-p")))
-    return run_protocol(verifier, prover, updates, query)
+    return run_protocol(updates, seed, "pq", partial(PointQueryVerifier, n, c_a, c_v),
+                        partial(PointQueryProver, n, c_v), prover, query)
 
 
 # ------------------------------------------------------------------ Selection
@@ -337,9 +337,8 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
     m_derived = compute_meta(updates, n).sparsity * (dyadic_levels(n) + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
-    verifier = SelectionVerifier(n, c_a, c_v, derive_rng(seed, "sel-v"))
-    prover = resolve_prover(prover, lambda: SelectionProver(n, c_v, derive_rng(seed, "sel-p")))
-    return run_protocol(verifier, prover, updates, rank)
+    return run_protocol(updates, seed, "sel", partial(SelectionVerifier, n, c_a, c_v),
+                        partial(SelectionProver, n, c_v), prover, rank)
 
 
 # --------------------------------------------------------------- HeavyHitters
@@ -471,7 +470,5 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
     m_derived = max(1, compute_meta(updates, n).sparsity) * (dyadic_levels(n) + 1)
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
-    verifier = HeavyHittersVerifier(n, c_a, c_v, derive_rng(seed, "hh-v"))
-    prover = resolve_prover(prover, lambda: HeavyHittersProver(
-        n, c_v, derive_rng(seed, "hh-p")))
-    return run_protocol(verifier, prover, updates, Fraction(phi))
+    return run_protocol(updates, seed, "hh", partial(HeavyHittersVerifier, n, c_a, c_v),
+                        partial(HeavyHittersProver, n, c_v), prover, Fraction(phi))

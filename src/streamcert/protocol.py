@@ -1,5 +1,11 @@
 """Shared prover/verifier plumbing: annotation chunks, transcripts, outcomes,
-and cost accounting.
+cost accounting, and run_protocol, through which every scheme run goes.
+
+Every run function sizes its scheme, then hands run_protocol two builders,
+verifier(rng) and honest(rng), and its caller's `prover` argument.
+run_protocol draws both rngs from the run's seed and label, builds the
+verifier and the prover, records the prover's transcript over the stream
+(build_transcript) and passes the verifier over it (run_transcript).
 
 Annotation arrives in two places only: start chunks before the stream and
 end chunks after it. A scheme's mapping from stream updates to its dense
@@ -195,10 +201,24 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
     return RunResult(outcome, cost, dict(getattr(verifier, "info", {})))
 
 
-def run_protocol(verifier, prover, updates, query=None) -> RunResult:
-    """Drive prover and verifier over one stream; the transcript is the only
-    channel between them."""
-    return run_transcript(verifier, build_transcript(prover, updates, query), query)
+def run_protocol(updates, seed, label, verifier, honest, prover=None,
+                 query=None) -> RunResult:
+    """One run of a scheme: the one place where its verifier and prover are
+    built and joined. The transcript is the only channel between them.
+
+    verifier(rng) builds the verifier and honest(rng) the honest prover,
+    their rngs drawn from (seed, label + "-v") and (seed, label + "-p").
+    `prover` is a run function's own argument: None for the honest prover,
+    a Prover instance, used as it is, or a wrapper callable applied to the
+    honest prover (how adversaries are injected)."""
+    v = verifier(derive_rng(seed, label + "-v"))
+    if isinstance(prover, Prover):
+        p = prover
+    else:
+        p = honest(derive_rng(seed, label + "-p"))
+        if prover is not None:
+            p = prover(p)
+    return run_transcript(v, build_transcript(p, updates, query), query)
 
 
 class Verifier:
@@ -231,13 +251,3 @@ def int_record(x, arity: int) -> bool:
     """Whether an annotation record is a tuple or list of `arity` ints."""
     return (isinstance(x, (tuple, list)) and len(x) == arity
             and all(type(v) is int for v in x))
-
-
-def resolve_prover(prover, honest_factory):
-    """Run functions accept a Prover instance, a wrapper callable applied to
-    the honest prover (how adversaries are injected), or None for honest."""
-    if prover is None:
-        return honest_factory()
-    if isinstance(prover, Prover):
-        return prover
-    return prover(honest_factory())

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from .field import Field, field_at_least
 from .protocol import (Chunk, Outcome, Prover, RunResult, Verifier,
-                       derive_rng, id_bits, need, resolve_prover, run_protocol)
+                       derive_rng, id_bits, need, run_protocol)
 from .streams import check_counts, compute_meta, stream_ids
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_purity,
                        g_sub_purity, g_sub_square, g_triple_product)
@@ -128,11 +128,10 @@ class _DenseChunkVerifier(Verifier):
 
 
 def _run_dense(updates, params, seed, label, prover, mapping, *args):
-    verifier = _DenseChunkVerifier(
-        mapping(DenseVerifier(params, derive_rng(seed, label)), *args))
-    prover = resolve_prover(prover, lambda: _DenseChunkProver(
-        mapping(DenseProver(params), *args)))
-    return run_protocol(verifier, prover, updates)
+    return run_protocol(
+        updates, seed, label,
+        lambda rng: _DenseChunkVerifier(mapping(DenseVerifier(params, rng), *args)),
+        lambda rng: _DenseChunkProver(mapping(DenseProver(params), *args)), prover)
 
 
 # ------------------------------------------------------------------ Injection
@@ -155,7 +154,7 @@ def injection_run(updates, n, r, *, seed=0, prover=None) -> RunResult:
     field = field_at_least(purity_min_field(weight, n, r))
     c_a, c_v = balanced_shape(r)
     params = injection_params(field, r, c_a, c_v, bound)
-    return _run_dense(updates, params, seed, "injection-v", prover, _InjectionMap)
+    return _run_dense(updates, params, seed, "injection", prover, _InjectionMap)
 
 
 # --------------------------------------------------------------- SubInjection
@@ -185,7 +184,7 @@ def subinjection_run(updates, z, n, r, *, seed=0, prover=None) -> RunResult:
     field = field_at_least(2 * bound + 1)
     c_a, c_v = balanced_shape(r)
     params = subinjection_params(field, r, c_a, c_v, bound)
-    return _run_dense(updates, params, seed, "subinj-v", prover,
+    return _run_dense(updates, params, seed, "subinj", prover,
                       _SubInjectionMap, z)
 
 
@@ -218,7 +217,7 @@ def subf2_run(updates, z, n, *, seed=0, prover=None) -> RunResult:
     field = field_at_least(2 * bound + 1)
     c_a, c_v = balanced_shape(n)
     params = subf2_params(field, n, c_a, c_v, bound)
-    return _run_dense(updates, params, seed, "subf2-v", prover, _SubF2Map, z)
+    return _run_dense(updates, params, seed, "subf2", prover, _SubF2Map, z)
 
 
 # ------------------------------------------------------------- AMA Injection
@@ -303,5 +302,5 @@ def ama_injection_run(updates, n, r, *, coins_seed=0, seed=0,
     coins = draw_public_coins(field, coins_seed)
     c_a, c_v = balanced_shape(r * lgn)
     params = ama_params(field, r, lgn, c_a, c_v)
-    return _run_dense(updates, params, seed, "ama-v", prover, _AmaInjectionMap,
+    return _run_dense(updates, params, seed, "ama", prover, _AmaInjectionMap,
                       coins, n, lgn)

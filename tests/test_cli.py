@@ -18,7 +18,7 @@ PLAIN = [U(5, 3), U(9, 2), U(5, 1), U(17, 4), U(9, -1)]
 
 TAGGED_N = 32
 TAGGED = [(0, U(1, 1)), (0, U(4, 2)), (1, U(4, 1)), (1, U(7, 3)), (0, U(9, 1))]
-# hamming takes 0/1 vectors only
+# hamming and subset take 0/1 vectors only
 BINARY = [(0, U(1, 1)), (0, U(4, 1)), (1, U(4, 1)), (1, U(7, 1)), (0, U(9, 1))]
 
 BUCKETED_N, BUCKETED_R = 16, 4
@@ -90,7 +90,7 @@ CASES = [
     ("disj-default", "disj", "tagged", [], {"mode": "online", "c_v": 16}),
     ("disj-prescient", "disj", "tagged", ["--mode", "prescient"],
      {"mode": "prescient", "c_v": 16}),
-    ("subset", "subset", "tagged", [], {"c_v": 16}),
+    ("subset", "subset", "binary", [], {"c_v": 16}),
     ("innerproduct", "innerproduct", "tagged", ["--cv", "8"], {"c_v": 8}),
     ("hamming", "hamming", "binary", [], {"c_v": 16}),
     ("injection", "injection", "bucketed", [], {"r": BUCKETED_R}),
@@ -310,6 +310,26 @@ def test_cli_hamming_needs_binary_vectors_exits_1(lines, tmp_path, capsys):
     assert cli_main(["hamming", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "0/1" in err
+
+
+def test_cli_subset_needs_binary_vectors_exits_1(tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    assert cli_main(["subset", "--input", str(paths["tagged"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "subset needs 0/1 vectors" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5 1\n9 2\n", "missing header line"),
+    ("# n=64 model=sideways\n5 1\n", "unknown update model 'sideways'"),
+], ids=["no-header", "unknown-model"])
+def test_cli_stream_without_header_or_known_model_exits_1(text, message,
+                                                           tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    assert cli_main(["fk", "--input", str(path), "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_cli_oversized_extension_grid_exits_1(tmp_path, capsys):

@@ -67,6 +67,14 @@ def test_triangle_random_graphs_match_brute_force(rng):
             assert r.value == brute_triangles(edges, n)
 
 
+def test_triangle_rejected_run_keeps_its_reject():
+    k4 = [(u, v, 1) for u, v in combinations(range(4), 2)]
+    for t in range(5):
+        r = count_triangles_run(k4, 4, 4, seed=t,
+                                prover=adversary("tamper-proof-polynomial", t))
+        assert r.rejected and r.value is None
+
+
 def test_triangle_derived_sparsity():
     n = 9
     edges = [(0, 1, 1), (2, 3, 1), (4, 5, 1)]

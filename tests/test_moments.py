@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from streamcert import streams, sumcheck
+from streamcert import moments, streams, sumcheck
 from streamcert.graphs import (verify_connectivity, verify_non_bipartite,
                                verify_perfect_matching)
 from streamcert.harness import ChunkTamper, adversary, synthetic_stream
@@ -276,6 +276,97 @@ def test_multiindex_single_wrong_claim(rng):
         assert r.rejected or r.value == 0
 
 
+class _MisplacedFirstClaim(ChunkTamper):
+    """Standalone MultiIndex prover that gives the first claim a stage where
+    its bucket holds another mapped id, then proves those marks honestly.
+    forged records whether such a stage existed."""
+
+    forged = False
+
+    def finish(self, query):
+        mi, claims = self.inner.mi, self.inner.claims
+        occupancy = [{} for _ in mi.hs]
+        for ident, delta, weight in mi.net_counts():
+            for occ, b in zip(occupancy, mi.feed(ident, delta, weight)):
+                occ[b] = occ.get(b, 0) + 1
+        # every claim names a mapped id, so a stage isolates it at count 1
+        stages = [next((j + 1 for j, b in enumerate(mi.buckets(i))
+                        if occupancy[j][b] == 1), 1) for i, _, _ in claims]
+        shared = [j + 1 for j, b in enumerate(mi.buckets(claims[0][0]))
+                  if occupancy[j][b] > 1]
+        if shared:
+            stages[0] = shared[0]
+            self.forged = True
+        for (ident, fstar, wstar), s in zip(claims, stages):
+            mi.entry(ident, fstar, s, wstar)
+        chunks = [Chunk("mi-stages", stages, 16 * len(stages))]
+        for insts, marked in zip(mi.instances, mi.marks):
+            if marked:
+                proofs = [inst.proof() for inst in insts]
+                chunks.append(Chunk("mi-stage-proof", proofs,
+                                    sum(p.bits for p in proofs)))
+        return chunks
+
+
+def test_multiindex_stage_list_that_does_not_isolate_rejected():
+    """Correct claims with a stage list that puts the first claim in a shared
+    bucket: the impure mark is a wrong stage list, not a wrong claim, so the
+    run gives ⊥, never 0."""
+    ups = strict_stream(random.Random(5), N20, 60, churn=0.0)
+    freq = freq_oracle(ups)
+    claims = [(i, freq[i]) for i in sorted(freq)[:20]]
+    forged = 0
+    for seed in range(40):
+        assert multiindex_run(ups, N20, claims, 16, seed=seed).value == 1
+        provers = []
+
+        def forge(honest):
+            provers.append(_MisplacedFirstClaim(honest, list))
+            return provers[-1]
+
+        r = multiindex_run(ups, N20, claims, 16, seed=seed, prover=forge)
+        if provers[0].forged:
+            forged += 1
+            assert r.rejected
+    assert forged >= 20
+
+
+@pytest.mark.parametrize("c_v", [2, 4, 8])
+def test_multiindex_small_cv_sizes_stage_checks_by_claims(c_v):
+    """An explicit claim count below the collision threshold sizes the stage
+    fields; the stage checks' output bounds must follow it."""
+    assert multiindex_run([U(i, 1) for i in range(60)], N20, [(0, 1)],
+                          c_v).value == 1
+    for seed in range(4):
+        ups = strict_stream(random.Random(seed), N20, 40, churn=0.2)
+        freq = freq_oracle(ups)
+        claims = [(i, freq[i]) for i in sorted(freq)[:3]]
+        assert multiindex_run(ups, N20, claims, c_v, seed=seed).value == 1
+
+
+def _mod_r_hash(n, r, rng):
+    """x mod r on [0, p): every hash it stands for puts x and x + r in one
+    bucket, so no stage isolates either."""
+    return streams.PairwiseHash(1, 0, streams.next_prime(max(n, r, 2)), r)
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: multiindex_run([U(0, 1), U(1024, 1)], 4096, [(0, 1)], 4, prover=p),
+    lambda p: fk_online_run([U(0, 1), U(1024, 1)], 4096, 2, 4, prover=p),
+], ids=["multiindex", "fk-online"])
+def test_honest_prover_abort_is_bottom(run, monkeypatch):
+    monkeypatch.setattr(moments, "random_pairwise_hash", _mod_r_hash)
+    kinds = []
+
+    def record(chunks):
+        kinds.extend(c.kind for c in chunks)
+        return chunks
+
+    r = run(lambda honest: ChunkTamper(honest, record))
+    assert kinds[-1] == "mi-abort"
+    assert r.rejected
+
+
 # Tampering with the MultiIndex annotation, the same for every scheme that
 # certifies claims through it: each mutation must give ⊥, never an exception.
 
@@ -535,6 +626,18 @@ def test_subset_random(rng):
         r = subset_run(ups, N20, 8, seed=trial)
         if r.accepted:
             assert r.value == want
+
+
+@pytest.mark.parametrize("ups", [
+    [(S, U(1, 1)), (S, U(5, 1)), (T, U(1, 2))],
+    [(S, U(1, 2)), (T, U(1, 1))],
+    [(S, U(1, 1)), (T, U(1, 1)), (T, U(1, 1)), (T, U(1, -1)), (T, U(3, 3))],
+], ids=["count-2-in-Y", "count-2-in-X", "count-3-after-churn"])
+def test_subset_needs_binary_vectors(ups):
+    """With Y = {1 twice}, f_X . f_Y = 2 = |X| for X = {1, 5}, which is not a
+    subset of Y: the run refuses a vector that is not 0/1."""
+    with pytest.raises(ConfigError, match="subset needs 0/1 vectors"):
+        subset_run(ups, 16, 4)
 
 
 # ------------------------------------------- inner product / Hamming distance

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from streamcert.field import M61, field_at_least
-from streamcert.harness import adversary
-from streamcert.protocol import ConfigError
+from streamcert.harness import ChunkTamper, adversary
+from streamcert.protocol import Chunk, ConfigError
 from streamcert.purity import (AmaPurity, ama_injection_run, injection_run,
                                purity_min_field,
                                subf2_run, subinjection_run)
@@ -81,6 +81,18 @@ def test_injection_adversarial_proof_rejected():
     for t in range(50):
         r = injection_run(ups, 8, 4, seed=t, prover=adversary("tamper-proof-polynomial", t))
         assert r.rejected
+
+
+def test_purity_run_refuses_start_annotation():
+    """The purity schemes take no annotation before the stream."""
+    ups = [BucketedUpdate(5, 2, 1), BucketedUpdate(7, 3, 1)]
+
+    class EarlyProof(ChunkTamper):
+        def start(self):
+            return [Chunk("dense-proof", None, 64)]
+
+    assert injection_run(ups, 8, 4).value == 1
+    assert injection_run(ups, 8, 4, prover=lambda h: EarlyProof(h, list)).rejected
 
 
 def test_subinjection_cases():
