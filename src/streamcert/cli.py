@@ -11,8 +11,7 @@ import sys
 
 from .harness import (REQUIRED, RunConfig, SCHEMES, cost_sweep, run_scheme,
                       scheme_flags, soundness_trials)
-from .protocol import ConfigError
-from .streams import ModelViolation, read_stream
+from .streams import read_stream
 
 
 def _build_parser():
@@ -86,7 +85,7 @@ def main(argv=None):
                                 "accepted": accepted, "seed": args.seed})
             return 0
         result = run_scheme(config, updates)
-    except (ConfigError, ModelViolation, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     outcome = result.outcome

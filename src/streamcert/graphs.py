@@ -19,7 +19,7 @@ from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
                       Shape, fk_online_multi)
 from .protocol import (Chunk, ConfigError, CostReport, Outcome,
                        RelaxedOutcome, RunResult, id_bits, int_record, need,
-                       run_protocol)
+                       run_protocol, take)
 from .streams import (StreamUpdate, compute_meta, edge_universe,
                       fingerprint_of_range, pair_rank, stream_ids)
 
@@ -92,16 +92,20 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
     honest prover's (witness chunk, witness edges). The outcome is a
     RelaxedOutcome whether the witness is unusable or the verifier rejects;
     a rejected run keeps its costs, an unusable witness (ConfigError while
-    the honest prover is built) has none."""
+    the honest prover forms its witness or maps the witness edges) has
+    none. Any other ConfigError, such as the extension grid's budget,
+    propagates."""
     meta = compute_meta(*stream_ids("edges", edges, n))
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
                   max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))
 
     def honest(rng):
         try:
-            return _RelaxedProver(shape, rng, *witness())
+            chunk, edges = witness()
+            x_updates = [_edge_update(0, a, b) for a, b in edges]
         except ConfigError as exc:
             raise _UnusableWitness from exc
+        return _RelaxedProver(shape, rng, chunk, x_updates)
 
     try:
         result = run_protocol(edges, seed, label, partial(verifier, n, shape),
@@ -116,12 +120,12 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
 
 class _RelaxedProver(OnlineEngineProver):
     """Streams the graph's edges as the Y side of the subset engine; at the
-    end, sends the witness chunk and plays the witness edges as the X side.
-    Mapping the edges raises ConfigError on a self loop."""
+    end, sends the witness chunk and plays the witness edges, x_updates, as
+    the X side."""
 
-    def __init__(self, shape, rng, chunk, edges):
+    def __init__(self, shape, rng, chunk, x_updates):
         self.chunk = chunk
-        self.x_updates = [_edge_update(0, a, b) for a, b in edges]
+        self.x_updates = x_updates
         super().__init__(shape, rng)
 
     def on_update(self, u):
@@ -156,10 +160,8 @@ class _RelaxedVerifierBase(OnlineEngineVerifier):
         self.x_count += 1
 
     def end(self, chunks, query):
-        chunks = list(chunks)
-        need(chunks and chunks[0].kind == self.kind, "missing witness")
-        self.check_witness(chunks[0].data)
-        out = super().end(chunks[1:], None)
+        self.check_witness(take(chunks, self.kind))
+        out = super().end(chunks, None)
         need(out.value["ip"] == self.x_count, "witness edges not all in the graph")
         return RelaxedOutcome(True)
 

@@ -61,8 +61,8 @@ scheme) certify their claims, (ident, fstar, wstar) triples, through one
 call per side after the stream:
 MultiIndexProverCore.finish_chunks(claims) maps the net counts, assigns
 the stages and returns the stage list and proofs (or an abort), and
-MultiIndexVerifierCore.end(claims, chunks) checks them and returns
-(ok, the chunks after the stage proofs).
+MultiIndexVerifierCore.end(claims, chunks) takes and checks them and
+returns ok.
 """
 
 import math
@@ -72,7 +72,7 @@ from itertools import repeat
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, COUNT_BITS, STAGE_BITS,
-                       id_bits, int_record, need, run_protocol)
+                       id_bits, int_record, need, run_protocol, take)
 from .pointqueries import BucketFingerprintState, open_buckets
 from .streams import (check_counts, compute_meta, find_perfect_hash,
                       frequency_map, hash_fits, random_pairwise_hash,
@@ -367,14 +367,12 @@ class MultiIndexVerifierCore(_StageMap):
         self.stages_used = 0
 
     def begin(self, chunks):
-        """The start annotation: the stage hashes and nothing else."""
+        """Takes the start annotation's stage hashes."""
         sh = self.shape
-        need(chunks and chunks[0].kind == "mi-hashes", "missing stage hashes")
-        hs = chunks[0].data
+        hs = take(chunks, "mi-hashes")
         need(isinstance(hs, list) and len(hs) == sh.t_max, "wrong stage hash count")
         for h in hs:
             need(hash_fits(h, sh.n_ids, sh.r), "bad stage hash")
-        need(len(chunks) == 1, "unexpected start annotation")
         self.use_hashes(hs)
 
     def update(self, ident, delta, terms=None):
@@ -397,25 +395,22 @@ class MultiIndexVerifierCore(_StageMap):
     def end(self, claims, chunks):
         """Enters the (ident, fstar, wstar) claims at the stages the
         annotation assigns, then verifies the marked stages' proofs that
-        follow. Returns (ok, rest): ok is 1 if every check passed, 0 if a
-        verified SubF2 value contradicts a claim; rest, the chunks after the
-        stage proofs. Rejects on a malformed annotation, a failed proof or a
-        nonzero purity value: a marked bucket that holds another id means
-        the stage list is wrong, which says nothing of the claims."""
-        need(chunks and chunks[0].kind != "mi-abort", "prover aborted")
-        need(chunks[0].kind == "mi-stages", "missing stage assignments")
-        stages = chunks[0].data
+        follow, taking both from chunks. Returns ok: 1 if every check
+        passed, 0 if a verified SubF2 value contradicts a claim. Rejects on
+        a malformed annotation, a failed proof or a nonzero purity value: a
+        marked bucket that holds another id means the stage list is wrong,
+        which says nothing of the claims."""
+        need(not (chunks and chunks[0].kind == "mi-abort"), "prover aborted")
+        stages = take(chunks, "mi-stages")
         need(isinstance(stages, list) and len(stages) == len(claims),
              "stage list length mismatch")
         for (ident, fstar, wstar), stage in zip(claims, stages):
             self.entry(ident, fstar, stage, wstar)
-        rest = chunks[1:]
         ok = 1
         for insts, marked in zip(self.instances, self.marks):
             if not marked:
                 continue
-            need(rest and rest[0].kind == "mi-stage-proof", "missing stage proof")
-            proofs, rest = rest[0].data, rest[1:]
+            proofs = take(chunks, "mi-stage-proof")
             need(isinstance(proofs, list) and len(proofs) == len(insts),
                  "malformed stage proof")
             for inst, proof, what in zip(insts, proofs, _STAGE_PROOFS):
@@ -425,7 +420,7 @@ class MultiIndexVerifierCore(_StageMap):
                     need(v == 0, "marked bucket not isolated")
                 elif v != 0:
                     ok = 0
-        return ok, rest
+        return ok
 
     @property
     def words(self):
@@ -448,8 +443,7 @@ class _MultiIndexRunVerifier(Verifier):
         self.mi.update(u.item, u.delta)
 
     def end(self, chunks, query):
-        ok, rest = self.mi.end(self.claims, list(chunks))
-        need(not rest, "trailing stage proofs")
+        ok = self.mi.end(self.claims, chunks)
         self.info["stages_used"] = self.mi.stages_used
         return Outcome.ok(ok)
 
@@ -639,11 +633,10 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
             self.public_coin_bits = 2 * shape.field_purity.bits
 
     def begin(self, chunks):
-        need(chunks and chunks[0].kind == "hash", "missing universe hash")
-        h = chunks[0].data
+        h = take(chunks, "hash")
         need(hash_fits(h, self.n, self.shape.r), "bad universe hash")
         self.use_hash(h)
-        self.mi.begin(chunks[1:])
+        self.mi.begin(chunks)
 
     def update(self, u):
         sides = self.sides
@@ -658,9 +651,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
 
     def end(self, chunks, query):
         sh = self.shape
-        chunks = list(chunks)
-        need(chunks and chunks[0].kind == "collision-list", "missing collision list")
-        entries = chunks[0].data
+        entries = take(chunks, "collision-list")
         need(isinstance(entries, list) and len(entries) <= sh.threshold,
              "collision list over budget")
         w = self.mi.weight_seen
@@ -683,20 +674,18 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
                             else counts[0] ** key)
             claims += self.claims(e)
             self.remove(e)
-        ok, rest = self.mi.end(claims, chunks[1:])
+        ok = self.mi.end(claims, chunks)
         need(ok == 1, "listed frequencies not certified")
         self.info["stages_used"] = self.mi.stages_used
 
-        need(rest and rest[0].kind == "main-injection-proof", "missing injection proof")
-        v = self.main_inj.verify(rest[0].data)
+        v = self.main_inj.verify(take(chunks, "main-injection-proof"))
         need(v == 0, "mapping not injective on the remainder")
-        rest = rest[1:]
         results = {}
-        need(len(rest) == len(self.mains), "missing main proofs")
-        for c, (key, main) in zip(rest, self.mains.items()):
-            need(c.kind == "main-proof" and isinstance(c.data, tuple)
-                 and len(c.data) == 2 and c.data[0] == key, "main proofs out of order")
-            v = main.verify(c.data[1])
+        for key, main in self.mains.items():
+            data = take(chunks, "main-proof")
+            need(isinstance(data, tuple) and len(data) == 2 and data[0] == key,
+                 "main proofs out of order")
+            v = main.verify(data[1])
             need(v is not None, "main sum check failed")
             results[key] = c0[key] + v
         return Outcome.ok(results)
@@ -792,8 +781,7 @@ class _PrescientFkVerifier(Verifier):
         self.word_bits = params_main.field.bits
 
     def begin(self, chunks):
-        need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-        h = chunks[0].data
+        h = take(chunks, "hash")
         need(hash_fits(h, self.n, self.r), "bad hash")
         self.h = h
 
@@ -801,10 +789,9 @@ class _PrescientFkVerifier(Verifier):
         _prescient_feed(self.h, self.main, self.inj, u.item, u.delta)
 
     def end(self, chunks, query):
-        need(len(chunks) == 2 and chunks[0].kind == "main-injection-proof"
-             and chunks[1].kind == "main-proof", "malformed annotation")
-        need(self.inj.verify(chunks[0].data) == 0, "hash not injective")
-        v = self.main.verify(chunks[1].data)
+        need(self.inj.verify(take(chunks, "main-injection-proof")) == 0,
+             "hash not injective")
+        v = self.main.verify(take(chunks, "main-proof"))
         need(v is not None, "main sum check failed")
         return Outcome.ok(v)
 
@@ -818,9 +805,8 @@ def prescient_reduced_universe(m: int) -> int:
 
     An explicit perfect-hash family could live with r = m^(4/3); a seeded
     random search needs about m^2/2 slots to succeed in a few dozen trials,
-    so the range is widened to whichever is larger."""
-    m = max(1, m)
-    return max(16, math.ceil(m ** (4 / 3)), (m * m) // 2)
+    so the range is widened to m^2/2 (at least 16), never below m^(4/3)."""
+    return max(16, (m * m) // 2)
 
 
 def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
@@ -904,14 +890,12 @@ class _PrescientDisjVerifier(Verifier):
         self.word_bits = params.field.bits
 
     def begin(self, chunks):
-        need(len(chunks) == 1, "malformed start annotation")
-        c = chunks[0]
-        if c.kind == "witness":
-            need(type(c.data) is int and 0 <= c.data < self.n, "witness outside universe")
-            self.witness = c.data
+        if chunks and chunks[0].kind == "witness":
+            w = take(chunks, "witness")
+            need(type(w) is int and 0 <= w < self.n, "witness outside universe")
+            self.witness = w
         else:
-            need(c.kind == "hash", "missing hash")
-            h = c.data
+            h = take(chunks, "hash")
             need(hash_fits(h, self.n, self.r), "bad hash")
             self.h = h
             self.main = DenseVerifier(self.params, self.rng)
@@ -926,11 +910,9 @@ class _PrescientDisjVerifier(Verifier):
 
     def end(self, chunks, query):
         if self.witness is not None:
-            need(not chunks, "unexpected annotation")
             need(self.wit_counts[0] > 0 and self.wit_counts[1] > 0, "false witness")
             return Outcome.ok(0)
-        need(len(chunks) == 1 and chunks[0].kind == "main-proof", "missing proof")
-        v = self.main.verify(chunks[0].data)
+        v = self.main.verify(take(chunks, "main-proof"))
         need(v is not None, "sum check failed")
         # a nonzero verified product under a prover-chosen hash proves
         # nothing about the original sets, so only zero is conclusive
@@ -1001,9 +983,8 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
         self.f1_x = 0
 
     def begin(self, chunks):
-        need(chunks and chunks[0].kind == "pq-hash", "missing point-query hash")
-        self.pq.set_hash(chunks[0].data, 2 * self.n)
-        super().begin(chunks[1:])
+        self.pq.set_hash(take(chunks, "pq-hash"), 2 * self.n)
+        super().begin(chunks)
 
     def update(self, u):
         tag, su = u
@@ -1018,14 +999,11 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
         return wanted[2 * item], wanted[2 * item + 1]
 
     def end(self, chunks, query):
-        chunks = list(chunks)
         if chunks and chunks[0].kind == "witness":
-            item = chunks[0].data
+            item = take(chunks, "witness")
             need(type(item) is int and 0 <= item < self.n,
                  "witness outside universe")
-            need(len(chunks) == 2 and chunks[1].kind == "witness-openings",
-                 "missing witness openings")
-            fs, ft = self._witness_counts(item, chunks[1].data)
+            fs, ft = self._witness_counts(item, take(chunks, "witness-openings"))
             if self.subset:
                 need(fs >= 1 and ft == 0, "witness not in X minus Y")
             else:

@@ -24,7 +24,7 @@ from functools import partial
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, COUNT_BITS, id_bits, int_record, need,
-                       run_protocol)
+                       run_protocol, take)
 from .streams import (PairwiseHash, compute_meta, dyadic_decompose,
                       dyadic_levels, dyadic_prefix_nodes, dyadic_universe,
                       hash_fits, random_pairwise_hash)
@@ -224,8 +224,7 @@ class OpeningVerifier(Verifier):
         self.word_bits = field.bits
 
     def begin(self, chunks):
-        need(len(chunks) == 1 and chunks[0].kind == "hash", "missing hash")
-        self.state.set_hash(chunks[0].data, self.universe)
+        self.state.set_hash(take(chunks, "hash"), self.universe)
 
     @property
     def words(self):
@@ -254,10 +253,9 @@ class PointQueryVerifier(OpeningVerifier):
         self.state.update(u.item, u.delta)
 
     def end(self, chunks, query):
-        need(len(chunks) == 1 and chunks[0].kind == "opening", "missing opening")
         wanted = {query: 0}
-        self.state.check_opening(self.state.h(query), chunks[0].data, self.n,
-                                 collect=wanted)
+        self.state.check_opening(self.state.h(query), take(chunks, "opening"),
+                                 self.n, collect=wanted)
         return Outcome.ok(wanted[query])
 
 
@@ -312,8 +310,7 @@ class SelectionVerifier(OpeningVerifier):
     def end(self, chunks, query):
         rank = query
         need(1 <= rank <= self.total, "rank outside [1, N]")
-        need(len(chunks) == 1 and chunks[0].kind == "selection-answer", "missing answer")
-        answer = chunks[0].data
+        answer = take(chunks, "selection-answer")
         need(isinstance(answer, (tuple, list)) and len(answer) == 2
              and type(answer[0]) is int, "malformed answer")
         j, openings = answer
@@ -402,12 +399,12 @@ class HeavyHittersVerifier(OpeningVerifier):
 
     def end(self, chunks, query):
         phi = Fraction(query)
-        need(chunks and chunks[0].kind == "hh-records", "missing records")
-        records = chunks[0].data
+        records = take(chunks, "hh-records")
         need(isinstance(records, list)
              and all(int_record(rec, 3) for rec in records), "malformed records")
         if self.total <= 0:
             need(not records, "claims on an empty stream")
+            take(chunks, "hh-openings")
             return Outcome.ok(frozenset())
         q = self.state.field.q
         leaf_base = 1 << self.levels
@@ -446,8 +443,7 @@ class HeavyHittersVerifier(OpeningVerifier):
         need(root_claimed, "root must be claimed for a nonempty stream")
         need(fp_children == fp_connect, "tree closure fingerprints differ")
 
-        need(len(chunks) == 2 and chunks[1].kind == "hh-openings", "missing openings")
-        openings = chunks[1].data
+        openings = take(chunks, "hh-openings")
         self.state.check_openings(openings, self.universe, arity=3)
         fp_counts_b = 0
         for _, entries in openings:

@@ -8,7 +8,10 @@ verifier and the prover, records the prover's transcript over the stream
 (build_transcript) and passes the verifier over it (run_transcript).
 
 Annotation arrives in two places only: start chunks before the stream and
-end chunks after it. A scheme's mapping from stream updates to its dense
+end chunks after it. Each verifier reads them through take(), from the front
+of the list, in the order its scheme sends them, and run_transcript rejects
+whatever chunks the verifier leaves: a missing, reordered or extra chunk
+gives bottom. A scheme's mapping from stream updates to its dense
 instances is written once and built on either side, over DenseProver for
 the prover and DenseVerifier for the verifier, so the honest prover and the
 verifier agree by construction.
@@ -177,19 +180,34 @@ def build_transcript(prover: Prover, updates, query=None) -> Transcript:
 def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
     """Single sequential verifier pass over a recorded transcript.
 
+    begin and end each get a copy of their chunk list and take() from it;
+    a chunk they leave is rejected. A reject is recorded in
+    info["reject"]: its phase ("begin", "update" or "end"), its reason and,
+    in phase "update", the update's index.
+
     vcost is the largest of verifier.words sampled at most three times: after
     begin, after the last update and after end (or after a reject)."""
     t0 = time.perf_counter()
     peak = 0
+    phase, reject = "begin", None
     try:
-        verifier.begin(transcript.start_chunks)
+        start = list(transcript.start_chunks)
+        verifier.begin(start)
+        need(not start, "unexpected start annotation")
         peak = max(peak, verifier.words)
-        for u in transcript.updates:
+        phase = "update"
+        for i, u in enumerate(transcript.updates):
             verifier.update(u)
+        phase = "end"
         peak = max(peak, verifier.words)
-        outcome = verifier.end(transcript.end_chunks, query)
-    except Reject:
+        end = list(transcript.end_chunks)
+        outcome = verifier.end(end, query)
+        need(not end, "trailing annotation")
+    except Reject as exc:
         outcome = Outcome.reject()
+        reject = {"phase": phase, "reason": str(exc)}
+        if phase == "update":
+            reject["update"] = i
     peak = max(peak, verifier.words)
     extra_bits = getattr(verifier, "public_coin_bits", 0)
     cost = CostReport(
@@ -198,7 +216,10 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
         vcost_bits=peak * getattr(verifier, "word_bits", WORD_BITS),
         wall_time=time.perf_counter() - t0,
     )
-    return RunResult(outcome, cost, dict(getattr(verifier, "info", {})))
+    info = dict(getattr(verifier, "info", {}))
+    if reject:
+        info["reject"] = reject
+    return RunResult(outcome, cost, info)
 
 
 def run_protocol(updates, seed, label, verifier, honest, prover=None,
@@ -222,13 +243,16 @@ def run_protocol(updates, seed, label, verifier, honest, prover=None,
 
 
 class Verifier:
-    """Verifier half of a scheme; subclasses implement the three phases."""
+    """Verifier half of a scheme; subclasses implement the three phases.
+
+    begin(chunks) and end(chunks, query) take() their chunks from the front
+    of the list, in the order the scheme sends them; run_transcript rejects
+    the chunks they leave. The default begin takes none."""
 
     word_bits = WORD_BITS
 
     def begin(self, chunks):
-        if chunks:
-            raise Reject("unexpected start annotation")
+        """Takes no start chunks."""
 
     def update(self, u):
         raise NotImplementedError
@@ -245,6 +269,15 @@ def need(condition, why=""):
     """Check an annotation property, rejecting the run when it fails."""
     if not condition:
         raise Reject(why)
+
+
+def take(chunks, kind):
+    """Pop the next chunk and return its payload; reject with "missing
+    <kind>" unless there is one and it is of `kind`. Verifiers take their
+    chunks in the order their scheme sends them, and run_transcript rejects
+    whatever they leave."""
+    need(chunks and chunks[0].kind == kind, f"missing {kind}")
+    return chunks.pop(0).data
 
 
 def int_record(x, arity: int) -> bool:

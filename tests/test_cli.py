@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from streamcert import sumcheck
 from streamcert.cli import main as cli_main
 from streamcert.harness import RunConfig, run_scheme
 from streamcert.protocol import RelaxedOutcome
@@ -231,6 +232,16 @@ def test_cli_self_loop_witness_rejects_with_exit_2(scheme, witness, tmp_path,
     rc, out = _cli_json(capsys, [scheme, "--input", str(paths["edges"]),
                                  "--witness-file", str(looped)])
     assert rc == 2 and out["outcome"] == "reject" and "value" not in out
+
+
+def test_cli_grid_budget_refusal_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sumcheck, "_EXT_BUDGET", 1000)
+    paths = _write_inputs(tmp_path)
+    matching = tmp_path / "matching.txt"
+    matching.write_text("0 1\n2 3\n")
+    assert cli_main(["matching", "--input", str(paths["edges"]),
+                     "--witness-file", str(matching), "--cv", "2"]) == 1
+    assert "extension grid" in capsys.readouterr().err
 
 
 def test_cli_rejected_witness_exits_2(tmp_path, capsys):

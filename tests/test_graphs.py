@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from streamcert import sumcheck
 from streamcert.graphs import (count_triangles_run, edge_universe, pair_rank,
                                triangle_derived_stream, triangles_from_moments,
                                triple_rank, triple_universe,
@@ -243,6 +244,16 @@ def test_rejected_graph_certificate_is_a_refusal(run):
     r = run()
     assert isinstance(r.outcome, RelaxedOutcome) and r.rejected
     assert r.cost.hcost_bits > 0 and r.cost.vcost_words > 0
+
+
+def test_grid_budget_refusal_is_a_config_error(monkeypatch):
+    # a shape the dense prover refuses is no refused witness: the run
+    # raises, as fk_online_run does, and does not end unconvinced
+    monkeypatch.setattr(sumcheck, "_EXT_BUDGET", 1000)
+    edges = [(0, 1, 1), (2, 3, 1), (4, 5, 1), (6, 7, 1), (1, 2, 1)]
+    with pytest.raises(ConfigError, match="extension grid"):
+        verify_perfect_matching(edges, 8, [(0, 1), (2, 3), (4, 5), (6, 7)], 2,
+                                seed=1)
 
 
 TRI = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
