@@ -3,7 +3,10 @@
     streamcert <scheme> --input FILE [--params...] --seed S \
         --prover honest|<strategy> [--trials T] [--report json|tsv]
 
-Exit codes: 0 = accepted, 2 = rejected (bottom), 1 = usage/config error."""
+Exit codes: 0 = accepted, 2 = rejected (bottom), 1 = usage/config error.
+A rejected run's report names the verifier's reject reason and the phase
+(begin, update or end) it rejected in, and in phase update the update's
+index."""
 
 import argparse
 import json
@@ -102,6 +105,10 @@ def main(argv=None):
         if isinstance(value, frozenset):
             value = sorted(value)
         payload["value"] = value
+    else:
+        # why the verifier rejected: its reason, its phase and, in phase
+        # update, the update's index
+        payload.update(result.info.get("reject", {}))
     _emit(args.report, payload)
     return 0 if not outcome.rejected else 2
 

@@ -26,14 +26,16 @@ Each mapping from stream updates to dense instances is written once and
 built over DenseProver or DenseVerifier: _StageMap for the MultiIndex
 stages and _EngineMap for the universe reduction. The prover sides add
 the honest annotation; the verifier sides add the checks on it (`need`),
-the hash validation, the proof consumption and the space accounting. A
-shared feed computes each mapped id's buckets from the hashes' fields
-(a, b, p, r), read once when the hashes are taken, and its purity terms
-once, however many instances take them. One call of a lane bank
-(sumcheck.lane_bank) then adds the id to every stage's SubF2 and purity
-check, and one lane per side adds an item to the main instance and the
-main injection; on the verifier side these loops write the rows directly,
-with no call per instance or per hash.
+the hash validation, the proof consumption and the space accounting.
+One mapping step, built by _StageMap.route, takes a count from hash to
+bucket to lane for both: it computes the count's buckets from the hashes'
+fields (a, b, p, r), read once when the hashes are taken, and its purity
+terms once, however many instances take them, and makes one call of a
+lane bank (sumcheck.lane_bank). In the engine that bank has 1 + t_max
+lanes per side: the main instance with the main injection, then every
+stage's SubF2 with its purity check, so a stream update is one bank call.
+On the verifier side the bank writes the rows directly, with no call per
+instance or per hash.
 
 One engine serves one- and two-sided streams. Fk and triangles stream one
 vector; DISJ, subset, inner product, Hamming and the graph certificates
@@ -52,15 +54,17 @@ not a cost of the scheme. So the verifier maps each update as it arrives,
 while the honest prover only sums each id's updates (its net count, and
 its absolute weight for footprint mode) in MultiIndexProverCore.freq and
 .absw, and at the end of the stream maps each id the stream leaves in the
-instances once, through the same feed. The proofs depend only on the final
+instances once, through the same step. The proofs depend only on the final
 vectors, so the annotation is the same as mapping every update; it is sent
 after the stream, so the prover stays prefix-causal.
 
 Both callers of MultiIndex (the engine's collision list and the standalone
 scheme) certify their claims, (ident, fstar, wstar) triples, through one
 call per side after the stream:
-MultiIndexProverCore.finish_chunks(claims) maps the net counts, assigns
-the stages and returns the stage list and proofs (or an abort), and
+MultiIndexProverCore.finish_chunks(claims) assigns the stages from the
+stage buckets of the net counts, which the engine's prover maps and counts
+itself and the standalone scheme's maps here, and returns the stage list
+and proofs (or an abort), and
 MultiIndexVerifierCore.end(claims, chunks) takes and checks them and
 returns ok.
 """
@@ -96,6 +100,11 @@ def _pow2ceil(x: int) -> int:
 def _ceil_sqrt(x: int) -> int:
     s = math.isqrt(x)
     return s if s * s == x else s + 1
+
+
+def _ident_count(field, ident, count):
+    """AMA mode's purity terms: the id and its count."""
+    return ident, count
 
 
 class Shape:
@@ -146,16 +155,18 @@ class Shape:
                           *self.field_mains.values()], key=lambda f: f.q)
         self.coins = (draw_public_coins(self.field_purity, coins_seed)
                       if mode == MODE_AMA else None)
+        # terms_of(field_purity, ident, count): the purity sinks' terms for
+        # `count` copies of ident, computed once however many sinks take
+        # them: (u, v, w), or (ident, count) in AMA mode, where the
+        # coordinates depend on the bucket. Chosen once, so that no update
+        # branches on the mode.
+        self.terms_of = _ident_count if mode == MODE_AMA else purity_deltas
 
     # purity feed -----------------------------------------------------------
 
     def purity_terms(self, ident, count):
-        """The purity sinks' terms for `count` copies of ident, computed once
-        however many sinks take them: (u, v, w), or (ident, count) in AMA
-        mode, where the coordinates depend on the bucket."""
-        if self.mode == MODE_AMA:
-            return ident, count
-        return purity_deltas(self.field_purity, ident, count)
+        """terms_of over the purity field."""
+        return self.terms_of(self.field_purity, ident, count)
 
     def occupancy(self, delta, weight):
         """What an id with count delta and absolute update weight `weight`
@@ -218,11 +229,16 @@ class _StageMap:
     stage's instances in proof order: the purity check, SubF2 over the net
     counts and, in footprint mode, SubF2 over the absolute weights.
 
-    Buckets come from the stage hashes' fields, taken by use_hashes. feed
-    computes an id's t_max buckets in one comprehension and maps it into
-    every stage's net-count SubF2 and purity check with one call of `bank`,
-    a lane bank over those pairs; the footprint SubF2 over the absolute
-    weights takes its own updates."""
+    Buckets come from the stage hashes' fields, taken by use_hashes.
+    route() builds the one hash -> bucket -> lane step, for the standalone
+    scheme and the online engine alike: a function that computes a count's
+    buckets in one comprehension over (a, b, p, r) keys, one a lane, and
+    maps the count into every lane of a lane bank with one call. The bank
+    holds each stage's net-count SubF2 with its purity check, after any
+    head lanes (the engine's main instance with the main injection, see
+    _EngineMap). Further instances (the engine's further main instances)
+    and the footprint SubF2 over the absolute weights take plain updates
+    after the bank call. feed maps an id through the stages alone."""
 
     def __init__(self, shape: Shape, dense):
         self.shape = shape
@@ -236,32 +252,54 @@ class _StageMap:
             self.sf_abs = [dense(shape.stage_subf2_params()) for _ in range(t)]
             per_stage.append(self.sf_abs)
         self.instances = list(zip(*per_stage))
-        self.bank = lane_bank(zip(self.sf_net, repeat(0), self.sinks))
         self.marks = [0] * t
 
     def use_hashes(self, hs):
         """Take the stage hashes; buckets come from their fields."""
         self.hs = hs
         self.hkeys = [(h.a, h.b, h.p, h.r) for h in hs]
+        self.feed_stages = self.route(self.hkeys)
 
     def buckets(self, ident):
         """ident's bucket at each stage."""
         return [(a * ident + b) % p % r for a, b, p, r in self.hkeys]
 
-    def feed(self, ident, delta, weight, terms=None):
-        """Map ident's count delta, of absolute update weight `weight`:
-        one bank call takes it into every stage's SubF2 and purity check.
-        terms: its purity terms, when the caller has them. Returns ident's
-        bucket at each stage."""
-        if terms is None:
-            sh = self.shape
-            terms = sh.purity_terms(ident, sh.occupancy(delta, weight))
-        buckets = self.buckets(ident)
-        self.bank(buckets, delta, terms)
-        if self.sf_abs is not None:
-            for b, sf in zip(buckets, self.sf_abs):
-                sf.update(0, b, weight)
-        return buckets
+    def route(self, keys, head=(), more=()):
+        """The mapping step step(x, ident, delta, weight) over a lane bank of
+        the lanes in head, each (count instance, vector j, purity sink),
+        then each stage's net-count SubF2 (vector 0) with its purity check,
+        keyed by keys, one (a, b, p, r) a lane.
+
+        step maps the count delta, of absolute update weight `weight`, of
+        x, id `ident` in the stages, and returns its buckets: x's under
+        the keys. The head lanes take x's purity terms, the stage lanes
+        ident's. Each (instance, vector j) of more takes delta at the
+        first bucket, and the footprint SubF2 over the absolute weights
+        takes weight at the stage buckets."""
+        bank = lane_bank([*head, *zip(self.sf_net, repeat(0), self.sinks)])
+        terms_of, field = self.shape.terms_of, self.shape.field_purity
+        footprint = self.sf_abs is not None
+        first = len(keys) - self.shape.t_max
+        weights = list(enumerate(self.sf_abs or (), first))
+
+        def step(x, ident, delta, weight):
+            occ = weight if footprint else delta  # Shape.occupancy, inline
+            head_terms = terms_of(field, x, occ)
+            # an id that is x, as every one-sided id is, shares its terms
+            terms = head_terms if ident == x else terms_of(field, ident, occ)
+            buckets = [(a * x + b) % p % r for a, b, p, r in keys]
+            bank(buckets, delta, head_terms, terms)
+            for inst, j in more:
+                inst.update(j, buckets[0], delta)
+            for k, sf in weights:
+                sf.update(0, buckets[k], weight)
+            return buckets
+        return step
+
+    def feed(self, ident, delta, weight):
+        """Map ident's count delta, of absolute update weight `weight`,
+        into every stage. Returns ident's bucket at each stage."""
+        return self.feed_stages(ident, ident, delta, weight)
 
     def entry(self, ident, fstar, stage, wstar=None, buckets=None):
         """Enter one claim at its stage. buckets: ident's bucket at each
@@ -299,6 +337,8 @@ class MultiIndexProverCore(_StageMap):
         self.use_hashes(hs)
         self.freq = {}
         self.absw = {}
+        self.occupancy = [{} for _ in hs]  # per stage: bucket -> ids mapped
+        self.mapped = set()
 
     def start_chunks(self):
         bits = sum(h.bits for h in self.hs)
@@ -320,22 +360,28 @@ class MultiIndexProverCore(_StageMap):
             if f or (footprint and absw[ident]):
                 yield ident, f, absw[ident]
 
-    def finish_chunks(self, entries):
+    def occupy(self, ident, buckets):
+        """Count mapped id ident in its bucket at each stage."""
+        self.mapped.add(ident)
+        for occ, b in zip(self.occupancy, buckets):
+            occ[b] = occ.get(b, 0) + 1
+
+    def finish_chunks(self, entries, mapped=False):
         """After the stream: maps each id's net count into the stages once,
         gives each (ident, fstar, wstar) entry the first stage isolating it
         from the ids mapped and enters it there. Returns the stage list and
         the marked stages' proofs, or an abort if some entry has no stage.
-        Each stage hash is evaluated once per id mapped and once per entry."""
-        occupancy = [{} for _ in self.hs]
-        fed = set()
-        for ident, delta, weight in self.net_counts():
-            for occ, b in zip(occupancy, self.feed(ident, delta, weight)):
-                occ[b] = occ.get(b, 0) + 1
-            fed.add(ident)
+        mapped: the caller has mapped the net counts through its own lanes
+        and counted each id's stage buckets with occupy. Each stage hash is
+        evaluated once per id mapped and once per entry."""
+        if not mapped:
+            for ident, delta, weight in self.net_counts():
+                self.occupy(ident, self.feed(ident, delta, weight))
+        occupancy = self.occupancy
         claimed = [self.buckets(e[0]) for e in entries]
         stages = []
         for (ident, _, _), buckets in zip(entries, claimed):
-            own = 1 if ident in fed else 0
+            own = 1 if ident in self.mapped else 0
             stages.append(next((j + 1 for j, b in enumerate(buckets)
                                 if occupancy[j].get(b, 0) == own), None))
         if None in stages:
@@ -375,12 +421,11 @@ class MultiIndexVerifierCore(_StageMap):
             need(hash_fits(h, sh.n_ids, sh.r), "bad stage hash")
         self.use_hashes(hs)
 
-    def update(self, ident, delta, terms=None):
-        """Map one stream update. terms: its purity terms, when the caller
-        has them."""
+    def update(self, ident, delta):
+        """Map one stream update of the standalone scheme."""
         weight = abs(delta)
         self.weight_seen += weight
-        self.feed(ident, delta, weight, terms)
+        self.feed(ident, delta, weight)
 
     def entry(self, ident, fstar, stage, wstar=None):
         sh = self.shape
@@ -493,17 +538,23 @@ class _EngineMap:
     two-sided streams alike.
 
     A count of item i on side s lands in bucket h(i): in vector s of every
-    main instance and, as purity terms of i, in the main injection check
-    (feed). The MultiIndex stages map it as id i * sides + s. A collision-
+    main instance and, as purity terms of i, in the main injection check.
+    The MultiIndex stages map it as id i * sides + s. A collision-
     list entry is (i, its count on each side) and, in footprint mode, its
     certified weight: `arity` ints. claims(entry) gives its MultiIndex
     claims and remove(entry) takes it back out of the main instances and
     the main injection; the prover and the verifier call both.
 
-    Buckets come from the universe hash's fields, taken by use_hash. feed
-    adds a count through the lane of its side, vector s of the first main
-    instance with the main injection, and by plain updates to any further
-    main instance (fk_online_multi with several orders)."""
+    use_hash, once the stages have their hashes, builds with the stage
+    map's route() one mapping step per side s, routes[s], which maps every
+    count on that side with one call of a lane bank of 1 + t_max lanes.
+    Lane 0 is vector s of the first main instance with the main injection,
+    keyed by the universe hash; lanes 1 to t_max are each stage's net-count
+    SubF2 with its purity check. A stage hash's (a, b, p, r) becomes the
+    key (a * sides, a * s + b, p, r), so hashing item i with it is hashing
+    id i * sides + s, and one comprehension over the item gives all
+    1 + t_max buckets. Further main instances (fk_online_multi with several
+    orders) take plain updates."""
 
     def __init__(self, shape: Shape, dense, mi):
         self.shape = shape
@@ -517,33 +568,24 @@ class _EngineMap:
         if shape.mode == MODE_AMA:
             mark_all(self.main_inj)
         self.arity = 1 + self.sides + (shape.mode == MODE_FOOTPRINT)
-        # one lane per side: vector `side` of the first main instance and
-        # the main injection; further main instances take plain updates
-        first, *self.more_mains = self.mains.values()
-        self.lanes = [lane_bank([(first, side, self.main_sink)])
-                      for side in range(self.sides)]
 
     def use_hash(self, h):
-        """Take the universe hash; buckets come from its fields."""
+        """Take the universe hash, once the stages have their hashes, and
+        build each side's route."""
         self.h = h
         self.hkey = (h.a, h.b, h.p, h.r)
+        sides = self.sides
+        first, *more = self.mains.values()
+        self.routes = [
+            self.mi.route([self.hkey] + [(a * sides, a * s + b, p, r)
+                                         for a, b, p, r in self.mi.hkeys],
+                          [(first, s, self.main_sink)],
+                          [(main, s) for main in more])
+            for s in range(sides)]
 
     def bucket(self, item):
         a, b, p, r = self.hkey
         return (a * item + b) % p % r
-
-    def feed(self, side, item, delta, weight):
-        """Map the count delta, of absolute update weight `weight`, of item
-        on `side` into the main instances and the main injection check.
-        Returns its bucket and its purity terms, which the stages share when
-        they map the same id."""
-        sh = self.shape
-        b = self.bucket(item)
-        terms = sh.purity_terms(item, sh.occupancy(delta, weight))
-        self.lanes[side]((b,), delta, terms)
-        for main in self.more_mains:
-            main.update(side, b, delta)
-        return b, terms
 
     def claims(self, entry):
         """A collision-list entry's MultiIndex claims, (ident, fstar, wstar)
@@ -594,8 +636,9 @@ class OnlineEngineProver(_EngineMap, Prover):
         held = {}  # bucket -> the items mapped there
         for ident, delta, weight in self.mi.net_counts():
             item, side = divmod(ident, sides)
-            b, _ = self.feed(side, item, delta, weight)
+            b, *stage_buckets = self.routes[side](item, ident, delta, weight)
             held.setdefault(b, set()).add(item)
+            self.mi.occupy(ident, stage_buckets)
         freq = self.mi.freq
         entries = []
         for i in sorted(i for items in held.values() if len(items) > 1
@@ -611,7 +654,7 @@ class OnlineEngineProver(_EngineMap, Prover):
 
         ebits = len(entries) * (id_bits(self.n) + (self.arity - 1) * COUNT_BITS)
         chunks = [Chunk("collision-list", entries, ebits)]
-        chunks.extend(self.mi.finish_chunks(claims))
+        chunks.extend(self.mi.finish_chunks(claims, mapped=True))
         if chunks[-1].kind == "mi-abort":
             return chunks
         inj_proof = self.main_inj.proof()
@@ -635,19 +678,18 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
     def begin(self, chunks):
         h = take(chunks, "hash")
         need(hash_fits(h, self.n, self.shape.r), "bad universe hash")
-        self.use_hash(h)
         self.mi.begin(chunks)
+        self.use_hash(h)
 
     def update(self, u):
-        sides = self.sides
-        if sides == 1:  # statements: no tuple is built per update
+        if self.sides == 1:  # statements: no tuple is built per update
             side, su = 0, u
         else:
             side, su = u
-        _, terms = self.feed(side, su.item, su.delta, abs(su.delta))
-        # a one-sided id is the item, so the stages share its purity terms
-        self.mi.update(su.item * sides + side, su.delta,
-                       terms if sides == 1 else None)
+        item, delta = su.item, su.delta
+        weight = abs(delta)
+        self.mi.weight_seen += weight
+        self.routes[side](item, item * self.sides + side, delta, weight)
 
     def end(self, chunks, query):
         sh = self.shape

@@ -101,22 +101,24 @@ class BucketFingerprintState:
     def check_opening(self, bucket, entries, n, collect=None, arity=2):
         """Verify a claimed full content list for one bucket.
 
-        Entries are integer records of `arity` fields that start with
-        (item, freq), strictly ascending by item, each hashing to the bucket,
-        with nonzero bounded frequencies. Rejects on fingerprint mismatch.
+        Entries are integer records of `arity` fields, (item, freq) or
+        (item, freq, flag), strictly ascending by item, each hashing to the
+        bucket, with nonzero bounded frequencies. Rejects on fingerprint
+        mismatch.
         Optionally collects the counts of items the caller cares about into
         `collect` (a dict pre-keyed by item)."""
         q = self.field.q
         ha, hb, hp, hr = self.hkey
         need(isinstance(entries, list), "malformed opening")
         need(len(entries) <= self.max_open, "opening too large")
-        acc = 0
+        acc = 0  # sum of freq * power, unreduced: reduced once, at the check
         prev = -1
         power = 1  # basis^max(prev, 0)
         for e in entries:
             # int_record(e, arity), inline: this runs once per opened entry
             need(isinstance(e, (tuple, list)) and len(e) == arity
-                 and not [v for v in e if type(v) is not int],
+                 and type(e[0]) is int and type(e[1]) is int
+                 and (arity == 2 or type(e[2]) is int),
                  "malformed opening entry")
             item, freq = e[0], e[1]
             need(prev < item < n, "opening items not sorted inside universe")
@@ -125,10 +127,10 @@ class BucketFingerprintState:
             need((ha * item + hb) % hp % hr == bucket,
                  "opening item in wrong bucket")
             need(freq != 0 and abs(freq) <= self.weight, "implausible opened frequency")
-            acc = (acc + freq * power) % q
+            acc += freq * power
             if collect is not None and item in collect:
                 collect[item] = freq
-        need(acc == self._accs[bucket] % q, "bucket fingerprint mismatch")
+        need(acc % q == self._accs[bucket] % q, "bucket fingerprint mismatch")
 
     def check_openings(self, openings, n, collect=None, arity=2):
         """Verify a list of (bucket, entries) openings with strictly

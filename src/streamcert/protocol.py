@@ -196,8 +196,9 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
         need(not start, "unexpected start annotation")
         peak = max(peak, verifier.words)
         phase = "update"
+        update = verifier.update
         for i, u in enumerate(transcript.updates):
-            verifier.update(u)
+            update(u)
         phase = "end"
         peak = max(peak, verifier.words)
         end = list(transcript.end_chunks)

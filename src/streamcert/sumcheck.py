@@ -193,38 +193,44 @@ class DenseVerifier:
 
 
 def lane_bank(lanes):
-    """One call add(buckets, delta, terms) for a list of lanes, each
+    """One call add(buckets, delta, head, terms) for a list of lanes, each
     (count instance, vector j, purity sink): lane k adds delta to vector j
-    of its count instance and its purity terms to its sink, both at
-    buckets[k].
+    of its count instance and purity terms to its sink, both at buckets[k].
+    The first lane's sink takes the terms `head`, every other lane's
+    `terms`; a caller whose lanes all take the same terms passes them
+    twice.
 
     When every count instance and sink is a DenseVerifier of one grid
-    shape, each lane is one divmod, two Lagrange-row lookups and four
-    unreduced row additions, written out here, into the row lists that
-    DenseVerifier.rows returns; over anything else (a DenseProver, an AMA
+    shape, each lane is one floor division and one remainder, two
+    Lagrange-row lookups and four unreduced row additions, written out
+    here, into the row lists that DenseVerifier.rows returns; over anything else (a DenseProver, an AMA
     purity adapter) add makes the update and add_purity calls."""
     lanes = list(lanes)
     if not all(type(count) is DenseVerifier and type(sink) is DenseVerifier
                and count.c_v == sink.c_v and len(count.lrow) == len(sink.lrow)
                for count, _, sink in lanes):
-        def add(buckets, delta, terms):
+        def add(buckets, delta, head, terms):
+            t = head
             for b, (count, j, sink) in zip(buckets, lanes):
                 count.update(j, b, delta)
-                sink.add_purity(b, terms)
+                sink.add_purity(b, t)
+                t = terms
         return add
 
     cells = [(count.c_v, count.lrow, count.rows[j], sink.lrow, *sink.rows[:3])
              for count, j, sink in lanes]
 
-    def add(buckets, delta, terms):
-        du, dv, dw = terms
+    def add(buckets, delta, head, terms):
+        du, dv, dw = head
         for b, (c_v, lrow, f, prow, u, v, w) in zip(buckets, cells):
-            x, y = divmod(b, c_v)
+            x = b // c_v  # divmod would build a tuple per lane
+            y = b % c_v
             f[y] += delta * lrow[x]
             lx = prow[x]
             u[y] += du * lx
             v[y] += dv * lx
             w[y] += dw * lx
+            du, dv, dw = terms
     return add
 
 

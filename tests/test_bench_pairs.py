@@ -1,0 +1,111 @@
+"""tools/bench_pairs.py with its runs stood in for: the pairing, the wins,
+the interquartile range and the stops on a failed run."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                     "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [("run_s", "lower"), ("verifier_updates_per_s", "higher")]
+
+
+def _stub_runs(monkeypatch, values):
+    """run_once answers from values[(checkout, seed)]; returns the calls."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=False):
+        calls.append((checkout, workload, seed, seconds, trace))
+        return values[checkout, seed]
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_pairs_alternate_and_count_wins(monkeypatch, capsys):
+    # the change is faster in pairs 1-3 and slower in pair 4, on both
+    # metrics; each metric's better direction decides a win
+    parent = {1: (1.0, 100.0), 2: (2.0, 110.0), 3: (3.0, 120.0), 4: (4.0, 130.0)}
+    change = {1: (0.5, 150.0), 2: (1.5, 160.0), 3: (2.5, 170.0), 4: (5.0, 90.0)}
+    values = {}
+    for checkout, runs in (("P", parent), ("C", change)):
+        for seed, (run_s, rate) in runs.items():
+            values[checkout, seed] = {"run_s": run_s,
+                                      "verifier_updates_per_s": rate}
+    calls = _stub_runs(monkeypatch, values)
+    samples = bench_pairs.compare("P", "C", "fk-churn", 4, 15, METRICS,
+                                  trace=True)
+    # pair i runs seed i on both sides, the parent first in even pairs
+    assert [(c[0], c[2]) for c in calls] == [
+        ("P", 1), ("C", 1), ("C", 2), ("P", 2),
+        ("P", 3), ("C", 3), ("C", 4), ("P", 4)]
+    assert all(c[1:2] == ("fk-churn",) and c[3:] == (15, True) for c in calls)
+    rows = {r[0]: r for r in bench_pairs.summarize(samples, METRICS)}
+    name, m_old, m_new, move, wins, spread = rows["run_s"]
+    assert (m_old, m_new, wins) == (2.5, 2.0, 3)
+    assert move == pytest.approx(-0.2)
+    # quartiles of 1, 2, 3, 4 (exclusive method): 1.25 and 3.75
+    assert spread == pytest.approx(2.5)
+    assert rows["verifier_updates_per_s"][4] == 3
+    out = capsys.readouterr().out
+    assert "fk-churn (4 pairs, 15 s, traced, seeds 1..4)" in out
+    assert "-20.0%" in out and "3/4" in out
+
+
+def test_summary_skips_a_metric_one_side_lacks():
+    samples = {"parent": [{"a": 1.0, "b": 0.0}, {"a": 3.0, "b": 0.0}],
+               "change": [{"a": 2.0, "b": 1.0}, {"a": 2.0}]}
+    rows = bench_pairs.summarize(samples, [("a", "lower"), ("b", "lower")])
+    assert [r[0] for r in rows] == ["a"]
+    assert rows[0][3] == 0.0 and rows[0][4] == 1
+    assert bench_pairs.summarize(
+        {"parent": [{"b": 0.0}], "change": [{"b": 1.0}]},
+        [("b", "lower")])[0][3] is None
+    assert bench_pairs.iqr([5.0]) == 0.0
+
+
+def _output(failed=0, digest="[]", sites="[]"):
+    result = {"correct": True, "attempted": 10, "failed": failed,
+              "metrics": {"run_s": {"value": 0.5, "unit": "s"}}}
+    return "\n".join(["env: python 3", f"sites_missing: {sites}",
+                      f"digest_mismatches: {digest}", json.dumps(result)])
+
+
+def test_read_result_takes_the_last_line():
+    assert bench_pairs.read_result("w", 0, _output(), "") == {"run_s": 0.5}
+    assert bench_pairs.read_result("w", 0, _output(), "", trace=True) == {
+        "run_s": 0.5}
+
+
+@pytest.mark.parametrize("returncode, stdout, trace, why", [
+    (1, _output(), False, "exited 1"),
+    (0, "", False, "exited 0"),
+    (0, _output(failed=2), False, "failed 2 operations"),
+    (0, _output(digest='["seed 1: differs"]'), False, "mismatched a digest"),
+    (0, _output(sites='["streamcert.moments.gone"]'), True, "tracing site"),
+], ids=["nonzero-exit", "no-output", "failed-operations", "digest-mismatch",
+        "site-missing"])
+def test_a_failed_run_stops_the_comparison(returncode, stdout, trace, why):
+    with pytest.raises(SystemExit, match=why):
+        bench_pairs.read_result("w", returncode, stdout, "boom", trace)
+
+
+def test_compare_stops_at_the_first_failed_run(monkeypatch):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=False):
+        calls.append(checkout)
+        if checkout == "C":
+            raise SystemExit("C: fk-churn seed 1 failed 1 operations")
+        return {"run_s": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit, match="failed 1 operations"):
+        bench_pairs.compare("P", "C", "fk-churn", 3, 15, METRICS)
+    assert calls == ["P", "C"]

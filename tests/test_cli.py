@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from streamcert import sumcheck
+from streamcert import cli, sumcheck
 from streamcert.cli import main as cli_main
 from streamcert.harness import RunConfig, run_scheme
-from streamcert.protocol import RelaxedOutcome
+from streamcert.protocol import CostReport, Outcome, RelaxedOutcome, RunResult
 from streamcert.streams import BucketedUpdate, StreamUpdate as U, write_stream
 
 SEED = 3
@@ -400,3 +400,45 @@ def test_cli_bad_stream_line_exits_1(scheme, line, tmp_path, capsys):
     assert cli_main([scheme, "--input", str(path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}, line 3:")
+
+
+@pytest.mark.parametrize("report", ["json", "tsv"])
+def test_cli_reject_reports_reason_and_phase(report, tmp_path, capsys):
+    # a tampered proof is caught at the end of the stream: the report names
+    # the reason and the phase, and keeps every key of an honest report
+    paths = _write_inputs(tmp_path)
+    argv = ["fk", "--input", str(paths["plain"]), "--k", "2", "--seed",
+            str(SEED), "--report", report]
+    assert cli_main(argv + ["--prover", "tamper-proof-polynomial"]) == 2
+    text = capsys.readouterr().out
+    if report == "json":
+        out = json.loads(text)
+    else:
+        keys, values = text.splitlines()
+        out = dict(zip(keys.split("\t"), values.split("\t")))
+    assert out["outcome"] == "reject" and "value" not in out
+    assert out["reason"] and out["phase"] == "end" and "update" not in out
+    assert {"scheme", "hcost_bits", "vcost_words", "vcost_bits",
+            "seed"} <= set(out)
+
+
+def test_cli_honest_report_has_no_reason(tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    rc, out = _cli_json(capsys, ["fk", "--input", str(paths["plain"]),
+                                 "--k", "2"])
+    assert rc == 0 and out["outcome"] == "value"
+    assert not {"reason", "phase", "update"} & set(out)
+
+
+def test_cli_reject_in_update_phase_names_the_update(tmp_path, capsys,
+                                                     monkeypatch):
+    # no honest-prover scheme rejects mid-stream, so the run's record is
+    # stood in for: the report copies its reason, phase and update index
+    reject = {"phase": "update", "reason": "stand-in reason", "update": 3}
+    monkeypatch.setattr(cli, "run_scheme", lambda config, updates: RunResult(
+        Outcome.reject(), CostReport(10, 2, 128, 0.0), {"reject": reject}))
+    paths = _write_inputs(tmp_path)
+    rc, out = _cli_json(capsys, ["fk", "--input", str(paths["plain"]),
+                                 "--k", "2"])
+    assert rc == 2 and out["outcome"] == "reject"
+    assert {k: out[k] for k in reject} == reject

@@ -18,7 +18,9 @@ from streamcert.moments import (MODE_AMA, MODE_FOOTPRINT, MODE_STRICT,
                                 tagged_meta)
 from streamcert.pointqueries import open_buckets
 from streamcert.protocol import Chunk, ConfigError, Reject
-from streamcert.streams import StreamUpdate as U, compute_meta
+from streamcert.purity import purity_deltas
+from streamcert.streams import (StreamUpdate as U, compute_meta,
+                                random_pairwise_hash)
 
 from conftest import (bad_hash, freq_oracle, moment_oracle, rewrite_chunk,
                       rewrite_start_chunk, strict_stream)
@@ -235,7 +237,8 @@ def test_multiindex_finish_hashes_each_id_once_per_stage(monkeypatch, rng):
             evals[0] += 1
             return int(self) * x
 
-    core.hkeys = [(CountedA(a), b, p, r) for a, b, p, r in core.hkeys]
+    # in place: the stage mapping step holds the key list
+    core.hkeys[:] = [(CountedA(a), b, p, r) for a, b, p, r in core.hkeys]
     monkeypatch.setattr(streams.PairwiseHash, "__call__", _no_hash_call)
     chunks = core.finish_chunks(entries)
     assert chunks[0].kind == "mi-stages"
@@ -763,37 +766,146 @@ def test_prover_dense_updates_scale_with_ids_not_updates(tagged, monkeypatch, rn
 # ------------------------------------------- the verifier's per-update fan-out
 
 
-def test_strict_verifier_fans_each_update_out_once_per_instance(monkeypatch, rng):
-    # per stream update: one bank call takes the count into every stage's
-    # SubF2 and purity check, one engine-lane call into the F2 instance and
-    # the main injection; every bucket comes from the hashes' fields
-    ups = strict_stream(rng, N20, 60, churn=0.4)
-    meta = compute_meta(ups, N20)
-    shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, mains=(2,))
+ENGINE_CASES = ("strict", "ip", "footprint", "ama", "orders-1-2-3")
+
+
+def _engine_case(case):
+    """(shape, updates) of one engine configuration over n = 2^10 at
+    c_v = 4, so that the universe hash collides: a strict one-sided stream
+    for Fk of order 2 or of orders (1, 2, 3), a two-sided one for the
+    inner product, and a non-strict one for footprint and AMA modes."""
+    n = 1 << 10
+    rng = random.Random(13)
+    ups = strict_stream(rng, n, 40, churn=0.4)
+    if case == "ip":
+        ups = [(S, u) for u in ups] + [(T, u) for u in ups[:30]]
+        meta = tagged_meta(ups, n)
+        return Shape(n, meta.sparsity, 4, meta.weight, MODE_STRICT,
+                     mains=("ip",)), ups
+    mode, mains = {"strict": (MODE_STRICT, (2,)),
+                   "footprint": (MODE_FOOTPRINT, (2,)),
+                   "ama": (MODE_AMA, (2,)),
+                   "orders-1-2-3": (MODE_STRICT, (1, 2, 3))}[case]
+    if mode != MODE_STRICT:  # net counts below zero, and items deleted to 0
+        ups += [U(rng.randrange(n), -2) for _ in range(6)]
+        ups += [U(u.item, -u.delta) for u in ups[:5]]
+    meta = compute_meta(ups, n)
+    base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
+    return Shape(n, base, 4, meta.weight, mode, mains=mains, coins_seed=1), ups
+
+
+def _engine_pair(shape):
+    """An honest prover and a verifier that has taken its start chunks."""
     prover = OnlineEngineProver(shape, random.Random(1))
     verifier = OnlineEngineVerifier(shape, random.Random(2))
     verifier.begin(prover.start())
-    calls = {"bank": 0, "lane": 0}
+    return prover, verifier
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
+
+def _side_update(shape, u):
+    return (0, u) if shape.sides == 1 else u
+
+
+def _reference_update(v, side, su):
+    """Map one update into verifier v's instances by one update or
+    add_purity call per instance, each bucket from PairwiseHash.__call__."""
+    sh, mi = v.shape, v.mi
+    delta, weight = su.delta, abs(su.delta)
+    occ = weight if sh.mode == MODE_FOOTPRINT else delta
+
+    def terms(x):
+        return ((x, occ) if sh.mode == MODE_AMA
+                else purity_deltas(sh.field_purity, x, occ))
+
+    b = v.h(su.item)
+    for main in v.mains.values():
+        main.update(side, b, delta)
+    v.main_sink.add_purity(b, terms(su.item))
+    ident = su.item * sh.sides + side
+    for j, h in enumerate(mi.hs):
+        bj = h(ident)
+        mi.sf_net[j].update(0, bj, delta)
+        mi.sinks[j].add_purity(bj, terms(ident))
+        if mi.sf_abs is not None:
+            mi.sf_abs[j].update(0, bj, weight)
+    mi.weight_seen += weight
+
+
+def _verifier_rows(v):
+    insts = [*v.mains.values(), v.main_inj]
+    insts += [inst for stage in v.mi.instances for inst in stage]
+    return [inst.rows for inst in insts]
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_fused_bank_rows_match_per_instance_calls(case):
+    # the one bank call per update, with its stage keys rewritten per side
+    # and its purity terms shared, leaves every instance's rows (reduced on
+    # read) where one call per instance and hash evaluation leaves them
+    shape, ups = _engine_case(case)
+    prover, fused = _engine_pair(shape)
+    reference = OnlineEngineVerifier(shape, random.Random(2))
+    reference.begin(prover.start())
+    for u in ups:
+        prover.on_update(u)
+        fused.update(u)
+        _reference_update(reference, *_side_update(shape, u))
+    assert fused.mi.weight_seen == reference.mi.weight_seen
+    rows = _verifier_rows(fused)
+    assert rows == _verifier_rows(reference)
+    assert any(c for inst in rows for row in inst for c in row)
+    chunks = prover.finish(None)
+    assert next(len(c.data) for c in chunks if c.kind == "collision-list") > 0
+    assert fused.end(chunks, None).accepted
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_verifier_update_makes_one_bank_call(case, monkeypatch):
+    # per stream update, in every mode and for one and two sides: one call
+    # of the side's lane bank, with 1 + t_max buckets (the universe
+    # bucket, then one per stage), all from the hashes' fields
+    shape, ups = _engine_case(case)
+    calls = []
+
+    def counted_bank(lanes):
+        bank = sumcheck.lane_bank(lanes)
+
+        def call(buckets, *args):
+            calls.append(len(buckets))
+            return bank(buckets, *args)
         return call
 
-    verifier.mi.bank = counted("bank", verifier.mi.bank)
-    [lane] = verifier.lanes
-    verifier.lanes = [counted("lane", lane)]
+    monkeypatch.setattr(moments, "lane_bank", counted_bank)
+    prover, verifier = _engine_pair(shape)
     monkeypatch.setattr(streams.PairwiseHash, "__call__", _no_hash_call)
     for u in ups:
         prover.on_update(u)
-        before = dict(calls)
+        before = len(calls)
         verifier.update(u)
-        assert calls["bank"] - before["bank"] == 1
-        assert calls["lane"] - before["lane"] == 1
-    chunks = prover.finish(None)
-    assert next(len(c.data) for c in chunks if c.kind == "collision-list") > 0
-    assert verifier.end(chunks, None).value == {2: moment_oracle(ups, 2)}
+        assert calls[before:] == [1 + shape.t_max]
+    monkeypatch.undo()
+    assert verifier.end(prover.finish(None), None).accepted
+
+
+def test_two_sided_stage_key_is_the_id_hash(rng):
+    # (a * sides, a * s + b, p, r) applied to item i is the hash (a, b, p,
+    # r) of id i * sides + s, for any hash of the family; the engine's
+    # routes give each side's buckets that way
+    for _ in range(300):
+        n = rng.randrange(1, 1 << 40)
+        h = random_pairwise_hash(2 * n, rng.randrange(1, 1 << 12), rng)
+        for sides in (1, 2):
+            for s in range(sides):
+                i = rng.randrange(n)
+                key = (h.a * sides, h.a * s + h.b, h.p, h.r)
+                a, b, p, r = key
+                assert (a * i + b) % p % r == h(i * sides + s)
+    shape, _ = _engine_case("ip")
+    _, verifier = _engine_pair(shape)
+    for s, route in enumerate(verifier.routes):
+        for i in rng.sample(range(shape.n), 50):
+            assert route(i, 2 * i + s, 0, 0) == [verifier.h(i)] + [
+                h(2 * i + s) for h in verifier.mi.hs]
 
 
 def test_strict_verifier_update_stays_on_the_fused_lanes(monkeypatch, rng):

@@ -444,6 +444,24 @@ def test_check_opening_malformed_entry_rejected(entry):
         state.check_opening(bucket, [entry] + entries[1:], universe)
 
 
+@pytest.mark.parametrize("entry", [
+    (0, 1, 0.0), (0, 1, True), (False, 1, 0), (0, True, 0), (0, 1),
+    (0, 1, 0, 0),
+], ids=["float-flag", "bool-flag", "bool-id", "bool-count", "two-fields",
+        "four-fields"])
+def test_check_opening_malformed_flagged_entry_rejected(entry):
+    # as above, for the (item, freq, flag) records of heavy hitters: every
+    # field is checked to be an int, and a record of the wrong arity is
+    # refused before any of its fields is read
+    universe = dyadic_universe(13)
+    bucket, entries = opening_cases(universe)[0]
+    flagged = [(i, f, 0) for i, f in entries]
+    state = opened_state(universe, bucket, entries)
+    state.check_opening(bucket, flagged, universe, arity=3)
+    with pytest.raises(Reject, match="malformed opening entry"):
+        state.check_opening(bucket, [entry] + flagged[1:], universe, arity=3)
+
+
 @pytest.mark.parametrize("at", [0, -1], ids=["first-entry", "last-entry"])
 def test_check_opening_rejects_one_off_count(at):
     universe = dyadic_universe(13)

@@ -134,26 +134,30 @@ PURITY_P = params_for(16, 4, 4, 4, 3, g_sub_purity(F80), 10 ** 9, field=F80,
 
 
 def _bank_cases(rng, terms_of):
-    """(buckets, delta, terms) per bank call: random ones, bucket 0 and the
-    last bucket in every lane, negative deltas, and a call undone by its
-    negation, whose terms cancel."""
+    """(buckets, delta, head, terms) per bank call: random ones, bucket 0
+    and the last bucket in every lane, negative deltas, and a call undone
+    by its negation, whose terms cancel. The first lane's terms, head, are
+    those of another item than the other lanes' terms."""
+    def case(buckets, item, delta):
+        return (buckets, delta, terms_of((item + 17) % 40, delta),
+                terms_of(item, delta))
+
     cases = []
     for _ in range(30):
         item, delta = rng.randrange(40), rng.randrange(-5, 6)
-        cases.append(([rng.randrange(16) for _ in range(LANES)], delta,
-                      terms_of(item, delta)))
-    cases.append(([0] * LANES, -4, terms_of(7, -4)))
-    cases.append(([15] * LANES, 3, terms_of(9, 3)))
+        cases.append(case([rng.randrange(16) for _ in range(LANES)], item, delta))
+    cases.append(case([0] * LANES, 7, -4))
+    cases.append(case([15] * LANES, 9, 3))
     undone = [rng.randrange(16) for _ in range(LANES)]
-    cases.append((undone, 6, terms_of(11, 6)))
-    cases.append((undone, -6, terms_of(11, -6)))
+    cases.append(case(undone, 11, 6))
+    cases.append(case(undone, 11, -6))
     return cases
 
 
-def _separately(lanes, buckets, delta, terms):
-    for b, (count, j, sink) in zip(buckets, lanes):
+def _separately(lanes, buckets, delta, head, terms):
+    for k, (b, (count, j, sink)) in enumerate(zip(buckets, lanes)):
         count.update(j, b, delta)
-        sink.add_purity(b, terms)
+        sink.add_purity(b, terms if k else head)
 
 
 def test_lane_bank_matches_separate_calls(monkeypatch, rng):
@@ -262,12 +266,13 @@ def test_rows_reduce_on_read_and_stay_bounded(rng):
         else:
             delta = rng.randrange(1, 4)
         live[item] = net + delta
+        head = purity_deltas(F80, item + 40, delta)
         terms = purity_deltas(F80, item, delta)
         buckets = [rng.randrange(16) for _ in range(LANES)]
-        add(buckets, delta, terms)
-        for b, (count, j, sink) in zip(buckets, lanes):
+        add(buckets, delta, head, terms)
+        for k, (b, (count, j, sink)) in enumerate(zip(buckets, lanes)):
             oracle(count, j, b, delta)
-            for jj, t in enumerate(terms):
+            for jj, t in enumerate(terms if k else head):
                 oracle(sink, jj, b, t)
         count, _, sink = lanes[step % LANES]
         b = rng.randrange(16)

@@ -1,6 +1,7 @@
 """Compare two checkouts on the benchmark by alternating pairs of runs.
 
     python tools/bench_pairs.py PARENT CHANGE [--workload NAME ...] [--pairs N]
+                                [--trace]
 
 Each pair runs `perfbench/run.py --trace 0` once in the PARENT checkout and
 once in the CHANGE checkout, with the same seed (pair i uses seed i, from 1)
@@ -12,6 +13,11 @@ parent's and the change's medians, the change's relative move, the number
 of pairs in which the change was better, and the interquartile range of the
 parent's runs. A run that exits nonzero, reports failed operations or a
 digest mismatch is reported and stops the comparison.
+
+With --trace the same pairs run `--trace 1` and compare the `per_layer`
+metrics of BENCHMARK.json instead, such as protocol.verifier_s; a traced
+run that misses one of its binding sites also stops the comparison. A
+layer metric that one side does not report is left out.
 
 Standard library only; run it from anywhere, each run starts in its own
 checkout.
@@ -25,20 +31,30 @@ import subprocess
 import sys
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The result object (last output line) of one untraced run."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode or not lines:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} exited "
-                         f"{proc.returncode}\n{proc.stderr}")
+def read_result(where, returncode, stdout, stderr, trace=False):
+    """The metric values of one run from its exit status and output, whose
+    last line is the result object. Stops the comparison (SystemExit)
+    naming `where` if the run failed."""
+    lines = stdout.strip().splitlines()
+    if returncode or not lines:
+        raise SystemExit(f"{where} exited {returncode}\n{stderr}")
     result = json.loads(lines[-1])
     if result["failed"] or "digest_mismatches: []" not in lines:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} failed "
-                         f"{result['failed']} operations or mismatched a digest")
+        raise SystemExit(f"{where} failed {result['failed']} operations or "
+                         "mismatched a digest")
+    if trace and "sites_missing: []" not in lines:
+        raise SystemExit(f"{where} missed a tracing site")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def run_once(checkout, workload, seed, seconds, trace=False):
+    """The metric values of one run."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "1" if trace else "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    return read_result(f"{checkout}: {workload} seed {seed}", proc.returncode,
+                       proc.stdout, proc.stderr, trace)
 
 
 def iqr(values):
@@ -48,27 +64,44 @@ def iqr(values):
     return q3 - q1
 
 
-def compare(parent, change, workload, pairs, seconds, metrics):
+def summarize(samples, metrics):
+    """Per metric (name, better) that both sides report in every run:
+    (name, parent median, change median, relative move or None, pairs the
+    change won, parent IQR)."""
+    rows = []
+    for name, better in metrics:
+        if not all(name in s for side in samples.values() for s in side):
+            continue
+        old = [s[name] for s in samples["parent"]]
+        new = [s[name] for s in samples["change"]]
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        m_old, m_new = statistics.median(old), statistics.median(new)
+        move = (m_new - m_old) / m_old if m_old else None
+        rows.append((name, m_old, m_new, move, wins, iqr(old)))
+    return rows
+
+
+def compare(parent, change, workload, pairs, seconds, metrics, trace=False):
     samples = {"parent": [], "change": []}
     for i in range(pairs):
         sides = [("parent", parent), ("change", change)]
         if i % 2:
             sides.reverse()
         for side, checkout in sides:
-            samples[side].append(run_once(checkout, workload, i + 1, seconds))
+            samples[side].append(run_once(checkout, workload, i + 1, seconds,
+                                          trace))
         print(f"  pair {i + 1}/{pairs} done", file=sys.stderr)
-    print(f"{workload} ({pairs} pairs, {seconds:g} s, seeds 1..{pairs})")
-    print(f"  {'metric':<24}{'parent':>14}{'change':>14}{'move':>9}"
+    mode = ", traced" if trace else ""
+    print(f"{workload} ({pairs} pairs, {seconds:g} s{mode}, seeds 1..{pairs})")
+    width = max([24] + [len(name) + 2 for name, _ in metrics])
+    print(f"  {'metric':<{width}}{'parent':>14}{'change':>14}{'move':>9}"
           f"{'wins':>7}{'parent IQR':>13}")
-    for name, better in metrics:
-        old = [s[name] for s in samples["parent"]]
-        new = [s[name] for s in samples["change"]]
-        sign = 1 if better == "higher" else -1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
-        m_old, m_new = statistics.median(old), statistics.median(new)
-        move = f"{(m_new - m_old) / m_old:+.1%}" if m_old else "n/a"
-        print(f"  {name:<24}{m_old:>14.6g}{m_new:>14.6g}{move:>9}"
-              f"{wins:>4}/{pairs:<2}{iqr(old):>13.4g}")
+    for name, m_old, m_new, move, wins, spread in summarize(samples, metrics):
+        move = "n/a" if move is None else f"{move:+.1%}"
+        print(f"  {name:<{width}}{m_old:>14.6g}{m_new:>14.6g}{move:>9}"
+              f"{wins:>4}/{pairs:<2}{spread:>13.4g}")
+    return samples
 
 
 def main(argv=None):
@@ -78,14 +111,17 @@ def main(argv=None):
     ap.add_argument("--workload", action="append",
                     help="workload to run (repeatable); default: all in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--trace", action="store_true",
+                    help="run traced and compare the per-layer metrics")
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    table = bench["per_layer"] if args.trace else bench["end_to_end"]
+    metrics = [(m["name"], m["better"]) for m in table]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     for workload in workloads:
         compare(args.parent, args.change, workload, args.pairs,
-                bench["run_seconds"], metrics)
+                bench["run_seconds"], metrics, args.trace)
     return 0
 
 
