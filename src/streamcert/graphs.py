@@ -93,8 +93,9 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
     RelaxedOutcome whether the witness is unusable or the verifier rejects;
     a rejected run keeps its costs, an unusable witness (ConfigError while
     the honest prover forms its witness or maps the witness edges) has
-    none. Any other ConfigError, such as the extension grid's budget,
-    propagates."""
+    none, and its reject reason, in phase "begin", is "witness refused: "
+    and the ConfigError's text. Any other ConfigError, such as the
+    extension grid's budget, propagates."""
     meta = compute_meta(*stream_ids("edges", edges, n))
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
                   max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))
@@ -104,15 +105,16 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
             chunk, edges = witness()
             x_updates = [_edge_update(0, a, b) for a, b in edges]
         except ConfigError as exc:
-            raise _UnusableWitness from exc
+            raise _UnusableWitness(f"witness refused: {exc}") from exc
         return _RelaxedProver(shape, rng, chunk, x_updates)
 
     try:
         result = run_protocol(edges, seed, label, partial(verifier, n, shape),
                               honest, prover)
-    except _UnusableWitness:
+    except _UnusableWitness as exc:
         # the prover cannot even form its annotation
-        return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0))
+        return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0),
+                         {"reject": {"phase": "begin", "reason": str(exc)}})
     if result.rejected:
         result.outcome = RelaxedOutcome(False)
     return result

@@ -58,15 +58,22 @@ instances once, through the same step. The proofs depend only on the final
 vectors, so the annotation is the same as mapping every update; it is sent
 after the stream, so the prover stays prefix-causal.
 
-Both callers of MultiIndex (the engine's collision list and the standalone
-scheme) certify their claims, (ident, fstar, wstar) triples, through one
-call per side after the stream:
-MultiIndexProverCore.finish_chunks(claims) assigns the stages from the
-stage buckets of the net counts, which the engine's prover maps and counts
-itself and the standalone scheme's maps here, and returns the stage list
-and proofs (or an abort), and
-MultiIndexVerifierCore.end(claims, chunks) takes and checks them and
-returns ok.
+The MultiIndex cores are the standalone scheme's prover and verifier, and
+the engine drives the same interface for its collision list.
+MultiIndexProverCore.start() sends the stage hashes, which
+MultiIndexVerifierCore.begin takes. The prover sums each update per id
+with update(ident, delta), which the standalone scheme's on_update(u)
+feeds; the verifier maps each update as it arrives, with update(u) in the
+standalone scheme and through the engine's route in the engine. After the
+stream each side certifies the claims, (ident, fstar, wstar) triples, with
+one call. MultiIndexProverCore.finish_chunks(claims) runs once every net
+count is mapped and counted with occupy: finish(claims) maps them for the
+standalone scheme, and the engine's prover maps them through its own
+lanes. It assigns the stages and returns the stage list and proofs, or an
+abort. MultiIndexVerifierCore.end(chunks, claims) takes and checks them
+and returns Outcome.ok(1), or Outcome.ok(0) when a claim is wrong. The
+standalone scheme's claims are its run's query: they arrive after the
+stream.
 """
 
 import math
@@ -327,8 +334,14 @@ class _StageMap:
         self.marks[j] += 1
 
 
-class MultiIndexProverCore(_StageMap):
-    """Prover side of the staged frequency-batch certification."""
+class MultiIndexProverCore(_StageMap, Prover):
+    """Prover side of the staged frequency-batch certification, and the
+    standalone scheme's honest prover. start() sends the stage hashes and
+    update(ident, delta) sums each update per id, which on_update(u) feeds
+    in the standalone scheme. After the stream, finish_chunks(claims)
+    certifies the claims once the net counts are mapped: finish(claims)
+    maps them for the standalone scheme, the engine's prover through its
+    own lanes."""
 
     def __init__(self, shape: Shape, rng):
         hs = [random_pairwise_hash(shape.n_ids, shape.r, rng)
@@ -340,9 +353,14 @@ class MultiIndexProverCore(_StageMap):
         self.occupancy = [{} for _ in hs]  # per stage: bucket -> ids mapped
         self.mapped = set()
 
-    def start_chunks(self):
+    def start(self):
+        """The start annotation: the stage hashes."""
         bits = sum(h.bits for h in self.hs)
         return [Chunk("mi-hashes", list(self.hs), bits)]
+
+    def on_update(self, u):
+        """Sum one update of the standalone scheme."""
+        self.update(u.item, u.delta)
 
     def update(self, ident, delta):
         """Sum one update into ident's net count and absolute weight; the
@@ -366,27 +384,30 @@ class MultiIndexProverCore(_StageMap):
         for occ, b in zip(self.occupancy, buckets):
             occ[b] = occ.get(b, 0) + 1
 
-    def finish_chunks(self, entries, mapped=False):
-        """After the stream: maps each id's net count into the stages once,
-        gives each (ident, fstar, wstar) entry the first stage isolating it
-        from the ids mapped and enters it there. Returns the stage list and
-        the marked stages' proofs, or an abort if some entry has no stage.
-        mapped: the caller has mapped the net counts through its own lanes
-        and counted each id's stage buckets with occupy. Each stage hash is
-        evaluated once per id mapped and once per entry."""
-        if not mapped:
-            for ident, delta, weight in self.net_counts():
-                self.occupy(ident, self.feed(ident, delta, weight))
+    def finish(self, claims):
+        """The standalone scheme's end annotation: maps each id's net count
+        into the stages once, counting its stage buckets, and certifies the
+        claims."""
+        for ident, delta, weight in self.net_counts():
+            self.occupy(ident, self.feed(ident, delta, weight))
+        return self.finish_chunks(claims)
+
+    def finish_chunks(self, claims):
+        """Once every net count is mapped and counted with occupy: gives
+        each (ident, fstar, wstar) claim the first stage isolating it from
+        the ids mapped and enters it there. Returns the stage list and the
+        marked stages' proofs, or an abort if some claim has no stage. Each
+        stage hash is evaluated once per claim."""
         occupancy = self.occupancy
-        claimed = [self.buckets(e[0]) for e in entries]
+        claimed = [self.buckets(c[0]) for c in claims]
         stages = []
-        for (ident, _, _), buckets in zip(entries, claimed):
+        for (ident, _, _), buckets in zip(claims, claimed):
             own = 1 if ident in self.mapped else 0
             stages.append(next((j + 1 for j, b in enumerate(buckets)
                                 if occupancy[j].get(b, 0) == own), None))
         if None in stages:
             return [Chunk("mi-abort", None, 1)]
-        for (ident, fstar, wstar), s, buckets in zip(entries, stages, claimed):
+        for (ident, fstar, wstar), s, buckets in zip(claims, stages, claimed):
             self.entry(ident, fstar, s, wstar, buckets)
         chunks = [Chunk("mi-stages", stages, len(stages) * STAGE_BITS)]
         for insts, marked in zip(self.instances, self.marks):
@@ -401,16 +422,22 @@ class MultiIndexProverCore(_StageMap):
 _STAGE_PROOFS = ("purity", "frequency", "weight")
 
 
-class MultiIndexVerifierCore(_StageMap):
-    """Verifier side; one SubInjection-style state and one or two SubF2
-    states per stage, all over the same reduced universe. Adds the checks
-    on the prover's hashes, stage assignments and claimed frequencies."""
+class MultiIndexVerifierCore(_StageMap, Verifier):
+    """Verifier side, and the standalone scheme's verifier; one
+    SubInjection-style state and one or two SubF2 states per stage, all
+    over the same reduced universe. Adds the checks on the prover's hashes,
+    stage assignments and claimed frequencies. begin(chunks) takes the
+    stage hashes, update(u) maps each update of the standalone scheme (the
+    engine maps its own through its route), and end(chunks, claims)
+    certifies the claims after the stream."""
 
     def __init__(self, shape: Shape, rng):
         super().__init__(shape, lambda params: DenseVerifier(params, rng))
         self.hs = None
         self.weight_seen = 0
         self.stages_used = 0
+        self.word_bits = shape.field.bits
+        self.info = {}
 
     def begin(self, chunks):
         """Takes the start annotation's stage hashes."""
@@ -421,11 +448,11 @@ class MultiIndexVerifierCore(_StageMap):
             need(hash_fits(h, sh.n_ids, sh.r), "bad stage hash")
         self.use_hashes(hs)
 
-    def update(self, ident, delta):
+    def update(self, u):
         """Map one stream update of the standalone scheme."""
-        weight = abs(delta)
+        weight = abs(u.delta)
         self.weight_seen += weight
-        self.feed(ident, delta, weight)
+        self.feed(u.item, u.delta, weight)
 
     def entry(self, ident, fstar, stage, wstar=None):
         sh = self.shape
@@ -437,11 +464,12 @@ class MultiIndexVerifierCore(_StageMap):
         super().entry(ident, fstar, stage, wstar)
         self.stages_used = max(self.stages_used, stage)
 
-    def end(self, claims, chunks):
+    def end(self, chunks, claims):
         """Enters the (ident, fstar, wstar) claims at the stages the
         annotation assigns, then verifies the marked stages' proofs that
-        follow, taking both from chunks. Returns ok: 1 if every check
-        passed, 0 if a verified SubF2 value contradicts a claim. Rejects on
+        follow, taking both from chunks. Returns Outcome.ok(1) if every
+        check passed, Outcome.ok(0) if a verified SubF2 value contradicts a
+        claim, and records the stages used in info. Rejects on
         a malformed annotation, a failed proof or a nonzero purity value: a
         marked bucket that holds another id means the stage list is wrong,
         which says nothing of the claims."""
@@ -465,7 +493,8 @@ class MultiIndexVerifierCore(_StageMap):
                     need(v == 0, "marked bucket not isolated")
                 elif v != 0:
                     ok = 0
-        return ok
+        self.info["stages_used"] = self.stages_used
+        return Outcome.ok(ok)
 
     @property
     def words(self):
@@ -474,50 +503,13 @@ class MultiIndexVerifierCore(_StageMap):
         return total + hashes + self.shape.t_max + 4
 
 
-class _MultiIndexRunVerifier(Verifier):
-    def __init__(self, shape, claims, rng):
-        self.mi = MultiIndexVerifierCore(shape, rng)
-        self.claims = claims
-        self.word_bits = shape.field.bits
-        self.info = {}
-
-    def begin(self, chunks):
-        self.mi.begin(chunks)
-
-    def update(self, u):
-        self.mi.update(u.item, u.delta)
-
-    def end(self, chunks, query):
-        ok = self.mi.end(self.claims, chunks)
-        self.info["stages_used"] = self.mi.stages_used
-        return Outcome.ok(ok)
-
-    @property
-    def words(self):
-        return self.mi.words
-
-
-class _MultiIndexRunProver(Prover):
-    def __init__(self, shape, claims, rng):
-        self.mi = MultiIndexProverCore(shape, rng)
-        self.claims = claims
-
-    def start(self):
-        return self.mi.start_chunks()
-
-    def on_update(self, u):
-        self.mi.update(u.item, u.delta)
-
-    def finish(self, query):
-        return self.mi.finish_chunks(self.claims)
-
-
 def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult:
     """1 iff f_i equals the claimed f_i* for every (i, f_i*) in `claims`.
 
     Strict turnstile; the stage hash functions are fixed before the stream
-    and the claim list arrives after it. Raises ConfigError unless the
-    claims name distinct items of [0, n) with nonnegative counts."""
+    and the claim list, the run's query, arrives after it. Raises
+    ConfigError unless the claims name distinct items of [0, n) with
+    nonnegative counts."""
     if len({i for i, _ in claims}) != len(claims):
         raise ConfigError("claims must name distinct items")
     claims = check_counts(claims, n, "claimed item")
@@ -526,8 +518,8 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult
                   ell=max(2, len(claims)))
     claims = sorted((int(i), int(f), None) for i, f in claims)
     return run_protocol(updates, seed, "mi",
-                        partial(_MultiIndexRunVerifier, shape, claims),
-                        partial(_MultiIndexRunProver, shape, claims), prover)
+                        partial(MultiIndexVerifierCore, shape),
+                        partial(MultiIndexProverCore, shape), prover, claims)
 
 
 # --------------------------------------------------------------- online engine
@@ -618,7 +610,7 @@ class OnlineEngineProver(_EngineMap, Prover):
         self.use_hash(h)
 
     def start(self):
-        return [Chunk("hash", self.h, self.h.bits)] + self.mi.start_chunks()
+        return [Chunk("hash", self.h, self.h.bits)] + self.mi.start()
 
     def on_update(self, u):
         """Sum one update, u or a two-sided (side, u), into its id's
@@ -654,7 +646,7 @@ class OnlineEngineProver(_EngineMap, Prover):
 
         ebits = len(entries) * (id_bits(self.n) + (self.arity - 1) * COUNT_BITS)
         chunks = [Chunk("collision-list", entries, ebits)]
-        chunks.extend(self.mi.finish_chunks(claims, mapped=True))
+        chunks.extend(self.mi.finish_chunks(claims))
         if chunks[-1].kind == "mi-abort":
             return chunks
         inj_proof = self.main_inj.proof()
@@ -716,7 +708,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
                             else counts[0] ** key)
             claims += self.claims(e)
             self.remove(e)
-        ok = self.mi.end(claims, chunks)
+        ok = self.mi.end(chunks, claims).value
         need(ok == 1, "listed frequencies not certified")
         self.info["stages_used"] = self.mi.stages_used
 

@@ -266,7 +266,7 @@ class Verifier:
         return 0
 
 
-def need(condition, why=""):
+def need(condition, why):
     """Check an annotation property, rejecting the run when it fails."""
     if not condition:
         raise Reject(why)

@@ -218,6 +218,9 @@ def test_cli_unusable_tree_witness_rejects_with_exit_2(tmp_path, capsys):
     rc, out = _cli_json(capsys, ["connectivity", "--input", str(paths["edges"]),
                                  "--witness-file", str(short)])
     assert rc == 2 and out["outcome"] == "reject" and "value" not in out
+    assert out["phase"] == "begin"
+    assert out["reason"] == ("witness refused: "
+                             "witness edges do not span the graph")
 
 
 
@@ -232,6 +235,8 @@ def test_cli_self_loop_witness_rejects_with_exit_2(scheme, witness, tmp_path,
     rc, out = _cli_json(capsys, [scheme, "--input", str(paths["edges"]),
                                  "--witness-file", str(looped)])
     assert rc == 2 and out["outcome"] == "reject" and "value" not in out
+    assert out["phase"] == "begin"
+    assert out["reason"] == "witness refused: self loop at vertex 2"
 
 
 def test_cli_grid_budget_refusal_exits_1(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,8 @@ from streamcert.moments import (MODE_AMA, MODE_FOOTPRINT, MODE_STRICT,
 from streamcert.pointqueries import open_buckets
 from streamcert.protocol import Chunk, ConfigError, Reject
 from streamcert.purity import purity_deltas
-from streamcert.streams import (StreamUpdate as U, compute_meta,
+from streamcert.streams import (STRICT, ModelViolation, StreamUpdate as U,
+                                compute_meta, validate_stream,
                                 random_pairwise_hash)
 
 from conftest import (bad_hash, freq_oracle, moment_oracle, rewrite_chunk,
@@ -202,6 +203,35 @@ def test_ama_mode_never_wrong_on_fooling_pattern(rng):
             assert r.value == want
 
 
+def test_footprint_pays_for_ghosts_ama_does_not():
+    """The online MA/AMA separation: T ghost items, each deleted and then
+    re-inserted, net to zero, so the stream is not strict. Footprint mode,
+    the online-MA scheme, pays for every id the stream touches; AMA mode
+    pays for the sparsity alone, with public coins."""
+    ids = random.Random(13).sample(range(N20), 50 + 1600)
+    live, ghosts = ids[:50], ids[50:]
+    ups = [U(i, 1 + k % 3) for k, i in enumerate(live)]
+    want = moment_oracle(ups, 2)
+    costs = {}
+    for t in (0, 100, 400, 1600):
+        stream = list(ups)
+        for g in ghosts[:t]:
+            stream += [U(g, -1), U(g, 1)]
+        if t:
+            with pytest.raises(ModelViolation):
+                validate_stream(stream, N20, STRICT)
+        else:
+            validate_stream(stream, N20, STRICT)
+        runs = (fk_footprint_mode(stream, N20, 2, 16),
+                fk_ama_mode(stream, N20, 2, 16))
+        assert [r.value for r in runs] == [want, want]
+        costs[t] = [(r.cost.hcost_bits, r.cost.vcost_words) for r in runs]
+    footprint = [costs[t][0][0] for t in sorted(costs)]
+    assert footprint == sorted(set(footprint))  # strictly rising
+    assert len({costs[t][1] for t in costs}) == 1  # AMA's costs never move
+    assert costs[1600][0][0] > costs[1600][1][0]
+
+
 # ------------------------------------------------------------------ MultiIndex
 
 
@@ -240,7 +270,7 @@ def test_multiindex_finish_hashes_each_id_once_per_stage(monkeypatch, rng):
     # in place: the stage mapping step holds the key list
     core.hkeys[:] = [(CountedA(a), b, p, r) for a, b, p, r in core.hkeys]
     monkeypatch.setattr(streams.PairwiseHash, "__call__", _no_hash_call)
-    chunks = core.finish_chunks(entries)
+    chunks = core.finish(entries)
     assert chunks[0].kind == "mi-stages"
     assert evals[0] == core.shape.t_max * (len(items) - 1 + len(entries))
 
@@ -279,31 +309,33 @@ def test_multiindex_single_wrong_claim(rng):
         assert r.rejected or r.value == 0
 
 
-class _MisplacedFirstClaim(ChunkTamper):
-    """Standalone MultiIndex prover that gives the first claim a stage where
-    its bucket holds another mapped id, then proves those marks honestly.
-    forged records whether such a stage existed."""
+class _MisplacedFirstClaim(MultiIndexProverCore):
+    """MultiIndex prover that gives the first claim a stage where its bucket
+    holds another mapped id, then proves those marks honestly. Each
+    finish_chunks call appends to `forged` whether such a stage existed;
+    without one it sends the honest annotation. Patched in for
+    moments.MultiIndexProverCore by _misplace_first_claim, it serves the
+    standalone scheme and the online engine alike."""
 
-    forged = False
+    forged = []
 
-    def finish(self, query):
-        mi, claims = self.inner.mi, self.inner.claims
-        occupancy = [{} for _ in mi.hs]
-        for ident, delta, weight in mi.net_counts():
-            for occ, b in zip(occupancy, mi.feed(ident, delta, weight)):
-                occ[b] = occ.get(b, 0) + 1
-        # every claim names a mapped id, so a stage isolates it at count 1
-        stages = [next((j + 1 for j, b in enumerate(mi.buckets(i))
-                        if occupancy[j][b] == 1), 1) for i, _, _ in claims]
-        shared = [j + 1 for j, b in enumerate(mi.buckets(claims[0][0]))
-                  if occupancy[j][b] > 1]
-        if shared:
-            stages[0] = shared[0]
-            self.forged = True
+    def finish_chunks(self, claims):
+        occupancy = self.occupancy
+        claimed = [self.buckets(i) for i, _, _ in claims]
+        own = [1 if i in self.mapped else 0 for i, _, _ in claims]
+        stages = [next((j + 1 for j, b in enumerate(buckets)
+                        if occupancy[j].get(b, 0) == o), None)
+                  for buckets, o in zip(claimed, own)]
+        shared = [j + 1 for j, b in enumerate(claimed[0] if claims else ())
+                  if occupancy[j].get(b, 0) > own[0]]
+        self.forged.append(bool(shared) and None not in stages)
+        if not self.forged[-1]:
+            return super().finish_chunks(claims)
+        stages[0] = shared[0]
         for (ident, fstar, wstar), s in zip(claims, stages):
-            mi.entry(ident, fstar, s, wstar)
+            self.entry(ident, fstar, s, wstar)
         chunks = [Chunk("mi-stages", stages, 16 * len(stages))]
-        for insts, marked in zip(mi.instances, mi.marks):
+        for insts, marked in zip(self.instances, self.marks):
             if marked:
                 proofs = [inst.proof() for inst in insts]
                 chunks.append(Chunk("mi-stage-proof", proofs,
@@ -311,27 +343,32 @@ class _MisplacedFirstClaim(ChunkTamper):
         return chunks
 
 
-def test_multiindex_stage_list_that_does_not_isolate_rejected():
+def _misplace_first_claim(monkeypatch):
+    """Build every MultiIndex prover as a _MisplacedFirstClaim; returns the
+    list of whether each run's first claim was moved."""
+    monkeypatch.setattr(_MisplacedFirstClaim, "forged", [])
+    monkeypatch.setattr(moments, "MultiIndexProverCore", _MisplacedFirstClaim)
+    return _MisplacedFirstClaim.forged
+
+
+def test_multiindex_stage_list_that_does_not_isolate_rejected(monkeypatch):
     """Correct claims with a stage list that puts the first claim in a shared
     bucket: the impure mark is a wrong stage list, not a wrong claim, so the
     run gives ⊥, never 0."""
     ups = strict_stream(random.Random(5), N20, 60, churn=0.0)
     freq = freq_oracle(ups)
     claims = [(i, freq[i]) for i in sorted(freq)[:20]]
-    forged = 0
     for seed in range(40):
         assert multiindex_run(ups, N20, claims, 16, seed=seed).value == 1
-        provers = []
-
-        def forge(honest):
-            provers.append(_MisplacedFirstClaim(honest, list))
-            return provers[-1]
-
-        r = multiindex_run(ups, N20, claims, 16, seed=seed, prover=forge)
-        if provers[0].forged:
-            forged += 1
+    forged = _misplace_first_claim(monkeypatch)
+    for seed in range(40):
+        r = multiindex_run(ups, N20, claims, 16, seed=seed)
+        if forged[-1]:
             assert r.rejected
-    assert forged >= 20
+            assert r.info["reject"]["reason"] == "marked bucket not isolated"
+        else:
+            assert r.value == 1
+    assert sum(forged) >= 20
 
 
 @pytest.mark.parametrize("c_v", [2, 4, 8])
@@ -422,6 +459,77 @@ def test_multiindex_annotation_tampering_rejected(run, tamper):
     assert MI_RUNS[run](None).accepted
     r = MI_RUNS[run](lambda honest: ChunkTamper(honest, MI_TAMPERS[tamper]))
     assert r.rejected
+
+
+# ------------------- adversaries that lie before the end-of-stream proofs
+# Strict F2 with c_v = 16 over 300 items: every seed's universe hash leaves
+# collided buckets, so each lie has a list to tamper with.
+
+
+def _engine_lies(monkeypatch, liar, seeds=20):
+    """Reject reasons of strict F2 runs whose prover is liar, patched in for
+    moments.OnlineEngineProver; an accepted run must hold the exact F2."""
+    monkeypatch.setattr(moments, "OnlineEngineProver", liar)
+    reasons = []
+    for seed in range(seeds):
+        ups = strict_stream(random.Random(seed), N20, 300)
+        r = fk_online_run(ups, N20, 2, 16, seed=seed)
+        assert r.rejected or r.value == moment_oracle(ups, 2)
+        reasons.append(r.info["reject"]["reason"] if r.rejected else None)
+    return reasons
+
+
+class _OmitsOneBucket(OnlineEngineProver):
+    """Maps every count honestly, but leaves every item of one collided
+    bucket off the collision list, so it neither removes nor claims them.
+    (Leaving out one item of a pair would not lie: the other item alone is
+    then isolated.)"""
+
+    def finish(self, query):
+        held = {}
+        for ident, _, _ in self.mi.net_counts():
+            held.setdefault(self.bucket(ident), []).append(ident)
+        hidden = min(b for b, ids in held.items() if len(ids) > 1)
+        route = self.routes[0]
+
+        def step(item, *args):  # a bucket of its own for each hidden item
+            b, *stage_buckets = route(item, *args)
+            return [-1 - item if b == hidden else b, *stage_buckets]
+        self.routes = [step]
+        return super().finish(query)
+
+
+class _PhantomItem(OnlineEngineProver):
+    """Adds an item the stream never held, in a live item's bucket, as if it
+    had been streamed once: it is then listed and claimed with count 1."""
+
+    def finish(self, query):
+        freq = self.mi.freq
+        live = {self.bucket(i) for i in freq}
+        phantom = next(x for x in range(self.n)
+                       if x not in freq and self.bucket(x) in live)
+        self.mi.update(phantom, 1)
+        return super().finish(query)
+
+
+def test_fk_collision_list_that_omits_a_bucket_rejected(monkeypatch):
+    reasons = _engine_lies(monkeypatch, _OmitsOneBucket)
+    assert reasons == ["mapping not injective on the remainder"] * 20
+
+
+def test_fk_collision_list_with_phantom_item_rejected(monkeypatch):
+    reasons = _engine_lies(monkeypatch, _PhantomItem)
+    assert reasons == ["stage purity proof failed"] * 20
+
+
+def test_fk_stage_list_that_does_not_isolate_rejected(monkeypatch):
+    """The standalone scheme's forger, behind the engine: the first listed
+    claim moves to a stage where its bucket is shared."""
+    forged = _misplace_first_claim(monkeypatch)
+    reasons = _engine_lies(monkeypatch, OnlineEngineProver)
+    assert len(forged) == 20 and sum(forged) >= 10
+    for moved, reason in zip(forged, reasons):
+        assert reason == ("marked bucket not isolated" if moved else None)
 
 
 # ---------------------------------------------------------------- disjointness
