@@ -31,9 +31,10 @@ One mapping step, built by _StageMap.route, takes a count from hash to
 bucket to lane for both: it computes the count's buckets from the hashes'
 fields (a, b, p, r), read once when the hashes are taken, and its purity
 terms once, however many instances take them, and makes one call of a
-lane bank (sumcheck.lane_bank). In the engine that bank has 1 + t_max
-lanes per side: the main instance with the main injection, then every
-stage's SubF2 with its purity check, so a stream update is one bank call.
+lane bank (sumcheck.lane_bank). In the engine verifier that bank has
+1 + t_max lanes per side: the main instance with the main injection, then
+every stage's SubF2 with its purity check, so a stream update is one bank
+call. The engine prover's bank has the first lane only.
 On the verifier side the bank writes the rows directly, with no call per
 instance or per hash.
 
@@ -56,7 +57,11 @@ its absolute weight for footprint mode) in MultiIndexProverCore.freq and
 .absw, and at the end of the stream maps each id the stream leaves in the
 instances once, through the same step. The proofs depend only on the final
 vectors, so the annotation is the same as mapping every update; it is sent
-after the stream, so the prover stays prefix-causal.
+after the stream, so the prover stays prefix-causal. The prover maps an id
+into a MultiIndex stage only once the stages are assigned, and only into
+the stages some claim is marked at: no other stage sends a proof. It
+counts the ids' buckets at every stage first, which the assignment
+needs.
 
 The MultiIndex cores are the standalone scheme's prover and verifier, and
 the engine drives the same interface for its collision list.
@@ -66,10 +71,12 @@ with update(ident, delta), which the standalone scheme's on_update(u)
 feeds; the verifier maps each update as it arrives, with update(u) in the
 standalone scheme and through the engine's route in the engine. After the
 stream each side certifies the claims, (ident, fstar, wstar) triples, with
-one call. MultiIndexProverCore.finish_chunks(claims) runs once every net
-count is mapped and counted with occupy: finish(claims) maps them for the
-standalone scheme, and the engine's prover maps them through its own
-lanes. It assigns the stages and returns the stage list and proofs, or an
+one call. MultiIndexProverCore.finish_chunks(claims) runs once every id
+the stream leaves is counted in its stage buckets with occupy:
+finish(claims) counts them for the standalone scheme, and the engine's
+prover from the buckets its route returns as it maps the main instances.
+It assigns the stages, enters the claims and maps the net counts into the
+marked stages (stage_proofs), and returns the stage list and proofs, or an
 abort. MultiIndexVerifierCore.end(chunks, claims) takes and checks them
 and returns Outcome.ok(1), or Outcome.ok(0) when a claim is wrong. The
 standalone scheme's claims are its run's query: they arrive after the
@@ -78,7 +85,6 @@ stream.
 
 import math
 from functools import partial
-from itertools import repeat
 
 from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
@@ -271,23 +277,28 @@ class _StageMap:
         """ident's bucket at each stage."""
         return [(a * ident + b) % p % r for a, b, p, r in self.hkeys]
 
-    def route(self, keys, head=(), more=()):
+    def route(self, keys, head=(), more=(), stages=None):
         """The mapping step step(x, ident, delta, weight) over a lane bank of
         the lanes in head, each (count instance, vector j, purity sink),
-        then each stage's net-count SubF2 (vector 0) with its purity check,
-        keyed by keys, one (a, b, p, r) a lane.
+        then the net-count SubF2 (vector 0) with its purity check of each
+        stage in `stages` (indices from 0; every stage when None), keyed by
+        keys, one (a, b, p, r) a lane. Keys past the lanes give buckets
+        only.
 
         step maps the count delta, of absolute update weight `weight`, of
         x, id `ident` in the stages, and returns its buckets: x's under
         the keys. The head lanes take x's purity terms, the stage lanes
         ident's. Each (instance, vector j) of more takes delta at the
         first bucket, and the footprint SubF2 over the absolute weights
-        takes weight at the stage buckets."""
-        bank = lane_bank([*head, *zip(self.sf_net, repeat(0), self.sinks)])
+        takes weight at the routed stages' buckets."""
+        if stages is None:
+            stages = range(self.shape.t_max)
+        bank = lane_bank([*head, *((self.sf_net[j], 0, self.sinks[j])
+                                   for j in stages)])
         terms_of, field = self.shape.terms_of, self.shape.field_purity
         footprint = self.sf_abs is not None
-        first = len(keys) - self.shape.t_max
-        weights = list(enumerate(self.sf_abs or (), first))
+        weights = ([(k, self.sf_abs[j]) for k, j in enumerate(stages, len(head))]
+                   if footprint else [])
 
         def step(x, ident, delta, weight):
             occ = weight if footprint else delta  # Shape.occupancy, inline
@@ -308,13 +319,16 @@ class _StageMap:
         into every stage. Returns ident's bucket at each stage."""
         return self.feed_stages(ident, ident, delta, weight)
 
-    def entry(self, ident, fstar, stage, wstar=None, buckets=None):
-        """Enter one claim at its stage. buckets: ident's bucket at each
-        stage, when the caller has them."""
+    def entry(self, ident, fstar, stage, wstar=None, buckets=None,
+              stages=None):
+        """Enter one claim at its stage, taking its claimed frequency out of
+        each stage in `stages` (indices from 0; every stage when None).
+        buckets: ident's bucket at each stage, when the caller has them."""
         sh = self.shape
         if buckets is None:
             buckets = self.buckets(ident)
-        for j, b in enumerate(buckets):
+        for j in range(len(buckets)) if stages is None else stages:
+            b = buckets[j]
             self.sf_net[j].update(0, b, -fstar)
             if self.sf_abs is not None:
                 self.sf_abs[j].update(0, b, -wstar)
@@ -339,9 +353,10 @@ class MultiIndexProverCore(_StageMap, Prover):
     standalone scheme's honest prover. start() sends the stage hashes and
     update(ident, delta) sums each update per id, which on_update(u) feeds
     in the standalone scheme. After the stream, finish_chunks(claims)
-    certifies the claims once the net counts are mapped: finish(claims)
-    maps them for the standalone scheme, the engine's prover through its
-    own lanes."""
+    certifies the claims once every id's stage buckets are counted with
+    occupy: finish(claims) counts them for the standalone scheme, the
+    engine's prover from its own route. Only the stages a claim is marked
+    at are mapped and proven (stage_proofs)."""
 
     def __init__(self, shape: Shape, rng):
         hs = [random_pairwise_hash(shape.n_ids, shape.r, rng)
@@ -385,19 +400,19 @@ class MultiIndexProverCore(_StageMap, Prover):
             occ[b] = occ.get(b, 0) + 1
 
     def finish(self, claims):
-        """The standalone scheme's end annotation: maps each id's net count
-        into the stages once, counting its stage buckets, and certifies the
+        """The standalone scheme's end annotation: counts each id the stream
+        leaves in the instances in its stage buckets, and certifies the
         claims."""
-        for ident, delta, weight in self.net_counts():
-            self.occupy(ident, self.feed(ident, delta, weight))
+        for ident, _, _ in self.net_counts():
+            self.occupy(ident, self.buckets(ident))
         return self.finish_chunks(claims)
 
     def finish_chunks(self, claims):
-        """Once every net count is mapped and counted with occupy: gives
+        """Once every id the stream leaves is counted with occupy: gives
         each (ident, fstar, wstar) claim the first stage isolating it from
-        the ids mapped and enters it there. Returns the stage list and the
-        marked stages' proofs, or an abort if some claim has no stage. Each
-        stage hash is evaluated once per claim."""
+        the ids counted and enters it there. Returns the stage list and the
+        marked stages' proofs, or an abort, with no stage mapped, if some
+        claim has no stage. Each stage hash is evaluated once per claim."""
         occupancy = self.occupancy
         claimed = [self.buckets(c[0]) for c in claims]
         stages = []
@@ -407,14 +422,27 @@ class MultiIndexProverCore(_StageMap, Prover):
                                 if occupancy[j].get(b, 0) == own), None))
         if None in stages:
             return [Chunk("mi-abort", None, 1)]
+        return [Chunk("mi-stages", stages, len(stages) * STAGE_BITS),
+                *self.stage_proofs(claims, stages, claimed)]
+
+    def stage_proofs(self, claims, stages, claimed):
+        """Enters each (ident, fstar, wstar) claim at its stage in `stages`
+        (from 1), claimed holding its bucket at each stage, maps each id's
+        net count, and returns the proof chunks of the stages marked, in
+        stage order. Only the marked stages take anything: the others send
+        no proof, and each instance is a sum, whatever order its updates
+        come in."""
+        marked = sorted({s - 1 for s in stages})
         for (ident, fstar, wstar), s, buckets in zip(claims, stages, claimed):
-            self.entry(ident, fstar, s, wstar, buckets)
-        chunks = [Chunk("mi-stages", stages, len(stages) * STAGE_BITS)]
-        for insts, marked in zip(self.instances, self.marks):
-            if marked:
-                proofs = [inst.proof() for inst in insts]
-                chunks.append(Chunk("mi-stage-proof", proofs,
-                                    sum(p.bits for p in proofs)))
+            self.entry(ident, fstar, s, wstar, buckets, marked)
+        step = self.route([self.hkeys[j] for j in marked], stages=marked)
+        for ident, delta, weight in self.net_counts():
+            step(ident, ident, delta, weight)
+        chunks = []
+        for j in marked:
+            proofs = [inst.proof() for inst in self.instances[j]]
+            chunks.append(Chunk("mi-stage-proof", proofs,
+                                sum(p.bits for p in proofs)))
         return chunks
 
 
@@ -546,7 +574,9 @@ class _EngineMap:
     key (a * sides, a * s + b, p, r), so hashing item i with it is hashing
     id i * sides + s, and one comprehension over the item gives all
     1 + t_max buckets. Further main instances (fk_online_multi with several
-    orders) take plain updates."""
+    orders) take plain updates. The prover's routes have lane 0 alone and
+    still return all 1 + t_max buckets; its stages are mapped later, by
+    MultiIndexProverCore.stage_proofs."""
 
     def __init__(self, shape: Shape, dense, mi):
         self.shape = shape
@@ -561,9 +591,11 @@ class _EngineMap:
             mark_all(self.main_inj)
         self.arity = 1 + self.sides + (shape.mode == MODE_FOOTPRINT)
 
-    def use_hash(self, h):
+    def use_hash(self, h, stages=None):
         """Take the universe hash, once the stages have their hashes, and
-        build each side's route."""
+        build each side's route, with the lanes of the stages in `stages`
+        (every stage when None); its step returns all 1 + t_max buckets
+        either way."""
         self.h = h
         self.hkey = (h.a, h.b, h.p, h.r)
         sides = self.sides
@@ -572,7 +604,7 @@ class _EngineMap:
             self.mi.route([self.hkey] + [(a * sides, a * s + b, p, r)
                                          for a, b, p, r in self.mi.hkeys],
                           [(first, s, self.main_sink)],
-                          [(main, s) for main in more])
+                          [(main, s) for main in more], stages)
             for s in range(sides)]
 
     def bucket(self, item):
@@ -602,12 +634,14 @@ class _EngineMap:
 
 class OnlineEngineProver(_EngineMap, Prover):
     """Honest prover for the universe-reduction schemes. It sums the
-    updates per id and maps each id's net count once, at finish."""
+    updates per id and, at finish, maps each id's net count once into the
+    main instances and the main injection; the MultiIndex core maps it
+    into the marked stages once the stages are assigned."""
 
     def __init__(self, shape: Shape, rng):
         h = random_pairwise_hash(shape.n, shape.r, rng)
         super().__init__(shape, DenseProver, MultiIndexProverCore(shape, rng))
-        self.use_hash(h)
+        self.use_hash(h, stages=())
 
     def start(self):
         return [Chunk("hash", self.h, self.h.bits)] + self.mi.start()
@@ -622,8 +656,9 @@ class OnlineEngineProver(_EngineMap, Prover):
         self.mi.update(su.item * self.sides + side, su.delta)
 
     def finish(self, query):
-        """Maps each id's net count once, listing the items that share their
-        bucket with another item as it goes, and certifies the list."""
+        """Maps each id's net count once into the head lane, counting its
+        stage buckets and listing the items that share their bucket with
+        another item as it goes, and certifies the list."""
         sides = self.sides
         held = {}  # bucket -> the items mapped there
         for ident, delta, weight in self.mi.net_counts():

@@ -40,6 +40,11 @@ extension point p >= c,
 so factorials and their inverses up to s - 1 (s = proof_len) give every
 column. This needs s - 1 < q, which DenseParams guarantees by requiring
 q > proof_len.
+
+The columns are kept in segments of c_a - 1 extension points (_ExtGrid),
+and a proof of degree d multiplies, unpacks and folds d - 1 of them, each
+filling its own slice of b's values. So a degree-2 proof does the same work
+whether or not a degree-3 proof of the same shape has grown the grid.
 """
 
 from dataclasses import dataclass
@@ -204,8 +209,13 @@ def lane_bank(lanes):
     shape, each lane is one floor division and one remainder, two
     Lagrange-row lookups and four unreduced row additions, written out
     here, into the row lists that DenseVerifier.rows returns; over anything else (a DenseProver, an AMA
-    purity adapter) add makes the update and add_purity calls."""
+    purity adapter) add makes the update and add_purity calls. With no
+    lanes add does nothing."""
     lanes = list(lanes)
+    if not lanes:
+        def add(buckets, delta, head, terms):
+            pass
+        return add
     if not all(type(count) is DenseVerifier and type(sink) is DenseVerifier
                and count.c_v == sink.c_v and len(count.lrow) == len(sink.lrow)
                for count, _, sink in lanes):
@@ -244,63 +254,78 @@ def _limb_bytes(field: Field, c_a: int) -> int:
 
 
 class _ExtGrid:
-    """Packed Lagrange extension columns for one (field, c_a) shape.
+    """Packed Lagrange extension columns for one (field, c_a) shape, in
+    segments of seg_len = c_a - 1 extension points (1 when c_a = 1).
 
-    For extension points p = c_a .. s-1, column x packs L_x(p) over all p
-    into one integer, one limb per point. A sparse cell (x, y) with value v
-    then contributes to every point of column y with the single bigint
-    multiply pack[x] * v.
+    Segment k covers the points p = c_a + k * seg_len onward: its column x
+    packs L_x(p) over those points into one integer, one limb per point. A
+    sparse cell (x, y) with value v then contributes to every point of a
+    segment in column y with the single bigint multiply segment[x] * v. A
+    degree-d proof has (d - 1)(c_a - 1) extension points, so it reads
+    segments 0 .. d - 2 and no limb past them, however far a proof of
+    higher degree has grown the grid; the segments together hold exactly
+    the limbs of one grid as wide as the widest proof.
 
     The limbs come from the closed form L_x(p) = C(p) * w_x * inv(p - x)
-    (module docstring), with inv(k) = (k-1)!/k! for k in 1 .. s-1: tables
-    of k! and 1/k! up to s - 1, from one modular inverse per build. The
-    caller keeps s <= proof_len < q, as DenseParams requires, so every such
-    k is invertible.
+    (module docstring), with inv(k) = (k-1)!/k! for k in 1 .. t-1, where t
+    is one past the last point the segments cover: tables of k! and 1/k!
+    up to t - 1, from one modular inverse per ensure call. A proof asks
+    for s = proof_len, which ends a segment, so t = proof_len < q, as
+    DenseParams requires, and every such k is invertible.
     """
 
     def __init__(self, field: Field, c_a: int):
         self.field = field
         self.c_a = c_a
         self.limb_bytes = _limb_bytes(field, c_a)
-        self.s = c_a
-        self.pack = []
-        self.slices = []
+        self.seg_len = max(1, c_a - 1)
+        self.segments = []
+        lb = self.limb_bytes
+        self.slices = [slice(e * lb, (e + 1) * lb) for e in range(self.seg_len)]
+
+    @property
+    def s(self):
+        """One past the last extension point the segments cover."""
+        return self.c_a + len(self.segments) * self.seg_len
 
     def ensure(self, s: int):
-        if s <= self.s:
+        """Build the segments still missing to cover the points below s."""
+        c, n = self.c_a, self.seg_len
+        have, want = len(self.segments), -(-(s - c) // n)
+        if want <= have:
             return
         q = self.field.q
-        c = self.c_a
-        ext = s - c
-        fact = list(accumulate(range(1, s), lambda a, k: a * k % q, initial=1))
-        invfact = inverse_factorials(self.field, s)
-        cp = [fact[c + e] * invfact[e] % q for e in range(ext)]
-        inv = [0] + [fact[k - 1] * invfact[k] % q for k in range(1, s)]
-        lbs, little = repeat(self.limb_bytes), repeat("little")
-        pack = []
+        top = c + want * n
+        fact = list(accumulate(range(1, top), lambda a, k: a * k % q, initial=1))
+        invfact = inverse_factorials(self.field, top)
+        inv = [0] + [fact[k - 1] * invfact[k] % q for k in range(1, top)]
+        ws = []
         for x in range(c):
             w = invfact[x] * invfact[c - 1 - x] % q
-            if (c - 1 - x) & 1:
-                w = q - w
-            # p - x runs over c - x .. s - 1 - x as p runs over c .. s - 1
-            vals = [a * b * w % q for a, b in zip(cp, inv[c - x:c - x + ext])]
-            pack.append(int.from_bytes(
-                b"".join(map(int.to_bytes, vals, lbs, little)), "little"))
-        self.pack = pack
-        self.slices = [slice(e * self.limb_bytes, (e + 1) * self.limb_bytes)
-                       for e in range(ext)]
-        self.s = s
+            ws.append(q - w if (c - 1 - x) & 1 else w)
+        lbs, little = repeat(self.limb_bytes), repeat("little")
+        for k in range(have, want):
+            p0 = c + k * n
+            cp = [fact[p] * invfact[p - c] % q for p in range(p0, p0 + n)]
+            segment = []
+            for x, w in enumerate(ws):
+                # p - x runs over p0 - x .. p0 + n - 1 - x
+                vals = [a * b * w % q for a, b in zip(cp, inv[p0 - x:p0 - x + n])]
+                segment.append(int.from_bytes(
+                    b"".join(map(int.to_bytes, vals, lbs, little)), "little"))
+            self.segments.append(segment)
 
-    def unpack(self, acc: int, ext: int):
-        """The first ext limbs of a packed accumulator, as integers congruent
-        to the field elements they stand for (not reduced mod q)."""
-        raw = acc.to_bytes((self.s - self.c_a) * self.limb_bytes, "little")
-        return list(map(int.from_bytes, map(raw.__getitem__, self.slices[:ext]),
+    def unpack(self, acc: int):
+        """The seg_len limbs of a packed accumulator over one segment, as
+        integers congruent to the field elements they stand for (not
+        reduced mod q)."""
+        raw = acc.to_bytes(self.seg_len * self.limb_bytes, "little")
+        return list(map(int.from_bytes, map(raw.__getitem__, self.slices),
                         repeat("little")))
 
     @property
     def nbytes(self):
-        return len(self.pack) * (self.s - self.c_a) * self.limb_bytes
+        return len(self.segments) * self.c_a * self.seg_len * self.limb_bytes
 
 
 _EXT_CACHE: dict = {}
@@ -357,7 +382,8 @@ class DenseProver:
         """b on {0, ..., s-1}, summing g over the nonzero cells only (g
         vanishes at zero) of the columns where the gate vector, if any, is
         nonzero somewhere: grid points read the cells, extension points
-        their packed Lagrange columns, folded unreduced and reduced once."""
+        their packed Lagrange columns one grid segment at a time, folded
+        unreduced and reduced once."""
         p = self.params
         q = self.field.q
         g = p.g
@@ -385,24 +411,26 @@ class DenseProver:
         ext = s - c_a
         if ext:
             grid = _ext_grid(self.field, c_a, s)
-            pack = grid.pack
-            cols = {}
-            for (x, y), vals in cells.items():
-                col = pack[x]
-                accs = cols.get(y)
-                if accs is None:
-                    accs = cols[y] = [0] * p.vectors
-                for j, v in enumerate(vals):
-                    if v == 1:
-                        accs[j] += col
-                    elif v:
-                        accs[j] += col * v
-            zeros = [0] * ext
-            bext = zeros
-            for accs in cols.values():
-                limbs = [grid.unpack(a, ext) if a else zeros for a in accs]
-                bext = list(map(add, bext, map(g, zip(*limbs))))
-            values[c_a:] = [b % q for b in bext]
+            n = grid.seg_len
+            zeros = [0] * n
+            for k, segment in enumerate(grid.segments[:ext // n]):
+                cols = {}
+                for (x, y), vals in cells.items():
+                    col = segment[x]
+                    accs = cols.get(y)
+                    if accs is None:
+                        accs = cols[y] = [0] * p.vectors
+                    for j, v in enumerate(vals):
+                        if v == 1:
+                            accs[j] += col
+                        elif v:
+                            accs[j] += col * v
+                bext = zeros
+                for accs in cols.values():
+                    limbs = [grid.unpack(a) if a else zeros for a in accs]
+                    bext = list(map(add, bext, map(g, zip(*limbs))))
+                start = c_a + k * n
+                values[start:start + n] = [b % q for b in bext]
 
         return DenseProof(values, self.field.bits)
 

@@ -13,7 +13,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [("run_s", "lower"), ("verifier_updates_per_s", "higher")]
+METRICS = [("run_s", "lower", 0.25), ("verifier_updates_per_s", "higher", 0.25)]
 
 
 def _stub_runs(monkeypatch, values):
@@ -47,26 +47,57 @@ def test_pairs_alternate_and_count_wins(monkeypatch, capsys):
         ("P", 3), ("C", 3), ("C", 4), ("P", 4)]
     assert all(c[1:2] == ("fk-churn",) and c[3:] == (15, True) for c in calls)
     rows = {r[0]: r for r in bench_pairs.summarize(samples, METRICS)}
-    name, m_old, m_new, move, wins, spread = rows["run_s"]
-    assert (m_old, m_new, wins) == (2.5, 2.0, 3)
+    name, m_old, m_new, move, wins, spread, over = rows["run_s"]
+    assert (m_old, m_new, wins, over) == (2.5, 2.0, 3, False)
     assert move == pytest.approx(-0.2)
     # quartiles of 1, 2, 3, 4 (exclusive method): 1.25 and 3.75
     assert spread == pytest.approx(2.5)
     assert rows["verifier_updates_per_s"][4] == 3
     out = capsys.readouterr().out
     assert "fk-churn (4 pairs, 15 s, traced, seeds 1..4)" in out
-    assert "-20.0%" in out and "3/4" in out
+    assert "-20.0%" in out and "3/4" in out and "OVER BOUND" not in out
+
+
+@pytest.mark.parametrize("better, old, new, over", [
+    ("lower", 1.0, 1.25, False),   # worse by the bound exactly
+    ("lower", 1.0, 1.26, True),
+    ("lower", 1.0, 0.5, False),    # better
+    ("higher", 100.0, 75.0, False),
+    ("higher", 100.0, 74.0, True),
+    ("higher", 100.0, 200.0, False),
+    ("lower", 0.0, 0.1, True),     # any worsening of a zero median
+    ("lower", 0.0, 0.0, False),
+], ids=["lower-at-bound", "lower-over", "lower-better", "higher-at-bound",
+        "higher-over", "higher-better", "zero-worse", "zero-same"])
+def test_summary_flags_a_median_worse_than_its_bound(better, old, new, over):
+    samples = {"parent": [{"m": old}] * 3, "change": [{"m": new}] * 3}
+    row, = bench_pairs.summarize(samples, [("m", better, 0.25)])
+    assert row[6] is over
+    # a metric without a bound (a per-layer one) is never flagged
+    row, = bench_pairs.summarize(samples, [("m", better, None)])
+    assert row[6] is False
+
+
+def test_printed_table_marks_a_row_over_its_bound(monkeypatch, capsys):
+    values = {("P", 1): {"run_s": 1.0, "verifier_updates_per_s": 100.0},
+              ("C", 1): {"run_s": 2.0, "verifier_updates_per_s": 100.0}}
+    _stub_runs(monkeypatch, values)
+    bench_pairs.compare("P", "C", "fk-online", 1, 15, METRICS)
+    lines = capsys.readouterr().out.splitlines()
+    flagged = [line.split()[0] for line in lines if "OVER BOUND" in line]
+    assert flagged == ["run_s"]
 
 
 def test_summary_skips_a_metric_one_side_lacks():
     samples = {"parent": [{"a": 1.0, "b": 0.0}, {"a": 3.0, "b": 0.0}],
                "change": [{"a": 2.0, "b": 1.0}, {"a": 2.0}]}
-    rows = bench_pairs.summarize(samples, [("a", "lower"), ("b", "lower")])
+    rows = bench_pairs.summarize(samples, [("a", "lower", None),
+                                           ("b", "lower", None)])
     assert [r[0] for r in rows] == ["a"]
     assert rows[0][3] == 0.0 and rows[0][4] == 1
     assert bench_pairs.summarize(
         {"parent": [{"b": 0.0}], "change": [{"b": 1.0}]},
-        [("b", "lower")])[0][3] is None
+        [("b", "lower", None)])[0][3] is None
     assert bench_pairs.iqr([5.0]) == 0.0
 
 

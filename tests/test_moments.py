@@ -272,7 +272,11 @@ def test_multiindex_finish_hashes_each_id_once_per_stage(monkeypatch, rng):
     monkeypatch.setattr(streams.PairwiseHash, "__call__", _no_hash_call)
     chunks = core.finish(entries)
     assert chunks[0].kind == "mi-stages"
-    assert evals[0] == core.shape.t_max * (len(items) - 1 + len(entries))
+    # each stage hash once per mapped id and per claim, to count and assign
+    # stages, then each marked stage's hash once per mapped id, to map it
+    mapped, marked = len(items) - 1, sum(1 for m in core.marks if m)
+    assert marked and evals[0] == (core.shape.t_max * (mapped + len(entries))
+                                   + marked * mapped)
 
 
 @pytest.mark.parametrize("claims", [[(70, 1)], [(-1, 1)], [(5, 1), (3, -2)]],
@@ -311,7 +315,8 @@ def test_multiindex_single_wrong_claim(rng):
 
 class _MisplacedFirstClaim(MultiIndexProverCore):
     """MultiIndex prover that gives the first claim a stage where its bucket
-    holds another mapped id, then proves those marks honestly. Each
+    holds another mapped id, then maps and proves the marked stages
+    honestly, through the honest prover's stage_proofs. Each
     finish_chunks call appends to `forged` whether such a stage existed;
     without one it sends the honest annotation. Patched in for
     moments.MultiIndexProverCore by _misplace_first_claim, it serves the
@@ -332,15 +337,8 @@ class _MisplacedFirstClaim(MultiIndexProverCore):
         if not self.forged[-1]:
             return super().finish_chunks(claims)
         stages[0] = shared[0]
-        for (ident, fstar, wstar), s in zip(claims, stages):
-            self.entry(ident, fstar, s, wstar)
-        chunks = [Chunk("mi-stages", stages, 16 * len(stages))]
-        for insts, marked in zip(self.instances, self.marks):
-            if marked:
-                proofs = [inst.proof() for inst in insts]
-                chunks.append(Chunk("mi-stage-proof", proofs,
-                                    sum(p.bits for p in proofs)))
-        return chunks
+        return [Chunk("mi-stages", stages, 16 * len(stages)),
+                *self.stage_proofs(claims, stages, claimed)]
 
 
 def _misplace_first_claim(monkeypatch):
@@ -1038,6 +1036,85 @@ def test_strict_verifier_update_stays_on_the_fused_lanes(monkeypatch, rng):
     assert calls == {"update": 0, "add_purity": 0}
     monkeypatch.undo()
     assert verifier.end(prover.finish(None), None).value == {2: moment_oracle(ups, 2)}
+
+
+# ------------------------------------------------ the prover's stage mapping
+
+LAZY_CASES = ("strict", "footprint", "ama", "ip", "multiindex")
+
+
+def _lazy_case(case):
+    """An honest MultiIndex prover core that has summed a stream's updates,
+    and finish(), which ends the run and returns (chunks, the core's
+    claims): an engine prover's core for the engine cases, the standalone
+    scheme's prover for "multiindex"."""
+    if case == "multiindex":
+        ups = strict_stream(random.Random(5), 1 << 12, 60, churn=0.2)
+        meta = compute_meta(ups, 1 << 12)
+        freq = freq_oracle(ups)
+        claims = [(i, freq[i], None) for i in sorted(freq)[:20]]
+        shape = Shape(1 << 12, meta.sparsity, 4, meta.weight, MODE_STRICT,
+                      ell=len(claims))
+        core = MultiIndexProverCore(shape, random.Random(1))
+        for u in ups:
+            core.on_update(u)
+        return core, lambda: (core.finish(claims), claims)
+    shape, ups = _engine_case(case)
+    prover = OnlineEngineProver(shape, random.Random(1))
+    for u in ups:
+        prover.on_update(u)
+
+    def finish():
+        chunks = prover.finish(None)
+        entries = next(c.data for c in chunks if c.kind == "collision-list")
+        return chunks, [c for e in entries for c in prover.claims(e)]
+    return prover.mi, finish
+
+
+def _stage_vecs(core, j):
+    return [inst.vecs for inst in core.instances[j]]
+
+
+def _touched(core, j):
+    return any(vec for inst in core.instances[j] for vec in inst.vecs)
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_prover_maps_only_the_marked_stages(case):
+    # each marked stage's vectors are those of an eager reference that maps
+    # every net count into every stage, then enters the same claims; no
+    # other stage is touched
+    core, finish = _lazy_case(case)
+    chunks, claims = finish()
+    stages = next(c.data for c in chunks if c.kind == "mi-stages")
+    assert claims and chunks[-1].kind != "mi-abort"
+    eager = MultiIndexProverCore(core.shape, random.Random(0))
+    eager.use_hashes(core.hs)
+    for ident, delta, weight in core.net_counts():
+        eager.feed(ident, delta, weight)
+    for (ident, fstar, wstar), stage in zip(claims, stages):
+        eager.entry(ident, fstar, stage, wstar)
+    marked = {stage - 1 for stage in stages}
+    for j in range(core.shape.t_max):
+        if j in marked:
+            assert _stage_vecs(core, j) == _stage_vecs(eager, j)
+            assert _touched(core, j)
+        else:
+            assert not _touched(core, j)
+    proofs = [c.data for c in chunks if c.kind == "mi-stage-proof"]
+    assert proofs == [[inst.proof() for inst in eager.instances[j]]
+                      for j in sorted(marked)]
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_prover_abort_maps_no_stage(case):
+    # every stage bucket already held twice: no claim can be isolated
+    core, finish = _lazy_case(case)
+    core.occupancy = [dict.fromkeys(range(core.shape.r), 2)
+                      for _ in range(core.shape.t_max)]
+    chunks, claims = finish()
+    assert claims and chunks[-1].kind == "mi-abort"
+    assert not any(_touched(core, j) for j in range(core.shape.t_max))
 
 
 def test_one_stage_loop_serves_every_mode():

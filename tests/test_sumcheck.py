@@ -13,8 +13,7 @@ from streamcert.purity import (AmaPurity, ama_params, draw_public_coins,
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
                                  DenseVerifier, g_power, g_product, g_purity,
                                  g_sub_purity, g_sub_square, g_triple_product,
-                                 lane_bank, prop1_min_field, _EXT_CACHE,
-                                 _ExtGrid)
+                                 lane_bank, prop1_min_field, _ExtGrid)
 
 from conftest import (dense_prover_proof, lagrange_basis_at, moment_oracle,
                       strict_stream)
@@ -214,6 +213,14 @@ def test_lane_bank_over_provers_and_ama_sinks(rng):
         _separately(plain, *case)
     for (c1, _, s1), (c2, _, s2) in zip(fused, plain):
         assert (c1.rows, s1.dense.rows) == (c2.rows, s2.dense.rows)
+
+
+def test_empty_lane_bank_adds_nothing():
+    # no lane, so no count instance or sink to type-check: whatever the
+    # terms' shape (AMA's are pairs), add takes them and does nothing
+    add = lane_bank([])
+    add([], 3, (7, 2), (7, 2))
+    add([5, 6], -1, (1, 2, 3), (4, 5, 6))
 
 
 def test_rows_match_direct_extension(rng):
@@ -454,23 +461,34 @@ def test_ext_grid_packs_match_lagrange_oracle(field, degree, c_a):
     s = degree * c_a + 1
     grid = _ExtGrid(field, c_a)
     grid.ensure(s)
-    ext = s - c_a
-    assert len(grid.pack) == c_a
-    for x, col in enumerate(grid.pack):
-        want = [lagrange_basis_at(field, c_a, x, c_a + e) for e in range(ext)]
-        assert grid.unpack(col, ext) == want
-        assert col == packed(want, grid.limb_bytes)  # limbs already reduced
+    n = grid.seg_len
+    assert n == max(1, c_a - 1)
+    # whole segments, as few as cover the points below s
+    assert len(grid.segments) == -(-(s - c_a) // n)
+    assert grid.s == c_a + len(grid.segments) * n >= s
+    for k, segment in enumerate(grid.segments):
+        assert len(segment) == c_a
+        for x, col in enumerate(segment):
+            want = [lagrange_basis_at(field, c_a, x, c_a + k * n + e)
+                    for e in range(n)]
+            assert grid.unpack(col) == want
+            assert col == packed(want, grid.limb_bytes)  # limbs already reduced
 
 
 def test_ext_grid_grows_to_a_fresh_build():
     grown = _ExtGrid(FM, 8)
     grown.ensure(12)
+    first = grown.segments[0]
     grown.ensure(22)
     fresh = _ExtGrid(FM, 8)
     fresh.ensure(22)
-    assert grown.pack == fresh.pack and grown.s == fresh.s == 22
+    assert grown.segments == fresh.segments and grown.s == fresh.s == 22
+    # growing builds only the new segments
+    assert grown.segments[0] is first
+    built = list(grown.segments)
     grown.ensure(15)  # never shrinks
-    assert grown.pack == fresh.pack and grown.s == 22
+    assert grown.s == 22 and len(grown.segments) == len(built)
+    assert all(a is b for a, b in zip(grown.segments, built))
 
 
 def test_vcost_words_exact():
@@ -561,7 +579,8 @@ def test_gated_proof_matches_direct_extension_oracle(z_cols, rng):
             for i in range(universe))
 
 
-def test_degree_two_proof_reads_a_prefix_of_a_grown_grid(rng):
+def test_degree_two_proof_reads_a_prefix_of_a_grown_grid(monkeypatch, rng):
+    monkeypatch.setattr(sumcheck, "_EXT_CACHE", {})
     field = Field(10007)
     universe, c_a, c_v = 35, 7, 5
     p3 = DenseParams(field, universe, c_a, c_v, 2, 3, g_sub_square(field),
@@ -570,10 +589,15 @@ def test_degree_two_proof_reads_a_prefix_of_a_grown_grid(rng):
     vecs = [{i: rng.randrange(1, 9) for i in rng.sample(range(universe), 12)}
             for _ in range(2)]
     assert dense_prover_proof(vecs, p3).values == direct_values(p3, vecs)
-    grid = _EXT_CACHE[(field.q, c_a)]
-    assert grid.s >= p3.proof_len > p2.proof_len
-    assert len(grid.slices) == grid.s - c_a
+    grid = sumcheck._EXT_CACHE[(field.q, c_a)]
+    assert grid.s == p3.proof_len > p2.proof_len
+    assert len(grid.segments) == 2
+    # a degree-2 proof reads segment 0 only: garbage in segment 1, every
+    # limb set, leaves its values the oracle's
+    ones = (1 << 8 * grid.seg_len * grid.limb_bytes) - 1
+    grid.segments[1] = [ones] * c_a
     assert dense_prover_proof(vecs, p2).values == direct_values(p2, vecs)
+    assert grid.nbytes == c_a * (p3.proof_len - c_a) * grid.limb_bytes
 
 
 def test_gate_validation():

@@ -11,8 +11,10 @@ first, so a drift in the machine's load falls on both sides. For each
 workload it prints every end-to-end metric of BENCHMARK.json with the
 parent's and the change's medians, the change's relative move, the number
 of pairs in which the change was better, and the interquartile range of the
-parent's runs. A run that exits nonzero, reports failed operations or a
-digest mismatch is reported and stops the comparison.
+parent's runs. A metric whose change median is worse than the parent's by
+more than the metric's `bound` (a fraction of the parent's median) is
+marked OVER BOUND. A run that exits nonzero, reports failed operations or
+a digest mismatch is reported and stops the comparison.
 
 With --trace the same pairs run `--trace 1` and compare the `per_layer`
 metrics of BENCHMARK.json instead, such as protocol.verifier_s; a traced
@@ -65,11 +67,12 @@ def iqr(values):
 
 
 def summarize(samples, metrics):
-    """Per metric (name, better) that both sides report in every run:
-    (name, parent median, change median, relative move or None, pairs the
-    change won, parent IQR)."""
+    """Per metric (name, better, bound or None) that both sides report in
+    every run: (name, parent median, change median, relative move or None,
+    pairs the change won, parent IQR, whether the change median is worse
+    than the parent's by more than bound times the parent's median)."""
     rows = []
-    for name, better in metrics:
+    for name, better, bound in metrics:
         if not all(name in s for side in samples.values() for s in side):
             continue
         old = [s[name] for s in samples["parent"]]
@@ -78,7 +81,8 @@ def summarize(samples, metrics):
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         m_old, m_new = statistics.median(old), statistics.median(new)
         move = (m_new - m_old) / m_old if m_old else None
-        rows.append((name, m_old, m_new, move, wins, iqr(old)))
+        over = bound is not None and sign * (m_new - m_old) < -bound * abs(m_old)
+        rows.append((name, m_old, m_new, move, wins, iqr(old), over))
     return rows
 
 
@@ -94,13 +98,15 @@ def compare(parent, change, workload, pairs, seconds, metrics, trace=False):
         print(f"  pair {i + 1}/{pairs} done", file=sys.stderr)
     mode = ", traced" if trace else ""
     print(f"{workload} ({pairs} pairs, {seconds:g} s{mode}, seeds 1..{pairs})")
-    width = max([24] + [len(name) + 2 for name, _ in metrics])
+    width = max([24] + [len(m[0]) + 2 for m in metrics])
     print(f"  {'metric':<{width}}{'parent':>14}{'change':>14}{'move':>9}"
           f"{'wins':>7}{'parent IQR':>13}")
-    for name, m_old, m_new, move, wins, spread in summarize(samples, metrics):
+    for name, m_old, m_new, move, wins, spread, over in summarize(samples,
+                                                                  metrics):
         move = "n/a" if move is None else f"{move:+.1%}"
+        flag = "  OVER BOUND" if over else ""
         print(f"  {name:<{width}}{m_old:>14.6g}{m_new:>14.6g}{move:>9}"
-              f"{wins:>4}/{pairs:<2}{spread:>13.4g}")
+              f"{wins:>4}/{pairs:<2}{spread:>13.4g}{flag}")
     return samples
 
 
@@ -117,7 +123,7 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     table = bench["per_layer"] if args.trace else bench["end_to_end"]
-    metrics = [(m["name"], m["better"]) for m in table]
+    metrics = [(m["name"], m["better"], m.get("bound")) for m in table]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     for workload in workloads:
         compare(args.parent, args.change, workload, args.pairs,
