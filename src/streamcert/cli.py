@@ -99,6 +99,8 @@ def main(argv=None):
         "vcost_words": result.cost.vcost_words,
         "vcost_bits": result.cost.vcost_bits,
         "seed": args.seed,
+        # prover and verifier seconds; None when no transcript was built
+        "timing": result.info.get("timing"),
     }
     if not outcome.rejected:
         value = outcome.value

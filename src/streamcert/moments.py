@@ -28,15 +28,16 @@ stages and _EngineMap for the universe reduction. The prover sides add
 the honest annotation; the verifier sides add the checks on it (`need`),
 the hash validation, the proof consumption and the space accounting.
 One mapping step, built by _StageMap.route, takes a count from hash to
-bucket to lane for both: it computes the count's buckets from the hashes'
-fields (a, b, p, r), read once when the hashes are taken, and its purity
-terms once, however many instances take them, and makes one call of a
-lane bank (sumcheck.lane_bank). In the engine verifier that bank has
-1 + t_max lanes per side: the main instance with the main injection, then
-every stage's SubF2 with its purity check, so a stream update is one bank
-call. The engine prover's bank has the first lane only.
-On the verifier side the bank writes the rows directly, with no call per
-instance or per hash.
+bucket to lane for both: it computes the count's purity terms once,
+however many instances take them, and makes one call of a lane bank
+(sumcheck.lane_bank), which computes the count's bucket in each lane from
+the hashes' fields (a, b, p, r), read once when the hashes are taken. In
+the engine verifier that bank has 1 + t_max lanes per side: the main
+instance with the main injection, then every stage's SubF2 with its purity
+check, so a stream update is one bank call. The engine prover's bank has
+the first lane only. On the verifier side the bank hashes and writes the
+rows and the packed purity cells in one loop, with no call per instance or
+per hash.
 
 One engine serves one- and two-sided streams. Fk and triangles stream one
 vector; DISJ, subset, inner product, Hamming and the graph certificates
@@ -244,14 +245,15 @@ class _StageMap:
 
     Buckets come from the stage hashes' fields, taken by use_hashes.
     route() builds the one hash -> bucket -> lane step, for the standalone
-    scheme and the online engine alike: a function that computes a count's
-    buckets in one comprehension over (a, b, p, r) keys, one a lane, and
-    maps the count into every lane of a lane bank with one call. The bank
+    scheme and the online engine alike: a function that maps a count into
+    every lane of a lane bank with one call, the bank hashing each lane's
+    bucket from its (a, b, p, r) key and returning the buckets. The bank
     holds each stage's net-count SubF2 with its purity check, after any
     head lanes (the engine's main instance with the main injection, see
     _EngineMap). Further instances (the engine's further main instances)
     and the footprint SubF2 over the absolute weights take plain updates
-    after the bank call. feed maps an id through the stages alone."""
+    at the returned buckets after the bank call. feed maps an id through
+    the stages alone."""
 
     def __init__(self, shape: Shape, dense):
         self.shape = shape
@@ -287,14 +289,15 @@ class _StageMap:
 
         step maps the count delta, of absolute update weight `weight`, of
         x, id `ident` in the stages, and returns its buckets: x's under
-        the keys. The head lanes take x's purity terms, the stage lanes
-        ident's. Each (instance, vector j) of more takes delta at the
-        first bucket, and the footprint SubF2 over the absolute weights
-        takes weight at the routed stages' buckets."""
+        the keys, as the bank computes and returns them. The head lanes
+        take x's purity terms, the stage lanes ident's. Each (instance,
+        vector j) of more takes delta at the first bucket, and the
+        footprint SubF2 over the absolute weights takes weight at the
+        routed stages' buckets."""
         if stages is None:
             stages = range(self.shape.t_max)
         bank = lane_bank([*head, *((self.sf_net[j], 0, self.sinks[j])
-                                   for j in stages)])
+                                   for j in stages)], keys)
         terms_of, field = self.shape.terms_of, self.shape.field_purity
         footprint = self.sf_abs is not None
         weights = ([(k, self.sf_abs[j]) for k, j in enumerate(stages, len(head))]
@@ -305,8 +308,7 @@ class _StageMap:
             head_terms = terms_of(field, x, occ)
             # an id that is x, as every one-sided id is, shares its terms
             terms = head_terms if ident == x else terms_of(field, ident, occ)
-            buckets = [(a * x + b) % p % r for a, b, p, r in keys]
-            bank(buckets, delta, head_terms, terms)
+            buckets = bank(x, delta, head_terms, terms)
             for inst, j in more:
                 inst.update(j, buckets[0], delta)
             for k, sf in weights:
@@ -572,7 +574,7 @@ class _EngineMap:
     keyed by the universe hash; lanes 1 to t_max are each stage's net-count
     SubF2 with its purity check. A stage hash's (a, b, p, r) becomes the
     key (a * sides, a * s + b, p, r), so hashing item i with it is hashing
-    id i * sides + s, and one comprehension over the item gives all
+    id i * sides + s, and the bank's one loop over the item gives all
     1 + t_max buckets. Further main instances (fk_online_multi with several
     orders) take plain updates. The prover's routes have lane 0 alone and
     still return all 1 + t_max buckets; its stages are mapped later, by

@@ -232,15 +232,25 @@ def run_protocol(updates, seed, label, verifier, honest, prover=None,
     their rngs drawn from (seed, label + "-v") and (seed, label + "-p").
     `prover` is a run function's own argument: None for the honest prover,
     a Prover instance, used as it is, or a wrapper callable applied to the
-    honest prover (how adversaries are injected)."""
+    honest prover (how adversaries are injected).
+
+    info["timing"] records both sides' seconds: prover_s, the prover's
+    construction and its transcript (build_transcript), and verifier_s,
+    the verifier's pass (run_transcript's CostReport.wall_time)."""
     v = verifier(derive_rng(seed, label + "-v"))
+    t0 = time.perf_counter()
     if isinstance(prover, Prover):
         p = prover
     else:
         p = honest(derive_rng(seed, label + "-p"))
         if prover is not None:
             p = prover(p)
-    return run_transcript(v, build_transcript(p, updates, query), query)
+    transcript = build_transcript(p, updates, query)
+    prover_s = time.perf_counter() - t0
+    result = run_transcript(v, transcript, query)
+    result.info["timing"] = {"prover_s": prover_s,
+                             "verifier_s": result.cost.wall_time}
+    return result
 
 
 class Verifier:

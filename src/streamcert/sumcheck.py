@@ -14,7 +14,11 @@ a cell holds an integer congruent to its field element, and every read of
 the rows reduces them first (DenseVerifier.rows). After A additions of
 products of field elements a cell stays below A * q^2 in magnitude, two
 words plus lg A bits; vcost still counts it as one word, the field element
-it stands for.
+it stands for. A purity instance's three cells u, v and w of one column
+share their Lagrange factor, so they are kept packed in one integer and an
+update of all three is one product (DenseVerifier.add_purity). The lane
+bank (lane_bank) walks an update's count and purity lanes in one loop,
+hashing each lane's bucket itself: two products per lane.
 
 g must vanish at zero (g(0, ..., 0) = 0). Every cell where all l vectors are
 zero, padding cells past the universe included, then adds nothing to b, so
@@ -138,9 +142,13 @@ class DenseVerifier:
 
     Updates add their products to the cells unreduced: a stored cell is an
     integer congruent to its field element, below A * q^2 in magnitude after
-    A additions. Reading rows reduces every cell in place and returns the
-    same list objects, which the lane bank holds, so no code may rebind a
-    row."""
+    A additions. A purity instance's vectors u, v and w (rows 0-2) share the
+    Lagrange row, so add_purity keeps them, per column y, in one packed
+    integer of three signed slots, `slot` = 2 * field.bits + 64 bits wide:
+    pack[y] = U + V * 2^slot + W * 2^(2 * slot). Reading rows folds the
+    slots into rows 0-2, which leaves the pack zero, then reduces every
+    cell in place and returns the same list objects. The lane bank holds
+    the row lists and the pack, so no code may rebind them."""
 
     def __init__(self, params: DenseParams, rng):
         self.params = params
@@ -150,12 +158,23 @@ class DenseVerifier:
         self.q = self.field.q
         self.lrow = lagrange_row(self.field, params.c_a, self.r)
         self._rows = [[0] * params.c_v for _ in range(params.vectors)]
+        self.slot = 2 * self.field.bits + 64
+        self._pack = [0] * params.c_v
         self.word_bits = self.field.bits
 
     @property
     def rows(self):
-        """The rows as field elements, reduced in place."""
-        q = self.q
+        """The rows as field elements: the packed purity cells folded into
+        rows 0-2, then every cell reduced, in place."""
+        q, s = self.q, self.slot
+        mask, half = (1 << s) - 1, 1 << (s - 1)
+        pack = self._pack
+        for row in self._rows[:3]:
+            # the low slot, signed, then the slots above it shifted down:
+            # the third pass leaves every packed cell zero
+            low = [(p + half & mask) - half for p in pack]
+            row[:] = map(add, row, low)
+            pack[:] = [(p - lo) >> s for p, lo in zip(pack, low)]
         for row in self._rows:
             row[:] = [c % q for c in row]
         return self._rows
@@ -165,14 +184,18 @@ class DenseVerifier:
         self._rows[j][y] += delta * self.lrow[x]
 
     def add_purity(self, item, terms):
-        """update(j, item, terms[j]) for j = 0, 1, 2, with one lookup."""
+        """update(j, item, terms[j]) for j = 0, 1, 2, as one multiply-add
+        into the packed cell of item's column.
+
+        The terms are field elements in [0, q), as purity_deltas returns
+        them, or any integers in (-q, q). The Lagrange row's entries are in
+        [0, q), so each call adds less than q^2 < 2^(2 * field.bits) in
+        magnitude to each slot, and a slot stays within +-2^(slot - 1), so
+        that rows reads it back exactly, for 2^63 calls."""
         x, y = divmod(item, self.c_v)
-        lx = self.lrow[x]
         du, dv, dw = terms
-        u, v, w = self._rows[:3]
-        u[y] += du * lx
-        v[y] += dv * lx
-        w[y] += dw * lx
+        s = self.slot
+        self._pack[y] += (du + (dv << s) + (dw << 2 * s)) * self.lrow[x]
 
     def verify(self, proof: DenseProof):
         """Exact F on success, None on any failed check."""
@@ -197,50 +220,70 @@ class DenseVerifier:
         return self.params.vectors * self.params.c_v + 2
 
 
-def lane_bank(lanes):
-    """One call add(buckets, delta, head, terms) for a list of lanes, each
-    (count instance, vector j, purity sink): lane k adds delta to vector j
-    of its count instance and purity terms to its sink, both at buckets[k].
-    The first lane's sink takes the terms `head`, every other lane's
-    `terms`; a caller whose lanes all take the same terms passes them
-    twice.
+def lane_bank(lanes, keys):
+    """One call add(x, delta, head, terms) for a list of lanes, each
+    (count instance, vector j, purity sink), and a list of keys, each
+    (a, b, p, r), at least one a lane. Lane k takes item x's bucket under
+    key k, (a * x + b) % p % r, and adds delta there to vector j of its
+    count instance and purity terms to its sink. The first lane's sink
+    takes the terms `head`, every other lane's `terms`; a caller whose
+    lanes all take the same terms passes them twice. add returns x's
+    bucket under every key, in key order: keys past the lanes give
+    buckets only.
 
     When every count instance and sink is a DenseVerifier of one grid
-    shape, each lane is one floor division and one remainder, two
-    Lagrange-row lookups and four unreduced row additions, written out
-    here, into the row lists that DenseVerifier.rows returns; over anything else (a DenseProver, an AMA
-    purity adapter) add makes the update and add_purity calls. With no
-    lanes add does nothing."""
-    lanes = list(lanes)
-    if not lanes:
-        def add(buckets, delta, head, terms):
-            pass
-        return add
-    if not all(type(count) is DenseVerifier and type(sink) is DenseVerifier
-               and count.c_v == sink.c_v and len(count.lrow) == len(sink.lrow)
-               for count, _, sink in lanes):
-        def add(buckets, delta, head, terms):
+    shape and the sinks share one slot width, the loop is written out
+    here, over the row lists and the packed purity cells that
+    DenseVerifier holds. add packs the terms once, or twice when head and
+    terms differ, and each lane is then one bucket, one floor division
+    and one remainder, and two unreduced multiply-adds: delta into the
+    count's row, the packed terms into the sink's cell
+    (DenseVerifier.add_purity). Over anything else (a DenseProver, an AMA
+    purity adapter) add makes the update and add_purity calls."""
+    lanes, keys = list(lanes), list(keys)
+    if not (lanes and all(
+            type(count) is DenseVerifier and type(sink) is DenseVerifier
+            and count.c_v == sink.c_v and len(count.lrow) == len(sink.lrow)
+            and sink.slot == lanes[0][2].slot
+            for count, _, sink in lanes)):
+        def add(x, delta, head, terms):
+            buckets = [(a * x + b) % p % r for a, b, p, r in keys]
             t = head
-            for b, (count, j, sink) in zip(buckets, lanes):
-                count.update(j, b, delta)
-                sink.add_purity(b, t)
+            for bk, (count, j, sink) in zip(buckets, lanes):
+                count.update(j, bk, delta)
+                sink.add_purity(bk, t)
                 t = terms
+            return buckets
         return add
 
-    cells = [(count.c_v, count.lrow, count.rows[j], sink.lrow, *sink.rows[:3])
-             for count, j, sink in lanes]
+    s = lanes[0][2].slot
+    s2 = 2 * s
+    cells = [(a, b, p, r, count.c_v, count.lrow, count.rows[j], sink.lrow,
+              sink._pack)
+             for (count, j, sink), (a, b, p, r) in zip(lanes, keys)]
+    extra = keys[len(lanes):]
 
-    def add(buckets, delta, head, terms):
+    def add(x, delta, head, terms):
         du, dv, dw = head
-        for b, (c_v, lrow, f, prow, u, v, w) in zip(buckets, cells):
-            x = b // c_v  # divmod would build a tuple per lane
-            y = b % c_v
-            f[y] += delta * lrow[x]
-            lx = prow[x]
-            u[y] += du * lx
-            v[y] += dv * lx
-            w[y] += dw * lx
+        d = du + (dv << s) + (dw << s2)
+        if terms is head:
+            t = d
+        else:
             du, dv, dw = terms
+            t = du + (dv << s) + (dw << s2)
+        buckets = []
+        append = buckets.append
+        for a, b, p, r, c_v, lrow, f, prow, pack in cells:
+            bk = (a * x + b) % p % r
+            append(bk)
+            i = bk // c_v  # divmod would build a tuple per lane
+            y = bk % c_v
+            f[y] += delta * lrow[i]
+            pack[y] += d * prow[i]
+            d = t
+        if extra:
+            buckets += [(a * x + b) % p % r for a, b, p, r in extra]
+        return buckets
     return add
 
 

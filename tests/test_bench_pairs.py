@@ -140,3 +140,37 @@ def test_compare_stops_at_the_first_failed_run(monkeypatch):
     with pytest.raises(SystemExit, match="failed 1 operations"):
         bench_pairs.compare("P", "C", "fk-churn", 3, 15, METRICS)
     assert calls == ["P", "C"]
+
+
+def test_runs_get_fresh_copies_not_the_checkouts(monkeypatch, tmp_path):
+    # main copies both checkouts without .git, __pycache__ and
+    # .perfbench-work, runs every pair in the copies, and removes them
+    bench = {"run_seconds": 15, "workloads": [{"name": "fk-churn"}],
+             "end_to_end": [{"name": "run_s", "better": "lower",
+                             "bound": 0.25}], "per_layer": []}
+    checkouts = {}
+    for side in ("P", "C"):
+        root = tmp_path / side
+        for sub in (".git", "__pycache__", ".perfbench-work", "src"):
+            (root / sub).mkdir(parents=True)
+            (root / sub / "x.txt").write_text(side)
+        (root / "BENCHMARK.json").write_text(json.dumps(bench))
+        checkouts[side] = str(root)
+    seen = []
+
+    def run_once(checkout, workload, seed, seconds, trace=False):
+        assert sorted(os.listdir(checkout)) == ["BENCHMARK.json", "src"]
+        with open(os.path.join(checkout, "src", "x.txt")) as fh:
+            seen.append((checkout, fh.read()))
+        return {"run_s": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([checkouts["P"], checkouts["C"],
+                             "--pairs", "2"]) == 0
+    parent, change = seen[0][0], seen[1][0]
+    assert seen == [(parent, "P"), (change, "C"), (change, "C"), (parent, "P")]
+    assert {parent, change}.isdisjoint(checkouts.values())
+    assert len(parent) == len(change) and parent != change
+    assert not os.path.exists(parent) and not os.path.exists(change)
+    for root in checkouts.values():  # the checkouts stay as they were
+        assert len(os.listdir(root)) == 5

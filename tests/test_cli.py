@@ -435,6 +435,22 @@ def test_cli_honest_report_has_no_reason(tmp_path, capsys):
     assert not {"reason", "phase", "update"} & set(out)
 
 
+@pytest.mark.parametrize("prover", ["honest", "tamper-proof-polynomial"])
+def test_cli_report_carries_prover_and_verifier_time(prover, tmp_path, capsys):
+    # accepted or rejected, the report times both sides of the run, and the
+    # verifier's time is the run's CostReport.wall_time
+    paths = _write_inputs(tmp_path)
+    rc, out = _cli_json(capsys, ["fk", "--input", str(paths["plain"]),
+                                 "--k", "2", "--seed", str(SEED),
+                                 "--prover", prover])
+    assert rc == (0 if prover == "honest" else 2)
+    assert set(out["timing"]) == {"prover_s", "verifier_s"}
+    assert all(t >= 0 for t in out["timing"].values())
+    result = run_scheme(RunConfig("fk", PLAIN_N, "strict", seed=SEED,
+                                  params={"k": 2}), PLAIN)
+    assert result.info["timing"]["verifier_s"] == result.cost.wall_time
+
+
 def test_cli_reject_in_update_phase_names_the_update(tmp_path, capsys,
                                                      monkeypatch):
     # no honest-prover scheme rejects mid-stream, so the run's record is

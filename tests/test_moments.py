@@ -914,7 +914,8 @@ def _side_update(shape, u):
 
 def _reference_update(v, side, su):
     """Map one update into verifier v's instances by one update or
-    add_purity call per instance, each bucket from PairwiseHash.__call__."""
+    add_purity call per instance, each bucket from PairwiseHash.__call__.
+    Returns the buckets: the universe bucket, then one per stage."""
     sh, mi = v.shape, v.mi
     delta, weight = su.delta, abs(su.delta)
     occ = weight if sh.mode == MODE_FOOTPRINT else delta
@@ -935,6 +936,7 @@ def _reference_update(v, side, su):
         if mi.sf_abs is not None:
             mi.sf_abs[j].update(0, bj, weight)
     mi.weight_seen += weight
+    return [b] + [h(ident) for h in mi.hs]
 
 
 def _verifier_rows(v):
@@ -947,15 +949,26 @@ def _verifier_rows(v):
 def test_fused_bank_rows_match_per_instance_calls(case):
     # the one bank call per update, with its stage keys rewritten per side
     # and its purity terms shared, leaves every instance's rows (reduced on
-    # read) where one call per instance and hash evaluation leaves them
+    # read) where one call per instance and hash evaluation leaves them,
+    # and returns the buckets those hash evaluations give
     shape, ups = _engine_case(case)
     prover, fused = _engine_pair(shape)
     reference = OnlineEngineVerifier(shape, random.Random(2))
     reference.begin(prover.start())
+    returned = []
+
+    def recorded(step):
+        def call(*args):
+            returned.append(step(*args))
+            return returned[-1]
+        return call
+
+    fused.routes = [recorded(step) for step in fused.routes]
     for u in ups:
         prover.on_update(u)
         fused.update(u)
-        _reference_update(reference, *_side_update(shape, u))
+        assert returned[-1] == _reference_update(reference,
+                                                 *_side_update(shape, u))
     assert fused.mi.weight_seen == reference.mi.weight_seen
     rows = _verifier_rows(fused)
     assert rows == _verifier_rows(reference)
@@ -968,17 +981,18 @@ def test_fused_bank_rows_match_per_instance_calls(case):
 @pytest.mark.parametrize("case", ENGINE_CASES)
 def test_verifier_update_makes_one_bank_call(case, monkeypatch):
     # per stream update, in every mode and for one and two sides: one call
-    # of the side's lane bank, with 1 + t_max buckets (the universe
+    # of the side's lane bank, returning 1 + t_max buckets (the universe
     # bucket, then one per stage), all from the hashes' fields
     shape, ups = _engine_case(case)
     calls = []
 
-    def counted_bank(lanes):
-        bank = sumcheck.lane_bank(lanes)
+    def counted_bank(lanes, keys):
+        bank = sumcheck.lane_bank(lanes, keys)
 
-        def call(buckets, *args):
+        def call(*args):
+            buckets = bank(*args)
             calls.append(len(buckets))
-            return bank(buckets, *args)
+            return buckets
         return call
 
     monkeypatch.setattr(moments, "lane_bank", counted_bank)
@@ -1083,8 +1097,21 @@ def _touched(core, j):
 def test_prover_maps_only_the_marked_stages(case):
     # each marked stage's vectors are those of an eager reference that maps
     # every net count into every stage, then enters the same claims; no
-    # other stage is touched
+    # other stage is touched. The marked stages' route is keyed by their
+    # hashes alone and returns each id's bucket under them
     core, finish = _lazy_case(case)
+    routed = []
+    route = core.route
+
+    def recording(keys, **kwargs):
+        step = route(keys, **kwargs)
+
+        def call(x, *args):
+            routed.append((keys, x, step(x, *args)))
+            return routed[-1][2]
+        return call
+
+    core.route = recording
     chunks, claims = finish()
     stages = next(c.data for c in chunks if c.kind == "mi-stages")
     assert claims and chunks[-1].kind != "mi-abort"
@@ -1095,6 +1122,10 @@ def test_prover_maps_only_the_marked_stages(case):
     for (ident, fstar, wstar), stage in zip(claims, stages):
         eager.entry(ident, fstar, stage, wstar)
     marked = {stage - 1 for stage in stages}
+    assert len(routed) == len(list(core.net_counts()))
+    for keys, x, buckets in routed:
+        assert keys == [core.hkeys[j] for j in sorted(marked)]
+        assert buckets == [(a * x + b) % p % r for a, b, p, r in keys]
     for j in range(core.shape.t_max):
         if j in marked:
             assert _stage_vecs(core, j) == _stage_vecs(eager, j)

@@ -130,38 +130,46 @@ LANES = 3
 COUNT_P = params_for(16, 4, 4, 2, 3, g_sub_square(FM), 10 ** 6, gate=1)
 PURITY_P = params_for(16, 4, 4, 4, 3, g_sub_purity(F80), 10 ** 9, field=F80,
                       gate=3)
+# one (a, b, p, r) key a lane into the 16 buckets, and two past the lanes
+_keys_rng = random.Random(4)
+KEYS = [(_keys_rng.randrange(1, M61), _keys_rng.randrange(M61), M61, 16)
+        for _ in range(LANES + 2)]
+
+
+def _buckets(x):
+    return [(a * x + b) % p % r for a, b, p, r in KEYS]
 
 
 def _bank_cases(rng, terms_of):
-    """(buckets, delta, head, terms) per bank call: random ones, bucket 0
-    and the last bucket in every lane, negative deltas, and a call undone
-    by its negation, whose terms cancel. The first lane's terms, head, are
-    those of another item than the other lanes' terms."""
-    def case(buckets, item, delta):
-        return (buckets, delta, terms_of((item + 17) % 40, delta),
-                terms_of(item, delta))
+    """(x, delta, head, terms) per bank call: random items, items that
+    land in bucket 0 and in the last bucket in each lane, negative deltas,
+    and a call undone by its negation, whose terms cancel. The first
+    lane's terms, head, are those of another item than the other lanes'
+    terms."""
+    def case(x, delta):
+        return x, delta, terms_of((x + 17) % 40, delta), terms_of(x % 40, delta)
 
-    cases = []
-    for _ in range(30):
-        item, delta = rng.randrange(40), rng.randrange(-5, 6)
-        cases.append(case([rng.randrange(16) for _ in range(LANES)], item, delta))
-    cases.append(case([0] * LANES, 7, -4))
-    cases.append(case([15] * LANES, 9, 3))
-    undone = [rng.randrange(16) for _ in range(LANES)]
-    cases.append(case(undone, 11, 6))
-    cases.append(case(undone, 11, -6))
+    cases = [case(rng.randrange(1000), rng.randrange(-5, 6)) for _ in range(30)]
+    for k in range(LANES):
+        for target in (0, 15):
+            x = next(x for x in range(1000) if _buckets(x)[k] == target)
+            cases.append(case(x, rng.choice((-4, 3))))
+    undone = rng.randrange(1000)
+    cases.append(case(undone, 6))
+    cases.append(case(undone, -6))
     return cases
 
 
-def _separately(lanes, buckets, delta, head, terms):
-    for k, (b, (count, j, sink)) in enumerate(zip(buckets, lanes)):
+def _separately(lanes, x, delta, head, terms):
+    for k, (b, (count, j, sink)) in enumerate(zip(_buckets(x), lanes)):
         count.update(j, b, delta)
         sink.add_purity(b, terms if k else head)
 
 
 def test_lane_bank_matches_separate_calls(monkeypatch, rng):
     # verifier lanes over two fields take the fused loop, which makes no
-    # update or add_purity call, and leave the rows those calls leave
+    # update or add_purity call, returns the item's bucket under every key,
+    # keys past the lanes included, and leaves the rows those calls leave
     def lanes():
         seeds = random.Random(8)
         return [(DenseVerifier(COUNT_P, seeds), 0, DenseVerifier(PURITY_P, seeds))
@@ -173,26 +181,37 @@ def test_lane_bank_matches_separate_calls(monkeypatch, rng):
         _separately(plain, *case)
     for name in ("update", "add_purity"):
         monkeypatch.setattr(DenseVerifier, name, None)
-    add = lane_bank(fused)
+    add = lane_bank(fused, KEYS)
     for case in cases:
-        add(*case)
+        assert add(*case) == _buckets(case[0])
     for (c1, _, s1), (c2, _, s2) in zip(fused, plain):
         assert (c1.rows, s1.rows) == (c2.rows, s2.rows)
     assert any(row != [0] * 4 for c, _, s in fused for row in c.rows + s.rows)
+    # the same terms in every lane, as one-sided updates pass them
+    one = lanes()
+    add = lane_bank(one, KEYS)
+    monkeypatch.undo()
+    ref = lanes()
+    for x, delta, _, terms in cases:
+        assert add(x, delta, terms, terms) == _buckets(x)
+        _separately(ref, x, delta, terms, terms)
+    for (c1, _, s1), (c2, _, s2) in zip(one, ref):
+        assert (c1.rows, s1.rows) == (c2.rows, s2.rows)
 
 
 def test_lane_bank_over_provers_and_ama_sinks(rng):
-    # any other lane makes the update and add_purity calls: prover lanes,
-    # whose cancelled cells leave no entry, and verifier counts with AMA
-    # purity sinks, whose terms are (item, count)
+    # any other lane makes the update and add_purity calls, and returns
+    # the same buckets: prover lanes, whose cancelled cells leave no entry,
+    # and verifier counts with AMA purity sinks, whose terms are (item,
+    # count)
     def prover_lanes():
         return [(DenseProver(COUNT_P), 0, DenseProver(PURITY_P))
                 for _ in range(LANES)]
 
     fused, plain = prover_lanes(), prover_lanes()
-    add = lane_bank(fused)
+    add = lane_bank(fused, KEYS)
     for case in _bank_cases(rng, lambda i, d: purity_deltas(F80, i, d)):
-        add(*case)
+        assert add(*case) == _buckets(case[0])
         _separately(plain, *case)
     for (c1, _, s1), (c2, _, s2) in zip(fused, plain):
         assert (c1.vecs, s1.vecs) == (c2.vecs, s2.vecs)
@@ -207,9 +226,9 @@ def test_lane_bank_over_provers_and_ama_sinks(rng):
                 for _ in range(LANES)]
 
     fused, plain = ama_lanes(), ama_lanes()
-    add = lane_bank(fused)
+    add = lane_bank(fused, KEYS)
     for case in _bank_cases(rng, lambda i, d: (i, d)):
-        add(*case)
+        assert add(*case) == _buckets(case[0])
         _separately(plain, *case)
     for (c1, _, s1), (c2, _, s2) in zip(fused, plain):
         assert (c1.rows, s1.dense.rows) == (c2.rows, s2.dense.rows)
@@ -217,10 +236,60 @@ def test_lane_bank_over_provers_and_ama_sinks(rng):
 
 def test_empty_lane_bank_adds_nothing():
     # no lane, so no count instance or sink to type-check: whatever the
-    # terms' shape (AMA's are pairs), add takes them and does nothing
-    add = lane_bank([])
-    add([], 3, (7, 2), (7, 2))
-    add([5, 6], -1, (1, 2, 3), (4, 5, 6))
+    # terms' shape (AMA's are pairs), add takes them, adds nothing and
+    # returns the item's bucket under each key
+    add = lane_bank([], KEYS)
+    assert add(5, 3, (7, 2), (7, 2)) == _buckets(5)
+    assert add(6, -1, (1, 2, 3), (4, 5, 6)) == _buckets(6)
+    assert lane_bank([], [])(5, 3, (7, 2), (7, 2)) == []
+
+
+# ------------------------------------------------------ packed purity cells
+
+
+def test_packed_purity_cells_at_their_worst_case():
+    # terms q - 1 at Lagrange entries q - 1, the largest addend a slot
+    # takes, many times into one column: the rows read as three plain
+    # updates per add leave them
+    p = params_for(16, 4, 4, 4, 3, g_sub_purity(F80), 10 ** 9, field=F80,
+                   gate=3)
+    packed, plain = DenseVerifier(p, random.Random(5)), DenseVerifier(p, random.Random(5))
+    q = F80.q
+    for st in (packed, plain):
+        st.lrow[:] = [q - 1 - k for k in range(len(st.lrow))]
+    top = (q - 1, q - 1, q - 1)
+    for k in range(3000):
+        item = 4 * (k % 4) + 2  # column 2, every row x
+        packed.add_purity(item, top)
+        for j, t in enumerate(top):
+            plain.update(j, item, t)
+    assert packed.rows == plain.rows
+    assert packed._pack == [0] * 4
+    # a cell read back at the edge of each signed slot
+    s = packed.slot
+    edge = (1 << (s - 1)) - 1
+    for u, v, w in ((edge, -edge, edge), (-edge, edge, -edge), (0, -1, 1)):
+        st = DenseVerifier(p, random.Random(6))
+        st._pack[1] = u + (v << s) + (w << 2 * s)
+        assert [row[1] for row in st.rows[:3]] == [u % q, v % q, w % q]
+        assert st._pack == [0] * 4
+
+
+def test_reading_rows_between_adds_changes_nothing(rng):
+    # rows read after every few adds, which fold the packed cells each
+    # time, end where one read after the last add ends
+    p = params_for(16, 4, 4, 4, 3, g_sub_purity(F80), 10 ** 9, field=F80,
+                   gate=3)
+    often, once = DenseVerifier(p, random.Random(7)), DenseVerifier(p, random.Random(7))
+    for k in range(300):
+        item, delta = rng.randrange(16), rng.randrange(-4, 5)
+        terms = purity_deltas(F80, rng.randrange(40), delta)
+        for st in (often, once):
+            st.add_purity(item, terms)
+            st.update(3, item, 1)
+        if k % 7 == 0:
+            assert often.rows[:3] != [[0] * 4] * 3
+    assert often.rows == once.rows
 
 
 def test_rows_match_direct_extension(rng):
@@ -248,13 +317,13 @@ def test_rows_reduce_on_read_and_stay_bounded(rng):
     # a churn stream through the fused bank and plain update and add_purity
     # calls on the same instances, with the rows read mid-stream: the rows
     # read as an eager oracle's, the bank keeps writing into the row lists
-    # the read returned, and every raw cell stays below A * q^2 after A
-    # additions into its instance
+    # and packed cells the read folded, and every raw cell stays below
+    # A * q^2 after A additions into its instance
     seeds = random.Random(8)
     lanes = [(DenseVerifier(COUNT_P, seeds), 0, DenseVerifier(PURITY_P, seeds))
              for _ in range(LANES)]
     insts = [st for count, _, sink in lanes for st in (count, sink)]
-    held = {st: list(st._rows) for st in insts}
+    held = {st: (list(st._rows), st._pack) for st in insts}
     eager = {st: [[0] * st.c_v for _ in st._rows] for st in insts}
     adds = dict.fromkeys(insts, 0)
 
@@ -263,7 +332,7 @@ def test_rows_reduce_on_read_and_stay_bounded(rng):
         eager[st][j][y] = (eager[st][j][y] + d * st.lrow[x]) % st.q
         adds[st] += 1
 
-    add = lane_bank(lanes)
+    add = lane_bank(lanes, KEYS)
     live = {}
     for step in range(400):
         item = rng.randrange(40)
@@ -275,8 +344,8 @@ def test_rows_reduce_on_read_and_stay_bounded(rng):
         live[item] = net + delta
         head = purity_deltas(F80, item + 40, delta)
         terms = purity_deltas(F80, item, delta)
-        buckets = [rng.randrange(16) for _ in range(LANES)]
-        add(buckets, delta, head, terms)
+        buckets = add(item, delta, head, terms)
+        assert buckets == _buckets(item)
         for k, (b, (count, j, sink)) in enumerate(zip(buckets, lanes)):
             oracle(count, j, b, delta)
             for jj, t in enumerate(terms if k else head):
@@ -293,10 +362,12 @@ def test_rows_reduce_on_read_and_stay_bounded(rng):
                 assert st.rows == eager[st]
                 assert all(0 <= c < st.q for row in st._rows for c in row)
     assert any(c >= st.q or c < 0 for st in insts for row in st._rows for c in row)
+    assert all(any(sink._pack) for _, _, sink in lanes)
     for st in insts:
         assert all(abs(c) < adds[st] * st.q ** 2 for row in st._rows for c in row)
         rows = st.rows
-        assert all(a is b for a, b in zip(rows, held[st]))
+        assert all(a is b for a, b in zip(rows, held[st][0]))
+        assert st._pack is held[st][1] and not any(st._pack)
         assert rows == eager[st]
 
 

@@ -3,8 +3,12 @@
     python tools/bench_pairs.py PARENT CHANGE [--workload NAME ...] [--pairs N]
                                 [--trace]
 
-Each pair runs `perfbench/run.py --trace 0` once in the PARENT checkout and
-once in the CHANGE checkout, with the same seed (pair i uses seed i, from 1)
+Before the first pair, PARENT and CHANGE are copied to fresh temporary
+directories of equal path length, without `.git`, `__pycache__` or
+`.perfbench-work`, so that neither side's runs depend on where its checkout
+lives or on what earlier runs left in it; the copies are removed at the
+end. Each pair runs `perfbench/run.py --trace 0` once in the PARENT copy and
+once in the CHANGE copy, with the same seed (pair i uses seed i, from 1)
 and the run length `run_seconds` of the CHANGE checkout's BENCHMARK.json. The
 order alternates: even pairs run the parent first, odd pairs the change
 first, so a drift in the machine's load falls on both sides. For each
@@ -22,15 +26,21 @@ run that misses one of its binding sites also stops the comparison. A
 layer metric that one side does not report is left out.
 
 Standard library only; run it from anywhere, each run starts in its own
-checkout.
+copy.
 """
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+
+# what a copy leaves out: version control, bytecode and benchmark output
+LEFT_OUT = shutil.ignore_patterns(".git", "__pycache__", ".perfbench-work")
 
 
 def read_result(where, returncode, stdout, stderr, trace=False):
@@ -57,6 +67,19 @@ def run_once(checkout, workload, seed, seconds, trace=False):
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     return read_result(f"{checkout}: {workload} seed {seed}", proc.returncode,
                        proc.stdout, proc.stderr, trace)
+
+
+@contextlib.contextmanager
+def fresh_copies(parent, change):
+    """Copies of the two checkouts, as `parent` and `change` under one new
+    temporary directory, without LEFT_OUT; removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        copies = []
+        for side, checkout in (("parent", parent), ("change", change)):
+            copy = os.path.join(tmp, side)
+            shutil.copytree(checkout, copy, ignore=LEFT_OUT)
+            copies.append(copy)
+        yield copies
 
 
 def iqr(values):
@@ -125,9 +148,10 @@ def main(argv=None):
     table = bench["per_layer"] if args.trace else bench["end_to_end"]
     metrics = [(m["name"], m["better"], m.get("bound")) for m in table]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    for workload in workloads:
-        compare(args.parent, args.change, workload, args.pairs,
-                bench["run_seconds"], metrics, args.trace)
+    with fresh_copies(args.parent, args.change) as (parent, change):
+        for workload in workloads:
+            compare(parent, change, workload, args.pairs,
+                    bench["run_seconds"], metrics, args.trace)
     return 0
 
 
