@@ -99,7 +99,8 @@ def main(argv=None):
         "vcost_words": result.cost.vcost_words,
         "vcost_bits": result.cost.vcost_bits,
         "seed": args.seed,
-        # prover and verifier seconds; None when no transcript was built
+        # prover and verifier seconds (a refused graph witness: the
+        # prover's to the refusal, and 0.0); None for a result without them
         "timing": result.info.get("timing"),
     }
     if not outcome.rejected:

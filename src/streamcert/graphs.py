@@ -13,6 +13,7 @@ only on a simple graph, so every run first reads its edges through
 streams.stream_ids, which refuses (ConfigError) a vertex outside [0, n), a
 self loop and an edge whose final count is not 0 or 1."""
 
+import time
 from functools import partial
 
 from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
@@ -94,13 +95,19 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
     a rejected run keeps its costs, an unusable witness (ConfigError while
     the honest prover forms its witness or maps the witness edges) has
     none, and its reject reason, in phase "begin", is "witness refused: "
-    and the ConfigError's text. Any other ConfigError, such as the
-    extension grid's budget, propagates."""
+    and the ConfigError's text; its timing is the honest prover's seconds
+    to the refusal and a verifier time of 0.0, as the verifier reads no
+    transcript. Any other ConfigError, such as the extension grid's
+    budget, propagates."""
     meta = compute_meta(*stream_ids("edges", edges, n))
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
                   max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))
 
+    started = 0.0
+
     def honest(rng):
+        nonlocal started
+        started = time.perf_counter()
         try:
             chunk, edges = witness()
             x_updates = [_edge_update(0, a, b) for a, b in edges]
@@ -113,8 +120,11 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
                               honest, prover)
     except _UnusableWitness as exc:
         # the prover cannot even form its annotation
+        timing = {"prover_s": time.perf_counter() - started,
+                  "verifier_s": 0.0}
         return RunResult(RelaxedOutcome(False), CostReport(0, 0, 0, 0.0),
-                         {"reject": {"phase": "begin", "reason": str(exc)}})
+                         {"reject": {"phase": "begin", "reason": str(exc)},
+                          "timing": timing})
     if result.rejected:
         result.outcome = RelaxedOutcome(False)
     return result

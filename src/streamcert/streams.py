@@ -139,12 +139,16 @@ class PairwiseHash:
 def hash_fits(h, universe: int, r: int) -> bool:
     """Whether a hash description received from the prover is a member of
     the pairwise family from [universe] to [r]: exactly a PairwiseHash, int
-    fields, 0 <= a, b < p and p >= universe. A subclass is refused, since
-    calling it would run the prover's code; an accepted hash is evaluated
-    as ((a*x + b) mod p) mod r, from its fields or by calling it alike."""
+    fields, 0 <= a, b < p and universe <= p < 2 * max(universe, r, 2). A
+    subclass is refused, since calling it would run the prover's code; an
+    accepted hash is evaluated as ((a*x + b) mod p) mod r, from its fields
+    or by calling it alike. The upper bound keeps a, b and p within a bit of
+    lg max(universe, r), so the verifier's hashing does not grow with the
+    prover's choice; the honest p = next_prime(max(universe, r, 2)) meets
+    it by Bertrand's postulate."""
     return (type(h) is PairwiseHash
             and all(type(v) is int for v in (h.a, h.b, h.p, h.r))
-            and h.r == r and h.p >= max(1, universe)
+            and h.r == r and max(1, universe) <= h.p < 2 * max(universe, r, 2)
             and 0 <= h.a < h.p and 0 <= h.b < h.p)
 
 

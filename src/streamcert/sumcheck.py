@@ -39,11 +39,15 @@ from the closed form of the basis over {0, ..., c-1}, c = c_a: at an
 extension point p >= c,
 
     L_x(p) = C(p) * w_x / (p - x),  C(p) = p! / (p - c)!,
-    w_x = (-1)^(c-1-x) / (x! * (c-1-x)!),
+    w_x = (-1)^(c-1-x) / (x! * (c-1-x)!).
 
-so factorials and their inverses up to s - 1 (s = proof_len) give every
-column. This needs s - 1 < q, which DenseParams guarantees by requiring
-q > proof_len.
+The grid stores w_x / (p - x) and leaves C(p) out. Every g is homogeneous
+of its declared degree d (DenseParams checks it), so g(C * f) = C^d * g(f),
+and a proof multiplies b's folded value at p by C(p)^d once. Without C(p),
+column x over a run of points is a window of the one sequence of inverses
+1/k, k < s, shifted by x and scaled by w_x, so each column is built with a
+few bigint operations (_ExtGrid). This needs s - 1 < q, which DenseParams
+guarantees by requiring q > proof_len.
 
 The columns are kept in segments of c_a - 1 extension points (_ExtGrid),
 and a proof of degree d multiplies, unpacks and folds d - 1 of them, each
@@ -70,10 +74,13 @@ class DenseParams:
 
     g is an evaluation callback with declared total degree (the verifier
     never needs its coefficients); it must vanish at zero, so all-zero cells
-    contribute nothing. It acts as an integer polynomial taken mod q: it may
-    be handed any integers congruent to the field elements, and must return
-    a result congruent to g of those elements. A verified result is decoded to
-    the integer in (-q/2, q/2) it represents and must lie within
+    contribute nothing, and be homogeneous of that degree,
+    g(t * v) = t^degree * g(v), so that the prover can factor C(p)^degree
+    out of its extension values (module docstring); both are probed here.
+    It acts as an integer polynomial taken mod q: it may be handed any
+    integers congruent to the field elements, and must return a result
+    congruent to g of those elements. A verified result is decoded to the
+    integer in (-q/2, q/2) it represents and must lie within
     [-bound, bound].
 
     gate, when not None, is the index of a vector z that divides g, so that g
@@ -105,6 +112,13 @@ class DenseParams:
             raise ConfigError("field too small to decode the output bound")
         if self.g([0] * self.vectors) % q != 0:
             raise ConfigError("g must vanish at zero")
+        # g(t * v) = t^degree * g(v) at two nonzero points
+        for t, v in ((2, range(1, self.vectors + 1)),
+                     (3, range(2, 3 * self.vectors + 2, 3))):
+            lhs = self.g([t * x % q for x in v])
+            if (lhs - pow(t, self.degree, q) * self.g(list(v))) % q:
+                raise ConfigError(
+                    f"g must be homogeneous of degree {self.degree}")
         if self.gate is not None:
             if type(self.gate) is not int or not 0 <= self.gate < self.vectors:
                 raise ConfigError(f"gate {self.gate!r} is not a vector index")
@@ -301,20 +315,31 @@ class _ExtGrid:
     segments of seg_len = c_a - 1 extension points (1 when c_a = 1).
 
     Segment k covers the points p = c_a + k * seg_len onward: its column x
-    packs L_x(p) over those points into one integer, one limb per point. A
-    sparse cell (x, y) with value v then contributes to every point of a
-    segment in column y with the single bigint multiply segment[x] * v. A
-    degree-d proof has (d - 1)(c_a - 1) extension points, so it reads
-    segments 0 .. d - 2 and no limb past them, however far a proof of
-    higher degree has grown the grid; the segments together hold exactly
-    the limbs of one grid as wide as the widest proof.
+    packs L_x(p) / C(p) = w_x * inv(p - x) over those points into one
+    integer, one limb per point, each reduced into [0, q). A sparse cell
+    (x, y) with value v then contributes to every point of a segment in
+    column y with the single bigint multiply segment[x] * v, and the proof
+    multiplies the folded value at p by C(p)^d, which scale(k, d) keeps
+    (module docstring). A degree-d proof has (d - 1)(c_a - 1) extension
+    points, so it reads segments 0 .. d - 2 and no limb past them, however
+    far a proof of higher degree has grown the grid; the segments together
+    hold exactly the limbs of one grid as wide as the widest proof.
 
-    The limbs come from the closed form L_x(p) = C(p) * w_x * inv(p - x)
-    (module docstring), with inv(k) = (k-1)!/k! for k in 1 .. t-1, where t
-    is one past the last point the segments cover: tables of k! and 1/k!
-    up to t - 1, from one modular inverse per ensure call. A proof asks
-    for s = proof_len, which ends a segment, so t = proof_len < q, as
-    DenseParams requires, and every such k is invertible.
+    ensure computes inv(k) = (k-1)!/k! for k in 1 .. t-1, where t is one
+    past the last point the segments cover, from tables of k! and 1/k! and
+    one modular inverse. A proof asks for s = proof_len, which ends a
+    segment, so t = proof_len < q, as DenseParams requires, and every such
+    k is invertible. Column x of segment k packs the window of seg_len
+    inverses from inv(c_a + k * seg_len - x) on: column 0's is packed from
+    the list, and each next column's window is the last one shifted up a
+    limb, the top limb dropped and a new lowest limb put in. Times w_x,
+    each limb is then below q^2, and is reduced all at once with Shoup's
+    method: with
+    w' = floor(w_x * 2^b / q), b = field.bits, the packed quotients
+    floor(inv * w' / 2^b) leave every limb in [0, 2q), and one packed
+    compare against q takes it below q. Each step is one bigint operation
+    over the column; a limb holds 2 * b + 3 bits or more (_limb_bytes), so
+    no step carries from one limb into the next.
     """
 
     def __init__(self, field: Field, c_a: int):
@@ -323,6 +348,8 @@ class _ExtGrid:
         self.limb_bytes = _limb_bytes(field, c_a)
         self.seg_len = max(1, c_a - 1)
         self.segments = []
+        self.cps = []  # C(p) at the points of each segment
+        self._scales = {}
         lb = self.limb_bytes
         self.slices = [slice(e * lb, (e + 1) * lb) for e in range(self.seg_len)]
 
@@ -337,26 +364,47 @@ class _ExtGrid:
         have, want = len(self.segments), -(-(s - c) // n)
         if want <= have:
             return
-        q = self.field.q
+        q, b, lb = self.field.q, self.field.bits, self.limb_bytes
         top = c + want * n
         fact = list(accumulate(range(1, top), lambda a, k: a * k % q, initial=1))
         invfact = inverse_factorials(self.field, top)
         inv = [0] + [fact[k - 1] * invfact[k] % q for k in range(1, top)]
+        # packed constants, one limb per point: 1, 2^b - 1, and 2^high - q,
+        # which sets a limb's top bit, bit `high`, iff the limb is >= q
+        ones = int.from_bytes((1).to_bytes(lb, "little") * n, "little")
+        low = ones * ((1 << b) - 1)
+        high = 8 * lb - 1
+        lift = ones * ((1 << high) - q)
+        full = (1 << n * (high + 1)) - 1
         ws = []
         for x in range(c):
             w = invfact[x] * invfact[c - 1 - x] % q
-            ws.append(q - w if (c - 1 - x) & 1 else w)
-        lbs, little = repeat(self.limb_bytes), repeat("little")
+            w = q - w if (c - 1 - x) & 1 else w
+            ws.append((w, (w << b) // q))
         for k in range(have, want):
             p0 = c + k * n
-            cp = [fact[p] * invfact[p - c] % q for p in range(p0, p0 + n)]
+            self.cps.append([fact[p] * invfact[p - c] % q
+                             for p in range(p0, p0 + n)])
+            # p - x runs over p0 - x .. p0 + n - 1 - x: column 0's window,
+            # then each next column's one limb lower
+            window = int.from_bytes(b"".join(map(
+                int.to_bytes, inv[p0:p0 + n], repeat(lb), repeat("little"))),
+                "little")
             segment = []
-            for x, w in enumerate(ws):
-                # p - x runs over p0 - x .. p0 + n - 1 - x
-                vals = [a * b * w % q for a, b in zip(cp, inv[p0 - x:p0 - x + n])]
-                segment.append(int.from_bytes(
-                    b"".join(map(int.to_bytes, vals, lbs, little)), "little"))
+            for x, (w, shoup) in enumerate(ws):
+                if x:
+                    window = (window << high + 1 | inv[p0 - x]) & full
+                col = window * w - (window * shoup >> b & low) * q
+                segment.append(col - (col + lift >> high & ones) * q)
             self.segments.append(segment)
+
+    def scale(self, k: int, d: int):
+        """[C(p)^d mod q for the points p of segment k], kept per (k, d)."""
+        got = self._scales.get((k, d))
+        if got is None:
+            q = self.field.q
+            got = self._scales[k, d] = [pow(cp, d, q) for cp in self.cps[k]]
+        return got
 
     def unpack(self, acc: int):
         """The seg_len limbs of a packed accumulator over one segment, as
@@ -425,8 +473,9 @@ class DenseProver:
         """b on {0, ..., s-1}, summing g over the nonzero cells only (g
         vanishes at zero) of the columns where the gate vector, if any, is
         nonzero somewhere: grid points read the cells, extension points
-        their packed Lagrange columns one grid segment at a time, folded
-        unreduced and reduced once."""
+        their packed columns w_x / (p - x) one grid segment at a time,
+        folded unreduced. Each folded value at p is then multiplied by
+        C(p)^d (g is homogeneous of degree d) and reduced once."""
         p = self.params
         q = self.field.q
         g = p.g
@@ -473,7 +522,8 @@ class DenseProver:
                     limbs = [grid.unpack(a) if a else zeros for a in accs]
                     bext = list(map(add, bext, map(g, zip(*limbs))))
                 start = c_a + k * n
-                values[start:start + n] = [b % q for b in bext]
+                values[start:start + n] = [
+                    b * cp % q for b, cp in zip(bext, grid.scale(k, p.degree))]
 
         return DenseProof(values, self.field.bits)
 

@@ -211,6 +211,14 @@ def test_cli_bad_multiindex_claim_exits_1(claim, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def assert_refusal_timing(out):
+    """A refused witness is timed: the prover's seconds to the refusal, and
+    no verifier time, as no transcript was built."""
+    assert set(out["timing"]) == {"prover_s", "verifier_s"}
+    assert out["timing"]["prover_s"] >= 0
+    assert out["timing"]["verifier_s"] == 0.0
+
+
 def test_cli_unusable_tree_witness_rejects_with_exit_2(tmp_path, capsys):
     paths = _write_inputs(tmp_path)
     short = tmp_path / "short-tree.txt"
@@ -221,6 +229,7 @@ def test_cli_unusable_tree_witness_rejects_with_exit_2(tmp_path, capsys):
     assert out["phase"] == "begin"
     assert out["reason"] == ("witness refused: "
                              "witness edges do not span the graph")
+    assert_refusal_timing(out)
 
 
 
@@ -237,6 +246,7 @@ def test_cli_self_loop_witness_rejects_with_exit_2(scheme, witness, tmp_path,
     assert rc == 2 and out["outcome"] == "reject" and "value" not in out
     assert out["phase"] == "begin"
     assert out["reason"] == "witness refused: self loop at vertex 2"
+    assert_refusal_timing(out)
 
 
 def test_cli_grid_budget_refusal_exits_1(tmp_path, capsys, monkeypatch):

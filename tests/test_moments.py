@@ -677,6 +677,21 @@ def test_bad_start_hash_rejected(site, fields):
     assert run(seed=2, prover=rewrite_start_chunk(kind, bad_hash(**fields))).rejected
 
 
+@pytest.mark.parametrize("site, why", [
+    ("engine", "bad universe hash"), ("engine-stages", "bad stage hash"),
+    ("multiindex", "bad stage hash"), ("prescient-fk", "bad hash"),
+    ("prescient-disj", "bad hash"), ("online-disj", "bad hash description"),
+])
+def test_start_hash_with_oversized_modulus_rejected(site, why):
+    # a, b < p and p >= universe, but p is 201 bits, far past twice the
+    # universe: each hash check bounds p by 2 * max(universe, r, 2)
+    run, kind = SITES[site]
+    big = bad_hash(p=streams.next_prime(2 ** 200))
+    r = run(seed=2, prover=rewrite_start_chunk(kind, big))
+    assert r.rejected
+    assert r.info["reject"] == {"phase": "begin", "reason": why}
+
+
 @dataclasses.dataclass(frozen=True)
 class _SubHash(streams.PairwiseHash):
     """Computes the very buckets of its base class, but its code is the

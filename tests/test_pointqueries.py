@@ -4,7 +4,7 @@ import random
 import pytest
 
 from streamcert import pointqueries
-from streamcert.field import DEFAULT_FIELD
+from streamcert.field import DEFAULT_FIELD, next_prime
 from streamcert.harness import ChunkTamper, RunConfig, adversary, run_scheme
 from streamcert.pointqueries import (BucketFingerprintState, dyadic_counts,
                                      heavyhitters_run, open_buckets, pq_run,
@@ -161,11 +161,14 @@ def test_hh_malformed_annotation_rejected(kind, fn):
     assert r.rejected
 
 
-@pytest.mark.parametrize("run", [
+PQ_FAMILY = pytest.mark.parametrize("run", [
     lambda ups, **kw: pq_run(ups, 16, 0, c_a=16, c_v=8, **kw),
     lambda ups, **kw: selection_run(ups, 16, 3, c_a=16, c_v=8, **kw),
     lambda ups, **kw: heavyhitters_run(ups, 16, 0.3, c_a=16, c_v=8, **kw),
 ], ids=["pointquery", "selection", "heavyhitters"])
+
+
+@PQ_FAMILY
 @pytest.mark.parametrize("fields", [
     {"p": 0}, {"a": 1.5}, {"b": -1}, {"p": 2},
 ], ids=["zero-p", "float-a", "negative-b", "p-below-universe"])
@@ -174,6 +177,17 @@ def test_pq_family_bad_hash_rejected(run, fields):
         [StreamUpdate(i, 1) for i in range(2, 12)]
     assert run(ups, seed=1).accepted
     assert run(ups, seed=1, prover=rewrite_start_chunk("hash", bad_hash(**fields))).rejected
+
+
+@PQ_FAMILY
+def test_pq_family_hash_with_oversized_modulus_rejected(run):
+    # p >= 2 * max(universe, r) is refused at the hash check itself
+    ups = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
+        [StreamUpdate(i, 1) for i in range(2, 12)]
+    big = bad_hash(p=next_prime(2 ** 200))
+    r = run(ups, seed=1, prover=rewrite_start_chunk("hash", big))
+    assert r.info["reject"] == {"phase": "begin",
+                                "reason": "bad hash description"}
 
 
 def test_hash_subclass_that_lies_rejected():
@@ -190,13 +204,13 @@ def test_hash_subclass_that_lies_rejected():
 
     class LyingProver(Prover):
         def start(self):
-            return [Chunk("hash", Lying(a=1, b=0, p=2 ** 61 - 1, r=4), 256)]
+            return [Chunk("hash", Lying(a=1, b=0, p=67, r=4), 256)]
 
         def finish(self, query):
             return [Chunk("opening", [], 0)]
 
-    assert not hash_fits(Lying(a=1, b=0, p=2 ** 61 - 1, r=4), 64, 4)
-    assert hash_fits(PairwiseHash(a=1, b=0, p=2 ** 61 - 1, r=4), 64, 4)
+    assert not hash_fits(Lying(a=1, b=0, p=67, r=4), 64, 4)
+    assert hash_fits(PairwiseHash(a=1, b=0, p=67, r=4), 64, 4)
     ups = [StreamUpdate(5, 3), StreamUpdate(9, 2)]
     assert pq_run(ups, 64, 5, c_a=4, c_v=4).value == 3
     assert pq_run(ups, 64, 5, c_a=4, c_v=4, prover=LyingProver()).rejected

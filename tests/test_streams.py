@@ -73,7 +73,7 @@ def fingerprint(field, basis):
     """One-bucket fingerprint state: accs[0] is sum_i f_i * basis^i."""
     fp = BucketFingerprintState(field, 1, 1, random.Random(0))
     fp.basis = basis
-    fp.set_hash(PairwiseHash(a=1, b=0, p=field.q, r=1), 64)
+    fp.set_hash(PairwiseHash(a=1, b=0, p=67, r=1), 64)  # 67 = next_prime(64)
     return fp
 
 

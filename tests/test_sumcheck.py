@@ -537,13 +537,41 @@ def test_ext_grid_packs_match_lagrange_oracle(field, degree, c_a):
     # whole segments, as few as cover the points below s
     assert len(grid.segments) == -(-(s - c_a) // n)
     assert grid.s == c_a + len(grid.segments) * n >= s
+    q = field.q
     for k, segment in enumerate(grid.segments):
         assert len(segment) == c_a
+        # the grid leaves C(p) = p! / (p - c_a)! out of its limbs
+        points = range(c_a + k * n, c_a + (k + 1) * n)
+        cps = [factorial(p) // factorial(p - c_a) % q for p in points]
+        assert grid.scale(k, degree) == [pow(c, degree, q) for c in cps]
         for x, col in enumerate(segment):
-            want = [lagrange_basis_at(field, c_a, x, c_a + k * n + e)
-                    for e in range(n)]
-            assert grid.unpack(col) == want
-            assert col == packed(want, grid.limb_bytes)  # limbs already reduced
+            want = [lagrange_basis_at(field, c_a, x, p) for p in points]
+            limbs = grid.unpack(col)
+            assert [c * v % q for c, v in zip(cps, limbs)] == want
+            assert col == packed([v % q for v in limbs],
+                                 grid.limb_bytes)  # limbs already reduced
+
+
+@pytest.mark.parametrize("bits", [61, 80, 168, 296])
+def test_ext_grid_packed_reduction_at_real_widths(bits):
+    # c_a = 512, degree 3: the widest grid the benchmark builds, in every
+    # field width the universe tests reach; each column is a window of the
+    # packed inverses times w_x, reduced limb by limb in packed form
+    field = FM if bits == 61 else field_at_least(1 << bits - 1)
+    assert field.bits == bits
+    q, c_a = field.q, 512
+    grid = _ExtGrid(field, c_a)
+    grid.ensure(3 * (c_a - 1) + 1)
+    n = grid.seg_len
+    assert len(grid.segments) == 2
+    for k, segment in enumerate(grid.segments):
+        p0 = c_a + k * n
+        for x in (0, 1, 255, 510, 511):
+            w = pow(factorial(x) * factorial(c_a - 1 - x), -1, q)
+            w = q - w if (c_a - 1 - x) % 2 else w
+            assert grid.unpack(segment[x]) == [
+                w * pow(p - x, -1, q) % q for p in range(p0, p0 + n)]
+        assert max(max(grid.unpack(col)) for col in segment) < q
 
 
 def test_ext_grid_grows_to_a_fresh_build():
@@ -586,6 +614,46 @@ def test_params_validation():
         with pytest.raises(ConfigError, match=match):
             DenseParams(*shape, g_power(shape[0], 2), 1)
     assert prop1_min_field(2, 4, 10) == 2 * 2 * 14 ** 2 + 1
+
+
+def test_params_refuse_inhomogeneous_g():
+    # the prover factors C(p)^degree out of g: g must be homogeneous of
+    # its declared degree
+    with pytest.raises(ConfigError, match="homogeneous of degree 2"):
+        params_for(16, 4, 4, 1, 2, lambda v: (v[0] * v[0] + v[0]) % FM.q, 100)
+    with pytest.raises(ConfigError, match="homogeneous of degree 3"):
+        params_for(16, 4, 4, 1, 3, g_power(FM, 2), 100)
+    for degree, g in [(1, g_power(FM, 1)), (3, g_power(FM, 3)),
+                      (2, g_product(FM)), (3, g_triple_product(FM))]:
+        params_for(16, 4, 4, 3, degree, g, 100)
+
+
+G_FAMILIES = {
+    "z": (1, 1, g_power, None), "z^2": (1, 2, g_power, None),
+    "z^3": (1, 3, g_power, None), "ab": (2, 2, g_product, None),
+    "purity": (3, 2, g_purity, None), "sub-purity": (4, 3, g_sub_purity, 3),
+    "sub-square": (2, 3, g_sub_square, 1),
+    "abc": (3, 3, g_triple_product, None),
+}
+
+
+@pytest.mark.parametrize("field", [Field(101), FM, field_at_least(1 << 79)],
+                         ids=["q101", "m61", "q80bit"])
+@pytest.mark.parametrize("c_a", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("family", list(G_FAMILIES))
+def test_proof_matches_direct_oracle_for_every_g(family, c_a, field):
+    # the proof's extension values carry C(p)^degree, which only a g
+    # homogeneous of its declared degree turns into b(p)
+    vectors, degree, make, gate = G_FAMILIES[family]
+    g = make(field, degree) if make is g_power else make(field)
+    c_v = 3
+    p = DenseParams(field, c_a * c_v, c_a, c_v, vectors, degree, g,
+                    (field.q - 1) // 2, gate=gate)
+    rng = random.Random(f"{family}-{c_a}-{field.q}")
+    for _ in range(3):
+        vecs = [{rng.randrange(p.universe): rng.randrange(1, field.q)
+                 for _ in range(2 * c_a)} for _ in range(vectors)]
+        assert dense_prover_proof(vecs, p).values == direct_values(p, vecs)
 
 
 def test_ext_grid_budget_evicts_the_other_grids(monkeypatch, rng):
