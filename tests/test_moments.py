@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 
@@ -1177,6 +1178,82 @@ def test_one_stage_loop_serves_every_mode():
         assert r.value == {2: moment_oracle(ups, 2)} == {2: 375}
         assert r.info["stages_used"] == 3
         assert (r.cost.hcost_bits, r.cost.vcost_words) == (hcost, vcost)
+
+
+# ---------------------------------------- the stage list's reject reasons
+
+_STAGE_UPS = strict_stream(random.Random(5), 1 << 12, 60, churn=0.2)
+_LOOP_UPS = strict_stream(random.Random(13), 1 << 10, 40, churn=0.4)
+
+# the standalone scheme and the engine in each mode, each with several
+# claims and a marked stage
+STAGE_RUNS = {
+    "multiindex": lambda **kw: multiindex_run(
+        _STAGE_UPS, 1 << 12, sorted(freq_oracle(_STAGE_UPS).items())[:20], 16,
+        **kw),
+    **{mode: partial(fk_online_multi, _LOOP_UPS, 1 << 10, (2,), 4, mode=mode,
+                     coins_seed=1)
+       for mode in (MODE_STRICT, MODE_FOOTPRINT, MODE_AMA)},
+}
+
+
+def _first(value):
+    return lambda stages: [value, *stages[1:]]
+
+
+def _abort_for_stages(honest):
+    return ChunkTamper(honest, lambda chunks: [
+        Chunk("mi-abort", None, 1) if c.kind == "mi-stages" else c
+        for c in chunks])
+
+
+# (prover wrapper, reason): each rewrites the stage list, the stage proofs
+# or swaps an abort in for the stage list
+_MISMATCH, _BUDGET = "stage list length mismatch", "stage outside budget"
+STAGE_REWRITES = {
+    "none": (lambda s: None, _MISMATCH),
+    "string": (lambda s: "1" * len(s), _MISMATCH),
+    "one-more": (lambda s: s + [1], _MISMATCH),
+    "one-fewer": (lambda s: s[:-1], _MISMATCH),
+    "tuple": (tuple, _MISMATCH),
+    "true": (_first(True), _BUDGET),
+    "false": (_first(False), _BUDGET),
+    "zero": (_first(0), _BUDGET),
+    "huge": (_first(10 ** 9), _BUDGET),
+    "str-entry": (_first("1"), _BUDGET),
+    "float-entry": (_first(1.0), _BUDGET),
+    "negative": (_first(-1), _BUDGET),
+    "none-entries": (lambda s: [None] * len(s), _BUDGET),
+    "nested": (lambda s: [[x] for x in s], _BUDGET),
+}
+STAGE_TAMPERS = {
+    **{name: (rewrite_chunk("mi-stages", fn), why)
+       for name, (fn, why) in STAGE_REWRITES.items()},
+    "proof-short": (rewrite_chunk("mi-stage-proof", lambda p: p[:-1]),
+                    "malformed stage proof"),
+    "proof-long": (rewrite_chunk("mi-stage-proof", lambda p: p + p[:1]),
+                   "malformed stage proof"),
+    "proof-tuple": (rewrite_chunk("mi-stage-proof", tuple),
+                    "malformed stage proof"),
+    "abort": (_abort_for_stages, "prover aborted"),
+}
+
+
+@pytest.mark.parametrize("run", STAGE_RUNS)
+def test_stage_runs_accept_honestly(run):
+    r = STAGE_RUNS[run](seed=1)
+    assert r.accepted and r.info["stages_used"] >= 1
+    assert r.value in (1, {2: moment_oracle(_LOOP_UPS, 2)})
+
+
+@pytest.mark.parametrize("run", STAGE_RUNS)
+@pytest.mark.parametrize("tamper", STAGE_TAMPERS)
+def test_stage_annotation_rewrite_rejected(run, tamper):
+    # each rewrite is refused at the end of the stream with its own reason,
+    # and by a Reject: any other exception would escape the run
+    prover, why = STAGE_TAMPERS[tamper]
+    r = STAGE_RUNS[run](seed=1, prover=prover)
+    assert r.info["reject"] == {"phase": "end", "reason": why}
 
 
 # ------------------------------- the collision list's plausibility rules
