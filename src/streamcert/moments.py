@@ -60,9 +60,7 @@ instances once, through the same step. The proofs depend only on the final
 vectors, so the annotation is the same as mapping every update; it is sent
 after the stream, so the prover stays prefix-causal. The prover maps an id
 into a MultiIndex stage only once the stages are assigned, and only into
-the stages some claim is marked at: no other stage sends a proof. It
-counts the ids' buckets at every stage first, which the assignment
-needs.
+the stages some claim is marked at: no other stage sends a proof.
 
 The MultiIndex cores are the standalone scheme's prover and verifier, and
 the engine drives the same interface for its collision list.
@@ -72,16 +70,16 @@ with update(ident, delta), which the standalone scheme's on_update(u)
 feeds; the verifier maps each update as it arrives, with update(u) in the
 standalone scheme and through the engine's route in the engine. After the
 stream each side certifies the claims, (ident, fstar, wstar) triples, with
-one call. MultiIndexProverCore.finish_chunks(claims) runs once every id
-the stream leaves is counted in its stage buckets with occupy:
-finish(claims) counts them for the standalone scheme, and the engine's
-prover from the buckets its route returns as it maps the main instances.
-It assigns the stages, enters the claims and maps the net counts into the
-marked stages (stage_proofs), and returns the stage list and proofs, or an
-abort. MultiIndexVerifierCore.end(chunks, claims) takes and checks them
-and returns Outcome.ok(1), or Outcome.ok(0) when a claim is wrong. The
-standalone scheme's claims are its run's query: they arrive after the
-stream.
+one call, and both enter them with one routine, _StageMap.enter.
+MultiIndexProverCore.finish_chunks(claims) hashes the ids the stream
+leaves at every stage, gives each claim the first stage that isolates it,
+enters the claims and maps the ids' net counts into the marked stages,
+and returns the stage list and the marked stages' proofs, or an abort.
+MultiIndexVerifierCore.end(chunks, claims) takes the stage list, checks
+each claim's stage and plausibility, enters the claims, verifies the
+marked stages' proofs in the order enter returns them, and returns
+Outcome.ok(1), or Outcome.ok(0) when a claim is wrong. The standalone
+scheme's claims are its run's query: they arrive after the stream.
 """
 
 import math
@@ -236,12 +234,14 @@ class _StageMap:
 
     A count (ident, delta) lands, under each stage hash h_j, in bucket
     h_j(ident) of stage j's SubF2 instances and, as purity terms, of its
-    SubInjection-style check. A claim entry takes its claimed frequency out
-    of every stage and marks its bucket at its own stage. `dense(params)`
-    builds each instance: a DenseProver for the prover, a DenseVerifier
-    drawing its secret point for the verifier. `instances` holds each
-    stage's instances in proof order: the purity check, SubF2 over the net
-    counts and, in footprint mode, SubF2 over the absolute weights.
+    SubInjection-style check. enter() enters the claims for both sides:
+    each claim marks its bucket at its own stage, and its claimed
+    frequency comes out of every marked stage, the only stages proven and
+    verified. `dense(params)` builds each instance: a DenseProver for the
+    prover, a DenseVerifier drawing its secret point for the verifier.
+    `instances` holds each stage's instances in proof order: the purity
+    check, SubF2 over the net counts and, in footprint mode, SubF2 over
+    the absolute weights.
 
     Buckets come from the stage hashes' fields, taken by use_hashes.
     route() builds the one hash -> bucket -> lane step, for the standalone
@@ -267,7 +267,6 @@ class _StageMap:
             self.sf_abs = [dense(shape.stage_subf2_params()) for _ in range(t)]
             per_stage.append(self.sf_abs)
         self.instances = list(zip(*per_stage))
-        self.marks = [0] * t
 
     def use_hashes(self, hs):
         """Take the stage hashes; buckets come from their fields."""
@@ -284,12 +283,11 @@ class _StageMap:
         the lanes in head, each (count instance, vector j, purity sink),
         then the net-count SubF2 (vector 0) with its purity check of each
         stage in `stages` (indices from 0; every stage when None), keyed by
-        keys, one (a, b, p, r) a lane. Keys past the lanes give buckets
-        only.
+        keys, one (a, b, p, r) a lane.
 
         step maps the count delta, of absolute update weight `weight`, of
-        x, id `ident` in the stages, and returns its buckets: x's under
-        the keys, as the bank computes and returns them. The head lanes
+        x, id `ident` in the stages, and returns its bucket in each lane,
+        as the bank computes and returns them. The head lanes
         take x's purity terms, the stage lanes ident's. Each (instance,
         vector j) of more takes delta at the first bucket, and the
         footprint SubF2 over the absolute weights takes weight at the
@@ -321,33 +319,35 @@ class _StageMap:
         into every stage. Returns ident's bucket at each stage."""
         return self.feed_stages(ident, ident, delta, weight)
 
-    def entry(self, ident, fstar, stage, wstar=None, buckets=None,
-              stages=None):
-        """Enter one claim at its stage, taking its claimed frequency out of
-        each stage in `stages` (indices from 0; every stage when None).
-        buckets: ident's bucket at each stage, when the caller has them."""
+    def enter(self, claims, stages, claimed):
+        """Enter each (ident, fstar, wstar) claim at its stage in `stages`
+        (from 1), claimed holding its bucket at each stage: mark the bucket
+        there, and take the claimed frequency (and, in footprint mode, the
+        claimed weight) out of every marked stage. Returns the marked
+        stages, indices from 0 in order: they alone send proofs and have
+        them checked, so the other stages take nothing, and each instance
+        is a sum, whatever order its updates come in."""
         sh = self.shape
-        if buckets is None:
-            buckets = self.buckets(ident)
-        for j in range(len(buckets)) if stages is None else stages:
+        marked = sorted({stage - 1 for stage in stages})
+        for (ident, fstar, wstar), stage, buckets in zip(claims, stages, claimed):
+            for j in marked:
+                self.sf_net[j].update(0, buckets[j], -fstar)
+                if self.sf_abs is not None:
+                    self.sf_abs[j].update(0, buckets[j], -wstar)
+            j = stage - 1
             b = buckets[j]
-            self.sf_net[j].update(0, b, -fstar)
+            insert = sh.occupancy(fstar, wstar)
+            if insert:
+                self.sinks[j].add_purity(b, sh.purity_terms(ident, insert))
+            if sh.mode == MODE_AMA:
+                for jj in range(sh.lgn):
+                    self.checks[j].update(2, b * sh.lgn + jj, 1)
+            else:
+                self.checks[j].update(3, b, 1)
+            self.sf_net[j].update(1, b, 1)
             if self.sf_abs is not None:
-                self.sf_abs[j].update(0, b, -wstar)
-        j = stage - 1
-        b = buckets[j]
-        insert = sh.occupancy(fstar, wstar)
-        if insert:
-            self.sinks[j].add_purity(b, sh.purity_terms(ident, insert))
-        if sh.mode == MODE_AMA:
-            for jj in range(sh.lgn):
-                self.checks[j].update(2, b * sh.lgn + jj, 1)
-        else:
-            self.checks[j].update(3, b, 1)
-        self.sf_net[j].update(1, b, 1)
-        if self.sf_abs is not None:
-            self.sf_abs[j].update(1, b, 1)
-        self.marks[j] += 1
+                self.sf_abs[j].update(1, b, 1)
+        return marked
 
 
 class MultiIndexProverCore(_StageMap, Prover):
@@ -355,10 +355,8 @@ class MultiIndexProverCore(_StageMap, Prover):
     standalone scheme's honest prover. start() sends the stage hashes and
     update(ident, delta) sums each update per id, which on_update(u) feeds
     in the standalone scheme. After the stream, finish_chunks(claims)
-    certifies the claims once every id's stage buckets are counted with
-    occupy: finish(claims) counts them for the standalone scheme, the
-    engine's prover from its own route. Only the stages a claim is marked
-    at are mapped and proven (stage_proofs)."""
+    certifies the claims, for the standalone scheme (finish) and the
+    engine's prover alike."""
 
     def __init__(self, shape: Shape, rng):
         hs = [random_pairwise_hash(shape.n_ids, shape.r, rng)
@@ -367,8 +365,6 @@ class MultiIndexProverCore(_StageMap, Prover):
         self.use_hashes(hs)
         self.freq = {}
         self.absw = {}
-        self.occupancy = [{} for _ in hs]  # per stage: bucket -> ids mapped
-        self.mapped = set()
 
     def start(self):
         """The start annotation: the stage hashes."""
@@ -395,52 +391,38 @@ class MultiIndexProverCore(_StageMap, Prover):
             if f or (footprint and absw[ident]):
                 yield ident, f, absw[ident]
 
-    def occupy(self, ident, buckets):
-        """Count mapped id ident in its bucket at each stage."""
-        self.mapped.add(ident)
-        for occ, b in zip(self.occupancy, buckets):
-            occ[b] = occ.get(b, 0) + 1
-
     def finish(self, claims):
-        """The standalone scheme's end annotation: counts each id the stream
-        leaves in the instances in its stage buckets, and certifies the
-        claims."""
-        for ident, _, _ in self.net_counts():
-            self.occupy(ident, self.buckets(ident))
+        """The standalone scheme's end annotation."""
         return self.finish_chunks(claims)
 
     def finish_chunks(self, claims):
-        """Once every id the stream leaves is counted with occupy: gives
-        each (ident, fstar, wstar) claim the first stage isolating it from
-        the ids counted and enters it there. Returns the stage list and the
-        marked stages' proofs, or an abort, with no stage mapped, if some
-        claim has no stage. Each stage hash is evaluated once per claim."""
-        occupancy = self.occupancy
+        """Gives each (ident, fstar, wstar) claim the first stage isolating
+        it from the ids the stream leaves (net_counts), enters the claims
+        there and maps those ids' counts into the marked stages alone.
+        Returns the stage list and the marked stages' proofs, in stage
+        order, or an abort, with no stage mapped, if some claim has no
+        stage. Each stage hash is evaluated once per id and per claim to
+        assign the stages, then once per id at each marked stage to map
+        it."""
+        counts = list(self.net_counts())
+        occupancy = [{} for _ in self.hkeys]  # per stage: bucket -> ids
+        for ident, _, _ in counts:
+            for occ, b in zip(occupancy, self.buckets(ident)):
+                occ[b] = occ.get(b, 0) + 1
+        left = {ident for ident, _, _ in counts}
         claimed = [self.buckets(c[0]) for c in claims]
         stages = []
         for (ident, _, _), buckets in zip(claims, claimed):
-            own = 1 if ident in self.mapped else 0
+            own = 1 if ident in left else 0
             stages.append(next((j + 1 for j, b in enumerate(buckets)
                                 if occupancy[j].get(b, 0) == own), None))
         if None in stages:
             return [Chunk("mi-abort", None, 1)]
-        return [Chunk("mi-stages", stages, len(stages) * STAGE_BITS),
-                *self.stage_proofs(claims, stages, claimed)]
-
-    def stage_proofs(self, claims, stages, claimed):
-        """Enters each (ident, fstar, wstar) claim at its stage in `stages`
-        (from 1), claimed holding its bucket at each stage, maps each id's
-        net count, and returns the proof chunks of the stages marked, in
-        stage order. Only the marked stages take anything: the others send
-        no proof, and each instance is a sum, whatever order its updates
-        come in."""
-        marked = sorted({s - 1 for s in stages})
-        for (ident, fstar, wstar), s, buckets in zip(claims, stages, claimed):
-            self.entry(ident, fstar, s, wstar, buckets, marked)
+        chunks = [Chunk("mi-stages", stages, len(stages) * STAGE_BITS)]
+        marked = self.enter(claims, stages, claimed)
         step = self.route([self.hkeys[j] for j in marked], stages=marked)
-        for ident, delta, weight in self.net_counts():
+        for ident, delta, weight in counts:
             step(ident, ident, delta, weight)
-        chunks = []
         for j in marked:
             proofs = [inst.proof() for inst in self.instances[j]]
             chunks.append(Chunk("mi-stage-proof", proofs,
@@ -465,7 +447,6 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
         super().__init__(shape, lambda params: DenseVerifier(params, rng))
         self.hs = None
         self.weight_seen = 0
-        self.stages_used = 0
         self.word_bits = shape.field.bits
         self.info = {}
 
@@ -484,35 +465,32 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
         self.weight_seen += weight
         self.feed(u.item, u.delta, weight)
 
-    def entry(self, ident, fstar, stage, wstar=None):
-        sh = self.shape
-        need(type(stage) is int and 1 <= stage <= sh.t_max, "stage outside budget")
-        need(abs(fstar) <= self.weight_seen, "implausible claimed frequency")
-        if sh.mode == MODE_FOOTPRINT:
-            need(wstar is not None and 1 <= wstar <= self.weight_seen,
-                 "implausible claimed weight")
-        super().entry(ident, fstar, stage, wstar)
-        self.stages_used = max(self.stages_used, stage)
-
     def end(self, chunks, claims):
-        """Enters the (ident, fstar, wstar) claims at the stages the
-        annotation assigns, then verifies the marked stages' proofs that
-        follow, taking both from chunks. Returns Outcome.ok(1) if every
-        check passed, Outcome.ok(0) if a verified SubF2 value contradicts a
-        claim, and records the stages used in info. Rejects on
-        a malformed annotation, a failed proof or a nonzero purity value: a
-        marked bucket that holds another id means the stage list is wrong,
-        which says nothing of the claims."""
+        """Checks each (ident, fstar, wstar) claim's stage in the stage
+        list and its plausibility, claim by claim, enters the claims at
+        their stages, then verifies the marked stages' proofs that follow,
+        in stage order, taking both from chunks. Returns Outcome.ok(1) if
+        every check passed, Outcome.ok(0) if a verified SubF2 value
+        contradicts a claim, and records the stages used in info. Rejects
+        on a malformed annotation, a failed proof or a nonzero purity
+        value: a marked bucket that holds another id means the stage list
+        is wrong, which says nothing of the claims."""
+        sh = self.shape
         need(not (chunks and chunks[0].kind == "mi-abort"), "prover aborted")
         stages = take(chunks, "mi-stages")
         need(isinstance(stages, list) and len(stages) == len(claims),
              "stage list length mismatch")
-        for (ident, fstar, wstar), stage in zip(claims, stages):
-            self.entry(ident, fstar, stage, wstar)
+        for (_, fstar, wstar), stage in zip(claims, stages):
+            need(type(stage) is int and 1 <= stage <= sh.t_max,
+                 "stage outside budget")
+            need(abs(fstar) <= self.weight_seen, "implausible claimed frequency")
+            if sh.mode == MODE_FOOTPRINT:
+                need(wstar is not None and 1 <= wstar <= self.weight_seen,
+                     "implausible claimed weight")
         ok = 1
-        for insts, marked in zip(self.instances, self.marks):
-            if not marked:
-                continue
+        claimed = [self.buckets(c[0]) for c in claims]
+        for j in self.enter(claims, stages, claimed):
+            insts = self.instances[j]
             proofs = take(chunks, "mi-stage-proof")
             need(isinstance(proofs, list) and len(proofs) == len(insts),
                  "malformed stage proof")
@@ -523,7 +501,7 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
                     need(v == 0, "marked bucket not isolated")
                 elif v != 0:
                     ok = 0
-        self.info["stages_used"] = self.stages_used
+        self.info["stages_used"] = max(stages, default=0)
         return Outcome.ok(ok)
 
     @property
@@ -576,9 +554,9 @@ class _EngineMap:
     key (a * sides, a * s + b, p, r), so hashing item i with it is hashing
     id i * sides + s, and the bank's one loop over the item gives all
     1 + t_max buckets. Further main instances (fk_online_multi with several
-    orders) take plain updates. The prover's routes have lane 0 alone and
-    still return all 1 + t_max buckets; its stages are mapped later, by
-    MultiIndexProverCore.stage_proofs."""
+    orders) take plain updates. The prover's routes have lane 0 alone,
+    keyed by the universe hash, and return its bucket; the prover maps the
+    marked stages later, in MultiIndexProverCore.finish_chunks."""
 
     def __init__(self, shape: Shape, dense, mi):
         self.shape = shape
@@ -593,18 +571,18 @@ class _EngineMap:
             mark_all(self.main_inj)
         self.arity = 1 + self.sides + (shape.mode == MODE_FOOTPRINT)
 
-    def use_hash(self, h, stages=None):
+    def use_hash(self, h, stages):
         """Take the universe hash, once the stages have their hashes, and
         build each side's route, with the lanes of the stages in `stages`
-        (every stage when None); its step returns all 1 + t_max buckets
-        either way."""
+        (indices from 0)."""
         self.h = h
         self.hkey = (h.a, h.b, h.p, h.r)
         sides = self.sides
         first, *more = self.mains.values()
+        keys = [self.mi.hkeys[j] for j in stages]
         self.routes = [
             self.mi.route([self.hkey] + [(a * sides, a * s + b, p, r)
-                                         for a, b, p, r in self.mi.hkeys],
+                                         for a, b, p, r in keys],
                           [(first, s, self.main_sink)],
                           [(main, s) for main in more], stages)
             for s in range(sides)]
@@ -643,7 +621,7 @@ class OnlineEngineProver(_EngineMap, Prover):
     def __init__(self, shape: Shape, rng):
         h = random_pairwise_hash(shape.n, shape.r, rng)
         super().__init__(shape, DenseProver, MultiIndexProverCore(shape, rng))
-        self.use_hash(h, stages=())
+        self.use_hash(h, ())
 
     def start(self):
         return [Chunk("hash", self.h, self.h.bits)] + self.mi.start()
@@ -658,16 +636,15 @@ class OnlineEngineProver(_EngineMap, Prover):
         self.mi.update(su.item * self.sides + side, su.delta)
 
     def finish(self, query):
-        """Maps each id's net count once into the head lane, counting its
-        stage buckets and listing the items that share their bucket with
-        another item as it goes, and certifies the list."""
+        """Maps each id's net count once into the head lane, listing the
+        items that share their bucket with another item as it goes, and
+        certifies the list."""
         sides = self.sides
         held = {}  # bucket -> the items mapped there
         for ident, delta, weight in self.mi.net_counts():
             item, side = divmod(ident, sides)
-            b, *stage_buckets = self.routes[side](item, ident, delta, weight)
+            [b] = self.routes[side](item, ident, delta, weight)
             held.setdefault(b, set()).add(item)
-            self.mi.occupy(ident, stage_buckets)
         freq = self.mi.freq
         entries = []
         for i in sorted(i for items in held.values() if len(items) > 1
@@ -708,7 +685,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         h = take(chunks, "hash")
         need(hash_fits(h, self.n, self.shape.r), "bad universe hash")
         self.mi.begin(chunks)
-        self.use_hash(h)
+        self.use_hash(h, range(self.shape.t_max))
 
     def update(self, u):
         if self.sides == 1:  # statements: no tuple is built per update
@@ -747,7 +724,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
             self.remove(e)
         ok = self.mi.end(chunks, claims).value
         need(ok == 1, "listed frequencies not certified")
-        self.info["stages_used"] = self.mi.stages_used
+        self.info["stages_used"] = self.mi.info["stages_used"]
 
         v = self.main_inj.verify(take(chunks, "main-injection-proof"))
         need(v == 0, "mapping not injective on the remainder")

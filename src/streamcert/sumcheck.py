@@ -237,13 +237,13 @@ class DenseVerifier:
 def lane_bank(lanes, keys):
     """One call add(x, delta, head, terms) for a list of lanes, each
     (count instance, vector j, purity sink), and a list of keys, each
-    (a, b, p, r), at least one a lane. Lane k takes item x's bucket under
-    key k, (a * x + b) % p % r, and adds delta there to vector j of its
-    count instance and purity terms to its sink. The first lane's sink
-    takes the terms `head`, every other lane's `terms`; a caller whose
-    lanes all take the same terms passes them twice. add returns x's
-    bucket under every key, in key order: keys past the lanes give
-    buckets only.
+    (a, b, p, r), one a lane; a list of another length is refused here,
+    when the bank is built. Lane k takes item x's bucket under key k,
+    (a * x + b) % p % r, and adds delta there to vector j of its count
+    instance and purity terms to its sink. The first lane's sink takes the
+    terms `head`, every other lane's `terms`; a caller whose lanes all
+    take the same terms passes them twice. add returns x's bucket in each
+    lane, in lane order.
 
     When every count instance and sink is a DenseVerifier of one grid
     shape and the sinks share one slot width, the loop is written out
@@ -254,28 +254,29 @@ def lane_bank(lanes, keys):
     count's row, the packed terms into the sink's cell
     (DenseVerifier.add_purity). Over anything else (a DenseProver, an AMA
     purity adapter) add makes the update and add_purity calls."""
-    lanes, keys = list(lanes), list(keys)
+    lanes = list(zip(lanes, keys, strict=True))  # ((count, j, sink), key)
     if not (lanes and all(
             type(count) is DenseVerifier and type(sink) is DenseVerifier
             and count.c_v == sink.c_v and len(count.lrow) == len(sink.lrow)
-            and sink.slot == lanes[0][2].slot
-            for count, _, sink in lanes)):
+            and sink.slot == lanes[0][0][2].slot
+            for (count, _, sink), _ in lanes)):
         def add(x, delta, head, terms):
-            buckets = [(a * x + b) % p % r for a, b, p, r in keys]
+            buckets = []
             t = head
-            for bk, (count, j, sink) in zip(buckets, lanes):
+            for (count, j, sink), (a, b, p, r) in lanes:
+                bk = (a * x + b) % p % r
+                buckets.append(bk)
                 count.update(j, bk, delta)
                 sink.add_purity(bk, t)
                 t = terms
             return buckets
         return add
 
-    s = lanes[0][2].slot
+    s = lanes[0][0][2].slot
     s2 = 2 * s
     cells = [(a, b, p, r, count.c_v, count.lrow, count.rows[j], sink.lrow,
               sink._pack)
-             for (count, j, sink), (a, b, p, r) in zip(lanes, keys)]
-    extra = keys[len(lanes):]
+             for (count, j, sink), (a, b, p, r) in lanes]
 
     def add(x, delta, head, terms):
         du, dv, dw = head
@@ -295,8 +296,6 @@ def lane_bank(lanes, keys):
             f[y] += delta * lrow[i]
             pack[y] += d * prow[i]
             d = t
-        if extra:
-            buckets += [(a * x + b) % p % r for a, b, p, r in extra]
         return buckets
     return add
 

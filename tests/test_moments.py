@@ -275,7 +275,7 @@ def test_multiindex_finish_hashes_each_id_once_per_stage(monkeypatch, rng):
     assert chunks[0].kind == "mi-stages"
     # each stage hash once per mapped id and per claim, to count and assign
     # stages, then each marked stage's hash once per mapped id, to map it
-    mapped, marked = len(items) - 1, sum(1 for m in core.marks if m)
+    mapped, marked = len(items) - 1, len(set(chunks[0].data))
     assert marked and evals[0] == (core.shape.t_max * (mapped + len(entries))
                                    + marked * mapped)
 
@@ -316,30 +316,31 @@ def test_multiindex_single_wrong_claim(rng):
 
 class _MisplacedFirstClaim(MultiIndexProverCore):
     """MultiIndex prover that gives the first claim a stage where its bucket
-    holds another mapped id, then maps and proves the marked stages
-    honestly, through the honest prover's stage_proofs. Each
-    finish_chunks call appends to `forged` whether such a stage existed;
-    without one it sends the honest annotation. Patched in for
-    moments.MultiIndexProverCore by _misplace_first_claim, it serves the
-    standalone scheme and the online engine alike."""
+    holds another id the stream leaves, then enters the claims and maps and
+    proves the marked stages honestly: it moves the claim in the stage list
+    the honest finish_chunks assigned, as enter takes it, and that list is
+    the one the annotation sends. Each finish_chunks call appends to
+    `forged` whether such a stage existed; without one it sends the honest
+    annotation. Patched in for moments.MultiIndexProverCore by
+    _misplace_first_claim, it serves the standalone scheme and the online
+    engine alike."""
 
     forged = []
 
     def finish_chunks(self, claims):
-        occupancy = self.occupancy
-        claimed = [self.buckets(i) for i, _, _ in claims]
-        own = [1 if i in self.mapped else 0 for i, _, _ in claims]
-        stages = [next((j + 1 for j, b in enumerate(buckets)
-                        if occupancy[j].get(b, 0) == o), None)
-                  for buckets, o in zip(claimed, own)]
+        self.forged.append(False)
+        return super().finish_chunks(claims)
+
+    def enter(self, claims, stages, claimed):
+        first = claims[0][0] if claims else None
+        others = [self.buckets(ident) for ident, _, _ in self.net_counts()
+                  if ident != first]
         shared = [j + 1 for j, b in enumerate(claimed[0] if claims else ())
-                  if occupancy[j].get(b, 0) > own[0]]
-        self.forged.append(bool(shared) and None not in stages)
-        if not self.forged[-1]:
-            return super().finish_chunks(claims)
-        stages[0] = shared[0]
-        return [Chunk("mi-stages", stages, 16 * len(stages)),
-                *self.stage_proofs(claims, stages, claimed)]
+                  if any(buckets[j] == b for buckets in others)]
+        if shared:
+            self.forged[-1] = True
+            stages[0] = shared[0]
+        return super().enter(claims, stages, claimed)
 
 
 def _misplace_first_claim(monkeypatch):
@@ -492,8 +493,8 @@ class _OmitsOneBucket(OnlineEngineProver):
         route = self.routes[0]
 
         def step(item, *args):  # a bucket of its own for each hidden item
-            b, *stage_buckets = route(item, *args)
-            return [-1 - item if b == hidden else b, *stage_buckets]
+            [b] = route(item, *args)
+            return [-1 - item if b == hidden else b]
         self.routes = [step]
         return super().finish(query)
 
@@ -1135,12 +1136,11 @@ def test_prover_maps_only_the_marked_stages(case):
     eager.use_hashes(core.hs)
     for ident, delta, weight in core.net_counts():
         eager.feed(ident, delta, weight)
-    for (ident, fstar, wstar), stage in zip(claims, stages):
-        eager.entry(ident, fstar, stage, wstar)
-    marked = {stage - 1 for stage in stages}
+    marked = eager.enter(claims, stages, [eager.buckets(c[0]) for c in claims])
+    assert marked == sorted({stage - 1 for stage in stages})
     assert len(routed) == len(list(core.net_counts()))
     for keys, x, buckets in routed:
-        assert keys == [core.hkeys[j] for j in sorted(marked)]
+        assert keys == [core.hkeys[j] for j in marked]
         assert buckets == [(a * x + b) % p % r for a, b, p, r in keys]
     for j in range(core.shape.t_max):
         if j in marked:
@@ -1150,15 +1150,15 @@ def test_prover_maps_only_the_marked_stages(case):
             assert not _touched(core, j)
     proofs = [c.data for c in chunks if c.kind == "mi-stage-proof"]
     assert proofs == [[inst.proof() for inst in eager.instances[j]]
-                      for j in sorted(marked)]
+                      for j in marked]
 
 
 @pytest.mark.parametrize("case", LAZY_CASES)
 def test_prover_abort_maps_no_stage(case):
-    # every stage bucket already held twice: no claim can be isolated
+    # every id lands in one bucket at every stage: with two ids or more
+    # the stream leaves, no claim can be isolated
     core, finish = _lazy_case(case)
-    core.occupancy = [dict.fromkeys(range(core.shape.r), 2)
-                      for _ in range(core.shape.t_max)]
+    core.hkeys[:] = [(0, 0, p, r) for _, _, p, r in core.hkeys]
     chunks, claims = finish()
     assert claims and chunks[-1].kind == "mi-abort"
     assert not any(_touched(core, j) for j in range(core.shape.t_max))

@@ -130,10 +130,10 @@ LANES = 3
 COUNT_P = params_for(16, 4, 4, 2, 3, g_sub_square(FM), 10 ** 6, gate=1)
 PURITY_P = params_for(16, 4, 4, 4, 3, g_sub_purity(F80), 10 ** 9, field=F80,
                       gate=3)
-# one (a, b, p, r) key a lane into the 16 buckets, and two past the lanes
+# one (a, b, p, r) key a lane into the 16 buckets
 _keys_rng = random.Random(4)
 KEYS = [(_keys_rng.randrange(1, M61), _keys_rng.randrange(M61), M61, 16)
-        for _ in range(LANES + 2)]
+        for _ in range(LANES)]
 
 
 def _buckets(x):
@@ -168,8 +168,8 @@ def _separately(lanes, x, delta, head, terms):
 
 def test_lane_bank_matches_separate_calls(monkeypatch, rng):
     # verifier lanes over two fields take the fused loop, which makes no
-    # update or add_purity call, returns the item's bucket under every key,
-    # keys past the lanes included, and leaves the rows those calls leave
+    # update or add_purity call, returns the item's bucket in every lane,
+    # and leaves the rows those calls leave
     def lanes():
         seeds = random.Random(8)
         return [(DenseVerifier(COUNT_P, seeds), 0, DenseVerifier(PURITY_P, seeds))
@@ -237,11 +237,23 @@ def test_lane_bank_over_provers_and_ama_sinks(rng):
 def test_empty_lane_bank_adds_nothing():
     # no lane, so no count instance or sink to type-check: whatever the
     # terms' shape (AMA's are pairs), add takes them, adds nothing and
-    # returns the item's bucket under each key
-    add = lane_bank([], KEYS)
-    assert add(5, 3, (7, 2), (7, 2)) == _buckets(5)
-    assert add(6, -1, (1, 2, 3), (4, 5, 6)) == _buckets(6)
-    assert lane_bank([], [])(5, 3, (7, 2), (7, 2)) == []
+    # returns no bucket
+    add = lane_bank([], [])
+    assert add(5, 3, (7, 2), (7, 2)) == []
+    assert add(6, -1, (1, 2, 3), (4, 5, 6)) == []
+
+
+def test_lane_bank_refuses_a_key_count_other_than_its_lanes():
+    # one key a lane, over the fused verifier loop and the generic one
+    # alike: a key short or a key over is refused when the bank is built
+    seeds = random.Random(8)
+    for lanes in ([(DenseVerifier(COUNT_P, seeds), 0,
+                    DenseVerifier(PURITY_P, seeds))] * LANES,
+                  [(DenseProver(COUNT_P), 0, DenseProver(PURITY_P))] * LANES,
+                  []):
+        for keys in (KEYS[:len(lanes) - 1], KEYS[:len(lanes)] + KEYS[:1]):
+            with pytest.raises(ValueError):
+                lane_bank(lanes, keys)
 
 
 # ------------------------------------------------------ packed purity cells
