@@ -657,40 +657,35 @@ def test_online_info_reports_stages_used(run):
 
 
 FEW = [U(3, 2), U(7, 1), U(11, 4), U(3, 1)]
+# (run, the start chunk that carries its hash, the reason its check gives)
 SITES = {
-    "engine": (lambda **kw: fk_online_run(FEW, 64, 2, 4, **kw), "hash"),
-    "engine-stages": (lambda **kw: fk_online_run(FEW, 64, 2, 4, **kw), "mi-hashes"),
+    "engine": (lambda **kw: fk_online_run(FEW, 64, 2, 4, **kw), "hash",
+               "bad universe hash"),
+    "engine-stages": (lambda **kw: fk_online_run(FEW, 64, 2, 4, **kw),
+                      "mi-hashes", "bad stage hash"),
     "multiindex": (lambda **kw: multiindex_run(FEW, 64, [(3, 3), (7, 1)], 4, **kw),
-                   "mi-hashes"),
-    "prescient-fk": (lambda **kw: fk_prescient_run(FEW, 64, 2, **kw), "hash"),
+                   "mi-hashes", "bad stage hash"),
+    "prescient-fk": (lambda **kw: fk_prescient_run(FEW, 64, 2, **kw), "hash",
+                     "bad hash"),
     "prescient-disj": (lambda **kw: disj_prescient_run(
-        tagged_sets([1, 9], [5, 7]), 16, **kw), "hash"),
+        tagged_sets([1, 9], [5, 7]), 16, **kw), "hash", "bad hash"),
     "online-disj": (lambda **kw: disj_online_run(
-        tagged_sets([1, 9], [5, 7]), 16, 4, **kw), "pq-hash"),
+        tagged_sets([1, 9], [5, 7]), 16, 4, **kw), "pq-hash",
+        "bad hash description"),
 }
 
 
 @pytest.mark.parametrize("site", SITES)
-@pytest.mark.parametrize("fields", [{"a": 1.5}, {"p": 0}, {"b": -1}],
-                         ids=["float-a", "zero-p", "negative-b"])
+@pytest.mark.parametrize("fields", [
+    {"a": 1.5}, {"p": 0}, {"b": -1}, {"p": streams.next_prime(2 ** 200)},
+], ids=["float-a", "zero-p", "negative-b", "oversized-p"])
 def test_bad_start_hash_rejected(site, fields):
-    run, kind = SITES[site]
-    assert run(seed=2).accepted
-    assert run(seed=2, prover=rewrite_start_chunk(kind, bad_hash(**fields))).rejected
-
-
-@pytest.mark.parametrize("site, why", [
-    ("engine", "bad universe hash"), ("engine-stages", "bad stage hash"),
-    ("multiindex", "bad stage hash"), ("prescient-fk", "bad hash"),
-    ("prescient-disj", "bad hash"), ("online-disj", "bad hash description"),
-])
-def test_start_hash_with_oversized_modulus_rejected(site, why):
+    # the site's hash check itself refuses each hash. oversized-p keeps
     # a, b < p and p >= universe, but p is 201 bits, far past twice the
     # universe: each hash check bounds p by 2 * max(universe, r, 2)
-    run, kind = SITES[site]
-    big = bad_hash(p=streams.next_prime(2 ** 200))
-    r = run(seed=2, prover=rewrite_start_chunk(kind, big))
-    assert r.rejected
+    run, kind, why = SITES[site]
+    assert run(seed=2).accepted
+    r = run(seed=2, prover=rewrite_start_chunk(kind, bad_hash(**fields)))
     assert r.info["reject"] == {"phase": "begin", "reason": why}
 
 
@@ -708,8 +703,9 @@ def _as_subclass(data):
 
 @pytest.mark.parametrize("site", SITES)
 def test_start_hash_subclass_rejected(site):
-    run, kind = SITES[site]
-    assert run(seed=2, prover=rewrite_start_chunk(kind, _as_subclass)).rejected
+    run, kind, why = SITES[site]
+    r = run(seed=2, prover=rewrite_start_chunk(kind, _as_subclass))
+    assert r.info["reject"] == {"phase": "begin", "reason": why}
 
 
 @pytest.mark.parametrize("kind, why", [("hash", "bad universe hash"),

@@ -170,22 +170,15 @@ PQ_FAMILY = pytest.mark.parametrize("run", [
 
 @PQ_FAMILY
 @pytest.mark.parametrize("fields", [
-    {"p": 0}, {"a": 1.5}, {"b": -1}, {"p": 2},
-], ids=["zero-p", "float-a", "negative-b", "p-below-universe"])
+    {"p": 0}, {"a": 1.5}, {"b": -1}, {"p": 2}, {"p": next_prime(2 ** 200)},
+], ids=["zero-p", "float-a", "negative-b", "p-below-universe", "oversized-p"])
 def test_pq_family_bad_hash_rejected(run, fields):
+    # the hash check itself refuses each hash, p >= 2 * max(universe, r)
+    # included
     ups = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
         [StreamUpdate(i, 1) for i in range(2, 12)]
     assert run(ups, seed=1).accepted
-    assert run(ups, seed=1, prover=rewrite_start_chunk("hash", bad_hash(**fields))).rejected
-
-
-@PQ_FAMILY
-def test_pq_family_hash_with_oversized_modulus_rejected(run):
-    # p >= 2 * max(universe, r) is refused at the hash check itself
-    ups = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
-        [StreamUpdate(i, 1) for i in range(2, 12)]
-    big = bad_hash(p=next_prime(2 ** 200))
-    r = run(ups, seed=1, prover=rewrite_start_chunk("hash", big))
+    r = run(ups, seed=1, prover=rewrite_start_chunk("hash", bad_hash(**fields)))
     assert r.info["reject"] == {"phase": "begin",
                                 "reason": "bad hash description"}
 
