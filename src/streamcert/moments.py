@@ -446,7 +446,6 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
     def __init__(self, shape: Shape, rng):
         super().__init__(shape, lambda params: DenseVerifier(params, rng))
         self.hs = None
-        self.weight_seen = 0
         self.word_bits = shape.field.bits
         self.info = {}
 
@@ -461,20 +460,19 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
 
     def update(self, u):
         """Map one stream update of the standalone scheme."""
-        weight = abs(u.delta)
-        self.weight_seen += weight
-        self.feed(u.item, u.delta, weight)
+        self.feed(u.item, u.delta, abs(u.delta))
 
     def end(self, chunks, claims):
         """Checks each (ident, fstar, wstar) claim's stage in the stage
-        list and its plausibility, claim by claim, enters the claims at
-        their stages, then verifies the marked stages' proofs that follow,
-        in stage order, taking both from chunks. Returns Outcome.ok(1) if
-        every check passed, Outcome.ok(0) if a verified SubF2 value
-        contradicts a claim, and records the stages used in info. Rejects
-        on a malformed annotation, a failed proof or a nonzero purity
-        value: a marked bucket that holds another id means the stage list
-        is wrong, which says nothing of the claims."""
+        list and its plausibility, claim by claim (no count above
+        shape.weight, the weight the fields were sized for), enters the
+        claims at their stages, then verifies the marked stages' proofs
+        that follow, in stage order, taking both from chunks. Returns
+        Outcome.ok(1) if every check passed, Outcome.ok(0) if a verified
+        SubF2 value contradicts a claim, and records the stages used in
+        info. Rejects on a malformed annotation, a failed proof or a
+        nonzero purity value: a marked bucket that holds another id means
+        the stage list is wrong, which says nothing of the claims."""
         sh = self.shape
         need(not (chunks and chunks[0].kind == "mi-abort"), "prover aborted")
         stages = take(chunks, "mi-stages")
@@ -483,9 +481,9 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
         for (_, fstar, wstar), stage in zip(claims, stages):
             need(type(stage) is int and 1 <= stage <= sh.t_max,
                  "stage outside budget")
-            need(abs(fstar) <= self.weight_seen, "implausible claimed frequency")
+            need(abs(fstar) <= sh.weight, "implausible claimed frequency")
             if sh.mode == MODE_FOOTPRINT:
-                need(wstar is not None and 1 <= wstar <= self.weight_seen,
+                need(wstar is not None and 1 <= wstar <= sh.weight,
                      "implausible claimed weight")
         ok = 1
         claimed = [self.buckets(c[0]) for c in claims]
@@ -515,14 +513,17 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult
     """1 iff f_i equals the claimed f_i* for every (i, f_i*) in `claims`.
 
     Strict turnstile; the stage hash functions are fixed before the stream
-    and the claim list, the run's query, arrives after it. Raises
-    ConfigError unless the claims name distinct items of [0, n) with
-    nonnegative counts."""
+    and the claim list, the run's query, arrives after it. The claims are
+    not the prover's, so the fields are sized for the largest of them as
+    well as the stream's weight: a claim above the weight is answered 0.
+    Raises ConfigError unless the claims name distinct items of [0, n)
+    with nonnegative counts."""
     if len({i for i, _ in claims}) != len(claims):
         raise ConfigError("claims must name distinct items")
     claims = check_counts(claims, n, "claimed item")
     meta = compute_meta(updates, n)
-    shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT,
+    weight = max([meta.weight, *(f for _, f in claims)])
+    shape = Shape(n, meta.sparsity, c_v, weight, MODE_STRICT,
                   ell=max(2, len(claims)))
     claims = sorted((int(i), int(f), None) for i, f in claims)
     return run_protocol(updates, seed, "mi",
@@ -676,6 +677,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         super().__init__(shape, lambda params: DenseVerifier(params, rng),
                          MultiIndexVerifierCore(shape, rng))
         self.h = None
+        self.weight_seen = 0
         self.word_bits = shape.field.bits
         self.info = {}
         if shape.mode == MODE_AMA:
@@ -694,7 +696,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
             side, su = u
         item, delta = su.item, su.delta
         weight = abs(delta)
-        self.mi.weight_seen += weight
+        self.weight_seen += weight
         self.routes[side](item, item * self.sides + side, delta, weight)
 
     def end(self, chunks, query):
@@ -702,7 +704,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         entries = take(chunks, "collision-list")
         need(isinstance(entries, list) and len(entries) <= sh.threshold,
              "collision list over budget")
-        w = self.mi.weight_seen
+        w = self.weight_seen
         # strict counts are never negative; only a footprint entry, which
         # carries its weight, may list a zero net count
         low = 0 if sh.mode == MODE_STRICT else -w

@@ -211,6 +211,16 @@ def test_cli_bad_multiindex_claim_exits_1(claim, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_multiindex_claim_above_the_stream_weight_exits_0(tmp_path, capsys):
+    # the stream's weight is 11: a claim of 100 is wrong, not implausible
+    paths = _write_inputs(tmp_path)
+    claims = tmp_path / "claims.txt"
+    claims.write_text("5 100\n9 1\n")
+    rc, out = _cli_json(capsys, ["multiindex", "--input", str(paths["plain"]),
+                                 "--claims-file", str(claims), "--cv", "4"])
+    assert rc == 0 and out["outcome"] == "value" and out["value"] == 0
+
+
 def assert_refusal_timing(out):
     """A refused witness is timed: the prover's seconds to the refusal, and
     no verifier time, as no transcript was built."""

@@ -247,6 +247,17 @@ def test_multiindex_basics(rng):
         multiindex_run(ups, 64, [(2, 3), (2, 3)], 4)
 
 
+def test_multiindex_claim_above_the_stream_weight_answers_0():
+    # the claims are the run's query, not the prover's: a claim above the
+    # stream's weight (7 here) is a wrong claim, answered 0, where the
+    # verifier once bounded it by the weight seen and answered ⊥
+    ups = [U(3, 2), U(5, 1), U(9, 4)]
+    for claims in ([(3, 100), (5, 1)], [(3, 2), (4, 8)], [(3, 10 ** 12)]):
+        r = multiindex_run(ups, 16, claims, 4)
+        assert r.accepted and r.value == 0
+    assert multiindex_run(ups, 16, [(3, 2), (9, 4)], 4).value == 1
+
+
 def _no_hash_call(self, x):
     raise AssertionError("bucket computed by calling the hash")
 
@@ -948,7 +959,7 @@ def _reference_update(v, side, su):
         mi.sinks[j].add_purity(bj, terms(ident))
         if mi.sf_abs is not None:
             mi.sf_abs[j].update(0, bj, weight)
-    mi.weight_seen += weight
+    v.weight_seen += weight
     return [b] + [h(ident) for h in mi.hs]
 
 
@@ -982,7 +993,7 @@ def test_fused_bank_rows_match_per_instance_calls(case):
         fused.update(u)
         assert returned[-1] == _reference_update(reference,
                                                  *_side_update(shape, u))
-    assert fused.mi.weight_seen == reference.mi.weight_seen
+    assert fused.weight_seen == reference.weight_seen
     rows = _verifier_rows(fused)
     assert rows == _verifier_rows(reference)
     assert any(c for inst in rows for row in inst for c in row)
@@ -1255,20 +1266,28 @@ def test_stage_annotation_rewrite_rejected(run, tamper):
 # ------------------------------- the collision list's plausibility rules
 
 # (mode, two-sided, rewrites of the first honest entry e, of item i, under
-# a stream of weight w): each entry breaks a plausibility rule of its mode
+# a stream of weight w, reason): each entry breaks a plausibility rule of
+# its mode. A footprint entry's weight is its MultiIndex claim's, which the
+# stage list's claim check bounds by the weight the fields were sized for
+_LISTED = "implausible listed frequency"
 PLAUSIBILITY_CASES = {
-    "strict": (MODE_STRICT, False, lambda i, w, e: [(i, 0), (i, w + 1)]),
+    "strict": (MODE_STRICT, False, lambda i, w, e: [(i, 0), (i, w + 1)],
+               _LISTED),
     "tagged": (MODE_STRICT, True,
-               lambda i, w, e: [(i, 0, 0), (i, -1, 2), (i, w + 1, 0)]),
-    "footprint": (MODE_FOOTPRINT, False, lambda i, w, e: [(i, w + 1, e[2])]),
-    "ama": (MODE_AMA, False, lambda i, w, e: [(i, 0)]),
+               lambda i, w, e: [(i, 0, 0), (i, -1, 2), (i, w + 1, 0)], _LISTED),
+    "footprint": (MODE_FOOTPRINT, False, lambda i, w, e: [(i, w + 1, e[2])],
+                  _LISTED),
+    "footprint-weight": (MODE_FOOTPRINT, False,
+                         lambda i, w, e: [(i, e[1], 0), (i, e[1], w + 1)],
+                         "implausible claimed weight"),
+    "ama": (MODE_AMA, False, lambda i, w, e: [(i, 0)], _LISTED),
 }
 
 
 @pytest.mark.parametrize("case", PLAUSIBILITY_CASES)
 def test_implausible_collision_entry_rejected(case):
     # the plausibility check, not a later stage proof, catches each entry
-    mode, two_sided, rewrites = PLAUSIBILITY_CASES[case]
+    mode, two_sided, rewrites, reason = PLAUSIBILITY_CASES[case]
     n = 1 << 10
     ups = strict_stream(random.Random(13), n, 40, churn=0.4)
     if two_sided:
@@ -1293,9 +1312,9 @@ def test_implausible_collision_entry_rejected(case):
     honest = chunks[0].data
     assert chunks[0].kind == "collision-list" and honest
     assert verifier.end(chunks, None).accepted
-    w = verifier.mi.weight_seen
+    w = verifier.weight_seen
     for bad in rewrites(honest[0][0], w, honest[0]):
         verifier, chunks = engines()
         chunks[0].data[0] = bad
-        with pytest.raises(Reject, match="implausible listed frequenc"):
+        with pytest.raises(Reject, match=reason):
             verifier.end(chunks, None)
