@@ -287,11 +287,10 @@ class _StageMap:
 
         step maps the count delta, of absolute update weight `weight`, of
         x, id `ident` in the stages, and returns its bucket in each lane,
-        as the bank computes and returns them. The head lanes
-        take x's purity terms, the stage lanes ident's. Each (instance,
-        vector j) of more takes delta at the first bucket, and the
-        footprint SubF2 over the absolute weights takes weight at the
-        routed stages' buckets."""
+        as the bank computes and returns them. The head lanes take x's
+        purity terms, the stage lanes ident's. Each (instance, vector j) of
+        more takes delta at the first bucket, and the footprint SubF2 over
+        the absolute weights takes weight at the routed stages' buckets."""
         if stages is None:
             stages = range(self.shape.t_max)
         bank = lane_bank([*head, *((self.sf_net[j], 0, self.sinks[j])
@@ -486,8 +485,8 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
                 need(wstar is not None and 1 <= wstar <= sh.weight,
                      "implausible claimed weight")
         ok = 1
-        claimed = [self.buckets(c[0]) for c in claims]
-        for j in self.enter(claims, stages, claimed):
+        for j in self.enter(claims, stages,
+                            [self.buckets(c[0]) for c in claims]):
             insts = self.instances[j]
             proofs = take(chunks, "mi-stage-proof")
             need(isinstance(proofs, list) and len(proofs) == len(insts),

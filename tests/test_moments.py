@@ -248,9 +248,9 @@ def test_multiindex_basics(rng):
 
 
 def test_multiindex_claim_above_the_stream_weight_answers_0():
-    # the claims are the run's query, not the prover's: a claim above the
-    # stream's weight (7 here) is a wrong claim, answered 0, where the
-    # verifier once bounded it by the weight seen and answered ⊥
+    # the claims are the run's query, not the prover's, and the fields are
+    # sized for the largest of them: a claim above the stream's weight (7
+    # here) is a wrong claim, answered 0, not an implausible one, answered ⊥
     ups = [U(3, 2), U(5, 1), U(9, 4)]
     for claims in ([(3, 100), (5, 1)], [(3, 2), (4, 8)], [(3, 10 ** 12)]):
         r = multiindex_run(ups, 16, claims, 4)

@@ -249,11 +249,12 @@ def test_lane_bank_refuses_a_key_count_other_than_its_lanes():
     seeds = random.Random(8)
     for lanes in ([(DenseVerifier(COUNT_P, seeds), 0,
                     DenseVerifier(PURITY_P, seeds))] * LANES,
-                  [(DenseProver(COUNT_P), 0, DenseProver(PURITY_P))] * LANES,
-                  []):
-        for keys in (KEYS[:len(lanes) - 1], KEYS[:len(lanes)] + KEYS[:1]):
+                  [(DenseProver(COUNT_P), 0, DenseProver(PURITY_P))] * LANES):
+        for keys in (KEYS[:-1], KEYS + KEYS[:1]):
             with pytest.raises(ValueError):
                 lane_bank(lanes, keys)
+    with pytest.raises(ValueError):
+        lane_bank([], KEYS[:1])
 
 
 # ------------------------------------------------------ packed purity cells
