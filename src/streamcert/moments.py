@@ -71,10 +71,13 @@ feeds; the verifier maps each update as it arrives, with update(u) in the
 standalone scheme and through the engine's route in the engine. After the
 stream each side certifies the claims, (ident, fstar, wstar) triples, with
 one call, and both enter them with one routine, _StageMap.enter.
-MultiIndexProverCore.finish_chunks(claims) hashes the ids the stream
+MultiIndexProverCore.finish_chunks(claims, more) hashes the ids the stream
 leaves at every stage, gives each claim the first stage that isolates it,
 enters the claims and maps the ids' net counts into the marked stages,
-and returns the stage list and the marked stages' proofs, or an abort.
+proves the marked stages' instances and the provers in `more` (the
+engine's main injection and main instances) in one sumcheck.prove_all
+batch, and returns the stage list and the marked stages' proofs with
+more's proofs, or an abort.
 MultiIndexVerifierCore.end(chunks, claims) takes the stage list, checks
 each claim's stage and plausibility, enters the claims, verifies the
 marked stages' proofs in the order enter returns them, and returns
@@ -94,7 +97,7 @@ from .streams import (check_counts, compute_meta, find_perfect_hash,
                       frequency_map, hash_fits, random_pairwise_hash,
                       stream_ids)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
-                       g_product, lane_bank, prop1_min_field)
+                       g_product, lane_bank, prop1_min_field, prove_all)
 from .purity import (AmaPurity, ama_params, balanced_shape,
                      draw_public_coins, injection_params, mark_all,
                      purity_deltas, purity_min_field, subf2_params,
@@ -392,17 +395,19 @@ class MultiIndexProverCore(_StageMap, Prover):
 
     def finish(self, claims):
         """The standalone scheme's end annotation."""
-        return self.finish_chunks(claims)
+        return self.finish_chunks(claims)[0]
 
-    def finish_chunks(self, claims):
+    def finish_chunks(self, claims, more=()):
         """Gives each (ident, fstar, wstar) claim the first stage isolating
         it from the ids the stream leaves (net_counts), enters the claims
-        there and maps those ids' counts into the marked stages alone.
+        there and maps those ids' counts into the marked stages alone, then
+        proves the marked stages' instances, in stage order, and the
+        provers in `more` after them, in one sumcheck.prove_all batch.
         Returns the stage list and the marked stages' proofs, in stage
-        order, or an abort, with no stage mapped, if some claim has no
-        stage. Each stage hash is evaluated once per id and per claim to
-        assign the stages, then once per id at each marked stage to map
-        it."""
+        order, with the list of more's proofs; or an abort, with no stage
+        mapped and nothing proven, if some claim has no stage. Each stage
+        hash is evaluated once per id and per claim to assign the stages,
+        then once per id at each marked stage to map it."""
         counts = list(self.net_counts())
         occupancy = [{} for _ in self.hkeys]  # per stage: bucket -> ids
         for ident, _, _ in counts:
@@ -416,17 +421,20 @@ class MultiIndexProverCore(_StageMap, Prover):
             stages.append(next((j + 1 for j, b in enumerate(buckets)
                                 if occupancy[j].get(b, 0) == own), None))
         if None in stages:
-            return [Chunk("mi-abort", None, 1)]
+            return [Chunk("mi-abort", None, 1)], []
         chunks = [Chunk("mi-stages", stages, len(stages) * STAGE_BITS)]
         marked = self.enter(claims, stages, claimed)
         step = self.route([self.hkeys[j] for j in marked], stages=marked)
         for ident, delta, weight in counts:
             step(ident, ident, delta, weight)
-        for j in marked:
-            proofs = [inst.proof() for inst in self.instances[j]]
-            chunks.append(Chunk("mi-stage-proof", proofs,
-                                sum(p.bits for p in proofs)))
-        return chunks
+        proofs = prove_all([inst for j in marked for inst in self.instances[j]]
+                           + list(more))
+        k = len(self.instances[0])  # proofs per stage
+        for i in range(0, k * len(marked), k):
+            stage = proofs[i:i + k]
+            chunks.append(Chunk("mi-stage-proof", stage,
+                                sum(p.bits for p in stage)))
+        return chunks, proofs[k * len(marked):]
 
 
 # what each stage's proofs certify, in proof order, for the reject reasons
@@ -616,7 +624,8 @@ class OnlineEngineProver(_EngineMap, Prover):
     """Honest prover for the universe-reduction schemes. It sums the
     updates per id and, at finish, maps each id's net count once into the
     main instances and the main injection; the MultiIndex core maps it
-    into the marked stages once the stages are assigned."""
+    into the marked stages once the stages are assigned, and proves those
+    stages with the main injection and the main instances in one batch."""
 
     def __init__(self, shape: Shape, rng):
         h = random_pairwise_hash(shape.n, shape.r, rng)
@@ -659,14 +668,14 @@ class OnlineEngineProver(_EngineMap, Prover):
             claims += self.claims(e)
 
         ebits = len(entries) * (id_bits(self.n) + (self.arity - 1) * COUNT_BITS)
-        chunks = [Chunk("collision-list", entries, ebits)]
-        chunks.extend(self.mi.finish_chunks(claims))
+        mi_chunks, proofs = self.mi.finish_chunks(
+            claims, [self.main_inj, *self.mains.values()])
+        chunks = [Chunk("collision-list", entries, ebits), *mi_chunks]
         if chunks[-1].kind == "mi-abort":
             return chunks
-        inj_proof = self.main_inj.proof()
+        inj_proof, *main_proofs = proofs
         chunks.append(Chunk("main-injection-proof", inj_proof, inj_proof.bits))
-        for key, main in self.mains.items():
-            proof = main.proof()
+        for key, proof in zip(self.mains, main_proofs):
             chunks.append(Chunk("main-proof", (key, proof), proof.bits))
         return chunks
 
@@ -814,8 +823,7 @@ class _PrescientFkProver(Prover):
         return [Chunk("hash", self.h, self.h.bits)]
 
     def finish(self, query):
-        p1 = self.inj.proof()
-        p2 = self.main.proof()
+        p1, p2 = prove_all([self.inj, self.main])
         return [Chunk("main-injection-proof", p1, p1.bits),
                 Chunk("main-proof", p2, p2.bits)]
 

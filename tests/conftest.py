@@ -3,9 +3,19 @@ import random
 
 import pytest
 
+from streamcert import sumcheck
 from streamcert.harness import ChunkTamper
 from streamcert.streams import StreamUpdate, dyadic_levels
 from streamcert.sumcheck import DenseProver
+
+
+@pytest.fixture
+def fork_any_batch(monkeypatch):
+    """sumcheck.prove_all forks for any batch with two proofs of work, not
+    only for one that pays for the fork, wherever the process may fork:
+    small test batches then take the forked path on more than one CPU and
+    the serial one on one CPU."""
+    monkeypatch.setattr(sumcheck, "_FORK_MIN_WORK", 0)
 
 
 def freq_oracle(updates):

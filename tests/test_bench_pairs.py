@@ -1,5 +1,6 @@
 """tools/bench_pairs.py with its runs stood in for: the pairing, the wins,
-the interquartile range and the stops on a failed run."""
+the interquartile range and the stops on a failed run or a changed CPU
+count."""
 
 import importlib.util
 import json
@@ -16,13 +17,14 @@ _spec.loader.exec_module(bench_pairs)
 METRICS = [("run_s", "lower", 0.25), ("verifier_updates_per_s", "higher", 0.25)]
 
 
-def _stub_runs(monkeypatch, values):
-    """run_once answers from values[(checkout, seed)]; returns the calls."""
+def _stub_runs(monkeypatch, values, nproc=None):
+    """run_once answers from values[(checkout, seed)], on 2 CPUs or
+    nproc[(checkout, seed)]; returns the calls."""
     calls = []
 
     def run_once(checkout, workload, seed, seconds, trace=False):
         calls.append((checkout, workload, seed, seconds, trace))
-        return values[checkout, seed]
+        return (nproc or {}).get((checkout, seed), 2), values[checkout, seed]
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     return calls
@@ -54,7 +56,7 @@ def test_pairs_alternate_and_count_wins(monkeypatch, capsys):
     assert spread == pytest.approx(2.5)
     assert rows["verifier_updates_per_s"][4] == 3
     out = capsys.readouterr().out
-    assert "fk-churn (4 pairs, 15 s, traced, seeds 1..4)" in out
+    assert "fk-churn (4 pairs, 15 s, traced, seeds 1..4), nproc 2" in out
     assert "-20.0%" in out and "3/4" in out and "OVER BOUND" not in out
 
 
@@ -101,17 +103,20 @@ def test_summary_skips_a_metric_one_side_lacks():
     assert bench_pairs.iqr([5.0]) == 0.0
 
 
-def _output(failed=0, digest="[]", sites="[]"):
+def _output(failed=0, digest="[]", sites="[]",
+            env="env: python 3.11.7, nproc 2, loadavg [0.5, 0.25, 0.125]"):
     result = {"correct": True, "attempted": 10, "failed": failed,
               "metrics": {"run_s": {"value": 0.5, "unit": "s"}}}
-    return "\n".join(["env: python 3", f"sites_missing: {sites}",
+    return "\n".join([env, f"sites_missing: {sites}",
                       f"digest_mismatches: {digest}", json.dumps(result)])
 
 
 def test_read_result_takes_the_last_line():
-    assert bench_pairs.read_result("w", 0, _output(), "") == {"run_s": 0.5}
-    assert bench_pairs.read_result("w", 0, _output(), "", trace=True) == {
-        "run_s": 0.5}
+    assert bench_pairs.read_result("w", 0, _output(), "") == (2, {"run_s": 0.5})
+    assert bench_pairs.read_result("w", 0, _output(), "", trace=True) == (
+        2, {"run_s": 0.5})
+    one = _output(env="env: python 3.13.1, nproc 1, loadavg [1.0, 1.0, 1.0]")
+    assert bench_pairs.read_result("w", 0, one, "")[0] == 1
 
 
 @pytest.mark.parametrize("returncode, stdout, trace, why", [
@@ -120,8 +125,10 @@ def test_read_result_takes_the_last_line():
     (0, _output(failed=2), False, "failed 2 operations"),
     (0, _output(digest='["seed 1: differs"]'), False, "mismatched a digest"),
     (0, _output(sites='["streamcert.moments.gone"]'), True, "tracing site"),
+    (0, _output(env="env: python 3.11.7"), False, "no nproc"),
+    (0, _output(env="python 3.11.7, nproc 2"), False, "no nproc"),
 ], ids=["nonzero-exit", "no-output", "failed-operations", "digest-mismatch",
-        "site-missing"])
+        "site-missing", "env-without-nproc", "no-env-line"])
 def test_a_failed_run_stops_the_comparison(returncode, stdout, trace, why):
     with pytest.raises(SystemExit, match=why):
         bench_pairs.read_result("w", returncode, stdout, "boom", trace)
@@ -134,7 +141,7 @@ def test_compare_stops_at_the_first_failed_run(monkeypatch):
         calls.append(checkout)
         if checkout == "C":
             raise SystemExit("C: fk-churn seed 1 failed 1 operations")
-        return {"run_s": 1.0}
+        return 2, {"run_s": 1.0}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     with pytest.raises(SystemExit, match="failed 1 operations"):
@@ -162,7 +169,7 @@ def test_runs_get_fresh_copies_not_the_checkouts(monkeypatch, tmp_path):
         assert sorted(os.listdir(checkout)) == ["BENCHMARK.json", "src"]
         with open(os.path.join(checkout, "src", "x.txt")) as fh:
             seen.append((checkout, fh.read()))
-        return {"run_s": 1.0}
+        return 2, {"run_s": 1.0}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     assert bench_pairs.main([checkouts["P"], checkouts["C"],
@@ -174,3 +181,18 @@ def test_runs_get_fresh_copies_not_the_checkouts(monkeypatch, tmp_path):
     assert not os.path.exists(parent) and not os.path.exists(change)
     for root in checkouts.values():  # the checkouts stay as they were
         assert len(os.listdir(root)) == 5
+
+
+@pytest.mark.parametrize("side, seed", [("C", 1), ("P", 2), ("C", 3)])
+def test_compare_stops_when_a_run_has_another_cpu_count(monkeypatch, capsys,
+                                                        side, seed):
+    # every run but one on 2 CPUs: the comparison stops at that run, before
+    # any table is printed
+    values = {(c, s): {"run_s": 1.0, "verifier_updates_per_s": 1.0}
+              for c in "PC" for s in (1, 2, 3)}
+    calls = _stub_runs(monkeypatch, values, nproc={(side, seed): 1})
+    with pytest.raises(SystemExit, match=f"seed {seed} ran with nproc 1, "
+                                         "the first run with nproc 2"):
+        bench_pairs.compare("P", "C", "fk-online", 3, 15, METRICS)
+    assert (calls[-1][0], calls[-1][2]) == (side, seed)
+    assert "fk-online (" not in capsys.readouterr().out

@@ -338,9 +338,9 @@ class _MisplacedFirstClaim(MultiIndexProverCore):
 
     forged = []
 
-    def finish_chunks(self, claims):
+    def finish_chunks(self, claims, more=()):
         self.forged.append(False)
-        return super().finish_chunks(claims)
+        return super().finish_chunks(claims, more)
 
     def enter(self, claims, stages, claimed):
         first = claims[0][0] if claims else None
@@ -464,12 +464,30 @@ MI_RUNS = {
 }
 
 
+# the check that refuses each tamper. A repeated stage proof stands where
+# the engine sends its main injection proof next, and where the standalone
+# scheme sends nothing more.
+MI_REASONS = {
+    "drop-last-stage-proof": "missing mi-stage-proof",
+    "repeat-stage-proof": {"fk-online": "missing main-injection-proof",
+                           "fk-footprint": "missing main-injection-proof",
+                           "multiindex": "trailing annotation"},
+    "short-stages": "stage list length mismatch",
+    "abort-for-stages": "prover aborted",
+    "tuple-stages": "stage list length mismatch",
+}
+
+
 @pytest.mark.parametrize("tamper", MI_TAMPERS)
 @pytest.mark.parametrize("run", MI_RUNS)
 def test_multiindex_annotation_tampering_rejected(run, tamper):
     assert MI_RUNS[run](None).accepted
     r = MI_RUNS[run](lambda honest: ChunkTamper(honest, MI_TAMPERS[tamper]))
     assert r.rejected
+    reason = MI_REASONS[tamper]
+    if isinstance(reason, dict):
+        reason = reason[run]
+    assert r.info["reject"] == {"phase": "end", "reason": reason}
 
 
 # ------------------- adversaries that lie before the end-of-stream proofs

@@ -1,4 +1,7 @@
+import marshal
+import os
 import random
+import threading
 from dataclasses import replace
 from math import factorial
 
@@ -650,23 +653,156 @@ G_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("field", [Field(101), FM, field_at_least(1 << 79)],
-                         ids=["q101", "m61", "q80bit"])
-@pytest.mark.parametrize("c_a", [1, 2, 3, 5, 8])
-@pytest.mark.parametrize("family", list(G_FAMILIES))
-def test_proof_matches_direct_oracle_for_every_g(family, c_a, field):
-    # the proof's extension values carry C(p)^degree, which only a g
-    # homogeneous of its declared degree turns into b(p)
+ORACLE_FIELDS = {"q101": Field(101), "m61": FM, "q80bit": field_at_least(1 << 79)}
+ORACLE_C_A = (1, 2, 3, 5, 8)
+
+
+def oracle_cases(family, c_a, field):
+    """(params, [three random vector lists]) of one oracle case."""
     vectors, degree, make, gate = G_FAMILIES[family]
     g = make(field, degree) if make is g_power else make(field)
     c_v = 3
     p = DenseParams(field, c_a * c_v, c_a, c_v, vectors, degree, g,
                     (field.q - 1) // 2, gate=gate)
     rng = random.Random(f"{family}-{c_a}-{field.q}")
-    for _ in range(3):
-        vecs = [{rng.randrange(p.universe): rng.randrange(1, field.q)
+    return p, [[{rng.randrange(p.universe): rng.randrange(1, field.q)
                  for _ in range(2 * c_a)} for _ in range(vectors)]
+               for _ in range(3)]
+
+
+@pytest.mark.parametrize("field", list(ORACLE_FIELDS.values()),
+                         ids=list(ORACLE_FIELDS))
+@pytest.mark.parametrize("c_a", ORACLE_C_A)
+@pytest.mark.parametrize("family", list(G_FAMILIES))
+def test_proof_matches_direct_oracle_for_every_g(family, c_a, field):
+    # the proof's extension values carry C(p)^degree, which only a g
+    # homogeneous of its declared degree turns into b(p)
+    p, samples = oracle_cases(family, c_a, field)
+    for vecs in samples:
         assert dense_prover_proof(vecs, p).values == direct_values(p, vecs)
+
+
+# ------------------------------------------------------------- prove_all
+
+
+def oracle_batch():
+    """A DenseProver for every sample of every oracle case above."""
+    batch = []
+    for family in G_FAMILIES:
+        for c_a in ORACLE_C_A:
+            for field in ORACLE_FIELDS.values():
+                p, samples = oracle_cases(family, c_a, field)
+                for vecs in samples:
+                    prover = DenseProver(p)
+                    prover.vecs = [dict(v) for v in vecs]
+                    batch.append(prover)
+    return batch
+
+
+@pytest.fixture
+def forks(monkeypatch, fork_any_batch):
+    """os.fork, counted: the list of pids it returned in this process, which
+    forks for any batch with two proofs of work. After the test no child of
+    this process is left, running or not."""
+    real = os.fork
+    pids = []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def proof_values(proofs):
+    assert all(type(p) is DenseProof for p in proofs)
+    return [(p.values, p.field_bits) for p in proofs]
+
+
+def test_prove_all_is_the_serial_proofs(forks):
+    batch = oracle_batch()
+    want = proof_values([p.proof() for p in batch])
+    assert proof_values(sumcheck.prove_all(batch)) == want
+    # one child, where this process may fork at all
+    assert len(forks) == sumcheck._can_fork()
+
+
+@pytest.mark.parametrize("fail", ["fork-refused", "child-raises",
+                                  "child-truncated-bytes", "child-short-list"])
+def test_prove_all_survives_a_failed_child(fail, forks, monkeypatch):
+    # marshal.dumps runs in the child alone; whatever goes wrong there,
+    # the parent makes the child's proofs itself
+    batch = oracle_batch()
+    want = proof_values([p.proof() for p in batch])
+    dumps = marshal.dumps
+    if fail == "fork-refused":
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", refuse)
+    elif fail == "child-raises":
+        def boom(values):
+            raise MemoryError
+        monkeypatch.setattr(marshal, "dumps", boom)
+    elif fail == "child-truncated-bytes":
+        monkeypatch.setattr(marshal, "dumps", lambda v: dumps(v)[:-5])
+    else:
+        monkeypatch.setattr(marshal, "dumps", lambda v: dumps(v[:-1]))
+    assert proof_values(sumcheck.prove_all(batch)) == want
+    forked = sumcheck._can_fork() and fail != "fork-refused"
+    assert len(forks) == forked
+
+
+def test_prove_all_reaps_the_child_when_the_parent_raises(forks, monkeypatch):
+    parent = os.getpid()
+    real = DenseProver.proof
+
+    def proof(self):
+        if os.getpid() == parent:
+            raise KeyError("parent")
+        return real(self)
+
+    batch = oracle_batch()
+    monkeypatch.setattr(DenseProver, "proof", proof)
+    with pytest.raises(KeyError, match="parent"):
+        sumcheck.prove_all(batch)
+    assert len(forks) == sumcheck._can_fork()
+
+
+def test_prove_all_stays_serial_below_its_cutoff(monkeypatch):
+    # the oracle batch is far too small to pay for a fork
+    batch = oracle_batch()
+    assert sum(map(sumcheck._proof_work, batch)) < sumcheck._FORK_MIN_WORK
+    monkeypatch.delattr(os, "fork")  # a call would raise AttributeError
+    monkeypatch.setattr(sumcheck, "_can_fork", lambda: True)
+    assert (proof_values(sumcheck.prove_all(batch))
+            == proof_values([p.proof() for p in batch]))
+
+
+def test_prove_all_stays_serial_with_a_thread_or_one_proof(forks):
+    batch = oracle_batch()
+    want = proof_values([p.proof() for p in batch])
+    heavy = max(batch, key=sumcheck._proof_work)
+    idle = [p for p in batch if not sumcheck._proof_work(p)]
+    assert sumcheck._proof_work(heavy) and idle
+    # one proof with work, alone or among proofs with none
+    for alone in ([heavy], [heavy, *idle]):
+        assert (proof_values(sumcheck.prove_all(alone))
+                == proof_values([p.proof() for p in alone]))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert proof_values(sumcheck.prove_all(batch)) == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
 
 
 def test_ext_grid_budget_evicts_the_other_grids(monkeypatch, rng):
@@ -772,6 +908,9 @@ def test_gate_validation():
     (fk_ama_mode, {1, 2}), (fk_online_run, {1, 3}), (fk_footprint_mode, {1, 3}),
 ], ids=["ama", "strict", "footprint"])
 def test_gated_stage_proofs_equal_ungated(run, want_gates, monkeypatch, rng):
+    # without os.fork every proof is made in this process, where the
+    # patched proof below sees it
+    monkeypatch.delattr(os, "fork")
     real = DenseProver.proof
     gates = []
 

@@ -201,7 +201,7 @@ def _load_pins():
 
 
 @pytest.mark.parametrize("name", sorted(_cases()))
-def test_transcript_pinned(name):
+def test_transcript_pinned(name, fork_any_batch):
     assert run_case(_cases()[name]) == _load_pins()[name]
 
 

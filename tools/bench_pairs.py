@@ -20,6 +20,11 @@ more than the metric's `bound` (a fraction of the parent's median) is
 marked OVER BOUND. A run that exits nonzero, reports failed operations or
 a digest mismatch is reported and stops the comparison.
 
+Each run's `env:` line names the CPUs it could use (nproc), which the
+workload header prints. The prover proves on two CPUs where it has them, so
+a run on another CPU count measures another program: a run whose nproc
+differs from the first run's stops the comparison.
+
 With --trace the same pairs run `--trace 1` and compare the `per_layer`
 metrics of BENCHMARK.json instead, such as protocol.verifier_s; a traced
 run that misses one of its binding sites also stops the comparison. A
@@ -33,6 +38,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -44,9 +50,10 @@ LEFT_OUT = shutil.ignore_patterns(".git", "__pycache__", ".perfbench-work")
 
 
 def read_result(where, returncode, stdout, stderr, trace=False):
-    """The metric values of one run from its exit status and output, whose
-    last line is the result object. Stops the comparison (SystemExit)
-    naming `where` if the run failed."""
+    """(nproc, metric values) of one run from its exit status and output:
+    its `env:` line's CPU count, and its last line, the result object.
+    Stops the comparison (SystemExit) naming `where` if the run failed or
+    printed no CPU count."""
     lines = stdout.strip().splitlines()
     if returncode or not lines:
         raise SystemExit(f"{where} exited {returncode}\n{stderr}")
@@ -56,11 +63,16 @@ def read_result(where, returncode, stdout, stderr, trace=False):
                          "mismatched a digest")
     if trace and "sites_missing: []" not in lines:
         raise SystemExit(f"{where} missed a tracing site")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    found = [re.search(r"\bnproc (\d+)", line) for line in lines
+             if line.startswith("env:")]
+    if not (found and found[0]):
+        raise SystemExit(f"{where} printed no nproc on an env: line")
+    return (int(found[0].group(1)),
+            {name: m["value"] for name, m in result["metrics"].items()})
 
 
 def run_once(checkout, workload, seed, seconds, trace=False):
-    """The metric values of one run."""
+    """(nproc, metric values) of one run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "1" if trace else "0"]
@@ -111,16 +123,24 @@ def summarize(samples, metrics):
 
 def compare(parent, change, workload, pairs, seconds, metrics, trace=False):
     samples = {"parent": [], "change": []}
+    first = None  # the first run's nproc
     for i in range(pairs):
         sides = [("parent", parent), ("change", change)]
         if i % 2:
             sides.reverse()
         for side, checkout in sides:
-            samples[side].append(run_once(checkout, workload, i + 1, seconds,
-                                          trace))
+            nproc, values = run_once(checkout, workload, i + 1, seconds, trace)
+            if first is None:
+                first = nproc
+            elif nproc != first:
+                raise SystemExit(
+                    f"{side}: {workload} seed {i + 1} ran with nproc {nproc}, "
+                    f"the first run with nproc {first}")
+            samples[side].append(values)
         print(f"  pair {i + 1}/{pairs} done", file=sys.stderr)
     mode = ", traced" if trace else ""
-    print(f"{workload} ({pairs} pairs, {seconds:g} s{mode}, seeds 1..{pairs})")
+    print(f"{workload} ({pairs} pairs, {seconds:g} s{mode}, seeds 1..{pairs}),"
+          f" nproc {first}")
     width = max([24] + [len(m[0]) + 2 for m in metrics])
     print(f"  {'metric':<{width}}{'parent':>14}{'change':>14}{'move':>9}"
           f"{'wins':>7}{'parent IQR':>13}")
