@@ -500,8 +500,7 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
             need(isinstance(proofs, list) and len(proofs) == len(insts),
                  "malformed stage proof")
             for inst, proof, what in zip(insts, proofs, _STAGE_PROOFS):
-                v = inst.verify(proof)
-                need(v is not None, f"stage {what} proof failed")
+                v = inst.verify(proof, f"stage {what}")
                 if what == "purity":
                     need(v == 0, "marked bucket not isolated")
                 elif v != 0:
@@ -736,16 +735,15 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         need(ok == 1, "listed frequencies not certified")
         self.info["stages_used"] = self.mi.info["stages_used"]
 
-        v = self.main_inj.verify(take(chunks, "main-injection-proof"))
-        need(v == 0, "mapping not injective on the remainder")
+        need(self.main_inj.verify(take(chunks, "main-injection-proof"),
+                                  "main injection") == 0,
+             "mapping not injective on the remainder")
         results = {}
         for key, main in self.mains.items():
             data = take(chunks, "main-proof")
             need(isinstance(data, tuple) and len(data) == 2 and data[0] == key,
                  "main proofs out of order")
-            v = main.verify(data[1])
-            need(v is not None, "main sum check failed")
-            results[key] = c0[key] + v
+            results[key] = c0[key] + main.verify(data[1], f"main {key}")
         return Outcome.ok(results)
 
     @property
@@ -846,11 +844,9 @@ class _PrescientFkVerifier(Verifier):
         _prescient_feed(self.h, self.main, self.inj, u.item, u.delta)
 
     def end(self, chunks, query):
-        need(self.inj.verify(take(chunks, "main-injection-proof")) == 0,
-             "hash not injective")
-        v = self.main.verify(take(chunks, "main-proof"))
-        need(v is not None, "main sum check failed")
-        return Outcome.ok(v)
+        need(self.inj.verify(take(chunks, "main-injection-proof"),
+                             "injection") == 0, "hash not injective")
+        return Outcome.ok(self.main.verify(take(chunks, "main-proof"), "main"))
 
     @property
     def words(self):
@@ -903,24 +899,35 @@ def tagged_meta(updates, n, binary=""):
     return compute_meta(ids, universe)
 
 
+def _witnesses(subset, fs, ft):
+    """Whether an item with count fs in the first set and ft in the second
+    shows the answer 0: for subset an item of X outside Y, for DISJ an item
+    in both. The provers offer the smallest item it accepts (_first_witness)
+    and the verifiers check it on the counts they certify."""
+    return fs >= 1 and (ft == 0 if subset else ft >= 1)
+
+
+def _first_witness(freq, subset):
+    """The smallest item that _witnesses accepts, over a map from each id
+    2i + t to its count, or None."""
+    return min((ident >> 1 for ident, fs in freq.items()
+                if not ident & 1
+                and _witnesses(subset, fs, freq.get(ident + 1, 0))),
+               default=None)
+
+
 class _PrescientDisjProver(Prover):
     def __init__(self, n, updates, r, params, rng):
-        self.freq = {}
-        for tag, su in updates:
-            key = (tag, su.item)
-            self.freq[key] = self.freq.get(key, 0) + su.delta
-        s_items = {i for (t, i), f in self.freq.items() if t == 0 and f != 0}
-        t_items = {i for (t, i), f in self.freq.items() if t == 1 and f != 0}
-        inter = sorted(s_items & t_items)
-        self.witness = inter[0] if inter else None
+        freq = frequency_map(stream_ids("tagged", updates, n)[0])
+        self.witness = _first_witness(freq, subset=False)
         self.h = None
         self.main = None
         if self.witness is None:
-            self.h = find_perfect_hash(sorted(s_items | t_items), r, 64, rng, universe=n)
+            self.h = find_perfect_hash(sorted({i >> 1 for i in freq}), r, 64,
+                                       rng, universe=n)
             self.main = DenseProver(params)
-            for (tag, i), f in self.freq.items():
-                if f:
-                    self.main.update(tag, self.h(i), f)
+            for ident, f in freq.items():
+                self.main.update(ident & 1, self.h(ident >> 1), f)
 
     def start(self):
         if self.witness is not None:
@@ -967,10 +974,9 @@ class _PrescientDisjVerifier(Verifier):
 
     def end(self, chunks, query):
         if self.witness is not None:
-            need(self.wit_counts[0] > 0 and self.wit_counts[1] > 0, "false witness")
+            need(_witnesses(False, *self.wit_counts), "false witness")
             return Outcome.ok(0)
-        v = self.main.verify(take(chunks, "main-proof"))
-        need(v is not None, "sum check failed")
+        v = self.main.verify(take(chunks, "main-proof"), "main")
         # a nonzero verified product under a prover-chosen hash proves
         # nothing about the original sets, so only zero is conclusive
         need(v == 0, "mapped product nonzero without witness")
@@ -1008,18 +1014,8 @@ class _TaggedWitnessProver(OnlineEngineProver):
     def start(self):
         return [Chunk("pq-hash", self.pq_h, self.pq_h.bits)] + super().start()
 
-    def _witness_item(self):
-        freq = self.mi.freq
-        s_items = {i >> 1 for i, f in freq.items() if f != 0 and i % 2 == 0}
-        t_items = {i >> 1 for i, f in freq.items() if f != 0 and i % 2 == 1}
-        if self.subset:
-            outside = sorted(s_items - t_items)
-            return outside[0] if outside else None
-        inter = sorted(s_items & t_items)
-        return inter[0] if inter else None
-
     def finish(self, query):
-        w = self._witness_item()
+        w = _first_witness(self.mi.freq, self.subset)
         if w is not None:
             openings, bits = open_buckets(self.pq_h, self.mi.freq,
                                           [2 * w, 2 * w + 1], 2 * self.n)
@@ -1061,10 +1057,9 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
             need(type(item) is int and 0 <= item < self.n,
                  "witness outside universe")
             fs, ft = self._witness_counts(item, take(chunks, "witness-openings"))
-            if self.subset:
-                need(fs >= 1 and ft == 0, "witness not in X minus Y")
-            else:
-                need(fs >= 1 and ft >= 1, "witness not in both sets")
+            need(_witnesses(self.subset, fs, ft),
+                 "witness not in X minus Y" if self.subset
+                 else "witness not in both sets")
             return Outcome.ok(0)
         ip = super().end(chunks, query).value["ip"]
         if self.subset:

@@ -279,18 +279,16 @@ class SelectionProver(OpeningProver):
         super().__init__(n, dyadic_universe(n), c_v, rng)
 
     def answer(self, rank):
+        """The smallest item whose prefix count reaches rank, a rank in
+        [1, N] as selection_run admits."""
         total = 0
         for i in sorted(self.freq):
             total += self.freq[i]
             if total >= rank:
                 return i
-        return None
 
     def finish(self, query):
-        rank = query
-        j = self.answer(rank)
-        if j is None:
-            return [Chunk("no-answer", None, 1)]
+        j = self.answer(query)
         nodes = dyadic_prefix_nodes(j, self.n) + dyadic_prefix_nodes(j + 1, self.n)
         openings, bits = open_buckets(self.h, dyadic_counts(self.freq, self.n),
                                       nodes, self.universe)
@@ -332,8 +330,12 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
     """Item of the given rank in the strict-turnstile frequency distribution.
 
     One bucket-fingerprint state over the derived dyadic stream serves all
-    the parallel prefix-count openings."""
+    the parallel prefix-count openings. Raises ConfigError for a rank
+    outside [1, N], N the stream's total count."""
     m_derived = compute_meta(updates, n).sparsity * (dyadic_levels(n) + 1)
+    total = sum(u.delta for u in updates)
+    if not 1 <= rank <= total:
+        raise ConfigError(f"rank {rank} outside [1, {total}]")
     if c_a * c_v < m_derived:
         raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
     return run_protocol(updates, seed, "sel", partial(SelectionVerifier, n, c_a, c_v),

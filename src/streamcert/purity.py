@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from .field import Field, field_at_least
 from .protocol import (Chunk, Outcome, Prover, RunResult, Verifier,
-                       derive_rng, id_bits, need, run_protocol, take)
+                       derive_rng, id_bits, run_protocol, take)
 from .streams import check_counts, compute_meta, stream_ids
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_purity,
                        g_sub_purity, g_sub_square, g_triple_product)
@@ -117,8 +117,7 @@ class _DenseChunkVerifier(Verifier):
 
     def end(self, chunks, query):
         self.map.close()
-        value = self.map.dense.verify(take(chunks, "dense-proof"))
-        need(value is not None, "sum check failed")
+        value = self.map.dense.verify(take(chunks, "dense-proof"), "dense")
         return Outcome.ok(self.map.decide(value))
 
     @property

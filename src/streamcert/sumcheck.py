@@ -7,7 +7,11 @@ f~(r, y) at a secret random r; the prover's proof is the univariate
 b(X) = sum_y g~(f1~(X,y), ..., fl~(X,y)), transmitted as its values on the
 grid {0, ..., deg(b)} (an encoding of the same polynomial with the same word
 count as its coefficients). The verifier spot-checks b(r) and, on success,
-accepts sum_{x < c_a} b(x).
+returns sum_{x < c_a} b(x). Every failed check on a proof, of its form, of
+b(r) or of the output bound, raises Reject("<name> proof failed") with the
+name the caller gives the instance (DenseVerifier.verify), so a failed proof
+is reported in this one place, and a caller's own check on the value (that
+it is zero, say) reads only a verified value.
 
 The verifier's per-update work is one product per cell, added unreduced:
 a cell holds an integer congruent to its field element, and every read of
@@ -75,7 +79,7 @@ from itertools import accumulate, repeat
 from operator import add
 
 from .field import Field, eval_values_at, inverse_factorials, lagrange_row
-from .protocol import ConfigError
+from .protocol import ConfigError, need
 
 
 def prop1_min_field(degree: int, n: int, bound: int) -> int:
@@ -226,22 +230,27 @@ class DenseVerifier:
         s = self.slot
         self._pack[y] += (du + (dv << s) + (dw << 2 * s)) * self.lrow[x]
 
-    def verify(self, proof: DenseProof):
-        """Exact F on success, None on any failed check."""
+    def verify(self, proof: DenseProof, name):
+        """Exact F, or Reject(f"{name} proof failed") for a malformed or
+        non-canonical proof, a failed spot check or a value outside the
+        bound alike. A wrong b agrees with the true one at the secret point
+        with probability at most degree * (c_a - 1) / q: this instance's
+        soundness error."""
         p = self.params
         field = self.field
         q = field.q
+        failed = f"{name} proof failed"
         # values must be canonical: at a secret point on the grid,
         # eval_values_at returns values[r] as it stands, unreduced
-        if not (isinstance(proof, DenseProof) and isinstance(proof.values, list)
-                and len(proof.values) == p.proof_len
-                and all(type(v) is int and 0 <= v < q for v in proof.values)):
-            return None
+        need(isinstance(proof, DenseProof) and isinstance(proof.values, list)
+             and len(proof.values) == p.proof_len
+             and all(type(v) is int and 0 <= v < q for v in proof.values),
+             failed)
         expected = sum(map(p.g, zip(*self.rows))) % q
-        if eval_values_at(field, proof.values, self.r) != expected:
-            return None
+        need(eval_values_at(field, proof.values, self.r) == expected, failed)
         out = field.dec_signed(sum(proof.values[: p.c_a]) % q)
-        return out if abs(out) <= p.bound else None
+        need(abs(out) <= p.bound, failed)
+        return out
 
     @property
     def words(self):

@@ -14,6 +14,7 @@ from streamcert.harness import adversary, synthetic_stream
 from streamcert.moments import (disj_online_run, disj_prescient_run,
                                 fk_online_run, multiindex_run)
 from streamcert.pointqueries import pq_run
+from streamcert.protocol import Reject
 from streamcert.purity import ama_injection_run, injection_run, subinjection_run
 from streamcert.streams import BucketedUpdate, StreamUpdate, compute_meta
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseVerifier,
@@ -59,12 +60,13 @@ def test_criterion_1_dense_exactness():
             for i, v in enumerate(vec):
                 if v:
                     st.update(j, i, v)
-        got = st.verify(dense_prover_proof(vecs, params))
         want = sum(g_int([vec[i] for vec in vecs]) for i in range(n))
-        if got is None:
+        try:
+            got = st.verify(dense_prover_proof(vecs, params), "dense")
+        except Reject:
             rejections += 1
-        elif got != want:
-            mismatches += 1
+        else:
+            mismatches += got != want
     elapsed = time.perf_counter() - start
     report(1, rejections == 0 and mismatches == 0 and elapsed < 10.0,
            f"1000 honest dense runs: {rejections} rejections, "
@@ -89,7 +91,11 @@ def test_criterion_2_dense_soundness():
                 st.update(0, i, v)
         values = list(honest.values)
         values[rng.randrange(len(values))] += rng.randrange(1, fm.q)
-        if st.verify(DenseProof(values, honest.field_bits)) is not None:
+        try:
+            st.verify(DenseProof(values, honest.field_bits), "dense")
+        except Reject:
+            pass
+        else:
             accepts += 1
     report(2, accepts == 0, f"500 tampered dense proofs at q=2^61-1: "
                             f"{accepts} accepted (required 0)")

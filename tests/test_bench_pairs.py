@@ -49,8 +49,9 @@ def test_pairs_alternate_and_count_wins(monkeypatch, capsys):
         ("P", 3), ("C", 3), ("C", 4), ("P", 4)]
     assert all(c[1:2] == ("fk-churn",) and c[3:] == (15, True) for c in calls)
     rows = {r[0]: r for r in bench_pairs.summarize(samples, METRICS)}
-    name, m_old, m_new, move, wins, spread, over = rows["run_s"]
-    assert (m_old, m_new, wins, over) == (2.5, 2.0, 3, False)
+    name, m_old, m_new, move, wins, spread, verdict = rows["run_s"]
+    # the parent's IQR is wider than a quarter of its median
+    assert (m_old, m_new, wins, verdict) == (2.5, 2.0, 3, "UNRESOLVED")
     assert move == pytest.approx(-0.2)
     # quartiles of 1, 2, 3, 4 (exclusive method): 1.25 and 3.75
     assert spread == pytest.approx(2.5)
@@ -74,10 +75,10 @@ def test_pairs_alternate_and_count_wins(monkeypatch, capsys):
 def test_summary_flags_a_median_worse_than_its_bound(better, old, new, over):
     samples = {"parent": [{"m": old}] * 3, "change": [{"m": new}] * 3}
     row, = bench_pairs.summarize(samples, [("m", better, 0.25)])
-    assert row[6] is over
+    assert (row[6] == "OVER BOUND") is over
     # a metric without a bound (a per-layer one) is never flagged
     row, = bench_pairs.summarize(samples, [("m", better, None)])
-    assert row[6] is False
+    assert row[6] != "OVER BOUND"
 
 
 def test_printed_table_marks_a_row_over_its_bound(monkeypatch, capsys):
@@ -88,6 +89,47 @@ def test_printed_table_marks_a_row_over_its_bound(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     flagged = [line.split()[0] for line in lines if "OVER BOUND" in line]
     assert flagged == ["run_s"]
+
+
+TENTHS = [1.0 + k / 10 for k in range(10)]  # median 1.45, IQR 0.55
+
+
+@pytest.mark.parametrize("old, new, better, bound, verdict", [
+    ([1.0] * 10, [1.3] * 10, "lower", 0.25, "OVER BOUND"),
+    # a spread over the bound: UNRESOLVED, even where the change won every
+    # pair, unless every change run beats every parent run
+    (TENTHS, [x - 0.05 for x in TENTHS], "lower", 0.25, "UNRESOLVED"),
+    (TENTHS, [x - 0.5 for x in TENTHS], "lower", 0.25, "UNRESOLVED"),
+    (TENTHS, [x - 1.0 for x in TENTHS], "lower", 0.25, "GAIN"),
+    (TENTHS, [x - 0.05 for x in TENTHS], "lower", None, "-"),
+    (TENTHS, [x - 1.0 for x in TENTHS], "lower", None, "GAIN"),
+    ([1.0] * 10, [0.9] * 10, "lower", 0.25, "GAIN"),
+    ([100.0] * 10, [101.0] * 10, "higher", 0.25, "GAIN"),
+    # 9 wins and a tie in 10 pairs is a gain; 8 wins and two ties is not
+    ([1.0] * 10, [0.9] * 9 + [1.0], "lower", 0.25, "GAIN"),
+    ([1.0] * 10, [0.9] * 8 + [1.0] * 2, "lower", 0.25, "-"),
+    # every pair won, but by less than the parent's IQR
+    ([1.0, 1.1] * 5, [0.99, 1.09] * 5, "lower", 0.25, "-"),
+    ([1.0] * 10, [1.1] * 10, "lower", 0.25, "-"),
+], ids=["over-bound", "unresolved", "unresolved-all-pairs-won",
+        "every-run-better", "no-bound-no-gain", "no-bound-gain",
+        "gain", "gain-higher", "gain-nine-of-ten", "eight-of-ten",
+        "within-iqr", "worse-within-bound"])
+def test_verdict(old, new, better, bound, verdict):
+    samples = {"parent": [{"m": v} for v in old],
+               "change": [{"m": v} for v in new]}
+    row, = bench_pairs.summarize(samples, [("m", better, bound)])
+    assert row[6] == verdict
+
+
+def test_printed_table_gives_each_row_its_verdict(monkeypatch, capsys):
+    values = {("P", 1): {"run_s": 1.0, "verifier_updates_per_s": 100.0},
+              ("C", 1): {"run_s": 0.5, "verifier_updates_per_s": 100.0}}
+    _stub_runs(monkeypatch, values)
+    bench_pairs.compare("P", "C", "fk-online", 1, 15, METRICS)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-1] == "verdict"
+    assert [line.split()[-1] for line in lines[2:]] == ["GAIN", "-"]
 
 
 def test_summary_skips_a_metric_one_side_lacks():

@@ -10,11 +10,12 @@ Nothing else may happen, an exception least of all.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from streamcert import protocol
-from streamcert.harness import adversary
+from streamcert.harness import STRATEGIES, adversary
 from streamcert.moments import fk_online_run
 from streamcert.pointqueries import heavyhitters_run, pq_run
 from streamcert.protocol import (Chunk, Outcome, Reject, Transcript, Verifier,
@@ -150,6 +151,53 @@ def test_adversary_reject_carries_its_reason():
     assert r.rejected
     assert r.info["reject"]["phase"] == "end"
     assert r.info["reject"]["reason"]
+
+
+# the reason a tampered first dense proof gets in each case that sends one:
+# the name of the instance it proves
+STAGE = "stage purity proof failed"
+FIRST_PROOF_FAILED = {
+    "ama-injection": "dense proof failed",
+    "connectivity": STAGE,
+    "connectivity-churn": STAGE,
+    "disj-online": STAGE,
+    "disj-prescient": "main proof failed",
+    "fk-ama": STAGE,
+    "fk-footprint": STAGE,
+    "fk-online": STAGE,
+    "fk-online-multi": STAGE,
+    "fk-prescient": "injection proof failed",
+    "hamming": "main injection proof failed",
+    "injection": "dense proof failed",
+    "injection-churn": "dense proof failed",
+    "innerproduct": "main injection proof failed",
+    "innerproduct-churn": STAGE,
+    "matching": STAGE,
+    "multiindex": STAGE,
+    "oddcycle": STAGE,
+    "subf2": "dense proof failed",
+    "subinjection": "dense proof failed",
+    "subset": STAGE,
+    "triangles": STAGE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tampered_proof_fails_as_a_proof(name):
+    """tamper-proof-polynomial changes one value of the first dense proof
+    the case sends, and that proof's check names it; a case that sends no
+    dense proof is left as it was."""
+    fn = CASES[name]
+    _, t = honest_run(fn)
+    for seed in range(3):
+        tampered = STRATEGIES["tamper-proof-polynomial"](
+            list(t.end_chunks), random.Random(seed))
+        if name in FIRST_PROOF_FAILED:
+            r = rerun(fn, dataclasses.replace(t, end_chunks=tampered))
+            assert r.info["reject"] == {"phase": "end",
+                                        "reason": FIRST_PROOF_FAILED[name]}
+        else:
+            assert tampered == t.end_chunks
 
 
 def test_take_pops_in_order():

@@ -316,20 +316,25 @@ def test_cli_bad_stream_header_or_tag_exits_1(scheme, text, key, tmp_path, capsy
     ("subf2", "0 1", "-1 1"),
     ("pointquery", "0 1", "100"),
     ("pointquery", "0 1", "-1"),
+    ("selection", "0 3", "4"),
+    ("selection", "0 3", "0"),
 ], ids=["injection-bucket-high", "ama-injection-bucket-high",
         "subinjection-bucket-high", "injection-bucket-negative",
         "subinjection-z-high", "subinjection-z-negative", "subf2-z-high",
         "subf2-z-negative", "pointquery-query-high",
-        "pointquery-query-negative"])
+        "pointquery-query-negative", "selection-rank-high",
+        "selection-rank-zero"])
 def test_cli_index_out_of_range_exits_1(scheme, line, z, tmp_path, capsys):
-    """z: the z file's line, or pointquery's --query."""
+    """z: the z file's line, pointquery's --query or selection's --rank
+    (a rank outside [1, N])."""
     path = tmp_path / "s.txt"
     header = ("# n=8 r=4 model=strict\n" if scheme.endswith("injection")
               else "# n=8 model=strict\n")
     path.write_text(header + line + "\n")
     extra = []
-    if scheme == "pointquery":
-        extra = ["--query", z, "--ca", "2", "--cv", "2"]
+    if scheme in ("pointquery", "selection"):
+        flag = "--query" if scheme == "pointquery" else "--rank"
+        extra = [flag, z, "--ca", "2", "--cv", "2"]
     elif z is not None:
         zpath = tmp_path / "z.txt"
         zpath.write_text(z + "\n")

@@ -541,9 +541,52 @@ class _PhantomItem(OnlineEngineProver):
         return super().finish(query)
 
 
+def _verified(monkeypatch, name):
+    """The values that DenseVerifier.verify returns for the instance of
+    that name, in call order, from here on."""
+    values = []
+    verify = sumcheck.DenseVerifier.verify
+
+    def record(self, proof, what):
+        v = verify(self, proof, what)
+        if what == name:
+            values.append(v)
+        return v
+
+    monkeypatch.setattr(sumcheck.DenseVerifier, "verify", record)
+    return values
+
+
 def test_fk_collision_list_that_omits_a_bucket_rejected(monkeypatch):
+    # the hidden bucket stays in the remainder, whose injection instance
+    # the liar proves honestly: the proof verifies, and its value is not 0
+    values = _verified(monkeypatch, "main injection")
     reasons = _engine_lies(monkeypatch, _OmitsOneBucket)
     assert reasons == ["mapping not injective on the remainder"] * 20
+    assert len(values) == 20 and 0 not in values
+    assert values[0] == -2_961_675_187_392
+
+
+def _change_one_value(proof):
+    values = list(proof.values)
+    values[0] = values[0] - 1 if values[0] else 1  # still canonical
+    return dataclasses.replace(proof, values=values)
+
+
+@pytest.mark.parametrize("run, reason", [
+    (lambda ups, **kw: fk_online_run(ups, N20, 2, 16, **kw),
+     "main injection proof failed"),
+    (lambda ups, **kw: fk_prescient_run(ups, N20, 2, **kw),
+     "injection proof failed"),
+], ids=["online", "prescient"])
+def test_changed_injection_proof_fails_as_a_proof(run, reason):
+    """A changed injection proof fails its own check, not the check that
+    the verified value is zero."""
+    ups = synthetic_stream(200, N20, 3)
+    assert run(ups, seed=1).value == moment_oracle(ups, 2)
+    r = run(ups, seed=1, prover=rewrite_chunk("main-injection-proof",
+                                              _change_one_value))
+    assert r.info["reject"] == {"phase": "end", "reason": reason}
 
 
 def test_fk_collision_list_with_phantom_item_rejected(monkeypatch):
@@ -649,6 +692,40 @@ def test_subset_witness_needs_every_bucket_opened():
                        prover=lambda honest: HideYSide(honest, list))
         assert r.rejected
     assert any(split)
+
+
+class _OffersItemOne(ChunkTamper):
+    """Offers item 1 as the witness, its two buckets opened honestly."""
+
+    def finish(self, query):
+        p = self.inner
+        openings, bits = open_buckets(p.pq_h, p.mi.freq, [2, 3], 2 * p.n)
+        return [Chunk("witness", 1, 64),
+                Chunk("witness-openings", openings, bits)]
+
+
+# (run, S, T, the reason a witness of item 1 gets): item 1 is in S alone
+# for DISJ, in both sets for subset
+WRONG_WITNESS = {
+    "disj-online": (partial(disj_online_run, n=16, c_v=4, seed=2),
+                    [1, 5, 9], [5, 7], "witness not in both sets"),
+    "disj-prescient": (partial(disj_prescient_run, n=16, seed=2),
+                       [1, 5, 9], [5, 7], "false witness"),
+    "subset": (partial(subset_run, n=16, c_v=4, seed=2),
+               [1, 9], [1, 7, 9], "witness not in X minus Y"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_WITNESS)
+def test_wrong_witness_rejected_with_its_reason(name):
+    run, xs, ys, reason = WRONG_WITNESS[name]
+    ups = tagged_sets(xs, ys)
+    assert run(ups).accepted
+    liar = (rewrite_start_chunk("witness", lambda _: 1)  # sent up front
+            if name == "disj-prescient"
+            else lambda honest: _OffersItemOne(honest, list))
+    r = run(ups, prover=liar)
+    assert r.info["reject"] == {"phase": "end", "reason": reason}
 
 
 def test_prescient_disj_malformed_witness_rejected():

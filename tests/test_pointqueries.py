@@ -98,7 +98,12 @@ def test_selection_matches_sort_oracle(rng):
 
 
 def test_selection_rank_out_of_range():
-    assert selection_run([StreamUpdate(0, 5)], 8, 6, c_a=8, c_v=8).rejected
+    for rank in (0, 6):
+        with pytest.raises(ConfigError, match=f"rank {rank} outside"):
+            selection_run([StreamUpdate(0, 5)], 8, rank, c_a=8, c_v=8)
+    for rank in (1, 5):  # the ends of [1, N]
+        assert selection_run([StreamUpdate(0, 5)], 8, rank, c_a=8,
+                             c_v=8).value == 0
 
 
 def test_selection_wrong_answer_rejected(rng):

@@ -10,7 +10,7 @@ import pytest
 from streamcert import sumcheck
 from streamcert.field import Field, M61, field_at_least
 from streamcert.moments import fk_ama_mode, fk_footprint_mode, fk_online_run
-from streamcert.protocol import ConfigError
+from streamcert.protocol import ConfigError, Reject
 from streamcert.purity import (AmaPurity, ama_params, draw_public_coins,
                               purity_deltas)
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
@@ -41,7 +41,7 @@ def test_zero_vectors_give_zero_polynomial():
     proof = dense_prover_proof([[0] * 8], p)
     assert all(v == 0 for v in proof.values)
     st = DenseVerifier(p, random.Random(1))
-    assert st.verify(proof) == 0
+    assert st.verify(proof, "dense") == 0
 
 
 def test_single_column_constant_polynomial():
@@ -53,7 +53,7 @@ def test_single_column_constant_polynomial():
     st = DenseVerifier(p, random.Random(7))
     for i, v in enumerate(f):
         st.update(0, i, v)
-    assert st.verify(proof) == 30
+    assert st.verify(proof, "dense") == 30
 
 
 def test_spec_square_example():
@@ -64,7 +64,7 @@ def test_spec_square_example():
         st.update(0, i, v)
     proof = dense_prover_proof([f], p)
     assert sum(proof.values[:2]) % FM.q == 30
-    assert st.verify(proof) == 30
+    assert st.verify(proof, "dense") == 30
 
 
 def test_inner_product_of_disjoint_indicators_is_zero():
@@ -77,7 +77,7 @@ def test_inner_product_of_disjoint_indicators_is_zero():
             st.update(0, i, a[i])
         if b[i]:
             st.update(1, i, b[i])
-    assert st.verify(dense_prover_proof([a, b], p)) == 0
+    assert st.verify(dense_prover_proof([a, b], p), "dense") == 0
 
 
 class FixedPoint:
@@ -406,7 +406,7 @@ def test_completeness_randomized(g_name, rng):
             for i, v in enumerate(vec):
                 if v:
                     st.update(j, i, v)
-        got = st.verify(dense_prover_proof(vecs, p))
+        got = st.verify(dense_prover_proof(vecs, p), "dense")
 
         def g_int(vals):
             if g_name == "square":
@@ -430,7 +430,11 @@ def test_soundness_tampered_proofs(rng):
                 st.update(0, i, v)
         values = list(proof.values)
         values[rng.randrange(len(values))] += 1
-        if st.verify(DenseProof(values, proof.field_bits)) is not None:
+        try:
+            st.verify(DenseProof(values, proof.field_bits), "dense")
+        except Reject as exc:
+            assert str(exc) == "dense proof failed"
+        else:
             accepts += 1
     assert accepts == 0
 
@@ -450,12 +454,14 @@ def test_noncanonical_proof_value_rejected_at_every_point(r):
             st.update(0, i, v)
         return st
 
-    assert verifier().verify(proof) == 45
+    assert verifier().verify(proof, "dense") == 45
     values = list(proof.values)
     values[2] += FM.q
-    assert verifier().verify(DenseProof(values, proof.field_bits)) is None
+    with pytest.raises(Reject, match="^dense proof failed$"):
+        verifier().verify(DenseProof(values, proof.field_bits), "dense")
     values[2] -= 2 * FM.q
-    assert verifier().verify(DenseProof(values, proof.field_bits)) is None
+    with pytest.raises(Reject, match="^dense proof failed$"):
+        verifier().verify(DenseProof(values, proof.field_bits), "dense")
 
 
 def test_degree_violation_rejected():
@@ -466,7 +472,8 @@ def test_degree_violation_rejected():
         st.update(0, i, v)
     proof = dense_prover_proof([f], p)
     long_proof = DenseProof(proof.values + [0], proof.field_bits)
-    assert st.verify(long_proof) is None
+    with pytest.raises(Reject, match="^dense proof failed$"):
+        st.verify(long_proof, "dense")
 
 
 def test_output_bound_enforced():
@@ -475,7 +482,8 @@ def test_output_bound_enforced():
     st = DenseVerifier(p, random.Random(3))
     for i, v in enumerate(f):
         st.update(0, i, v)
-    assert st.verify(dense_prover_proof([f], p)) is None
+    with pytest.raises(Reject, match="^dense proof failed$"):
+        st.verify(dense_prover_proof([f], p), "dense")
 
 
 def test_verifier_seed_determinism_and_uniformity():
@@ -531,7 +539,7 @@ def test_closed_form_grid_inverts_up_to_q_minus_one():
         st = DenseVerifier(p, random.Random(seed))
         for item, v in vecs[0].items():
             st.update(0, item, v)
-        assert st.verify(proof) == 9
+        assert st.verify(proof, "dense") == 9
 
 
 def packed(values, limb_bytes):
@@ -861,7 +869,7 @@ def test_gated_proof_matches_direct_extension_oracle(z_cols, rng):
         for j, vec in enumerate(vecs):
             for item, v in vec.items():
                 st.update(j, item, v)
-        assert st.verify(proof) == sum(
+        assert st.verify(proof, "dense") == sum(
             vecs[3].get(i, 0) * (vecs[1].get(i, 0) ** 2
                                  - vecs[0].get(i, 0) * vecs[2].get(i, 0))
             for i in range(universe))

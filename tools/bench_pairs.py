@@ -14,11 +14,10 @@ order alternates: even pairs run the parent first, odd pairs the change
 first, so a drift in the machine's load falls on both sides. For each
 workload it prints every end-to-end metric of BENCHMARK.json with the
 parent's and the change's medians, the change's relative move, the number
-of pairs in which the change was better, and the interquartile range of the
-parent's runs. A metric whose change median is worse than the parent's by
-more than the metric's `bound` (a fraction of the parent's median) is
-marked OVER BOUND. A run that exits nonzero, reports failed operations or
-a digest mismatch is reported and stops the comparison.
+of pairs in which the change was better, the interquartile range of the
+parent's runs and a verdict: OVER BOUND, UNRESOLVED, GAIN or `-` (see
+`summarize`). A run that exits nonzero, reports failed operations or a digest
+mismatch is reported and stops the comparison.
 
 Each run's `env:` line names the CPUs it could use (nproc), which the
 workload header prints. The prover proves on two CPUs where it has them, so
@@ -104,8 +103,19 @@ def iqr(values):
 def summarize(samples, metrics):
     """Per metric (name, better, bound or None) that both sides report in
     every run: (name, parent median, change median, relative move or None,
-    pairs the change won, parent IQR, whether the change median is worse
-    than the parent's by more than bound times the parent's median)."""
+    pairs the change won, parent IQR, verdict). The verdict is the first
+    of these that holds, or `-`:
+
+    - OVER BOUND: the change median is worse than the parent's by more
+      than bound times the parent's median;
+    - UNRESOLVED: the parent's IQR exceeds bound times its median, so the
+      spread hides a move of the bound, and not every run of the change
+      reads better than every run of the parent;
+    - GAIN: the change won at least 9 in 10 of the pairs (a tie counts for
+      neither side), and its median is better than the parent's by more
+      than the parent's IQR.
+
+    A metric without a bound is never OVER BOUND or UNRESOLVED."""
     rows = []
     for name, better, bound in metrics:
         if not all(name in s for side in samples.values() for s in side):
@@ -116,8 +126,17 @@ def summarize(samples, metrics):
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         m_old, m_new = statistics.median(old), statistics.median(new)
         move = (m_new - m_old) / m_old if m_old else None
-        over = bound is not None and sign * (m_new - m_old) < -bound * abs(m_old)
-        rows.append((name, m_old, m_new, move, wins, iqr(old), over))
+        gap, spread = sign * (m_new - m_old), iqr(old)
+        if bound is not None and gap < -bound * abs(m_old):
+            verdict = "OVER BOUND"
+        elif (bound is not None and spread > bound * abs(m_old)
+              and not all(sign * (b - a) > 0 for a in old for b in new)):
+            verdict = "UNRESOLVED"
+        elif 10 * wins >= 9 * len(old) and gap > spread:
+            verdict = "GAIN"
+        else:
+            verdict = "-"
+        rows.append((name, m_old, m_new, move, wins, spread, verdict))
     return rows
 
 
@@ -143,13 +162,12 @@ def compare(parent, change, workload, pairs, seconds, metrics, trace=False):
           f" nproc {first}")
     width = max([24] + [len(m[0]) + 2 for m in metrics])
     print(f"  {'metric':<{width}}{'parent':>14}{'change':>14}{'move':>9}"
-          f"{'wins':>7}{'parent IQR':>13}")
-    for name, m_old, m_new, move, wins, spread, over in summarize(samples,
+          f"{'wins':>7}{'parent IQR':>13}  verdict")
+    for name, m_old, m_new, move, wins, spread, mark in summarize(samples,
                                                                   metrics):
         move = "n/a" if move is None else f"{move:+.1%}"
-        flag = "  OVER BOUND" if over else ""
         print(f"  {name:<{width}}{m_old:>14.6g}{m_new:>14.6g}{move:>9}"
-              f"{wins:>4}/{pairs:<2}{spread:>13.4g}{flag}")
+              f"{wins:>4}/{pairs:<2}{spread:>13.4g}  {mark}")
     return samples
 
 
