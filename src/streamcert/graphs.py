@@ -11,7 +11,10 @@ end: each declares its witness chunk's `kind` and a check_witness that
 validates the payload and feeds its edges. The membership test is sound
 only on a simple graph, so every run first reads its edges through
 streams.stream_ids, which refuses (ConfigError) a vertex outside [0, n), a
-self loop and an edge whose final count is not 0 or 1."""
+self loop and an edge whose final count is not 0 or 1. The engine sees
+ids: edge {a, b} of rank pair_rank(a, b) is id 2 * rank + 1 on the
+streamed side Y, which the run builds once from those edges' ranks, and id
+2 * rank on the witness side X (_edge_update)."""
 
 import time
 from functools import partial
@@ -75,10 +78,10 @@ def count_triangles_run(edges, n, c_v=64, *, seed=0, prover=None) -> RunResult:
 # ------------------------------------------------------- witness subset glue
 
 
-def _edge_update(side, a, b, delta=1):
-    """Edge {a, b} as an update of the subset engine: the streamed graph is
-    side 1 (Y), the witness edges side 0 (X)."""
-    return side, StreamUpdate(pair_rank(a, b), delta)
+def _edge_update(a, b):
+    """Witness edge {a, b} as an update of the subset engine: count 1 of
+    its X-side id 2 * pair_rank(a, b). The streamed graph is the Y side."""
+    return StreamUpdate(2 * pair_rank(a, b), 1)
 
 
 class _UnusableWitness(Exception):
@@ -99,7 +102,9 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
     to the refusal and a verifier time of 0.0, as the verifier reads no
     transcript. Any other ConfigError, such as the extension grid's
     budget, propagates."""
-    meta = compute_meta(*stream_ids("edges", edges, n))
+    ids, universe = stream_ids("edges", edges, n)
+    meta = compute_meta(ids, universe)
+    y_ids = [StreamUpdate(2 * u.item + 1, u.delta) for u in ids]
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
                   max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))
 
@@ -110,13 +115,13 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
         started = time.perf_counter()
         try:
             chunk, edges = witness()
-            x_updates = [_edge_update(0, a, b) for a, b in edges]
+            x_updates = [_edge_update(a, b) for a, b in edges]
         except ConfigError as exc:
             raise _UnusableWitness(f"witness refused: {exc}") from exc
         return _RelaxedProver(shape, rng, chunk, x_updates)
 
     try:
-        result = run_protocol(edges, seed, label, partial(verifier, n, shape),
+        result = run_protocol(y_ids, seed, label, partial(verifier, n, shape),
                               honest, prover)
     except _UnusableWitness as exc:
         # the prover cannot even form its annotation
@@ -140,18 +145,16 @@ class _RelaxedProver(OnlineEngineProver):
         self.x_updates = x_updates
         super().__init__(shape, rng)
 
-    def on_update(self, u):
-        super().on_update(_edge_update(1, *u))
-
     def finish(self, query):
         for u in self.x_updates:
-            super().on_update(u)
+            self.on_update(u)
         return [self.chunk] + super().finish(query)
 
 
 class _RelaxedVerifierBase(OnlineEngineVerifier):
     """The subset engine's verifier over the C(n,2) edge universe, which
-    takes the graph's edges as its Y side and the witness edges as X. The
+    takes the graph's edges as its Y side, the stream of ids 2 * rank + 1
+    that the run builds, and the witness edges as X (_edge_update). The
     engine's n is that edge universe, so the graph's n is `vertices`. A
     subclass names its witness chunk's `kind` and checks that chunk's
     payload in check_witness, feeding the witness edges through _x_edge."""
@@ -162,13 +165,10 @@ class _RelaxedVerifierBase(OnlineEngineVerifier):
         self.field = shape.field
         self.x_count = 0
 
-    def update(self, u):
-        super().update(_edge_update(1, *u))
-
     def _x_edge(self, a, b):
         n = self.vertices
         need(0 <= a < n and 0 <= b < n and a != b, "bad witness edge")
-        super().update(_edge_update(0, a, b))
+        self.update(_edge_update(a, b))
         self.x_count += 1
 
     def end(self, chunks, query):

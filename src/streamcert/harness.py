@@ -44,88 +44,87 @@ class ChunkTamper(Prover):
         return self.end_fn(list(self.inner.finish(query)))
 
 
+def _rewrite_first(chunks, *rewrites):
+    """chunks with one payload replaced, kind and bits kept: each rewrite in
+    turn is tried on every chunk, and the first chunk it applies to, where
+    rewrite(chunk) returns a payload and not None, takes that payload.
+    Returns the chunks unchanged when no rewrite applies to any chunk."""
+    for rewrite in rewrites:
+        for i, c in enumerate(chunks):
+            data = rewrite(c)
+            if data is not None:
+                return chunks[:i] + [replace(c, data=data)] + chunks[i + 1:]
+    return chunks
+
+
 def _bump_proof(proof: DenseProof, rng) -> DenseProof:
     values = list(proof.values)
     values[rng.randrange(len(values))] += 1
     return DenseProof(values, proof.field_bits)
 
 
-def _tamper_proof_chunks(chunks, rng):
-    out = list(chunks)
-    for i, c in enumerate(out):
+def _bumped(rng):
+    """Rewrite of the first dense proof a chunk holds, alone or first in a
+    list: one of its values plus 1."""
+    def rewrite(c):
         data = c.data
         if isinstance(data, DenseProof):
-            out[i] = c.__class__(c.kind, _bump_proof(data, rng), c.bits)
-            return out
+            return _bump_proof(data, rng)
         if isinstance(data, list) and data and isinstance(data[0], DenseProof):
-            bumped = [_bump_proof(data[0], rng)] + data[1:]
-            out[i] = c.__class__(c.kind, bumped, c.bits)
-            return out
-    return out
+            return [_bump_proof(data[0], rng)] + data[1:]
+    return rewrite
+
+
+def _tamper_proof_chunks(chunks, rng):
+    return _rewrite_first(chunks, _bumped(rng))
 
 
 def _wrong_answer_chunks(chunks, rng):
-    out = list(chunks)
-    for i, c in enumerate(out):
+    def wrong(c):
         if c.kind == "opening" and c.data:
             entries = list(c.data)
             item, freq = entries[rng.randrange(len(entries))]
-            entries = sorted(set(entries) - {(item, freq)} | {(item, freq + 1)})
-            out[i] = c.__class__(c.kind, entries, c.bits)
-            return out
+            return sorted(set(entries) - {(item, freq)} | {(item, freq + 1)})
         if c.kind == "selection-answer":
             j, openings = c.data
-            out[i] = c.__class__(c.kind, (j + 1, openings), c.bits)
-            return out
-    return _tamper_proof_chunks(out, rng)
+            return j + 1, openings
+    return _rewrite_first(chunks, wrong, _bumped(rng))
 
 
 def _false_collision_chunks(chunks, rng):
-    out = list(chunks)
-    for i, c in enumerate(out):
+    def bump_entry(c):
         if c.kind == "collision-list" and c.data:
             entries = [tuple(e) for e in c.data]
             j = rng.randrange(len(entries))
-            e = list(entries[j])
-            e[1] += 1
-            entries[j] = tuple(e)
-            out[i] = c.__class__(c.kind, entries, c.bits)
-            return out
-    return _tamper_proof_chunks(out, rng)
+            entries[j] = (entries[j][0], entries[j][1] + 1, *entries[j][2:])
+            return entries
+    return _rewrite_first(chunks, bump_entry, _bumped(rng))
 
 
 def _omit_heavy_chunks(chunks, rng):
-    out = list(chunks)
-    for i, c in enumerate(out):
+    def omit(c):
         if c.kind == "hh-records":
             records = list(c.data)
             claimed = [j for j, r in enumerate(records) if r[2] == 1 and j > 0]
             if claimed:
                 records.pop(claimed[-1])
-                out[i] = c.__class__(c.kind, records, c.bits)
-            return out
-    return out
+                return records
+    return _rewrite_first(chunks, omit)
 
 
 def _fake_witness_chunks(chunks, rng):
-    out = list(chunks)
-    for i, c in enumerate(out):
+    def fake(c):
         if c.kind == "matching-witness" and len(c.data) >= 2:
             w = list(c.data)
             (a, b), (cc, d) = w[0], w[1]
             w[0], w[1] = (a, d), (cc, b)
-            out[i] = c.__class__(c.kind, w, c.bits)
-            return out
+            return w
         if c.kind == "tree-witness":
             root, edge_recs, vert_recs = c.data
-            out[i] = c.__class__(c.kind, (root, edge_recs[:-1], vert_recs), c.bits)
-            return out
+            return root, edge_recs[:-1], vert_recs
         if c.kind == "cycle-witness" and len(c.data) > 3:
-            cyc = list(c.data)
-            cyc.pop(1)
-            out[i] = c.__class__(c.kind, cyc, c.bits)
-            return out
-    return out
+            return [c.data[0]] + list(c.data[2:])
+    return _rewrite_first(chunks, fake)
 
 
 STRATEGIES = {
@@ -296,7 +295,10 @@ def run_scheme(config: RunConfig, stream) -> RunResult:
 
 
 def soundness_trials(config: RunConfig, stream, trials: int) -> int:
-    """Repeat a run with fresh verifier randomness; count accepted outcomes."""
+    """Repeat a run with fresh verifier randomness; count accepted outcomes.
+    Raises ConfigError for a negative trial count."""
+    if trials < 0:
+        raise ConfigError(f"trials must be at least 0, not {trials}")
     accepted = 0
     for t in range(trials):
         result = run_scheme(replace(config, seed=(config.seed, t)), stream)

@@ -41,15 +41,18 @@ per hash.
 
 One engine serves one- and two-sided streams. Fk and triangles stream one
 vector; DISJ, subset, inner product, Hamming and the graph certificates
-stream two, S and T, as (side, update) pairs. Shape's `mains` names the
-main instances once, and with them the sides: the orders k, for Fk of each
-order on one side, or ("ip",), for the product f_S . f_T on two. Item i's
-count on side s lands in vector s of every main instance and in the stages
-as id i * sides + s, and _EngineMap turns a collision-list entry into its
-MultiIndex claims and its removal for both sides. The schemes over two
-sides subclass OnlineEngineProver and OnlineEngineVerifier and override
-only what they add: the DISJ/subset witness branch, the F1 counters and,
-in graphs.py, the edge-to-side translation and the witness checks.
+stream two, S and T. Shape's `mains` names the main instances once, and
+with them the sides: the orders k, for Fk of each order on one side, or
+("ip",), for the product f_S . f_T on two. Item i's count on side s is id
+i * sides + s, and every prover and verifier sees a StreamUpdate of that
+id: a two-sided run function flattens its records to ids 2i + t once, in
+its sizing pass (streams.stream_ids), and hands those ids to run_protocol.
+The count lands in vector s of every main instance and in the stages as
+its id, and _EngineMap turns a collision-list entry into its MultiIndex
+claims and its removal for both sides. The schemes over two sides subclass
+OnlineEngineProver and OnlineEngineVerifier and override only what they
+add: the DISJ/subset witness branch, the F1 counters and, in graphs.py,
+the witness checks.
 
 Every dense instance is linear in the stream, and the prover's memory is
 not a cost of the scheme. So the verifier maps each update as it arrives,
@@ -635,13 +638,8 @@ class OnlineEngineProver(_EngineMap, Prover):
         return [Chunk("hash", self.h, self.h.bits)] + self.mi.start()
 
     def on_update(self, u):
-        """Sum one update, u or a two-sided (side, u), into its id's
-        count."""
-        if self.sides == 1:  # statements: no tuple is built per update
-            side, su = 0, u
-        else:
-            side, su = u
-        self.mi.update(su.item * self.sides + side, su.delta)
+        """Sum one update of id u.item into its count."""
+        self.mi.update(u.item, u.delta)
 
     def finish(self, query):
         """Maps each id's net count once into the head lane, listing the
@@ -650,8 +648,8 @@ class OnlineEngineProver(_EngineMap, Prover):
         sides = self.sides
         held = {}  # bucket -> the items mapped there
         for ident, delta, weight in self.mi.net_counts():
-            item, side = divmod(ident, sides)
-            [b] = self.routes[side](item, ident, delta, weight)
+            item = ident // sides
+            [b] = self.routes[ident % sides](item, ident, delta, weight)
             held.setdefault(b, set()).add(item)
         freq = self.mi.freq
         entries = []
@@ -697,14 +695,12 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         self.use_hash(h, range(self.shape.t_max))
 
     def update(self, u):
-        if self.sides == 1:  # statements: no tuple is built per update
-            side, su = 0, u
-        else:
-            side, su = u
-        item, delta = su.item, su.delta
+        """Map one update of id u.item, item id // sides on side id % sides."""
+        ident, delta = u.item, u.delta
         weight = abs(delta)
         self.weight_seen += weight
-        self.routes[side](item, item * self.sides + side, delta, weight)
+        sides = self.sides
+        self.routes[ident % sides](ident // sides, ident, delta, weight)
 
     def end(self, chunks, query):
         sh = self.shape
@@ -887,16 +883,17 @@ def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
 
 
 def tagged_meta(updates, n, binary=""):
-    """compute_meta over a tagged stream's ids, item i of side t as 2i + t,
-    flattened once. binary names a scheme over 0/1 vectors: it raises
-    ConfigError unless every final count is 0 or 1."""
+    """(ids, meta) of a tagged stream: its updates over ids, item i of side t
+    as 2i + t, flattened once, and compute_meta over them. The run hands
+    the ids to its prover and verifier. binary names a scheme over 0/1
+    vectors: it raises ConfigError unless every final count is 0 or 1."""
     ids, universe = stream_ids("tagged", updates, n)
     if binary:
         for ident, f in sorted(frequency_map(ids).items()):
             if f != 1:
                 raise ConfigError(f"{binary} needs 0/1 vectors: item {ident >> 1} "
                                   f"of {'ST'[ident & 1]} has count {f}")
-    return compute_meta(ids, universe)
+    return ids, compute_meta(ids, universe)
 
 
 def _witnesses(subset, fs, ft):
@@ -916,9 +913,23 @@ def _first_witness(freq, subset):
                default=None)
 
 
+def _take_witness(chunks, n):
+    """The DISJ/subset verifiers' read of a `witness` chunk: an item of
+    [0, n)."""
+    w = take(chunks, "witness")
+    need(type(w) is int and 0 <= w < n, "witness outside universe")
+    return w
+
+
+def _prescient_disj_feed(h, main, ident, delta):
+    """The prescient DISJ mapping, the same on both sides: a count of id
+    2i + t lands in bucket h(i) of vector t."""
+    main.update(ident & 1, h(ident >> 1), delta)
+
+
 class _PrescientDisjProver(Prover):
-    def __init__(self, n, updates, r, params, rng):
-        freq = frequency_map(stream_ids("tagged", updates, n)[0])
+    def __init__(self, n, ids, r, params, rng):
+        freq = frequency_map(ids)
         self.witness = _first_witness(freq, subset=False)
         self.h = None
         self.main = None
@@ -927,7 +938,7 @@ class _PrescientDisjProver(Prover):
                                        rng, universe=n)
             self.main = DenseProver(params)
             for ident, f in freq.items():
-                self.main.update(ident & 1, self.h(ident >> 1), f)
+                _prescient_disj_feed(self.h, self.main, ident, f)
 
     def start(self):
         if self.witness is not None:
@@ -955,9 +966,7 @@ class _PrescientDisjVerifier(Verifier):
 
     def begin(self, chunks):
         if chunks and chunks[0].kind == "witness":
-            w = take(chunks, "witness")
-            need(type(w) is int and 0 <= w < self.n, "witness outside universe")
-            self.witness = w
+            self.witness = _take_witness(chunks, self.n)
         else:
             h = take(chunks, "hash")
             need(hash_fits(h, self.n, self.r), "bad hash")
@@ -965,12 +974,12 @@ class _PrescientDisjVerifier(Verifier):
             self.main = DenseVerifier(self.params, self.rng)
 
     def update(self, u):
-        tag, su = u
+        ident = u.item
         if self.witness is not None:
-            if su.item == self.witness:
-                self.wit_counts[tag] += su.delta
+            if ident >> 1 == self.witness:
+                self.wit_counts[ident & 1] += u.delta
         else:
-            self.main.update(tag, self.h(su.item), su.delta)
+            _prescient_disj_feed(self.h, self.main, ident, u.delta)
 
     def end(self, chunks, query):
         if self.witness is not None:
@@ -991,15 +1000,15 @@ class _PrescientDisjVerifier(Verifier):
 def disj_prescient_run(updates, n, *, seed=0, prover=None) -> RunResult:
     """Prescient sparse set-disjointness: witness for intersection, perfect
     hash plus a dense product check for disjointness."""
-    meta = tagged_meta(updates, n)
+    ids, meta = tagged_meta(updates, n)
     r = prescient_reduced_universe(meta.sparsity)
     c_a, c_v = balanced_shape(r)
     weight = max(1, meta.weight)
     field = field_at_least(prop1_min_field(2, r, weight ** 2))
     params = DenseParams(field, r, c_a, c_v, 2, 2, g_product(field), weight ** 2)
-    return run_protocol(updates, seed, "pdisj",
+    return run_protocol(ids, seed, "pdisj",
                         partial(_PrescientDisjVerifier, n, r, params),
-                        partial(_PrescientDisjProver, n, updates, r, params), prover)
+                        partial(_PrescientDisjProver, n, ids, r, params), prover)
 
 
 class _TaggedWitnessProver(OnlineEngineProver):
@@ -1040,10 +1049,9 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
         super().begin(chunks)
 
     def update(self, u):
-        tag, su = u
-        self.pq.update(2 * su.item + tag, su.delta)
-        if tag == 0:
-            self.f1_x += su.delta
+        self.pq.update(u.item, u.delta)
+        if not u.item & 1:
+            self.f1_x += u.delta
         super().update(u)
 
     def _witness_counts(self, item, openings):
@@ -1053,9 +1061,7 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
 
     def end(self, chunks, query):
         if chunks and chunks[0].kind == "witness":
-            item = take(chunks, "witness")
-            need(type(item) is int and 0 <= item < self.n,
-                 "witness outside universe")
+            item = _take_witness(chunks, self.n)
             fs, ft = self._witness_counts(item, take(chunks, "witness-openings"))
             need(_witnesses(self.subset, fs, ft),
                  "witness not in X minus Y" if self.subset
@@ -1074,12 +1080,13 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
 def _tagged_run(updates, n, c_v, seed, prover, label, verifier, honest,
                 binary="") -> RunResult:
     """A run of a tagged scheme over one Shape, where S and T items share
-    the reduced universe as ids 2i and 2i + 1. The verifier and the honest
-    prover are built as verifier(shape, rng) and honest(shape, rng).
+    the reduced universe as ids 2i and 2i + 1, the stream the prover and the
+    verifier see. The verifier and the honest prover are built as
+    verifier(shape, rng) and honest(shape, rng).
     binary: as for tagged_meta."""
-    meta = tagged_meta(updates, n, binary)
+    ids, meta = tagged_meta(updates, n, binary)
     shape = Shape(n, meta.sparsity, c_v, meta.weight, MODE_STRICT, mains=("ip",))
-    return run_protocol(updates, seed, label, partial(verifier, shape),
+    return run_protocol(ids, seed, label, partial(verifier, shape),
                         partial(honest, shape), prover)
 
 
@@ -1118,7 +1125,7 @@ class _ProductVerifier(OnlineEngineVerifier):
         self.f1 = 0
 
     def update(self, u):
-        self.f1 += u[1].delta
+        self.f1 += u.delta
         super().update(u)
 
     def end(self, chunks, query):

@@ -261,12 +261,27 @@ class PointQueryVerifier(OpeningVerifier):
         return Outcome.ok(wanted[query])
 
 
+def _check_cells(updates, n, c_a, c_v, dyadic):
+    """The size check of the three opening schemes: raises ConfigError
+    unless c_a and c_v are at least 1 and the c_a * c_v cells cover the
+    sparsity of the stream's items or, when `dyadic`, of its derived dyadic
+    stream, (levels + 1) nodes for each item, and for at least one."""
+    if c_a < 1 or c_v < 1:
+        raise ConfigError(f"c_a and c_v must be at least 1, not {c_a} and {c_v}")
+    m = compute_meta(updates, n).sparsity
+    what = "stream's sparsity"
+    if dyadic:
+        m, what = max(1, m) * (dyadic_levels(n) + 1), "derived dyadic sparsity"
+    if c_a * c_v < m:
+        raise ConfigError(f"c_a * c_v must cover the {what}")
+
+
 def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
-    """Frequency of `query`, certified against one opened hash bucket."""
+    """Frequency of `query`, certified against one opened hash bucket.
+    Raises ConfigError for a query outside [0, n) and as _check_cells."""
     if not 0 <= query < n:
         raise ConfigError(f"query {query} outside [0, {n})")
-    if c_a * c_v < compute_meta(updates, n).sparsity:
-        raise ConfigError("c_a * c_v must cover the stream's sparsity")
+    _check_cells(updates, n, c_a, c_v, dyadic=False)
     return run_protocol(updates, seed, "pq", partial(PointQueryVerifier, n, c_a, c_v),
                         partial(PointQueryProver, n, c_v), prover, query)
 
@@ -330,14 +345,12 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
     """Item of the given rank in the strict-turnstile frequency distribution.
 
     One bucket-fingerprint state over the derived dyadic stream serves all
-    the parallel prefix-count openings. Raises ConfigError for a rank
-    outside [1, N], N the stream's total count."""
-    m_derived = compute_meta(updates, n).sparsity * (dyadic_levels(n) + 1)
+    the parallel prefix-count openings. Raises ConfigError as _check_cells
+    and for a rank outside [1, N], N the stream's total count."""
+    _check_cells(updates, n, c_a, c_v, dyadic=True)
     total = sum(u.delta for u in updates)
     if not 1 <= rank <= total:
         raise ConfigError(f"rank {rank} outside [1, {total}]")
-    if c_a * c_v < m_derived:
-        raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
     return run_protocol(updates, seed, "sel", partial(SelectionVerifier, n, c_a, c_v),
                         partial(SelectionProver, n, c_v), prover, rank)
 
@@ -462,13 +475,12 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
                      mode="openings") -> RunResult:
     """All items with frequency >= phi * N, certified exactly by parallel
     bucket openings of the derived dyadic stream. `mode` names that one
-    certification, "openings"; any other value raises ConfigError."""
+    certification, "openings"; any other value raises ConfigError, as do
+    a phi outside (0, 1) and the sizes _check_cells refuses."""
     if not 0 < phi < 1:
         raise ConfigError("phi must be in (0, 1)")
     if mode != "openings":
         raise ConfigError(f"unknown heavyhitters mode {mode!r}")
-    m_derived = max(1, compute_meta(updates, n).sparsity) * (dyadic_levels(n) + 1)
-    if c_a * c_v < m_derived:
-        raise ConfigError("c_a * c_v must cover the derived dyadic sparsity")
+    _check_cells(updates, n, c_a, c_v, dyadic=True)
     return run_protocol(updates, seed, "hh", partial(HeavyHittersVerifier, n, c_a, c_v),
                         partial(HeavyHittersProver, n, c_v), prover, Fraction(phi))

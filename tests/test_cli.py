@@ -200,6 +200,36 @@ def test_cli_sparsity_cover_exits_1(tmp_path, capsys):
     assert "c_a * c_v must cover" in err
 
 
+@pytest.mark.parametrize("scheme, extra", [
+    ("pointquery", ["--query", "1"]),
+    ("selection", ["--rank", "1"]),
+    ("heavyhitters", ["--phi", "0.3"]),
+])
+@pytest.mark.parametrize("ca, cv", [("1", "0"), ("-2", "-1"), ("0", "64")])
+@pytest.mark.parametrize("stream", [[], [U(1, 1), U(2, 1)]],
+                         ids=["empty", "two-items"])
+def test_cli_cell_count_below_one_exits_1(scheme, extra, ca, cv, stream,
+                                          tmp_path, capsys):
+    # the size check comes before any other: without it these gave a
+    # ZeroDivisionError, an IndexError or a rejected honest run
+    path = tmp_path / "s.txt"
+    write_stream(path, stream, PLAIN_N)
+    assert cli_main([scheme, "--input", str(path), *extra, "--ca", ca,
+                     "--cv", cv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: c_a and c_v must be at least 1")
+
+
+def test_cli_negative_trials_exits_1(tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    assert cli_main(["fk", "--input", str(paths["plain"]), "--k", "2",
+                     "--trials", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be at least 0, not -3\n"
+
+
 @pytest.mark.parametrize("claim", ["70 1", "-1 1", "5 -2"],
                          ids=["item-high", "item-negative", "count-negative"])
 def test_cli_bad_multiindex_claim_exits_1(claim, tmp_path, capsys):

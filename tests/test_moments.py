@@ -332,14 +332,16 @@ class _MisplacedFirstClaim(MultiIndexProverCore):
     the honest finish_chunks assigned, as enter takes it, and that list is
     the one the annotation sends. Each finish_chunks call appends to
     `forged` whether such a stage existed; without one it sends the honest
-    annotation. Patched in for moments.MultiIndexProverCore by
-    _misplace_first_claim, it serves the standalone scheme and the online
-    engine alike."""
+    annotation. `first` gets each call's first claim, or None. Patched in
+    for moments.MultiIndexProverCore by _misplace_first_claim, it serves the
+    standalone scheme and the online engine alike."""
 
     forged = []
+    first = []
 
     def finish_chunks(self, claims, more=()):
         self.forged.append(False)
+        self.first.append(claims[0] if claims else None)
         return super().finish_chunks(claims, more)
 
     def enter(self, claims, stages, claimed):
@@ -358,6 +360,7 @@ def _misplace_first_claim(monkeypatch):
     """Build every MultiIndex prover as a _MisplacedFirstClaim; returns the
     list of whether each run's first claim was moved."""
     monkeypatch.setattr(_MisplacedFirstClaim, "forged", [])
+    monkeypatch.setattr(_MisplacedFirstClaim, "first", [])
     monkeypatch.setattr(moments, "MultiIndexProverCore", _MisplacedFirstClaim)
     return _MisplacedFirstClaim.forged
 
@@ -512,32 +515,36 @@ class _OmitsOneBucket(OnlineEngineProver):
     """Maps every count honestly, but leaves every item of one collided
     bucket off the collision list, so it neither removes nor claims them.
     (Leaving out one item of a pair would not lie: the other item alone is
-    then isolated.)"""
+    then isolated.) Id i * sides + s is item i on side s, so the liar serves
+    one- and two-sided streams alike."""
 
     def finish(self, query):
         held = {}
         for ident, _, _ in self.mi.net_counts():
-            held.setdefault(self.bucket(ident), []).append(ident)
-        hidden = min(b for b, ids in held.items() if len(ids) > 1)
-        route = self.routes[0]
+            item = ident // self.sides
+            held.setdefault(self.bucket(item), set()).add(item)
+        hidden = min(b for b, items in held.items() if len(items) > 1)
 
-        def step(item, *args):  # a bucket of its own for each hidden item
-            [b] = route(item, *args)
-            return [-1 - item if b == hidden else b]
-        self.routes = [step]
+        def own_bucket(route):
+            def step(item, *args):  # a bucket of its own for each hidden item
+                [b] = route(item, *args)
+                return [-1 - item if b == hidden else b]
+            return step
+        self.routes = [own_bucket(route) for route in self.routes]
         return super().finish(query)
 
 
 class _PhantomItem(OnlineEngineProver):
     """Adds an item the stream never held, in a live item's bucket, as if it
-    had been streamed once: it is then listed and claimed with count 1."""
+    had been streamed once (on side 0 of a two-sided stream): it is then
+    listed and claimed with count 1."""
 
     def finish(self, query):
-        freq = self.mi.freq
-        live = {self.bucket(i) for i in freq}
+        items = {ident // self.sides for ident in self.mi.freq}
+        live = {self.bucket(i) for i in items}
         phantom = next(x for x in range(self.n)
-                       if x not in freq and self.bucket(x) in live)
-        self.mi.update(phantom, 1)
+                       if x not in items and self.bucket(x) in live)
+        self.mi.update(phantom * self.sides, 1)
         return super().finish(query)
 
 
@@ -602,6 +609,93 @@ def test_fk_stage_list_that_does_not_isolate_rejected(monkeypatch):
     assert len(forged) == 20 and sum(forged) >= 10
     for moved, reason in zip(forged, reasons):
         assert reason == ("marked bucket not isolated" if moved else None)
+
+
+# The same liars behind the two-sided engine: the inner product of two
+# overlapping vectors, and DISJ of two disjoint sets, where no witness
+# exists and the engine branch runs. 150 items on each side at c_v = 16:
+# every seed's universe hash leaves collided buckets.
+
+
+def _two_sided_case(run, seed):
+    """(run function of (updates, **kwargs), tagged updates, exact value)."""
+    ups = strict_stream(random.Random(seed), N20, 300)
+    if run == "innerproduct":  # items i = 2 mod 3 on both sides
+        tagged = ([(S, u) for u in ups if u.item % 3 != 0]
+                  + [(T, u) for u in ups if u.item % 3 != 1])
+        freq = freq_oracle(ups)
+        return (lambda ups, **kw: inner_product_run(ups, N20, 16, **kw), tagged,
+                sum(f * f for i, f in freq.items() if i % 3 == 2))
+    tagged = [(u.item & 1, u) for u in ups]  # each item on one side only
+    return lambda ups, **kw: disj_online_run(ups, N20, 16, **kw), tagged, 1
+
+
+# the engine prover class each two-sided run builds, which the liar extends
+TWO_SIDED_PROVERS = {"innerproduct": "OnlineEngineProver",
+                     "disj": "_TaggedWitnessProver"}
+
+
+def _two_sided_lies(monkeypatch, run, liar=None, seeds=10):
+    """_engine_lies for a two-sided run: with a liar, the run builds a
+    subclass of liar and of its own engine prover class, so the liar's
+    finish runs first. A rejected run rejects at the end."""
+    if liar is not None:
+        name = TWO_SIDED_PROVERS[run]
+        monkeypatch.setattr(moments, name, type(
+            liar.__name__, (liar, getattr(moments, name)), {}))
+    reasons = []
+    for seed in range(seeds):
+        fn, ups, value = _two_sided_case(run, seed)
+        r = fn(ups, seed=seed)
+        assert r.rejected or r.value == value
+        if r.rejected:
+            assert r.info["reject"]["phase"] == "end"
+        reasons.append(r.info["reject"]["reason"] if r.rejected else None)
+    return reasons
+
+
+@pytest.mark.parametrize("run", TWO_SIDED_PROVERS)
+def test_two_sided_honest_runs_accept(run):
+    for seed in range(3):
+        fn, ups, value = _two_sided_case(run, seed)
+        assert fn(ups, seed=seed).value == value
+
+
+@pytest.mark.parametrize("run", TWO_SIDED_PROVERS)
+def test_two_sided_collision_list_that_omits_a_bucket_rejected(monkeypatch, run):
+    reasons = _two_sided_lies(monkeypatch, run, _OmitsOneBucket)
+    assert reasons == ["mapping not injective on the remainder"] * 10
+
+
+@pytest.mark.parametrize("run", TWO_SIDED_PROVERS)
+def test_two_sided_collision_list_with_phantom_item_rejected(monkeypatch, run):
+    reasons = _two_sided_lies(monkeypatch, run, _PhantomItem)
+    assert reasons == ["stage purity proof failed"] * 10
+
+
+@pytest.mark.parametrize("run", TWO_SIDED_PROVERS)
+def test_two_sided_stage_list_that_does_not_isolate_rejected(monkeypatch, run):
+    """As on fk online where the moved claim has a nonzero count. An
+    entry's zero count on one side names an absent id, and that claim is
+    true wherever it is marked: the run rejects when the shared bucket
+    holds two ids (impure) or one id whose count no claim takes out of it
+    (a wrong frequency), and may accept when that one id is itself claimed,
+    with the exact value, which _two_sided_lies checks."""
+    forged = _misplace_first_claim(monkeypatch)
+    reasons = _two_sided_lies(monkeypatch, run)
+    assert len(forged) == 10 and sum(forged) >= 5
+    nonzero = 0
+    for moved, (_, fstar, _), reason in zip(forged, _MisplacedFirstClaim.first,
+                                            reasons):
+        if not moved:
+            assert reason is None
+        elif fstar:
+            nonzero += 1
+            assert reason == "marked bucket not isolated"
+        else:
+            assert reason in (None, "marked bucket not isolated",
+                              "listed frequencies not certified")
+    assert nonzero >= 3
 
 
 # ---------------------------------------------------------------- disjointness
@@ -998,15 +1092,16 @@ def _engine_case(case):
     """(shape, updates) of one engine configuration over n = 2^10 at
     c_v = 4, so that the universe hash collides: a strict one-sided stream
     for Fk of order 2 or of orders (1, 2, 3), a two-sided one for the
-    inner product, and a non-strict one for footprint and AMA modes."""
+    inner product, its updates over the ids 2i + t as the engine takes
+    them, and a non-strict one for footprint and AMA modes."""
     n = 1 << 10
     rng = random.Random(13)
     ups = strict_stream(rng, n, 40, churn=0.4)
     if case == "ip":
-        ups = [(S, u) for u in ups] + [(T, u) for u in ups[:30]]
-        meta = tagged_meta(ups, n)
+        ids, meta = tagged_meta([(S, u) for u in ups]
+                                + [(T, u) for u in ups[:30]], n)
         return Shape(n, meta.sparsity, 4, meta.weight, MODE_STRICT,
-                     mains=("ip",)), ups
+                     mains=("ip",)), ids
     mode, mains = {"strict": (MODE_STRICT, (2,)),
                    "footprint": (MODE_FOOTPRINT, (2,)),
                    "ama": (MODE_AMA, (2,)),
@@ -1027,27 +1122,24 @@ def _engine_pair(shape):
     return prover, verifier
 
 
-def _side_update(shape, u):
-    return (0, u) if shape.sides == 1 else u
-
-
-def _reference_update(v, side, su):
-    """Map one update into verifier v's instances by one update or
-    add_purity call per instance, each bucket from PairwiseHash.__call__.
-    Returns the buckets: the universe bucket, then one per stage."""
+def _reference_update(v, u):
+    """Map one update of id u.item, item i on side s as i * sides + s, into
+    verifier v's instances by one update or add_purity call per instance,
+    each bucket from PairwiseHash.__call__. Returns the buckets: the
+    universe bucket, then one per stage."""
     sh, mi = v.shape, v.mi
-    delta, weight = su.delta, abs(su.delta)
+    ident, delta, weight = u.item, u.delta, abs(u.delta)
+    item, side = divmod(ident, sh.sides)
     occ = weight if sh.mode == MODE_FOOTPRINT else delta
 
     def terms(x):
         return ((x, occ) if sh.mode == MODE_AMA
                 else purity_deltas(sh.field_purity, x, occ))
 
-    b = v.h(su.item)
+    b = v.h(item)
     for main in v.mains.values():
         main.update(side, b, delta)
-    v.main_sink.add_purity(b, terms(su.item))
-    ident = su.item * sh.sides + side
+    v.main_sink.add_purity(b, terms(item))
     for j, h in enumerate(mi.hs):
         bj = h(ident)
         mi.sf_net[j].update(0, bj, delta)
@@ -1086,8 +1178,7 @@ def test_fused_bank_rows_match_per_instance_calls(case):
     for u in ups:
         prover.on_update(u)
         fused.update(u)
-        assert returned[-1] == _reference_update(reference,
-                                                 *_side_update(shape, u))
+        assert returned[-1] == _reference_update(reference, u)
     assert fused.weight_seen == reference.weight_seen
     rows = _verifier_rows(fused)
     assert rows == _verifier_rows(reference)
@@ -1385,9 +1476,8 @@ def test_implausible_collision_entry_rejected(case):
     mode, two_sided, rewrites, reason = PLAUSIBILITY_CASES[case]
     n = 1 << 10
     ups = strict_stream(random.Random(13), n, 40, churn=0.4)
-    if two_sided:
-        ups = [(S, u) for u in ups] + [(T, u) for u in ups]
-        meta = tagged_meta(ups, n)
+    if two_sided:  # the engine takes the ids 2i + t
+        ups, meta = tagged_meta([(S, u) for u in ups] + [(T, u) for u in ups], n)
         shape = Shape(n, meta.sparsity, 4, meta.weight, mode, mains=("ip",))
     else:
         meta = compute_meta(ups, n)

@@ -240,6 +240,26 @@ def test_hh_zipf_matches_exact_counts(mode, rng):
     assert r.accepted and r.value == want
 
 
+RUNS = {
+    "pointquery": lambda ups, **kw: pq_run(ups, 64, 1, **kw),
+    "selection": lambda ups, **kw: selection_run(ups, 64, 1, **kw),
+    "heavyhitters": lambda ups, **kw: heavyhitters_run(ups, 64, 0.3, **kw),
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("c_a, c_v", [(1, 0), (-2, -1), (0, 64), (64, 0)])
+@pytest.mark.parametrize("ups", [[], [StreamUpdate(1, 1), StreamUpdate(2, 1)]],
+                         ids=["empty", "two-items"])
+def test_cell_count_below_one_raises(run, c_a, c_v, ups):
+    # the size check refuses before the cover check: with the cover check
+    # alone, c_v = 0 on an empty stream divided by zero, and c_a = -2,
+    # c_v = -1 (a product of 2) made the honest run reject or raise an
+    # IndexError
+    with pytest.raises(ConfigError, match="c_a and c_v must be at least 1"):
+        RUNS[run](ups, c_a=c_a, c_v=c_v)
+
+
 def test_hh_unknown_mode_raises():
     ups = [StreamUpdate(0, 5), StreamUpdate(1, 1)]
     for mode in ("bogus", "multiindex"):  # openings is the only mode
