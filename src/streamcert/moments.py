@@ -16,11 +16,18 @@ also fed into the stage purity check as insertions, so list entries for
 items absent from the stream collide with whatever shares their bucket and
 cannot launder frequency mass.
 
-Mode variants: 'strict' certifies sparsity-scaled costs, 'footprint' admits
-the non-strict model by occupying buckets with absolute update weight (each
-entry then also carries its certified absolute weight), and 'ama' uses
-public-coin fingerprint purity checks to keep sparsity-scaled costs in the
-non-strict model.
+Update models: each is one mode object, which the run function chooses
+once and Shape.mode holds; code outside the mode classes reads from it
+each rule that differs by model, and never tests which model it is.
+MODE_STRICT, a StrictMode, certifies the strict turnstile model at
+sparsity-scaled costs, and its rules are the defaults. MODE_FOOTPRINT, a
+FootprintMode, the online-MA scheme for non-strict streams, overrides the
+sizing base, the footprint, and occupies buckets with absolute update
+weight: each collision-list entry also carries its certified weight,
+checked by a further SubF2 per stage. MODE_AMA, an AmaMode, the
+public-coin scheme whose costs follow sparsity, overrides the purity
+field, terms, sinks, stage checks and marks and the main injection with
+fingerprint purity checks, and adds two public coins.
 
 Each mapping from stream updates to dense instances is written once and
 built over DenseProver or DenseVerifier: _StageMap for the MultiIndex
@@ -106,11 +113,6 @@ from .purity import (AmaPurity, ama_params, balanced_shape,
                      purity_deltas, purity_min_field, subf2_params,
                      subinjection_params)
 
-MODE_STRICT = "strict"
-MODE_FOOTPRINT = "footprint"
-MODE_AMA = "ama"
-
-
 def _pow2ceil(x: int) -> int:
     return 1 << max(0, (x - 1).bit_length())
 
@@ -120,14 +122,125 @@ def _ceil_sqrt(x: int) -> int:
     return s if s * s == x else s + 1
 
 
-def _ident_count(field, ident, count):
-    """AMA mode's purity terms: the id and its count."""
-    return ident, count
+class StrictMode:
+    """The strict turnstile model, whose rules FootprintMode and AmaMode
+    override. Shape.mode holds one of the three mode objects, MODE_STRICT,
+    MODE_FOOTPRINT or MODE_AMA, and the engine and MultiIndex read from it
+    every rule that differs by update model; in the strict model:
+
+    - base(meta): the count of ids the run is sized for, the sparsity;
+    - purity(shape, coins_seed): the purity field, and no public coins;
+    - terms_of(field, ident, count): the purity terms of `count` copies of
+      ident, computed once however many purity sinks take them: the
+      (u, v, w) of purity.purity_deltas. A route binds it once, when it is
+      built, so that no update looks up the mode;
+    - purity_sink(shape, dense): what takes add_purity(bucket, terms) for
+      a purity instance: the instance itself;
+    - main_injection(shape, dense): the main injection check, an Injection
+      instance built by dense(params);
+    - stage_check_params(shape) and mark(shape, check, bucket): each
+      stage's purity check, a SubInjection instance, and the mark of a
+      claimed bucket there, in its column 3;
+    - weighted: whether ids occupy purity buckets by absolute update
+      weight, which a collision-list entry then carries (no: by net count);
+    - strict: whether listed counts are never below zero (yes);
+    - coin_words: the public coins' words, charged to vcost and, at the
+      purity field's width, to hcost (none)."""
+
+    weighted = False
+    strict = True
+    coin_words = 0
+    terms_of = staticmethod(purity_deltas)
+
+    def base(self, meta):
+        return meta.sparsity
+
+    def purity(self, shape, coins_seed):
+        # purity instances weight items by their ids, so they alone may need
+        # a field beyond the default; the other instances size independently
+        return field_at_least(purity_min_field(
+            2 * shape.weight, shape.n_ids, max(shape.r, shape.ell_decl))), None
+
+    def purity_sink(self, shape, dense):
+        return dense
+
+    def _params(self, shape, params, buckets):
+        """params(...) of an integer purity check over `buckets` buckets."""
+        bound = buckets * (2 * shape.weight * max(1, shape.n_ids)) ** 2
+        return params(shape.field_purity, shape.r, shape.c_a, shape.c_v, bound)
+
+    def main_injection(self, shape, dense):
+        return dense(self._params(shape, injection_params, max(shape.r, 1)))
+
+    def stage_check_params(self, shape):
+        return self._params(shape, subinjection_params, max(shape.r, shape.ell_decl))
+
+    def mark(self, shape, check, bucket):
+        check.update(3, bucket, 1)
+
+
+class FootprintMode(StrictMode):
+    """The non-strict model by the online-MA scheme. It overrides base, the
+    footprint, and weighted: ids occupy purity buckets by absolute update
+    weight, a collision-list entry carries its certified weight, and each
+    stage adds a SubF2 over the weights. Listed counts may be below zero,
+    or zero."""
+
+    weighted = True
+    strict = False
+
+    def base(self, meta):
+        return meta.footprint
+
+
+class AmaMode(StrictMode):
+    """The non-strict model at sparsity-scaled costs, by public-coin
+    fingerprint purity checks (purity.AmaPurity). It overrides the purity
+    field, sized by n_ids^2 * r * lgn, and two public coins drawn from
+    coins_seed (coin_words); the terms, the id and its count, whose
+    coordinates depend on the bucket; the sink, an AmaPurity; the stage
+    check, an AMA instance over lgn coordinates per bucket, marked at all
+    of a bucket's coordinates; the main injection, the stage check with
+    every bucket marked; and strict: listed counts may be below zero."""
+
+    strict = False
+    coin_words = 2
+    terms_of = staticmethod(lambda field, ident, count: (ident, count))
+
+    def purity(self, shape, coins_seed):
+        field = field_at_least(shape.n_ids ** 2 * shape.r * shape.lgn << 20)
+        return field, draw_public_coins(field, coins_seed)
+
+    def purity_sink(self, shape, dense):
+        return AmaPurity(dense, shape.coins, shape.n_ids, shape.lgn)
+
+    def main_injection(self, shape, dense):
+        return mark_all(dense(self.stage_check_params(shape)))
+
+    def stage_check_params(self, shape):
+        c_a = _pow2ceil(-(-shape.r * shape.lgn // shape.c_v))
+        return ama_params(shape.field_purity, shape.r, shape.lgn, c_a, shape.c_v)
+
+    def mark(self, shape, check, bucket):
+        for j in range(shape.lgn):
+            check.update(2, bucket * shape.lgn + j, 1)
+
+
+MODE_STRICT = StrictMode()
+MODE_FOOTPRINT = FootprintMode()
+MODE_AMA = AmaMode()
 
 
 class Shape:
     """Shared geometry of one online run: reduced universe, grid shape,
     fields, collision budget, stage budget and main instances.
+
+    `mode` is one of the update models' mode objects, MODE_STRICT,
+    MODE_FOOTPRINT or MODE_AMA, and the one place their rules live: the
+    run's purity field and public coins come from it here, and every
+    instance, sink, mark and bound that differs by model is read from it
+    (StrictMode names them). `base` is the count of ids the run is sized
+    for: in fk_online_multi, mode.base of the stream's meta.
 
     `mains` names the main instances, and with them the stream's sides: the
     orders k, for Fk of each order over a one-sided stream, or ("ip",), for
@@ -141,7 +254,7 @@ class Shape:
             raise ConfigError("c_v must exceed 1")
         self.sides = 2 if "ip" in mains else 1
         self.n = n
-        n_ids = self.n_ids = n * self.sides
+        self.n_ids = n * self.sides
         self.mode = mode
         self.c_v = c_v
         base = max(1, base)
@@ -150,20 +263,12 @@ class Shape:
         self.threshold = max(1, -(-10 * base * base // self.r))
         # the most claims MultiIndex certifies: it sizes the stage budget and
         # the stage checks' fields and output bounds
-        ell_decl = max(2, ell if ell is not None else self.threshold)
-        self.ell_decl = ell_decl
+        self.ell_decl = ell_decl = max(2, ell if ell is not None else self.threshold)
         self.t_max = math.ceil(2 * math.log(ell_decl) / math.log(c_v)) + 3
         self.weight = max(1, weight)
-        self.lgn = id_bits(n_ids)
-        w2 = 2 * self.weight
-        # purity instances weight items by their ids, so they alone may need
-        # a field beyond the default; the other instances size independently
-        if mode == MODE_AMA:
-            self.field_purity = field_at_least((n_ids * n_ids) * self.r * self.lgn << 20)
-        else:
-            self.field_purity = field_at_least(
-                purity_min_field(w2, n_ids, max(self.r, ell_decl)))
-        self.field_subf2 = field_at_least(2 * max(1, ell_decl) * w2 * w2 + 1)
+        self.lgn = id_bits(self.n_ids)
+        self.field_purity, self.coins = mode.purity(self, coins_seed)
+        self.field_subf2 = field_at_least(2 * ell_decl * (2 * self.weight) ** 2 + 1)
         # each main instance's degree: f_S . f_T has degree 2
         degrees = {key: 2 if key == "ip" else key for key in mains}
         self.field_mains = {key: field_at_least(
@@ -171,33 +276,6 @@ class Shape:
             for key, d in degrees.items()}
         self.field = max([self.field_purity, self.field_subf2,
                           *self.field_mains.values()], key=lambda f: f.q)
-        self.coins = (draw_public_coins(self.field_purity, coins_seed)
-                      if mode == MODE_AMA else None)
-        # terms_of(field_purity, ident, count): the purity sinks' terms for
-        # `count` copies of ident, computed once however many sinks take
-        # them: (u, v, w), or (ident, count) in AMA mode, where the
-        # coordinates depend on the bucket. Chosen once, so that no update
-        # branches on the mode.
-        self.terms_of = _ident_count if mode == MODE_AMA else purity_deltas
-
-    # purity feed -----------------------------------------------------------
-
-    def purity_terms(self, ident, count):
-        """terms_of over the purity field."""
-        return self.terms_of(self.field_purity, ident, count)
-
-    def occupancy(self, delta, weight):
-        """What an id with count delta and absolute update weight `weight`
-        puts in its purity bucket: the weight in footprint mode, which
-        occupies buckets with absolute weight, the count otherwise."""
-        return weight if self.mode == MODE_FOOTPRINT else delta
-
-    def purity_sink(self, dense):
-        """What takes add_purity(bucket, purity_terms(...)) for a purity
-        instance, chosen once so that no update branches on the mode."""
-        if self.mode == MODE_AMA:
-            return AmaPurity(dense, self.coins, self.n_ids, self.lgn)
-        return dense
 
     # dense parameter bundles ------------------------------------------------
 
@@ -211,21 +289,6 @@ class Shape:
             params[key] = DenseParams(f, self.r, self.c_a, self.c_v, vectors,
                                       degree, g, self.weight ** degree)
         return params
-
-    def main_injection_params(self):
-        if self.mode == MODE_AMA:
-            return self.stage_check_params()
-        bound = max(self.r, 1) * (2 * self.weight * max(1, self.n_ids)) ** 2
-        return injection_params(self.field_purity, self.r, self.c_a, self.c_v, bound)
-
-    def stage_check_params(self):
-        if self.mode == MODE_AMA:
-            universe = self.r * self.lgn
-            c_a = _pow2ceil(-(-universe // self.c_v))
-            return ama_params(self.field_purity, self.r, self.lgn, c_a, self.c_v)
-        bound = (max(self.r, self.ell_decl)
-                 * (2 * self.weight * max(1, self.n_ids)) ** 2)
-        return subinjection_params(self.field_purity, self.r, self.c_a, self.c_v, bound)
 
     def stage_subf2_params(self):
         bound = self.ell_decl * (2 * self.weight) ** 2
@@ -263,13 +326,13 @@ class _StageMap:
 
     def __init__(self, shape: Shape, dense):
         self.shape = shape
-        t = shape.t_max
-        self.checks = [dense(shape.stage_check_params()) for _ in range(t)]
-        self.sinks = [shape.purity_sink(c) for c in self.checks]
+        t, mode = shape.t_max, shape.mode
+        self.checks = [dense(mode.stage_check_params(shape)) for _ in range(t)]
+        self.sinks = [mode.purity_sink(shape, c) for c in self.checks]
         self.sf_net = [dense(shape.stage_subf2_params()) for _ in range(t)]
         self.sf_abs = None
         per_stage = [self.checks, self.sf_net]
-        if shape.mode == MODE_FOOTPRINT:
+        if mode.weighted:
             self.sf_abs = [dense(shape.stage_subf2_params()) for _ in range(t)]
             per_stage.append(self.sf_abs)
         self.instances = list(zip(*per_stage))
@@ -301,13 +364,13 @@ class _StageMap:
             stages = range(self.shape.t_max)
         bank = lane_bank([*head, *((self.sf_net[j], 0, self.sinks[j])
                                    for j in stages)], keys)
-        terms_of, field = self.shape.terms_of, self.shape.field_purity
+        terms_of, field = self.shape.mode.terms_of, self.shape.field_purity
         footprint = self.sf_abs is not None
         weights = ([(k, self.sf_abs[j]) for k, j in enumerate(stages, len(head))]
                    if footprint else [])
 
         def step(x, ident, delta, weight):
-            occ = weight if footprint else delta  # Shape.occupancy, inline
+            occ = weight if footprint else delta
             head_terms = terms_of(field, x, occ)
             # an id that is x, as every one-sided id is, shares its terms
             terms = head_terms if ident == x else terms_of(field, ident, occ)
@@ -327,12 +390,13 @@ class _StageMap:
     def enter(self, claims, stages, claimed):
         """Enter each (ident, fstar, wstar) claim at its stage in `stages`
         (from 1), claimed holding its bucket at each stage: mark the bucket
-        there, and take the claimed frequency (and, in footprint mode, the
-        claimed weight) out of every marked stage. Returns the marked
+        there, with its occupancy in the purity check, and take the claimed
+        frequency (and, in a weighted mode, the claimed weight) out of every
+        marked stage. Returns the marked
         stages, indices from 0 in order: they alone send proofs and have
         them checked, so the other stages take nothing, and each instance
         is a sum, whatever order its updates come in."""
-        sh = self.shape
+        sh, mode = self.shape, self.shape.mode
         marked = sorted({stage - 1 for stage in stages})
         for (ident, fstar, wstar), stage, buckets in zip(claims, stages, claimed):
             for j in marked:
@@ -341,14 +405,10 @@ class _StageMap:
                     self.sf_abs[j].update(0, buckets[j], -wstar)
             j = stage - 1
             b = buckets[j]
-            insert = sh.occupancy(fstar, wstar)
-            if insert:
-                self.sinks[j].add_purity(b, sh.purity_terms(ident, insert))
-            if sh.mode == MODE_AMA:
-                for jj in range(sh.lgn):
-                    self.checks[j].update(2, b * sh.lgn + jj, 1)
-            else:
-                self.checks[j].update(3, b, 1)
+            occ = wstar if mode.weighted else fstar
+            if occ:
+                self.sinks[j].add_purity(b, mode.terms_of(sh.field_purity, ident, occ))
+            mode.mark(sh, self.checks[j], b)
             self.sf_net[j].update(1, b, 1)
             if self.sf_abs is not None:
                 self.sf_abs[j].update(1, b, 1)
@@ -390,7 +450,7 @@ class MultiIndexProverCore(_StageMap, Prover):
         """(ident, net count, absolute weight) of every id the stream leaves
         in the instances: a nonzero net count, or in footprint mode a
         nonzero weight."""
-        footprint = self.shape.mode == MODE_FOOTPRINT
+        footprint = self.shape.mode.weighted
         absw = self.absw
         for ident, f in self.freq.items():
             if f or (footprint and absw[ident]):
@@ -492,7 +552,7 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
             need(type(stage) is int and 1 <= stage <= sh.t_max,
                  "stage outside budget")
             need(abs(fstar) <= sh.weight, "implausible claimed frequency")
-            if sh.mode == MODE_FOOTPRINT:
+            if sh.mode.weighted:
                 need(wstar is not None and 1 <= wstar <= sh.weight,
                      "implausible claimed weight")
         ok = 1
@@ -552,8 +612,8 @@ class _EngineMap:
     The MultiIndex stages map it as id i * sides + s. A collision-
     list entry is (i, its count on each side) and, in footprint mode, its
     certified weight: `arity` ints. claims(entry) gives its MultiIndex
-    claims and remove(entry) takes it back out of the main instances and
-    the main injection; the prover and the verifier call both.
+    claims; remove(entry) takes it back out of the main instances and the
+    main injection and returns them, for the prover and the verifier.
 
     use_hash, once the stages have their hashes, builds with the stage
     map's route() one mapping step per side s, routes[s], which maps every
@@ -575,11 +635,9 @@ class _EngineMap:
         self.mi = mi
         self.mains = {key: dense(params)
                       for key, params in shape.main_params().items()}
-        self.main_inj = dense(shape.main_injection_params())
-        self.main_sink = shape.purity_sink(self.main_inj)
-        if shape.mode == MODE_AMA:
-            mark_all(self.main_inj)
-        self.arity = 1 + self.sides + (shape.mode == MODE_FOOTPRINT)
+        self.main_inj = shape.mode.main_injection(shape, dense)
+        self.main_sink = shape.mode.purity_sink(shape, self.main_inj)
+        self.arity = 1 + self.sides + shape.mode.weighted
 
     def use_hash(self, h, stages):
         """Take the universe hash, once the stages have their hashes, and
@@ -605,21 +663,23 @@ class _EngineMap:
         """A collision-list entry's MultiIndex claims, (ident, fstar, wstar)
         for each side's count."""
         i, sides = entry[0], self.sides
-        wstar = entry[-1] if self.shape.mode == MODE_FOOTPRINT else None
+        wstar = entry[-1] if self.shape.mode.weighted else None
         return [(i * sides + s, f, wstar)
                 for s, f in enumerate(entry[1:1 + sides])]
 
     def remove(self, entry):
-        """Take a collision-list entry out of the mapped instances."""
+        """Take a collision-list entry out of the mapped instances. Returns
+        its claims."""
         sh = self.shape
         i, counts = entry[0], entry[1:1 + self.sides]
         b = self.bucket(i)
         for side, f in enumerate(counts):
             for main in self.mains.values():
                 main.update(side, b, -f)
-        # footprint mode occupies buckets with the certified weight
-        removal = entry[-1] if sh.mode == MODE_FOOTPRINT else sum(counts)
-        self.main_sink.add_purity(b, sh.purity_terms(i, -removal))
+        # a weighted mode occupies buckets with the certified weight
+        removal = entry[-1] if sh.mode.weighted else sum(counts)
+        self.main_sink.add_purity(b, sh.mode.terms_of(sh.field_purity, i, -removal))
+        return self.claims(entry)
 
 
 class OnlineEngineProver(_EngineMap, Prover):
@@ -656,13 +716,10 @@ class OnlineEngineProver(_EngineMap, Prover):
         for i in sorted(i for items in held.values() if len(items) > 1
                         for i in items):
             entry = (i, *(freq.get(i * sides + s, 0) for s in range(sides)))
-            if self.shape.mode == MODE_FOOTPRINT:  # one-sided: id i is item i
+            if self.shape.mode.weighted:  # one-sided: id i is item i
                 entry += (self.mi.absw[i],)
             entries.append(entry)
-        claims = []
-        for e in entries:
-            self.remove(e)
-            claims += self.claims(e)
+        claims = [c for e in entries for c in self.remove(e)]
 
         ebits = len(entries) * (id_bits(self.n) + (self.arity - 1) * COUNT_BITS)
         mi_chunks, proofs = self.mi.finish_chunks(
@@ -685,8 +742,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         self.weight_seen = 0
         self.word_bits = shape.field.bits
         self.info = {}
-        if shape.mode == MODE_AMA:
-            self.public_coin_bits = 2 * shape.field_purity.bits
+        self.public_coin_bits = shape.mode.coin_words * shape.field_purity.bits
 
     def begin(self, chunks):
         h = take(chunks, "hash")
@@ -708,9 +764,9 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         need(isinstance(entries, list) and len(entries) <= sh.threshold,
              "collision list over budget")
         w = self.weight_seen
-        # strict counts are never negative; only a footprint entry, which
-        # carries its weight, may list a zero net count
-        low = 0 if sh.mode == MODE_STRICT else -w
+        # strict counts are never negative; only an entry that carries its
+        # weight may list a zero net count
+        low = 0 if sh.mode.strict else -w
         c0 = dict.fromkeys(self.mains, 0)
         claims = []
         prev = -1
@@ -718,15 +774,14 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
             need(int_record(e, self.arity), "malformed collision-list entry")
             i, counts = e[0], e[1:1 + self.sides]
             need(all(low <= f <= w for f in counts)
-                 and (any(counts) or sh.mode == MODE_FOOTPRINT),
+                 and (any(counts) or sh.mode.weighted),
                  "implausible listed frequency")
             need(prev < i < self.n, "collision list not sorted")
             prev = i
             for key in c0:
                 c0[key] += (counts[0] * counts[1] if key == "ip"
                             else counts[0] ** key)
-            claims += self.claims(e)
-            self.remove(e)
+            claims += self.remove(e)
         ok = self.mi.end(chunks, claims).value
         need(ok == 1, "listed frequencies not certified")
         self.info["stages_used"] = self.mi.info["stages_used"]
@@ -747,9 +802,7 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         total = self.mi.words + self.main_inj.words
         total += sum(mv.words for mv in self.mains.values())
         total += (self.h.words if self.h else 0) + 4
-        if self.shape.mode == MODE_AMA:
-            total += 2
-        return total
+        return total + self.shape.mode.coin_words
 
 
 # ----------------------------------------------------------------- Fk schemes
@@ -758,13 +811,22 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
 def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRICT,
                     coins_seed=None) -> RunResult:
     """Certified exact frequency moments for every order in ks, sharing one
-    universe reduction and one MultiIndex run."""
+    universe reduction and one MultiIndex run.
+
+    mode is the update model's mode object: MODE_STRICT (StrictMode) for
+    strict turnstile streams, MODE_FOOTPRINT (FootprintMode, sized by the
+    footprint, buckets occupied by absolute weight) or MODE_AMA (AmaMode,
+    public-coin purity checks drawn from coins_seed) for non-strict ones.
+    The run is sized by mode.base of the stream's meta. Raises ConfigError
+    for any other mode, a mode's name included."""
     ks = tuple(ks)
     if not ks:
         raise ConfigError("name at least one moment order")
+    if mode not in (MODE_STRICT, MODE_FOOTPRINT, MODE_AMA):
+        raise ConfigError(f"unknown fk mode {mode!r}")
     meta = compute_meta(updates, n)
-    base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
-    shape = Shape(n, base, c_v, meta.weight, mode, mains=ks, coins_seed=coins_seed)
+    shape = Shape(n, mode.base(meta), c_v, meta.weight, mode, mains=ks,
+                  coins_seed=coins_seed)
     return run_protocol(updates, seed, "fk", partial(OnlineEngineVerifier, shape),
                         partial(OnlineEngineProver, shape), prover)
 

@@ -231,9 +231,10 @@ def ama_params(field, r, lgn, c_a, c_v):
 
 def mark_all(dense):
     """Mark every coordinate of an AMA instance: the injection check is the
-    stage check with every bucket marked."""
+    stage check with every bucket marked. Returns the instance."""
     for coord in range(dense.params.universe):
         dense.update(2, coord, 1)
+    return dense
 
 
 class AmaPurity:
@@ -273,9 +274,8 @@ class _AmaInjectionMap(_DenseMap):
     coin_words = 2  # the public coins count against both costs
 
     def __init__(self, dense, coins, n, lgn):
-        super().__init__(dense)
+        super().__init__(mark_all(dense))
         self.sink = AmaPurity(dense, coins, n, lgn)
-        mark_all(dense)
 
     def feed(self, u):
         self.sink.add_purity(u.bucket, (u.item, u.delta))

@@ -81,6 +81,15 @@ def test_fk_without_an_order_raises():
         fk_online_multi([U(0, 1)], 16, (), 4)
 
 
+@pytest.mark.parametrize("mode", ["footprnt", "Strict", "strict", None])
+def test_fk_unknown_mode_raises(mode):
+    # a mode is one of the three mode objects; anything else, a mode's name
+    # included, is refused before the run rather than run under strict sizing
+    ups = strict_stream(random.Random(0), N20, 40)
+    with pytest.raises(ConfigError, match="unknown fk mode"):
+        fk_online_multi(ups, N20, (2,), 16, seed=1, mode=mode)
+
+
 def test_fk_false_collision_list_rejected(rng):
     ups = strict_stream(rng, N20, 100, churn=0.0)
     rejected = 0
@@ -494,18 +503,44 @@ def test_multiindex_annotation_tampering_rejected(run, tamper):
 
 
 # ------------------- adversaries that lie before the end-of-stream proofs
-# Strict F2 with c_v = 16 over 300 items: every seed's universe hash leaves
-# collided buckets, so each lie has a list to tamper with.
+# F2 in each mode, over streams where every seed's universe hash leaves
+# collided buckets, so each lie has a list to tamper with: strict F2 with
+# c_v = 16 over 300 items; footprint F2 over the same items, with deletes
+# that take some counts below zero; and AMA F2 with c_v = 4 over 40 items
+# of n = 2^10 with such deletes (its grid over 300 items at n = 2^20 is over
+# the grid budget).
 
 
-def _engine_lies(monkeypatch, liar, seeds=20):
-    """Reject reasons of strict F2 runs whose prover is liar, patched in for
-    moments.OnlineEngineProver; an accepted run must hold the exact F2."""
+def _below_zero(ups, items):
+    """ups, then a delete of 4 of each of its first `items` distinct items:
+    their counts, at most 3, go below zero."""
+    return ups + [U(i, -4) for i in sorted({u.item for u in ups})[:items]]
+
+
+LIAR_RUNS = {
+    "strict": (lambda seed: strict_stream(random.Random(seed), N20, 300),
+               lambda ups, seed: fk_online_run(ups, N20, 2, 16, seed=seed)),
+    "footprint": (
+        lambda seed: _below_zero(strict_stream(random.Random(seed), N20, 300), 30),
+        lambda ups, seed: fk_footprint_mode(ups, N20, 2, 16, seed=seed)),
+    "ama": (
+        lambda seed: _below_zero(strict_stream(random.Random(seed), 1 << 10, 40,
+                                               churn=0.4), 6),
+        lambda ups, seed: fk_ama_mode(ups, 1 << 10, 2, 4, seed=seed,
+                                      coins_seed=seed)),
+}
+
+
+def _engine_lies(monkeypatch, liar, mode="strict", seeds=20):
+    """Reject reasons of the F2 runs of LIAR_RUNS[mode] whose prover is
+    liar, patched in for moments.OnlineEngineProver; an accepted run must
+    hold the exact F2."""
     monkeypatch.setattr(moments, "OnlineEngineProver", liar)
+    stream, run = LIAR_RUNS[mode]
     reasons = []
     for seed in range(seeds):
-        ups = strict_stream(random.Random(seed), N20, 300)
-        r = fk_online_run(ups, N20, 2, 16, seed=seed)
+        ups = stream(seed)
+        r = run(ups, seed)
         assert r.rejected or r.value == moment_oracle(ups, 2)
         reasons.append(r.info["reject"]["reason"] if r.rejected else None)
     return reasons
@@ -607,6 +642,31 @@ def test_fk_stage_list_that_does_not_isolate_rejected(monkeypatch):
     forged = _misplace_first_claim(monkeypatch)
     reasons = _engine_lies(monkeypatch, OnlineEngineProver)
     assert len(forged) == 20 and sum(forged) >= 10
+    for moved, reason in zip(forged, reasons):
+        assert reason == ("marked bucket not isolated" if moved else None)
+
+
+# The same three liars against the non-strict modes, ten seeds each.
+NONSTRICT = ["footprint", "ama"]
+
+
+@pytest.mark.parametrize("mode", NONSTRICT)
+def test_nonstrict_collision_list_that_omits_a_bucket_rejected(monkeypatch, mode):
+    reasons = _engine_lies(monkeypatch, _OmitsOneBucket, mode, seeds=10)
+    assert reasons == ["mapping not injective on the remainder"] * 10
+
+
+@pytest.mark.parametrize("mode", NONSTRICT)
+def test_nonstrict_collision_list_with_phantom_item_rejected(monkeypatch, mode):
+    reasons = _engine_lies(monkeypatch, _PhantomItem, mode, seeds=10)
+    assert reasons == ["stage purity proof failed"] * 10
+
+
+@pytest.mark.parametrize("mode", NONSTRICT)
+def test_nonstrict_stage_list_that_does_not_isolate_rejected(monkeypatch, mode):
+    forged = _misplace_first_claim(monkeypatch)
+    reasons = _engine_lies(monkeypatch, OnlineEngineProver, mode, seeds=10)
+    assert len(forged) == 10 and sum(forged) >= 5
     for moved, reason in zip(forged, reasons):
         assert reason == ("marked bucket not isolated" if moved else None)
 
@@ -1110,8 +1170,8 @@ def _engine_case(case):
         ups += [U(rng.randrange(n), -2) for _ in range(6)]
         ups += [U(u.item, -u.delta) for u in ups[:5]]
     meta = compute_meta(ups, n)
-    base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
-    return Shape(n, base, 4, meta.weight, mode, mains=mains, coins_seed=1), ups
+    return Shape(n, mode.base(meta), 4, meta.weight, mode, mains=mains,
+                 coins_seed=1), ups
 
 
 def _engine_pair(shape):
@@ -1363,8 +1423,8 @@ def test_one_stage_loop_serves_every_mode():
     # exact value, and its costs are pinned (a change is a deliberate cost
     # change, as for the transcript pins)
     ups = strict_stream(random.Random(13), 1 << 10, 40, churn=0.4)
-    want = {"strict": (47048, 362), "footprint": (64954, 462),
-            "ama": (400421, 324)}
+    want = {MODE_STRICT: (47048, 362), MODE_FOOTPRINT: (64954, 462),
+            MODE_AMA: (400421, 324)}
     for mode, (hcost, vcost) in want.items():
         r = fk_online_multi(ups, 1 << 10, (2,), 4, seed=1, mode=mode,
                             coins_seed=1)
@@ -1384,9 +1444,10 @@ STAGE_RUNS = {
     "multiindex": lambda **kw: multiindex_run(
         _STAGE_UPS, 1 << 12, sorted(freq_oracle(_STAGE_UPS).items())[:20], 16,
         **kw),
-    **{mode: partial(fk_online_multi, _LOOP_UPS, 1 << 10, (2,), 4, mode=mode,
+    **{name: partial(fk_online_multi, _LOOP_UPS, 1 << 10, (2,), 4, mode=mode,
                      coins_seed=1)
-       for mode in (MODE_STRICT, MODE_FOOTPRINT, MODE_AMA)},
+       for name, mode in (("strict", MODE_STRICT), ("footprint", MODE_FOOTPRINT),
+                          ("ama", MODE_AMA))},
 }
 
 
@@ -1481,8 +1542,8 @@ def test_implausible_collision_entry_rejected(case):
         shape = Shape(n, meta.sparsity, 4, meta.weight, mode, mains=("ip",))
     else:
         meta = compute_meta(ups, n)
-        base = meta.footprint if mode == MODE_FOOTPRINT else meta.sparsity
-        shape = Shape(n, base, 4, meta.weight, mode, mains=(2,), coins_seed=1)
+        shape = Shape(n, mode.base(meta), 4, meta.weight, mode, mains=(2,),
+                      coins_seed=1)
 
     def engines():
         prover = OnlineEngineProver(shape, random.Random(1))
