@@ -20,6 +20,5 @@ from .protocol import (ConfigError, CostReport, Outcome, RelaxedOutcome,
 from .purity import (ama_injection_run, injection_run, subf2_run,
                      subinjection_run)
 from .streams import (BucketedUpdate, PairwiseHash, StreamMeta, StreamUpdate,
-                      compute_meta, dyadic_decompose, find_perfect_hash,
-                      validate_stream)
+                      compute_meta, dyadic_decompose, find_perfect_hash)
 from .sumcheck import DenseParams, DenseProof

@@ -11,10 +11,12 @@ end: each declares its witness chunk's `kind` and a check_witness that
 validates the payload and feeds its edges. The membership test is sound
 only on a simple graph, so every run first reads its edges through
 streams.stream_ids, which refuses (ConfigError) a vertex outside [0, n), a
-self loop and an edge whose final count is not 0 or 1. The engine sees
-ids: edge {a, b} of rank pair_rank(a, b) is id 2 * rank + 1 on the
-streamed side Y, which the run builds once from those edges' ranks, and id
-2 * rank on the witness side X (_edge_update)."""
+self loop and an edge whose final count is not 0 or 1, then makes its one
+pass, streams.compute_meta, over their ranks, which refuses
+(ModelViolation) a zero delta and an edge count that drops below zero.
+The engine sees ids: edge {a, b} of rank pair_rank(a, b) is id
+2 * rank + 1 on the streamed side Y, which the run builds once from those
+edges' ranks, and id 2 * rank on the witness side X (_edge_update)."""
 
 import time
 from functools import partial
@@ -24,7 +26,7 @@ from .moments import (MODE_STRICT, OnlineEngineProver, OnlineEngineVerifier,
 from .protocol import (Chunk, ConfigError, CostReport, Outcome,
                        RelaxedOutcome, RunResult, id_bits, int_record, need,
                        run_protocol, take)
-from .streams import (StreamUpdate, compute_meta, edge_universe,
+from .streams import (STRICT, StreamUpdate, compute_meta, edge_universe,
                       fingerprint_of_range, pair_rank, stream_ids)
 
 
@@ -60,10 +62,12 @@ def triangles_from_moments(f1, f2, f3):
 
 def count_triangles_run(edges, n, c_v=64, *, seed=0, prover=None) -> RunResult:
     """Certified exact triangle count of a simple graph given as a strict
-    edge stream."""
+    edge stream. The edges' own counts are checked against the strict
+    model: a triple's derived count can stay nonnegative while one of its
+    edges drops below zero."""
     if n < 3:
         raise ConfigError("need at least three vertices")
-    stream_ids("edges", edges, n)
+    compute_meta(*stream_ids("edges", edges, n), STRICT)
     derived = triangle_derived_stream(edges, n)
     result = fk_online_multi(derived, triple_universe(n), (1, 2, 3), c_v,
                              seed=seed, prover=prover)
@@ -103,7 +107,7 @@ def _relaxed_run(edges, n, witness_len, c_v, seed, label, verifier, witness,
     transcript. Any other ConfigError, such as the extension grid's
     budget, propagates."""
     ids, universe = stream_ids("edges", edges, n)
-    meta = compute_meta(ids, universe)
+    meta = compute_meta(ids, universe, STRICT)
     y_ids = [StreamUpdate(2 * u.item + 1, u.delta) for u in ids]
     shape = Shape(edge_universe(n), max(1, meta.sparsity + witness_len), c_v,
                   max(1, meta.weight + witness_len), MODE_STRICT, mains=("ip",))

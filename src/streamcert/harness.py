@@ -1,4 +1,4 @@
-"""Protocol runner: scheme dispatch over validated streams, adversarial
+"""Protocol runner: scheme dispatch with the update model checked, adversarial
 prover strategies, soundness trials, and cost sweeps.
 
 Adversarial strategies only rewrite annotation chunks; the stream itself is
@@ -8,9 +8,9 @@ from dataclasses import dataclass, field as dfield, replace
 
 from . import graphs, moments, pointqueries, purity
 from .protocol import ConfigError, Prover, RunResult, derive_rng
-from .streams import (INSERT_ONLY, NONSTRICT, STRICT, StreamUpdate,
+from .streams import (INSERT_ONLY, MODELS, STRICT, StreamUpdate, compute_meta,
                       read_cycle_witness, read_pairs, read_tree_witness,
-                      stream_ids, validate_stream)
+                      stream_ids)
 from .sumcheck import DenseProof
 
 
@@ -175,7 +175,8 @@ class Param:
 class Scheme:
     """A run function, called as run(stream, n=, seed=, prover=, **params);
     the stream kind it reads (plain, tagged, bucketed or edges); the update
-    models it allows (None: any); its parameters, in CLI flag order."""
+    models it allows, of which the run itself enforces the loosest; its
+    parameters, in CLI flag order."""
     run: object
     kind: str
     models: tuple
@@ -205,8 +206,7 @@ def _tagged(run, *params):
 
 # scheme -> Scheme, or mode -> Scheme for a scheme with modes
 SCHEMES = {
-    "pointquery": Scheme(pointqueries.pq_run, "plain",
-                         (STRICT, NONSTRICT, INSERT_ONLY),
+    "pointquery": Scheme(pointqueries.pq_run, "plain", MODELS,
                          (Param("query", "--query"), C_A, C_V)),
     "selection": Scheme(pointqueries.selection_run, "plain", STRICT_MODELS,
                         (Param("rank", "--rank"), C_A, C_V)),
@@ -220,9 +220,9 @@ SCHEMES = {
                             (K, MODE)),
         "online": Scheme(moments.fk_online_run, "plain", STRICT_MODELS,
                          (K, C_V16, MODE)),
-        "footprint": Scheme(moments.fk_footprint_mode, "plain", None,
+        "footprint": Scheme(moments.fk_footprint_mode, "plain", MODELS,
                             (K, C_V16, MODE)),
-        "ama": Scheme(moments.fk_ama_mode, "plain", None,
+        "ama": Scheme(moments.fk_ama_mode, "plain", MODELS,
                       (K, C_V16, MODE, COINS_SEED)),
     },
     "multiindex": Scheme(moments.multiindex_run, "plain", STRICT_MODELS,
@@ -237,8 +237,8 @@ SCHEMES = {
     "injection": Scheme(purity.injection_run, "bucketed", STRICT_MODELS, (R,)),
     "subinjection": Scheme(purity.subinjection_run, "bucketed", STRICT_MODELS,
                            (Z, R)),
-    "subf2": Scheme(purity.subf2_run, "plain", None, (Z,)),
-    "ama-injection": Scheme(purity.ama_injection_run, "bucketed", None,
+    "subf2": Scheme(purity.subf2_run, "plain", MODELS, (Z,)),
+    "ama-injection": Scheme(purity.ama_injection_run, "bucketed", MODELS,
                             (COINS_SEED, R)),
     "triangles": Scheme(graphs.count_triangles_run, "edges", STRICT_MODELS,
                         (Param("c_v", "--cv", default=64),)),
@@ -273,11 +273,25 @@ def _entry(config: RunConfig) -> Scheme:
     return entry[mode]
 
 
+def validate_stream(entry: Scheme, config: RunConfig, stream):
+    """Check the stream against the declared update model where the run
+    would not: the run enforces the loosest model its scheme allows, so
+    only a stricter declaration (insert-only, or strict for a scheme that
+    allows non-strict streams) takes a pass of its own, over the stream's
+    ids. Raises ModelViolation, or ConfigError for a record outside the
+    universe."""
+    if config.model != max(entry.models, key=MODELS.index):
+        compute_meta(*stream_ids(entry.kind, stream, config.n, config.params),
+                     config.model)
+
+
 def run_scheme(config: RunConfig, stream) -> RunResult:
-    """Check the update model and validate the stream over its ids, then run
-    one scheme end to end with its declared defaults filled in."""
+    """Check that the scheme allows the declared update model, and the
+    stream against that model where it is stricter than the run's own
+    check (validate_stream), then run one scheme end to end with its
+    declared defaults filled in."""
     entry = _entry(config)
-    if entry.models is not None and config.model not in entry.models:
+    if config.model not in entry.models:
         raise ConfigError(f"{config.scheme} does not support the {config.model} model")
     kwargs = {}
     for p in entry.params:
@@ -287,8 +301,7 @@ def run_scheme(config: RunConfig, stream) -> RunResult:
         if value is REQUIRED:
             raise ConfigError(f"missing parameter {p.key!r}")
         kwargs[p.arg or p.key] = config.seed if value is RUN_SEED else value
-    validate_stream(*stream_ids(entry.kind, stream, config.n, config.params),
-                    config.model)
+    validate_stream(entry, config, stream)
     prover = (None if config.prover == "honest"
               else adversary(config.prover, config.seed))
     return entry.run(stream, n=config.n, seed=config.seed, prover=prover, **kwargs)

@@ -103,9 +103,9 @@ from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, COUNT_BITS, STAGE_BITS,
                        id_bits, int_record, need, run_protocol, take)
 from .pointqueries import BucketFingerprintState, open_buckets
-from .streams import (check_counts, compute_meta, find_perfect_hash,
-                      frequency_map, hash_fits, random_pairwise_hash,
-                      stream_ids)
+from .streams import (NONSTRICT, STRICT, check_counts, compute_meta,
+                      find_perfect_hash, frequency_map, hash_fits,
+                      random_pairwise_hash, stream_ids)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
                        g_product, lane_bank, prop1_min_field, prove_all)
 from .purity import (AmaPurity, ama_params, balanced_shape,
@@ -586,11 +586,12 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult
     not the prover's, so the fields are sized for the largest of them as
     well as the stream's weight: a claim above the weight is answered 0.
     Raises ConfigError unless the claims name distinct items of [0, n)
-    with nonnegative counts."""
+    with nonnegative counts, and ModelViolation for a stream outside the
+    strict model."""
     if len({i for i, _ in claims}) != len(claims):
         raise ConfigError("claims must name distinct items")
     claims = check_counts(claims, n, "claimed item")
-    meta = compute_meta(updates, n)
+    meta = compute_meta(updates, n, STRICT)
     weight = max([meta.weight, *(f for _, f in claims)])
     shape = Shape(n, meta.sparsity, c_v, weight, MODE_STRICT,
                   ell=max(2, len(claims)))
@@ -818,13 +819,14 @@ def fk_online_multi(updates, n, ks, c_v, *, seed=0, prover=None, mode=MODE_STRIC
     footprint, buckets occupied by absolute weight) or MODE_AMA (AmaMode,
     public-coin purity checks drawn from coins_seed) for non-strict ones.
     The run is sized by mode.base of the stream's meta. Raises ConfigError
-    for any other mode, a mode's name included."""
+    for any other mode, a mode's name included, and ModelViolation for a
+    stream outside the mode's model: strict unless mode.strict is false."""
     ks = tuple(ks)
     if not ks:
         raise ConfigError("name at least one moment order")
     if mode not in (MODE_STRICT, MODE_FOOTPRINT, MODE_AMA):
         raise ConfigError(f"unknown fk mode {mode!r}")
-    meta = compute_meta(updates, n)
+    meta = compute_meta(updates, n, STRICT if mode.strict else NONSTRICT)
     shape = Shape(n, mode.base(meta), c_v, meta.weight, mode, mains=ks,
                   coins_seed=coins_seed)
     return run_protocol(updates, seed, "fk", partial(OnlineEngineVerifier, shape),
@@ -923,7 +925,7 @@ def prescient_reduced_universe(m: int) -> int:
 def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
     """Prescient exact Fk: the prover announces a perfect hash up front, the
     verifier certifies it with an Injection run over the mapped pairs."""
-    meta = compute_meta(updates, n)
+    meta = compute_meta(updates, n, STRICT)
     r = prescient_reduced_universe(meta.sparsity)
     c_a, c_v = balanced_shape(r)
     weight = max(1, meta.weight)
@@ -946,16 +948,18 @@ def fk_prescient_run(updates, n, k, *, seed=0, prover=None) -> RunResult:
 
 def tagged_meta(updates, n, binary=""):
     """(ids, meta) of a tagged stream: its updates over ids, item i of side t
-    as 2i + t, flattened once, and compute_meta over them. The run hands
-    the ids to its prover and verifier. binary names a scheme over 0/1
-    vectors: it raises ConfigError unless every final count is 0 or 1."""
+    as 2i + t, flattened once, and compute_meta over them in the strict
+    model. The run hands the ids to its prover and verifier. binary names a
+    scheme over 0/1 vectors: it raises ConfigError unless every final count
+    is 0 or 1."""
     ids, universe = stream_ids("tagged", updates, n)
+    meta = compute_meta(ids, universe, STRICT)
     if binary:
         for ident, f in sorted(frequency_map(ids).items()):
             if f != 1:
                 raise ConfigError(f"{binary} needs 0/1 vectors: item {ident >> 1} "
                                   f"of {'ST'[ident & 1]} has count {f}")
-    return ids, compute_meta(ids, universe)
+    return ids, meta
 
 
 def _witnesses(subset, fs, ft):

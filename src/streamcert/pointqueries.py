@@ -25,9 +25,9 @@ from .field import field_at_least
 from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
                        Verifier, COUNT_BITS, id_bits, int_record, need,
                        run_protocol, take)
-from .streams import (PairwiseHash, compute_meta, dyadic_decompose,
-                      dyadic_levels, dyadic_prefix_nodes, dyadic_universe,
-                      hash_fits, random_pairwise_hash)
+from .streams import (NONSTRICT, STRICT, PairwiseHash, compute_meta,
+                      dyadic_decompose, dyadic_levels, dyadic_prefix_nodes,
+                      dyadic_universe, hash_fits, random_pairwise_hash)
 
 OVERFLOW_FACTOR = 10  # Markov constant from the completeness argument
 
@@ -261,14 +261,15 @@ class PointQueryVerifier(OpeningVerifier):
         return Outcome.ok(wanted[query])
 
 
-def _check_cells(updates, n, c_a, c_v, dyadic):
+def _check_cells(updates, n, c_a, c_v, dyadic, model):
     """The size check of the three opening schemes: raises ConfigError
     unless c_a and c_v are at least 1 and the c_a * c_v cells cover the
     sparsity of the stream's items or, when `dyadic`, of its derived dyadic
-    stream, (levels + 1) nodes for each item, and for at least one."""
+    stream, (levels + 1) nodes for each item, and for at least one. The
+    stream is sized by compute_meta, which checks it against `model`."""
     if c_a < 1 or c_v < 1:
         raise ConfigError(f"c_a and c_v must be at least 1, not {c_a} and {c_v}")
-    m = compute_meta(updates, n).sparsity
+    m = compute_meta(updates, n, model).sparsity
     what = "stream's sparsity"
     if dyadic:
         m, what = max(1, m) * (dyadic_levels(n) + 1), "derived dyadic sparsity"
@@ -281,7 +282,7 @@ def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
     Raises ConfigError for a query outside [0, n) and as _check_cells."""
     if not 0 <= query < n:
         raise ConfigError(f"query {query} outside [0, {n})")
-    _check_cells(updates, n, c_a, c_v, dyadic=False)
+    _check_cells(updates, n, c_a, c_v, dyadic=False, model=NONSTRICT)
     return run_protocol(updates, seed, "pq", partial(PointQueryVerifier, n, c_a, c_v),
                         partial(PointQueryProver, n, c_v), prover, query)
 
@@ -347,7 +348,7 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
     One bucket-fingerprint state over the derived dyadic stream serves all
     the parallel prefix-count openings. Raises ConfigError as _check_cells
     and for a rank outside [1, N], N the stream's total count."""
-    _check_cells(updates, n, c_a, c_v, dyadic=True)
+    _check_cells(updates, n, c_a, c_v, dyadic=True, model=STRICT)
     total = sum(u.delta for u in updates)
     if not 1 <= rank <= total:
         raise ConfigError(f"rank {rank} outside [1, {total}]")
@@ -481,6 +482,6 @@ def heavyhitters_run(updates, n, phi, *, c_a, c_v, seed=0, prover=None,
         raise ConfigError("phi must be in (0, 1)")
     if mode != "openings":
         raise ConfigError(f"unknown heavyhitters mode {mode!r}")
-    _check_cells(updates, n, c_a, c_v, dyadic=True)
+    _check_cells(updates, n, c_a, c_v, dyadic=True, model=STRICT)
     return run_protocol(updates, seed, "hh", partial(HeavyHittersVerifier, n, c_a, c_v),
                         partial(HeavyHittersProver, n, c_v), prover, Fraction(phi))

@@ -19,7 +19,7 @@ from dataclasses import replace
 from .field import Field, field_at_least
 from .protocol import (Chunk, Outcome, Prover, RunResult, Verifier,
                        derive_rng, id_bits, run_protocol, take)
-from .streams import check_counts, compute_meta, stream_ids
+from .streams import NONSTRICT, STRICT, check_counts, compute_meta, stream_ids
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_purity,
                        g_sub_purity, g_sub_square, g_triple_product)
 
@@ -144,10 +144,12 @@ class _InjectionMap(_DenseMap):
 def injection_run(updates, n, r, *, seed=0, prover=None) -> RunResult:
     """Decide whether a strict bucketed stream is an injection (1/0), or reject.
 
-    Callers are expected to have validated the strict model on pairs; the
-    purity identity is only meaningful with nonnegative pair counts.
+    The purity identity is only meaningful with nonnegative pair counts, so
+    a stream whose (item, bucket) prefix counts drop below zero raises
+    ModelViolation; ama_injection_run serves non-strict streams.
     """
-    weight = compute_meta(*stream_ids("bucketed", updates, n, {"r": r})).weight
+    weight = compute_meta(*stream_ids("bucketed", updates, n, {"r": r}),
+                          STRICT).weight
     bound = max(1, r) * (max(1, weight) * max(1, n)) ** 2
     field = field_at_least(purity_min_field(weight, n, r))
     c_a, c_v = balanced_shape(r)
@@ -176,7 +178,8 @@ def subinjection_run(updates, z, n, r, *, seed=0, prover=None) -> RunResult:
     (bucket, count) pairs with nonnegative counts.
     """
     z = check_counts(z, r, "bucket")
-    weight = compute_meta(*stream_ids("bucketed", updates, n, {"r": r})).weight
+    weight = compute_meta(*stream_ids("bucketed", updates, n, {"r": r}),
+                          STRICT).weight
     zmax = max((c for _, c in z), default=0)
     bound = max(1, zmax) * max(1, r) * (max(1, weight) * max(1, n)) ** 2
     field = field_at_least(2 * bound + 1)
@@ -209,7 +212,7 @@ class _SubF2Map(_DenseMap):
 def subf2_run(updates, z, n, *, seed=0, prover=None) -> RunResult:
     """Exact sum_i z_i * f_i^2 over any turnstile stream."""
     z = check_counts(z, n, "item")
-    weight = compute_meta(updates, n).weight
+    weight = compute_meta(updates, n, NONSTRICT).weight
     ztot = sum(c for _, c in z)
     bound = max(1, ztot) * max(1, weight) ** 2
     field = field_at_least(2 * bound + 1)
@@ -294,7 +297,7 @@ def ama_injection_run(updates, n, r, *, coins_seed=0, seed=0,
     is caught except with probability about n^2 * r * log(n) / q over the
     public coins, drawn before any prover message.
     """
-    stream_ids("bucketed", updates, n, {"r": r})  # checks items and buckets
+    compute_meta(*stream_ids("bucketed", updates, n, {"r": r}), NONSTRICT)
     lgn = id_bits(n)
     field = field_at_least((n ** 2) * r * lgn << 20)
     coins = draw_public_coins(field, coins_seed)

@@ -52,44 +52,35 @@ class StreamMeta:
     weight: int
 
 
-def compute_meta(updates, n) -> StreamMeta:
-    """The sizing pass every run function makes over its updates; raises
-    ConfigError for an item outside [0, n)."""
-    freq = {}
-    weight = 0
-    count = 0
-    for u in updates:
-        freq[u.item] = freq.get(u.item, 0) + u.delta
-        weight += abs(u.delta)
-        count += 1
-    for i in freq:
-        if not 0 <= i < n:
-            raise ConfigError(f"item {i} outside [0, {n})")
-    m = sum(1 for v in freq.values() if v != 0)
-    return StreamMeta(n=n, length=count, sparsity=m, footprint=len(freq), weight=weight)
-
-
-def validate_stream(updates, n, model):
-    """Eagerly enforce the declared update model; raises ModelViolation.
-
-    Scheme soundness arguments assume the model, so violating inputs are
-    rejected before any scheme runs.
-    """
+def compute_meta(updates, n, model) -> StreamMeta:
+    """The one pass every run makes over its updates: it sizes the stream
+    and enforces the update model, since the schemes' soundness assumes it.
+    Raises ConfigError for an item outside [0, n), and ModelViolation for
+    an unknown model, a zero delta, a negative delta in an insert-only
+    stream, or, unless the model is non-strict, a prefix frequency below
+    zero; the first update at fault decides."""
     if model not in MODELS:
         raise ModelViolation(f"unknown model {model!r}")
-    freq = {}
+    insert_only, strict = model == INSERT_ONLY, model != NONSTRICT
+    freq, weight, count = {}, 0, 0
     for u in updates:
-        if not 0 <= u.item < n:
-            raise ModelViolation(f"item {u.item} outside [0, {n})")
-        if u.delta == 0:
-            raise ModelViolation("zero-delta update")
-        if model == INSERT_ONLY and u.delta < 0:
-            raise ModelViolation("negative delta in insert-only stream")
-        if model == STRICT:
-            f = freq.get(u.item, 0) + u.delta
-            if f < 0:
-                raise ModelViolation(f"prefix frequency of item {u.item} dropped below zero")
-            freq[u.item] = f
+        item, delta = u.item, u.delta
+        f = freq.get(item)
+        if f is None and not 0 <= item < n:
+            raise ConfigError(f"item {item} outside [0, {n})")
+        if delta <= 0:
+            if delta == 0:
+                raise ModelViolation("zero-delta update")
+            if insert_only:
+                raise ModelViolation("negative delta in insert-only stream")
+        f = (f or 0) + delta
+        if f < 0 and strict:
+            raise ModelViolation(f"prefix frequency of item {item} dropped below zero")
+        freq[item] = f
+        weight += abs(delta)
+        count += 1
+    m = sum(1 for v in freq.values() if v != 0)
+    return StreamMeta(n=n, length=count, sparsity=m, footprint=len(freq), weight=weight)
 
 
 def frequency_map(updates) -> dict:
@@ -303,8 +294,9 @@ class StreamKind:
     its universe, its further integer header fields, one data line's fields,
     the record built from them, and ids(records, n, header params) ->
     (updates over ids, id universe), which raises ConfigError for a record
-    outside the universe. The file reader, run_scheme's model check and the
-    run functions' sizing passes all go through KINDS."""
+    outside the universe. The file reader, the run functions' one pass
+    (compute_meta over the ids, which also checks the update model) and
+    run_scheme's check of a stricter declared model all go through KINDS."""
 
     size_key: str
     extra_keys: tuple
@@ -331,7 +323,7 @@ def stream_ids(kind, records, n, params=None):
     """(updates over ids, id universe) of a stream of the given kind, after
     checking every record against its universe (ConfigError names the record
     as given). A plain stream is returned as it is, without a copy; its
-    items are checked by compute_meta, the sizing pass of every run."""
+    items are checked by compute_meta, the one pass of every run."""
     return KINDS[kind].ids(records, n, params or {})
 
 

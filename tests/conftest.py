@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from streamcert import sumcheck
+from streamcert import purity, sumcheck
+from streamcert.field import field_at_least
 from streamcert.harness import ChunkTamper
 from streamcert.streams import StreamUpdate, dyadic_levels
 from streamcert.sumcheck import DenseProver
@@ -92,6 +93,19 @@ def strict_stream(rng, n, m, churn=0.3, max_delta=3):
         fixed.append(StreamUpdate(u.item, delta))
         seen[u.item] = seen.get(u.item, 0) + delta
     return fixed
+
+
+def integer_identity_run(updates, n, r, seed=0):
+    """The integer purity identity alone on a bucketed stream of any model:
+    purity.injection_run's field, shape and mapping, without its strict
+    model check, so a test can show cancellation fooling the identity."""
+    weight = sum(abs(u.delta) for u in updates)
+    bound = max(1, r) * (max(1, weight) * max(1, n)) ** 2
+    field = field_at_least(purity.purity_min_field(weight, n, r))
+    c_a, c_v = purity.balanced_shape(r)
+    params = purity.injection_params(field, r, c_a, c_v, bound)
+    return purity._run_dense(updates, params, seed, "injection", None,
+                             purity._InjectionMap)
 
 
 def _rewriter(kind, fn):

@@ -7,6 +7,8 @@ import math
 import random
 import time
 
+import pytest
+
 from streamcert.field import Field, M61
 from streamcert.graphs import count_triangles_run, triple_universe
 from streamcert.graphs import verify_connectivity, verify_non_bipartite, verify_perfect_matching
@@ -16,12 +18,13 @@ from streamcert.moments import (disj_online_run, disj_prescient_run,
 from streamcert.pointqueries import pq_run
 from streamcert.protocol import Reject
 from streamcert.purity import ama_injection_run, injection_run, subinjection_run
-from streamcert.streams import BucketedUpdate, StreamUpdate, compute_meta
+from streamcert.streams import (BucketedUpdate, ModelViolation, StreamUpdate,
+                                compute_meta)
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseVerifier,
                                  g_power, g_product)
 
-from conftest import (dense_prover_proof, freq_oracle, moment_oracle,
-                      strict_stream)
+from conftest import (dense_prover_proof, freq_oracle, integer_identity_run,
+                      moment_oracle, strict_stream)
 
 
 def report(criterion, ok, detail):
@@ -185,14 +188,17 @@ def test_criterion_4_injection_correctness():
 def test_criterion_5_ama_cancellation_detection():
     """The bucket (items 1,2,3; counts 2,8,-1) satisfies v^2 = u*w yet is
     impure; the public-coin check rejects >= 499/500 while the integer
-    identity alone passes it."""
+    identity alone passes it. injection_run, which rests on that identity,
+    refuses the non-strict stream."""
     u = 2 + 8 - 1
     v = 1 * 2 + 2 * 8 + 3 * (-1)
     w = 1 * 2 + 4 * 8 + 9 * (-1)
     assert (u, v, w) == (9, 15, 25) and v * v == 225 == u * w
     ups = [BucketedUpdate(1, 2, 2), BucketedUpdate(2, 2, 8),
            BucketedUpdate(3, 2, -1)]
-    fooled = injection_run(ups, 4, 4, seed=1).value
+    fooled = integer_identity_run(ups, 4, 4, seed=1).value
+    with pytest.raises(ModelViolation, match="dropped below zero"):
+        injection_run(ups, 4, 4, seed=1)
     rejected = sum(1 for s in range(500)
                    if ama_injection_run(ups, 4, 4, coins_seed=s, seed=s).value == 0)
     report(5, fooled == 1 and rejected >= 499,

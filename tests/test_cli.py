@@ -190,6 +190,42 @@ def test_cli_model_violation_exits_1(tmp_path, capsys):
                      "--mode", "footprint"]) == 0
 
 
+# (scheme, flags, stream, declared model, message, the loosest model the
+# scheme allows): each declared model is stricter than the loosest, so the
+# stream reaches run_scheme's own check; declared the loosest, it runs
+DELETE = [U(3, 2), U(3, -1)]  # strict, not insert-only
+BELOW_ZERO = [U(3, 1), U(3, -2), U(3, 2)]  # non-strict: item 3 reaches -1
+STRICTER_MODEL_CASES = [
+    ("fk", ["--k", "2"], DELETE, "insert",
+     "negative delta in insert-only stream", "strict"),
+    ("subf2", ["--z-file", "@pairs"], DELETE, "insert",
+     "negative delta in insert-only stream", "nonstrict"),
+    ("subf2", ["--z-file", "@pairs"], BELOW_ZERO, "strict", "prefix frequency",
+     "nonstrict"),
+    ("pointquery", ["--query", "3", "--ca", "4", "--cv", "4"], BELOW_ZERO,
+     "strict", "prefix frequency", "nonstrict"),
+    ("fk", ["--k", "2", "--mode", "footprint"], BELOW_ZERO, "strict",
+     "prefix frequency", "nonstrict"),
+]
+
+
+@pytest.mark.parametrize("scheme, flags, stream, model, message, loosest",
+                         STRICTER_MODEL_CASES,
+                         ids=["fk-insert", "subf2-insert", "subf2-strict",
+                              "pointquery-strict", "fk-footprint-strict"])
+def test_cli_stricter_declared_model_is_checked(scheme, flags, stream, model,
+                                                message, loosest, tmp_path,
+                                                capsys):
+    paths = _write_inputs(tmp_path)
+    argv = [scheme, "--input", str(tmp_path / "s.txt")] + [
+        str(paths[f[1:]]) if f.startswith("@") else f for f in flags]
+    write_stream(tmp_path / "s.txt", stream, 64, model=model)
+    assert cli_main(argv) == 1
+    assert message in capsys.readouterr().err
+    write_stream(tmp_path / "s.txt", stream, 64, model=loosest)
+    assert cli_main(argv) == 0
+
+
 def test_cli_sparsity_cover_exits_1(tmp_path, capsys):
     paths = _write_inputs(tmp_path)
     assert cli_main(["pointquery", "--input", str(paths["plain"]),

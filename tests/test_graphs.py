@@ -11,7 +11,7 @@ from streamcert.graphs import (count_triangles_run, edge_universe, pair_rank,
                                verify_perfect_matching, witness_tree_records)
 from streamcert.harness import adversary
 from streamcert.protocol import ConfigError, CostReport, RelaxedOutcome
-from streamcert.streams import compute_meta
+from streamcert.streams import STRICT, ModelViolation, compute_meta
 
 from conftest import rewrite_chunk
 
@@ -76,11 +76,21 @@ def test_triangle_rejected_run_keeps_its_reject():
         assert r.rejected and r.value is None
 
 
+def test_triangles_check_the_edges_not_only_the_derived_stream():
+    # the one triple's derived prefix counts are 1, 2, 1, 2, 3, never below
+    # zero, while edge (0, 1) starts at -1
+    edges = [(0, 2, 1), (1, 2, 1), (0, 1, -1), (0, 1, 1), (0, 1, 1)]
+    derived = triangle_derived_stream(edges, 3)
+    compute_meta(derived, triple_universe(3), STRICT)
+    with pytest.raises(ModelViolation, match="item 0 dropped below zero"):
+        count_triangles_run(edges, 3)
+
+
 def test_triangle_derived_sparsity():
     n = 9
     edges = [(0, 1, 1), (2, 3, 1), (4, 5, 1)]
     derived = triangle_derived_stream(edges, n)
-    meta = compute_meta(derived, triple_universe(n))
+    meta = compute_meta(derived, triple_universe(n), STRICT)
     assert meta.sparsity == len(edges) * (n - 2)
 
 

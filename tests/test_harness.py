@@ -4,15 +4,16 @@ import pytest
 
 from streamcert import sumcheck
 from streamcert.cli import main as cli_main
-from streamcert.harness import (MODE, RUN_SEED, SCHEMES, RunConfig, Scheme,
-                                adversary, cost_sweep, run_scheme,
-                                soundness_trials, synthetic_stream)
+from streamcert.harness import (MODE, RUN_SEED, SCHEMES, STRICT_MODELS,
+                                RunConfig, Scheme, adversary, cost_sweep,
+                                run_scheme, soundness_trials,
+                                synthetic_stream)
 from streamcert.moments import fk_online_run
 from streamcert.pointqueries import PointQueryProver, PointQueryVerifier
 from streamcert.protocol import (ConfigError, Prover, Verifier,
                                  build_transcript, derive_rng, run_transcript)
-from streamcert.streams import (BucketedUpdate as B, StreamUpdate as U,
-                                write_stream)
+from streamcert.streams import (BucketedUpdate as B, ModelViolation,
+                                StreamUpdate as U, write_stream)
 
 from conftest import moment_oracle, strict_stream
 
@@ -183,11 +184,10 @@ def test_cli_witness_files(tmp_path, capsys):
 
 
 def test_synthetic_stream_strict_and_sized():
-    from streamcert.streams import validate_stream, compute_meta, STRICT
+    from streamcert.streams import compute_meta, STRICT
     for seed in range(5):
         ups = synthetic_stream(50, 1 << 20, seed, churn=0.5)
-        validate_stream(ups, 1 << 20, STRICT)
-        assert compute_meta(ups, 1 << 20).sparsity == 50
+        assert compute_meta(ups, 1 << 20, STRICT).sparsity == 50
 
 
 # ------------------------------------------ every run refuses a bad universe
@@ -209,13 +209,42 @@ BAD = {"plain": {"item-n": U(N, 1), "item-negative": U(-1, 1)},
        "edges": {"vertex-negative": (-1, 2, 1), "vertex-n": (0, VERTICES, 1)}}
 
 
-def _run_cases():
+# a zero delta, and a first update that takes a count below zero with one
+# that restores it, so the stream's final counts are GOOD's
+ZERO = {"plain": U(3, 0), "tagged": (0, U(3, 0)), "bucketed": B(3, 0, 0),
+        "edges": (0, 1, 0)}
+BELOW_ZERO = {"plain": [U(3, -1), U(3, 1)],
+              "tagged": [(1, U(5, -1)), (1, U(5, 1))],
+              "bucketed": [B(3, 0, -1), B(3, 0, 1)],
+              "edges": [(0, 1, -1), (0, 1, 1)]}
+
+
+def _run_kinds():
+    """(case id, scheme name, Scheme) of every run kind: each scheme, or
+    each mode of a scheme with modes."""
     for name, entry in SCHEMES.items():
         modes = {name: entry} if isinstance(entry, Scheme) else {
             f"{name}-{mode}": e for mode, e in entry.items()}
         for case, scheme in modes.items():
-            for label, bad in BAD[scheme.kind].items():
-                yield pytest.param(name, scheme, bad, id=f"{case}-{label}")
+            yield case, name, scheme
+
+
+def _run_cases():
+    for case, name, scheme in _run_kinds():
+        for label, bad in BAD[scheme.kind].items():
+            yield pytest.param(name, scheme, bad, id=f"{case}-{label}")
+
+
+def _run_args(name, scheme):
+    """(keyword arguments, n) of a library call of a run kind on GOOD."""
+    kwargs = {}
+    for p in scheme.params:
+        if p is not MODE:
+            value = RUN_VALUES.get(p.key, p.default)
+            kwargs[p.arg or p.key] = 0 if value is RUN_SEED else value
+    if name in WITNESSES:
+        kwargs["witness"] = WITNESSES[name]
+    return kwargs, VERTICES if scheme.kind == "edges" else N
 
 
 def _never_built(monkeypatch):
@@ -234,16 +263,32 @@ def test_every_run_refuses_records_outside_its_universe(name, scheme, bad,
                                                         monkeypatch):
     """Each run function, called from the library, raises ConfigError for a
     record outside its universe before it builds a prover or a verifier."""
-    kwargs = {}
-    for p in scheme.params:
-        if p is not MODE:
-            value = RUN_VALUES.get(p.key, p.default)
-            kwargs[p.arg or p.key] = 0 if value is RUN_SEED else value
-    if name in WITNESSES:
-        kwargs["witness"] = WITNESSES[name]
-    n = VERTICES if scheme.kind == "edges" else N
+    kwargs, n = _run_args(name, scheme)
     good = GOOD[scheme.kind]
     scheme.run(good, n=n, **kwargs)  # the good stream alone runs
     _never_built(monkeypatch)
     with pytest.raises(ConfigError, match="outside"):
         scheme.run(good + [bad], n=n, **kwargs)
+
+
+@pytest.mark.parametrize("name, scheme",
+                         [pytest.param(name, scheme, id=case)
+                          for case, name, scheme in _run_kinds()])
+def test_every_run_refuses_streams_outside_its_model(name, scheme,
+                                                     monkeypatch):
+    """Each run function, called from the library, enforces the loosest
+    update model its scheme allows before it builds a prover or a verifier:
+    a zero delta raises ModelViolation on every run, a count below zero on
+    every run of a strict scheme, and a scheme that allows non-strict
+    streams runs that stream."""
+    kwargs, n = _run_args(name, scheme)
+    good, kind = GOOD[scheme.kind], scheme.kind
+    below = BELOW_ZERO[kind] + good
+    if scheme.models != STRICT_MODELS:
+        assert scheme.run(below, n=n, **kwargs).accepted
+    _never_built(monkeypatch)
+    with pytest.raises(ModelViolation, match="zero-delta update"):
+        scheme.run(good + [ZERO[kind]], n=n, **kwargs)
+    if scheme.models == STRICT_MODELS:
+        with pytest.raises(ModelViolation, match="dropped below zero"):
+            scheme.run(below, n=n, **kwargs)

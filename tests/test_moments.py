@@ -20,9 +20,9 @@ from streamcert.moments import (MODE_AMA, MODE_FOOTPRINT, MODE_STRICT,
 from streamcert.pointqueries import open_buckets
 from streamcert.protocol import Chunk, ConfigError, Reject
 from streamcert.purity import purity_deltas
-from streamcert.streams import (STRICT, ModelViolation, StreamUpdate as U,
-                                compute_meta, validate_stream,
-                                random_pairwise_hash)
+from streamcert.streams import (NONSTRICT as NONSTRICT_MODEL, STRICT,
+                                ModelViolation, StreamUpdate as U,
+                                compute_meta, random_pairwise_hash)
 
 from conftest import (bad_hash, freq_oracle, moment_oracle, rewrite_chunk,
                       rewrite_start_chunk, strict_stream)
@@ -169,7 +169,7 @@ def nonstrict_stream(rng, n, touched):
 def test_footprint_counts_deleted_items(rng):
     # net-zero item still occupies its bucket in footprint accounting
     ups = [U(3, 2), U(3, -2), U(9, 1)]
-    meta = compute_meta(ups, 64)
+    meta = compute_meta(ups, 64, NONSTRICT_MODEL)
     assert meta.sparsity == 1 and meta.footprint == 2
     r = fk_footprint_mode(ups, 64, 2, 4, seed=1)
     assert r.accepted and r.value == 1
@@ -229,9 +229,9 @@ def test_footprint_pays_for_ghosts_ama_does_not():
             stream += [U(g, -1), U(g, 1)]
         if t:
             with pytest.raises(ModelViolation):
-                validate_stream(stream, N20, STRICT)
+                compute_meta(stream, N20, STRICT)
         else:
-            validate_stream(stream, N20, STRICT)
+            compute_meta(stream, N20, STRICT)
         runs = (fk_footprint_mode(stream, N20, 2, 16),
                 fk_ama_mode(stream, N20, 2, 16))
         assert [r.value for r in runs] == [want, want]
@@ -973,7 +973,7 @@ def test_start_hash_subclass_rejected(site):
                          ids=["engine", "stages"])
 def test_engine_begin_refuses_hash_subclass(kind, why):
     ups = [U(3, 2), U(9, 1), U(3, 1)]
-    meta = compute_meta(ups, 64)
+    meta = compute_meta(ups, 64, STRICT)
     shape = Shape(64, meta.sparsity, 4, meta.weight, MODE_STRICT, mains=(2,))
     start = OnlineEngineProver(shape, random.Random(1)).start()
     tampered = [Chunk(c.kind, _as_subclass(c.data), c.bits) if c.kind == kind
@@ -1169,7 +1169,7 @@ def _engine_case(case):
     if mode != MODE_STRICT:  # net counts below zero, and items deleted to 0
         ups += [U(rng.randrange(n), -2) for _ in range(6)]
         ups += [U(u.item, -u.delta) for u in ups[:5]]
-    meta = compute_meta(ups, n)
+    meta = compute_meta(ups, n, NONSTRICT_MODEL)
     return Shape(n, mode.base(meta), 4, meta.weight, mode, mains=mains,
                  coins_seed=1), ups
 
@@ -1303,7 +1303,7 @@ def test_strict_verifier_update_stays_on_the_fused_lanes(monkeypatch, rng):
     # stream update makes no DenseVerifier.update or add_purity call; the
     # generic lane-bank fallback would make 1 + t_max of each
     ups = strict_stream(rng, N20, 60, churn=0.4)
-    meta = compute_meta(ups, N20)
+    meta = compute_meta(ups, N20, STRICT)
     shape = Shape(N20, meta.sparsity, 4, meta.weight, MODE_STRICT, mains=(2,))
     prover = OnlineEngineProver(shape, random.Random(1))
     verifier = OnlineEngineVerifier(shape, random.Random(2))
@@ -1334,7 +1334,7 @@ def _lazy_case(case):
     scheme's prover for "multiindex"."""
     if case == "multiindex":
         ups = strict_stream(random.Random(5), 1 << 12, 60, churn=0.2)
-        meta = compute_meta(ups, 1 << 12)
+        meta = compute_meta(ups, 1 << 12, STRICT)
         freq = freq_oracle(ups)
         claims = [(i, freq[i], None) for i in sorted(freq)[:20]]
         shape = Shape(1 << 12, meta.sparsity, 4, meta.weight, MODE_STRICT,
@@ -1541,7 +1541,7 @@ def test_implausible_collision_entry_rejected(case):
         ups, meta = tagged_meta([(S, u) for u in ups] + [(T, u) for u in ups], n)
         shape = Shape(n, meta.sparsity, 4, meta.weight, mode, mains=("ip",))
     else:
-        meta = compute_meta(ups, n)
+        meta = compute_meta(ups, n, STRICT)
         shape = Shape(n, mode.base(meta), 4, meta.weight, mode, mains=(2,),
                       coins_seed=1)
 

@@ -306,13 +306,14 @@ def test_hh_omitted_heavy_hitter_rejected(rng):
 
 
 def test_derived_dyadic_sparsity_bound(rng):
-    from streamcert.streams import compute_meta, dyadic_decompose, dyadic_levels, dyadic_universe
+    from streamcert.streams import (STRICT, compute_meta, dyadic_decompose,
+                                    dyadic_levels, dyadic_universe)
     n = 256
     ups = strict_stream(rng, n, 30)
     levels = dyadic_levels(n)
     derived = [StreamUpdate(node, u.delta) for u in ups
                for node in dyadic_decompose(u.item, n)]
-    meta = compute_meta(derived, dyadic_universe(n))
+    meta = compute_meta(derived, dyadic_universe(n), STRICT)
     m = len(freq_oracle(ups))
     assert meta.sparsity <= m * (levels + 1)
 

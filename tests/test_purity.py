@@ -9,7 +9,9 @@ from streamcert.protocol import Chunk, ConfigError
 from streamcert.purity import (AmaPurity, ama_injection_run, injection_run,
                                purity_min_field,
                                subf2_run, subinjection_run)
-from streamcert.streams import BucketedUpdate, StreamUpdate
+from streamcert.streams import BucketedUpdate, ModelViolation, StreamUpdate
+
+from conftest import integer_identity_run
 
 
 def bucket_moments(counts):
@@ -156,7 +158,9 @@ def test_ama_detects_cancellation_fooling_bucket():
     # the strict integer identity holds by hand: u=9, v=15, w=25, 15^2 = 9*25
     u, v, w = 2 + 8 - 1, 1 * 2 + 2 * 8 + 3 * -1, 1 * 2 + 4 * 8 + 9 * -1
     assert (u, v, w) == (9, 15, 25) and v * v == u * w
-    assert injection_run(ups, 4, 4).value == 1  # integer identity is fooled
+    assert integer_identity_run(ups, 4, 4).value == 1  # the identity is fooled
+    with pytest.raises(ModelViolation, match="dropped below zero"):
+        injection_run(ups, 4, 4)  # so the strict scheme refuses the stream
     rejections = sum(1 for s in range(40)
                      if ama_injection_run(ups, 4, 4, coins_seed=s).value == 0)
     assert rejections == 40

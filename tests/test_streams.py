@@ -10,7 +10,7 @@ from streamcert.streams import (BucketedUpdate, ModelViolation, PairwiseHash,
                                 dyadic_decompose, dyadic_prefix_nodes, dyadic_universe,
                                 find_perfect_hash, fingerprint_of_range,
                                 random_pairwise_hash, read_pairs, read_stream,
-                                stream_ids, validate_stream, write_stream,
+                                stream_ids, write_stream,
                                 INSERT_ONLY, NONSTRICT, STRICT)
 
 from conftest import dyadic_node_range, freq_oracle, strict_stream
@@ -22,7 +22,7 @@ def test_meta_matches_naive_counters(rng):
     for _ in range(20):
         n = 256
         ups = strict_stream(rng, n, rng.randrange(1, 40))
-        meta = compute_meta(ups, n)
+        meta = compute_meta(ups, n, STRICT)
         freq = {}
         touched = set()
         weight = 0
@@ -38,18 +38,18 @@ def test_meta_matches_naive_counters(rng):
 
 
 def test_validate_models():
-    validate_stream([StreamUpdate(1, 2), StreamUpdate(1, -2)], 4, STRICT)
+    compute_meta([StreamUpdate(1, 2), StreamUpdate(1, -2)], 4, STRICT)
     with pytest.raises(ModelViolation):
-        validate_stream([StreamUpdate(1, -1)], 4, STRICT)
+        compute_meta([StreamUpdate(1, -1)], 4, STRICT)
     with pytest.raises(ModelViolation):
-        validate_stream([StreamUpdate(1, -1)], 4, INSERT_ONLY)
-    validate_stream([StreamUpdate(1, -1)], 4, NONSTRICT)
-    with pytest.raises(ModelViolation):
-        validate_stream([StreamUpdate(9, 1)], 4, STRICT)
+        compute_meta([StreamUpdate(1, -1)], 4, INSERT_ONLY)
+    compute_meta([StreamUpdate(1, -1)], 4, NONSTRICT)
+    with pytest.raises(ConfigError):
+        compute_meta([StreamUpdate(9, 1)], 4, STRICT)
     with pytest.raises(ModelViolation, match="zero-delta update"):
-        validate_stream([StreamUpdate(1, 2), StreamUpdate(1, 0)], 4, NONSTRICT)
+        compute_meta([StreamUpdate(1, 2), StreamUpdate(1, 0)], 4, NONSTRICT)
     with pytest.raises(ModelViolation, match="unknown model 'bogus'"):
-        validate_stream([StreamUpdate(1, 2)], 4, "bogus")
+        compute_meta([StreamUpdate(1, 2)], 4, "bogus")
 
 
 def test_validate_strict_matches_prefix_oracle(rng):
@@ -63,10 +63,10 @@ def test_validate_strict_matches_prefix_oracle(rng):
                 ok = False
                 break
         if ok:
-            validate_stream(ups, 8, STRICT)
+            compute_meta(ups, 8, STRICT)
         else:
             with pytest.raises(ModelViolation):
-                validate_stream(ups, 8, STRICT)
+                compute_meta(ups, 8, STRICT)
 
 
 def fingerprint(field, basis):
@@ -309,4 +309,4 @@ def test_stream_ids_name_the_record_as_given(kind, records, params, message):
 @pytest.mark.parametrize("item", [8, -1])
 def test_compute_meta_refuses_items_outside_universe(item):
     with pytest.raises(ConfigError, match=rf"item {item} outside \[0, 8\)"):
-        compute_meta([StreamUpdate(3, 1), StreamUpdate(item, 1)], 8)
+        compute_meta([StreamUpdate(3, 1), StreamUpdate(item, 1)], 8, STRICT)
