@@ -41,10 +41,22 @@ however many instances take them, and makes one call of a lane bank
 the hashes' fields (a, b, p, r), read once when the hashes are taken. In
 the engine verifier that bank has 1 + t_max lanes per side: the main
 instance with the main injection, then every stage's SubF2 with its purity
-check, so a stream update is one bank call. The engine prover's bank has
-the first lane only. On the verifier side the bank hashes and writes the
-rows and the packed purity cells in one loop, with no call per instance or
-per hash.
+check, so update(u) of one stream update is one bank call. The engine
+prover's bank has the first lane only.
+
+The verifiers read the whole stream in one pass, read(updates), which
+leaves the state that update(u) for each update leaves. Over lanes of
+DenseVerifiers (strict and footprint modes) it is one loop (_read_pass)
+over the same lanes in flat form (sumcheck.verifier_lane): per update it
+packs the purity terms from the id once, unreduced, and per lane it hashes
+the bucket and writes the row and the packed purity cell, with no call per
+update, lane or hash and no bucket list. A long pass is split over two
+CPUs by unit (sumcheck.split_pass): a unit is a lane position with the
+instances it writes on every side (lane 0: the mains and the main
+injection; lane j + 1: stage j's instances), so each instance is written
+by one worker, each worker reads every update, and the two states together
+are the one verifier's, with the same vcost. AMA mode's purity sinks are
+not DenseVerifiers, so its read maps each update through its route.
 
 One engine serves one- and two-sided streams. Fk and triangles stream one
 vector; DISJ, subset, inner product, Hamming and the graph certificates
@@ -107,7 +119,8 @@ from .streams import (NONSTRICT, STRICT, check_counts, compute_meta,
                       find_perfect_hash, frequency_map, hash_fits,
                       random_pairwise_hash, stream_ids)
 from .sumcheck import (DenseParams, DenseProver, DenseVerifier, g_power,
-                       g_product, lane_bank, prop1_min_field, prove_all)
+                       g_product, lane_bank, prop1_min_field, prove_all,
+                       split_pass, verifier_lane)
 from .purity import (AmaPurity, ama_params, balanced_shape,
                      draw_public_coins, injection_params, mark_all,
                      purity_deltas, purity_min_field, subf2_params,
@@ -387,6 +400,21 @@ class _StageMap:
         into every stage. Returns ident's bucket at each stage."""
         return self.feed_stages(ident, ident, delta, weight)
 
+    def read_units(self, sides=1):
+        """The read pass's units for the stages (_read_pass), one a stage:
+        its instances, and its lane on each side s, keyed by its hash
+        rewritten for side s as _EngineMap.use_hash does, over its
+        net-count SubF2, its purity check and, in footprint mode, the SubF2
+        over the absolute weights."""
+        units = []
+        for j, (a, b, p, r) in enumerate(self.hkeys):
+            extra = () if self.sf_abs is None else ((self.sf_abs[j], 0, True),)
+            units.append((list(self.instances[j]), [
+                verifier_lane(self.sf_net[j], 0, self.sinks[j],
+                              (a * sides, a * s + b, p, r), extra)
+                for s in range(sides)]))
+        return units
+
     def enter(self, claims, stages, claimed):
         """Enter each (ident, fstar, wstar) claim at its stage in `stages`
         (from 1), claimed holding its bucket at each stage: mark the bucket
@@ -532,6 +560,14 @@ class MultiIndexVerifierCore(_StageMap, Verifier):
         """Map one stream update of the standalone scheme."""
         self.feed(u.item, u.delta, abs(u.delta))
 
+    def read(self, updates):
+        """The standalone scheme's stream in one pass (_read_pass)."""
+        units = self.read_units()
+        if not _fused(units):
+            return super().read(updates)
+        _read_pass(units, 1, self.shape.mode.weighted, self.checks[0].slot,
+                   updates)
+
     def end(self, chunks, claims):
         """Checks each (ident, fstar, wstar) claim's stage in the stage
         list and its plausibility, claim by claim (no count above
@@ -599,6 +635,72 @@ def multiindex_run(updates, n, claims, c_v, *, seed=0, prover=None) -> RunResult
     return run_protocol(updates, seed, "mi",
                         partial(MultiIndexVerifierCore, shape),
                         partial(MultiIndexProverCore, shape), prover, claims)
+
+
+# ---------------------------------------------------------------- read pass
+
+
+def _fused(units):
+    """Whether every lane of the units is of DenseVerifiers (verifier_lane
+    gave it)."""
+    return all(None not in lanes for _, lanes in units)
+
+
+def _read_pass(units, sides, weighted, slot, updates):
+    """Map every update into the lanes of `units`, in one loop, and return
+    the updates' total absolute weight. Each unit is (its instances, its
+    lane on each side s, from verifier_lane); the units' instances are
+    disjoint, and a lane writes only its unit's. Update (ident, delta) is
+    item x = ident // sides on side ident % sides, and each of its side's
+    lanes takes x's bucket (a stage key rewritten for the side hashes x as
+    the id), delta into the count's row, the purity terms of `occ` (the
+    update's absolute weight when `weighted`, its delta otherwise) packed
+    into the sink's cell, and each extra instance its value. Unit 0 takes
+    the terms of item x, every other unit those of the id: the same terms
+    on one side, where x is the id.
+
+    The packed terms of occ copies of i are occ * (1 + (i << slot) +
+    (i * i << 2 * slot)): the (u, v, w) = (occ, occ * i, occ * i^2) of
+    purity.purity_deltas, unreduced. They are exact, since the purity
+    field (StrictMode.purity) has q > 8 r weight^2 n_ids^2, so |occ| * i^2
+    < q, within the (-q, q) that DenseVerifier.add_purity admits.
+
+    The loop makes no call per update or per lane, and builds no bucket
+    list. Split by unit over two CPUs when it pays (sumcheck.split_pass),
+    each worker reads every update, in order, into its own units' lanes."""
+    s2 = 2 * slot
+
+    def run(ks):
+        own = ks[0] == 0  # unit 0, when this worker reads it, comes first
+        tables = [[units[k][1][s] for k in ks] for s in range(sides)]
+        seen = 0
+        for u in updates:
+            ident = u.item
+            delta = u.delta
+            w = -delta if delta < 0 else delta
+            seen += w
+            occ = w if weighted else delta
+            x, side = divmod(ident, sides)
+            t = occ * (1 + (ident << slot) + (ident * ident << s2))
+            d = t
+            if own and x != ident:
+                d = occ * (1 + (x << slot) + (x * x << s2))
+            for a, b, p, r, c_v, lrow, f, prow, pack, extra in tables[side]:
+                bk = (a * x + b) % p % r
+                i = bk // c_v  # divmod would build a tuple per lane
+                y = bk % c_v
+                f[y] += delta * lrow[i]
+                pack[y] += d * prow[i]
+                d = t
+                if extra:
+                    for erow, g, by_weight in extra:
+                        g[y] += (w if by_weight else delta) * erow[i]
+        return seen
+
+    # a lane's work: its bucket, its two cells and its extra instances
+    work = [3 + len(lanes[0][-1]) for _, lanes in units]
+    return split_pass(run, work, [insts for insts, _ in units],
+                      len(updates) * len(units))
 
 
 # --------------------------------------------------------------- online engine
@@ -751,13 +853,39 @@ class OnlineEngineVerifier(_EngineMap, Verifier):
         self.mi.begin(chunks)
         self.use_hash(h, range(self.shape.t_max))
 
+    def tally(self, updates):
+        """Keep a subclass's own per-update state (counters, fingerprints)
+        over the updates; update and read both call it. The engine keeps
+        none here."""
+
     def update(self, u):
-        """Map one update of id u.item, item id // sides on side id % sides."""
+        """Map one update of id u.item, item id // sides on side id % sides,
+        through its side's route: one lane-bank call."""
+        self.tally((u,))
         ident, delta = u.item, u.delta
         weight = abs(delta)
         self.weight_seen += weight
         sides = self.sides
         self.routes[ident % sides](ident // sides, ident, delta, weight)
+
+    def read(self, updates):
+        """update(u) for each update, as one pass over the lanes
+        (_read_pass) where every lane is of DenseVerifiers: the first unit
+        is lane 0, the main instances and the main injection, then one a
+        stage (_StageMap.read_units). AMA mode's sinks are not, so it maps
+        each update through its route."""
+        first, *more = self.mains.values()
+        head = ([*self.mains.values(), self.main_inj],
+                [verifier_lane(first, s, self.main_sink, self.hkey,
+                               [(main, s, False) for main in more])
+                 for s in range(self.sides)])
+        units = [head, *self.mi.read_units(self.sides)]
+        if not _fused(units):
+            return super().read(updates)
+        self.tally(updates)
+        self.weight_seen += _read_pass(units, self.sides,
+                                       self.shape.mode.weighted,
+                                       self.mi.checks[0].slot, updates)
 
     def end(self, chunks, query):
         sh = self.shape
@@ -951,14 +1079,15 @@ def tagged_meta(updates, n, binary=""):
     as 2i + t, flattened once, and compute_meta over them in the strict
     model. The run hands the ids to its prover and verifier. binary names a
     scheme over 0/1 vectors: it raises ConfigError unless every final count
-    is 0 or 1."""
+    is 0 or 1, read from meta.counts, naming the smallest id at fault."""
     ids, universe = stream_ids("tagged", updates, n)
     meta = compute_meta(ids, universe, STRICT)
     if binary:
-        for ident, f in sorted(frequency_map(ids).items()):
-            if f != 1:
-                raise ConfigError(f"{binary} needs 0/1 vectors: item {ident >> 1} "
-                                  f"of {'ST'[ident & 1]} has count {f}")
+        bad = [(ident, f) for ident, f in meta.counts.items() if f not in (0, 1)]
+        if bad:
+            ident, f = min(bad)
+            raise ConfigError(f"{binary} needs 0/1 vectors: item {ident >> 1} "
+                              f"of {'ST'[ident & 1]} has count {f}")
     return ids, meta
 
 
@@ -1114,11 +1243,12 @@ class _TaggedWitnessVerifier(OnlineEngineVerifier):
         self.pq.set_hash(take(chunks, "pq-hash"), 2 * self.n)
         super().begin(chunks)
 
-    def update(self, u):
-        self.pq.update(u.item, u.delta)
-        if not u.item & 1:
-            self.f1_x += u.delta
-        super().update(u)
+    def tally(self, updates):
+        pq = self.pq
+        for u in updates:
+            pq.update(u.item, u.delta)
+            if not u.item & 1:
+                self.f1_x += u.delta
 
     def _witness_counts(self, item, openings):
         wanted = {2 * item: 0, 2 * item + 1: 0}
@@ -1190,9 +1320,8 @@ class _ProductVerifier(OnlineEngineVerifier):
         self.hamming = hamming
         self.f1 = 0
 
-    def update(self, u):
-        self.f1 += u.delta
-        super().update(u)
+    def tally(self, updates):
+        self.f1 += sum(u.delta for u in updates)
 
     def end(self, chunks, query):
         ip = super().end(chunks, query).value["ip"]

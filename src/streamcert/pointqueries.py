@@ -266,15 +266,17 @@ def _check_cells(updates, n, c_a, c_v, dyadic, model):
     unless c_a and c_v are at least 1 and the c_a * c_v cells cover the
     sparsity of the stream's items or, when `dyadic`, of its derived dyadic
     stream, (levels + 1) nodes for each item, and for at least one. The
-    stream is sized by compute_meta, which checks it against `model`."""
+    stream is sized by compute_meta, which checks it against `model`, and
+    its meta is returned."""
     if c_a < 1 or c_v < 1:
         raise ConfigError(f"c_a and c_v must be at least 1, not {c_a} and {c_v}")
-    m = compute_meta(updates, n, model).sparsity
-    what = "stream's sparsity"
+    meta = compute_meta(updates, n, model)
+    m, what = meta.sparsity, "stream's sparsity"
     if dyadic:
         m, what = max(1, m) * (dyadic_levels(n) + 1), "derived dyadic sparsity"
     if c_a * c_v < m:
         raise ConfigError(f"c_a * c_v must cover the {what}")
+    return meta
 
 
 def pq_run(updates, n, query, *, c_a, c_v, seed=0, prover=None) -> RunResult:
@@ -347,9 +349,10 @@ def selection_run(updates, n, rank, *, c_a, c_v, seed=0, prover=None) -> RunResu
 
     One bucket-fingerprint state over the derived dyadic stream serves all
     the parallel prefix-count openings. Raises ConfigError as _check_cells
-    and for a rank outside [1, N], N the stream's total count."""
-    _check_cells(updates, n, c_a, c_v, dyadic=True, model=STRICT)
-    total = sum(u.delta for u in updates)
+    and for a rank outside [1, N], N the stream's total count, summed from
+    the final counts of _check_cells' one pass."""
+    meta = _check_cells(updates, n, c_a, c_v, dyadic=True, model=STRICT)
+    total = sum(meta.counts.values())
     if not 1 <= rank <= total:
         raise ConfigError(f"rank {rank} outside [1, {total}]")
     return run_protocol(updates, seed, "sel", partial(SelectionVerifier, n, c_a, c_v),

@@ -40,7 +40,11 @@ class ConfigError(ValueError):
 
 
 class Reject(Exception):
-    """Raised inside a verifier when an annotation check fails."""
+    """Raised inside a verifier when an annotation check fails. One raised
+    while the verifier reads the stream carries the index of the update
+    it refused as `update` (Verifier.read)."""
+
+    update = None
 
 
 def id_bits(n: int) -> int:
@@ -181,9 +185,12 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
     """Single sequential verifier pass over a recorded transcript.
 
     begin and end each get a copy of their chunk list and take() from it;
-    a chunk they leave is rejected. A reject is recorded in
-    info["reject"]: its phase ("begin", "update" or "end"), its reason and,
-    in phase "update", the update's index.
+    a chunk they leave is rejected. Between them the verifier reads the
+    stream with one call, verifier.read(updates), which by default is
+    update(u) for each update in order, and which a scheme may make one
+    fused pass. A reject is recorded in info["reject"]: its phase ("begin",
+    "update" or "end"), its reason and, in phase "update", the update's
+    index.
 
     vcost is the largest of verifier.words sampled at most three times: after
     begin, after the last update and after end (or after a reject)."""
@@ -196,9 +203,7 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
         need(not start, "unexpected start annotation")
         peak = max(peak, verifier.words)
         phase = "update"
-        update = verifier.update
-        for i, u in enumerate(transcript.updates):
-            update(u)
+        verifier.read(transcript.updates)
         phase = "end"
         peak = max(peak, verifier.words)
         end = list(transcript.end_chunks)
@@ -208,7 +213,7 @@ def run_transcript(verifier, transcript: Transcript, query=None) -> RunResult:
         outcome = Outcome.reject()
         reject = {"phase": phase, "reason": str(exc)}
         if phase == "update":
-            reject["update"] = i
+            reject["update"] = exc.update
     peak = max(peak, verifier.words)
     extra_bits = getattr(verifier, "public_coin_bits", 0)
     cost = CostReport(
@@ -258,7 +263,10 @@ class Verifier:
 
     begin(chunks) and end(chunks, query) take() their chunks from the front
     of the list, in the order the scheme sends them; run_transcript rejects
-    the chunks they leave. The default begin takes none."""
+    the chunks they leave. The default begin takes none. Between them
+    run_transcript calls read(updates) once, with the stream's list of
+    updates, which a scheme may override with one pass of its own that
+    leaves the state update(u) for each update would."""
 
     word_bits = WORD_BITS
 
@@ -267,6 +275,18 @@ class Verifier:
 
     def update(self, u):
         raise NotImplementedError
+
+    def read(self, updates):
+        """update(u) for each update, in order. A Reject raised there
+        leaves with the update's index as its `update`."""
+        update = self.update
+        i = 0
+        try:
+            for i, u in enumerate(updates):
+                update(u)
+        except Reject as exc:
+            exc.update = i
+            raise
 
     def end(self, chunks, query):
         raise NotImplementedError

@@ -4,7 +4,7 @@ the four stream kinds (plain, tagged, bucketed, edges), each declared once
 with its file format, its flattening to ids and its universe check, and the
 witness, z and claims files the CLI reads."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 
 from .field import next_prime
 from .protocol import ConfigError
@@ -42,7 +42,9 @@ class StreamMeta:
 
     n: universe size, length: number of updates, sparsity: items with nonzero
     final frequency, footprint: distinct items ever touched, weight: sum of
-    |delta| (equals length for unit-update streams).
+    |delta| (equals length for unit-update streams), counts: each touched
+    item's final frequency, zero included, which a run checks instead of
+    making a second pass over the stream (not compared).
     """
 
     n: int
@@ -50,6 +52,7 @@ class StreamMeta:
     sparsity: int
     footprint: int
     weight: int
+    counts: dict = dfield(default_factory=dict, compare=False, repr=False)
 
 
 def compute_meta(updates, n, model) -> StreamMeta:
@@ -80,7 +83,8 @@ def compute_meta(updates, n, model) -> StreamMeta:
         weight += abs(delta)
         count += 1
     m = sum(1 for v in freq.values() if v != 0)
-    return StreamMeta(n=n, length=count, sparsity=m, footprint=len(freq), weight=weight)
+    return StreamMeta(n=n, length=count, sparsity=m, footprint=len(freq),
+                      weight=weight, counts=freq)
 
 
 def frequency_map(updates) -> dict:
@@ -265,15 +269,17 @@ def _bucketed_ids(updates, n, params):
 def _edge_ids(edges, n, params):
     """Edge {u, v} is id pair_rank(u, v) of [C(n,2)]. The graph schemes need
     a simple graph: both vertices in [0, n), no self loop, and every edge's
-    final count 0 or 1."""
-    ids = []
+    final count 0 or 1, which the loop that flattens the edges sums."""
+    ids, counts = [], {}
     for u, v, delta in edges:
         for x in (u, v):
             if not 0 <= x < n:
                 raise ConfigError(f"vertex {x} of edge ({u}, {v}) outside [0, {n})")
-        ids.append(StreamUpdate(pair_rank(u, v), delta))
-    for rank, f in frequency_map(ids).items():
-        if f != 1:
+        rank = pair_rank(u, v)
+        ids.append(StreamUpdate(rank, delta))
+        counts[rank] = counts.get(rank, 0) + delta
+    for rank, f in counts.items():
+        if f not in (0, 1):
             u, v, _ = next(e for e, i in zip(edges, ids) if i.item == rank)
             raise ConfigError(f"edge ({u}, {v}) has final count {f}, not 0 or 1")
     return ids, edge_universe(n)

@@ -20,9 +20,13 @@ products of field elements a cell stays below A * q^2 in magnitude, two
 words plus lg A bits; vcost still counts it as one word, the field element
 it stands for. A purity instance's three cells u, v and w of one column
 share their Lagrange factor, so they are kept packed in one integer and an
-update of all three is one product (DenseVerifier.add_purity). The lane
-bank (lane_bank) walks an update's count and purity lanes in one loop,
-hashing each lane's bucket itself: two products per lane.
+update of all three is one product (DenseVerifier.add_purity). A lane is
+a count instance and a purity sink that take an item at the same bucket,
+hashed from the lane's (a, b, p, r); verifier_lane gives a lane of
+DenseVerifiers in the flat form that a fused loop reads, its rows and
+packed cells. The lane bank (lane_bank) walks one update's lanes in one
+loop, two products per lane; a scheme's read pass walks the whole stream
+over the same flat lanes (moments' engine verifier).
 
 g must vanish at zero (g(0, ..., 0) = 0). Every cell where all l vectors are
 zero, padding cells past the universe included, then adds nothing to b, so
@@ -58,17 +62,26 @@ and a proof of degree d multiplies, unpacks and folds d - 1 of them, each
 filling its own slice of b's values. So a degree-2 proof does the same work
 whether or not a degree-3 proof of the same shape has grown the grid.
 
-A scheme's end-of-stream proofs are independent of each other, and only the
-verifier is held to small space, so prove_all makes a batch of them on two
-CPUs: the calling process proves the larger share of the estimated work and
-one forked child the rest, returning its proofs' values through a pipe. The
-proofs are exactly those of proof(), called one by one, so transcripts do
-not change. A batch runs serially where forking cannot pay or is unsafe:
-fewer than two proofs with extension work, too little work to pay for a
-fork, one CPU, no os.fork, or a second thread in the process. A failed
-fork or child falls back to the serial proofs in the parent. A patch of
-DenseProver.proof, such as a tracer's, sees only the calls made in the
-calling process.
+Two kinds of work split over two CPUs, through one helper (_forked): the
+calling process does its share while one forked child does the rest and
+returns its results through a pipe, marshalled. A failed fork, a child that
+exits nonzero or a short answer leaves the child's share to the parent,
+with the same code, so the results are the same either way; the child is
+reaped on every path. Work runs serially where forking cannot pay or is
+unsafe: too little of it to pay for a fork, one CPU, no os.fork, or a
+second thread in the process (_can_fork). A patch of a method, such as a
+tracer's, sees only the calls made in the calling process.
+
+- prove_all makes a scheme's end-of-stream proofs, which are independent of
+  each other, the calling process proving the larger share of the
+  estimated work. The proofs are exactly those of proof(), called one by
+  one, so transcripts do not change.
+- split_pass runs a verifier's read pass split by instance: each worker
+  reads every update, in order, and writes only its own instances, and the
+  child sends those instances' rows and packed cells. So the two states
+  together are the one verifier's state, cell for cell. Only the verifier
+  is held to small space, and its space is counted as before: each
+  instance lives in one worker.
 """
 
 import marshal
@@ -258,6 +271,28 @@ class DenseVerifier:
         return self.params.vectors * self.params.c_v + 2
 
 
+def verifier_lane(count, j, sink, key, extra=()):
+    """One lane in the flat form the fused loops read, or None unless count,
+    sink and every extra instance are DenseVerifiers of count's grid shape:
+    (a, b, p, r, c_v, lrow, row, prow, pack, extras). Item x's bucket in
+    the lane is (a * x + b) % p % r, from key; a count adds into vector j of
+    count (row, with count's Lagrange row lrow) and packed purity terms
+    into sink's packed cells (pack, with sink's row prow). Each
+    (instance, vector k, by_weight) of extra takes the same bucket in
+    vector k, the update's absolute weight when by_weight and its delta
+    otherwise, as (lrow, row, by_weight) in extras. The rows and the pack
+    are the instances' own lists (DenseVerifier), so the loops' additions
+    are the instances' state."""
+    insts = [count, sink, *(e for e, _, _ in extra)]
+    if not all(type(v) is DenseVerifier and v.c_v == count.c_v
+               and len(v.lrow) == len(count.lrow) for v in insts):
+        return None
+    a, b, p, r = key
+    return (a, b, p, r, count.c_v, count.lrow, count.rows[j], sink.lrow,
+            sink._pack, tuple((e.lrow, e.rows[k], by_weight)
+                              for e, k, by_weight in extra))
+
+
 def lane_bank(lanes, keys):
     """One call add(x, delta, head, terms) for a list of lanes, each
     (count instance, vector j, purity sink), and a list of keys, each
@@ -269,21 +304,20 @@ def lane_bank(lanes, keys):
     take the same terms passes them twice. add returns x's bucket in each
     lane, in lane order.
 
-    When every count instance and sink is a DenseVerifier of one grid
-    shape and the sinks share one slot width, the loop is written out
-    here, over the row lists and the packed purity cells that
-    DenseVerifier holds. add packs the terms once, or twice when head and
-    terms differ, and each lane is then one bucket, one floor division
-    and one remainder, and two unreduced multiply-adds: delta into the
-    count's row, the packed terms into the sink's cell
-    (DenseVerifier.add_purity). Over anything else (a DenseProver, an AMA
-    purity adapter) add makes the update and add_purity calls."""
+    When every lane is a lane of DenseVerifiers (verifier_lane) and the
+    sinks share one slot width, the loop is written out here, over the row
+    lists and the packed purity cells that DenseVerifier holds. add packs
+    the terms once, or twice when head and terms differ, and each lane is
+    then one bucket, one floor division and one remainder, and two
+    unreduced multiply-adds: delta into the count's row, the packed terms
+    into the sink's cell (DenseVerifier.add_purity). Over anything else (a
+    DenseProver, an AMA purity adapter) add makes the update and
+    add_purity calls."""
     lanes = list(zip(lanes, keys, strict=True))  # ((count, j, sink), key)
-    if not (lanes and all(
-            type(count) is DenseVerifier and type(sink) is DenseVerifier
-            and count.c_v == sink.c_v and len(count.lrow) == len(sink.lrow)
-            and sink.slot == lanes[0][0][2].slot
-            for (count, _, sink), _ in lanes)):
+    cells = [verifier_lane(count, j, sink, key)
+             for (count, j, sink), key in lanes]
+    if (not cells or None in cells
+            or len({sink.slot for (_, _, sink), _ in lanes}) > 1):
         def add(x, delta, head, terms):
             buckets = []
             t = head
@@ -298,9 +332,6 @@ def lane_bank(lanes, keys):
 
     s = lanes[0][0][2].slot
     s2 = 2 * s
-    cells = [(a, b, p, r, count.c_v, count.lrow, count.rows[j], sink.lrow,
-              sink._pack)
-             for (count, j, sink), (a, b, p, r) in lanes]
 
     def add(x, delta, head, terms):
         du, dv, dw = head
@@ -312,7 +343,7 @@ def lane_bank(lanes, keys):
             t = du + (dv << s) + (dw << s2)
         buckets = []
         append = buckets.append
-        for a, b, p, r, c_v, lrow, f, prow, pack in cells:
+        for a, b, p, r, c_v, lrow, f, prow, pack, _ in cells:
             bk = (a * x + b) % p % r
             append(bk)
             i = bk // c_v  # divmod would build a tuple per lane
@@ -590,9 +621,9 @@ def _can_fork() -> bool:
 
 
 def _split(work):
-    """Indices of the proofs to make here and in the worker: largest first,
-    each into the bin with less work so far, the calling process taking the
-    bin with more."""
+    """Indices of the jobs (proofs, or a pass's units) to run here and in
+    the worker: largest first, each into the bin with less work so far, the
+    calling process taking the bin with more."""
     bins, loads = ([], []), [0, 0]
     for i in sorted(range(len(work)), key=lambda i: -work[i]):
         k = loads[1] < loads[0]
@@ -601,37 +632,69 @@ def _split(work):
     return bins if loads[0] >= loads[1] else bins[::-1]
 
 
-def _child(rfd, wfd, provers):
-    """The forked worker's whole life: prove, write the proofs' values to
+def _child(rfd, wfd, there):
+    """The forked worker's whole life: call there(), write its value to
     wfd, marshalled, and leave through os._exit, with status 0 only when
     all of it was written."""
     code = 1
     try:
         os.close(rfd)
         with open(wfd, "wb") as out:
-            out.write(marshal.dumps([p.proof().values for p in provers]))
+            out.write(marshal.dumps(there()))
         code = 0
     finally:
         os._exit(code)
+
+
+def _forked(here, there):
+    """Call here() in this process while one forked child calls there().
+    Returns there()'s value, sent back through a pipe marshalled, or None
+    if the fork failed (EAGAIN at the process limit, ENOMEM), or the child
+    exited nonzero or sent a short answer; here() runs in every case. The
+    child leaves only through os._exit (_child), so it never returns into
+    the caller's stack or flushes stdio buffers it inherited; the parent
+    drains the pipe and reaps the child even when here() raises, and the
+    error surfaces with its traceback. Callers fork only where _can_fork
+    allows it."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        here()
+        return None
+    if pid == 0:
+        _child(rfd, wfd, there)
+    os.close(wfd)
+    try:
+        here()
+    finally:
+        try:
+            with open(rfd, "rb") as src:
+                data = src.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) == 0:
+        try:
+            return marshal.loads(data)
+        except (EOFError, ValueError, TypeError):  # a short answer
+            pass
+    return None
 
 
 def prove_all(provers) -> list:
     """[p.proof() for p in provers], proven on two CPUs when it pays.
 
     The batch is split by _proof_work into two bins: the calling process
-    proves the larger, and one forked child the rest, which sends its
-    proofs' values back through a pipe, marshalled. Every extension grid
-    the batch reads is built before the fork, so the child reads the
-    parent's copy-on-write and the cache keeps them. The batch is proven
-    serially when fewer than two of its proofs have work on extension
-    points, when its work is too small to pay for a fork (_FORK_MIN_WORK),
-    or when the process may not fork (_can_fork). If the fork fails, or
-    the child exits nonzero or sends a short answer, the parent makes the
-    child's proofs itself, with the same code: an error surfaces here with
-    its traceback, and the values are the same either way. The child
-    leaves only through os._exit (_child), so it never returns into the
-    caller's stack or flushes stdio buffers it inherited; the parent
-    drains the pipe and reaps the child even when its own proofs raise."""
+    proves the larger, and one forked child (_forked) the rest, sending its
+    proofs' values. Every extension grid the batch reads is built before
+    the fork, so the child reads the parent's copy-on-write and the cache
+    keeps them. The batch is proven serially when fewer than two of its
+    proofs have work on extension points, when its work is too small to
+    pay for a fork (_FORK_MIN_WORK), or when the process may not fork
+    (_can_fork). Proofs the child does not send are made in the parent,
+    with the same code."""
     provers = list(provers)
     work = [_proof_work(p) for p in provers] if _can_fork() else []
     if sum(w > 0 for w in work) < 2 or sum(work) < _FORK_MIN_WORK:
@@ -642,36 +705,66 @@ def prove_all(provers) -> list:
             _ext_grid(prover.field, p.c_a, p.proof_len)
     here, there = _split(work)
     proofs = [None] * len(provers)
-    answer = None
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # EAGAIN at the process limit, ENOMEM
-        os.close(rfd)
-        os.close(wfd)
-    else:
-        if pid == 0:
-            _child(rfd, wfd, [provers[i] for i in there])
-        os.close(wfd)
-        try:
-            for i in here:
-                proofs[i] = provers[i].proof()
-        finally:
-            try:
-                with open(rfd, "rb") as src:
-                    data = src.read()
-            finally:
-                _, status = os.waitpid(pid, 0)
-        if os.waitstatus_to_exitcode(status) == 0:
-            try:
-                answer = marshal.loads(data)
-            except (EOFError, ValueError, TypeError):  # a short answer
-                pass
+
+    def prove_here():
+        for i in here:
+            proofs[i] = provers[i].proof()
+
+    answer = _forked(prove_here,
+                     lambda: [provers[i].proof().values for i in there])
     if isinstance(answer, list) and len(answer) == len(there):
         for i, values in zip(there, answer):
             proofs[i] = DenseProof(values, provers[i].field.bits)
     return [provers[i].proof() if proof is None else proof
             for i, proof in enumerate(proofs)]
+
+
+# The least lane-updates (stream updates times lanes) of a read pass that
+# split_pass forks for. On a 2-core VM, over prefixes of fk-churn's seed-1
+# stream (9 lanes an update, medians of 15), the serial pass took about
+# 0.5 us a lane-update, and splitting it cost 2.4 ms at 2,250 lane-updates
+# and 0.8 ms at 9,000, and saved 1.0 ms at 18,000, 4.6 ms at 36,000 and
+# 9.6 ms at 72,000: break-even near 15,000. A larger process pays more for
+# its fork, so the cutoff is about twice that. fk-online's pass (14,400)
+# stays serial, fk-churn's (146,304) splits.
+_PASS_FORK_MIN = 1 << 15
+
+
+def split_pass(run, work, instances, lane_updates):
+    """run(units), over units 0 .. len(work) - 1, split over two CPUs when
+    it pays; returns the value of run in this process.
+
+    Unit k has the estimated work work[k] and owns the DenseVerifiers
+    instances[k]: run(units) writes the rows and packed cells of the given
+    units' instances and of no other, and the units' instance lists are
+    disjoint. The units are split by work into two bins (_split): this
+    process runs the larger, and one forked child (_forked) the rest,
+    sending the rows and packed cells of its units' instances, which are
+    installed here, in place. If they do not come, this process runs the
+    child's units itself. The pass runs serially below _PASS_FORK_MIN
+    lane-updates, with fewer than two units, or where the process may not
+    fork (_can_fork). A unit list is sorted, so each worker meets its
+    units in the order a serial pass does."""
+    units = list(range(len(work)))
+    if len(units) < 2 or lane_updates < _PASS_FORK_MIN or not _can_fork():
+        return run(units)
+    here, there = (sorted(part) for part in _split(work))
+    theirs = [v for k in there for v in instances[k]]
+    result = []
+
+    def run_there():
+        run(there)
+        return [(v._rows, v._pack) for v in theirs]
+
+    answer = _forked(lambda: result.append(run(here)), run_there)
+    if isinstance(answer, list) and len(answer) == len(theirs):
+        for v, (rows, pack) in zip(theirs, answer):
+            for row, got in zip(v._rows, rows):
+                row[:] = got
+            v._pack[:] = pack
+    else:
+        run(there)
+    return result[0]
 
 
 # ----------------------------------------------------- standard g callbacks

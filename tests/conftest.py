@@ -12,11 +12,13 @@ from streamcert.sumcheck import DenseProver
 
 @pytest.fixture
 def fork_any_batch(monkeypatch):
-    """sumcheck.prove_all forks for any batch with two proofs of work, not
-    only for one that pays for the fork, wherever the process may fork:
-    small test batches then take the forked path on more than one CPU and
-    the serial one on one CPU."""
+    """sumcheck.prove_all forks for any batch with two proofs of work, and
+    sumcheck.split_pass for any pass with two units, not only for those
+    that pay for the fork, wherever the process may fork: small test runs
+    then take the forked paths on more than one CPU and the serial ones on
+    one CPU."""
     monkeypatch.setattr(sumcheck, "_FORK_MIN_WORK", 0)
+    monkeypatch.setattr(sumcheck, "_PASS_FORK_MIN", 0)
 
 
 def freq_oracle(updates):

@@ -3,17 +3,22 @@ from itertools import combinations
 
 import pytest
 
-from streamcert import sumcheck
+from streamcert import moments, streams, sumcheck
 from streamcert.graphs import (count_triangles_run, edge_universe, pair_rank,
                                triangle_derived_stream, triangles_from_moments,
                                triple_rank, triple_universe,
                                verify_connectivity, verify_non_bipartite,
                                verify_perfect_matching, witness_tree_records)
 from streamcert.harness import adversary
+from streamcert.moments import hamming_run, subset_run
 from streamcert.protocol import ConfigError, CostReport, RelaxedOutcome
-from streamcert.streams import STRICT, ModelViolation, compute_meta
+from streamcert.streams import (STRICT, ModelViolation, StreamUpdate as U,
+                                compute_meta)
 
 from conftest import rewrite_chunk
+
+# a triangle with a pendant edge, and a perfect matching {0, 1}, {2, 3}
+GRAPH = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)]
 
 
 def random_graph(rng, n, p):
@@ -309,6 +314,29 @@ def test_graph_runs_refuse_a_stream_that_is_not_a_simple_graph(run, edges,
                                                                 message):
     with pytest.raises(ConfigError, match=message):
         run(edges)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_perfect_matching(GRAPH, 4, [(0, 1), (2, 3)]),
+    lambda: verify_connectivity(GRAPH, 4, (2, [(2, 0), (2, 1), (2, 3)])),
+    lambda: verify_non_bipartite(GRAPH, 4, [0, 1, 2, 0]),
+    lambda: count_triangles_run(GRAPH, 4),
+    lambda: hamming_run([(0, U(1, 1)), (0, U(2, 1)), (1, U(2, 1)),
+                         (1, U(3, 1)), (1, U(3, -1))], 8, 4),
+    lambda: subset_run([(0, U(1, 1)), (1, U(1, 1)), (1, U(2, 1))], 8, 4),
+], ids=["matching", "connectivity", "oddcycle", "triangles", "hamming",
+        "subset"])
+def test_zero_one_checks_read_the_one_pass(run, monkeypatch):
+    # the 0/1 checks on final counts read the counts of the one pass that
+    # sizes the run (or, for edges, of the loop that flattens them): no
+    # run here makes another pass with frequency_map
+    calls = []
+    for module in (streams, moments):
+        real = module.frequency_map
+        monkeypatch.setattr(module, "frequency_map",
+                            lambda ups, real=real: calls.append(1) or real(ups))
+    assert run().accepted
+    assert calls == []
 
 
 def test_repeated_edge_does_not_count_extra_triangles():

@@ -9,7 +9,8 @@ from streamcert.graphs import (verify_connectivity, verify_non_bipartite,
                                verify_perfect_matching)
 from streamcert.harness import ChunkTamper, adversary, synthetic_stream
 from streamcert.moments import (MODE_AMA, MODE_FOOTPRINT, MODE_STRICT,
-                                MultiIndexProverCore, OnlineEngineProver,
+                                MultiIndexProverCore, MultiIndexVerifierCore,
+                                OnlineEngineProver,
                                 OnlineEngineVerifier, Shape,
                                 disj_online_run, disj_prescient_run,
                                 fk_ama_mode, fk_footprint_mode,
@@ -1320,6 +1321,139 @@ def test_strict_verifier_update_stays_on_the_fused_lanes(monkeypatch, rng):
     assert calls == {"update": 0, "add_purity": 0}
     monkeypatch.undo()
     assert verifier.end(prover.finish(None), None).value == {2: moment_oracle(ups, 2)}
+
+
+# ------------------------------------------------------- the read pass
+
+READ_SHAPES = [(mode, mains) for mode in ("strict", "footprint")
+               for mains in ((2,), (1, 2, 3), ("ip",))]
+
+
+def _bound_case(mode, mains, weight=5):
+    """(shape, updates) at the packed purity terms' bound: a shape over n =
+    2^10 at c_v = 4 sized for `weight`, and updates of id n_ids - 1 and of
+    id 0 at delta +-weight among random ids and deltas in [-weight,
+    weight]. The mapping takes any counts, so the updates need not keep
+    the stream strict."""
+    mode = {"strict": MODE_STRICT, "footprint": MODE_FOOTPRINT}[mode]
+    n = 1 << 10
+    shape = Shape(n, 40, 4, weight, mode, mains=mains)
+    top = shape.n_ids - 1
+    rng = random.Random(31)
+    ups = [U(rng.randrange(shape.n_ids),
+             rng.choice([d for d in range(-weight, weight + 1) if d]))
+           for _ in range(150)]
+    ups += [U(top, weight), U(top, -weight), U(0, weight), U(top, weight)]
+    rng.shuffle(ups)
+    return shape, ups
+
+
+@pytest.mark.parametrize("mode, mains", READ_SHAPES,
+                         ids=[f"{m}-{'-'.join(map(str, k))}" for m, k in READ_SHAPES])
+def test_read_pass_rows_match_per_instance_calls(mode, mains, monkeypatch):
+    # one pass over the stream, with the purity terms packed from the id
+    # and unreduced, leaves every instance's rows (reduced on read) where
+    # one update or add_purity call per instance leaves them, at id
+    # n_ids - 1 and delta +-weight, where |occ| * i^2 comes closest to q;
+    # the pass calls no route, no DenseVerifier method and no terms_of
+    shape, ups = _bound_case(mode, mains)
+    top = shape.n_ids - 1
+    assert shape.weight * top * top < shape.field_purity.q
+    prover, fused = _engine_pair(shape)
+    reference = OnlineEngineVerifier(shape, random.Random(2))
+    reference.begin(prover.start())
+    for u in ups:
+        _reference_update(reference, u)
+    fused.routes = None
+    for name in ("update", "add_purity"):
+        monkeypatch.setattr(sumcheck.DenseVerifier, name, None)
+    monkeypatch.setattr(type(shape.mode), "terms_of", None)
+    fused.read(ups)
+    monkeypatch.undo()
+    assert fused.weight_seen == reference.weight_seen
+    rows = _verifier_rows(fused)
+    assert rows == _verifier_rows(reference)
+    assert any(c for inst in rows for row in inst for c in row)
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_read_is_update_for_each_update(case):
+    # in every mode, AMA's per-update routes included, read(updates) leaves
+    # the verifier where update(u) for each update leaves it, and the run
+    # accepts the honest annotation after either
+    shape, ups = _engine_case(case)
+    prover, read = _engine_pair(shape)
+    _, stepped = _engine_pair(shape)
+    for u in ups:
+        prover.on_update(u)
+        stepped.update(u)
+    read.read(ups)
+    assert read.weight_seen == stepped.weight_seen
+    assert _verifier_rows(read) == _verifier_rows(stepped)
+    chunks = prover.finish(None)
+    assert read.end(list(chunks), None).accepted
+    assert stepped.end(list(chunks), None).accepted
+
+
+def test_multiindex_read_is_update_for_each_update():
+    # the standalone scheme's pass, over its stages' lanes alone, leaves
+    # the rows that update(u) for each update leaves
+    n = 1 << 12
+    ups = strict_stream(random.Random(5), n, 60, churn=0.2)
+    meta = compute_meta(ups, n, STRICT)
+    shape = Shape(n, meta.sparsity, 4, meta.weight, MODE_STRICT, ell=20)
+    start = MultiIndexProverCore(shape, random.Random(1)).start()
+    read, stepped = (MultiIndexVerifierCore(shape, random.Random(2))
+                     for _ in range(2))
+    for v in (read, stepped):
+        v.begin(list(start))
+    read.read(ups)
+    for u in ups:
+        stepped.update(u)
+    rows = [[inst.rows for stage in v.instances for inst in stage]
+            for v in (read, stepped)]
+    assert rows[0] == rows[1]
+    assert any(c for inst in rows[0] for row in inst for c in row)
+
+
+@pytest.mark.parametrize("verifier, prover", [
+    (partial(moments._TaggedWitnessVerifier, subset=False),
+     partial(moments._TaggedWitnessProver, subset=False)),
+    (partial(moments._TaggedWitnessVerifier, subset=True),
+     partial(moments._TaggedWitnessProver, subset=True)),
+    (moments._ProductVerifier, OnlineEngineProver),
+    (partial(moments._ProductVerifier, hamming=True), OnlineEngineProver),
+], ids=["disj", "subset", "inner-product", "hamming"])
+@pytest.mark.parametrize("sets", [([1, 5, 9], [1, 9, 20, 33]),
+                                  ([1, 5, 9], [2, 6, 20, 33])],
+                         ids=["meeting", "disjoint"])
+def test_read_keeps_the_subclasses_own_state(verifier, prover, sets):
+    # the two-sided verifiers' own state (F1 counters, the witness branch's
+    # fingerprints) is kept by tally, which read and update both call, so
+    # the fused pass leaves it as update(u) for each update does
+    ids, meta = tagged_meta(tagged_sets(*sets), 64)
+    shape = Shape(64, meta.sparsity, 4, meta.weight, MODE_STRICT, mains=("ip",))
+    honest = prover(shape, random.Random(1))
+    start = honest.start()
+    for u in ids:
+        honest.on_update(u)
+    chunks = honest.finish(None)
+    read, stepped = (verifier(shape, random.Random(2)) for _ in range(2))
+    for v in (read, stepped):
+        v.begin(list(start))
+    read.read(ids)
+    for u in ids:
+        stepped.update(u)
+
+    def state(v):
+        own = {k: getattr(v, k) for k in ("f1", "f1_x") if hasattr(v, k)}
+        if hasattr(v, "pq"):
+            own["pq"] = list(v.pq.accs)
+        assert own
+        return own, v.weight_seen, _verifier_rows(v)
+
+    assert state(read) == state(stepped)
+    assert read.end(list(chunks), None) == stepped.end(list(chunks), None)
 
 
 # ------------------------------------------------ the prover's stage mapping

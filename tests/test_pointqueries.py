@@ -106,6 +106,19 @@ def test_selection_rank_out_of_range():
                              c_v=8).value == 0
 
 
+def test_selection_rank_bounds_read_the_one_pass():
+    # N is the total of the final counts, 3 + 2 = 5 here, however the
+    # churn goes: rank N is the last item's, and 0 and N + 1 are refused
+    # with the range in the message
+    ups = [StreamUpdate(2, 3), StreamUpdate(6, 4), StreamUpdate(6, -2),
+           StreamUpdate(4, 1), StreamUpdate(4, -1)]
+    for rank in (0, 6):
+        with pytest.raises(ConfigError) as exc:
+            selection_run(ups, 8, rank, c_a=8, c_v=8)
+        assert str(exc.value) == f"rank {rank} outside [1, 5]"
+    assert selection_run(ups, 8, 5, c_a=8, c_v=8).value == 6
+
+
 def test_selection_wrong_answer_rejected(rng):
     ups = strict_stream(rng, 64, 10, churn=0.0)
     for t in range(30):

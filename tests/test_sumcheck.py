@@ -7,12 +7,16 @@ from math import factorial
 
 import pytest
 
-from streamcert import sumcheck
+from streamcert import moments, sumcheck
 from streamcert.field import Field, M61, field_at_least
-from streamcert.moments import fk_ama_mode, fk_footprint_mode, fk_online_run
+from streamcert.moments import (MODE_FOOTPRINT, MODE_STRICT,
+                                OnlineEngineProver, OnlineEngineVerifier,
+                                Shape, fk_ama_mode, fk_footprint_mode,
+                                fk_online_multi, fk_online_run)
 from streamcert.protocol import ConfigError, Reject
 from streamcert.purity import (AmaPurity, ama_params, draw_public_coins,
                               purity_deltas)
+from streamcert.streams import STRICT, compute_meta
 from streamcert.sumcheck import (DenseParams, DenseProof, DenseProver,
                                  DenseVerifier, g_power, g_product, g_purity,
                                  g_sub_purity, g_sub_square, g_triple_product,
@@ -810,6 +814,150 @@ def test_prove_all_stays_serial_with_a_thread_or_one_proof(forks):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+    assert forks == []
+
+
+# ------------------------------------------------------------ split_pass
+
+
+def pass_case(mode=MODE_STRICT, mains=(2,)):
+    """read(): a fresh engine verifier that has taken its start chunks and
+    read a churned stream with collisions, through its one read call, with
+    the shape as read.shape; the stream; and its run, fk_online_multi."""
+    n = 1 << 10
+    ups = strict_stream(random.Random(21), n, 40, churn=0.4)
+    meta = compute_meta(ups, n, STRICT)
+    shape = Shape(n, meta.sparsity, 4, meta.weight, mode, mains=mains)
+    start = OnlineEngineProver(shape, random.Random(1)).start()
+
+    def read(updates=ups):
+        v = OnlineEngineVerifier(shape, random.Random(2))
+        v.begin(list(start))
+        v.read(updates)
+        return v
+    read.shape = shape
+    return read, ups, lambda: fk_online_multi(ups, n, mains, 4, seed=5, mode=mode)
+
+
+def pass_state(v):
+    """Every instance's rows, unreduced cells folded and reduced, and the
+    weight seen."""
+    insts = [*v.mains.values(), v.main_inj]
+    insts += [inst for stage in v.mi.instances for inst in stage]
+    return [inst.rows for inst in insts], v.weight_seen
+
+
+def serial_state(read, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(sumcheck, "_can_fork", lambda: False)
+        return pass_state(read())
+
+
+@pytest.mark.parametrize("mode, mains", [(MODE_STRICT, (2,)),
+                                         (MODE_FOOTPRINT, (2,)),
+                                         (MODE_STRICT, (1, 2, 3))],
+                         ids=["strict", "footprint", "orders-1-2-3"])
+def test_split_pass_is_the_serial_pass(mode, mains, forks, monkeypatch):
+    # forced to split, the pass leaves every row and the run every value,
+    # transcript and cost where the serial pass does, with one child where
+    # this process may fork
+    read, _, run = pass_case(mode, mains)
+    want = serial_state(read, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(sumcheck, "_can_fork", lambda: False)
+        m.setattr(sumcheck, "_FORK_MIN_WORK", 1 << 62)
+        serial = run()
+    assert pass_state(read()) == want
+    assert len(forks) == sumcheck._can_fork()
+    split = run()
+    assert serial.accepted
+    assert ((split.value, split.cost.hcost_bits, split.cost.vcost_words)
+            == (serial.value, serial.cost.hcost_bits, serial.cost.vcost_words))
+
+
+def test_split_pass_halves_partition_the_instances(monkeypatch):
+    # two-sided and with several mains alike, the halves own disjoint
+    # instances that together are every instance the verifier holds (the
+    # mains, the main injection and each stage's instances), and their
+    # lane work differs by at most one unit's
+    for mode, mains in ((MODE_STRICT, ("ip",)), (MODE_FOOTPRINT, (1, 2, 3))):
+        read, _, _ = pass_case(mode, mains)
+        seen = []
+        monkeypatch.setattr(moments, "split_pass", lambda run, work, insts, lu:
+                            seen.append((work, insts)) or run(list(range(len(work)))))
+        v = read()
+        monkeypatch.undo()
+        [(work, insts)] = seen
+        here, there = sumcheck._split(work)
+        owned = [[id(x) for k in half for x in insts[k]] for half in (here, there)]
+        every = [*v.mains.values(), v.main_inj,
+                 *(x for stage in v.mi.instances for x in stage)]
+        assert here and there and not set(owned[0]) & set(owned[1])
+        assert sorted(owned[0] + owned[1]) == sorted(map(id, every))
+        loads = [sum(work[k] for k in half) for half in (here, there)]
+        assert 0 <= loads[0] - loads[1] <= max(work)
+
+
+@pytest.mark.parametrize("fail", ["fork-refused", "child-raises",
+                                  "child-truncated-bytes", "child-short-list"])
+def test_split_pass_survives_a_failed_child(fail, forks, monkeypatch):
+    # whatever goes wrong in the child, this process reads the child's
+    # units itself, and the rows are the serial pass's
+    read, _, _ = pass_case()
+    want = serial_state(read, monkeypatch)
+    dumps = marshal.dumps
+    if fail == "fork-refused":
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", refuse)
+    elif fail == "child-raises":
+        def boom(values):
+            raise MemoryError
+        monkeypatch.setattr(marshal, "dumps", boom)
+    elif fail == "child-truncated-bytes":
+        monkeypatch.setattr(marshal, "dumps", lambda v: dumps(v)[:-5])
+    else:
+        monkeypatch.setattr(marshal, "dumps", lambda v: dumps(v[:-1]))
+    assert pass_state(read()) == want
+    forked = sumcheck._can_fork() and fail != "fork-refused"
+    assert len(forks) == forked
+
+
+def test_split_pass_reaps_the_child_when_the_parent_raises(forks):
+    parent = os.getpid()
+    read, ups, _ = pass_case()
+
+    class Stream(list):
+        def __iter__(self):
+            if os.getpid() == parent:
+                raise KeyError("parent")
+            return super().__iter__()
+
+    with pytest.raises(KeyError, match="parent"):
+        read(Stream(ups))
+    assert len(forks) == sumcheck._can_fork()
+
+
+def test_split_pass_stays_serial_on_one_cpu_with_a_thread_or_short(forks,
+                                                                   monkeypatch):
+    read, ups, _ = pass_case()
+    want = serial_state(read, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert pass_state(read()) == want
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert pass_state(read()) == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    # one lane-update below the cutoff: 1 + t_max lanes an update
+    lanes = 1 + read.shape.t_max
+    monkeypatch.setattr(sumcheck, "_PASS_FORK_MIN", len(ups) * lanes + 1)
+    assert pass_state(read()) == want
     assert forks == []
 
 
