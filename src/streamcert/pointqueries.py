@@ -12,24 +12,56 @@ verifier's BucketFingerprintState. Point queries run over the items,
 selection and heavy hitters over the derived stream of dyadic nodes, and
 heavy hitters certify their records by these openings alone. The online
 DISJ/subset witness reuses BucketFingerprintState over 2*item+tag, and every
-prover builds its openings with open_buckets. The verifier feeds a flat id
-to BucketFingerprintState.update. For the dyadic stream it calls
-update_dyadic once per stream update, which walks the item's nodes from the
-root down and gets each node's power of the basis from its parent's by one
-squaring."""
+prover builds its openings with open_buckets. The point-query verifier feeds
+a flat id to BucketFingerprintState.update. Selection and heavy hitters share
+one read of the dyadic stream (DyadicVerifier), a loop over the updates that
+walks each item's nodes from the root down and gets each node's power of the
+basis from its parent's by one squaring (BucketFingerprintState.walk).
+
+Both phases of those two verifiers split over two CPUs where it pays, through
+sumcheck._forked: the walk by tree level (read_dyadic), a forked child adding
+the bottom levels' terms into c_v partial sums, and the opening checks by
+opening (check_openings). A child that fails leaves its share to the calling
+process, with the same code, so the buckets, outcomes and reject reasons are
+the serial ones."""
 
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate, islice
 
+from . import sumcheck
 from .field import field_at_least
-from .protocol import (Chunk, ConfigError, Outcome, Prover, RunResult,
+from .protocol import (Chunk, ConfigError, Outcome, Prover, Reject, RunResult,
                        Verifier, COUNT_BITS, id_bits, int_record, need,
                        run_protocol, take)
-from .streams import (NONSTRICT, STRICT, PairwiseHash, compute_meta,
-                      dyadic_decompose, dyadic_levels, dyadic_prefix_nodes,
-                      dyadic_universe, hash_fits, random_pairwise_hash)
+from .streams import (NONSTRICT, STRICT, PairwiseHash, StreamUpdate,
+                      compute_meta, dyadic_decompose, dyadic_levels,
+                      dyadic_prefix_nodes, dyadic_universe, hash_fits,
+                      random_pairwise_hash)
 
 OVERFLOW_FACTOR = 10  # Markov constant from the completeness argument
+
+# The least node-updates (stream updates times tree levels) of a dyadic walk
+# that BucketFingerprintState.read_dyadic forks for, and the levels the
+# forked child walks, at the bottom of the tree. On a 2-core VM, over
+# prefixes of hh-openings' seed-1 stream (21 levels, medians of 21), the
+# serial walk took about 1 us a node-update, and splitting it cost 2.3 ms
+# at 2,100 node-updates and 3.6 ms at 8,400, and saved 0.5 ms at 16,800,
+# 7 ms at 33,600 and 25 ms at 67,200: break-even near 16,000, and a larger
+# process pays more for its fork. The child's one pow an update costs about
+# what two or three levels do; over the whole stream (169,008
+# node-updates, medians of 31 alternated reads), 7 to 10 child levels read
+# it in 110-113 ms and 11 in 124, against 159 serially, and 9 was best
+# again in a second sweep (111 ms, against 119 at 8 and 124 at 10).
+_WALK_FORK_MIN = 1 << 15
+_WALK_CHILD_LEVELS = 9
+
+# The least opened entries of a check_openings call that forks. On the same
+# VM, over the openings of prefixes of that stream (16 openings, medians of
+# 21 or 31), splitting cost 2.9 ms at 284 entries and 1.2 ms at 950, broke
+# even at 1,728 and saved 1.9 ms at 2,470, 7 ms at 4,038 and 35 ms (of 133)
+# at the whole stream's 20,650; the cutoff is about twice break-even.
+_OPEN_FORK_MIN = 1 << 12
 
 
 class BucketFingerprintState:
@@ -37,9 +69,9 @@ class BucketFingerprintState:
     An opened bucket may list at most OVERFLOW_FACTOR * c_a items.
 
     Bucket j holds sum f_v * basis^v over its ids v. update takes one power
-    per id. update_dyadic walks an item's dyadic nodes from the root, each
-    node's power being its parent's squared (times the basis for a right
-    child), and check_opening steps through an opening's ascending ids by
+    per id. walk goes down each item's dyadic nodes over a range of levels,
+    each node's power being its parent's squared (times the basis for a
+    right child), and check_opening steps through an opening's ascending ids by
     gap powers. These three compute each bucket from the hash's fields
     (a, b, p, r), read once when set_hash accepts the hash, so they make
     no call per id.
@@ -78,25 +110,76 @@ class BucketFingerprintState:
         self._accs[b] += delta * pow(self.basis, item, self.field.q)
         self.weight += abs(delta)
 
-    def update_dyadic(self, item, delta, levels):
-        """update(v, delta) at each dyadic node v of `item`, walking from the
-        root down: node k is path >> k, and its power of the basis is its
-        parent's squared, times the basis when bit k of path is set."""
+    def walk(self, updates, levels, top, bottom, accs):
+        """Add delta * basis^v, unreduced, into accs at the bucket of each
+        node v on levels top down to bottom of each update's item, in a tree
+        of depth `levels`, and return the updates' total and weight (the sum
+        of |delta|). Node k of an item is path >> k, path = 2^levels + item,
+        and its power of the basis is its parent's squared, times the basis
+        when bit k of path is set. The walk starts from the power of node
+        path >> (top + 1), one pow per update, except from the root, whose
+        parent is node 0, of power 1."""
         q = self.field.q
-        basis, accs = self.basis, self._accs
+        basis = self.basis
         ha, hb, hp, hr = self.hkey
-        path = (1 << levels) + item
-        node = path >> (levels + 1)  # the root's parent, 0 for items in [2^L]
-        power = pow(basis, node, q)
-        for k in range(levels, -1, -1):
-            node <<= 1
-            power = power * power % q
-            if path >> k & 1:
-                node += 1
-                power = power * basis % q
-            b = (ha * node + hb) % hp % hr
-            accs[b] += delta * power
+        base, shift = 1 << levels, top + 1
+        ks = range(top, bottom - 1, -1)
+        total = weight = 0
+        for u in updates:
+            delta = u.delta
+            total += delta
+            weight += delta if delta > 0 else -delta
+            path = base + u.item
+            node = path >> shift
+            power = pow(basis, node, q) if node else 1
+            for k in ks:
+                node <<= 1
+                power = power * power % q
+                if path >> k & 1:
+                    node += 1
+                    power = power * basis % q
+                accs[(ha * node + hb) % hp % hr] += delta * power
+        return total, weight
+
+    def update_dyadic(self, item, delta, levels):
+        """update(v, delta) at each dyadic node v of `item`: the walk of
+        the one update at every level."""
+        self.walk((StreamUpdate(item, delta),), levels, levels, 0, self._accs)
         self.weight += (levels + 1) * abs(delta)
+
+    def read_dyadic(self, updates, levels):
+        """update_dyadic for each update, in order, and the updates' total
+        and weight. From _WALK_FORK_MIN node-updates on, where the process
+        may fork, the walk splits by tree level: this process walks the
+        root side, and one forked child (sumcheck._forked) the bottom
+        _WALK_CHILD_LEVELS levels (at most `levels`, so the root stays
+        here), adding into c_v partial sums that it sends back and this
+        process adds into the buckets. Both add the serial walk's terms, so
+        the buckets end integer for integer as the serial walk leaves them.
+        If the sums do not come, this process walks the child's levels."""
+        accs = self._accs
+        cut = min(_WALK_CHILD_LEVELS, levels)
+        if (len(updates) * (levels + 1) < _WALK_FORK_MIN
+                or not sumcheck._can_fork()):
+            total, weight = self.walk(updates, levels, levels, 0, accs)
+        else:
+            here = []
+
+            def there():
+                part = [0] * self.c_v
+                self.walk(updates, levels, cut - 1, 0, part)
+                return part
+
+            answer = sumcheck._forked(lambda: here.append(
+                self.walk(updates, levels, levels, cut, accs)), there)
+            total, weight = here[0]
+            if isinstance(answer, list) and len(answer) == self.c_v:
+                for b, part in enumerate(answer):
+                    accs[b] += part
+            else:
+                self.walk(updates, levels, cut - 1, 0, accs)
+        self.weight += (levels + 1) * weight
+        return total, weight
 
     def check_opening(self, bucket, entries, n, collect=None, arity=2):
         """Verify a claimed full content list for one bucket.
@@ -135,19 +218,66 @@ class BucketFingerprintState:
     def check_openings(self, openings, n, collect=None, arity=2):
         """Verify a list of (bucket, entries) openings with strictly
         ascending buckets, which must include the bucket of every id in
-        `collect`."""
+        `collect`.
+
+        From _OPEN_FORK_MIN opened entries on, where the process may fork,
+        the openings split into two contiguous runs of about equal entry
+        counts: this process checks the first, and one forked child
+        (sumcheck._forked) the second, sending back its first failure and
+        the counts it collected. The lower failing index wins, so the
+        reason is the serial one. If the answer does not come, this process
+        checks the child's run itself."""
         need(isinstance(openings, list), "malformed openings")
-        prev = -1
-        for o in openings:
-            need(isinstance(o, (tuple, list)) and len(o) == 2
-                 and type(o[0]) is int, "malformed opening")
-            bucket, entries = o
-            need(prev < bucket < self.c_v, "buckets not sorted")
-            prev = bucket
-            self.check_opening(bucket, entries, n, collect, arity)
+        sizes = [len(o[1]) if isinstance(o, (tuple, list)) and len(o) == 2
+                 and isinstance(o[1], list) else 0 for o in openings]
+        m = len(openings)
+        if m < 2 or sum(sizes) < _OPEN_FORK_MIN or not sumcheck._can_fork():
+            failed = self._check_run(openings, 0, m, n, collect, arity)
+        else:
+            prefix = list(accumulate(sizes))
+            cut = min(range(1, m),
+                      key=lambda s: abs(2 * prefix[s - 1] - prefix[-1]))
+            here = []
+
+            def there():
+                share = None if collect is None else dict.fromkeys(collect, 0)
+                failed = self._check_run(openings, cut, m, n, share, arity)
+                return failed, share and {v: f for v, f in share.items() if f}
+
+            answer = sumcheck._forked(lambda: here.append(
+                self._check_run(openings, 0, cut, n, collect, arity)), there)
+            if isinstance(answer, tuple) and len(answer) == 2:
+                theirs, got = answer
+                if got:
+                    collect.update(got)
+            else:
+                theirs = self._check_run(openings, cut, m, n, collect, arity)
+            # this process's run comes first: its failure has the lower index
+            failed = here[0] or theirs
+        if failed:
+            raise Reject(failed[1])
         opened = {b for b, _ in openings}
         need(all(self.h(v) in opened for v in collect or ()),
              "required bucket not opened")
+
+    def _check_run(self, openings, start, stop, n, collect, arity):
+        """The checks of check_openings, opening by opening: the structure
+        of openings[:stop] and, from index `start`, each opening's content
+        (check_opening). Returns the (index, reason) of the first check
+        that fails, or None."""
+        prev = -1
+        for i, o in enumerate(islice(openings, stop)):
+            try:
+                need(isinstance(o, (tuple, list)) and len(o) == 2
+                     and type(o[0]) is int, "malformed opening")
+                bucket, entries = o
+                need(prev < bucket < self.c_v, "buckets not sorted")
+                prev = bucket
+                if i >= start:
+                    self.check_opening(bucket, entries, n, collect, arity)
+            except Reject as exc:
+                return i, str(exc)
+        return None
 
     @property
     def words(self):
@@ -313,17 +443,29 @@ class SelectionProver(OpeningProver):
         return [Chunk("selection-answer", (j, openings), COUNT_BITS + bits)]
 
 
-class SelectionVerifier(OpeningVerifier):
-    extra_words = 4
+class DyadicVerifier(OpeningVerifier):
+    """Verifier side of selection and heavy hitters: the bucket fingerprints
+    of the derived dyadic stream, the stream's total count and its weight
+    seen (the sum of |delta|). read walks every update's nodes in one loop
+    (BucketFingerprintState.read_dyadic)."""
 
     def __init__(self, n, c_a, c_v, rng):
         super().__init__(n, dyadic_universe(n), c_a, c_v, rng)
         self.levels = dyadic_levels(n)
         self.total = 0
+        self.weight_seen = 0
 
     def update(self, u):
-        self.total += u.delta
-        self.state.update_dyadic(u.item, u.delta, self.levels)
+        self.read((u,))
+
+    def read(self, updates):
+        total, weight = self.state.read_dyadic(updates, self.levels)
+        self.total += total
+        self.weight_seen += weight
+
+
+class SelectionVerifier(DyadicVerifier):
+    extra_words = 4
 
     def end(self, chunks, query):
         rank = query
@@ -401,22 +543,14 @@ class HeavyHittersProver(OpeningProver):
                 Chunk("hh-openings", openings, bits)]
 
 
-class HeavyHittersVerifier(OpeningVerifier):
+class HeavyHittersVerifier(DyadicVerifier):
     extra_words = 8
 
     def __init__(self, n, c_a, c_v, rng):
-        super().__init__(n, dyadic_universe(n), c_a, c_v, rng)
-        self.levels = dyadic_levels(n)
-        self.total = 0
-        self.weight_seen = 0
+        super().__init__(n, c_a, c_v, rng)
         # multiset-equation fingerprint bases
         self.sigma = self.state.field.rand(rng)
         self.tau = self.state.field.rand(rng)
-
-    def update(self, u):
-        self.total += u.delta
-        self.weight_seen += abs(u.delta)
-        self.state.update_dyadic(u.item, u.delta, self.levels)
 
     def end(self, chunks, query):
         phi = Fraction(query)

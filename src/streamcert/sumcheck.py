@@ -62,7 +62,7 @@ and a proof of degree d multiplies, unpacks and folds d - 1 of them, each
 filling its own slice of b's values. So a degree-2 proof does the same work
 whether or not a degree-3 proof of the same shape has grown the grid.
 
-Two kinds of work split over two CPUs, through one helper (_forked): the
+Three kinds of work split over two CPUs, through one helper (_forked): the
 calling process does its share while one forked child does the rest and
 returns its results through a pipe, marshalled. A failed fork, a child that
 exits nonzero or a short answer leaves the child's share to the parent,
@@ -82,6 +82,15 @@ tracer's, sees only the calls made in the calling process.
   together are the one verifier's state, cell for cell. Only the verifier
   is held to small space, and its space is counted as before: each
   instance lives in one worker.
+- The selection and heavy-hitter verifiers (pointqueries) split both their
+  phases. Their walk of the dyadic stream splits by tree level: each
+  worker reads every update and adds the terms of its own levels, and the
+  child sends its c_v partial bucket sums, which the parent adds into its
+  buckets; the sums are unreduced, so the buckets are the serial walk's,
+  integer for integer. Their opening checks split by opening: each worker
+  checks a contiguous run of the openings and the lower failing index
+  wins, so the reject reason is the serial one. vcost counts the one
+  verifier's state, which the serial fallback runs.
 """
 
 import marshal

@@ -1,9 +1,10 @@
 import dataclasses
+import os
 import random
 
 import pytest
 
-from streamcert import purity, sumcheck
+from streamcert import pointqueries, purity, sumcheck
 from streamcert.field import field_at_least
 from streamcert.harness import ChunkTamper
 from streamcert.streams import StreamUpdate, dyadic_levels
@@ -12,13 +13,36 @@ from streamcert.sumcheck import DenseProver
 
 @pytest.fixture
 def fork_any_batch(monkeypatch):
-    """sumcheck.prove_all forks for any batch with two proofs of work, and
-    sumcheck.split_pass for any pass with two units, not only for those
-    that pay for the fork, wherever the process may fork: small test runs
-    then take the forked paths on more than one CPU and the serial ones on
-    one CPU."""
+    """sumcheck.prove_all forks for any batch with two proofs of work,
+    sumcheck.split_pass for any pass with two units, and the dyadic walk
+    and the opening checks of pointqueries for any stream and any two
+    openings, not only for those that pay for the fork, wherever the
+    process may fork: small test runs then take the forked paths on more
+    than one CPU and the serial ones on one CPU."""
     monkeypatch.setattr(sumcheck, "_FORK_MIN_WORK", 0)
     monkeypatch.setattr(sumcheck, "_PASS_FORK_MIN", 0)
+    monkeypatch.setattr(pointqueries, "_WALK_FORK_MIN", 0)
+    monkeypatch.setattr(pointqueries, "_OPEN_FORK_MIN", 0)
+
+
+@pytest.fixture
+def forks(monkeypatch, fork_any_batch):
+    """os.fork, counted: the list of pids it returned in this process, which
+    forks for any work that has two parts (fork_any_batch). After the test
+    no child of this process is left, running or not."""
+    real = os.fork
+    pids = []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def freq_oracle(updates):

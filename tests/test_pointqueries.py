@@ -1,9 +1,12 @@
 import dataclasses
+import marshal
+import os
 import random
+import threading
 
 import pytest
 
-from streamcert import pointqueries
+from streamcert import pointqueries, sumcheck
 from streamcert.field import DEFAULT_FIELD, next_prime
 from streamcert.harness import ChunkTamper, RunConfig, adversary, run_scheme
 from streamcert.pointqueries import (BucketFingerprintState, dyadic_counts,
@@ -12,7 +15,8 @@ from streamcert.pointqueries import (BucketFingerprintState, dyadic_counts,
 from streamcert.protocol import (COUNT_BITS, Chunk, ConfigError, Prover, Reject,
                                  id_bits)
 from streamcert.streams import (PairwiseHash, StreamUpdate, dyadic_decompose,
-                                dyadic_levels, dyadic_universe, hash_fits,
+                                dyadic_levels, dyadic_prefix_nodes,
+                                dyadic_universe, hash_fits,
                                 random_pairwise_hash)
 
 from conftest import (bad_hash, dyadic_node_range, freq_oracle, rewrite_chunk,
@@ -520,8 +524,9 @@ def test_check_opening_rejects_one_off_count(at):
             state.check_opening(bucket, tampered, universe)
 
 
-def count_update_pows(monkeypatch, verifier_cls):
-    """Count the pow calls pointqueries makes inside verifier_cls.update."""
+def count_read_pows(monkeypatch, verifier_cls):
+    """Count the pow calls pointqueries makes, in this process, inside
+    verifier_cls.read, and the updates read."""
     calls = {"pow": 0, "updates": 0}
     inside = [False]
 
@@ -529,34 +534,46 @@ def count_update_pows(monkeypatch, verifier_cls):
         calls["pow"] += inside[0]
         return pow(*args)
 
-    update = verifier_cls.update
+    read = verifier_cls.read
 
-    def counted_update(self, u):
-        calls["updates"] += 1
+    def counted_read(self, updates):
+        calls["updates"] += len(updates)
         inside[0] = True
         try:
-            update(self, u)
+            read(self, updates)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(pointqueries, "pow", counting_pow, raising=False)
-    monkeypatch.setattr(verifier_cls, "update", counted_update)
+    monkeypatch.setattr(verifier_cls, "read", counted_read)
     return calls
 
 
 @pytest.mark.parametrize("scheme", ["heavyhitters", "selection"])
 def test_dyadic_verifier_update_makes_one_pow_per_update(scheme, monkeypatch, rng):
+    # serially, and split by level with or without the fork (the parent
+    # then walks the child's levels too): at most one pow an update in each
+    # worker, the child's one for the power above its top level
     n = 1 << 20
     ups = strict_stream(rng, n, 30)
-    if scheme == "heavyhitters":
-        calls = count_update_pows(monkeypatch, pointqueries.HeavyHittersVerifier)
-        r = heavyhitters_run(ups, n, 0.2, c_a=128, c_v=8, seed=1)
-    else:
-        calls = count_update_pows(monkeypatch, pointqueries.SelectionVerifier)
-        r = selection_run(ups, n, 5, c_a=128, c_v=8, seed=1)
-    assert r.accepted
-    assert calls["updates"] == len(ups)
-    assert calls["pow"] <= calls["updates"]
+    for path in ("serial", "split", "split-refused"):
+        with monkeypatch.context() as m:
+            if path == "serial":
+                m.setattr(sumcheck, "_can_fork", lambda: False)
+            else:
+                m.setattr(sumcheck, "_can_fork", lambda: True)
+                m.setattr(pointqueries, "_WALK_FORK_MIN", 0)
+            if path == "split-refused":
+                m.setattr(os, "fork", refuse_fork)
+            if scheme == "heavyhitters":
+                calls = count_read_pows(m, pointqueries.HeavyHittersVerifier)
+                r = heavyhitters_run(ups, n, 0.2, c_a=128, c_v=8, seed=1)
+            else:
+                calls = count_read_pows(m, pointqueries.SelectionVerifier)
+                r = selection_run(ups, n, 5, c_a=128, c_v=8, seed=1)
+        assert r.accepted
+        assert calls["updates"] == len(ups)
+        assert calls["pow"] <= calls["updates"]
 
 
 @pytest.mark.parametrize("run", [
@@ -650,3 +667,389 @@ def test_hh_zero_record_for_heavy_leaf_rejected():
             seed=seed, **kw)
         assert run().value == frozenset({77})
         assert run(prover=lambda honest: ChunkTamper(honest, forge)).rejected
+
+
+# ------------------------------------------------ the verifier on two CPUs
+# Forced to split (the forks fixture), the dyadic walk and the opening
+# checks must leave what the serial ones leave: the same raw buckets,
+# weights, values, costs and reject reasons.
+
+
+def refuse_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+DYADIC = {
+    "heavyhitters": (pointqueries.HeavyHittersProver,
+                     pointqueries.HeavyHittersVerifier),
+    "selection": (pointqueries.SelectionProver, pointqueries.SelectionVerifier),
+}
+
+
+def dyadic_case(scheme, n):
+    """read(): a fresh verifier of the scheme that has taken its start
+    chunk and read a churned stream over [n] through its one read call;
+    the stream; and run(**kw), the scheme's run on it (heavy hitters at
+    phi = 0.1, selection at the median rank)."""
+    ups = strict_stream(random.Random(21), n, min(40, n // 2), churn=0.4)
+    c_a, c_v = 128, 8
+    prover, verifier = DYADIC[scheme]
+    start = prover(n, c_v, random.Random(1)).start()
+
+    def read(updates=ups):
+        v = verifier(n, c_a, c_v, random.Random(2))
+        v.begin(list(start))
+        v.read(updates)
+        return v
+
+    if scheme == "heavyhitters":
+        def run(**kw):
+            return heavyhitters_run(ups, n, 0.1, c_a=c_a, c_v=c_v, seed=5, **kw)
+    else:
+        rank = (sum(u.delta for u in ups) + 1) // 2
+
+        def run(**kw):
+            return selection_run(ups, n, rank, c_a=c_a, c_v=c_v, seed=5, **kw)
+    return read, ups, run
+
+
+def walk_state(v):
+    """The raw (unreduced) buckets, the state's weight, and the verifier's
+    total and weight seen."""
+    return list(v.state._accs), v.state.weight, v.total, v.weight_seen
+
+
+def outcome(r):
+    info = {k: v for k, v in r.info.items() if k != "timing"}
+    return r.value, r.cost.hcost_bits, r.cost.vcost_words, info
+
+
+def serially(monkeypatch, fn):
+    with monkeypatch.context() as m:
+        m.setattr(sumcheck, "_can_fork", lambda: False)
+        return fn()
+
+
+def only_split(monkeypatch, split):
+    """Leave the other of the two splits serial."""
+    other = "_OPEN_FORK_MIN" if split == "walk" else "_WALK_FORK_MIN"
+    monkeypatch.setattr(pointqueries, other, 1 << 62)
+
+
+def opened(scheme, run, **kw):
+    """The honest openings of run(**kw), captured from its end chunk."""
+    seen = []
+    kind = "hh-openings" if scheme == "heavyhitters" else "selection-answer"
+    run(prover=rewrite_chunk(kind, lambda d: seen.append(d) or d), **kw)
+    return seen[0] if scheme == "heavyhitters" else seen[0][1]
+
+
+def record_cuts(monkeypatch):
+    """The stop index of each of this process's first _check_run calls,
+    which is the split's cut (the child's calls are not seen here)."""
+    cuts = []
+    real = BucketFingerprintState._check_run
+
+    def check_run(self, openings, start, stop, *args):
+        if start == 0:
+            cuts.append(stop)
+        return real(self, openings, start, stop, *args)
+
+    monkeypatch.setattr(BucketFingerprintState, "_check_run", check_run)
+    return cuts
+
+
+@pytest.mark.parametrize("n", [2, 8, 13, 1 << 10, 1 << 20],
+                         ids=["2", "8", "13", "2^10", "2^20"])
+@pytest.mark.parametrize("scheme", ["heavyhitters", "selection"])
+def test_split_dyadic_verifier_is_the_serial_one(scheme, n, forks, monkeypatch):
+    # the split walk leaves every raw bucket, the weight, the total and the
+    # weight seen integer for integer where the serial walk does, with one
+    # child where this process may fork; whole runs, openings split too,
+    # give the serial value, costs and info
+    read, _, run = dyadic_case(scheme, n)
+    want = serially(monkeypatch, lambda: walk_state(read()))
+    serial = serially(monkeypatch, run)
+    assert walk_state(read()) == want
+    assert len(forks) == sumcheck._can_fork()
+    split = run()
+    assert serial.accepted
+    assert outcome(split) == outcome(serial)
+
+
+FAILS = ["fork-refused", "child-raises", "child-truncated-bytes",
+         "child-short-list"]
+
+
+def fail_child(fail, monkeypatch):
+    dumps = marshal.dumps
+    if fail == "fork-refused":
+        monkeypatch.setattr(os, "fork", refuse_fork)
+    elif fail == "child-raises":
+        def boom(value):
+            raise MemoryError
+        monkeypatch.setattr(marshal, "dumps", boom)
+    elif fail == "child-truncated-bytes":
+        monkeypatch.setattr(marshal, "dumps", lambda v: dumps(v)[:-5])
+    else:
+        monkeypatch.setattr(marshal, "dumps", lambda v: dumps(v[:-1]))
+
+
+@pytest.mark.parametrize("fail", FAILS)
+@pytest.mark.parametrize("split", ["walk", "openings"])
+@pytest.mark.parametrize("scheme", ["heavyhitters", "selection"])
+def test_split_dyadic_verifier_survives_a_failed_child(scheme, split, fail,
+                                                        forks, monkeypatch):
+    # whatever goes wrong in the child (marshal.dumps runs there alone),
+    # this process does the child's share itself, with the same code: the
+    # honest run's collected counts, and the reject of a bad opening that
+    # was the child's, are the serial ones
+    read, _, run = dyadic_case(scheme, 1 << 10)
+    only_split(monkeypatch, split)
+    openings = opened(scheme, run)
+    last = max(i for i, (_, es) in enumerate(openings) if es)
+    bad = rewrite_openings(scheme, lambda ops: spoil(ops, {last: "one-off-count"}))
+    if split == "walk":
+        def state():
+            return walk_state(read())
+    else:
+        def state():
+            return outcome(run()), run(prover=bad).info["reject"]
+    want = serially(monkeypatch, state)
+    forks.clear()
+    fail_child(fail, monkeypatch)
+    assert state() == want
+    forked = sumcheck._can_fork() and fail != "fork-refused"
+    assert len(forks) == forked * (1 if split == "walk" else 2)
+
+
+@pytest.mark.parametrize("split", ["walk", "openings"])
+@pytest.mark.parametrize("scheme", ["heavyhitters", "selection"])
+def test_split_dyadic_verifier_reaps_the_child_when_the_parent_raises(
+        scheme, split, forks, monkeypatch):
+    parent = os.getpid()
+    read, ups, run = dyadic_case(scheme, 1 << 10)
+    only_split(monkeypatch, split)
+    if split == "walk":
+        class Stream(list):
+            def __iter__(self):
+                if os.getpid() == parent:
+                    raise KeyError("parent")
+                return super().__iter__()
+
+        with pytest.raises(KeyError, match="parent"):
+            read(Stream(ups))
+    else:
+        real = BucketFingerprintState.check_opening
+
+        def check_opening(self, *args):
+            if os.getpid() == parent:
+                raise KeyError("parent")
+            return real(self, *args)
+
+        monkeypatch.setattr(BucketFingerprintState, "check_opening",
+                            check_opening)
+        with pytest.raises(KeyError, match="parent"):
+            run()
+    assert len(forks) == sumcheck._can_fork()
+
+
+@pytest.mark.parametrize("split", ["walk", "openings"])
+@pytest.mark.parametrize("scheme", ["heavyhitters", "selection"])
+def test_split_dyadic_verifier_stays_serial_on_one_cpu_with_a_thread_or_short(
+        scheme, split, forks, monkeypatch):
+    read, ups, run = dyadic_case(scheme, 1 << 10)
+    only_split(monkeypatch, split)
+    if split == "walk":
+        def state():
+            return walk_state(read())
+        # one node-update below the cutoff
+        size = len(ups) * (dyadic_levels(1 << 10) + 1)
+        cutoff = "_WALK_FORK_MIN"
+    else:
+        def state():
+            return outcome(run())
+        # one opened entry below the cutoff
+        size = sum(len(es) for _, es in opened(scheme, run))
+        cutoff = "_OPEN_FORK_MIN"
+    want = serially(monkeypatch, state)
+    forks.clear()
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert state() == want
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert state() == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(pointqueries, cutoff, size + 1)
+    assert state() == want
+    assert forks == []
+
+
+SPOIL_REASONS = {
+    "one-off-count": "bucket fingerprint mismatch",
+    "wrong-bucket": "opening item in wrong bucket",
+    "malformed-entry": "malformed opening entry",
+}
+
+
+def spoil(openings, spoiled):
+    """openings with each opening i of `spoiled`, {i: kind}, spoiled: its
+    first count one off, an entry of another opening (whose id hashes to
+    another bucket) added, or its first entry's id a string."""
+    out = [(b, list(es)) for b, es in openings]
+    for i, kind in spoiled.items():
+        es = out[i][1]
+        e = es[0]
+        if kind == "one-off-count":
+            es[0] = (e[0], e[1] + 1, *e[2:])
+        elif kind == "malformed-entry":
+            es[0] = (str(e[0]), *e[1:])
+        else:
+            other = next(es for j, (_, es) in enumerate(openings)
+                         if j != i and es)
+            es.append(other[0])
+            es.sort()
+    return out
+
+
+def rewrite_openings(scheme, fn):
+    if scheme == "heavyhitters":
+        return rewrite_chunk("hh-openings", fn)
+    return rewrite_chunk("selection-answer", lambda d: (d[0], fn(d[1])))
+
+
+@pytest.mark.parametrize("kind", list(SPOIL_REASONS))
+@pytest.mark.parametrize("where", ["parent", "child", "both"])
+@pytest.mark.parametrize("scheme", ["heavyhitters", "selection"])
+def test_split_openings_reject_for_the_serial_reason(scheme, where, kind,
+                                                     forks, monkeypatch):
+    # a bad opening in this process's run, in the child's, or one in each
+    # (the child's of the next kind): the reason is the serial one, that of
+    # the lowest bad opening
+    _, _, run = dyadic_case(scheme, 1 << 10)
+    openings = opened(scheme, run)
+    full = [i for i, (_, es) in enumerate(openings) if es]
+    first, last = full[0], full[-1]
+    kinds = list(SPOIL_REASONS)
+    other = kinds[(kinds.index(kind) + 1) % len(kinds)]
+    spoiled = {"parent": {first: kind}, "child": {last: kind},
+               "both": {first: kind, last: other}}[where]
+    tamper = rewrite_openings(scheme, lambda ops: spoil(ops, spoiled))
+    serial = serially(monkeypatch, lambda: run(prover=tamper))
+    cuts = record_cuts(monkeypatch)
+    split = run(prover=tamper)
+    assert serial.info["reject"] == {"phase": "end",
+                                     "reason": SPOIL_REASONS[kind]}
+    assert split.info["reject"] == serial.info["reject"]
+    if sumcheck._can_fork():
+        assert first < cuts[-1] <= last
+
+
+def drop_opening(scheme, where):
+    """The openings with this process's first or the child's last opening
+    left out."""
+    return rewrite_openings(
+        scheme, lambda ops: ops[1:] if where == "parent" else ops[:-1])
+
+
+def zero_record_forger():
+    """test_hh_zero_record_for_heavy_leaf_rejected's run and forger."""
+    n = 1 << 10
+    leaf = (1 << dyadic_levels(n)) + 77
+
+    def forge(chunks):
+        records, openings = chunks[0].data, chunks[1].data
+        return [Chunk("hh-records", [(leaf, 0, 0) if r[0] == leaf else r
+                                     for r in records], chunks[0].bits),
+                Chunk("hh-openings", [(b, [(leaf, e[1], 0) if e[0] == leaf else e
+                                           for e in es]) for b, es in openings],
+                      chunks[1].bits)]
+
+    def run():
+        return heavyhitters_run([StreamUpdate(77, 3), StreamUpdate(5, 1)], n,
+                                0.5, c_a=64, c_v=4, seed=3,
+                                prover=lambda honest: ChunkTamper(honest, forge))
+    return run
+
+
+MALFORMED_HH = {
+    "two-field-record": ("hh-records", lambda recs: [(v, c) for v, c, _ in recs]),
+    "string-record": ("hh-records", lambda recs: [(str(v), c, f)
+                                                  for v, c, f in recs]),
+    "no-records": ("hh-records", lambda recs: None),
+    "two-field-opening": ("hh-openings", lambda ops: [
+        (b, [(v, c) for v, c, _ in es]) for b, es in ops]),
+    "string-bucket": ("hh-openings", lambda ops: [(str(b), es) for b, es in ops]),
+    "bool-flag": ("hh-openings", lambda ops: [
+        (b, [(v, c, bool(f)) for v, c, f in es]) for b, es in ops]),
+}
+
+
+def other_forgeries():
+    """(name, run): the dropped openings chunk and dropped openings, the
+    zero-record forger, and the malformed heavy-hitter annotations, each
+    of which the serial verifier rejects."""
+    hh = dyadic_case("heavyhitters", 1 << 10)[2]
+    sel = dyadic_case("selection", 1 << 10)[2]
+    drop_chunk = lambda honest: ChunkTamper(
+        honest, lambda chunks: [c for c in chunks if c.kind != "hh-openings"])
+    cases = [("hh-openings-chunk-dropped", lambda: hh(prover=drop_chunk)),
+             ("zero-record-forger", zero_record_forger())]
+    for scheme, run in (("heavyhitters", hh), ("selection", sel)):
+        for where in ("parent", "child"):
+            cases.append((f"{scheme}-{where}-opening-dropped",
+                          lambda run=run, t=drop_opening(scheme, where):
+                          run(prover=t)))
+    small = [StreamUpdate(0, 50), StreamUpdate(1, 40)] + \
+        [StreamUpdate(i, 1) for i in range(2, 12)]
+    for name, (kind, fn) in MALFORMED_HH.items():
+        cases.append((name, lambda kind=kind, fn=fn: heavyhitters_run(
+            small, 16, 0.3, c_a=16, c_v=8, seed=1,
+            prover=rewrite_chunk(kind, fn))))
+    return cases
+
+
+OTHER_FORGERIES = other_forgeries()
+
+
+@pytest.mark.parametrize("name, run", OTHER_FORGERIES,
+                         ids=[name for name, _ in OTHER_FORGERIES])
+def test_split_verifier_rejects_forgeries_for_the_serial_reason(name, run,
+                                                                forks,
+                                                                monkeypatch):
+    serial = serially(monkeypatch, run)
+    assert serial.rejected
+    assert run().info["reject"] == serial.info["reject"]
+
+
+def test_split_selection_collects_counts_across_the_pipe(forks, monkeypatch):
+    # the prefix nodes' counts that the child's openings hold reach this
+    # process: the honest answer passes the rank predicate, and a wrong
+    # answer, honestly opened, fails it as the serial run does
+    _, _, run = dyadic_case("selection", 1 << 10)
+    n = 1 << 10
+    openings = opened("selection", run)
+    serial = serially(monkeypatch, run)
+    cuts = record_cuts(monkeypatch)
+    split = run()
+    assert serial.accepted and outcome(split) == outcome(serial)
+    j = serial.value
+    wanted = set(dyadic_prefix_nodes(j, n) + dyadic_prefix_nodes(j + 1, n))
+    if sumcheck._can_fork():
+        assert any(v in wanted for _, es in openings[cuts[-1]:] for v, _ in es)
+
+    def wrong(honest):
+        answer = honest.answer
+        honest.answer = lambda rank: answer(rank) + 1
+        return honest
+
+    serial = serially(monkeypatch, lambda: run(prover=wrong))
+    assert serial.info["reject"] == {"phase": "end",
+                                     "reason": "rank predicate violated"}
+    assert run(prover=wrong).info["reject"] == serial.info["reject"]

@@ -711,26 +711,6 @@ def oracle_batch():
     return batch
 
 
-@pytest.fixture
-def forks(monkeypatch, fork_any_batch):
-    """os.fork, counted: the list of pids it returned in this process, which
-    forks for any batch with two proofs of work. After the test no child of
-    this process is left, running or not."""
-    real = os.fork
-    pids = []
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    yield pids
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def proof_values(proofs):
     assert all(type(p) is DenseProof for p in proofs)
     return [(p.values, p.field_bits) for p in proofs]
